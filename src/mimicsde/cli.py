@@ -3,8 +3,9 @@
 Every run validates its config against the JSON schema below before any
 compute, executes one pipeline, writes CSV data artifacts plus a
 ``report.json``, and records a ``manifest.json`` with the config hash, package
-version, and wall-clock time.  Exit status: 0 when all asserted checks pass,
-1 on a check failure (the report is still written), 2 on a schema violation.
+version, wall-clock time, and whether a ``--threads`` cap took effect.  Exit
+status: 0 when all asserted checks pass, 1 on a check failure (the report is
+still written), 2 on a schema violation.
 
 Seeds are mandatory — there are no entropy defaults — so re-running a config
 reproduces byte-identical CSV artifacts (the manifest timestamp aside).  The
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import sys
 import time
 from pathlib import Path
@@ -58,6 +60,8 @@ from .sdesim import (
 
 KINDS = ("simulate", "validate", "martingale", "project", "pde",
          "duality", "restart", "full-mimic")
+
+_log = logging.getLogger(__name__)
 
 CONFIG_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -441,13 +445,16 @@ def run(config: dict, threads: int | None = None, break_generator: str | None = 
         print(f"config schema violation: {exc.message}", file=sys.stderr)
         return 2
 
+    threads_applied = False
     if threads is not None:
         try:
             import threadpoolctl
-
-            threadpoolctl.threadpool_limits(threads)
         except ImportError:
-            pass  # results are thread-count independent; the cap is best-effort
+            # results are thread-count independent; the cap is best-effort
+            _log.warning("--threads %d not applied: threadpoolctl is not installed", threads)
+        else:
+            threadpoolctl.threadpool_limits(threads)
+            threads_applied = True
 
     out = Path(config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -466,6 +473,7 @@ def run(config: dict, threads: int | None = None, break_generator: str | None = 
         "wallclock_s": wallclock,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "threads": threads,
+        "threads_applied": threads_applied,
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

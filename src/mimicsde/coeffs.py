@@ -71,21 +71,26 @@ class CoefficientModel:
     def varsigma(self, t, x: np.ndarray) -> np.ndarray:
         """Pointwise square root of a(t, x), batched.
 
-        Cholesky when a is positive definite; otherwise a symmetric
-        eigendecomposition root, which also covers semidefinite models
-        (e.g. a = 0 for deterministic test configurations).  Eigenvalues
+        The lower Cholesky factor wherever a is positive definite: in closed
+        form for d <= 2 (the same operations, in the same order, as LAPACK's
+        unblocked factorisation, so the bits agree) and by LAPACK for d >= 3.
+        Only the rows that are not positive definite fall back to a symmetric
+        eigendecomposition root, which also covers semidefinite models (e.g.
+        a = 0 for deterministic test configurations); each row's root is
+        therefore independent of the batch it is evaluated in.  Eigenvalues
         below a scale-relative negative tolerance are an evaluation error.
         """
         av = np.asarray(self.a(t, x), dtype=float)
-        try:
-            return np.linalg.cholesky(av)
-        except np.linalg.LinAlgError:
-            w, v = np.linalg.eigh(av)
-            scale = max(float(np.abs(w).max()), 1.0)
-            if w.min() < -1e-10 * scale:
+        root, failed = _cholesky_rows(av)
+        if failed.any():
+            w, v = np.linalg.eigh(av[failed])
+            scale = np.maximum(np.abs(w).max(axis=-1), 1.0)
+            w_min = w.min(axis=-1)
+            if np.any(w_min < -1e-10 * scale):
                 raise ValueError(
-                    f"a(t,x) has a negative eigenvalue {w.min():.3e}; not a diffusion matrix")
-            return np.einsum("...ik,...k->...ik", v, np.sqrt(np.maximum(w, 0.0)))
+                    f"a(t,x) has a negative eigenvalue {w_min.min():.3e}; not a diffusion matrix")
+            root[failed] = np.einsum("...ik,...k->...ik", v, np.sqrt(np.maximum(w, 0.0)))
+        return root
 
     def sigma(self, t, x: np.ndarray) -> np.ndarray:
         """Diffusion matrix sqrt(x_d^+) * varsigma(t, x), batched."""
@@ -100,6 +105,41 @@ class CoefficientModel:
         gap = np.abs(av - np.swapaxes(av, -1, -2)).max()
         if gap > tol * max(1.0, np.abs(av).max()):
             raise ValueError(f"a(t,x) fails symmetry sampling: max asymmetry {gap:.3e}")
+
+
+def _cholesky_rows(av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a batch of matrices, and the rows that are not PD.
+
+    Failed rows are left unspecified for the caller to fill.  For d <= 2 the
+    factor is written out: the pivot reciprocal is multiplied, not divided,
+    because that is how LAPACK's potf2 scales the column.
+    """
+    d = av.shape[-1]
+    if d > 2:
+        try:
+            return np.linalg.cholesky(av), np.zeros(av.shape[:-2], dtype=bool)
+        except np.linalg.LinAlgError:
+            flat = av.reshape(-1, d, d)
+            root = np.zeros_like(flat)
+            failed = np.zeros(flat.shape[0], dtype=bool)
+            for i, a_i in enumerate(flat):
+                try:
+                    root[i] = np.linalg.cholesky(a_i)
+                except np.linalg.LinAlgError:
+                    failed[i] = True
+            return root.reshape(av.shape), failed.reshape(av.shape[:-2])
+    root = np.zeros_like(av)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        l11 = np.sqrt(av[..., 0, 0])
+        root[..., 0, 0] = l11
+        ok = l11 > 0.0
+        if d == 2:
+            l21 = av[..., 1, 0] * (1.0 / l11)
+            l22 = np.sqrt(av[..., 1, 1] - l21 * l21)
+            root[..., 1, 0] = l21
+            root[..., 1, 1] = l22
+            ok &= l22 > 0.0
+    return root, ~ok
 
 
 def _sample_states(d: int, n: int, t_max: float, extent: float, seed: int,

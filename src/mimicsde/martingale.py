@@ -205,9 +205,15 @@ def time_weighted_xd(horizon: float) -> TestFunction:
 
 
 def martingale_increments(ens: PathEnsemble, model: CoefficientModel, v: TestFunction) -> np.ndarray:
-    """Per-path trajectory of M^v on the stored grid; M^v at the start is exactly 0."""
+    """Per-path trajectory of M^v on the stored grid; M^v at the start is exactly 0.
+
+    The compensator is summed at the stored step, which is the integrator's
+    step only for stride-1 storage; coarser storage is rejected.
+    """
     if v.time_dependent:
         raise ValueError("martingale increments are defined for spatial test functions")
+    if ens.store_stride != 1:
+        raise ValueError("ensemble must be stored at stride 1 for an exact compensator")
     nodes = ens.grid.nodes
     h = ens.grid.step
     n, m1, d = ens.states.shape

@@ -5,7 +5,9 @@ draw index), so ensembles are bit-reproducible regardless of how the path loop
 is scheduled, and a path can be extended in time without re-drawing its past.
 The generator is Philox2x64-10 (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3"), implemented directly on numpy uint64 arrays so a whole
-vector of paths is advanced per call.
+vector of paths is advanced per call; the rounds run in place on buffers
+reused across rounds.  The stream is pinned bit for bit by known-output
+digests in ``tests/test_pins.py``.
 """
 
 from __future__ import annotations
@@ -18,29 +20,14 @@ _SHIFT32 = _U64(32)
 
 # Philox2x64 multiplier; round keys advance by the golden-ratio Weyl constant.
 _PHILOX_M = _U64(0xD2B74407B1CE6E93)
+_M_LO = _PHILOX_M & _MASK32
+_M_HI = _PHILOX_M >> _SHIFT32
 _ROUNDS = 10
 
 # Stream domains keep independent noise sources from colliding.
 DOMAIN_BROWNIAN = 0
 DOMAIN_DRIVER = 1
 DOMAIN_DRIVER_INIT = 2
-
-
-def _mulhilo(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
-    """Full 128-bit product of uint64 arrays via 32-bit limbs; returns (hi, lo)."""
-    lo = a * b
-    a_lo = a & _MASK32
-    a_hi = a >> _SHIFT32
-    b_lo = b & _MASK32
-    b_hi = b >> _SHIFT32
-    t = a_lo * b_lo
-    carry = t >> _SHIFT32
-    t = a_hi * b_lo + carry
-    s1 = t & _MASK32
-    s2 = t >> _SHIFT32
-    t = s1 + a_lo * b_hi
-    hi = a_hi * b_hi + s2 + (t >> _SHIFT32)
-    return hi, lo
 
 
 _M64 = (1 << 64) - 1
@@ -60,14 +47,37 @@ def _key_schedule(seed: int, domain: int) -> list[np.uint64]:
 
 
 def philox2x64(c0: np.ndarray, c1: np.ndarray, keys: list[np.uint64]) -> tuple[np.ndarray, np.ndarray]:
-    """Philox2x64-10 block cipher on counter arrays (c0, c1) under a key schedule."""
-    c0 = c0.astype(np.uint64, copy=True)
-    c1 = c1.astype(np.uint64, copy=True)
+    """Philox2x64-10 block cipher on counter arrays (c0, c1) under a key schedule.
+
+    Each round is (c0, c1) <- (hi(M c0) ^ k ^ c1, lo(M c0)); the 128-bit
+    product is assembled from 32-bit limbs, on buffers reused across rounds.
+    """
+    x0 = np.array(c0, dtype=np.uint64)
+    x1 = np.array(c1, dtype=np.uint64)
+    a_lo = np.empty_like(x0)
+    hi = np.empty_like(x0)
+    t = np.empty_like(x0)
+    s = np.empty_like(x0)
     for k in keys:
-        hi, lo = _mulhilo(c0, _PHILOX_M)
-        c0 = hi ^ k ^ c1
-        c1 = lo
-    return c0, c1
+        np.bitwise_and(x0, _MASK32, out=a_lo)
+        np.right_shift(x0, _SHIFT32, out=hi)             # a_hi
+        np.multiply(x0, _PHILOX_M, out=x0)               # lo, the next c1
+        np.multiply(a_lo, _M_LO, out=t)
+        np.right_shift(t, _SHIFT32, out=t)               # carry of a_lo * m_lo
+        np.multiply(hi, _M_LO, out=s)
+        np.add(s, t, out=s)
+        np.bitwise_and(s, _MASK32, out=t)
+        np.right_shift(s, _SHIFT32, out=s)
+        np.multiply(a_lo, _M_HI, out=a_lo)
+        np.add(t, a_lo, out=t)
+        np.right_shift(t, _SHIFT32, out=t)
+        np.multiply(hi, _M_HI, out=hi)
+        np.add(hi, s, out=hi)
+        np.add(hi, t, out=hi)                            # hi(M c0)
+        np.bitwise_xor(hi, k, out=hi)
+        np.bitwise_xor(hi, x1, out=hi)
+        x0, x1, hi = hi, x0, x1
+    return x0, x1
 
 
 def _to_unit(u: np.ndarray) -> np.ndarray:
@@ -96,8 +106,9 @@ def normals(seed: int, domain: int, paths: np.ndarray, step: int, n: int) -> np.
         u1 = _to_unit(w0)
         u2 = _to_unit(w1)
         r = np.sqrt(-2.0 * np.log(u1))
-        out[:, 2 * j] = r * np.cos(2.0 * np.pi * u2)
-        out[:, 2 * j + 1] = r * np.sin(2.0 * np.pi * u2)
+        angle = 2.0 * np.pi * u2
+        out[:, 2 * j] = r * np.cos(angle)
+        out[:, 2 * j + 1] = r * np.sin(angle)
     return out[:, :n]
 
 

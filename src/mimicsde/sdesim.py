@@ -20,7 +20,6 @@ in time.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, IO, Sequence
 
@@ -31,6 +30,7 @@ from .coeffs import CoefficientModel
 from .geometry import SpaceTimePoint
 
 SCHEMES = ("full_truncation", "absorbed_euler")
+_CSV_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,6 @@ class PathEnsemble:
     @property
     def d(self) -> int:
         return self.states.shape[2]
-
-    def rng_stream_id(self, path: int) -> tuple[int, int, int]:
-        """Counter-RNG lineage of one path: (seed, brownian domain, path index)."""
-        return (self.seed, rng.DOMAIN_BROWNIAN, path)
 
     def states_at(self, t: float) -> np.ndarray:
         return self.states[:, self.grid.node_index(t), :]
@@ -466,21 +462,30 @@ def moment_growth_sweep(
 
 
 def ensemble_to_csv(ens: PathEnsemble, fh: IO[str]) -> None:
-    """Long-format CSV: (path_id, t, x_1..x_d[, beta_*, xi2_*]) per stored node."""
+    """Long-format CSV: (path_id, t, x_1..x_d[, beta_*, xi2_*]) per stored node.
+
+    Values are written as ``repr`` of the float, so the file round-trips
+    exactly.  Paths are formatted and written a block at a time, which keeps
+    the text held in memory to about ``_CSV_BLOCK_ROWS`` rows.
+    """
     d = ens.d
     header = ["path_id", "t"] + [f"x_{i+1}" for i in range(d)]
     with_drivers = ens.drivers is not None
     if with_drivers:
         header += [f"beta_{i+1}" for i in range(d)]
         header += [f"xi2_{i+1}{j+1}" for i in range(d) for j in range(d)]
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    nodes = ens.grid.nodes
-    for p in range(ens.n_paths):
-        for k, t in enumerate(nodes):
-            row = [str(p), repr(float(t))]
-            row += [repr(float(v)) for v in ens.states[p, k]]
-            if with_drivers:
-                row += [repr(float(v)) for v in ens.drivers.beta[p, k]]
-                row += [repr(float(v)) for v in ens.drivers.xi2[p, k].ravel()]
-            writer.writerow(row)
+    fh.write(",".join(header) + "\n")
+    row = "%d,%r" + ",%r" * (len(header) - 2) + "\n"
+    times = ens.grid.nodes.tolist()
+    n_nodes = len(times)
+    block = max(1, _CSV_BLOCK_ROWS // n_nodes)
+    for p0 in range(0, ens.n_paths, block):
+        p1 = min(p0 + block, ens.n_paths)
+        values = ens.states[p0:p1]
+        if with_drivers:
+            values = np.concatenate([
+                values, ens.drivers.beta[p0:p1],
+                ens.drivers.xi2[p0:p1].reshape(p1 - p0, n_nodes, d * d)], axis=2)
+        ids = np.repeat(np.arange(p0, p1), n_nodes).tolist()
+        columns = values.reshape(-1, values.shape[2]).T.tolist()
+        fh.write("".join(map(row.__mod__, zip(ids, times * (p1 - p0), *columns))))

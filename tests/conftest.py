@@ -51,3 +51,22 @@ def constant_model(b_vec, a_mat=None, d=None) -> m.CoefficientModel:
         time_independent=True,
         name="constant",
     )
+
+
+def kinked_model(d: int = 2) -> m.CoefficientModel:
+    """a = s I + (1 - s) 11^T with s = clip(1 - |x_1|, 0, 1): singular where |x_1| >= 1."""
+
+    def a(t, x):
+        s = np.clip(1.0 - np.abs(np.asarray(x, dtype=float)[:, 0]), 0.0, 1.0)[:, None, None]
+        return s * np.eye(d) + (1.0 - s) * np.ones((d, d))
+
+    def b(t, x):
+        out = np.zeros_like(np.asarray(x, dtype=float))
+        out[:, -1] = 0.5 - np.asarray(x)[:, -1]
+        return out
+
+    return m.CoefficientModel(
+        d=d, a=a, b=b, c=lambda t, x: np.zeros(np.asarray(x).shape[0]),
+        budget=m.RegularityBudget(1e-9, 10.0, 0.4, 0.5),
+        time_independent=True, name="kinked",
+    )

@@ -1,4 +1,6 @@
 import json
+import logging
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -148,3 +150,13 @@ class TestMain:
         cfg = base_sim_config(tmp_path)
         path = write_config(tmp_path, cfg)
         assert cli.main(["run", "--config", str(path), "--threads", "1"]) == 0
+
+    def test_manifest_records_thread_cap_not_applied(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+        cfg = base_sim_config(tmp_path)
+        with caplog.at_level(logging.WARNING, logger="mimicsde.cli"):
+            assert cli.run(cfg, threads=1) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["threads"] == 1
+        assert manifest["threads_applied"] is False
+        assert "not applied" in caplog.text

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import mimicsde as m
 from mimicsde.coeffs import generator_apply_batch, strip_generator_term
 
-from conftest import constant_model
+from conftest import constant_model, kinked_model
 
 
 class TestGenerator:
@@ -58,6 +58,43 @@ class TestGenerator:
         rhs = (alpha * m.apply_generator(model, (g1, h1), p)
                + beta * m.apply_generator(model, (g2, h2), p))
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
+
+
+class TestVarsigma:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bitwise_equal_to_lapack_cholesky(self, d):
+        gen = np.random.default_rng(d)
+        scale = np.exp(3.0 * gen.standard_normal((20_000, 1, 1)))
+        f = gen.standard_normal((20_000, d, d)) * scale
+        a = f @ np.swapaxes(f, -1, -2) + 1e-2 * scale**2 * np.eye(d)
+        a[::3, -1, 0] *= 1.0 + 1e-12  # slightly asymmetric rows: the lower triangle is read
+        model = m.CoefficientModel(d=d, a=lambda t, x: a, b=None, c=None,
+                                   budget=m.RegularityBudget(1e-9, 1.0, 1e-9, 0.5))
+        root = model.varsigma(0.0, np.zeros((a.shape[0], d)))
+        assert np.array_equal(root.view(np.uint64), np.linalg.cholesky(a).view(np.uint64))
+
+    @given(st.sampled_from([2, 3]),
+           st.lists(st.tuples(st.sampled_from([-2.0, -1.0, -0.3, 0.0, 0.7, 1.0, 1.5])
+                              | st.floats(-2.0, 2.0),
+                              st.floats(0.0, 3.0)), min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_independent_of_batch(self, d, rows):
+        # a is singular where |x_1| >= 1: those rows take the eigh root and
+        # must not drag the positive-definite rows of the batch along
+        model = kinked_model(d)
+        x = np.array([[x1] + [0.2] * (d - 2) + [xd] for x1, xd in rows])
+        batch = model.varsigma(0.0, x)
+        for i in range(x.shape[0]):
+            alone = model.varsigma(0.0, x[i:i + 1])[0]
+            assert np.array_equal(batch[i].view(np.uint64), alone.view(np.uint64))
+            assert np.abs(batch[i] @ batch[i].T - model.a(0.0, x[i:i + 1])[0]).max() <= 1e-12
+
+    def test_negative_eigenvalue_rejected(self):
+        a = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]])
+        model = m.CoefficientModel(d=2, a=lambda t, x: a, b=None, c=None,
+                                   budget=m.RegularityBudget(1e-9, 1.0, 1e-9, 0.5))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            model.varsigma(0.0, np.zeros((2, 2)))
 
 
 class TestSqrtFactorize:

@@ -82,6 +82,13 @@ class TestIncrements:
         with pytest.raises(ValueError):
             m.martingale_increments(small_ensemble, heston, m.time_weighted_xd(1.0))
 
+    def test_requires_stride_one(self, heston, start):
+        # a compensator summed at the stored step would be a coarse quadrature
+        grid = m.TimeGrid(0.0, 0.5, 2.0**-5)
+        ens = m.simulate_sde(heston, start, grid, 16, 1, store_stride=2)
+        with pytest.raises(ValueError, match="stride"):
+            m.martingale_increments(ens, heston, m.linear_function([0.0, 1.0]))
+
 
 class TestMartingaleTest:
     def test_linear_v_constant_drift(self, start):

@@ -1,11 +1,15 @@
+import csv
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mimicsde as m
+from mimicsde import sdesim
 
-from conftest import constant_model, zero_model
+from conftest import constant_model, kinked_model, zero_model
 
 
 class TestTimeGrid:
@@ -70,6 +74,18 @@ class TestSimulateSde:
             a = m.simulate_sde(heston, start, grid, 400, 11, scheme=scheme)
             b = m.simulate_sde(poisoned, start, grid, 400, 11, scheme=scheme)
             assert np.array_equal(a.states, b.states)
+
+    @given(st.integers(1, 30), st.integers(1, 40), st.integers(0, 2**32))
+    @settings(max_examples=10, deadline=None)
+    def test_paths_independent_of_batch_size(self, n1, extra, seed):
+        # a is singular where |x_1| >= 1, so some paths need the fallback
+        # root; a path's trajectory must not depend on its batch mates
+        model = kinked_model()
+        grid = m.TimeGrid(0.0, 1.0, 2.0**-4)
+        start = m.SpaceTimePoint(0.0, (0.9, 0.5))
+        small = m.simulate_sde(model, start, grid, n1, seed)
+        large = m.simulate_sde(model, start, grid, n1 + extra, seed)
+        assert np.array_equal(small.states.view(np.uint64), large.states[:n1].view(np.uint64))
 
     def test_cir_first_moment_oracle(self, heston, start):
         # closed-form first moment of the variance coordinate: the moment
@@ -200,3 +216,23 @@ class TestCsvExport:
             m.ensemble_to_csv(ens, buf)
             out.append(buf.getvalue())
         assert out[0] == out[1]
+
+    def test_blocks_match_row_writer(self, heston, start, monkeypatch):
+        # reference: one csv.writer row per (path, node), every float as repr
+        grid = m.TimeGrid(0.0, 0.5, 0.125)
+        ens = m.simulate_ito_process(m.regime_switching_driver(heston), np.array(start.x),
+                                     grid, 11, 4, record_drivers=True)
+        ref = io.StringIO()
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(["path_id", "t", "x_1", "x_2", "beta_1", "beta_2",
+                         "xi2_11", "xi2_12", "xi2_21", "xi2_22"])
+        for p in range(ens.n_paths):
+            for k, t in enumerate(ens.grid.nodes):
+                values = np.concatenate([ens.states[p, k], ens.drivers.beta[p, k],
+                                         ens.drivers.xi2[p, k].ravel()])
+                writer.writerow([str(p), repr(float(t))] + [repr(float(v)) for v in values])
+        for block_rows in (1, 7, 10, 1 << 14):
+            monkeypatch.setattr(sdesim, "_CSV_BLOCK_ROWS", block_rows)
+            buf = io.StringIO()
+            m.ensemble_to_csv(ens, buf)
+            assert buf.getvalue() == ref.getvalue()
