@@ -20,12 +20,12 @@ norm estimators shared by the validator in :mod:`.coeffs`.
 
 from .coeffs import (
     CoefficientModel,
+    LatticeInterpolator,
     RegularityBudget,
     ValidationReport,
     apply_generator,
     heston_model,
     load_gridded_model,
-    sqrt_factorize,
     strip_generator_term,
     validate_coefficients,
 )

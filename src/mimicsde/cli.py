@@ -40,7 +40,7 @@ from .martingale import (
     radial_bump,
     strong_markov_restart_test,
 )
-from .pde import Grid, duality_check, solve_cauchy, solve_terminal_value
+from .pde import Grid, duality_check, killing_on_grid, solve_cauchy, solve_terminal_value
 from .projection import (
     BinningSpec,
     build_mimicking_model,
@@ -330,14 +330,14 @@ def _run_pde(cfg, out, seed, break_gen):
     horizon = p.get("horizon", 0.5)
     scheme = p.get("scheme", "implicit_euler")
 
+    march_times = np.linspace(0.0, horizon, int(round(horizon / grid.dt)) + 1)
+    has_killing, rate = killing_on_grid(model, grid, march_times)
+    if has_killing and rate is None:
+        raise ValueError("the constant-data check needs a killing rate c that is constant "
+                         "in space and time; c varies over the grid nodes or march times")
+    expected = float(np.exp(rate * horizon)) if has_killing else 1.0
     ones = lambda x: np.ones(np.asarray(x).shape[0])
     sol_const = solve_cauchy(model, None, ones, grid, horizon, scheme=scheme, store="ends")
-    has_killing = bool(np.any(np.abs(model.c(0.0, grid.nodes()[:4])) > 0))
-    if has_killing:
-        cref = float(model.c(0.0, grid.nodes()[:1])[0])
-        expected = float(np.exp(cref * horizon))
-    else:
-        expected = 1.0
     const_err = float(np.abs(sol_const.values[-1] - expected).max())
 
     g = _payoff_from_spec(cfg.get("duality", {}).get("g", {

@@ -31,9 +31,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sp_linalg
 
-from .coeffs import CoefficientModel
+from .coeffs import CoefficientModel, LatticeInterpolator
 from .geometry import Region, holder_seminorm_estimate, weighted_sup_norm
-from .projection import _LatticeInterpolator
 from .sdesim import TimeGrid, simulate_sde
 from .geometry import SpaceTimePoint
 
@@ -317,8 +316,8 @@ class PdeSolution:
         return self.values[k]
 
     def interpolate(self, t, x: np.ndarray) -> np.ndarray:
-        interp = _LatticeInterpolator(self.times, self.grid.axes,
-                                      self.values.reshape((self.times.size, *self.grid.shape)))
+        interp = LatticeInterpolator(self.times, self.grid.axes,
+                                     self.values.reshape((self.times.size, *self.grid.shape)))
         return interp(t, np.asarray(x, dtype=float))
 
     def value_at(self, t: float, x: Sequence[float]) -> float:
@@ -493,6 +492,25 @@ def solve_terminal_value(
     )
 
 
+def killing_on_grid(model: CoefficientModel, grid: Grid,
+                    times: Sequence[float]) -> tuple[bool, float | None]:
+    """Whether c is nonzero at any node of ``grid`` at any of ``times``, and
+    its common value.
+
+    The rate is returned when c takes one value on every node at every one
+    of ``times`` (constant in space and time), else None.  Deciding from the
+    whole grid at every time a caller steps through, not from one point at
+    t = 0, keeps a c that happens to vanish at the start point or at t = 0
+    from silently dropping the discount.  The check is a sample: a c that is
+    nonzero only off the grid nodes or between the given times goes unseen.
+    """
+    nodes = grid.nodes()
+    cv = np.stack([np.asarray(model.c(float(t), nodes), dtype=float) for t in times])
+    has_killing = bool(np.any(np.abs(cv) > 0))
+    rate = float(cv.flat[0]) if np.all(cv == cv.flat[0]) else None
+    return has_killing, rate
+
+
 @dataclass(frozen=True)
 class DualityReport:
     """PDE value at the start point vs the Monte Carlo expectation at the horizon."""
@@ -536,7 +554,10 @@ def duality_check(
     order scheme).  ``pde_eval_shift`` moves only the PDE evaluation point and
     exists for the wrong-start negative control; ``mc_model`` lets the
     simulation side run a different model than the solver side (the broken-
-    generator control corrupts only the solver's model).
+    generator control corrupts only the solver's model).  Whether the Monte
+    Carlo side accumulates the discount is decided from the simulated model's
+    c on every node of ``grid`` at every Monte Carlo time node
+    (:func:`killing_on_grid`).
     """
     x = np.asarray(x, dtype=float)
     sim_model = mc_model if mc_model is not None else model
@@ -550,8 +571,7 @@ def duality_check(
     on_node = all(np.any(np.isclose(ax, x_eval[j], atol=1e-12)) for j, ax in enumerate(grid.axes))
 
     tg = TimeGrid(0.0, horizon, mc_step)
-    has_killing = bool(np.any(np.abs(np.asarray(
-        sim_model.c(0.0, np.tile(x, (4, 1))), dtype=float)) > 0))
+    has_killing, _ = killing_on_grid(sim_model, grid, tg.nodes)
     stride = 1 if has_killing else tg.n_steps
     ens = simulate_sde(sim_model, SpaceTimePoint(0.0, tuple(x)), tg, mc_paths, mc_seed,
                        scheme=mc_scheme, store_stride=stride)
@@ -612,16 +632,16 @@ def _solution_composite_norm(sol: PdeSolution, alpha: float, pair_budget: int, s
 
     if sol.times.size >= 2:
         ut = sol.time_derivative()
-        interp_ut = _LatticeInterpolator(sol.times, grid.axes, ut)
+        interp_ut = LatticeInterpolator(sol.times, grid.axes, ut)
         total += weighted_sup_norm(lambda ts, xs: interp_ut(ts, xs), region_all, 0.0, seed=seed)
     grads = np.stack([sol.gradient_layer(k) for k in range(sol.times.size)])
     xdh = np.stack([sol.xd_hessian_layer(k) for k in range(sol.times.size)])
     for i in range(d):
-        gi = _LatticeInterpolator(sol.times, grid.axes, grads[..., i])
+        gi = LatticeInterpolator(sol.times, grid.axes, grads[..., i])
         total += weighted_sup_norm(lambda ts, xs: gi(ts, xs), region_all, 0.0, seed=seed)
     for i in range(d):
         for j in range(i, d):
-            hij = _LatticeInterpolator(sol.times, grid.axes, xdh[..., i, j])
+            hij = LatticeInterpolator(sol.times, grid.axes, xdh[..., i, j])
             total += weighted_sup_norm(lambda ts, xs: hij(ts, xs), region_all, 0.0, seed=seed)
     return float(total)
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import stats as sp_stats
 from scipy.spatial import cKDTree
 
-from .coeffs import CoefficientModel, RegularityBudget
+from .coeffs import CoefficientModel, LatticeInterpolator, RegularityBudget
 from .sdesim import PathEnsemble
 
 _CELL_CHUNK = 64
@@ -217,50 +217,6 @@ def _fill_masked(mc: MimickedCoefficients) -> None:
         mc.fill_distance[kt].reshape(n_cells)[dst] = dist
 
 
-class _LatticeInterpolator:
-    """Multilinear interpolation over (time, x-lattice) with edge clamping."""
-
-    def __init__(self, times: np.ndarray, axes: Sequence[np.ndarray], values: np.ndarray):
-        self.times = np.asarray(times, dtype=float)
-        self.axes = [np.asarray(a, dtype=float) for a in axes]
-        self.values = values
-        self.trailing = values.ndim - 1 - len(self.axes)
-
-    @staticmethod
-    def _bracket(ax: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if ax.size == 1:
-            return np.zeros(v.shape, dtype=np.int64), np.zeros_like(v, dtype=float)
-        i = np.clip(np.searchsorted(ax, v, side="right") - 1, 0, ax.size - 2)
-        frac = (v - ax[i]) / (ax[i + 1] - ax[i])
-        return i, np.clip(frac, 0.0, 1.0)
-
-    def __call__(self, t, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        t_arr = np.broadcast_to(np.asarray(t, dtype=float), (n,))
-        brackets = [self._bracket(self.times, t_arr)]
-        brackets += [self._bracket(ax, x[:, j]) for j, ax in enumerate(self.axes)]
-        n_axes = len(brackets)
-        out = None
-        for corner in range(1 << n_axes):
-            w = np.ones(n)
-            idx = []
-            for a in range(n_axes):
-                i, f = brackets[a]
-                bit = (corner >> a) & 1
-                size = self.times.size if a == 0 else self.axes[a - 1].size
-                if bit:
-                    w = w * f
-                    idx.append(np.minimum(i + 1, size - 1))
-                else:
-                    w = w * (1.0 - f)
-                    idx.append(i)
-            vals = self.values[tuple(idx)]
-            term = w.reshape((n,) + (1,) * self.trailing) * vals
-            out = term if out is None else out + term
-        return out
-
-
 def build_mimicking_model(
     mc: MimickedCoefficients,
     max_masked_fraction: float = 0.5,
@@ -275,8 +231,11 @@ def build_mimicking_model(
     Each node's a is made positive semi-definite by flooring eigenvalues at
     delta_floor_scale * trace/d, and the total eigenvalue shift per node is
     recorded in ``mc.clip`` (a model-quality metric; exceeding ``clip_budget``
-    raises).  Evaluation is multilinear in (t, x) with edge clamping; the
-    diffusion evaluator is sqrt(x_d^+) * Cholesky(a).
+    raises).  The model's ``a`` and ``b`` are :class:`LatticeInterpolator`
+    instances over (spec.times, cell centers with the x_d = 0 layer
+    prepended): multilinear in (t, x) with edge clamping, a shared time
+    bracketed once per call.  The diffusion evaluator is
+    sqrt(x_d^+) * Cholesky(a).
     """
     if mc.masked_fraction > max_masked_fraction:
         raise ValueError(
@@ -320,8 +279,8 @@ def build_mimicking_model(
 
     axes = list(centers[:-1]) + [np.concatenate([[0.0], xd_centers])]
     times = np.asarray(mc.spec.times, dtype=float)
-    a_interp = _LatticeInterpolator(times, axes, a_grid)
-    b_interp = _LatticeInterpolator(times, axes, b_grid)
+    a_interp = LatticeInterpolator(times, axes, a_grid)
+    b_interp = LatticeInterpolator(times, axes, b_grid)
 
     if budget is None:
         eig_min = float(np.linalg.eigvalsh(a_grid.reshape(-1, d, d)).min())
@@ -337,7 +296,7 @@ def build_mimicking_model(
         return np.zeros(np.asarray(x).shape[0])
 
     return CoefficientModel(
-        d=d, a=lambda t, x: a_interp(t, x), b=lambda t, x: b_interp(t, x),
+        d=d, a=a_interp, b=b_interp,
         c=c_eval, budget=budget, provenance="gridded",
         time_independent=(k_times == 1),
         name=f"mimicking(kernel={mc.spec.kernel},times={k_times},cells={mc.spec.cell_shape})",

@@ -260,6 +260,23 @@ def regime_switching_driver(
     )
 
 
+def _outer_square(xi: np.ndarray) -> np.ndarray:
+    """xi xi^* for a batch of (d, r) matrices, shape (n, d, d).
+
+    One dot-product einsum per entry i <= j, mirrored to (j, i): bitwise
+    equal to ``np.einsum("nik,njk->nij", xi, xi)`` (checked for d <= 3,
+    r <= 4 in the tests) and several times faster for small d and r.
+    """
+    n, d, _ = xi.shape
+    out = np.empty((n, d, d))
+    for i in range(d):
+        for j in range(i, d):
+            out[:, i, j] = np.einsum("nk,nk->n", xi[:, i], xi[:, j])
+            if j != i:
+                out[:, j, i] = out[:, i, j]
+    return out
+
+
 def simulate_ito_process(
     driver: ItoDriver,
     start,
@@ -273,9 +290,11 @@ def simulate_ito_process(
 
     With ``record_drivers`` the instantaneous beta and xi xi^* are retained at
     every stored node, which is what the conditional-expectation estimator
-    consumes.  The sample mean of int (|beta| + |xi xi^*|) dt is reported as an
-    empirical integrability diagnostic, and a high clip rate flags a driver
-    whose support claim is false.
+    consumes.  xi xi^* is formed entry by entry (:func:`_outer_square`), with
+    the same bits as one batched einsum.  The sample mean of
+    int (|beta| + |xi xi^*|) dt is reported as an empirical integrability
+    diagnostic, and a high clip rate flags a driver whose support claim is
+    false.
     """
     x0 = _as_start_state(start, driver.d)
     n_steps = grid.n_steps
@@ -322,7 +341,7 @@ def simulate_ito_process(
     for k in range(n_steps):
         t_k = grid.start + k * h
         beta, xi = eval_driver(t_k, x, aux, f"step {k}")
-        xi2 = np.einsum("nik,njk->nij", xi, xi)
+        xi2 = _outer_square(xi)
         if driver.claims_halfspace_support:
             on_boundary = x[:, -1] == 0.0
             if np.any(on_boundary):
@@ -350,7 +369,7 @@ def simulate_ito_process(
     if record_drivers:
         beta, xi = eval_driver(grid.end, x, aux, "final node")
         records.beta[:, n_stored, :] = beta
-        records.xi2[:, n_stored, :, :] = np.einsum("nik,njk->nij", xi, xi)
+        records.xi2[:, n_stored, :, :] = _outer_square(xi)
 
     stored_grid = TimeGrid(grid.start, grid.end, h * store_stride)
     return PathEnsemble(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import sys
@@ -100,6 +101,22 @@ class TestCheckKinds:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["constant_data_error"] < 1e-8
         assert (tmp_path / "out" / "solution.csv").exists()
+
+    @pytest.mark.parametrize("c", [
+        lambda t, x: -np.asarray(x)[:, 0] ** 2,  # zero at the origin, varies in space
+        lambda t, x: np.full(np.asarray(x).shape[0], -float(t)),  # zero at t = 0
+    ], ids=["space", "time"])
+    def test_pde_kind_rejects_varying_killing(self, tmp_path, monkeypatch, c):
+        # the constant-data check compares against exp(c T), which needs one
+        # rate: a c that varies over the grid or in time must raise
+        heston = cli.heston_model(1.5, 0.04, 0.3, -0.5)
+        varying = dataclasses.replace(heston, c=c, time_independent=False)
+        monkeypatch.setattr(cli, "_model_from_config", lambda cfg: varying)
+        cfg = base_sim_config(tmp_path, kind="pde")
+        cfg["pde"] = {"dt": 1.0 / 16, "x_prime_extent": 1.5, "x_max": 0.5,
+                      "counts": [9, 9], "horizon": 0.25}
+        with pytest.raises(ValueError, match="constant in space and time"):
+            cli.run(cfg)
 
     def test_duality_kind_negative_control(self, tmp_path):
         cfg = base_sim_config(tmp_path, kind="duality")

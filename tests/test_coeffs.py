@@ -97,44 +97,6 @@ class TestVarsigma:
             model.varsigma(0.0, np.zeros((2, 2)))
 
 
-class TestSqrtFactorize:
-    def test_identity(self):
-        assert np.array_equal(m.sqrt_factorize(np.eye(3)), np.eye(3))
-
-    def test_hand_case(self):
-        a = np.array([[1.0, -0.15], [-0.15, 0.09]])
-        ell = m.sqrt_factorize(a)
-        expected = np.array([[1.0, 0.0], [-0.15, 0.3 * np.sqrt(0.75)]])
-        assert np.allclose(ell, expected, atol=1e-14)
-        assert np.abs(ell @ ell.T - a).max() <= 1e-12
-
-    def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(ValueError):
-            m.sqrt_factorize(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            m.sqrt_factorize(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-    def test_pivot_floor(self):
-        tiny = np.diag([1.0, 1e-25])
-        with pytest.raises(ValueError):
-            m.sqrt_factorize(tiny)
-
-    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=60, deadline=None)
-    def test_reconstruction_random_spd(self, d, seed):
-        gen = np.random.default_rng(seed)
-        b = gen.standard_normal((d, d))
-        a = b @ b.T + 1e-3 * np.eye(d)
-        cond = np.linalg.cond(a)
-        if cond > 1e6:
-            return
-        ell = m.sqrt_factorize(a)
-        assert np.abs(ell @ ell.T - a).max() <= 1e-12 * max(1.0, np.abs(a).max())
-        assert np.allclose(ell, np.tril(ell))
-
-
 class TestHeston:
     def test_parameter_domain(self):
         with pytest.raises(ValueError):

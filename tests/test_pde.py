@@ -1,10 +1,11 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 import mimicsde as m
-from mimicsde.pde import _Stencil, _assemble_operator, time_reversed_model
+from mimicsde.pde import _Stencil, _assemble_operator, killing_on_grid, time_reversed_model
 
 from conftest import constant_model
 
@@ -215,6 +216,43 @@ class TestDuality:
                               mc_paths=500, mc_step=2.0**-6, mc_seed=3)
         assert rep.passed
         assert rep.mc_mean == pytest.approx(np.exp(-0.01), abs=1e-6)
+
+    def test_killing_vanishing_at_start_is_discounted(self):
+        # deterministic transport x_1(t) = t from x_1 = 0, where c = -x_1^2 is
+        # zero: the discount exp(-T^3 / 3) must still be applied
+        model = dataclasses.replace(constant_model([1.0, 0.0], a_mat=np.zeros((2, 2))),
+                                    c=lambda t, x: -np.asarray(x)[:, 0] ** 2)
+        grid = m.Grid.build(dt=1 / 64, x_prime_extent=1.5, x_max=1.0, counts=[33, 9])
+        rep = m.duality_check(model, ones, [0.0, 0.5], 1.0, grid,
+                              mc_paths=8, mc_step=2.0**-9, mc_seed=3)
+        assert rep.mc_mean == pytest.approx(np.exp(-1.0 / 3.0), abs=2e-3)
+        assert rep.pde_value == pytest.approx(np.exp(-1.0 / 3.0), abs=0.05)
+
+
+    def test_killing_vanishing_at_time_zero_is_discounted(self):
+        # c = -t is zero at t = 0 on every node: the discount exp(-T^2 / 2)
+        # must still be applied
+        model = dataclasses.replace(constant_model([0.0, 0.0], a_mat=np.zeros((2, 2))),
+                                    c=lambda t, x: np.full(np.asarray(x).shape[0], -float(t)),
+                                    time_independent=False)
+        grid = m.Grid.build(dt=1 / 64, x_prime_extent=1.5, x_max=1.0, counts=[9, 9])
+        rep = m.duality_check(model, ones, [0.0, 0.5], 1.0, grid,
+                              mc_paths=8, mc_step=2.0**-9, mc_seed=3)
+        assert rep.mc_mean == pytest.approx(np.exp(-0.5), abs=2e-3)
+        assert rep.pde_value == pytest.approx(np.exp(-0.5), abs=0.05)
+
+
+def test_killing_on_grid(heston, heston_killing):
+    grid = small_grid(n=9)
+    times = [0.0, 0.25, 0.5]
+    assert killing_on_grid(heston, grid, times) == (False, 0.0)
+    assert killing_on_grid(heston_killing, grid, times) == (True, -0.02)
+    varying = dataclasses.replace(heston, c=lambda t, x: -np.asarray(x)[:, 0] ** 2)
+    assert varying.c(0.0, np.zeros((1, 2)))[0] == 0.0  # zero at the origin, a node
+    assert killing_on_grid(varying, grid, times) == (True, None)
+    late = dataclasses.replace(heston, c=lambda t, x: np.full(np.asarray(x).shape[0], -float(t)))
+    assert killing_on_grid(late, grid, [0.0]) == (False, 0.0)
+    assert killing_on_grid(late, grid, times) == (True, None)
 
 
 class TestAprioriProbe:

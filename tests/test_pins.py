@@ -1,4 +1,4 @@
-"""Known-output pins for the random stream, the Euler ensembles and the CSV format.
+"""Known-output pins for the random stream, the Euler ensembles, a PDE solution and the CSV format.
 
 Every other test checks self-consistency; these check that the bits themselves
 have not moved.  A change that alters any digest below changes the stream, the
@@ -79,6 +79,7 @@ HESTON_PINS = {
 HESTON_CSV_PIN = "9a61af0c56dd7a8efcad0792e2383c8818fefcaec03f392828972a4f38aab166"
 DRIVER_CSV_PIN = "9fa334c79a1297e14df3d1b421b8a53bd3dbdf8ae5b36ff7f607e925d3caee6b"
 GRIDDED_PIN = "677476567d53689a7bf84c065cfb814e21e3e9c1d25aeee85048b909106dfad6"
+GRIDDED_PDE_PIN = "d6c2ebcf585d87226842cf1d0548eea1d8d5c9529d445bef8af6f5fc9457bff6"
 
 
 def _paths(idx):
@@ -124,15 +125,32 @@ def test_driver_records_csv_pinned(heston):
     assert _csv_digest(ens) == DRIVER_CSV_PIN
 
 
-def test_gridded_ensemble_pinned(heston):
+@pytest.fixture(scope="module")
+def gridded_model(heston):
+    """A time-dependent mimicking model: 4 time layers on an 8 x 8-cell lattice."""
     grid = m.TimeGrid(0.0, 1.0, 2.0**-4)
     ens = m.simulate_ito_process(m.model_driver(heston), np.array([0.0, 0.09]),
                                  grid, 2000, 31, record_drivers=True, store_stride=2)
     e1 = np.linspace(-1.5, 1.5, 9)
     e2 = np.concatenate([[0.0], 0.5 * np.linspace(0.05, 1.0, 8) ** 1.3])
     spec = m.BinningSpec(times=(0.25, 0.5, 0.75, 1.0), edges=(e1, e2), min_count=5)
-    model = m.build_mimicking_model(m.estimate_mimicking_coefficients(ens, spec),
-                                    max_masked_fraction=0.99)
-    mimic = m.simulate_sde(model, m.SpaceTimePoint(0.0, (0.0, 0.09)), grid, 256, 32)
+    return m.build_mimicking_model(m.estimate_mimicking_coefficients(ens, spec),
+                                   max_masked_fraction=0.99)
+
+
+def test_gridded_ensemble_pinned(gridded_model):
+    grid = m.TimeGrid(0.0, 1.0, 2.0**-4)
+    mimic = m.simulate_sde(gridded_model, m.SpaceTimePoint(0.0, (0.0, 0.09)), grid, 256, 32)
     assert _digest(mimic.states, mimic.pre_clip_min_xd,
                    np.array([mimic.n_clipped_steps])) == GRIDDED_PIN
+
+
+def test_gridded_pde_pinned(gridded_model):
+    # the time-reversed march evaluates the lattice at 0-d t; the solution's
+    # own interpolation covers a clamped point and the x_d = 0 layer
+    grid = m.Grid.build(dt=2.0**-5, x_prime_extent=1.0, x_max=0.5, counts=(9, 9))
+    sol = m.solve_terminal_value(gridded_model,
+                                 lambda x: np.exp(-x[:, 0] ** 2) * (1.0 + x[:, 1]), 1.0, grid)
+    pts = np.array([[0.0, 0.09], [0.3, 0.0], [-1.2, 0.7], [0.95, 0.2]])
+    assert _digest(sol.values, sol.layer_min, sol.layer_max,
+                   sol.interpolate(0.3, pts)) == GRIDDED_PDE_PIN
