@@ -302,20 +302,25 @@ def _run_martingale(cfg, out, seed, break_gen):
     return ok, {"martingale": reports, "broken_generator": break_gen}
 
 
-def _run_project(cfg, out, seed, break_gen):
+def _projection_stage(cfg, out, seed):
+    """Driver ensemble -> estimated coefficients -> built model, saved and validated."""
     model = _model_from_config(cfg)
     start = _start_from_config(cfg)
     e = cfg["ensemble"]
     grid = TimeGrid(start.t, start.t + e["horizon"], e["step"])
-    driver = _driver_from_config(cfg, model)
-    ens = simulate_ito_process(driver, np.asarray(start.x), grid, e["n_paths"], seed,
-                               record_drivers=True, store_stride=e.get("store_stride", 1))
-    spec = _binning_from_config(cfg)
-    mc = estimate_mimicking_coefficients(ens, spec)
+    ens = simulate_ito_process(_driver_from_config(cfg, model), np.asarray(start.x), grid,
+                               e["n_paths"], seed, record_drivers=True,
+                               store_stride=e.get("store_stride", 1))
+    mc = estimate_mimicking_coefficients(ens, _binning_from_config(cfg))
     cap = cfg["binning"].get("max_masked_fraction", 0.9)
     built = build_mimicking_model(mc, max_masked_fraction=cap)
     save_mimicked(mc, out / "mimicked.csv", out / "mimicked.csv.meta.json")
     vrep = validate_coefficients(built, seed=seed, n_samples=1024, pair_budget=1024)
+    return start, grid, ens, mc, built, vrep
+
+
+def _run_project(cfg, out, seed, break_gen):
+    _, _, ens, mc, _, vrep = _projection_stage(cfg, out, seed)
     return True, {
         "masked_fraction": mc.masked_fraction,
         "integrability_mean": ens.integrability_mean,
@@ -396,26 +401,15 @@ def _run_restart(cfg, out, seed, break_gen):
 
 
 def _run_full_mimic(cfg, out, seed, break_gen):
-    model = _model_from_config(cfg)
-    start = _start_from_config(cfg)
+    start, grid, ens, mc, built, vrep = _projection_stage(cfg, out, seed)
     e = cfg["ensemble"]
-    grid = TimeGrid(start.t, start.t + e["horizon"], e["step"])
-    stride = e.get("store_stride", 1)
-    driver = _driver_from_config(cfg, model)
-    ens = simulate_ito_process(driver, np.asarray(start.x), grid, e["n_paths"], seed,
-                               record_drivers=True, store_stride=stride)
-    spec = _binning_from_config(cfg)
-    mc = estimate_mimicking_coefficients(ens, spec)
-    cap = cfg["binning"].get("max_masked_fraction", 0.9)
-    built = build_mimicking_model(mc, max_masked_fraction=cap)
-    save_mimicked(mc, out / "mimicked.csv", out / "mimicked.csv.meta.json")
-    vrep = validate_coefficients(built, seed=seed, n_samples=1024, pair_budget=1024)
     mimic = simulate_sde(built, start, grid, e["n_paths"], seed + 1,
-                         scheme=e.get("scheme", "full_truncation"), store_stride=stride)
+                         scheme=e.get("scheme", "full_truncation"),
+                         store_stride=e.get("store_stride", 1))
     times = cfg.get("compare_times", [0.25, 0.5, 1.0])
     comparison = compare_marginals(
         ens, mimic, times,
-        g_list=[(f"x_{i+1}", (lambda i: (lambda x: x[:, i]))(i)) for i in range(model.d)],
+        g_list=[(f"x_{i+1}", (lambda i: (lambda x: x[:, i]))(i)) for i in range(ens.d)],
         seed=seed, thresholds=cfg.get("thresholds"),
     )
     return comparison.passed, {

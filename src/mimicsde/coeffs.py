@@ -20,13 +20,13 @@ Evaluators are vectorized: they accept t as a scalar or (n,) array and x as an
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import rng
-from .geometry import Region, SpaceTimePoint, _holder_scan
+from .geometry import Region, SpaceTimePoint, _holder_scan, region_points
 
 _DOMAIN_VALIDATE = 104
 _XD_SPLIT = 2.0  # near/far split of the regularity conditions
@@ -110,7 +110,10 @@ class CoefficientModel:
     def check_symmetry(self, n_samples: int = 256, t_max: float = 1.0,
                        extent: float = 3.0, seed: int = 0, tol: float = 1e-10) -> None:
         """Sample points and verify a(t,x) is symmetric; raises on violation."""
-        ts, xs = _sample_states(self.d, n_samples, t_max, extent, seed)
+        region = Region(0.0, t_max, (-extent,) * (self.d - 1) + (0.0,), (extent,) * self.d)
+        u = rng.uniforms(seed, _DOMAIN_VALIDATE, np.arange(n_samples, dtype=np.uint64), 0,
+                         self.d + 1)
+        ts, xs = region_points(region, u)
         av = np.asarray(self.a(ts, xs), dtype=float)
         gap = np.abs(av - np.swapaxes(av, -1, -2)).max()
         if gap > tol * max(1.0, np.abs(av).max()):
@@ -150,17 +153,6 @@ def _cholesky_rows(av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             root[..., 1, 1] = l22
             ok &= l22 > 0.0
     return root, ~ok
-
-
-def _sample_states(d: int, n: int, t_max: float, extent: float, seed: int,
-                   xd_lo: float = 0.0, xd_hi: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(n, dtype=np.uint64)
-    u = rng.uniforms(seed, _DOMAIN_VALIDATE, idx, 0, d + 1)
-    xs = -extent + 2.0 * extent * u[:, :d]
-    hi = extent if xd_hi is None else xd_hi
-    xs[:, -1] = xd_lo + (hi - xd_lo) * u[:, d - 1] if d >= 1 else xs[:, -1]
-    ts = t_max * u[:, d]
-    return ts, xs
 
 
 def apply_generator(
@@ -447,13 +439,8 @@ def validate_coefficients(
     conditions: list[ConditionCheck] = []
 
     def sample_region(region: Region, salt: int) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.asarray(region.lower)
-        hi = np.asarray(region.upper)
         idx = np.arange(n_samples, dtype=np.uint64)
-        u = rng.uniforms(seed + salt, _DOMAIN_VALIDATE, idx, 0, d + 1)
-        xs = lo + u[:, :d] * (hi - lo)
-        ts = region.t0 + u[:, d] * (region.t1 - region.t0)
-        return ts, xs
+        return region_points(region, rng.uniforms(seed + salt, _DOMAIN_VALIDATE, idx, 0, d + 1))
 
     # clause: c(t,x) <= K everywhere sampled
     ts, xs = sample_region(wide, 1)
@@ -597,18 +584,12 @@ def strip_generator_term(model: CoefficientModel, part: str) -> CoefficientModel
     """
     if part == "drift":
         b = lambda t, x: np.zeros_like(np.asarray(x, dtype=float))
-        return CoefficientModel(d=model.d, a=model.a, b=b, c=model.c,
-                                budget=model.budget, provenance=model.provenance,
-                                time_independent=model.time_independent,
-                                name=model.name + "|drift-stripped")
+        return replace(model, b=b, name=model.name + "|drift-stripped")
     if part == "diffusion":
         def a(t, x):
             n = np.asarray(x).shape[0]
             return np.zeros((n, model.d, model.d))
-        return CoefficientModel(d=model.d, a=a, b=model.b, c=model.c,
-                                budget=model.budget, provenance=model.provenance,
-                                time_independent=model.time_independent,
-                                name=model.name + "|diffusion-stripped")
+        return replace(model, a=a, name=model.name + "|diffusion-stripped")
     raise ValueError("part must be 'drift' or 'diffusion'")
 
 

@@ -185,13 +185,35 @@ _METRICS = {
 }
 
 
+def region_points(
+    region: Region, u: np.ndarray, stratify_from: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map uniforms u of shape (n, >= d + 1) to points (ts, xs) of the region.
+
+    x_i = lower_i + u_i (upper_i - lower_i) from the first d columns and
+    t = t0 + u_d (t1 - t0) from column d.  With ``stratify_from`` set, row j
+    is sample stratify_from + j, and the even-indexed samples are confined to
+    the near-boundary stratum x_d < lower_d + 0.1 * slab height, where the
+    degeneracy lives.
+    """
+    d = region.d
+    lower = np.asarray(region.lower)
+    width = np.asarray(region.upper) - lower
+    xs = lower + u[:, :d] * width
+    if stratify_from is not None:
+        near = (np.arange(stratify_from, stratify_from + u.shape[0]) % 2) == 0
+        xd_cap = lower[-1] + _BOUNDARY_STRATUM * width[-1]
+        xs[near, -1] = lower[-1] + u[near, d - 1] * (xd_cap - lower[-1])
+    ts = region.t0 + u[:, d] * (region.t1 - region.t0)
+    return ts, xs
+
+
 def _sample_pair_batch(
     region: Region, seed: int, index0: int, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pairs (P1, P2) for indices [index0, index0+count); pair i depends only on (seed, i).
 
-    Even-indexed pairs are confined to the near-boundary stratum
-    x_d < lower_d + 0.1 * slab height, where the degeneracy lives.  P2 is P1
+    P1 is stratified as in :func:`region_points`.  P2 is P1
     displaced by a log-uniform scale along a random direction (time displaced
     quadratically so sqrt(|dt|) matches the spatial scale), then clipped back
     into the region.
@@ -201,16 +223,10 @@ def _sample_pair_batch(
     u = rng.uniforms(seed, _DOMAIN_PAIR_U, idx, 0, d + 2)
     g = rng.normals(seed, _DOMAIN_PAIR_G, idx, 0, d + 1)
 
+    t1, x1 = region_points(region, u, stratify_from=index0)
     lower = np.asarray(region.lower)
     upper = np.asarray(region.upper)
     width = upper - lower
-
-    x1 = lower + u[:, :d] * width
-    near = (np.arange(index0, index0 + count) % 2) == 0
-    xd_cap = lower[-1] + _BOUNDARY_STRATUM * width[-1]
-    x1[near, -1] = lower[-1] + u[near, d - 1] * (xd_cap - lower[-1])
-    t1 = region.t0 + u[:, d] * (region.t1 - region.t0)
-
     diam = max(float(width.max(initial=0.0)), region.t1 - region.t0, 1e-12)
     scale = diam * np.exp(np.log(_MIN_PAIR_SCALE) + u[:, d + 1] * np.log(1.0 / _MIN_PAIR_SCALE))
     unit = g / np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
@@ -299,16 +315,8 @@ def weighted_sup_norm(
     """Sampled sup of (1+|x|)^q |u(t,x)| over the region (q >= 0)."""
     if q < 0.0:
         raise ValueError("growth exponent q must be >= 0")
-    d = region.d
-    idx = np.arange(n_samples, dtype=np.uint64)
-    u = rng.uniforms(seed, _DOMAIN_SUP, idx, 0, d + 1)
-    lower = np.asarray(region.lower)
-    upper = np.asarray(region.upper)
-    xs = lower + u[:, :d] * (upper - lower)
-    near = (np.arange(n_samples) % 2) == 0
-    xd_cap = lower[-1] + _BOUNDARY_STRATUM * (upper[-1] - lower[-1])
-    xs[near, -1] = lower[-1] + u[near, d - 1] * (xd_cap - lower[-1])
-    ts = region.t0 + u[:, d] * (region.t1 - region.t0)
+    u = rng.uniforms(seed, _DOMAIN_SUP, np.arange(n_samples, dtype=np.uint64), 0, region.d + 1)
+    ts, xs = region_points(region, u, stratify_from=0)
     vals = np.asarray(field(ts, xs), dtype=float)
     weight = (1.0 + np.linalg.norm(xs, axis=1)) ** q
     return float(np.max(weight * np.abs(vals)))

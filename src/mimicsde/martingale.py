@@ -28,7 +28,7 @@ from scipy import stats as sp_stats
 from . import rng
 from .coeffs import CoefficientModel, generator_apply_batch
 from .geometry import SpaceTimePoint
-from .sdesim import PathEnsemble, TimeGrid, simulate_sde, _as_start_state
+from .sdesim import PathEnsemble, TimeGrid, _euler_paths, model_driver, simulate_sde
 
 _FD_TOL = 1e-4
 
@@ -477,38 +477,6 @@ class RestartReport:
                 "entries": [e.to_json() for e in self.entries]}
 
 
-def _restart_paths(
-    model: CoefficientModel,
-    x_start: np.ndarray,
-    t_start: np.ndarray,
-    n_steps: int,
-    h: float,
-    seed: int,
-    scheme: str,
-) -> np.ndarray:
-    """Fresh Euler continuation of length n_steps*h from per-path (t, x) starts."""
-    n, d = x_start.shape
-    paths = np.arange(n, dtype=np.uint64)
-    sqrt_h = np.sqrt(h)
-    x_int = x_start.copy()
-    x_int[:, -1] = np.maximum(x_int[:, -1], 0.0)
-    x_eval = x_int.copy()
-    for k in range(n_steps):
-        t_arr = t_start + k * h
-        bv = model.b(t_arr, x_eval)
-        sig = model.sigma(t_arr, x_eval)
-        z = rng.normals(seed, rng.DOMAIN_BROWNIAN, paths, k, d)
-        incr = bv * h + np.einsum("nij,nj->ni", sig, z) * sqrt_h
-        if scheme == "full_truncation":
-            x_int = x_int + incr
-        else:
-            x_int = x_eval + incr
-            x_int[:, -1] = np.maximum(x_int[:, -1], 0.0)
-        x_eval = x_int.copy()
-        x_eval[:, -1] = np.maximum(x_eval[:, -1], 0.0)
-    return x_eval
-
-
 def strong_markov_restart_test(
     model: CoefficientModel,
     start: SpaceTimePoint,
@@ -561,7 +529,9 @@ def strong_markov_restart_test(
         x_restart0 = x_restart0 + np.asarray(perturb, dtype=float)
         x_restart0[:, -1] = np.maximum(x_restart0[:, -1], 0.0)
     rseed = restart_seed if restart_seed is not None else seed + 0x517CC1B7
-    x_rest = _restart_paths(model, x_restart0, t_tau, u_steps, h, rseed, scheme)
+    # the simulator's own kernel, from per-path (tau, X(tau)), keeping only the end
+    x_rest = _euler_paths(model_driver(model), x_restart0, t_tau, h, u_steps, rseed, scheme,
+                          store_stride=u_steps)[0][:, -1, :]
 
     # occupancy bins of X_d(tau); undersized bins merge rightward
     qs = np.quantile(x_tau[:, -1], np.linspace(0.0, 1.0, n_bins + 1))

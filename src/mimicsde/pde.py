@@ -24,7 +24,7 @@ affine solutions exact.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -450,14 +450,11 @@ def solve_cauchy(
 
 def time_reversed_model(model: CoefficientModel, horizon: float) -> CoefficientModel:
     """Coefficients evaluated at horizon - t (the terminal-value reversal)."""
-    return CoefficientModel(
-        d=model.d,
+    return replace(
+        model,
         a=lambda t, x: model.a(horizon - np.asarray(t), x),
         b=lambda t, x: model.b(horizon - np.asarray(t), x),
         c=lambda t, x: model.c(horizon - np.asarray(t), x),
-        budget=model.budget,
-        provenance=model.provenance,
-        time_independent=model.time_independent,
         name=model.name + "|time-reversed",
     )
 

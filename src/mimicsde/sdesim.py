@@ -16,11 +16,18 @@ because a large clip rate invalidates downstream marginal claims.  Noise is
 counter-based (see :mod:`.rng`): path p consumes stream (seed, p), step by
 step, so ensembles are reproducible regardless of scheduling and extendable
 in time.
+
+One loop, :func:`_euler_paths`, steps every path: :func:`simulate_sde`
+replays a coefficient model as an :class:`ItoDriver`,
+:func:`simulate_ito_process` runs a general driver under ``absorbed_euler``
+and reads its drift and diffusion through an observation hook, and the
+strong-Markov restart in :mod:`.martingale` continues paths from per-path
+start times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, IO, Sequence
 
 import numpy as np
@@ -113,87 +120,6 @@ class PathEnsemble:
         return self.states[:, self.grid.node_index(t), :]
 
 
-def _as_start_state(start, d: int | None = None) -> np.ndarray:
-    if isinstance(start, SpaceTimePoint):
-        x = np.asarray(start.x, dtype=float)
-    else:
-        x = np.asarray(start, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("start state must be a single d-vector")
-    if d is not None and x.shape[0] != d:
-        raise ValueError(f"start dimension {x.shape[0]} != expected {d}")
-    if x[-1] < 0:
-        raise ValueError("start lies outside the closed half-space")
-    return x
-
-
-def simulate_sde(
-    model: CoefficientModel,
-    start: SpaceTimePoint,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    scheme: str = "full_truncation",
-    store_stride: int = 1,
-) -> PathEnsemble:
-    """Euler-Maruyama ensemble for dX = b dt + sqrt(x_d^+) varsigma dW.
-
-    Deterministic given (config, seed); every stored state has x_d >= 0.
-    ``store_stride`` keeps every stride-th node (endpoints always included) so
-    long fine-step runs stay within memory.
-    """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; use one of {SCHEMES}")
-    if isinstance(start, SpaceTimePoint) and abs(grid.start - start.t) > 1e-12:
-        raise ValueError("grid.start must equal the start time")
-    x0 = _as_start_state(start, model.d)
-    model.check_symmetry(n_samples=64)
-
-    n_steps = grid.n_steps
-    if store_stride < 1 or n_steps % store_stride != 0:
-        raise ValueError("store_stride must divide the number of steps")
-    h = grid.step
-    sqrt_h = np.sqrt(h)
-    d = model.d
-    paths = np.arange(n_paths, dtype=np.uint64)
-
-    n_stored = n_steps // store_stride
-    states = np.empty((n_paths, n_stored + 1, d))
-    x_int = np.tile(x0, (n_paths, 1))
-    x_eval = x_int.copy()
-    x_eval[:, -1] = np.maximum(x_eval[:, -1], 0.0)
-    states[:, 0, :] = x_eval
-    pre_clip_min = x_int[:, -1].copy()
-    n_clipped = 0
-
-    for k in range(n_steps):
-        t_k = grid.start + k * h
-        bv = model.b(t_k, x_eval)
-        sig = model.sigma(t_k, x_eval)
-        z = rng.normals(seed, rng.DOMAIN_BROWNIAN, paths, k, d)
-        incr = bv * h + np.einsum("nij,nj->ni", sig, z) * sqrt_h
-        if scheme == "full_truncation":
-            x_int = x_int + incr
-        else:
-            x_int = x_eval + incr
-        np.minimum(pre_clip_min, x_int[:, -1], out=pre_clip_min)
-        n_clipped += int(np.count_nonzero(x_int[:, -1] < 0.0))
-        if scheme == "absorbed_euler":
-            x_int[:, -1] = np.maximum(x_int[:, -1], 0.0)
-        x_eval = x_int.copy()
-        x_eval[:, -1] = np.maximum(x_eval[:, -1], 0.0)
-        if (k + 1) % store_stride == 0:
-            states[:, (k + 1) // store_stride, :] = x_eval
-
-    stored_grid = TimeGrid(grid.start, grid.end, h * store_stride)
-    return PathEnsemble(
-        grid=stored_grid, states=states, seed=seed, scheme=scheme,
-        internal_step=h, store_stride=store_stride, start_state=x0,
-        pre_clip_min_xd=pre_clip_min, n_clipped_steps=n_clipped,
-        n_internal_steps=n_steps * n_paths,
-    )
-
-
 @dataclass
 class ItoDriver:
     """Adapted coefficient process (beta(t), xi(t)) driven by an auxiliary state.
@@ -260,6 +186,145 @@ def regime_switching_driver(
     )
 
 
+def _as_start_state(start, d: int, grid: TimeGrid | None = None) -> np.ndarray:
+    """The start vector; a SpaceTimePoint start must sit at ``grid.start``."""
+    if isinstance(start, SpaceTimePoint):
+        if grid is not None and abs(grid.start - start.t) > 1e-12:
+            raise ValueError("grid.start must equal the start time")
+        x = np.asarray(start.x, dtype=float)
+    else:
+        x = np.asarray(start, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("start state must be a single d-vector")
+    if x.shape[0] != d:
+        raise ValueError(f"start dimension {x.shape[0]} != expected {d}")
+    if x[-1] < 0:
+        raise ValueError("start lies outside the closed half-space")
+    return x
+
+
+def _n_stored(n_steps: int, store_stride: int) -> int:
+    if store_stride < 1 or n_steps % store_stride != 0:
+        raise ValueError("store_stride must divide the number of steps")
+    return n_steps // store_stride
+
+
+def _eval_driver(driver: ItoDriver, t, x: np.ndarray, aux, label: str):
+    """(beta, xi) at (t, x), shape-checked against (n, d) and (n, d, r)."""
+    beta, xi = driver.coeffs(t, x, aux)
+    beta = np.asarray(beta, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    n, d, r = x.shape[0], driver.d, driver.r
+    if beta.shape != (n, d) or xi.shape != (n, d, r):
+        raise ValueError(
+            f"driver output dimension mismatch at {label}: "
+            f"beta {beta.shape}, xi {xi.shape}, expected ({n},{d}) and ({n},{d},{r})"
+        )
+    return beta, xi
+
+
+def _euler_paths(
+    driver: ItoDriver,
+    x0: np.ndarray,
+    t0,
+    h: float,
+    n_steps: int,
+    seed: int,
+    scheme: str,
+    store_stride: int,
+    observe: Callable | None = None,
+):
+    """The Euler-Maruyama loop behind every simulated path in the package.
+
+    Steps n paths from the states ``x0`` (shape (n, d), x_d >= 0) at times
+    t0 + k h, where ``t0`` is a scalar, kept scalar so a lattice brackets it
+    once, or one start time per path.  Step k evaluates the driver at the
+    clipped state, draws r normals from stream (seed, path) at step k and
+    adds beta h + xi z sqrt(h): to the internal state under
+    ``full_truncation``, to the clipped state under ``absorbed_euler``.  The
+    driver's aux state is created from ``DOMAIN_DRIVER_INIT`` uniforms and
+    advanced, after the step, on ``DOMAIN_DRIVER`` uniforms at step k.
+    ``observe(k, x, beta, xi)`` sees every step's clipped state and driver
+    values before the increment.
+
+    Returns the clipped states at every stride-th node (start and end
+    included), the per-path minimum of x_d before clipping, the number of
+    clipped path-steps and the final aux state.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; use one of {SCHEMES}")
+    n, d = x0.shape
+    states = np.empty((n, _n_stored(n_steps, store_stride) + 1, d))
+    sqrt_h = np.sqrt(h)
+    paths = np.arange(n, dtype=np.uint64)
+    aux = None
+    if driver.init_aux is not None:
+        u0 = rng.uniforms(seed, rng.DOMAIN_DRIVER_INIT, paths, 0, max(driver.init_noise_dim, 1))
+        aux = driver.init_aux(n, u0)
+
+    x_int = x0
+    del x0  # so the start batch is freed once the first step replaces it
+    x_eval = x_int.copy()
+    x_eval[:, -1] = np.maximum(x_eval[:, -1], 0.0)
+    states[:, 0, :] = x_eval
+    pre_clip_min = x_int[:, -1].copy()
+    n_clipped = 0
+    for k in range(n_steps):
+        t_k = t0 + k * h
+        beta, xi = _eval_driver(driver, t_k, x_eval, aux, f"step {k}")
+        if observe is not None:
+            observe(k, x_eval, beta, xi)
+        z = rng.normals(seed, rng.DOMAIN_BROWNIAN, paths, k, driver.r)
+        # no name for the increment, so it is not held through the next
+        # step's evaluation, where peak memory is reached
+        x_int = (x_int if scheme == "full_truncation" else x_eval) + (
+            beta * h + np.einsum("nij,nj->ni", xi, z) * sqrt_h)
+        np.minimum(pre_clip_min, x_int[:, -1], out=pre_clip_min)
+        n_clipped += int(np.count_nonzero(x_int[:, -1] < 0.0))
+        x_eval = x_int.copy()
+        x_eval[:, -1] = np.maximum(x_eval[:, -1], 0.0)
+        if driver.advance_aux is not None:
+            u = rng.uniforms(seed, rng.DOMAIN_DRIVER, paths, k, max(driver.noise_dim, 1))
+            aux = driver.advance_aux(t_k, h, x_eval, aux, u)
+        if (k + 1) % store_stride == 0:
+            states[:, (k + 1) // store_stride, :] = x_eval
+    return states, pre_clip_min, n_clipped, aux
+
+
+def _simulate(driver, x0, grid, n_paths, seed, scheme, store_stride, observe=None):
+    """Kernel run of n_paths copies of x0 over ``grid``, as an ensemble; also the final aux."""
+    states, pre_clip_min, n_clipped, aux = _euler_paths(
+        driver, np.tile(x0, (n_paths, 1)), grid.start, grid.step, grid.n_steps, seed,
+        scheme, store_stride, observe)
+    ens = PathEnsemble(
+        grid=TimeGrid(grid.start, grid.end, grid.step * store_stride), states=states,
+        seed=seed, scheme=scheme, internal_step=grid.step, store_stride=store_stride,
+        start_state=x0, pre_clip_min_xd=pre_clip_min, n_clipped_steps=n_clipped,
+        n_internal_steps=grid.n_steps * n_paths,
+    )
+    return ens, aux
+
+
+def simulate_sde(
+    model: CoefficientModel,
+    start: SpaceTimePoint,
+    grid: TimeGrid,
+    n_paths: int,
+    seed: int,
+    scheme: str = "full_truncation",
+    store_stride: int = 1,
+) -> PathEnsemble:
+    """Euler-Maruyama ensemble for dX = b dt + sqrt(x_d^+) varsigma dW.
+
+    Deterministic given (config, seed); every stored state has x_d >= 0.
+    ``store_stride`` keeps every stride-th node (endpoints always included) so
+    long fine-step runs stay within memory.
+    """
+    x0 = _as_start_state(start, model.d, grid)
+    model.check_symmetry(n_samples=64)
+    return _simulate(model_driver(model), x0, grid, n_paths, seed, scheme, store_stride)[0]
+
+
 def _outer_square(xi: np.ndarray) -> np.ndarray:
     """xi xi^* for a batch of (d, r) matrices, shape (n, d, d).
 
@@ -288,7 +353,9 @@ def simulate_ito_process(
 ) -> PathEnsemble:
     """Euler ensemble for dX = beta dt + xi dW with half-space clipping.
 
-    With ``record_drivers`` the instantaneous beta and xi xi^* are retained at
+    The kernel's ``absorbed_euler`` step, so a model-replay driver reproduces
+    :func:`simulate_sde`'s absorbed-Euler ensemble bit for bit.  With
+    ``record_drivers`` the instantaneous beta and xi xi^* are retained at
     every stored node, which is what the conditional-expectation estimator
     consumes.  xi xi^* is formed entry by entry (:func:`_outer_square`), with
     the same bits as one batched einsum.  The sample mean of
@@ -296,30 +363,11 @@ def simulate_ito_process(
     diagnostic, and a high clip rate flags a driver whose support claim is
     false.
     """
-    x0 = _as_start_state(start, driver.d)
-    n_steps = grid.n_steps
-    if store_stride < 1 or n_steps % store_stride != 0:
-        raise ValueError("store_stride must divide the number of steps")
-    h = grid.step
-    sqrt_h = np.sqrt(h)
-    d, r = driver.d, driver.r
-    paths = np.arange(n_paths, dtype=np.uint64)
-
-    if driver.init_aux is not None:
-        u0 = rng.uniforms(seed, rng.DOMAIN_DRIVER_INIT, paths, 0, max(driver.init_noise_dim, 1))
-        aux = driver.init_aux(n_paths, u0)
-    else:
-        aux = None
-
-    n_stored = n_steps // store_stride
-    states = np.empty((n_paths, n_stored + 1, d))
-    x = np.tile(x0, (n_paths, 1))
-    states[:, 0, :] = x
-    pre_clip_min = x[:, -1].copy()
-    n_clipped = 0
+    x0 = _as_start_state(start, driver.d, grid)
+    n_stored = _n_stored(grid.n_steps, store_stride)
+    d, h = driver.d, grid.step
     boundary_viol = 0
     integrability = np.zeros(n_paths)
-
     records = None
     if record_drivers:
         records = DriverRecords(
@@ -327,59 +375,29 @@ def simulate_ito_process(
             xi2=np.empty((n_paths, n_stored + 1, d, d)),
         )
 
-    def eval_driver(t, x, aux, step_label):
-        beta, xi = driver.coeffs(t, x, aux)
-        beta = np.asarray(beta, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        if beta.shape != (x.shape[0], d) or xi.shape != (x.shape[0], d, r):
-            raise ValueError(
-                f"driver output dimension mismatch at {step_label}: "
-                f"beta {beta.shape}, xi {xi.shape}, expected ({x.shape[0]},{d}) and ({x.shape[0]},{d},{r})"
-            )
-        return beta, xi
-
-    for k in range(n_steps):
-        t_k = grid.start + k * h
-        beta, xi = eval_driver(t_k, x, aux, f"step {k}")
+    def observe(k, x, beta, xi):
+        nonlocal boundary_viol, integrability
         xi2 = _outer_square(xi)
         if driver.claims_halfspace_support:
             on_boundary = x[:, -1] == 0.0
             if np.any(on_boundary):
                 boundary_viol += int(np.count_nonzero(
                     np.abs(xi[on_boundary, -1, :]).max(axis=1) > 1e-12))
-        if record_drivers and k % store_stride == 0:
-            node = k // store_stride
-            records.beta[:, node, :] = beta
-            records.xi2[:, node, :, :] = xi2
+        if records is not None and k % store_stride == 0:
+            records.beta[:, k // store_stride, :] = beta
+            records.xi2[:, k // store_stride, :, :] = xi2
         integrability += (np.linalg.norm(beta, axis=1)
                           + np.linalg.norm(xi2, axis=(1, 2))) * h
-        z = rng.normals(seed, rng.DOMAIN_BROWNIAN, paths, k, r)
-        # same increment association as simulate_sde, so a model-replay driver
-        # reproduces the absorbed-Euler ensemble bit for bit
-        x = x + (beta * h + np.einsum("nij,nj->ni", xi, z) * sqrt_h)
-        np.minimum(pre_clip_min, x[:, -1], out=pre_clip_min)
-        n_clipped += int(np.count_nonzero(x[:, -1] < 0.0))
-        x[:, -1] = np.maximum(x[:, -1], 0.0)
-        if driver.advance_aux is not None:
-            u = rng.uniforms(seed, rng.DOMAIN_DRIVER, paths, k, max(driver.noise_dim, 1))
-            aux = driver.advance_aux(t_k, h, x, aux, u)
-        if (k + 1) % store_stride == 0:
-            states[:, (k + 1) // store_stride, :] = x
 
-    if record_drivers:
-        beta, xi = eval_driver(grid.end, x, aux, "final node")
+    ens, aux = _simulate(driver, x0, grid, n_paths, seed, "absorbed_euler", store_stride,
+                         observe)
+    if records is not None:
+        x_end = np.ascontiguousarray(ens.states[:, -1, :])
+        beta, xi = _eval_driver(driver, grid.end, x_end, aux, "final node")
         records.beta[:, n_stored, :] = beta
         records.xi2[:, n_stored, :, :] = _outer_square(xi)
-
-    stored_grid = TimeGrid(grid.start, grid.end, h * store_stride)
-    return PathEnsemble(
-        grid=stored_grid, states=states, seed=seed, scheme="absorbed_euler",
-        internal_step=h, store_stride=store_stride, start_state=x0,
-        pre_clip_min_xd=pre_clip_min, n_clipped_steps=n_clipped,
-        n_internal_steps=n_steps * n_paths, drivers=records,
-        integrability_mean=float(integrability.mean()),
-        boundary_row_violations=boundary_viol,
-    )
+    return replace(ens, drivers=records, integrability_mean=float(integrability.mean()),
+                   boundary_row_violations=boundary_viol)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Known-output pins for the random stream, the Euler ensembles, a PDE solution and the CSV format.
+"""Known-output pins: the random stream, the Euler ensembles, a PDE solution, the sampled norms and the CSV format.
 
 Every other test checks self-consistency; these check that the bits themselves
 have not moved.  A change that alters any digest below changes the stream, the
@@ -8,6 +8,7 @@ acceptance criterion at its unchanged seed instead of re-pinning quietly.
 
 import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -80,6 +81,24 @@ HESTON_CSV_PIN = "9a61af0c56dd7a8efcad0792e2383c8818fefcaec03f392828972a4f38aab1
 DRIVER_CSV_PIN = "9fa334c79a1297e14df3d1b421b8a53bd3dbdf8ae5b36ff7f607e925d3caee6b"
 GRIDDED_PIN = "677476567d53689a7bf84c065cfb814e21e3e9c1d25aeee85048b909106dfad6"
 GRIDDED_PDE_PIN = "d6c2ebcf585d87226842cf1d0548eea1d8d5c9529d445bef8af6f5fc9457bff6"
+# states digest + the first 16 hex digits of the report's JSON digest
+RESTART_PINS = {
+    "full_truncation":
+        "14865db80b6c0de821ff47786b432181b4c434c480c314bb75937fe2c1e4a4a1" "a3b4eb5de5829611",
+    "absorbed_euler":
+        "b2f56956fc74a5bd3baa680ff7dcb4ced58fbcb68af51b185b823c33da3e446a" "a3b4eb5de5829611",
+    "full_truncation+perturb":
+        "db5f5975c4d5990310e65a5e2aa4af202aa0b52f8b1f1c8daac7d449324428624" "be9057d6311a53b",
+}
+ITO_PINS = {
+    "regime": "cc94280292c942fec677bd83520083b9e381b519969497d38a4d6dd34684550c",
+    "leaky": "5359b01aaeb5c7ed1d3fbca7f45f0748f3d1c3a1ea35cda9f60b0b02d7a6e455",
+}
+VALIDATOR_PINS = {
+    "heston": "6a2a8af2ee7936c24c1cbb367d735cea958be8602d207cfb1421179d12778daa",
+    "gridded": "5fedd0929255a929d15e673a0c54efb5996fb7c69af1cf8ffdf70ad95e302b0b",
+}
+NORMS_PIN = "18375f9487612383117f9e5e35f715142270a484b95f91565fdb04fb47d356c6"
 
 
 def _paths(idx):
@@ -154,3 +173,68 @@ def test_gridded_pde_pinned(gridded_model):
     pts = np.array([[0.0, 0.09], [0.3, 0.0], [-1.2, 0.7], [0.95, 0.2]])
     assert _digest(sol.values, sol.layer_min, sol.layer_max,
                    sol.interpolate(0.3, pts)) == GRIDDED_PDE_PIN
+
+
+def _json_digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(RESTART_PINS))
+def test_restart_continuation_pinned(gridded_model, case):
+    # tau is a first hitting time, so each path restarts at its own time and
+    # the lattice is evaluated at per-path t; g sees the continuation and the
+    # restart sample of every bin, so the digest covers every bit of both
+    scheme, _, perturb = case.partition("+")
+    seen = []
+
+    def g(x):
+        seen.append(np.array(x))
+        return x[:, 1]
+
+    rep = m.strong_markov_restart_test(
+        gridded_model, m.SpaceTimePoint(0.0, (0.0, 0.09)), level=0.06, t_cap=0.5, u=0.25,
+        g_list=[("x_2", g)], n_paths=300, h=2.0**-5, seed=61, scheme=scheme,
+        n_bins=2, min_bin=20, perturb=(0.05, -0.04) if perturb else None)
+    assert len(seen) == 2 * len(rep.entries)
+    assert _digest(*seen) + _json_digest(rep.to_json())[:16] == RESTART_PINS[case]
+
+
+def _leaky_driver(heston):
+    """A driver whose noise does not vanish on x_d = 0, despite its support claim."""
+    xi = 0.2 * np.eye(2)
+    return m.ItoDriver(d=2, r=2, coeffs=lambda t, x, aux: (
+        heston.b(t, x), np.broadcast_to(xi, (x.shape[0], 2, 2))), name="leaky")
+
+
+@pytest.mark.parametrize("case", sorted(ITO_PINS))
+def test_ito_ensemble_pinned(heston, case):
+    driver = (m.regime_switching_driver(heston, hi_factor=2.5) if case == "regime"
+              else _leaky_driver(heston))
+    grid = m.TimeGrid(0.0, 0.5, 2.0**-5)
+    ens = m.simulate_ito_process(driver, m.SpaceTimePoint(0.0, (0.0, 0.09)), grid, 200, 808,
+                                 record_drivers=True, store_stride=4)
+    assert ens.n_clipped_steps > 0
+    assert (ens.boundary_row_violations > 0) == (case == "leaky")
+    assert _digest(ens.states, ens.pre_clip_min_xd,
+                   np.array([ens.n_clipped_steps, ens.boundary_row_violations]),
+                   np.array([ens.integrability_mean]),
+                   ens.drivers.beta, ens.drivers.xi2) == ITO_PINS[case]
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATOR_PINS))
+def test_validator_pinned(heston, gridded_model, case):
+    # pair budgets above one 4096-pair batch, so the stratum parity runs on
+    # absolute pair indices
+    model = heston if case == "heston" else gridded_model
+    rep = m.validate_coefficients(model, n_samples=1000, pair_budget=5000, seed=3,
+                                  alphas=[0.3])
+    assert _json_digest(rep.to_json()) == VALIDATOR_PINS[case]
+
+
+def test_sampled_norms_pinned():
+    region = m.Region(0.0, 1.0, (-1.0, 0.0), (1.0, 0.5))
+    field = lambda t, x: np.sin(3.0 * x[:, 0]) * np.sqrt(x[:, 1]) + t
+    sup = m.weighted_sup_norm(field, region, 1.5, n_samples=1001, seed=9)
+    holder = [m.holder_seminorm_estimate(field, region, 0.5, metric, 5000, 4).to_json()
+              for metric in ("cycloidal", "parabolic")]
+    assert _json_digest({"sup": sup, "holder": holder}) == NORMS_PIN

@@ -124,6 +124,12 @@ class TestItoProcess:
         t_k = grid.nodes[k]
         assert np.allclose(ito.drivers.beta[:, k, :], heston.b(t_k, ito.states[:, k, :]))
 
+    def test_start_must_match_grid(self, heston):
+        grid = m.TimeGrid(0.0, 1.0, 0.125)
+        with pytest.raises(ValueError, match="grid.start"):
+            m.simulate_ito_process(m.model_driver(heston), m.SpaceTimePoint(0.3, (0.0, 0.09)),
+                                   grid, 10, 1)
+
     def test_driver_dimension_mismatch(self, start):
         bad = m.ItoDriver(d=2, r=2, coeffs=lambda t, x, aux: (np.zeros((x.shape[0], 3)),
                                                               np.zeros((x.shape[0], 2, 2))))
