@@ -5,13 +5,20 @@ compute, executes one pipeline, writes CSV data artifacts plus a
 ``report.json``, and records a ``manifest.json`` with the config hash, package
 version, wall-clock time, and whether a ``--threads`` cap took effect.  Exit
 status: 0 when all asserted checks pass, 1 on a check failure (the report is
-still written), 2 on a schema violation.
+still written), 2 on misuse: a schema violation, or ``--break-generator`` on a
+kind other than martingale and duality.
+
+The runners share one set of stages: :func:`run` resolves the model and its
+checking copy once; ``_start``, ``_time_grid`` and ``_ensemble`` read the start
+point and time grid and simulate a model over it; ``_projection_stage``
+estimates, builds, saves and validates the mimicking model; ``_coordinates``
+and ``_DEFAULT_PAYOFF`` are the shared test statistics and terminal payoff.
 
 Seeds are mandatory — there are no entropy defaults — so re-running a config
 reproduces byte-identical CSV artifacts (the manifest timestamp aside).  The
 ``--break-generator`` flag deliberately corrupts the generator used on the
-*checking* side of the martingale and duality pipelines; it exists so the
-suite can demonstrate its own negative controls.
+*checking* side of the martingale and duality pipelines, the only kinds that
+take it; it exists so the suite can demonstrate its own negative controls.
 """
 
 from __future__ import annotations
@@ -58,10 +65,236 @@ from .sdesim import (
     support_check,
 )
 
-KINDS = ("simulate", "validate", "martingale", "project", "pde",
-         "duality", "restart", "full-mimic")
-
 _log = logging.getLogger(__name__)
+
+# terminal payoff of the pde and duality kinds when the config names none
+_DEFAULT_PAYOFF = {"type": "radial_bump", "center": [0.0, 0.04], "radius": 0.5}
+
+
+def _model_from_config(cfg: dict):
+    spec = cfg.get("model", {})
+    if "gridded" in spec:
+        g = spec["gridded"]
+        return load_gridded_model(g["csv"], g.get("sidecar"))
+    params = dict(spec.get("params", {}))
+    return heston_model(
+        kappa=params.get("kappa", 1.5), theta=params.get("theta", 0.04),
+        zeta=params.get("zeta", 0.3), rho=params.get("rho", -0.5),
+        r=params.get("r", 0.02), q=params.get("q", 0.0),
+        with_killing=params.get("with_killing", False),
+    )
+
+
+def _test_function_from_spec(spec: dict):
+    kind = spec.get("type", "radial_bump")
+    if kind == "linear":
+        return linear_function(spec["weights"])
+    if kind == "radial_bump":
+        return radial_bump(spec["center"], spec["radius"])
+    if kind == "boundary_bump":
+        return boundary_bump(spec["center_prime"], spec["radius"])
+    raise ValueError(f"unknown test function type {kind!r}")
+
+
+def _payoff_from_spec(spec: dict):
+    kind = spec.get("type", "constant")
+    if kind == "constant":
+        val = float(spec.get("value", 1.0))
+        return lambda x: np.full(np.asarray(x).shape[0], val)
+    tf = _test_function_from_spec(spec)
+    return lambda x: tf.value(0.0, x)
+
+
+def _grid_from_config(pcfg: dict) -> Grid:
+    return Grid.build(
+        dt=pcfg.get("dt", 1.0 / 256),
+        x_prime_extent=pcfg.get("x_prime_extent", 1.5),
+        x_max=pcfg.get("x_max", 0.5),
+        counts=pcfg.get("counts", [65, 65]),
+        xd_stretch=pcfg.get("xd_stretch", 1.0),
+    )
+
+
+def _start(cfg: dict) -> SpaceTimePoint:
+    s = cfg.get("start", {"t": 0.0, "x": [0.0, 0.09]})
+    return SpaceTimePoint(s.get("t", 0.0), tuple(s["x"]))
+
+
+def _time_grid(cfg: dict, start: SpaceTimePoint) -> TimeGrid:
+    e = cfg["ensemble"]
+    return TimeGrid(start.t, start.t + e["horizon"], e["step"])
+
+
+def _ensemble(cfg: dict, model, start: SpaceTimePoint, seed: int):
+    e = cfg["ensemble"]
+    return simulate_sde(model, start, _time_grid(cfg, start), e["n_paths"], seed,
+                        scheme=e.get("scheme", "full_truncation"),
+                        store_stride=e.get("store_stride", 1))
+
+
+def _coordinates(d: int) -> list:
+    """The coordinate functions x_1, ..., x_d, as named test statistics."""
+    return [(f"x_{i+1}", lambda x, i=i: x[:, i]) for i in range(d)]
+
+
+def _driver_from_config(cfg: dict, model):
+    d = cfg.get("driver", {"kind": "markov_replay"})
+    if d.get("kind", "markov_replay") == "markov_replay":
+        return model_driver(model)
+    return regime_switching_driver(
+        model, hi_factor=d.get("hi_factor", 1.5),
+        switch_rate=d.get("switch_rate", 2.0),
+        p_start_hi=d.get("p_start_hi", 0.5),
+    )
+
+
+def _binning_from_config(cfg: dict) -> BinningSpec:
+    b = cfg["binning"]
+    return BinningSpec(
+        times=tuple(b["times"]),
+        edges=tuple(np.asarray(e, dtype=float) for e in b["edges"]),
+        kernel=b.get("kernel", "box"),
+        bandwidth=tuple(b["bandwidth"]) if b.get("bandwidth") else None,
+        min_count=b.get("min_count", 20.0),
+    )
+
+
+def _projection_stage(cfg, out, seed, model, start):
+    """Driver ensemble -> estimated coefficients -> built model, saved and validated;
+    returns the driver ensemble, the built model and the report fields they share."""
+    e = cfg["ensemble"]
+    ens = simulate_ito_process(_driver_from_config(cfg, model), np.asarray(start.x),
+                               _time_grid(cfg, start), e["n_paths"], seed,
+                               record_drivers=True, store_stride=e.get("store_stride", 1))
+    mc = estimate_mimicking_coefficients(ens, _binning_from_config(cfg))
+    cap = cfg["binning"].get("max_masked_fraction", 0.9)
+    built = build_mimicking_model(mc, max_masked_fraction=cap)
+    save_mimicked(mc, out / "mimicked.csv", out / "mimicked.csv.meta.json")
+    vrep = validate_coefficients(built, seed=seed, n_samples=1024, pair_budget=1024)
+    return ens, built, {"masked_fraction": mc.masked_fraction,
+                        "built_model_validation": vrep.to_json()}
+
+
+def _run_simulate(cfg, out, seed, model, check_model):
+    ens = _ensemble(cfg, model, _start(cfg), seed)
+    with open(out / "ensemble.csv", "w", newline="") as fh:
+        ensemble_to_csv(ens, fh)
+    rep = support_check(ens)
+    return rep.violations == 0, {"support": rep.to_json()}
+
+
+def _run_validate(cfg, out, seed, model, check_model):
+    v = cfg.get("validator", {})
+    rep = validate_coefficients(model, seed=seed, n_samples=v.get("n_samples", 4096),
+                                pair_budget=v.get("pair_budget", 4096),
+                                t_max=v.get("t_max", 1.0), alphas=v.get("alphas"))
+    return rep.passed, {"validation": rep.to_json()}
+
+
+def _run_martingale(cfg, out, seed, model, check_model):
+    ens = _ensemble(cfg, model, _start(cfg), seed)
+    m = cfg.get("martingale", {})
+    specs = m.get("test_functions", [
+        {"type": "linear", "weights": [1.0, 0.0]},
+        {"type": "radial_bump", "center": [0.0, 0.05], "radius": 1.0},
+        {"type": "boundary_bump", "center_prime": [0.0], "radius": 0.6},
+    ])
+    probes = [constant_probe()] + [left_coordinate_probe(i) for i in range(model.d)]
+    reports = []
+    for spec in specs:
+        v = _test_function_from_spec(spec)
+        inc = martingale_increments(ens, check_model, v)
+        reports.append(martingale_test(inc, ens, probes,
+                                       n_intervals=m.get("n_intervals", 4),
+                                       z_crit=m.get("z_crit", 3.0),
+                                       fail_crit=m.get("fail_crit", 5.0),
+                                       label=v.name))
+    return all(r.passed for r in reports), {"martingale": [r.to_json() for r in reports]}
+
+
+def _run_project(cfg, out, seed, model, check_model):
+    ens, _, fields = _projection_stage(cfg, out, seed, model, _start(cfg))
+    return True, {**fields, "integrability_mean": ens.integrability_mean}
+
+
+def _run_pde(cfg, out, seed, model, check_model):
+    p = cfg.get("pde", {})
+    grid = _grid_from_config(p)
+    horizon = p.get("horizon", 0.5)
+    scheme = p.get("scheme", "implicit_euler")
+
+    march_times = np.linspace(0.0, horizon, int(round(horizon / grid.dt)) + 1)
+    has_killing, rate = killing_on_grid(model, grid, march_times)
+    if has_killing and rate is None:
+        raise ValueError("the constant-data check needs a killing rate c that is constant "
+                         "in space and time; c varies over the grid nodes or march times")
+    expected = float(np.exp(rate * horizon)) if has_killing else 1.0
+    ones = lambda x: np.ones(np.asarray(x).shape[0])
+    sol_const = solve_cauchy(model, None, ones, grid, horizon, scheme=scheme, store="ends")
+    const_err = float(np.abs(sol_const.values[-1] - expected).max())
+
+    g = _payoff_from_spec(cfg.get("duality", {}).get("g", _DEFAULT_PAYOFF))
+    sol = solve_terminal_value(model, g, horizon, grid, scheme=scheme, store="ends")
+    with open(out / "solution.csv", "w", newline="") as fh:
+        fh.write("t," + ",".join(f"x_{j+1}" for j in range(grid.d)) + ",u\n")
+        for x, u in zip(grid.nodes(), sol.values[0].ravel()):
+            fh.write(",".join(map(repr, [0.0, *map(float, x), float(u)])) + "\n")
+    ok = const_err <= (1e-6 if has_killing else 1e-8)
+    return ok, {"constant_data_error": const_err, "killing": has_killing,
+                "scheme": scheme}
+
+
+def _run_duality(cfg, out, seed, model, check_model):
+    dcfg = cfg.get("duality", {})
+    p = cfg.get("pde", {})
+    grid = _grid_from_config(p)
+    horizon = dcfg.get("horizon", p.get("horizon", 0.5))
+    g = _payoff_from_spec(dcfg.get("g", _DEFAULT_PAYOFF))
+    e = cfg.get("ensemble", {"n_paths": 20000, "step": 2.0**-9, "horizon": horizon})
+    # the break corrupts only the solver side; the simulation stays faithful
+    rep = duality_check(
+        check_model, g, np.asarray(_start(cfg).x), horizon, grid,
+        mc_paths=e["n_paths"], mc_step=e["step"], mc_seed=seed,
+        mc_scheme=e.get("scheme", "full_truncation"),
+        scheme=p.get("scheme", "implicit_euler"),
+        pde_eval_shift=dcfg.get("pde_eval_shift"),
+        mc_model=model,
+    )
+    return rep.passed, {"duality": rep.to_json()}
+
+
+def _run_restart(cfg, out, seed, model, check_model):
+    r = cfg.get("restart", {})
+    e = cfg.get("ensemble", {"n_paths": 10000, "step": 2.0**-7})
+    rep = strong_markov_restart_test(
+        model, _start(cfg),
+        level=r.get("level", 0.01), t_cap=r.get("t_cap", 0.5), u=r.get("u", 0.25),
+        g_list=_coordinates(model.d),
+        n_paths=e["n_paths"], h=e["step"], seed=seed,
+        n_bins=r.get("n_bins", 4), min_bin=r.get("min_bin", 200),
+        ks_threshold=r.get("ks_threshold", 0.05),
+        perturb=r.get("perturb"),
+    )
+    return rep.passed, {"restart": rep.to_json()}
+
+
+def _run_full_mimic(cfg, out, seed, model, check_model):
+    start = _start(cfg)
+    ens, built, fields = _projection_stage(cfg, out, seed, model, start)
+    mimic = _ensemble(cfg, built, start, seed + 1)
+    comparison = compare_marginals(
+        ens, mimic, cfg.get("compare_times", [0.25, 0.5, 1.0]),
+        g_list=_coordinates(ens.d), seed=seed, thresholds=cfg.get("thresholds"),
+    )
+    return comparison.passed, {"comparison": comparison.to_json(), **fields}
+
+
+_RUNNERS = {"simulate": _run_simulate, "validate": _run_validate,
+            "martingale": _run_martingale, "project": _run_project, "pde": _run_pde,
+            "duality": _run_duality, "restart": _run_restart, "full-mimic": _run_full_mimic}
+KINDS = tuple(_RUNNERS)
+# the kinds with a checking side for --break-generator to corrupt
+_CHECKING_KINDS = ("martingale", "duality")
 
 CONFIG_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -171,272 +404,17 @@ CONFIG_SCHEMA = {
 }
 
 
-def _model_from_config(cfg: dict):
-    spec = cfg.get("model", {})
-    if "gridded" in spec:
-        g = spec["gridded"]
-        return load_gridded_model(g["csv"], g.get("sidecar"))
-    params = dict(spec.get("params", {}))
-    return heston_model(
-        kappa=params.get("kappa", 1.5), theta=params.get("theta", 0.04),
-        zeta=params.get("zeta", 0.3), rho=params.get("rho", -0.5),
-        r=params.get("r", 0.02), q=params.get("q", 0.0),
-        with_killing=params.get("with_killing", False),
-    )
-
-
-def _test_function_from_spec(spec: dict):
-    kind = spec.get("type", "radial_bump")
-    if kind == "linear":
-        return linear_function(spec["weights"])
-    if kind == "radial_bump":
-        return radial_bump(spec["center"], spec["radius"])
-    if kind == "boundary_bump":
-        return boundary_bump(spec["center_prime"], spec["radius"])
-    raise ValueError(f"unknown test function type {kind!r}")
-
-
-def _payoff_from_spec(spec: dict):
-    kind = spec.get("type", "constant")
-    if kind == "constant":
-        val = float(spec.get("value", 1.0))
-        return lambda x: np.full(np.asarray(x).shape[0], val)
-    tf = _test_function_from_spec(spec)
-    return lambda x: tf.value(0.0, x)
-
-
-def _grid_from_config(pcfg: dict) -> Grid:
-    return Grid.build(
-        dt=pcfg.get("dt", 1.0 / 256),
-        x_prime_extent=pcfg.get("x_prime_extent", 1.5),
-        x_max=pcfg.get("x_max", 0.5),
-        counts=pcfg.get("counts", [65, 65]),
-        xd_stretch=pcfg.get("xd_stretch", 1.0),
-    )
-
-
-def _start_from_config(cfg: dict) -> SpaceTimePoint:
-    s = cfg.get("start", {"t": 0.0, "x": [0.0, 0.09]})
-    return SpaceTimePoint(s.get("t", 0.0), tuple(s["x"]))
-
-
-def _ensemble_from_config(cfg: dict, model, start, seed):
-    e = cfg["ensemble"]
-    grid = TimeGrid(start.t, start.t + e["horizon"], e["step"])
-    return simulate_sde(
-        model, start, grid, e["n_paths"], seed,
-        scheme=e.get("scheme", "full_truncation"),
-        store_stride=e.get("store_stride", 1),
-    )
-
-
-def _driver_from_config(cfg: dict, model):
-    d = cfg.get("driver", {"kind": "markov_replay"})
-    if d.get("kind", "markov_replay") == "markov_replay":
-        return model_driver(model)
-    return regime_switching_driver(
-        model, hi_factor=d.get("hi_factor", 1.5),
-        switch_rate=d.get("switch_rate", 2.0),
-        p_start_hi=d.get("p_start_hi", 0.5),
-    )
-
-
-def _binning_from_config(cfg: dict) -> BinningSpec:
-    b = cfg["binning"]
-    return BinningSpec(
-        times=tuple(b["times"]),
-        edges=tuple(np.asarray(e, dtype=float) for e in b["edges"]),
-        kernel=b.get("kernel", "box"),
-        bandwidth=tuple(b["bandwidth"]) if b.get("bandwidth") else None,
-        min_count=b.get("min_count", 20.0),
-    )
-
-
-def _run_simulate(cfg, out, seed, break_gen):
-    model = _model_from_config(cfg)
-    start = _start_from_config(cfg)
-    ens = _ensemble_from_config(cfg, model, start, seed)
-    with open(out / "ensemble.csv", "w", newline="") as fh:
-        ensemble_to_csv(ens, fh)
-    rep = support_check(ens)
-    return rep.violations == 0, {"support": rep.to_json()}
-
-
-def _run_validate(cfg, out, seed, break_gen):
-    model = _model_from_config(cfg)
-    v = cfg.get("validator", {})
-    rep = validate_coefficients(
-        model, seed=seed,
-        n_samples=v.get("n_samples", 4096),
-        pair_budget=v.get("pair_budget", 4096),
-        t_max=v.get("t_max", 1.0),
-        alphas=v.get("alphas"),
-    )
-    return rep.passed, {"validation": rep.to_json()}
-
-
-def _run_martingale(cfg, out, seed, break_gen):
-    model = _model_from_config(cfg)
-    start = _start_from_config(cfg)
-    ens = _ensemble_from_config(cfg, model, start, seed)
-    check_model = strip_generator_term(model, break_gen) if break_gen else model
-    m = cfg.get("martingale", {})
-    specs = m.get("test_functions", [
-        {"type": "linear", "weights": [1.0, 0.0]},
-        {"type": "radial_bump", "center": [0.0, 0.05], "radius": 1.0},
-        {"type": "boundary_bump", "center_prime": [0.0], "radius": 0.6},
-    ])
-    probes = [constant_probe()] + [left_coordinate_probe(i) for i in range(model.d)]
-    reports = []
-    ok = True
-    for spec in specs:
-        v = _test_function_from_spec(spec)
-        inc = martingale_increments(ens, check_model, v)
-        rep = martingale_test(inc, ens, probes,
-                              n_intervals=m.get("n_intervals", 4),
-                              z_crit=m.get("z_crit", 3.0),
-                              fail_crit=m.get("fail_crit", 5.0),
-                              label=v.name)
-        reports.append(rep.to_json())
-        ok = ok and rep.passed
-    return ok, {"martingale": reports, "broken_generator": break_gen}
-
-
-def _projection_stage(cfg, out, seed):
-    """Driver ensemble -> estimated coefficients -> built model, saved and validated."""
-    model = _model_from_config(cfg)
-    start = _start_from_config(cfg)
-    e = cfg["ensemble"]
-    grid = TimeGrid(start.t, start.t + e["horizon"], e["step"])
-    ens = simulate_ito_process(_driver_from_config(cfg, model), np.asarray(start.x), grid,
-                               e["n_paths"], seed, record_drivers=True,
-                               store_stride=e.get("store_stride", 1))
-    mc = estimate_mimicking_coefficients(ens, _binning_from_config(cfg))
-    cap = cfg["binning"].get("max_masked_fraction", 0.9)
-    built = build_mimicking_model(mc, max_masked_fraction=cap)
-    save_mimicked(mc, out / "mimicked.csv", out / "mimicked.csv.meta.json")
-    vrep = validate_coefficients(built, seed=seed, n_samples=1024, pair_budget=1024)
-    return start, grid, ens, mc, built, vrep
-
-
-def _run_project(cfg, out, seed, break_gen):
-    _, _, ens, mc, _, vrep = _projection_stage(cfg, out, seed)
-    return True, {
-        "masked_fraction": mc.masked_fraction,
-        "integrability_mean": ens.integrability_mean,
-        "built_model_validation": vrep.to_json(),
-    }
-
-
-def _run_pde(cfg, out, seed, break_gen):
-    model = _model_from_config(cfg)
-    p = cfg.get("pde", {})
-    grid = _grid_from_config(p)
-    horizon = p.get("horizon", 0.5)
-    scheme = p.get("scheme", "implicit_euler")
-
-    march_times = np.linspace(0.0, horizon, int(round(horizon / grid.dt)) + 1)
-    has_killing, rate = killing_on_grid(model, grid, march_times)
-    if has_killing and rate is None:
-        raise ValueError("the constant-data check needs a killing rate c that is constant "
-                         "in space and time; c varies over the grid nodes or march times")
-    expected = float(np.exp(rate * horizon)) if has_killing else 1.0
-    ones = lambda x: np.ones(np.asarray(x).shape[0])
-    sol_const = solve_cauchy(model, None, ones, grid, horizon, scheme=scheme, store="ends")
-    const_err = float(np.abs(sol_const.values[-1] - expected).max())
-
-    g = _payoff_from_spec(cfg.get("duality", {}).get("g", {
-        "type": "radial_bump", "center": [0.0, 0.04], "radius": 0.5}))
-    sol = solve_terminal_value(model, g, horizon, grid, scheme=scheme, store="ends")
-    with open(out / "solution.csv", "w", newline="") as fh:
-        fh.write("t," + ",".join(f"x_{j+1}" for j in range(grid.d)) + ",u\n")
-        nodes = grid.nodes()
-        vals = sol.values[0].ravel()
-        for i in range(nodes.shape[0]):
-            fh.write(",".join([repr(0.0)] + [repr(float(v)) for v in nodes[i]]
-                              + [repr(float(vals[i]))]) + "\n")
-    ok = const_err <= (1e-6 if has_killing else 1e-8)
-    return ok, {"constant_data_error": const_err, "killing": has_killing,
-                "scheme": scheme}
-
-
-def _run_duality(cfg, out, seed, break_gen):
-    model = _model_from_config(cfg)
-    start = _start_from_config(cfg)
-    dcfg = cfg.get("duality", {})
-    p = cfg.get("pde", {})
-    grid = _grid_from_config(p)
-    horizon = dcfg.get("horizon", p.get("horizon", 0.5))
-    g = _payoff_from_spec(dcfg.get("g", {"type": "radial_bump",
-                                         "center": [0.0, 0.04], "radius": 0.5}))
-    e = cfg.get("ensemble", {"n_paths": 20000, "step": 2.0**-9, "horizon": horizon})
-    # the break corrupts only the solver side; the simulation stays faithful
-    pde_model = strip_generator_term(model, break_gen) if break_gen else model
-    rep = duality_check(
-        pde_model, g, np.asarray(start.x), horizon, grid,
-        mc_paths=e["n_paths"], mc_step=e["step"], mc_seed=seed,
-        mc_scheme=e.get("scheme", "full_truncation"),
-        scheme=p.get("scheme", "implicit_euler"),
-        pde_eval_shift=dcfg.get("pde_eval_shift"),
-        mc_model=model,
-    )
-    return rep.passed, {"duality": rep.to_json(), "broken_generator": break_gen}
-
-
-def _run_restart(cfg, out, seed, break_gen):
-    model = _model_from_config(cfg)
-    start = _start_from_config(cfg)
-    r = cfg.get("restart", {})
-    e = cfg.get("ensemble", {"n_paths": 10000, "step": 2.0**-7})
-    rep = strong_markov_restart_test(
-        model, start,
-        level=r.get("level", 0.01), t_cap=r.get("t_cap", 0.5), u=r.get("u", 0.25),
-        g_list=[(f"x_{i+1}", (lambda i: (lambda x: x[:, i]))(i)) for i in range(model.d)],
-        n_paths=e["n_paths"], h=e["step"], seed=seed,
-        n_bins=r.get("n_bins", 4), min_bin=r.get("min_bin", 200),
-        ks_threshold=r.get("ks_threshold", 0.05),
-        perturb=r.get("perturb"),
-    )
-    return rep.passed, {"restart": rep.to_json()}
-
-
-def _run_full_mimic(cfg, out, seed, break_gen):
-    start, grid, ens, mc, built, vrep = _projection_stage(cfg, out, seed)
-    e = cfg["ensemble"]
-    mimic = simulate_sde(built, start, grid, e["n_paths"], seed + 1,
-                         scheme=e.get("scheme", "full_truncation"),
-                         store_stride=e.get("store_stride", 1))
-    times = cfg.get("compare_times", [0.25, 0.5, 1.0])
-    comparison = compare_marginals(
-        ens, mimic, times,
-        g_list=[(f"x_{i+1}", (lambda i: (lambda x: x[:, i]))(i)) for i in range(ens.d)],
-        seed=seed, thresholds=cfg.get("thresholds"),
-    )
-    return comparison.passed, {
-        "comparison": comparison.to_json(),
-        "masked_fraction": mc.masked_fraction,
-        "built_model_validation": vrep.to_json(),
-    }
-
-
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "validate": _run_validate,
-    "martingale": _run_martingale,
-    "project": _run_project,
-    "pde": _run_pde,
-    "duality": _run_duality,
-    "restart": _run_restart,
-    "full-mimic": _run_full_mimic,
-}
-
-
 def run(config: dict, threads: int | None = None, break_generator: str | None = None) -> int:
     """Validate the config, execute its pipeline, write artifacts, return exit status."""
     try:
         jsonschema.validate(config, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
         print(f"config schema violation: {exc.message}", file=sys.stderr)
+        return 2
+    kind = config["kind"]
+    if break_generator is not None and kind not in _CHECKING_KINDS:
+        print(f"--break-generator applies to the {' and '.join(_CHECKING_KINDS)} kinds, "
+              f"not {kind!r}", file=sys.stderr)
         return 2
 
     threads_applied = False
@@ -453,10 +431,14 @@ def run(config: dict, threads: int | None = None, break_generator: str | None = 
     out = Path(config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.monotonic()
-    ok, payload = _RUNNERS[config["kind"]](config, out, config["seed"], break_generator)
+    model = _model_from_config(config)
+    check_model = strip_generator_term(model, break_generator) if break_generator else model
+    ok, payload = _RUNNERS[kind](config, out, config["seed"], model, check_model)
     wallclock = time.monotonic() - t_start
 
-    report = {"kind": config["kind"], "passed": bool(ok), **payload}
+    report = {"kind": kind, "passed": bool(ok), **payload}
+    if kind in _CHECKING_KINDS:
+        report["broken_generator"] = break_generator
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
@@ -484,7 +466,8 @@ def main(argv: list[str] | None = None) -> int:
     runp.add_argument("--threads", type=int, default=None,
                       help="cap worker threads (results are unaffected)")
     runp.add_argument("--break-generator", choices=["drift", "diffusion"], default=None,
-                      help="negative control: corrupt the checking-side generator")
+                      help="negative control: corrupt the checking-side generator "
+                           "(martingale and duality kinds only)")
     args = parser.parse_args(argv)
     with open(args.config) as fh:
         config = json.load(fh)

@@ -30,6 +30,8 @@ from .geometry import Region, SpaceTimePoint, _holder_scan, region_points
 
 _DOMAIN_VALIDATE = 104
 _XD_SPLIT = 2.0  # near/far split of the regularity conditions
+_X_PRIME_EXTENT, _XD_FAR_TOP = 3.0, 6.0  # the validator's box: |x_i| <= 3 (i < d), x_d <= 6
+_SYMMETRY_SAMPLES = 64  # points of a model's symmetry check
 # A lattice axis of at most _COUNT_BRACKET_MAX_NODES nodes, evaluated at
 # _COUNT_BRACKET_MIN_POINTS or more points, is bracketed by counting nodes
 # (one vectorised pass per interior node); otherwise by binary search.
@@ -107,16 +109,16 @@ class CoefficientModel:
         xd = np.maximum(x[..., -1], 0.0)
         return np.sqrt(xd)[..., None, None] * self.varsigma(t, x)
 
-    def check_symmetry(self, n_samples: int = 256, t_max: float = 1.0,
-                       extent: float = 3.0, seed: int = 0, tol: float = 1e-10) -> None:
-        """Sample points and verify a(t,x) is symmetric; raises on violation."""
-        region = Region(0.0, t_max, (-extent,) * (self.d - 1) + (0.0,), (extent,) * self.d)
-        u = rng.uniforms(seed, _DOMAIN_VALIDATE, np.arange(n_samples, dtype=np.uint64), 0,
+    def check_symmetry(self) -> None:
+        """Verify a(t,x) is symmetric at 64 sampled points of [0, 1] x [-3, 3]^d
+        with x_d >= 0, to a relative 1e-10; raises on violation."""
+        region = Region(0.0, 1.0, (-3.0,) * (self.d - 1) + (0.0,), (3.0,) * self.d)
+        u = rng.uniforms(0, _DOMAIN_VALIDATE, np.arange(_SYMMETRY_SAMPLES, dtype=np.uint64), 0,
                          self.d + 1)
         ts, xs = region_points(region, u)
         av = np.asarray(self.a(ts, xs), dtype=float)
         gap = np.abs(av - np.swapaxes(av, -1, -2)).max()
-        if gap > tol * max(1.0, np.abs(av).max()):
+        if gap > 1e-10 * max(1.0, np.abs(av).max()):
             raise ValueError(f"a(t,x) fails symmetry sampling: max asymmetry {gap:.3e}")
 
 
@@ -411,8 +413,6 @@ def validate_coefficients(
     model: CoefficientModel,
     budget: RegularityBudget | None = None,
     t_max: float = 1.0,
-    x_prime_extent: float = 3.0,
-    xd_far_top: float = 6.0,
     n_samples: int = 4096,
     pair_budget: int = 4096,
     seed: int = 0,
@@ -420,7 +420,8 @@ def validate_coefficients(
 ) -> ValidationReport:
     """Check every regularity clause of the declared budget on sampled data.
 
-    The state space splits at x_d = 2: below it the ellipticity/boundedness/
+    Points are sampled in [0, t_max] x [-3, 3]^(d-1) x [0, 6].  The state
+    space splits at x_d = 2: below it the ellipticity/boundedness/
     Hölder conditions are imposed on `a` itself with the cycloidal metric;
     above it they are imposed on the product x_d * a with the parabolic
     metric.  The Hölder exponent is taken from the budget; extra exponents in
@@ -429,12 +430,12 @@ def validate_coefficients(
     if budget is None:
         budget = model.budget
     d = model.d
-    ext = x_prime_extent
+    ext = _X_PRIME_EXTENT
     report_alphas = list(alphas) if alphas is not None else []
 
     near = Region(0.0, t_max, (-ext,) * (d - 1) + (0.0,), (ext,) * (d - 1) + (_XD_SPLIT,))
-    far = Region(0.0, t_max, (-ext,) * (d - 1) + (_XD_SPLIT,), (ext,) * (d - 1) + (xd_far_top,))
-    wide = Region(0.0, t_max, (-ext,) * (d - 1) + (0.0,), (ext,) * (d - 1) + (xd_far_top,))
+    far = Region(0.0, t_max, (-ext,) * (d - 1) + (_XD_SPLIT,), (ext,) * (d - 1) + (_XD_FAR_TOP,))
+    wide = Region(0.0, t_max, (-ext,) * (d - 1) + (0.0,), (ext,) * (d - 1) + (_XD_FAR_TOP,))
 
     conditions: list[ConditionCheck] = []
 

@@ -31,6 +31,8 @@ from .geometry import SpaceTimePoint
 from .sdesim import PathEnsemble, TimeGrid, _euler_paths, model_driver, simulate_sde
 
 _FD_TOL = 1e-4
+_FD_TIME = 0.37  # the time at which derivatives are probed
+_RESTART_SEED_OFFSET = 0x517CC1B7  # the restart runs at seed + this
 
 
 @dataclass
@@ -42,7 +44,7 @@ class TestFunction:
     ``dt`` and, to be usable at the degenerate boundary, ``xd_hess`` — the
     product x_d * Hessian as one continuous evaluator.  Derivatives are probed
     against finite differences at construction (relative tolerance 1e-4) at
-    ``check_points``.
+    ``check_points`` and t = 0.37.
     """
 
     name: str
@@ -53,11 +55,8 @@ class TestFunction:
     dt: Callable | None = None
     xd_hess: Callable | None = None
     time_dependent: bool = False
-    support_radius: float | None = None
     support_center: np.ndarray | None = None
-    smoothness: str = "smooth"
     check_points: np.ndarray | None = None
-    check_time: float = 0.37
 
     def __post_init__(self) -> None:
         if self.time_dependent and self.dt is None:
@@ -70,7 +69,7 @@ class TestFunction:
             u = rng.uniforms(7, 105, np.arange(8, dtype=np.uint64), 0, self.d)
             pts = 0.2 + 0.6 * u
         pts = np.asarray(pts, dtype=float)
-        t = self.check_time
+        t = _FD_TIME
         eps = 1e-5
         scale = max(1.0, float(np.abs(self.value(t, pts)).max()))
 
@@ -112,7 +111,6 @@ def linear_function(weights: Sequence[float], name: str | None = None) -> TestFu
         grad=lambda t, x: np.broadcast_to(w, x.shape).copy(),
         hess=lambda t, x: np.zeros((x.shape[0], d, d)),
         xd_hess=lambda t, x: np.zeros((x.shape[0], d, d)),
-        smoothness="smooth-unbounded",
     )
 
 
@@ -164,8 +162,7 @@ def radial_bump(center: Sequence[float], radius: float, name: str | None = None)
         name=name or "bump(c=(" + ",".join(f"{v:g}" for v in c) + f"),R={radius:g})",
         d=d, value=value, grad=grad, hess=hess,
         xd_hess=lambda t, x: x[:, -1][:, None, None] * hess(t, x),
-        support_radius=radius, support_center=c,
-        check_points=pts,
+        support_center=c, check_points=pts,
     )
 
 
@@ -487,7 +484,6 @@ def strong_markov_restart_test(
     n_paths: int,
     h: float,
     seed: int,
-    restart_seed: int | None = None,
     scheme: str = "full_truncation",
     n_bins: int = 4,
     min_bin: int = 200,
@@ -499,8 +495,9 @@ def strong_markov_restart_test(
     The stopping rule is tau = first node with x_d <= level, capped at t_cap
     (capped paths record a hit at the cap).  Each path's continuation value
     g(X(tau+u)) is compared with a fresh simulation of length u restarted at
-    (tau, X(tau)) under an independent seed, stratified into occupancy bins of
-    X_d(tau); distributional agreement per bin is the pass criterion.
+    (tau, X(tau)) under the independent seed seed + 0x517CC1B7, stratified
+    into occupancy bins of X_d(tau); distributional agreement per bin is the
+    pass criterion.
     ``perturb`` shifts the restart state and serves as the negative control.
     """
     if u <= 0:
@@ -528,10 +525,9 @@ def strong_markov_restart_test(
     if perturb is not None:
         x_restart0 = x_restart0 + np.asarray(perturb, dtype=float)
         x_restart0[:, -1] = np.maximum(x_restart0[:, -1], 0.0)
-    rseed = restart_seed if restart_seed is not None else seed + 0x517CC1B7
     # the simulator's own kernel, from per-path (tau, X(tau)), keeping only the end
-    x_rest = _euler_paths(model_driver(model), x_restart0, t_tau, h, u_steps, rseed, scheme,
-                          store_stride=u_steps)[0][:, -1, :]
+    x_rest = _euler_paths(model_driver(model), x_restart0, t_tau, h, u_steps,
+                          seed + _RESTART_SEED_OFFSET, scheme, store_stride=u_steps)[0][:, -1, :]
 
     # occupancy bins of X_d(tau); undersized bins merge rightward
     qs = np.quantile(x_tau[:, -1], np.linspace(0.0, 1.0, n_bins + 1))

@@ -309,11 +309,7 @@ class PdeSolution:
     layer_min: np.ndarray
     layer_max: np.ndarray
     scheme: str
-    terminal: bool = False
     meta: dict = field(default_factory=dict)
-
-    def layer(self, k: int) -> np.ndarray:
-        return self.values[k]
 
     def interpolate(self, t, x: np.ndarray) -> np.ndarray:
         interp = LatticeInterpolator(self.times, self.grid.axes,
@@ -358,7 +354,6 @@ def _march(
     grid: Grid,
     horizon: float,
     scheme: str,
-    t0: float,
     store: str,
 ) -> PdeSolution:
     if scheme not in SCHEMES:
@@ -370,7 +365,7 @@ def _march(
     theta = 1.0 if scheme == "implicit_euler" else 0.5
 
     if scheme == "crank_nicolson":
-        probe = np.abs(np.asarray(model.b(t0, st.nodes), dtype=float)).max()
+        probe = np.abs(np.asarray(model.b(0.0, st.nodes), dtype=float)).max()
         min_h = min(float(np.diff(ax).min()) for ax in grid.axes)
         if probe * grid.dt / min_h > 1.0:
             warnings.warn(
@@ -379,7 +374,7 @@ def _march(
 
     store_all = store == "all"
     stored = [u0.copy()]
-    stored_times = [t0]
+    stored_times = [0.0]
     layer_min = [float(u0.min())]
     layer_max = [float(u0.max())]
 
@@ -387,8 +382,8 @@ def _march(
     lu = None
     p_mat = None
     for n in range(n_steps):
-        t_next = t0 + (n + 1) * grid.dt
-        t_eval = t_next if theta == 1.0 else t0 + (n + 0.5) * grid.dt
+        t_next = (n + 1) * grid.dt
+        t_eval = t_next if theta == 1.0 else (n + 0.5) * grid.dt
         if p_mat is None or not model.time_independent:
             p_mat = _assemble_operator(model, t_eval, st)
             a_mat = (st.nonouter_diag - (theta * grid.dt) * p_mat + st.outer_matrix).tocsc()
@@ -400,15 +395,9 @@ def _march(
             rhs -= grid.dt * np.asarray(f(t_eval, st.nodes), dtype=float)
         rhs[st.outer] = 0.0
         try:
-            if grid.d <= 2:
-                if lu is None:
-                    lu = sp_linalg.splu(a_mat)
-                u = lu.solve(rhs)
-            else:
-                u_new, info = sp_linalg.bicgstab(a_mat, rhs, x0=u, rtol=1e-10, atol=0.0)
-                if info != 0:
-                    raise RuntimeError(f"iterative solve failed with code {info}")
-                u = u_new
+            if lu is None:
+                lu = sp_linalg.splu(a_mat)
+            u = lu.solve(rhs)
         except RuntimeError as exc:
             raise RuntimeError(f"linear-system solve failure at step {n}: {exc}") from exc
         layer_min.append(float(u.min()))
@@ -432,10 +421,9 @@ def solve_cauchy(
     grid: Grid,
     horizon: float,
     scheme: str = "implicit_euler",
-    t0: float = 0.0,
     store: str = "all",
 ) -> PdeSolution:
-    """March u_t = A u + c u - f forward from u(t0, .) = g.
+    """March u_t = A u + c u - f forward from u(0, .) = g.
 
     The initial layer equals g at the nodes exactly.  No data is imposed on
     x_d = 0 (see module docstring); the outer box edges close with linear
@@ -445,7 +433,7 @@ def solve_cauchy(
     u0 = np.asarray(g(nodes), dtype=float)
     if u0.shape != (nodes.shape[0],):
         raise ValueError("initial data must evaluate to one value per grid node")
-    return _march(model, f, u0, grid, horizon, scheme, t0, store)
+    return _march(model, f, u0, grid, horizon, scheme, store)
 
 
 def time_reversed_model(model: CoefficientModel, horizon: float) -> CoefficientModel:
@@ -476,7 +464,7 @@ def solve_terminal_value(
     """
     f_rev = None if f is None else (lambda t, x: f(horizon - np.asarray(t), x))
     um = solve_cauchy(time_reversed_model(model, horizon), f_rev, g, grid, horizon,
-                      scheme=scheme, t0=0.0, store=store)
+                      scheme=scheme, store=store)
     return PdeSolution(
         grid=grid,
         times=horizon - um.times[::-1],
@@ -484,7 +472,6 @@ def solve_terminal_value(
         layer_min=um.layer_min[::-1],
         layer_max=um.layer_max[::-1],
         scheme=scheme,
-        terminal=True,
         meta=dict(um.meta, reversed=True),
     )
 
@@ -539,16 +526,15 @@ def duality_check(
     mc_seed: int = 0,
     mc_scheme: str = "full_truncation",
     scheme: str = "implicit_euler",
-    coarse_grid: Grid | None = None,
     pde_eval_shift: Sequence[float] | None = None,
     mc_model: CoefficientModel | None = None,
 ) -> DualityReport:
     """Check E[exp(int c) g(X(T))] against the terminal-value solution at (0, x).
 
     The tolerance is 3 Monte Carlo standard errors plus a two-grid Richardson
-    estimate of the discretization error (with factor-2 headroom, since the
-    plain grid difference matches the fine-grid error exactly for a first-
-    order scheme).  ``pde_eval_shift`` moves only the PDE evaluation point and
+    estimate of the discretization error against ``grid.coarsen()`` (with
+    factor-2 headroom, since the plain grid difference matches the fine-grid
+    error exactly for a first-order scheme).  ``pde_eval_shift`` moves only the PDE evaluation point and
     exists for the wrong-start negative control; ``mc_model`` lets the
     simulation side run a different model than the solver side (the broken-
     generator control corrupts only the solver's model).  Whether the Monte
@@ -559,8 +545,7 @@ def duality_check(
     x = np.asarray(x, dtype=float)
     sim_model = mc_model if mc_model is not None else model
     v_fine = solve_terminal_value(model, g, horizon, grid, scheme=scheme, store="ends")
-    coarse = coarse_grid if coarse_grid is not None else grid.coarsen()
-    v_coarse = solve_terminal_value(model, g, horizon, coarse, scheme=scheme, store="ends")
+    v_coarse = solve_terminal_value(model, g, horizon, grid.coarsen(), scheme=scheme, store="ends")
 
     x_eval = x if pde_eval_shift is None else x + np.asarray(pde_eval_shift, dtype=float)
     pde_value = v_fine.value_at(0.0, x_eval)

@@ -30,6 +30,8 @@ from .coeffs import CoefficientModel, LatticeInterpolator, RegularityBudget
 from .sdesim import PathEnsemble
 
 _CELL_CHUNK = 64
+_DELTA_FLOOR_SCALE = 1e-6  # eigenvalue floor of a built model's a, relative to trace / d
+_N_DIRECTIONS = 16  # random directions of the sliced Wasserstein-1 distance
 
 
 @dataclass(frozen=True)
@@ -220,7 +222,6 @@ def _fill_masked(mc: MimickedCoefficients) -> None:
 def build_mimicking_model(
     mc: MimickedCoefficients,
     max_masked_fraction: float = 0.5,
-    delta_floor_scale: float = 1e-6,
     clip_budget: float | None = None,
     budget: RegularityBudget | None = None,
 ) -> CoefficientModel:
@@ -229,9 +230,8 @@ def build_mimicking_model(
     a = D / x_d at cell centers (all have x_d > 0); the boundary layer
     a(., x_d = 0) is linearly extrapolated from the two nearest center layers.
     Each node's a is made positive semi-definite by flooring eigenvalues at
-    delta_floor_scale * trace/d, and the total eigenvalue shift per node is
-    recorded in ``mc.clip`` (a model-quality metric; exceeding ``clip_budget``
-    raises).  The model's ``a`` and ``b`` are :class:`LatticeInterpolator`
+    1e-6 * trace/d, and the total eigenvalue shift per node is recorded in
+    ``mc.clip`` (a model-quality metric; exceeding ``clip_budget`` raises).  The model's ``a`` and ``b`` are :class:`LatticeInterpolator`
     instances over (spec.times, cell centers with the x_d = 0 layer
     prepended): multilinear in (t, x) with edge clamping, a shared time
     bracketed once per call.  The diffusion evaluator is
@@ -266,7 +266,7 @@ def build_mimicking_model(
     eigval, eigvec = np.linalg.eigh(flat)
     trace = eigval.sum(axis=1)
     ref = max(float(np.mean(np.maximum(trace, 0.0))), 1e-300)
-    floor = delta_floor_scale * np.maximum(trace, 0.1 * ref) / d
+    floor = _DELTA_FLOOR_SCALE * np.maximum(trace, 0.1 * ref) / d
     clipped = np.maximum(eigval, floor[:, None])
     clip_mag = (clipped - eigval).sum(axis=1)
     a_grid = np.einsum("nik,nk,njk->nij", eigvec, clipped, eigvec).reshape(a_grid.shape)
@@ -328,16 +328,15 @@ def compare_marginals(
     ens_b: PathEnsemble,
     times: Sequence[float],
     g_list: Sequence[tuple[str, Callable]] = (),
-    n_directions: int = 16,
     seed: int = 0,
     thresholds: dict | None = None,
 ) -> MarginalComparison:
     """Empirical one-dimensional-marginal agreement at shared comparison times.
 
-    Per time: per-coordinate two-sample KS, sliced Wasserstein-1 along seeded
-    random directions, and |E[g(A)] - E[g(B)]| gaps in units of the pooled
-    standard error.  Both ensembles must contain every comparison time as a
-    stored node.
+    Per time: per-coordinate two-sample KS, sliced Wasserstein-1 along 16
+    seeded random directions, and |E[g(A)] - E[g(B)]| gaps in units of the
+    pooled standard error.  Both ensembles must contain every comparison time
+    as a stored node.
     """
     thr = {"ks": 0.03, "gap_z": 3.0, "w1": None}
     if thresholds:
@@ -346,7 +345,7 @@ def compare_marginals(
     if ens_b.d != d:
         raise ValueError("ensembles must share the state dimension")
     gen = np.random.default_rng(seed)
-    dirs = gen.standard_normal((n_directions, d))
+    dirs = gen.standard_normal((_N_DIRECTIONS, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
     entries = []
@@ -355,9 +354,7 @@ def compare_marginals(
         xb = ens_b.states_at(t)
         ks = [float(sp_stats.ks_2samp(xa[:, j], xb[:, j], method="asymp").statistic)
               for j in range(d)]
-        w1 = float(np.mean([
-            sp_stats.wasserstein_distance(xa @ u, xb @ u) for u in dirs
-        ])) if n_directions > 0 else 0.0
+        w1 = float(np.mean([sp_stats.wasserstein_distance(xa @ u, xb @ u) for u in dirs]))
         gaps = []
         for name, g in g_list:
             ga = np.asarray(g(xa), dtype=float)

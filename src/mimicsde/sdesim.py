@@ -127,9 +127,9 @@ class ItoDriver:
     ``coeffs(t, x, aux) -> (beta, xi)`` is pure (no noise), with beta of shape
     (n, d) and xi of shape (n, d, r).  The auxiliary state evolves through
     ``advance_aux(t, h, x, aux, u)`` on uniforms u of shape (n, noise_dim) and
-    is created by ``init_aux(n, u0)``.  A driver that claims half-space
-    support must produce a vanishing d-th row of xi whenever x_d = 0, so the
-    state can never diffuse across the boundary.
+    is created by ``init_aux(n, u0)``.  A driver must produce a vanishing d-th
+    row of xi whenever x_d = 0, so the state can never diffuse across the
+    boundary; :func:`simulate_ito_process` counts the rows that do not.
     """
 
     d: int
@@ -139,7 +139,6 @@ class ItoDriver:
     init_aux: Callable | None = None
     noise_dim: int = 0
     init_noise_dim: int = 0
-    claims_halfspace_support: bool = True
     name: str = ""
 
 
@@ -321,7 +320,7 @@ def simulate_sde(
     long fine-step runs stay within memory.
     """
     x0 = _as_start_state(start, model.d, grid)
-    model.check_symmetry(n_samples=64)
+    model.check_symmetry()
     return _simulate(model_driver(model), x0, grid, n_paths, seed, scheme, store_stride)[0]
 
 
@@ -360,8 +359,8 @@ def simulate_ito_process(
     consumes.  xi xi^* is formed entry by entry (:func:`_outer_square`), with
     the same bits as one batched einsum.  The sample mean of
     int (|beta| + |xi xi^*|) dt is reported as an empirical integrability
-    diagnostic, and a high clip rate flags a driver whose support claim is
-    false.
+    diagnostic, and a high clip rate flags a driver whose noise does not
+    vanish on the boundary.
     """
     x0 = _as_start_state(start, driver.d, grid)
     n_stored = _n_stored(grid.n_steps, store_stride)
@@ -378,11 +377,10 @@ def simulate_ito_process(
     def observe(k, x, beta, xi):
         nonlocal boundary_viol, integrability
         xi2 = _outer_square(xi)
-        if driver.claims_halfspace_support:
-            on_boundary = x[:, -1] == 0.0
-            if np.any(on_boundary):
-                boundary_viol += int(np.count_nonzero(
-                    np.abs(xi[on_boundary, -1, :]).max(axis=1) > 1e-12))
+        on_boundary = x[:, -1] == 0.0
+        if np.any(on_boundary):
+            boundary_viol += int(np.count_nonzero(
+                np.abs(xi[on_boundary, -1, :]).max(axis=1) > 1e-12))
         if records is not None and k % store_stride == 0:
             records.beta[:, k // store_stride, :] = beta
             records.xi2[:, k // store_stride, :, :] = xi2

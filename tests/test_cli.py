@@ -156,6 +156,14 @@ class TestCheckKinds:
         report = json.loads((out / "report.json").read_text())
         assert report["comparison"]["passed"] is True
 
+    @pytest.mark.parametrize("kind", [k for k in cli.KINDS if k not in ("martingale", "duality")])
+    def test_break_generator_rejected_without_checking_side(self, tmp_path, kind):
+        # only martingale and duality have a checking side to corrupt; any
+        # other kind must refuse the flag as misuse before any compute
+        cfg = base_sim_config(tmp_path, kind=kind)
+        assert cli.run(cfg, break_generator="drift") == 2
+        assert not (tmp_path / "out" / "report.json").exists()
+
 
 class TestMain:
     def test_main_runs_config_file(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Known-output pins: the random stream, the Euler ensembles, a PDE solution, the sampled norms and the CSV format.
+"""Known-output pins: the random stream, the Euler ensembles, a PDE solution, the sampled norms,
+the CSV format and the artifacts of every CLI kind.
 
 Every other test checks self-consistency; these check that the bits themselves
 have not moved.  A change that alters any digest below changes the stream, the
@@ -9,12 +10,13 @@ acceptance criterion at its unchanged seed instead of re-pinning quietly.
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mimicsde as m
-from mimicsde import rng
+from mimicsde import cli, rng
 
 
 def _digest(*arrays) -> str:
@@ -238,3 +240,133 @@ def test_sampled_norms_pinned():
     holder = [m.holder_seminorm_estimate(field, region, 0.5, metric, 5000, 4).to_json()
               for metric in ("cycloidal", "parabolic")]
     assert _json_digest({"sup": sup, "holder": holder}) == NORMS_PIN
+
+
+_HESTON_PARAMS = {"kappa": 1.5, "theta": 0.04, "zeta": 0.3, "rho": -0.5, "r": 0.02, "q": 0.0}
+_MIMIC_BINNING = {"times": [0.125, 0.25, 0.375, 0.5],
+                  "edges": [[-0.9 + 0.3 * i for i in range(7)], [0.0, 0.03, 0.06, 0.1, 0.15, 0.3]],
+                  "kernel": "box", "min_count": 10}
+
+
+def _cli_config(kind: str, out: Path) -> dict:
+    """A small config of ``kind`` at a pinned seed, reaching every section its runner reads."""
+    cfg = {"kind": kind, "seed": 97, "output_dir": str(out),
+           "model": {"builtin": "heston", "params": dict(_HESTON_PARAMS)},
+           "start": {"t": 0.0, "x": [0.0, 0.09]},
+           "ensemble": {"n_paths": 600, "step": 2.0**-5, "horizon": 0.5,
+                        "scheme": "full_truncation", "store_stride": 2}}
+    pde = {"dt": 1.0 / 16, "x_prime_extent": 1.5, "x_max": 0.5, "counts": [9, 9], "horizon": 0.25}
+    if kind == "validate":
+        cfg["validator"] = {"n_samples": 256, "pair_budget": 256, "alphas": [0.3]}
+    elif kind == "martingale":
+        cfg["ensemble"] = {"n_paths": 1000, "step": 2.0**-5, "horizon": 0.5, "store_stride": 1}
+        cfg["martingale"] = {"n_intervals": 3, "test_functions": [
+            {"type": "linear", "weights": [0.0, 1.0]},
+            {"type": "radial_bump", "center": [0.0, 0.05], "radius": 1.0},
+            {"type": "boundary_bump", "center_prime": [0.0], "radius": 0.6}]}
+    elif kind in ("project", "full-mimic"):
+        cfg["ensemble"] = {"n_paths": 2000, "step": 2.0**-5, "horizon": 0.5, "store_stride": 2}
+        cfg["driver"] = {"kind": "regime_switching", "hi_factor": 1.5, "switch_rate": 2.0}
+        cfg["binning"] = dict(_MIMIC_BINNING)
+        cfg["compare_times"] = [0.25, 0.5]
+        cfg["thresholds"] = {"ks": 0.08, "gap_z": 8.0}
+    elif kind == "pde":
+        cfg["pde"] = pde
+    elif kind == "duality":
+        cfg["ensemble"] = {"n_paths": 4000, "step": 2.0**-6, "horizon": 0.25}
+        cfg["pde"] = dict(pde, counts=[17, 17])
+        cfg["duality"] = {"horizon": 0.25,
+                          "g": {"type": "radial_bump", "center": [0.0, 0.04], "radius": 0.5}}
+    elif kind == "restart":
+        cfg["ensemble"] = {"n_paths": 800, "step": 2.0**-5, "horizon": 1.0}
+        cfg["restart"] = {"level": 0.06, "t_cap": 0.25, "u": 0.125, "n_bins": 2,
+                          "min_bin": 100, "ks_threshold": 0.2}
+    return cfg
+
+
+# kind, or kind+part for a --break-generator run -> exit status and the sha256
+# of every file the run writes except the (timestamped) manifest
+CLI_PINS = {
+    "simulate": {
+        "status": 0,
+        "ensemble.csv":
+            "6ee889e578ffddf13345697395eb68f23bbdf5ed13119e368d022aa0cc7adb7e",
+        "report.json":
+            "7fcf33ed79d8cc40cbb21cebb0e7f00fa0e5aee75ce43eb9b6fe294a3a41ba95",
+    },
+    "validate": {
+        "status": 0,
+        "report.json":
+            "fe008bbf2437829646ddcba1f5a7f4b6bc49f8f1a4979cc52ef2d526380afc97",
+    },
+    "martingale": {
+        "status": 0,
+        "report.json":
+            "c1506917918938959964229ab58af191869b4b9ba2bc8293eba1a9e58e84a606",
+    },
+    "project": {
+        "status": 0,
+        "mimicked.csv":
+            "ee5af15587b8d8ac9280017deb092856b7945b4b8a7a998552823af3984a0b85",
+        "mimicked.csv.meta.json":
+            "19ec41e3a1063c0a331d1efdc5dbb7982a0f820124b5666e092d9724e8d6d8a7",
+        "report.json":
+            "0c1f6d186c58ff689fec3caefeefb2c2f43e2099c07b662d93e38991581978b5",
+    },
+    "pde": {
+        "status": 0,
+        "report.json":
+            "8b1109da337858a3516b8d4d304504abee4585caaa68fbff0e5d57c01e8ff8d3",
+        "solution.csv":
+            "fb7afa3c0c6fdeec9fbfc6cb5e1245578e63245a8c5e88505dc1a702df2fba34",
+    },
+    "duality": {
+        "status": 0,
+        "report.json":
+            "149a433898522ac9c45a917484877b8428d149f0133f5609740ed1ad23c920a7",
+    },
+    "restart": {
+        "status": 0,
+        "report.json":
+            "aee1a721becf0481785d8e0b7fc1adf576d6d99eb52e3783a539825f630f73bd",
+    },
+    "full-mimic": {
+        "status": 0,
+        "mimicked.csv":
+            "ee5af15587b8d8ac9280017deb092856b7945b4b8a7a998552823af3984a0b85",
+        "mimicked.csv.meta.json":
+            "19ec41e3a1063c0a331d1efdc5dbb7982a0f820124b5666e092d9724e8d6d8a7",
+        "report.json":
+            "247a043f8c2a017c9a7eda9e013aede24b7e5e0a8d5d7aa6abb4cacab4dd1e42",
+    },
+    "martingale+drift": {
+        "status": 1,
+        "report.json":
+            "432c2479492bf31c8b0c18b6285b54a82627ef33913d97d14bbe217b96ec67e9",
+    },
+    "duality+drift": {
+        "status": 1,
+        "report.json":
+            "fa236d6e177d045ab8923450f4f31776fafb242e7eb93a16ecc6da42c846b9a5",
+    },
+}
+
+
+def _cli_case_digests(case: str, out: Path) -> dict:
+    kind, _, part = case.partition("+")
+    status = cli.run(_cli_config(kind, out), break_generator=part or None)
+    files = sorted(p for p in out.iterdir() if p.name != "manifest.json")
+    return {"status": status,
+            **{p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}}
+
+
+def test_cli_pins_cover_every_kind():
+    assert {case.partition("+")[0] for case in CLI_PINS} == set(cli.KINDS)
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_cli_kind_pinned(tmp_path, kind):
+    cases = [c for c in CLI_PINS if c.partition("+")[0] == kind]
+    assert cases, f"no CLI pin for kind {kind!r}"
+    for case in cases:
+        assert _cli_case_digests(case, tmp_path / case) == CLI_PINS[case], case
