@@ -47,7 +47,7 @@ from .martingale import (
     radial_bump,
     strong_markov_restart_test,
 )
-from .pde import Grid, duality_check, killing_on_grid, solve_cauchy, solve_terminal_value
+from .pde import THETA, Grid, duality_check, killing_on_grid, solve_cauchy, solve_terminal_value
 from .projection import (
     BinningSpec,
     build_mimicking_model,
@@ -102,7 +102,7 @@ def _payoff_from_spec(spec: dict):
         val = float(spec.get("value", 1.0))
         return lambda x: np.full(np.asarray(x).shape[0], val)
     tf = _test_function_from_spec(spec)
-    return lambda x: tf.value(0.0, x)
+    return lambda x: tf.jet(0.0, x)[0]
 
 
 def _grid_from_config(pcfg: dict) -> Grid:
@@ -225,12 +225,16 @@ def _run_pde(cfg, out, seed, model, check_model):
 
     march_times = np.linspace(0.0, horizon, int(round(horizon / grid.dt)) + 1)
     has_killing, rate = killing_on_grid(model, grid, march_times)
-    if has_killing and rate is None:
+    if rate is None:
         raise ValueError("the constant-data check needs a killing rate c that is constant "
                          "in space and time; c varies over the grid nodes or march times")
-    expected = float(np.exp(rate * horizon)) if has_killing else 1.0
     ones = lambda x: np.ones(np.asarray(x).shape[0])
     sol_const = solve_cauchy(model, None, ones, grid, horizon, scheme=scheme, store="ends")
+    # the march's own value on constant data, exact at any dt: each theta-step
+    # multiplies by (1 + (1 - theta) c dt) / (1 - theta c dt)
+    theta = THETA[scheme]
+    expected = ((1.0 + (1.0 - theta) * rate * grid.dt)
+                / (1.0 - theta * rate * grid.dt)) ** (march_times.size - 1)
     const_err = float(np.abs(sol_const.values[-1] - expected).max())
 
     g = _payoff_from_spec(cfg.get("duality", {}).get("g", _DEFAULT_PAYOFF))
@@ -239,7 +243,7 @@ def _run_pde(cfg, out, seed, model, check_model):
         fh.write("t," + ",".join(f"x_{j+1}" for j in range(grid.d)) + ",u\n")
         for x, u in zip(grid.nodes(), sol.values[0].ravel()):
             fh.write(",".join(map(repr, [0.0, *map(float, x), float(u)])) + "\n")
-    ok = const_err <= (1e-6 if has_killing else 1e-8)
+    ok = const_err <= 1e-8
     return ok, {"constant_data_error": const_err, "killing": has_killing,
                 "scheme": scheme}
 

@@ -405,8 +405,24 @@ class ValidationReport:
         }
 
 
-def _point_witness(ts: np.ndarray, xs: np.ndarray, k: int) -> dict:
-    return {"t": float(ts[k]), "x": [float(v) for v in xs[k]]}
+def _extremum_clause(name: str, values: np.ndarray, bound: float, kind: str,
+                     ts: np.ndarray, xs: np.ndarray) -> ConditionCheck:
+    """One sampled clause: the worst of ``values`` against ``bound``, with its witness point.
+
+    ``kind`` "max<=bound" takes the largest value, "min>=bound" the smallest.
+    Values of shape (n, m) are searched over every component, and the
+    worst one's index goes into the details.
+    """
+    flat = values.reshape(values.shape[0], -1)
+    upper = kind == "max<=bound"
+    k, comp = divmod(int(np.argmax(flat) if upper else np.argmin(flat)), flat.shape[1])
+    observed = float(flat[k, comp])
+    return ConditionCheck(
+        name=name, passed=bool(observed <= bound if upper else observed >= bound),
+        observed=observed, bound=bound, kind=kind,
+        witness={"t": float(ts[k]), "x": [float(v) for v in xs[k]]},
+        details={"component_index": comp} if values.ndim > 1 else {},
+    )
 
 
 def validate_coefficients(
@@ -446,49 +462,30 @@ def validate_coefficients(
     # clause: c(t,x) <= K everywhere sampled
     ts, xs = sample_region(wide, 1)
     cv = np.asarray(model.c(ts, xs), dtype=float)
-    k = int(np.argmax(cv))
-    conditions.append(ConditionCheck(
-        name="killing_upper_bound", passed=bool(cv[k] <= budget.K),
-        observed=float(cv[k]), bound=budget.K, kind="max<=bound",
-        witness=_point_witness(ts, xs, k),
-    ))
+    conditions.append(_extremum_clause("killing_upper_bound", cv, budget.K, "max<=bound", ts, xs))
 
     # clause: b_d(t, x', 0) >= nu on the boundary
     ts, xs = sample_region(near, 2)
     xs = xs.copy()
     xs[:, -1] = 0.0
     bv = np.asarray(model.b(ts, xs), dtype=float)
-    k = int(np.argmin(bv[:, -1]))
-    conditions.append(ConditionCheck(
-        name="boundary_drift_floor", passed=bool(bv[k, -1] >= budget.nu),
-        observed=float(bv[k, -1]), bound=budget.nu, kind="min>=bound",
-        witness=_point_witness(ts, xs, k),
-    ))
+    conditions.append(_extremum_clause("boundary_drift_floor", bv[:, -1], budget.nu,
+                                       "min>=bound", ts, xs))
 
     # clause: a elliptic near the boundary (x_d <= 2)
     ts, xs = sample_region(near, 3)
     av = np.asarray(model.a(ts, xs), dtype=float)
     eigs = np.linalg.eigvalsh(av)[:, 0]
-    k = int(np.argmin(eigs))
-    conditions.append(ConditionCheck(
-        name="near_boundary_ellipticity", passed=bool(eigs[k] >= budget.delta),
-        observed=float(eigs[k]), bound=budget.delta, kind="min>=bound",
-        witness=_point_witness(ts, xs, k),
-    ))
+    conditions.append(_extremum_clause("near_boundary_ellipticity", eigs, budget.delta,
+                                       "min>=bound", ts, xs))
 
     # clause: sup bounds on a_ij, b_i, c near the boundary
     bv = np.asarray(model.b(ts, xs), dtype=float)
     cv = np.asarray(model.c(ts, xs), dtype=float)
     stacked = np.concatenate([np.abs(av).reshape(n_samples, -1),
                               np.abs(bv), np.abs(cv)[:, None]], axis=1)
-    flat_k = int(np.argmax(stacked))
-    k, comp = divmod(flat_k, stacked.shape[1])
-    sup_obs = float(stacked[k, comp])
-    conditions.append(ConditionCheck(
-        name="near_boundary_sup_bounds", passed=bool(sup_obs <= budget.K),
-        observed=sup_obs, bound=budget.K, kind="max<=bound",
-        witness=_point_witness(ts, xs, k), details={"component_index": comp},
-    ))
+    conditions.append(_extremum_clause("near_boundary_sup_bounds", stacked, budget.K,
+                                       "max<=bound", ts, xs))
 
     # Hölder clauses: component fields near (cycloidal on a, b, c) and far
     # (parabolic on x_d * a, b, c)
@@ -537,12 +534,8 @@ def validate_coefficients(
     ts, xs = sample_region(far, 5)
     av = np.asarray(model.a(ts, xs), dtype=float)
     eigs = np.linalg.eigvalsh(xs[:, -1][:, None, None] * av)[:, 0]
-    k = int(np.argmin(eigs))
-    conditions.append(ConditionCheck(
-        name="interior_ellipticity", passed=bool(eigs[k] >= budget.delta),
-        observed=float(eigs[k]), bound=budget.delta, kind="min>=bound",
-        witness=_point_witness(ts, xs, k),
-    ))
+    conditions.append(_extremum_clause("interior_ellipticity", eigs, budget.delta,
+                                       "min>=bound", ts, xs))
 
     holder_clause("interior_holder_parabolic", far, "parabolic", True, 6)
 
@@ -554,12 +547,7 @@ def validate_coefficients(
     total = (np.abs(xs[:, -1][:, None, None] * av).sum(axis=(1, 2))
              + np.abs(bv).sum(axis=1) + np.abs(cv))
     ratio = total / (1.0 + np.linalg.norm(xs, axis=1))
-    k = int(np.argmax(ratio))
-    conditions.append(ConditionCheck(
-        name="linear_growth", passed=bool(ratio[k] <= budget.K),
-        observed=float(ratio[k]), bound=budget.K, kind="max<=bound",
-        witness=_point_witness(ts, xs, k),
-    ))
+    conditions.append(_extremum_clause("linear_growth", ratio, budget.K, "max<=bound", ts, xs))
 
     by_name = {c.name: c for c in conditions}
     empirical = {

@@ -11,10 +11,13 @@ sharp.  Orthogonality against adapted probes is enforced structurally (probes
 only ever see the path truncated at the interval's left endpoint), and
 calibration and testing use disjoint halves of the ensemble.
 
-The boundary Itô-formula check consumes functions exposing the product
-x_d * Hessian as a single continuous evaluator, so nothing is ever evaluated
-as 0 * infinity on the boundary; the stochastic integral is accumulated from
-the same counter-based noise the simulator consumed.
+A test function is one jet: ``jet(t, x)`` returns v, Dv and D^2 v at the
+rows of x, of shapes (n,), (n, d) and (n, d, d), from one evaluation, and
+every consumer reads that one evaluator.  The boundary Itô-formula check also
+consumes the product x_d * Hessian as a single continuous evaluator, so
+nothing is ever evaluated as 0 * infinity on the boundary; the stochastic
+integral is accumulated from the same counter-based noise the simulator
+consumed.
 """
 
 from __future__ import annotations
@@ -39,29 +42,29 @@ _RESTART_SEED_OFFSET = 0x517CC1B7  # the restart runs at seed + this
 class TestFunction:
     """Evaluable v with analytic derivatives, self-checked at construction.
 
-    ``value``, ``grad``, ``hess`` take (t, x) with x of shape (n, d); spatial
-    functions simply ignore t.  Time-dependent functions must also supply
-    ``dt`` and, to be usable at the degenerate boundary, ``xd_hess`` — the
-    product x_d * Hessian as one continuous evaluator.  Derivatives are probed
-    against finite differences at construction (relative tolerance 1e-4) at
+    ``jet(t, x)`` takes x of shape (n, d) and returns ``(value, grad, hess)``
+    of shapes (n,), (n, d) and (n, d, d) from one evaluation; spatial
+    functions simply ignore t.  A function is time-dependent exactly when it
+    supplies ``dt`` (v_t); to be usable at the degenerate boundary it also
+    supplies ``xd_hess`` — the product x_d * Hessian as one continuous
+    evaluator.  The jet's derivatives are probed against its own finite
+    differences at construction (relative tolerance 1e-4) at
     ``check_points`` and t = 0.37.
     """
 
     name: str
     d: int
-    value: Callable
-    grad: Callable
-    hess: Callable
+    jet: Callable
     dt: Callable | None = None
     xd_hess: Callable | None = None
-    time_dependent: bool = False
-    support_center: np.ndarray | None = None
     check_points: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.time_dependent and self.dt is None:
-            raise ValueError("time-dependent test functions must supply dt")
         self._self_check()
+
+    @property
+    def time_dependent(self) -> bool:
+        return self.dt is not None
 
     def _self_check(self) -> None:
         pts = self.check_points
@@ -71,24 +74,25 @@ class TestFunction:
         pts = np.asarray(pts, dtype=float)
         t = _FD_TIME
         eps = 1e-5
-        scale = max(1.0, float(np.abs(self.value(t, pts)).max()))
+        val, g_an, h_an = (np.asarray(a, dtype=float) for a in self.jet(t, pts))
+        scale = max(1.0, float(np.abs(val).max()))
 
-        g_an = np.asarray(self.grad(t, pts), dtype=float)
         g_fd = np.empty_like(g_an)
         h_fd = np.empty((pts.shape[0], self.d, self.d))
         for i in range(self.d):
             e = np.zeros(self.d)
             e[i] = eps
-            g_fd[:, i] = (self.value(t, pts + e) - self.value(t, pts - e)) / (2 * eps)
-            h_fd[:, :, i] = (np.asarray(self.grad(t, pts + e))
-                             - np.asarray(self.grad(t, pts - e))) / (2 * eps)
+            v_hi, g_hi, _ = self.jet(t, pts + e)
+            v_lo, g_lo, _ = self.jet(t, pts - e)
+            g_fd[:, i] = (v_hi - v_lo) / (2 * eps)
+            h_fd[:, :, i] = (np.asarray(g_hi) - np.asarray(g_lo)) / (2 * eps)
         if np.abs(g_fd - g_an).max() > _FD_TOL * max(scale, np.abs(g_an).max()):
             raise ValueError(f"test function {self.name!r}: gradient fails finite-difference check")
-        h_an = np.asarray(self.hess(t, pts), dtype=float)
         if np.abs(h_fd - h_an).max() > _FD_TOL * max(scale, np.abs(h_an).max(), 1.0):
             raise ValueError(f"test function {self.name!r}: hessian fails finite-difference check")
         if self.time_dependent:
-            d_fd = (np.asarray(self.value(t + eps, pts)) - np.asarray(self.value(t - eps, pts))) / (2 * eps)
+            d_fd = (np.asarray(self.jet(t + eps, pts)[0])
+                    - np.asarray(self.jet(t - eps, pts)[0])) / (2 * eps)
             d_an = np.asarray(self.dt(t, pts), dtype=float)
             if np.abs(d_fd - d_an).max() > _FD_TOL * max(scale, np.abs(d_an).max(), 1.0):
                 raise ValueError(f"test function {self.name!r}: dt fails finite-difference check")
@@ -107,9 +111,7 @@ def linear_function(weights: Sequence[float], name: str | None = None) -> TestFu
     return TestFunction(
         name=name or "linear(" + ",".join(f"{v:g}" for v in w) + ")",
         d=d,
-        value=lambda t, x: x @ w,
-        grad=lambda t, x: np.broadcast_to(w, x.shape).copy(),
-        hess=lambda t, x: np.zeros((x.shape[0], d, d)),
+        jet=lambda t, x: (x @ w, np.broadcast_to(w, x.shape).copy(), np.zeros((x.shape[0], d, d))),
         xd_hess=lambda t, x: np.zeros((x.shape[0], d, d)),
     )
 
@@ -131,27 +133,14 @@ def radial_bump(center: Sequence[float], radius: float, name: str | None = None)
     d = c.shape[0]
     r2 = radius * radius
 
-    def parts(x):
+    def jet(t, x):
         delta = x - c
         u = (delta * delta).sum(axis=1) / r2
-        return delta, u
-
-    def value(t, x):
-        _, u = parts(x)
-        psi, _, _ = _bump_psi(u)
-        return psi
-
-    def grad(t, x):
-        delta, u = parts(x)
-        _, p1, _ = _bump_psi(u)
-        return p1[:, None] * (2.0 * delta / r2)
-
-    def hess(t, x):
-        delta, u = parts(x)
-        _, p1, p2 = _bump_psi(u)
+        psi, p1, p2 = _bump_psi(u)
         outer = np.einsum("ni,nj->nij", delta, delta) * (4.0 / (r2 * r2))
         eye = np.eye(d) * (2.0 / r2)
-        return p2[:, None, None] * outer + p1[:, None, None] * eye
+        return (psi, p1[:, None] * (2.0 * delta / r2),
+                p2[:, None, None] * outer + p1[:, None, None] * eye)
 
     # probe points inside the support, kept at x_d > 0
     u8 = rng.uniforms(11, 105, np.arange(8, dtype=np.uint64), 0, d)
@@ -160,9 +149,9 @@ def radial_bump(center: Sequence[float], radius: float, name: str | None = None)
 
     return TestFunction(
         name=name or "bump(c=(" + ",".join(f"{v:g}" for v in c) + f"),R={radius:g})",
-        d=d, value=value, grad=grad, hess=hess,
-        xd_hess=lambda t, x: x[:, -1][:, None, None] * hess(t, x),
-        support_center=c, check_points=pts,
+        d=d, jet=jet,
+        xd_hess=lambda t, x: x[:, -1][:, None, None] * jet(t, x)[2],
+        check_points=pts,
     )
 
 
@@ -181,23 +170,18 @@ def time_weighted_xd(horizon: float) -> TestFunction:
     boundary evaluation never forms 0 * infinity.
     """
 
-    def value(t, x):
-        return (horizon - np.asarray(t)) * x[:, -1]
-
-    def grad(t, x):
+    def jet(t, x):
+        w = horizon - np.asarray(t)
         g = np.zeros_like(x)
-        g[:, -1] = horizon - np.asarray(t)
-        return g
+        g[:, -1] = w
+        return w * x[:, -1], g, np.zeros((x.shape[0], x.shape[1], x.shape[1]))
 
     return TestFunction(
         name=f"(T-t)*x_d, T={horizon}",
         d=2,
-        value=value,
-        grad=grad,
-        hess=lambda t, x: np.zeros((x.shape[0], x.shape[1], x.shape[1])),
+        jet=jet,
         dt=lambda t, x: -x[:, -1],
         xd_hess=lambda t, x: np.zeros((x.shape[0], x.shape[1], x.shape[1])),
-        time_dependent=True,
     )
 
 
@@ -213,17 +197,19 @@ def martingale_increments(ens: PathEnsemble, model: CoefficientModel, v: TestFun
         raise ValueError("ensemble must be stored at stride 1 for an exact compensator")
     nodes = ens.grid.nodes
     h = ens.grid.step
-    n, m1, d = ens.states.shape
+    xs = ens.states
+    n, m1, d = xs.shape
     out = np.empty((n, m1))
     out[:, 0] = 0.0
-    v0 = np.asarray(v.value(nodes[0], ens.states[:, 0, :]), dtype=float)
+    # one jet per stored node: node k's value fills out[:, k], its
+    # derivatives drive step k's compensator
+    v0, g, hs = (np.asarray(a, dtype=float) for a in v.jet(nodes[0], xs[:, 0, :]))
     comp = np.zeros(n)
     for k in range(m1 - 1):
-        xk = ens.states[:, k, :]
-        g = np.asarray(v.grad(nodes[k], xk), dtype=float)
-        hs = np.asarray(v.hess(nodes[k], xk), dtype=float)
-        comp = comp + generator_apply_batch(model, nodes[k], xk, g, hs) * h
-        out[:, k + 1] = np.asarray(v.value(nodes[k + 1], ens.states[:, k + 1, :]), dtype=float) - v0 - comp
+        comp = comp + generator_apply_batch(model, nodes[k], xs[:, k, :], g, hs) * h
+        del g, hs  # release step k's derivatives before node k+1's jet allocates its own
+        val, g, hs = (np.asarray(a, dtype=float) for a in v.jet(nodes[k + 1], xs[:, k + 1, :]))
+        out[:, k + 1] = val - v0 - comp
     return out
 
 
@@ -374,7 +360,7 @@ def ito_formula_residual(ens: PathEnsemble, model: CoefficientModel, v: TestFunc
     variation is booked as (1/2) x_d <a, Hess>, matching the generator
     convention used everywhere else.
     """
-    if not v.time_dependent or v.dt is None:
+    if not v.time_dependent:
         raise ValueError("ito_formula_residual needs a time-dependent test function")
     if v.xd_hess is None:
         raise ValueError("v must expose x_d * hessian as a single continuous evaluator")
@@ -391,7 +377,7 @@ def ito_formula_residual(ens: PathEnsemble, model: CoefficientModel, v: TestFunc
     for k in range(m1 - 1):
         t = float(nodes[k])
         xk = ens.states[:, k, :]
-        g = np.asarray(v.grad(t, xk), dtype=float)
+        g = np.asarray(v.jet(t, xk)[1], dtype=float)
         sig = model.sigma(t, xk)
         z = rng.normals(ens.seed, rng.DOMAIN_BROWNIAN, paths, k, d)
         stoch += np.einsum("ni,nij,nj->n", g, sig, z) * sqrt_h
@@ -401,8 +387,8 @@ def ito_formula_residual(ens: PathEnsemble, model: CoefficientModel, v: TestFunc
                  + np.einsum("ni,ni->n", np.asarray(model.b(t, xk), dtype=float), g)
                  + 0.5 * np.einsum("nij,nij->n", av, xdh)) * h
 
-    lhs = (np.asarray(v.value(nodes[-1], ens.states[:, -1, :]), dtype=float)
-           - np.asarray(v.value(nodes[0], ens.states[:, 0, :]), dtype=float))
+    lhs = (np.asarray(v.jet(nodes[-1], ens.states[:, -1, :])[0], dtype=float)
+           - np.asarray(v.jet(nodes[0], ens.states[:, 0, :])[0], dtype=float))
     resid = lhs - stoch - quad
     return ItoResidualReport(
         step=h,

@@ -36,7 +36,8 @@ from .geometry import Region, holder_seminorm_estimate, weighted_sup_norm
 from .sdesim import TimeGrid, simulate_sde
 from .geometry import SpaceTimePoint
 
-SCHEMES = ("implicit_euler", "crank_nicolson")
+THETA = {"implicit_euler": 1.0, "crank_nicolson": 0.5}  # scheme -> implicit weight
+SCHEMES = tuple(THETA)
 
 
 @dataclass(frozen=True)
@@ -362,7 +363,7 @@ def _march(
     if abs(n_steps * grid.dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError("horizon must be an integer number of time steps")
     st = _Stencil(grid)
-    theta = 1.0 if scheme == "implicit_euler" else 0.5
+    theta = THETA[scheme]
 
     if scheme == "crank_nicolson":
         probe = np.abs(np.asarray(model.b(0.0, st.nodes), dtype=float)).max()

@@ -89,7 +89,7 @@ def test_04_ito_formula_residual(model, start):
 
 def test_05_duality(model):
     bump = m.radial_bump([0.0, 0.04], 0.5)
-    g = lambda x: bump.value(0.0, x)
+    g = lambda x: bump.jet(0.0, x)[0]
     grid = m.Grid.build(dt=1 / 256, x_prime_extent=1.5, x_max=0.5, counts=[129, 129])
     rep = m.duality_check(model, g, list(START), 0.5, grid,
                           mc_paths=100_000, mc_step=2.0**-9, mc_seed=1051)
@@ -137,8 +137,8 @@ def test_07_mimicking_regime_switching(model, start):
     b1 = m.radial_bump([0.0, 0.05], 1.0)
     b2 = m.boundary_bump([0.0], 0.6)
     gs = [("x_1", lambda x: x[:, 0]),
-          ("bump", lambda x: b1.value(0.0, x)),
-          ("boundary_bump", lambda x: b2.value(0.0, x))]
+          ("bump", lambda x: b1.jet(0.0, x)[0]),
+          ("boundary_bump", lambda x: b2.jet(0.0, x)[0])]
     comp = m.compare_marginals(ens, mimic, [0.25, 0.5, 1.0], g_list=gs,
                                thresholds={"ks": 0.03})
     boot = m.same_law_ks_quantile(ens.states_at(1.0)[:20_000, 1],
@@ -221,14 +221,14 @@ def test_10_pde_exactness_oracles(model):
         radius = gen.uniform(0.08, 0.15)
         center = np.array([gen.uniform(-0.6, 0.6), gen.uniform(0.1, 0.3)])
         bump = m.radial_bump(center, radius)
-        g = lambda x: bump.value(0.0, x)
+        g = lambda x: bump.jet(0.0, x)[0]
         solb = m.solve_cauchy(model, None, g, mp_grid, 0.25, store="ends")
         mp_min = min(mp_min, float(solb.layer_min.min()))
         mp_max = max(mp_max, float(solb.layer_max.max()))
     max_principle = mp_min >= -1e-6 and mp_max <= 1.0 + 1e-6
 
     bump = m.radial_bump([0.0, 0.1], 0.35)
-    g = lambda x: bump.value(0.0, x)
+    g = lambda x: bump.jet(0.0, x)[0]
     sols = {}
     for n, dt in ((33, 1 / 64), (65, 1 / 128), (129, 1 / 256)):
         grd = m.Grid.build(dt=dt, x_prime_extent=1.5, x_max=0.5, counts=[n, n])

@@ -102,13 +102,27 @@ class TestCheckKinds:
         assert report["constant_data_error"] < 1e-8
         assert (tmp_path / "out" / "solution.csv").exists()
 
+    @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
+    def test_pde_kind_killing_at_coarse_dt(self, tmp_path, scheme):
+        # constant data with a constant killing rate c: the march is compared
+        # with its own value ((1 + (1 - theta) c dt) / (1 - theta c dt))^n, not
+        # with exp(c T), from which implicit Euler is 3.1e-6 away at dt = 1/16
+        cfg = base_sim_config(tmp_path, kind="pde")
+        cfg["model"]["params"]["with_killing"] = True
+        cfg["pde"] = {"dt": 1.0 / 16, "x_prime_extent": 1.5, "x_max": 0.5,
+                      "counts": [9, 9], "horizon": 0.25, "scheme": scheme}
+        assert cli.run(cfg) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["killing"] is True
+        assert report["constant_data_error"] < 1e-12
+
     @pytest.mark.parametrize("c", [
         lambda t, x: -np.asarray(x)[:, 0] ** 2,  # zero at the origin, varies in space
         lambda t, x: np.full(np.asarray(x).shape[0], -float(t)),  # zero at t = 0
     ], ids=["space", "time"])
     def test_pde_kind_rejects_varying_killing(self, tmp_path, monkeypatch, c):
-        # the constant-data check compares against exp(c T), which needs one
-        # rate: a c that varies over the grid or in time must raise
+        # the constant-data check compares against the march's own value for
+        # one rate c: a c that varies over the grid or in time must raise
         heston = cli.heston_model(1.5, 0.04, 0.3, -0.5)
         varying = dataclasses.replace(heston, c=c, time_independent=False)
         monkeypatch.setattr(cli, "_model_from_config", lambda cfg: varying)

@@ -13,37 +13,28 @@ class TestTestFunction:
         with pytest.raises(ValueError, match="gradient"):
             m.TestFunction(
                 name="bad", d=2,
-                value=lambda t, x: x[:, 0] ** 2,
-                grad=lambda t, x: np.ones_like(x),  # wrong
-                hess=lambda t, x: np.zeros((x.shape[0], 2, 2)),
-            )
-
-    def test_time_dependent_requires_dt(self):
-        with pytest.raises(ValueError, match="dt"):
-            m.TestFunction(
-                name="bad", d=2,
-                value=lambda t, x: x[:, 0],
-                grad=lambda t, x: np.tile([1.0, 0.0], (x.shape[0], 1)),
-                hess=lambda t, x: np.zeros((x.shape[0], 2, 2)),
-                time_dependent=True,
+                jet=lambda t, x: (x[:, 0] ** 2,
+                                  np.ones_like(x),  # wrong
+                                  np.zeros((x.shape[0], 2, 2))),
             )
 
     def test_bump_support_and_smoothness(self):
         v = m.radial_bump([0.0, 0.5], 0.4)
         inside = np.array([[0.0, 0.5]])
         outside = np.array([[2.0, 0.5], [0.0, 0.95]])
-        assert v.value(0.0, inside)[0] == pytest.approx(1.0)
-        assert np.all(v.value(0.0, outside) == 0.0)
-        assert np.all(v.grad(0.0, outside) == 0.0)
+        assert v.jet(0.0, inside)[0][0] == pytest.approx(1.0)
+        val, grad, _ = v.jet(0.0, outside)
+        assert np.all(val == 0.0)
+        assert np.all(grad == 0.0)
         edge = np.array([[0.4 - 1e-9, 0.5]])  # just inside the support sphere
-        assert np.isfinite(v.value(0.0, edge)[0])
-        assert np.isfinite(v.hess(0.0, edge)).all()
+        val, _, hess = v.jet(0.0, edge)
+        assert np.isfinite(val[0])
+        assert np.isfinite(hess).all()
 
     def test_boundary_bump_center_on_boundary(self):
         v = m.boundary_bump([0.3], 0.5)
-        assert v.support_center[-1] == 0.0
         x = np.array([[0.3, 0.0]])
-        assert v.value(0.0, x)[0] == pytest.approx(1.0)
+        assert v.jet(0.0, x)[0][0] == pytest.approx(1.0)
 
 
 class TestIncrements:
@@ -71,9 +62,8 @@ class TestIncrements:
         i2 = m.martingale_increments(small_ensemble, heston, v2)
         combo = m.TestFunction(
             name="2*v1-3*v2", d=2,
-            value=lambda t, x: 2 * v1.value(t, x) - 3 * v2.value(t, x),
-            grad=lambda t, x: 2 * v1.grad(t, x) - 3 * v2.grad(t, x),
-            hess=lambda t, x: 2 * v1.hess(t, x) - 3 * v2.hess(t, x),
+            jet=lambda t, x: tuple(2 * p1 - 3 * p2
+                                   for p1, p2 in zip(v1.jet(t, x), v2.jet(t, x))),
         )
         ic = m.martingale_increments(small_ensemble, heston, combo)
         assert np.allclose(ic, 2 * i1 - 3 * i2, atol=1e-12)
@@ -144,12 +134,10 @@ class TestItoFormula:
         ens = m.simulate_sde(heston, start, grid, 2000, 13)
         v = m.TestFunction(
             name="x1", d=2,
-            value=lambda t, x: x[:, 0],
-            grad=lambda t, x: np.tile([1.0, 0.0], (x.shape[0], 1)),
-            hess=lambda t, x: np.zeros((x.shape[0], 2, 2)),
+            jet=lambda t, x: (x[:, 0], np.tile([1.0, 0.0], (x.shape[0], 1)),
+                              np.zeros((x.shape[0], 2, 2))),
             dt=lambda t, x: np.zeros(x.shape[0]),
             xd_hess=lambda t, x: np.zeros((x.shape[0], 2, 2)),
-            time_dependent=True,
         )
         rep = m.ito_formula_residual(ens, heston, v)
         assert rep.max_abs_residual <= 1e-12
@@ -164,12 +152,10 @@ class TestItoFormula:
         horizon = 0.5
         v = m.TestFunction(
             name="(T-t)^2", d=2,
-            value=lambda t, x: np.full(x.shape[0], (horizon - t) ** 2),
-            grad=lambda t, x: np.zeros_like(x),
-            hess=lambda t, x: np.zeros((x.shape[0], 2, 2)),
+            jet=lambda t, x: (np.full(x.shape[0], (horizon - t) ** 2), np.zeros_like(x),
+                              np.zeros((x.shape[0], 2, 2))),
             dt=lambda t, x: np.full(x.shape[0], -2.0 * (horizon - t)),
             xd_hess=lambda t, x: np.zeros((x.shape[0], 2, 2)),
-            time_dependent=True,
         )
         grid = m.TimeGrid(0.0, horizon, 2.0**-5)
         ens = m.simulate_sde(heston, start, grid, 64, 3)
@@ -190,11 +176,9 @@ class TestItoFormula:
         ens = m.simulate_sde(heston, start, grid, 16, 1)
         v = m.TestFunction(
             name="no-product", d=2,
-            value=lambda t, x: x[:, 0],
-            grad=lambda t, x: np.tile([1.0, 0.0], (x.shape[0], 1)),
-            hess=lambda t, x: np.zeros((x.shape[0], 2, 2)),
+            jet=lambda t, x: (x[:, 0], np.tile([1.0, 0.0], (x.shape[0], 1)),
+                              np.zeros((x.shape[0], 2, 2))),
             dt=lambda t, x: np.zeros(x.shape[0]),
-            time_dependent=True,
         )
         with pytest.raises(ValueError, match="x_d"):
             m.ito_formula_residual(ens, heston, v)

@@ -152,7 +152,7 @@ class TestStructuralProperties:
             r = gen.uniform(0.08, 0.15)
             c = np.array([gen.uniform(-0.6, 0.6), gen.uniform(0.1, 0.3)])
             bump = m.radial_bump(c, r)
-            g = lambda x: bump.value(0.0, x)
+            g = lambda x: bump.jet(0.0, x)[0]
             sol = m.solve_cauchy(heston, None, g, grid, 0.25, store="ends")
             assert sol.layer_max.max() <= 1.0 + 1e-6
             assert sol.layer_min.min() >= -1e-6
@@ -169,7 +169,7 @@ class TestStructuralProperties:
 
     def test_self_convergence_order(self, heston):
         bump = m.radial_bump([0.0, 0.1], 0.35)
-        g = lambda x: bump.value(0.0, x)
+        g = lambda x: bump.jet(0.0, x)[0]
         sols = {}
         for n, dt in ((33, 1 / 64), (65, 1 / 128), (129, 1 / 256)):
             grid = m.Grid.build(dt=dt, x_prime_extent=1.5, x_max=0.5, counts=[n, n])
@@ -194,7 +194,7 @@ class TestStructuralProperties:
 class TestDuality:
     def test_heston_bump_small(self, heston):
         bump = m.radial_bump([0.0, 0.04], 0.5)
-        g = lambda x: bump.value(0.0, x)
+        g = lambda x: bump.jet(0.0, x)[0]
         grid = m.Grid.build(dt=1 / 128, x_prime_extent=1.5, x_max=0.5, counts=[65, 65])
         rep = m.duality_check(heston, g, [0.0, 0.09], 0.5, grid,
                               mc_paths=20_000, mc_step=2.0**-8, mc_seed=11)
@@ -202,7 +202,7 @@ class TestDuality:
 
     def test_wrong_start_fails(self, heston):
         bump = m.radial_bump([0.0, 0.04], 0.5)
-        g = lambda x: bump.value(0.0, x)
+        g = lambda x: bump.jet(0.0, x)[0]
         grid = m.Grid.build(dt=1 / 128, x_prime_extent=1.5, x_max=0.5, counts=[65, 65])
         rep = m.duality_check(heston, g, [0.0, 0.09], 0.5, grid,
                               mc_paths=20_000, mc_step=2.0**-8, mc_seed=11,
@@ -258,10 +258,10 @@ def test_killing_on_grid(heston, heston_killing):
 class TestAprioriProbe:
     def test_scaling_invariance_and_stability(self, heston):
         bump = m.radial_bump([0.0, 0.1], 0.4)
-        g1 = lambda x: bump.value(0.0, x)
-        g2 = lambda x: 2.0 * bump.value(0.0, x)
-        pair1 = (None, g1, lambda x: bump.grad(0.0, x), lambda x: bump.xd_hess(0.0, x))
-        pair2 = (None, g2, lambda x: 2.0 * bump.grad(0.0, x),
+        g1 = lambda x: bump.jet(0.0, x)[0]
+        g2 = lambda x: 2.0 * bump.jet(0.0, x)[0]
+        pair1 = (None, g1, lambda x: bump.jet(0.0, x)[1], lambda x: bump.xd_hess(0.0, x))
+        pair2 = (None, g2, lambda x: 2.0 * bump.jet(0.0, x)[1],
                  lambda x: 2.0 * bump.xd_hess(0.0, x))
         grids = [small_grid(n=17, dt=1 / 32), small_grid(n=33, dt=1 / 64)]
         rep = m.apriori_estimate_probe(heston, [pair1, pair2], grids, 0.25,

@@ -1,5 +1,5 @@
 """Known-output pins: the random stream, the Euler ensembles, a PDE solution, the sampled norms,
-the CSV format and the artifacts of every CLI kind.
+the test functions and martingale increments, the CSV format and the artifacts of every CLI kind.
 
 Every other test checks self-consistency; these check that the bits themselves
 have not moved.  A change that alters any digest below changes the stream, the
@@ -101,6 +101,28 @@ VALIDATOR_PINS = {
     "gridded": "5fedd0929255a929d15e673a0c54efb5996fb7c69af1cf8ffdf70ad95e302b0b",
 }
 NORMS_PIN = "18375f9487612383117f9e5e35f715142270a484b95f91565fdb04fb47d356c6"
+# acceptance 03's test functions on one stride-1 Heston ensemble; "+drift"
+# compensates with the drift-stripped generator
+INCREMENTS_PINS = {
+    "linear": "6f9c7b12547fc6c9785786fcac1797ca178aae35aaec606c5a498dc5f9a51445",
+    "bump": "ab082d5e1a6238dfc6001c8d37cd1f017b81867735b4b475128ccc3cdb0b4d3e",
+    "boundary_bump": "fa583e2e9ca661a5d08522d1da7a94352c798233decd4c964e77d38d1d8e1121",
+    "linear+drift": "d51f338c6c721884df937d79618d62a2ee683b7ca62cec34594e9b1565557759",
+}
+ITO_RESIDUAL_PIN = "237bcf5cd888a141bc792e73dfe7399e3fb83d3fd202945dc011ae0e5a1354cc"
+# value, gradient, Hessian, x_d * Hessian (and v_t where defined) at TF_POINTS, t = 0.3
+TEST_FUNCTION_PINS = {
+    "linear": "565cad8234f8f537b985799ea57810943c8c97890664049bfa327205d2e05603",
+    "bump": "62baf497de8c50869bfba14932010f7f0cd9137a8f6b738b8957ee7ac06e3b9a",
+    "boundary_bump": "013381f0469191a26a90b28a2d4533f0bc8560339ef406ed6a9e33b9301d9b05",
+    "time_weighted": "db4e747dbbacbaa2396312381a637779cdd02674f346bfa5010d556672bd774c",
+}
+# interior points, points on x_d = 0, points outside both bumps' supports, and
+# points 1 % of the radius and 1e-9 inside the support spheres of radius 1
+# about (0, 0.05) and radius 0.6 about the origin
+TF_POINTS = np.array([[0.1, 0.2], [-0.3, 0.05], [0.0, 0.0], [0.25, 0.0], [2.0, 0.5],
+                      [0.0, 1.5], [0.99, 0.05], [1.0 - 1e-9, 0.05], [0.594, 0.0],
+                      [0.6 - 1e-9, 0.0]])
 
 
 def _paths(idx):
@@ -240,6 +262,40 @@ def test_sampled_norms_pinned():
     holder = [m.holder_seminorm_estimate(field, region, 0.5, metric, 5000, 4).to_json()
               for metric in ("cycloidal", "parabolic")]
     assert _json_digest({"sup": sup, "holder": holder}) == NORMS_PIN
+
+
+def _test_functions() -> dict:
+    return {"linear": m.linear_function([0.0, 1.0]),
+            "bump": m.radial_bump([0.0, 0.05], 1.0),
+            "boundary_bump": m.boundary_bump([0.0], 0.6),
+            "time_weighted": m.time_weighted_xd(0.5)}
+
+
+@pytest.fixture(scope="module")
+def stride_one_ensemble(heston, start):
+    return m.simulate_sde(heston, start, m.TimeGrid(0.0, 0.5, 2.0**-5), 256, 707)
+
+
+@pytest.mark.parametrize("case", sorted(INCREMENTS_PINS))
+def test_martingale_increments_pinned(heston, stride_one_ensemble, case):
+    name, _, part = case.partition("+")
+    model = m.strip_generator_term(heston, part) if part else heston
+    inc = m.martingale_increments(stride_one_ensemble, model, _test_functions()[name])
+    assert _digest(inc) == INCREMENTS_PINS[case]
+
+
+def test_ito_residual_pinned(heston, stride_one_ensemble):
+    rep = m.ito_formula_residual(stride_one_ensemble, heston, m.time_weighted_xd(0.5))
+    assert _json_digest(rep.to_json()) == ITO_RESIDUAL_PIN
+
+
+@pytest.mark.parametrize("case", sorted(TEST_FUNCTION_PINS))
+def test_test_function_pinned(case):
+    v = _test_functions()[case]
+    arrays = [*v.jet(0.3, TF_POINTS), v.xd_hess(0.3, TF_POINTS)]
+    if v.dt is not None:
+        arrays.append(v.dt(0.3, TF_POINTS))
+    assert _digest(*[np.asarray(a, dtype=float) for a in arrays]) == TEST_FUNCTION_PINS[case]
 
 
 _HESTON_PARAMS = {"kappa": 1.5, "theta": 0.04, "zeta": 0.3, "rho": -0.5, "r": 0.02, "q": 0.0}
