@@ -13,6 +13,8 @@ checking copy once; ``_start``, ``_time_grid`` and ``_ensemble`` read the start
 point and time grid and simulate a model over it; ``_projection_stage``
 estimates, builds, saves and validates the mimicking model; ``_coordinates``
 and ``_DEFAULT_PAYOFF`` are the shared test statistics and terminal payoff.
+The ``pde`` kind is one march: its constant-data check and terminal-value solve
+are two columns of one time-reversed march that factors each step once.
 
 Seeds are mandatory — there are no entropy defaults — so re-running a config
 reproduces byte-identical CSV artifacts (the manifest timestamp aside).  The
@@ -47,7 +49,7 @@ from .martingale import (
     radial_bump,
     strong_markov_restart_test,
 )
-from .pde import THETA, Grid, duality_check, killing_on_grid, solve_cauchy, solve_terminal_value
+from .pde import THETA, Grid, _march, duality_check, killing_on_grid, time_reversed_model
 from .projection import (
     BinningSpec,
     build_mimicking_model,
@@ -228,20 +230,22 @@ def _run_pde(cfg, out, seed, model, check_model):
     if rate is None:
         raise ValueError("the constant-data check needs a killing rate c that is constant "
                          "in space and time; c varies over the grid nodes or march times")
-    ones = lambda x: np.ones(np.asarray(x).shape[0])
-    sol_const = solve_cauchy(model, None, ones, grid, horizon, scheme=scheme, store="ends")
-    # the march's own value on constant data, exact at any dt: each theta-step
-    # multiplies by (1 + (1 - theta) c dt) / (1 - theta c dt)
+    # one time-reversed march: column 1 ends at v(0, .); column 0 is constant
+    # data, whose value is exact at any dt because the constant rate survives
+    # reversal: each theta-step multiplies by (1 + (1 - theta) c dt) / (1 - theta c dt)
+    g = _payoff_from_spec(cfg.get("duality", {}).get("g", _DEFAULT_PAYOFF))
+    nodes = grid.nodes()
+    block = np.column_stack([np.ones(grid.n_nodes), g(nodes)])
+    sol_const, sol = _march(time_reversed_model(model, horizon), None, block, grid, horizon,
+                            scheme, "ends")
     theta = THETA[scheme]
     expected = ((1.0 + (1.0 - theta) * rate * grid.dt)
                 / (1.0 - theta * rate * grid.dt)) ** (march_times.size - 1)
     const_err = float(np.abs(sol_const.values[-1] - expected).max())
 
-    g = _payoff_from_spec(cfg.get("duality", {}).get("g", _DEFAULT_PAYOFF))
-    sol = solve_terminal_value(model, g, horizon, grid, scheme=scheme, store="ends")
     with open(out / "solution.csv", "w", newline="") as fh:
         fh.write("t," + ",".join(f"x_{j+1}" for j in range(grid.d)) + ",u\n")
-        for x, u in zip(grid.nodes(), sol.values[0].ravel()):
+        for x, u in zip(nodes, sol.values[-1].ravel()):
             fh.write(",".join(map(repr, [0.0, *map(float, x), float(u)])) + "\n")
     ok = const_err <= 1e-8
     return ok, {"constant_data_error": const_err, "killing": has_killing,

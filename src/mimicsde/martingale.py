@@ -29,7 +29,7 @@ import numpy as np
 from scipy import stats as sp_stats
 
 from . import rng
-from .coeffs import CoefficientModel, generator_apply_batch
+from .coeffs import CoefficientModel, diffusion_root, generator_apply_batch
 from .geometry import SpaceTimePoint
 from .sdesim import PathEnsemble, TimeGrid, _euler_paths, model_driver, simulate_sde
 
@@ -378,10 +378,10 @@ def ito_formula_residual(ens: PathEnsemble, model: CoefficientModel, v: TestFunc
         t = float(nodes[k])
         xk = ens.states[:, k, :]
         g = np.asarray(v.jet(t, xk)[1], dtype=float)
-        sig = model.sigma(t, xk)
+        av = np.asarray(model.a(t, xk), dtype=float)
+        sig = np.sqrt(np.maximum(xk[:, -1], 0.0))[:, None, None] * diffusion_root(av)
         z = rng.normals(ens.seed, rng.DOMAIN_BROWNIAN, paths, k, d)
         stoch += np.einsum("ni,nij,nj->n", g, sig, z) * sqrt_h
-        av = model.a(t, xk)
         xdh = np.asarray(v.xd_hess(t, xk), dtype=float)
         quad += (np.asarray(v.dt(t, xk), dtype=float)
                  + np.einsum("ni,ni->n", np.asarray(model.b(t, xk), dtype=float), g)

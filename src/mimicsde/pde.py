@@ -348,15 +348,15 @@ class PdeSolution:
         return np.gradient(self.values, self.times, axis=0, edge_order=1)
 
 
-def _march(
-    model: CoefficientModel,
-    f: Callable | None,
-    u0: np.ndarray,
-    grid: Grid,
-    horizon: float,
-    scheme: str,
-    store: str,
-) -> PdeSolution:
+def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Grid,
+           horizon: float, scheme: str, store: str) -> list[PdeSolution]:
+    """March an (N, k) block of initial layers; one PdeSolution per column.
+
+    Each step assembles and factors its matrix once (a time-independent model
+    once in all) and solves all k columns in one ``SuperLU.solve``.  Every
+    operation, the extrema ``u.min(axis=0)`` included, acts column by column,
+    so column j has the bits of a march of column j alone.
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; use one of {SCHEMES}")
     n_steps = int(round(horizon / grid.dt))
@@ -374,10 +374,10 @@ def _march(
                 f"{probe * grid.dt / min_h:.2f} > 1 risks oscillations", RuntimeWarning)
 
     store_all = store == "all"
-    stored = [u0.copy()]
+    stored = [u0.T.copy()]
     stored_times = [0.0]
-    layer_min = [float(u0.min())]
-    layer_max = [float(u0.max())]
+    layer_min = [u0.min(axis=0)]
+    layer_max = [u0.max(axis=0)]
 
     u = u0.copy()
     lu = None
@@ -393,7 +393,7 @@ def _march(
         if theta != 1.0:
             rhs += (1.0 - theta) * grid.dt * (p_mat @ u)
         if f is not None:
-            rhs -= grid.dt * np.asarray(f(t_eval, st.nodes), dtype=float)
+            rhs -= grid.dt * np.asarray(f(t_eval, st.nodes), dtype=float)[:, None]
         rhs[st.outer] = 0.0
         try:
             if lu is None:
@@ -401,18 +401,17 @@ def _march(
             u = lu.solve(rhs)
         except RuntimeError as exc:
             raise RuntimeError(f"linear-system solve failure at step {n}: {exc}") from exc
-        layer_min.append(float(u.min()))
-        layer_max.append(float(u.max()))
+        layer_min.append(u.min(axis=0))
+        layer_max.append(u.max(axis=0))
         if store_all or n == n_steps - 1:
-            stored.append(u.copy())
+            stored.append(u.T.copy())
             stored_times.append(t_next)
 
-    values = np.stack(stored).reshape((-1, *grid.shape))
-    return PdeSolution(
-        grid=grid, times=np.asarray(stored_times), values=values,
-        layer_min=np.asarray(layer_min), layer_max=np.asarray(layer_max),
-        scheme=scheme, meta={"n_steps": n_steps, "store": store},
-    )
+    values, lo, hi = (np.stack(a, axis=1) for a in (stored, layer_min, layer_max))
+    return [PdeSolution(
+        grid=grid, times=np.asarray(stored_times), values=values[j].reshape((-1, *grid.shape)),
+        layer_min=lo[j], layer_max=hi[j], scheme=scheme, meta={"n_steps": n_steps, "store": store},
+    ) for j in range(u0.shape[1])]
 
 
 def solve_cauchy(
@@ -434,7 +433,7 @@ def solve_cauchy(
     u0 = np.asarray(g(nodes), dtype=float)
     if u0.shape != (nodes.shape[0],):
         raise ValueError("initial data must evaluate to one value per grid node")
-    return _march(model, f, u0, grid, horizon, scheme, store)
+    return _march(model, f, u0[:, None], grid, horizon, scheme, store)[0]
 
 
 def time_reversed_model(model: CoefficientModel, horizon: float) -> CoefficientModel:
@@ -466,15 +465,9 @@ def solve_terminal_value(
     f_rev = None if f is None else (lambda t, x: f(horizon - np.asarray(t), x))
     um = solve_cauchy(time_reversed_model(model, horizon), f_rev, g, grid, horizon,
                       scheme=scheme, store=store)
-    return PdeSolution(
-        grid=grid,
-        times=horizon - um.times[::-1],
-        values=um.values[::-1],
-        layer_min=um.layer_min[::-1],
-        layer_max=um.layer_max[::-1],
-        scheme=scheme,
-        meta=dict(um.meta, reversed=True),
-    )
+    return replace(um, times=horizon - um.times[::-1], values=um.values[::-1],
+                   layer_min=um.layer_min[::-1], layer_max=um.layer_max[::-1],
+                   meta=dict(um.meta, reversed=True))
 
 
 def killing_on_grid(model: CoefficientModel, grid: Grid,

@@ -384,8 +384,9 @@ def simulate_ito_process(
         if records is not None and k % store_stride == 0:
             records.beta[:, k // store_stride, :] = beta
             records.xi2[:, k // store_stride, :, :] = xi2
-        integrability += (np.linalg.norm(beta, axis=1)
-                          + np.linalg.norm(xi2, axis=(1, 2))) * h
+        # numpy.linalg.norm's own reduction for real input, without its conj() copy
+        integrability += (np.sqrt(np.add.reduce(beta * beta, axis=1))
+                          + np.sqrt(np.add.reduce(xi2 * xi2, axis=(1, 2)))) * h
 
     ens, aux = _simulate(driver, x0, grid, n_paths, seed, "absorbed_euler", store_stride,
                          observe)

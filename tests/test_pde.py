@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import mimicsde as m
-from mimicsde.pde import _Stencil, _assemble_operator, killing_on_grid, time_reversed_model
+from mimicsde.pde import (
+    SCHEMES,
+    _assemble_operator,
+    _march,
+    _Stencil,
+    killing_on_grid,
+    time_reversed_model,
+)
 
 from conftest import constant_model
 
@@ -281,3 +288,30 @@ class TestAprioriProbe:
         rep = m.apriori_estimate_probe(heston, [(None, zero)], [small_grid(n=17, dt=1 / 32)],
                                        0.25, pair_budget=256, seed=3)
         assert rep.entries[0]["ratio"] is None
+
+
+class TestBlockMarch:
+    @pytest.mark.parametrize("store", ["all", "ends"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("model_name", ["heston", "gridded_model"])
+    def test_columns_bit_equal_single_marches(self, request, model_name, scheme, store):
+        # Heston factors once; the time-dependent gridded model factors at
+        # every step.  Either way each column of a k-column march carries
+        # exactly the bits of a march of that column alone.
+        model = request.getfixturevalue(model_name)
+        grid = m.Grid.build(dt=2.0**-5, x_prime_extent=1.0, x_max=0.5, counts=(9, 9))
+        x = grid.nodes()
+        block = np.column_stack([np.ones(len(x)), np.exp(-x[:, 0] ** 2) * (1.0 + x[:, 1]),
+                                 x[:, 0] - x[:, 1] ** 2])
+        for f in (None, lambda t, x: t * np.sin(x[:, 0]) * x[:, 1]):
+            singles = [_march(model, f, block[:, [j]], grid, 0.25, scheme, store)[0]
+                       for j in range(3)]
+            for k in (2, 3):
+                sols = _march(model, f, block[:, :k], grid, 0.25, scheme, store)
+                assert len(sols) == k
+                for sol, ref in zip(sols, singles):
+                    assert sol.values.shape == ref.values.shape
+                    assert np.array_equal(sol.times, ref.times)
+                    assert np.array_equal(sol.values, ref.values)
+                    assert np.array_equal(sol.layer_min, ref.layer_min)
+                    assert np.array_equal(sol.layer_max, ref.layer_max)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import linalg as sp_linalg
 
 import mimicsde as m
 from mimicsde import cli, rng
@@ -166,19 +167,6 @@ def test_driver_records_csv_pinned(heston):
     ens = m.simulate_ito_process(m.regime_switching_driver(heston), np.array([0.0, 0.09]),
                                  grid, 12, 77, record_drivers=True)
     assert _csv_digest(ens) == DRIVER_CSV_PIN
-
-
-@pytest.fixture(scope="module")
-def gridded_model(heston):
-    """A time-dependent mimicking model: 4 time layers on an 8 x 8-cell lattice."""
-    grid = m.TimeGrid(0.0, 1.0, 2.0**-4)
-    ens = m.simulate_ito_process(m.model_driver(heston), np.array([0.0, 0.09]),
-                                 grid, 2000, 31, record_drivers=True, store_stride=2)
-    e1 = np.linspace(-1.5, 1.5, 9)
-    e2 = np.concatenate([[0.0], 0.5 * np.linspace(0.05, 1.0, 8) ** 1.3])
-    spec = m.BinningSpec(times=(0.25, 0.5, 0.75, 1.0), edges=(e1, e2), min_count=5)
-    return m.build_mimicking_model(m.estimate_mimicking_coefficients(ens, spec),
-                                   max_masked_fraction=0.99)
 
 
 def test_gridded_ensemble_pinned(gridded_model):
@@ -408,10 +396,9 @@ CLI_PINS = {
 }
 
 
-def _cli_case_digests(case: str, out: Path) -> dict:
-    kind, _, part = case.partition("+")
-    status = cli.run(_cli_config(kind, out), break_generator=part or None)
-    files = sorted(p for p in out.iterdir() if p.name != "manifest.json")
+def _cli_digests(cfg: dict, break_generator: str | None = None) -> dict:
+    status = cli.run(cfg, break_generator=break_generator)
+    files = sorted(p for p in Path(cfg["output_dir"]).iterdir() if p.name != "manifest.json")
     return {"status": status,
             **{p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}}
 
@@ -425,4 +412,50 @@ def test_cli_kind_pinned(tmp_path, kind):
     cases = [c for c in CLI_PINS if c.partition("+")[0] == kind]
     assert cases, f"no CLI pin for kind {kind!r}"
     for case in cases:
-        assert _cli_case_digests(case, tmp_path / case) == CLI_PINS[case], case
+        part = case.partition("+")[2]
+        digests = _cli_digests(_cli_config(kind, tmp_path / case), break_generator=part or None)
+        assert digests == CLI_PINS[case], case
+
+
+# the pde kind on the time-dependent model that the pinned project config
+# builds, where every march step assembles and factors its own matrix
+GRIDDED_CLI_PDE_PIN = {
+    "status": 0,
+    "report.json":
+        "5c22ae42195fc39b9c182a770da3be5894f42a949fc1713c4b48fd61558fba21",
+    "solution.csv":
+        "b406f37b3110980269a05d2646e42b374706fa2bb152d4ee957e243ab5c96f0d",
+}
+
+
+@pytest.fixture(scope="module")
+def project_csv(tmp_path_factory) -> Path:
+    """The time-dependent mimicked lattice that the pinned project config writes."""
+    out = tmp_path_factory.mktemp("project")
+    assert cli.run(_cli_config("project", out)) == 0
+    return out / "mimicked.csv"
+
+
+def _gridded_pde_config(out: Path, csv: Path) -> dict:
+    cfg = _cli_config("pde", out)
+    cfg["model"] = {"gridded": {"csv": str(csv)}}
+    cfg["pde"]["horizon"] = 0.5
+    return cfg
+
+
+def test_cli_pde_gridded_pinned(tmp_path, project_csv):
+    assert _cli_digests(_gridded_pde_config(tmp_path, project_csv)) == GRIDDED_CLI_PDE_PIN
+
+
+@pytest.mark.parametrize("model", ["heston", "gridded"])
+def test_cli_pde_factorizations(tmp_path, project_csv, monkeypatch, model):
+    # both solves share one march: Heston is time-independent and factors
+    # once; the gridded model factors once per step, not once per step per solve
+    calls = []
+    splu = sp_linalg.splu
+    monkeypatch.setattr(sp_linalg, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    cfg = (_gridded_pde_config(tmp_path, project_csv) if model == "gridded"
+           else _cli_config("pde", tmp_path))
+    assert cli.run(cfg) == 0
+    n_steps = round(cfg["pde"]["horizon"] / cfg["pde"]["dt"])
+    assert len(calls) == (n_steps if model == "gridded" else 1)
