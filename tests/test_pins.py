@@ -286,6 +286,45 @@ def test_test_function_pinned(case):
     assert _digest(*[np.asarray(a, dtype=float) for a in arrays]) == TEST_FUNCTION_PINS[case]
 
 
+# compare_marginals' report as JSON: two unequal Heston ensembles with a g_list,
+# and two unequal full-truncation ensembles whose x_d sits exactly at 0 on most
+# paths (ties inside and across the samples); same_law_ks_quantile on the tied x_d
+COMPARE_PINS = {
+    "heston": "c0b99cdc58103a16d50eeaec4d234773d904f73a163140d18f9ceff3a0cf755b",
+    "ties": "a729947a6d05b8d5c11a5d577ff9c8b29d4a0465c95c77580cb03478ece7cae5",
+}
+SAME_LAW_KS_PIN = "81c2cb228cc7ab6bd1cf6731cf6aa16ad4582129d6e8d0e3d4a1130cb0199bed"
+
+
+@pytest.fixture(scope="module")
+def compare_ensembles(heston, start):
+    grid = m.TimeGrid(0.0, 0.5, 2.0**-5)
+    sticky = m.heston_model(1.0, 0.02, 0.8, -0.3, r=0.02, q=0.0)
+    near_zero = m.SpaceTimePoint(0.0, (0.0, 0.02))
+    return {"heston": (m.simulate_sde(heston, start, grid, 300, 41, store_stride=4),
+                       m.simulate_sde(heston, start, grid, 217, 42, store_stride=4)),
+            "ties": (m.simulate_sde(sticky, near_zero, grid, 400, 11, store_stride=4),
+                     m.simulate_sde(sticky, near_zero, grid, 333, 12, store_stride=4))}
+
+
+@pytest.mark.parametrize("case", sorted(COMPARE_PINS))
+def test_compare_marginals_pinned(compare_ensembles, case):
+    a, b = compare_ensembles[case]
+    g_list = ([("x_1", lambda x: x[:, 0]), ("x_2^2", lambda x: x[:, 1] ** 2)]
+              if case == "heston" else ())
+    comp = m.compare_marginals(a, b, [0.25, 0.5], g_list=g_list, seed=7)
+    if case == "ties":
+        assert min((e.states_at(0.5)[:, 1] == 0.0).sum() for e in (a, b)) > 200
+    assert _json_digest(comp.to_json()) == COMPARE_PINS[case]
+
+
+def test_same_law_ks_quantile_pinned(compare_ensembles):
+    a, b = compare_ensembles["ties"]
+    q = m.same_law_ks_quantile(a.states_at(0.5)[:, 1], b.states_at(0.5)[:, 1],
+                               n_boot=60, q=0.9, seed=5)
+    assert _digest(np.array([q])) == SAME_LAW_KS_PIN
+
+
 _HESTON_PARAMS = {"kappa": 1.5, "theta": 0.04, "zeta": 0.3, "rho": -0.5, "r": 0.02, "q": 0.0}
 _MIMIC_BINNING = {"times": [0.125, 0.25, 0.375, 0.5],
                   "edges": [[-0.9 + 0.3 * i for i in range(7)], [0.0, 0.03, 0.06, 0.1, 0.15, 0.3]],
