@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats as sp_stats
 
 import mimicsde as m
+from mimicsde.projection import _ks_statistic, _w1
 
 from conftest import constant_model
 
@@ -213,6 +218,61 @@ class TestCompareMarginals:
         # asymptotic 99% two-sample quantile at n=m=2000: 1.628*sqrt(2/2000)
         assert 0.03 < q < 0.08
         assert float(np.abs(q - 1.628 * np.sqrt(2 / 2000))) < 0.02
+
+
+@st.composite
+def sample_pairs(draw):
+    # unequal sizes; a share of each sample comes from a small palette shared
+    # by both (ties within and across the samples) holding signed zeros,
+    # subnormals and +-1e300, on top of a continuous part at a drawn scale
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-310, 1.0, 1e300]))
+    palette = np.concatenate([[0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300],
+                              scale * gen.standard_normal(3)])
+    tie_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+
+    def sample(n):
+        x = scale * gen.standard_normal(n)
+        tied = gen.random(n) < tie_share
+        x[tied] = gen.choice(palette, tied.sum())
+        return x
+
+    return sample(draw(st.integers(1, 500))), sample(draw(st.integers(1, 500)))
+
+
+def _bits(v) -> np.uint64:
+    return np.float64(v).view(np.uint64)
+
+
+class TestMergedCdfs:
+    @settings(max_examples=200, deadline=None)
+    @given(sample_pairs())
+    def test_match_scipy_bitwise(self, pair):
+        a, b = pair
+        sa, sb = np.sort(a), np.sort(b)
+        with np.errstate(divide="ignore"):  # the reference's p-value at size 1
+            ks = sp_stats.ks_2samp(a, b, method="asymp").statistic
+        assert _bits(_w1(sa, sb)) == _bits(sp_stats.wasserstein_distance(a, b))
+        assert _bits(_ks_statistic(sa, sb)) == _bits(ks)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_raises(self, heston, start, bad):
+        # merged counts would return a finite, wrong number for these
+        grid = m.TimeGrid(0.0, 1.0, 0.125)
+        a = m.simulate_sde(heston, start, grid, 50, 5)
+        b = m.simulate_sde(heston, start, grid, 60, 6)
+        a.states[7, grid.node_index(0.5), 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            m.compare_marginals(a, b, [0.5])
+        with pytest.raises(ValueError, match="finite"):
+            m.same_law_ks_quantile(a.states_at(0.5)[:, 0], b.states_at(0.5)[:, 0], n_boot=5)
+
+    def test_empty_sample_raises(self, heston, start):
+        a = m.simulate_sde(heston, start, m.TimeGrid(0.0, 1.0, 0.125), 50, 5)
+        with pytest.raises(ValueError, match="non-empty"):
+            m.compare_marginals(a, dataclasses.replace(a, states=a.states[:0]), [0.5])
+        with pytest.raises(ValueError, match="non-empty"):
+            m.same_law_ks_quantile(np.array([]), np.array([1.0, 2.0]), n_boot=5)
 
 
 class TestSerialization:
