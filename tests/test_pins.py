@@ -18,6 +18,7 @@ from scipy.sparse import linalg as sp_linalg
 
 import mimicsde as m
 from mimicsde import cli, rng
+from mimicsde.martingale import constant_probe, left_coordinate_probe
 
 
 def _digest(*arrays) -> str:
@@ -109,6 +110,14 @@ INCREMENTS_PINS = {
     "bump": "ab082d5e1a6238dfc6001c8d37cd1f017b81867735b4b475128ccc3cdb0b4d3e",
     "boundary_bump": "fa583e2e9ca661a5d08522d1da7a94352c798233decd4c964e77d38d1d8e1121",
     "linear+drift": "d51f338c6c721884df937d79618d62a2ee683b7ca62cec34594e9b1565557759",
+}
+# martingale_test's reports for the linear, bump and boundary-bump functions
+# with the CLI's probes: on the stride-1 Heston ensemble, on a stride-1
+# ensemble of the gridded model, and compensated with the drift-stripped Heston
+MARTINGALE_TEST_PINS = {
+    "heston": "839d203af8c1a79b135708fbf2b58e1b3d2ab086f5e85bf2c4ab7b9969a62c7c",
+    "gridded": "7d7a03976320f039189c50ed08dc85f8565dccbceb6c716f5eb4c21a9856491f",
+    "drift-broken": "431be841c368829a482fc920468a30db990bbf8e44a5eba652903a9196abb63b",
 }
 ITO_RESIDUAL_PIN = "237bcf5cd888a141bc792e73dfe7399e3fb83d3fd202945dc011ae0e5a1354cc"
 # value, gradient, Hessian, x_d * Hessian (and v_t where defined) at TF_POINTS, t = 0.3
@@ -270,6 +279,24 @@ def test_martingale_increments_pinned(heston, stride_one_ensemble, case):
     model = m.strip_generator_term(heston, part) if part else heston
     inc = m.martingale_increments(stride_one_ensemble, model, _test_functions()[name])
     assert _digest(inc) == INCREMENTS_PINS[case]
+
+
+@pytest.mark.parametrize("case", sorted(MARTINGALE_TEST_PINS))
+def test_martingale_test_pinned(heston, gridded_model, start, stride_one_ensemble, case):
+    # the CLI's three test functions and probes; the gridded case reads the
+    # lattice from a stride-1 ensemble of the gridded model itself
+    if case == "gridded":
+        model = gridded_model
+        ens = m.simulate_sde(model, start, m.TimeGrid(0.0, 0.5, 2.0**-5), 256, 708)
+    else:
+        model = m.strip_generator_term(heston, "drift") if case == "drift-broken" else heston
+        ens = stride_one_ensemble
+    tfs = _test_functions()
+    probes = [constant_probe()] + [left_coordinate_probe(i) for i in range(model.d)]
+    reports = [m.martingale_test(m.martingale_increments(ens, model, tfs[name]), ens, probes,
+                                 label=tfs[name].name)
+               for name in ("linear", "bump", "boundary_bump")]
+    assert _json_digest([r.to_json() for r in reports]) == MARTINGALE_TEST_PINS[case]
 
 
 def test_ito_residual_pinned(heston, stride_one_ensemble):
