@@ -44,7 +44,6 @@ from .martingale import (
     constant_probe,
     left_coordinate_probe,
     linear_function,
-    martingale_increments,
     martingale_test,
     radial_bump,
     strong_markov_restart_test,
@@ -202,15 +201,9 @@ def _run_martingale(cfg, out, seed, model, check_model):
         {"type": "boundary_bump", "center_prime": [0.0], "radius": 0.6},
     ])
     probes = [constant_probe()] + [left_coordinate_probe(i) for i in range(model.d)]
-    reports = []
-    for spec in specs:
-        v = _test_function_from_spec(spec)
-        inc = martingale_increments(ens, check_model, v)
-        reports.append(martingale_test(inc, ens, probes,
-                                       n_intervals=m.get("n_intervals", 4),
-                                       z_crit=m.get("z_crit", 3.0),
-                                       fail_crit=m.get("fail_crit", 5.0),
-                                       label=v.name))
+    reports = martingale_test(ens, check_model, [_test_function_from_spec(s) for s in specs],
+                              probes, n_intervals=m.get("n_intervals", 4),
+                              z_crit=m.get("z_crit", 3.0), fail_crit=m.get("fail_crit", 5.0))
     return all(r.passed for r in reports), {"martingale": [r.to_json() for r in reports]}
 
 

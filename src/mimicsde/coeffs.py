@@ -188,9 +188,12 @@ def generator_apply_batch(
     model: CoefficientModel, t, x: np.ndarray, grads: np.ndarray, hesss: np.ndarray
 ) -> np.ndarray:
     """Vectorized generator: (1/2) x_d <a, H> + b . grad over a batch of points."""
-    av = model.a(t, x)
-    bv = model.b(t, x)
-    xd = np.maximum(x[..., -1], 0.0)
+    return _generator_contract(model.a(t, x), model.b(t, x), np.maximum(x[..., -1], 0.0),
+                               grads, hesss)
+
+
+def _generator_contract(av, bv, xd, grads, hesss) -> np.ndarray:
+    """(1/2) xd <av, H> + bv . grad from evaluated coefficients, with xd = x_d^+."""
     second = 0.5 * xd * np.einsum("...ij,...ij->...", av, hesss)
     first = np.einsum("...i,...i->...", bv, grads)
     return second + first

@@ -9,7 +9,10 @@ work with the discrete chain directly: left-endpoint quadrature makes M^v an
 exact discrete martingale for linear v, so positive and negative controls are
 sharp.  Orthogonality against adapted probes is enforced structurally (probes
 only ever see the path truncated at the interval's left endpoint), and
-calibration and testing use disjoint halves of the ensemble.
+calibration and testing use disjoint halves of the ensemble.  M^v is
+accumulated in one pass over the stored nodes for all test functions at once:
+a and b are evaluated once per node, and ``martingale_test`` keeps M^v only at
+its interval bounds.
 
 A test function is one jet: ``jet(t, x)`` returns v, Dv and D^2 v at the
 rows of x, of shapes (n,), (n, d) and (n, d, d), from one evaluation, and
@@ -26,11 +29,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from . import rng
-from .coeffs import CoefficientModel, diffusion_root, generator_apply_batch
+from .coeffs import CoefficientModel, _generator_contract, diffusion_root
 from .geometry import SpaceTimePoint
+from .projection import _ks_statistic
 from .sdesim import PathEnsemble, TimeGrid, _euler_paths, model_driver, simulate_sde
 
 _FD_TOL = 1e-4
@@ -134,13 +137,20 @@ def radial_bump(center: Sequence[float], radius: float, name: str | None = None)
     r2 = radius * radius
 
     def jet(t, x):
-        delta = x - c
-        u = (delta * delta).sum(axis=1) / r2
-        psi, p1, p2 = _bump_psi(u)
-        outer = np.einsum("ni,nj->nij", delta, delta) * (4.0 / (r2 * r2))
-        eye = np.eye(d) * (2.0 / r2)
-        return (psi, p1[:, None] * (2.0 * delta / r2),
-                p2[:, None, None] * outer + p1[:, None, None] * eye)
+        # 1-D columns in the arithmetic of the (n, d) broadcast form: squares
+        # summed left to right; outer products added to +0.0, as einsum does
+        # (a -0.0 becomes +0.0); off the diagonal no p1 * 0 term, which is
+        # -0.0 (p1 <= 0) and so would change no bit
+        delta = [x[:, i] - c[i] for i in range(d)]
+        psi, p1, p2 = _bump_psi(sum(col * col for col in delta) / r2)
+        grad = np.empty((x.shape[0], d))
+        hess = np.empty((x.shape[0], d, d))
+        for i in range(d):
+            grad[:, i] = p1 * (2.0 * delta[i] / r2)
+            for j in range(i + 1):
+                hij = p2 * ((delta[i] * delta[j] + 0.0) * (4.0 / (r2 * r2)))
+                hess[:, i, j] = hess[:, j, i] = hij + p1 * (2.0 / r2) if i == j else hij
+        return psi, grad, hess
 
     # probe points inside the support, kept at x_d > 0
     u8 = rng.uniforms(11, 105, np.arange(8, dtype=np.uint64), 0, d)
@@ -191,25 +201,42 @@ def martingale_increments(ens: PathEnsemble, model: CoefficientModel, v: TestFun
     The compensator is summed at the stored step, which is the integrator's
     step only for stride-1 storage; coarser storage is rejected.
     """
-    if v.time_dependent:
+    return _compensated(ens, model, [v], np.arange(ens.states.shape[1]))[0]
+
+
+def _compensated(ens: PathEnsemble, model: CoefficientModel, vs: Sequence[TestFunction],
+                 cols: np.ndarray) -> np.ndarray:
+    """M^v of every v in ``vs`` at the stored nodes ``cols``: shape (len(vs), n, len(cols)).
+
+    One pass over the stored nodes.  Node k's states are copied once into a
+    contiguous block; a and b are evaluated on it once for all functions, and
+    each function's jet there closes M^v at node k and drives step k's
+    left-endpoint compensator.  Only the requested columns are kept.
+    """
+    if any(v.time_dependent for v in vs):
         raise ValueError("martingale increments are defined for spatial test functions")
     if ens.store_stride != 1:
         raise ValueError("ensemble must be stored at stride 1 for an exact compensator")
     nodes = ens.grid.nodes
     h = ens.grid.step
-    xs = ens.states
-    n, m1, d = xs.shape
-    out = np.empty((n, m1))
-    out[:, 0] = 0.0
-    # one jet per stored node: node k's value fills out[:, k], its
-    # derivatives drive step k's compensator
-    v0, g, hs = (np.asarray(a, dtype=float) for a in v.jet(nodes[0], xs[:, 0, :]))
-    comp = np.zeros(n)
-    for k in range(m1 - 1):
-        comp = comp + generator_apply_batch(model, nodes[k], xs[:, k, :], g, hs) * h
-        del g, hs  # release step k's derivatives before node k+1's jet allocates its own
-        val, g, hs = (np.asarray(a, dtype=float) for a in v.jet(nodes[k + 1], xs[:, k + 1, :]))
-        out[:, k + 1] = val - v0 - comp
+    n, m1, _ = ens.states.shape
+    slot = {int(k): j for j, k in enumerate(cols)}
+    out = np.empty((len(vs), n, len(slot)))
+    v0 = [None] * len(vs)
+    comp = np.zeros((len(vs), n))
+    for k in range(m1):
+        t = nodes[k]
+        x = np.ascontiguousarray(ens.states[:, k, :])
+        if k < m1 - 1:
+            av, bv, xd = model.a(t, x), model.b(t, x), np.maximum(x[:, -1], 0.0)
+        for i, v in enumerate(vs):
+            val, g, hs = (np.asarray(a, dtype=float) for a in v.jet(t, x))
+            if k == 0:
+                v0[i] = val
+            if k in slot:
+                out[i, :, slot[k]] = 0.0 if k == 0 else val - v0[i] - comp[i]
+            if k < m1 - 1:
+                comp[i] += _generator_contract(av, bv, xd, g, hs) * h
     return out
 
 
@@ -285,56 +312,61 @@ class MartingaleReport:
 
 
 def martingale_test(
-    increments: np.ndarray,
     ens: PathEnsemble,
+    model: CoefficientModel,
+    test_functions: Sequence[TestFunction],
     probes: Sequence[AdaptedProbe],
     n_intervals: int = 4,
     z_crit: float = 3.0,
     fail_crit: float = 5.0,
-    label: str = "",
-) -> MartingaleReport:
-    """Standardized test of E[phi * (M_{t_{i+1}} - M_{t_i})] = 0.
+) -> list[MartingaleReport]:
+    """Standardized test of E[phi * (M^v_{t_{i+1}} - M^v_{t_i})] = 0 for each v.
 
-    Even-indexed paths calibrate the variance, odd-indexed paths supply the
-    tested mean, so no path is reused between estimation and testing.  |z|
-    beyond ``z_crit`` but within ``fail_crit`` is flagged inconclusive rather
-    than failed; probes with degenerate variance are excluded and reported.
+    One report per test function, labelled ``v.name``.  M^v of all the
+    functions comes from one pass over the stored nodes and is kept only at
+    the interval bounds, never as an (n_paths, n_nodes) array.  Even-indexed
+    paths calibrate the variance, odd-indexed paths supply the tested mean, so
+    no path is reused between estimation and testing.  |z| beyond ``z_crit``
+    but within ``fail_crit`` is flagged inconclusive rather than failed; probes
+    with degenerate variance are excluded and reported.
     """
     if n_intervals < 2:
         raise ValueError("need at least 2 sub-intervals")
-    n, m1 = increments.shape
+    n, m1, _ = ens.states.shape
     nodes = ens.grid.nodes
     bounds = np.unique(np.round(np.linspace(0, m1 - 1, n_intervals + 1)).astype(int))
+    mv = _compensated(ens, model, test_functions, bounds)
     cal = np.arange(n) % 2 == 0
     test = ~cal
     n_test = int(test.sum())
 
-    entries = []
-    for i0, i1 in zip(bounds[:-1], bounds[1:]):
-        dm = increments[:, i1] - increments[:, i0]
-        for probe in probes:
-            phi = np.asarray(probe.fn(nodes[: i0 + 1], ens.states[:, : i0 + 1, :]), dtype=float)
-            y = phi * dm
-            var_cal = float(np.var(y[cal], ddof=1))
-            mean = float(np.mean(y[test]))
-            if not np.isfinite(var_cal) or var_cal <= 0.0:
-                entries.append(MartingaleTestEntry(
+    entries = [[] for _ in test_functions]
+    for j, (i0, i1) in enumerate(zip(bounds[:-1], bounds[1:])):
+        phis = [np.asarray(p.fn(nodes[: i0 + 1], ens.states[:, : i0 + 1, :]), dtype=float)
+                for p in probes]
+        for m_v, rows in zip(mv, entries):
+            dm = m_v[:, j + 1] - m_v[:, j]
+            for probe, phi in zip(probes, phis):
+                y = phi * dm
+                var_cal = float(np.var(y[cal], ddof=1))
+                mean = float(np.mean(y[test]))
+                if not np.isfinite(var_cal) or var_cal <= 0.0:
+                    se, z, status = 0.0, 0.0, "excluded"
+                else:
+                    se = float(np.sqrt(var_cal / n_test))
+                    z = mean / se
+                    if abs(z) <= z_crit:
+                        status = "pass"
+                    elif abs(z) <= fail_crit:
+                        status = "inconclusive"
+                    else:
+                        status = "fail"
+                rows.append(MartingaleTestEntry(
                     probe=probe.name, t_lo=float(nodes[i0]), t_hi=float(nodes[i1]),
-                    mean=mean, se=0.0, z=0.0, n_test=n_test, status="excluded"))
-                continue
-            se = float(np.sqrt(var_cal / n_test))
-            z = mean / se
-            if abs(z) <= z_crit:
-                status = "pass"
-            elif abs(z) <= fail_crit:
-                status = "inconclusive"
-            else:
-                status = "fail"
-            entries.append(MartingaleTestEntry(
-                probe=probe.name, t_lo=float(nodes[i0]), t_hi=float(nodes[i1]),
-                mean=mean, se=se, z=float(z), n_test=n_test, status=status))
-    return MartingaleReport(test_function=label, entries=tuple(entries),
-                            z_crit=z_crit, fail_crit=fail_crit)
+                    mean=mean, se=se, z=float(z), n_test=n_test, status=status))
+    return [MartingaleReport(test_function=v.name, entries=tuple(rows),
+                             z_crit=z_crit, fail_crit=fail_crit)
+            for v, rows in zip(test_functions, entries)]
 
 
 @dataclass(frozen=True)
@@ -376,7 +408,7 @@ def ito_formula_residual(ens: PathEnsemble, model: CoefficientModel, v: TestFunc
     quad = np.zeros(n)
     for k in range(m1 - 1):
         t = float(nodes[k])
-        xk = ens.states[:, k, :]
+        xk = np.ascontiguousarray(ens.states[:, k, :])
         g = np.asarray(v.jet(t, xk)[1], dtype=float)
         av = np.asarray(model.a(t, xk), dtype=float)
         sig = np.sqrt(np.maximum(xk[:, -1], 0.0))[:, None, None] * diffusion_root(av)
@@ -543,7 +575,7 @@ def strong_markov_restart_test(
         for gname, g in g_list:
             gc = np.asarray(g(x_cont[sel]), dtype=float)
             gr = np.asarray(g(x_rest[sel]), dtype=float)
-            ks = float(sp_stats.ks_2samp(gc, gr, method="asymp").statistic)
+            ks = _ks_statistic(np.sort(gc), np.sort(gr))
             entries.append(RestartBinEntry(g=gname, bin_lo=lo, bin_hi=hi,
                                            count=int(sel.sum()), ks=ks,
                                            passed=bool(ks <= ks_threshold)))

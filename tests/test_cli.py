@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import logging
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -180,6 +182,14 @@ class TestCheckKinds:
 
 
 class TestMain:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats is most of the CLI's import time, and no layer needs it
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = "import mimicsde.cli, sys; assert 'scipy.stats' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
     def test_main_runs_config_file(self, tmp_path):
         cfg = base_sim_config(tmp_path)
         path = write_config(tmp_path, cfg)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import mimicsde as m
 from mimicsde.coeffs import strip_generator_term
-from mimicsde.martingale import constant_probe, left_coordinate_probe
+from mimicsde.martingale import _bump_psi, _compensated, constant_probe, left_coordinate_probe
 
 from conftest import constant_model, zero_model
 
@@ -35,6 +37,28 @@ class TestTestFunction:
         v = m.boundary_bump([0.3], 0.5)
         x = np.array([[0.3, 0.0]])
         assert v.jet(0.0, x)[0][0] == pytest.approx(1.0)
+
+    def test_bump_jet_bits_match_broadcast_form(self):
+        # the reference is the (n, d)-broadcast jet; the column jet keeps its
+        # bits, signed zeros included, on a lattice of -0.0 and +0.0, points
+        # left of the centre on x_d = 0, subnormals, the support sphere and
+        # non-finite coordinates
+        def reference(c, r2, x):
+            delta = x - c
+            psi, p1, p2 = _bump_psi((delta * delta).sum(axis=1) / r2)
+            outer = np.einsum("ni,nj->nij", delta, delta) * (4.0 / (r2 * r2))
+            eye = np.eye(c.size) * (2.0 / r2)
+            return (psi, p1[:, None] * (2.0 * delta / r2),
+                    p2[:, None, None] * outer + p1[:, None, None] * eye)
+
+        vals = [0.0, -0.0, -0.3, 0.3, 5e-324, -5e-324, 0.6 - 1e-9, 1.0, np.nan, -np.inf]
+        for c, radius in (([0.0, 0.05], 1.0), ([0.0, 0.0], 0.6), ([0.3, 0.0, -0.1], 0.8)):
+            c = np.asarray(c)
+            x = np.array(np.meshgrid(*[vals] * c.size)).reshape(c.size, -1).T.copy()
+            with np.errstate(invalid="ignore"):
+                pairs = list(zip(m.radial_bump(c, radius).jet(0.0, x), reference(c, radius**2, x)))
+            for got, want in pairs:
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestIncrements:
@@ -68,6 +92,23 @@ class TestIncrements:
         ic = m.martingale_increments(small_ensemble, heston, combo)
         assert np.allclose(ic, 2 * i1 - 3 * i2, atol=1e-12)
 
+    @pytest.mark.parametrize("case", ["heston", "gridded", "drift-broken"])
+    def test_one_pass_equals_single_function_passes(self, heston, gridded_model, start, case):
+        # many functions in one pass give each one's own M^v bit for bit, at
+        # every column and on a subset of columns
+        model = {"heston": heston, "gridded": gridded_model,
+                 "drift-broken": strip_generator_term(heston, "drift")}[case]
+        ens = m.simulate_sde(model, start, m.TimeGrid(0.0, 0.5, 2.0**-5), 300, 17)
+        vs = [m.linear_function([0.0, 1.0]), m.radial_bump([0.0, 0.05], 1.0),
+              m.boundary_bump([0.0], 0.6)]
+        cols = np.arange(ens.states.shape[1])
+        together = _compensated(ens, model, vs, cols)
+        some = _compensated(ens, model, vs, cols[::5])
+        for v, mv, mv_some in zip(vs, together, some):
+            alone = m.martingale_increments(ens, model, v).view(np.uint64)
+            assert np.array_equal(mv.view(np.uint64), alone)
+            assert np.array_equal(mv_some.view(np.uint64), alone[:, ::5])
+
     def test_rejects_time_dependent(self, small_ensemble, heston):
         with pytest.raises(ValueError):
             m.martingale_increments(small_ensemble, heston, m.time_weighted_xd(1.0))
@@ -86,16 +127,14 @@ class TestMartingaleTest:
         model = constant_model([0.1, 0.2], a_mat=[[1.0, 0.0], [0.0, 0.5]])
         grid = m.TimeGrid(0.0, 1.0, 2.0**-5)
         ens = m.simulate_sde(model, start, grid, 20_000, 7)
-        inc = m.martingale_increments(ens, model, m.linear_function([1.0, 1.0]))
-        rep = m.martingale_test(inc, ens, [constant_probe(), left_coordinate_probe(1)],
-                                label="linear")
+        rep, = m.martingale_test(ens, model, [m.linear_function([1.0, 1.0])],
+                                 [constant_probe(), left_coordinate_probe(1)])
         assert rep.passed, rep.to_json()
 
     def test_heston_bump(self, small_ensemble, heston):
         v = m.radial_bump([0.0, 0.05], 1.0)
-        inc = m.martingale_increments(small_ensemble, heston, v)
-        rep = m.martingale_test(inc, small_ensemble,
-                                [constant_probe(), left_coordinate_probe(1)], label=v.name)
+        rep, = m.martingale_test(small_ensemble, heston, [v],
+                                 [constant_probe(), left_coordinate_probe(1)])
         assert rep.overall in ("pass", "inconclusive")
         assert rep.max_abs_z <= 5.0
 
@@ -103,8 +142,7 @@ class TestMartingaleTest:
         model = zero_model()
         grid = m.TimeGrid(0.0, 1.0, 0.25)
         ens = m.simulate_sde(model, start, grid, 40, 1)
-        inc = m.martingale_increments(ens, model, m.linear_function([1.0, 0.0]))
-        rep = m.martingale_test(inc, ens, [constant_probe()], label="degenerate")
+        rep, = m.martingale_test(ens, model, [m.linear_function([1.0, 0.0])], [constant_probe()])
         assert all(e.status == "excluded" for e in rep.entries)
         assert rep.overall == "pass"  # nothing testable, nothing failed
 
@@ -116,16 +154,31 @@ class TestMartingaleTest:
         zs = []
         for n in (2000, 8000):
             ens = m.simulate_sde(heston, start, grid, n, 31)
-            inc = m.martingale_increments(ens, broken, m.linear_function([0.0, 1.0]))
-            rep = m.martingale_test(inc, ens, [constant_probe()], label="broken")
+            rep, = m.martingale_test(ens, broken, [m.linear_function([0.0, 1.0])],
+                                     [constant_probe()])
             zs.append(rep.max_abs_z)
         assert zs[0] > 3.0
         assert zs[1] > 1.3 * zs[0]
 
+    def test_peak_memory_below_one_trajectory(self, heston, start):
+        # M^v is kept at the interval bounds only: the test never holds an
+        # (n_paths, n_nodes) array, which dominates at 256 steps
+        ens = m.simulate_sde(heston, start, m.TimeGrid(0.0, 1.0, 2.0**-8), 2000, 5)
+        n, m1, _ = ens.states.shape
+        vs = [m.linear_function([0.0, 1.0]), m.radial_bump([0.0, 0.05], 1.0),
+              m.boundary_bump([0.0], 0.6)]
+        tracemalloc.start()
+        try:
+            m.martingale_test(ens, heston, vs, [constant_probe(), left_coordinate_probe(1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m1 * 8
+
     def test_needs_two_intervals(self, small_ensemble, heston):
-        inc = m.martingale_increments(small_ensemble, heston, m.linear_function([1.0, 0.0]))
         with pytest.raises(ValueError):
-            m.martingale_test(inc, small_ensemble, [constant_probe()], n_intervals=1)
+            m.martingale_test(small_ensemble, heston, [m.linear_function([1.0, 0.0])],
+                              [constant_probe()], n_intervals=1)
 
 
 class TestItoFormula:

@@ -291,11 +291,9 @@ def test_martingale_test_pinned(heston, gridded_model, start, stride_one_ensembl
     else:
         model = m.strip_generator_term(heston, "drift") if case == "drift-broken" else heston
         ens = stride_one_ensemble
-    tfs = _test_functions()
+    tfs = [_test_functions()[name] for name in ("linear", "bump", "boundary_bump")]
     probes = [constant_probe()] + [left_coordinate_probe(i) for i in range(model.d)]
-    reports = [m.martingale_test(m.martingale_increments(ens, model, tfs[name]), ens, probes,
-                                 label=tfs[name].name)
-               for name in ("linear", "bump", "boundary_bump")]
+    reports = m.martingale_test(ens, model, tfs, probes)
     assert _json_digest([r.to_json() for r in reports]) == MARTINGALE_TEST_PINS[case]
 
 
@@ -525,3 +523,34 @@ def test_cli_pde_factorizations(tmp_path, project_csv, monkeypatch, model):
     assert cli.run(cfg) == 0
     n_steps = round(cfg["pde"]["horizon"] / cfg["pde"]["dt"])
     assert len(calls) == (n_steps if model == "gridded" else 1)
+
+
+def test_cli_martingale_evaluates_model_once_per_node(tmp_path, monkeypatch):
+    # outside the simulation, the check evaluates a and b once per compensated
+    # node for all three test functions together, not once per node per function
+    calls, simulated = [], []
+    heston_model, ensemble = cli.heston_model, cli._ensemble
+
+    def counted_model(*args, **kwargs):
+        model = heston_model(*args, **kwargs)
+        for f in "ab":
+            def counted(t, x, f=f, fn=getattr(model, f)):
+                calls.append(f)
+                return fn(t, x)
+            setattr(model, f, counted)
+        return model
+
+    def counted_ensemble(*args, **kwargs):
+        start = len(calls)
+        ens = ensemble(*args, **kwargs)
+        simulated.extend(range(start, len(calls)))
+        return ens
+
+    monkeypatch.setattr(cli, "heston_model", counted_model)
+    monkeypatch.setattr(cli, "_ensemble", counted_ensemble)
+    cfg = _cli_config("martingale", tmp_path)
+    assert cli.run(cfg) == 0
+    simulated = set(simulated)
+    checked = [f for i, f in enumerate(calls) if i not in simulated]
+    n_steps = round(cfg["ensemble"]["horizon"] / cfg["ensemble"]["step"])
+    assert (checked.count("a"), checked.count("b")) == (n_steps, n_steps)
