@@ -137,10 +137,10 @@ def radial_bump(center: Sequence[float], radius: float, name: str | None = None)
     r2 = radius * radius
 
     def jet(t, x):
-        # 1-D columns in the arithmetic of the (n, d) broadcast form: squares
-        # summed left to right; outer products added to +0.0, as einsum does
-        # (a -0.0 becomes +0.0); off the diagonal no p1 * 0 term, which is
-        # -0.0 (p1 <= 0) and so would change no bit
+        # 1-D columns with the bits of the (n, d) broadcast form the tests
+        # compare against: squares summed left to right; outer products added
+        # to +0.0, as einsum does (a -0.0 becomes +0.0); off the diagonal no
+        # p1 * 0 term, which is -0.0 (p1 <= 0) and so would change no bit
         delta = [x[:, i] - c[i] for i in range(d)]
         psi, p1, p2 = _bump_psi(sum(col * col for col in delta) / r2)
         grad = np.empty((x.shape[0], d))
