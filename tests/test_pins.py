@@ -103,6 +103,8 @@ VALIDATOR_PINS = {
     "gridded": "5fedd0929255a929d15e673a0c54efb5996fb7c69af1cf8ffdf70ad95e302b0b",
 }
 NORMS_PIN = "18375f9487612383117f9e5e35f715142270a484b95f91565fdb04fb47d356c6"
+# the cycloidal and parabolic Hölder estimates alone, from the same region and field
+HOLDER_PIN = "a59582a5368f3483661487bf9d0c1eab957310d8a860c85105bd2c2f76cde3e8"
 # acceptance 03's test functions on one stride-1 Heston ensemble; "+drift"
 # compensates with the drift-stripped generator
 INCREMENTS_PINS = {
@@ -259,6 +261,7 @@ def test_sampled_norms_pinned():
     holder = [m.holder_seminorm_estimate(field, region, 0.5, metric, 5000, 4).to_json()
               for metric in ("cycloidal", "parabolic")]
     assert _json_digest({"sup": sup, "holder": holder}) == NORMS_PIN
+    assert _json_digest(holder) == HOLDER_PIN
 
 
 def _test_functions() -> dict:
