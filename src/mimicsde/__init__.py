@@ -14,8 +14,8 @@ four ways of interrogating processes on it:
 * :mod:`.martingale` tests the compensated-process martingale property, the
   boundary Itô formula, and the restart (strong Markov) property.
 
-:mod:`.geometry` supplies the cycloidal/parabolic distances and sampled
-norm estimators shared by the validator in :mod:`.coeffs`.
+:mod:`.geometry` supplies the cycloidal/parabolic distances and the sampled
+Hölder estimator used by the validator in :mod:`.coeffs`.
 """
 
 from .coeffs import (
@@ -23,7 +23,6 @@ from .coeffs import (
     LatticeInterpolator,
     RegularityBudget,
     ValidationReport,
-    apply_generator,
     heston_model,
     load_gridded_model,
     strip_generator_term,
@@ -33,10 +32,7 @@ from .geometry import (
     HolderEstimate,
     Region,
     SpaceTimePoint,
-    cycloidal_distance,
     holder_seminorm_estimate,
-    parabolic_distance,
-    weighted_sup_norm,
 )
 from .martingale import (
     AdaptedProbe,
@@ -56,7 +52,6 @@ from .pde import (
     DualityReport,
     Grid,
     PdeSolution,
-    apriori_estimate_probe,
     duality_check,
     solve_cauchy,
     solve_terminal_value,
@@ -78,8 +73,6 @@ from .sdesim import (
     TimeGrid,
     ensemble_to_csv,
     model_driver,
-    moment_bound_check,
-    moment_growth_sweep,
     regime_switching_driver,
     simulate_ito_process,
     simulate_sde,

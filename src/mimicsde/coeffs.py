@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng
-from .geometry import Region, SpaceTimePoint, _holder_scan, region_points
+from .geometry import Region, _holder_scan, region_points
 
 _DOMAIN_VALIDATE = 104
 _XD_SPLIT = 2.0  # near/far split of the regularity conditions
@@ -159,29 +159,6 @@ def _cholesky_rows(av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             root[..., 1, 1] = l22
             ok &= l22 > 0.0
     return root, ~ok
-
-
-def apply_generator(
-    model: CoefficientModel,
-    v_derivs: tuple[np.ndarray, np.ndarray],
-    p: SpaceTimePoint,
-) -> float:
-    """Generator applied to derivative data (grad, hess) at a point.
-
-    Returns (1/2) x_d <a, H>_F + b . grad; at x_d = 0 the hessian term drops
-    out regardless of H.
-    """
-    grad, hess = v_derivs
-    grad = np.asarray(grad, dtype=float)
-    hess = np.asarray(hess, dtype=float)
-    if grad.shape != (model.d,) or hess.shape != (model.d, model.d):
-        raise ValueError("derivative shapes must be (d,) and (d, d)")
-    if np.abs(hess - hess.T).max() > 1e-10 * max(1.0, np.abs(hess).max()):
-        raise ValueError("hessian must be symmetric")
-    t, x = p.as_arrays()
-    if x.shape != (model.d,):
-        raise ValueError(f"point dimension {x.shape[0]} != model dimension {model.d}")
-    return float(generator_apply_batch(model, t, x[None, :], grad[None, :], hess[None, :])[0])
 
 
 def generator_apply_batch(

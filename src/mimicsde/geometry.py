@@ -1,4 +1,4 @@
-"""Half-space geometry, the cycloidal and parabolic distances, and sampled norms.
+"""Half-space geometry, cycloidal and parabolic distances, sampled Hölder seminorms.
 
 State space is the closed half-space {x in R^d : x_d >= 0}; the last coordinate
 is the degenerate direction.  The cycloidal distance
@@ -12,8 +12,8 @@ degeneracy; the parabolic distance rho(P1, P2) = sum_i |x_i^1 - x_i^2| +
 sqrt(|t1 - t2|) is the usual one.  The two are equivalent on slabs
 x_d in [y0, y1] with 0 < y0 < y1 but not up to the boundary.
 
-Hölder seminorms and weighted sup-norms over a region are uncomputable exactly,
-so they are estimated by maxima over indexed quasi-random point pairs: pair i
+Hölder seminorms over a region are uncomputable exactly, so they are
+estimated by maxima over indexed quasi-random point pairs: pair i
 is a pure function of (seed, i), which makes estimates deterministic, monotone
 in the pair budget, and safe to evaluate concurrently.
 """
@@ -30,7 +30,6 @@ from . import rng
 # Sampling domains for this module (distinct from simulation noise domains).
 _DOMAIN_PAIR_U = 101
 _DOMAIN_PAIR_G = 102
-_DOMAIN_SUP = 103
 
 # Fraction of the x_d extent treated as the near-boundary stratum, and the
 # share of the pair budget spent there.
@@ -66,9 +65,6 @@ class SpaceTimePoint:
     def xd(self) -> float:
         return self.x[-1]
 
-    def as_arrays(self) -> tuple[float, np.ndarray]:
-        return self.t, np.asarray(self.x, dtype=float)
-
 
 @dataclass(frozen=True)
 class Region:
@@ -96,15 +92,6 @@ class Region:
     @property
     def d(self) -> int:
         return len(self.lower)
-
-    @property
-    def xd_slab(self) -> tuple[float, float]:
-        """The x_d extent [y0, y1] of the region."""
-        return self.lower[-1], self.upper[-1]
-
-    @property
-    def touches_boundary(self) -> bool:
-        return self.lower[-1] == 0.0
 
 
 @dataclass(frozen=True)
@@ -137,11 +124,6 @@ class HolderEstimate:
         }
 
 
-def _check_same_dim(p1: SpaceTimePoint, p2: SpaceTimePoint) -> None:
-    if p1.d != p2.d:
-        raise ValueError(f"dimension mismatch: {p1.d} vs {p2.d}")
-
-
 def cycloidal_distance_arrays(
     t1: np.ndarray, x1: np.ndarray, t2: np.ndarray, x2: np.ndarray
 ) -> np.ndarray:
@@ -161,22 +143,6 @@ def parabolic_distance_arrays(
 ) -> np.ndarray:
     diff = np.abs(x1 - x2).sum(axis=-1)
     return diff + np.sqrt(np.abs(np.asarray(t1) - np.asarray(t2)))
-
-
-def cycloidal_distance(p1: SpaceTimePoint, p2: SpaceTimePoint) -> float:
-    """Cycloidal distance s(P1, P2); zero iff P1 = P2, symmetric."""
-    _check_same_dim(p1, p2)
-    t1, x1 = p1.as_arrays()
-    t2, x2 = p2.as_arrays()
-    return float(cycloidal_distance_arrays(t1, x1[None, :], t2, x2[None, :])[0])
-
-
-def parabolic_distance(p1: SpaceTimePoint, p2: SpaceTimePoint) -> float:
-    """Parabolic distance rho(P1, P2) = sum |x_i^1 - x_i^2| + sqrt(|t1 - t2|)."""
-    _check_same_dim(p1, p2)
-    t1, x1 = p1.as_arrays()
-    t2, x2 = p2.as_arrays()
-    return float(parabolic_distance_arrays(t1, x1[None, :], t2, x2[None, :])[0])
 
 
 _METRICS = {
@@ -303,20 +269,3 @@ def holder_seminorm_estimate(
     """
     est, _ = _holder_scan(field, region, alpha, metric, pair_budget, seed)
     return est
-
-
-def weighted_sup_norm(
-    field: Field,
-    region: Region,
-    q: float,
-    n_samples: int = 4096,
-    seed: int = 0,
-) -> float:
-    """Sampled sup of (1+|x|)^q |u(t,x)| over the region (q >= 0)."""
-    if q < 0.0:
-        raise ValueError("growth exponent q must be >= 0")
-    u = rng.uniforms(seed, _DOMAIN_SUP, np.arange(n_samples, dtype=np.uint64), 0, region.d + 1)
-    ts, xs = region_points(region, u, stratify_from=0)
-    vals = np.asarray(field(ts, xs), dtype=float)
-    weight = (1.0 + np.linalg.norm(xs, axis=1)) ** q
-    return float(np.max(weight * np.abs(vals)))

@@ -32,9 +32,8 @@ from scipy import sparse
 from scipy.sparse import linalg as sp_linalg
 
 from .coeffs import CoefficientModel, LatticeInterpolator
-from .geometry import Region, holder_seminorm_estimate, weighted_sup_norm
-from .sdesim import TimeGrid, simulate_sde
 from .geometry import SpaceTimePoint
+from .sdesim import TimeGrid, simulate_sde
 
 THETA = {"implicit_euler": 1.0, "crank_nicolson": 0.5}  # scheme -> implicit weight
 SCHEMES = tuple(THETA)
@@ -320,33 +319,6 @@ class PdeSolution:
     def value_at(self, t: float, x: Sequence[float]) -> float:
         return float(self.interpolate(t, np.asarray(x, dtype=float)[None, :])[0])
 
-    def gradient_layer(self, k: int) -> np.ndarray:
-        """Nodewise spatial gradient (centered inside, one-sided at edges)."""
-        u = self.values[k]
-        out = np.stack([np.gradient(u, ax, axis=j, edge_order=1)
-                        for j, ax in enumerate(self.grid.axes)], axis=-1)
-        return out
-
-    def xd_hessian_layer(self, k: int) -> np.ndarray:
-        """x_d-weighted second derivatives (x_d u_{x_i x_j}) at the nodes."""
-        u = self.values[k]
-        d = self.grid.d
-        grads = [np.gradient(u, ax, axis=j, edge_order=1)
-                 for j, ax in enumerate(self.grid.axes)]
-        hess = np.empty(u.shape + (d, d))
-        for i in range(d):
-            for j in range(d):
-                hess[..., i, j] = np.gradient(grads[i], self.grid.axes[j], axis=j, edge_order=1)
-        hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
-        xd = self.grid.axes[-1].reshape((1,) * (d - 1) + (-1,))
-        return xd[..., None, None] * hess
-
-    def time_derivative(self) -> np.ndarray:
-        """u_t on the stored layers by differencing (needs >= 2 stored layers)."""
-        if self.times.size < 2:
-            raise ValueError("time derivative needs at least two stored layers")
-        return np.gradient(self.values, self.times, axis=0, edge_order=1)
-
 
 def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Grid,
            horizon: float, scheme: str, store: str) -> list[PdeSolution]:
@@ -568,120 +540,3 @@ def duality_check(
     return DualityReport(pde_value=pde_value, mc_mean=mc_mean, mc_se=mc_se,
                          grid_error=grid_error, gap=gap, tolerance=tol,
                          interpolated=not on_node, passed=bool(gap <= tol))
-
-
-@dataclass(frozen=True)
-class AprioriProbeReport:
-    """Empirical stability of the solution-norm / data-norm ratio."""
-
-    entries: tuple[dict, ...]
-    max_spread: float
-    stable_within_2x: bool
-
-    def to_json(self) -> dict:
-        return {"entries": list(self.entries), "max_spread": self.max_spread,
-                "stable_within_2x": self.stable_within_2x}
-
-
-def _solution_composite_norm(sol: PdeSolution, alpha: float, pair_budget: int, seed: int) -> float:
-    """Estimator-based surrogate of the weighted C^{2+alpha}-type solution norm.
-
-    Sup norms of u, u_t, u_xi, x_d u_xixj over the box, plus Hölder estimates
-    of u in the cycloidal metric below x_d = 1 and the parabolic metric above.
-    """
-    grid = sol.grid
-    d = grid.d
-    t_lo, t_hi = float(sol.times[0]), float(sol.times[-1])
-    lower = tuple(float(ax[0]) for ax in grid.axes)
-    upper = tuple(float(ax[-1]) for ax in grid.axes)
-    xd_top = upper[-1]
-
-    u_field = lambda ts, xs: sol.interpolate(ts, xs)
-    region_all = Region(t_lo, t_hi, lower, upper)
-    total = weighted_sup_norm(u_field, region_all, 0.0, seed=seed)
-
-    near = Region(t_lo, t_hi, lower, upper[:-1] + (min(1.0, xd_top),))
-    total += holder_seminorm_estimate(u_field, near, alpha, "cycloidal", pair_budget, seed).seminorm
-    if xd_top > 1.0:
-        far = Region(t_lo, t_hi, lower[:-1] + (1.0,), upper)
-        total += holder_seminorm_estimate(u_field, far, alpha, "parabolic", pair_budget, seed).seminorm
-
-    if sol.times.size >= 2:
-        ut = sol.time_derivative()
-        interp_ut = LatticeInterpolator(sol.times, grid.axes, ut)
-        total += weighted_sup_norm(lambda ts, xs: interp_ut(ts, xs), region_all, 0.0, seed=seed)
-    grads = np.stack([sol.gradient_layer(k) for k in range(sol.times.size)])
-    xdh = np.stack([sol.xd_hessian_layer(k) for k in range(sol.times.size)])
-    for i in range(d):
-        gi = LatticeInterpolator(sol.times, grid.axes, grads[..., i])
-        total += weighted_sup_norm(lambda ts, xs: gi(ts, xs), region_all, 0.0, seed=seed)
-    for i in range(d):
-        for j in range(i, d):
-            hij = LatticeInterpolator(sol.times, grid.axes, xdh[..., i, j])
-            total += weighted_sup_norm(lambda ts, xs: hij(ts, xs), region_all, 0.0, seed=seed)
-    return float(total)
-
-
-def apriori_estimate_probe(
-    model: CoefficientModel,
-    data_pairs: Sequence[tuple],
-    grids: Sequence[Grid],
-    horizon: float,
-    growth_exponent: float = 1.0,
-    scheme: str = "implicit_euler",
-    alpha: float | None = None,
-    pair_budget: int = 2048,
-    seed: int = 0,
-) -> AprioriProbeReport:
-    """Ratio of composite solution norm to data norm across data and grids.
-
-    ``data_pairs`` holds (f, g, g_grad, g_xd_hess) tuples (f may be None, the
-    derivative entries may be None); data norms weight fields by
-    (1 + |x|)^growth_exponent.  The constant in the underlying estimate is
-    non-constructive, so the probe only asserts stability: max/min ratio
-    within a factor 2 across the refinement ladder and the family.
-    """
-    if len(data_pairs) < 1:
-        raise ValueError("need at least one (f, g) data pair")
-    alpha = alpha if alpha is not None else model.budget.alpha
-    p = growth_exponent
-
-    entries = []
-    ratios_by_pair: dict[int, list[float]] = {}
-    for gi, grid in enumerate(grids):
-        lower = tuple(float(ax[0]) for ax in grid.axes)
-        upper = tuple(float(ax[-1]) for ax in grid.axes)
-        region = Region(0.0, horizon, lower, upper)
-        for pi, pair in enumerate(data_pairs):
-            f, g = pair[0], pair[1]
-            g_grad = pair[2] if len(pair) > 2 else None
-            g_xdh = pair[3] if len(pair) > 3 else None
-            sol = solve_cauchy(model, f, g, grid, horizon, scheme=scheme, store="all")
-            sol_norm = _solution_composite_norm(sol, alpha, pair_budget, seed)
-
-            data_norm = weighted_sup_norm(lambda ts, xs: g(xs), region, p, seed=seed)
-            if g_grad is not None:
-                data_norm += weighted_sup_norm(
-                    lambda ts, xs: np.abs(np.asarray(g_grad(xs))).sum(axis=-1), region, p, seed=seed)
-            if g_xdh is not None:
-                data_norm += weighted_sup_norm(
-                    lambda ts, xs: np.abs(np.asarray(g_xdh(xs))).sum(axis=(-2, -1)), region, p, seed=seed)
-            if f is not None:
-                wf = lambda ts, xs: (1.0 + np.linalg.norm(xs, axis=1)) ** p * np.asarray(f(ts, xs))
-                data_norm += weighted_sup_norm(lambda ts, xs: f(ts, xs), region, p, seed=seed)
-                data_norm += holder_seminorm_estimate(wf, region, alpha, "parabolic",
-                                                      pair_budget, seed).seminorm
-            if data_norm == 0.0:
-                entries.append({"grid": gi, "pair": pi, "ratio": None,
-                                "solution_norm": sol_norm, "data_norm": 0.0,
-                                "note": "zero data; ratio skipped"})
-                continue
-            ratio = sol_norm / data_norm
-            ratios_by_pair.setdefault(pi, []).append(ratio)
-            entries.append({"grid": gi, "pair": pi, "ratio": ratio,
-                            "solution_norm": sol_norm, "data_norm": data_norm})
-
-    spreads = [max(rs) / min(rs) for rs in ratios_by_pair.values() if rs and min(rs) > 0]
-    max_spread = max(spreads, default=1.0)
-    return AprioriProbeReport(entries=tuple(entries), max_spread=float(max_spread),
-                              stable_within_2x=bool(max_spread < 2.0))

@@ -28,7 +28,7 @@ start times.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, IO, Sequence
+from typing import Callable, IO
 
 import numpy as np
 
@@ -435,66 +435,6 @@ def support_check(ens: PathEnsemble) -> SupportReport:
         clip_fraction=ens.n_clipped_steps / max(ens.n_internal_steps, 1),
         boundary_row_violations=ens.boundary_row_violations,
     )
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Running-max moment E[max_t |X(t)|^{2m}] and its growth ratio."""
-
-    m: int
-    moment: float
-    start_norm: float
-    ratio: float  # moment / (1 + |x0|^{2m})
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "moment": self.moment,
-                "start_norm": self.start_norm, "ratio": self.ratio}
-
-
-def moment_bound_check(ens: PathEnsemble, m: int) -> MomentReport:
-    """Sample E[max over stored nodes of |X|^{2m}], normalized by 1 + |x0|^{2m}."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    norms = np.linalg.norm(ens.states, axis=2)
-    running_max = norms.max(axis=1)
-    moment = float(np.mean(running_max ** (2 * m)))
-    x0n = float(np.linalg.norm(ens.start_state))
-    return MomentReport(m=m, moment=moment, start_norm=x0n,
-                        ratio=moment / (1.0 + x0n ** (2 * m)))
-
-
-def moment_growth_sweep(
-    model: CoefficientModel,
-    starts: Sequence,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    m: int = 1,
-    scheme: str = "full_truncation",
-) -> dict:
-    """Fit E[max|X|^{2m}] against (1 + |x0|^{2m}) across a family of starts.
-
-    The fitted exponent should not exceed 1 (the bound is linear in
-    1 + |x|^{2m}); the fitted constant is the empirical analogue of the
-    non-constructive moment-bound constant.
-    """
-    reports = []
-    for i, s in enumerate(starts):
-        x0 = _as_start_state(s, model.d)
-        ens = simulate_sde(model, SpaceTimePoint(grid.start, tuple(x0)), grid,
-                           n_paths, seed + i, scheme)
-        reports.append(moment_bound_check(ens, m))
-    xs = np.array([1.0 + r.start_norm ** (2 * m) for r in reports])
-    ys = np.array([r.moment for r in reports])
-    slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
-    return {
-        "m": m,
-        "ratios": [r.ratio for r in reports],
-        "moments": [r.moment for r in reports],
-        "growth_exponent": float(slope),
-        "constant": float(np.exp(intercept)),
-        "max_ratio": float(max(r.ratio for r in reports)),
-    }
 
 
 def ensemble_to_csv(ens: PathEnsemble, fh: IO[str]) -> None:

@@ -9,54 +9,52 @@ from mimicsde.coeffs import generator_apply_batch, strip_generator_term
 from conftest import constant_model, kinked_model
 
 
+def _generate(model, t, x, grad, hess) -> float:
+    """The generator at one point: ``generator_apply_batch`` on a single row."""
+    rows = [np.asarray(v, dtype=float)[None] for v in (x, grad, hess)]
+    return float(generator_apply_batch(model, t, *rows)[0])
+
+
 class TestGenerator:
     def test_zero_derivatives(self, heston):
-        p = m.SpaceTimePoint(0.2, (0.5, 1.0))
-        out = m.apply_generator(heston, (np.zeros(2), np.zeros((2, 2))), p)
+        out = _generate(heston, 0.2, (0.5, 1.0), np.zeros(2), np.zeros((2, 2)))
         assert out == 0.0
 
     def test_hand_value_d1(self):
         # (1/2) * x_d * a * H = 0.5 * 3 * 2 * 1 = 3 with zero drift
         model = constant_model([0.0], a_mat=[[2.0]], d=1)
-        p = m.SpaceTimePoint(0.0, (3.0,))
-        out = m.apply_generator(model, (np.zeros(1), np.ones((1, 1))), p)
+        out = _generate(model, 0.0, (3.0,), np.zeros(1), np.ones((1, 1)))
         assert out == pytest.approx(3.0)
 
     def test_boundary_returns_drift_floor(self, heston):
         # at x_d = 0 with grad = e_d the generator is b_d(t, x', 0) = kappa*theta
-        p = m.SpaceTimePoint(0.5, (0.7, 0.0))
         h = np.array([[3.0, 1.0], [1.0, -2.0]])
-        out = m.apply_generator(heston, (np.array([0.0, 1.0]), h), p)
+        out = _generate(heston, 0.5, (0.7, 0.0), np.array([0.0, 1.0]), h)
         assert out == pytest.approx(1.5 * 0.04)
         assert out >= heston.budget.nu
 
     def test_boundary_independent_of_hessian(self, heston):
-        p = m.SpaceTimePoint(0.1, (0.3, 0.0))
+        x = (0.3, 0.0)
         g = np.array([0.4, -0.2])
         h1 = np.array([[5.0, 2.0], [2.0, 7.0]])
-        a1 = m.apply_generator(heston, (g, h1), p)
-        a2 = m.apply_generator(heston, (g, np.zeros((2, 2))), p)
+        a1 = _generate(heston, 0.1, x, g, h1)
+        a2 = _generate(heston, 0.1, x, g, np.zeros((2, 2)))
         assert a1 == a2
-
-    def test_rejects_asymmetric_hessian(self, heston):
-        p = m.SpaceTimePoint(0.0, (0.0, 1.0))
-        with pytest.raises(ValueError):
-            m.apply_generator(heston, (np.zeros(2), np.array([[0.0, 1.0], [0.0, 0.0]])), p)
 
     @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(0.01, 3.0))
     @settings(max_examples=50, deadline=None)
     def test_linearity(self, alpha, beta, xd):
         model = m.heston_model(1.5, 0.04, 0.3, -0.5)
-        p = m.SpaceTimePoint(0.3, (0.5, xd))
+        x = (0.5, xd)
         gen = np.random.default_rng(int(xd * 1000))
         g1, g2 = gen.standard_normal((2, 2))
         h1 = gen.standard_normal((2, 2))
         h1 = h1 + h1.T
         h2 = gen.standard_normal((2, 2))
         h2 = h2 + h2.T
-        lhs = m.apply_generator(model, (alpha * g1 + beta * g2, alpha * h1 + beta * h2), p)
-        rhs = (alpha * m.apply_generator(model, (g1, h1), p)
-               + beta * m.apply_generator(model, (g2, h2), p))
+        lhs = _generate(model, 0.3, x, alpha * g1 + beta * g2, alpha * h1 + beta * h2)
+        rhs = (alpha * _generate(model, 0.3, x, g1, h1)
+               + beta * _generate(model, 0.3, x, g2, h2))
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
 
@@ -194,13 +192,20 @@ class TestModelSurgery:
 
 
 def test_generator_batch_matches_pointwise(heston):
+    # oracle: (1/2) x_d^+ sum_ij a_ij H_ij + sum_i b_i g_i, row by row in plain
+    # Python from the model's own a and b; x_d takes both signs and 0
     gen = np.random.default_rng(0)
-    x = np.abs(gen.standard_normal((16, 2)))
+    x = gen.standard_normal((16, 2))
+    x[0, 1] = 0.0
     grads = gen.standard_normal((16, 2))
     hesss = gen.standard_normal((16, 2, 2))
     hesss = hesss + np.swapaxes(hesss, 1, 2)
     batch = generator_apply_batch(heston, 0.4, x, grads, hesss)
+    assert (x[:, 1] < 0).any() and (x[:, 1] > 0).any()
     for i in range(16):
-        single = m.apply_generator(heston, (grads[i], hesss[i]),
-                                   m.SpaceTimePoint(0.4, tuple(x[i])))
-        assert batch[i] == pytest.approx(single, rel=1e-12)
+        a = heston.a(0.4, x[i:i + 1])[0]
+        b = heston.b(0.4, x[i:i + 1])[0]
+        second = sum(a[j, k] * hesss[i, j, k] for j in range(2) for k in range(2))
+        first = sum(b[j] * grads[i, j] for j in range(2))
+        expected = 0.5 * max(x[i, 1], 0.0) * second + first
+        assert batch[i] == pytest.approx(expected, rel=1e-12, abs=1e-14)

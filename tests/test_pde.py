@@ -262,34 +262,6 @@ def test_killing_on_grid(heston, heston_killing):
     assert killing_on_grid(late, grid, times) == (True, None)
 
 
-class TestAprioriProbe:
-    def test_scaling_invariance_and_stability(self, heston):
-        bump = m.radial_bump([0.0, 0.1], 0.4)
-        g1 = lambda x: bump.jet(0.0, x)[0]
-        g2 = lambda x: 2.0 * bump.jet(0.0, x)[0]
-        pair1 = (None, g1, lambda x: bump.jet(0.0, x)[1], lambda x: bump.xd_hess(0.0, x))
-        pair2 = (None, g2, lambda x: 2.0 * bump.jet(0.0, x)[1],
-                 lambda x: 2.0 * bump.xd_hess(0.0, x))
-        grids = [small_grid(n=17, dt=1 / 32), small_grid(n=33, dt=1 / 64)]
-        rep = m.apriori_estimate_probe(heston, [pair1, pair2], grids, 0.25,
-                                       pair_budget=512, seed=3)
-        ratios = [e["ratio"] for e in rep.entries if e["ratio"] is not None]
-        assert len(ratios) == 4
-        # doubling the data scales solution and data norms identically
-        r_by_grid = {}
-        for e in rep.entries:
-            r_by_grid.setdefault(e["grid"], []).append(e["ratio"])
-        for rs in r_by_grid.values():
-            assert rs[0] == pytest.approx(rs[1], rel=1e-9)
-        assert rep.stable_within_2x, rep.to_json()
-
-    def test_zero_data_skipped(self, heston):
-        zero = lambda x: np.zeros(x.shape[0])
-        rep = m.apriori_estimate_probe(heston, [(None, zero)], [small_grid(n=17, dt=1 / 32)],
-                                       0.25, pair_budget=256, seed=3)
-        assert rep.entries[0]["ratio"] is None
-
-
 class TestBlockMarch:
     @pytest.mark.parametrize("store", ["all", "ends"])
     @pytest.mark.parametrize("scheme", SCHEMES)

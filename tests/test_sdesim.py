@@ -166,40 +166,6 @@ class TestDiagnostics:
         rep = m.support_check(ens)
         assert rep.violations >= 1
 
-    def test_moment_zero_model_exact(self):
-        model = zero_model()
-        startpt = m.SpaceTimePoint(0.0, (3.0, 4.0))  # |x| = 5
-        grid = m.TimeGrid(0.0, 0.5, 0.125)
-        ens = m.simulate_sde(model, startpt, grid, 20, 1)
-        rep = m.moment_bound_check(ens, 1)
-        assert rep.moment == pytest.approx(25.0)
-        assert rep.ratio == pytest.approx(25.0 / 26.0)
-
-    def test_moment_requires_positive_order(self, small_ensemble):
-        with pytest.raises(ValueError):
-            m.moment_bound_check(small_ensemble, 0)
-
-    def test_moment_growth_sweep_bounded(self, heston):
-        # variance-coordinate sweep: the normalized moments stay bounded
-        grid = m.TimeGrid(0.0, 0.5, 2.0**-6)
-        starts = [(0.0, 0.04), (0.0, 0.16), (0.0, 0.64)]
-        out = m.moment_growth_sweep(heston, starts, grid, 2000, 17, m=1)
-        assert all(np.isfinite(r) for r in out["ratios"])
-        assert out["max_ratio"] <= 3.0
-
-    def test_moment_growth_horizon_raises_constant_not_exponent(self, heston):
-        # starts in the large-|x| regime so the fitted exponent reflects the
-        # asymptotic growth: the moment bound is linear in 1 + |x|^{2m}, so
-        # the exponent stays ~<= 1 while a longer horizon only inflates the
-        # constant
-        starts = [(2.0, 0.16), (4.0, 0.3), (8.0, 0.64)]
-        short = m.moment_growth_sweep(heston, starts, m.TimeGrid(0.0, 0.5, 2.0**-6), 2000, 17)
-        long = m.moment_growth_sweep(heston, starts, m.TimeGrid(0.0, 1.0, 2.0**-6), 2000, 17)
-        assert short["growth_exponent"] <= 1.1
-        assert long["growth_exponent"] <= 1.1
-        assert long["constant"] > short["constant"]
-        assert abs(long["growth_exponent"] - short["growth_exponent"]) < 0.25
-
 
 class TestCsvExport:
     def test_header_and_rows(self, heston, start):
