@@ -23,16 +23,17 @@ def announce(num: int, name: str, passed: bool, detail: str) -> None:
     assert passed, f"criterion {num} failed: {detail}"
 
 
-def cir_cdf(t: float, x0: float = START[1]):
+def cir_cdf(t: float):
     """CDF of Heston's variance coordinate at time t: the exact CIR marginal.
 
-    With c = 2 kappa / (zeta^2 (1 - e^{-kappa t})), 2c X_t is noncentral
-    chi-squared with df = 4 kappa theta / zeta^2 and nc = 2c x0 e^{-kappa t}
-    (Cox, Ingersoll & Ross 1985).
+    With c = 2 kappa / (zeta^2 (1 - e^{-kappa t})) and x0 = START[1], 2c X_t is
+    noncentral chi-squared with df = 4 kappa theta / zeta^2 and
+    nc = 2c x0 e^{-kappa t} (Cox, Ingersoll & Ross 1985).
     """
     kappa, theta, zeta = HESTON["kappa"], HESTON["theta"], HESTON["zeta"]
     c = 2.0 * kappa / (zeta**2 * (1.0 - np.exp(-kappa * t)))
-    law = sp_stats.ncx2(df=4.0 * kappa * theta / zeta**2, nc=2.0 * c * x0 * np.exp(-kappa * t))
+    law = sp_stats.ncx2(df=4.0 * kappa * theta / zeta**2,
+                        nc=2.0 * c * START[1] * np.exp(-kappa * t))
     return lambda x: law.cdf(2.0 * c * np.asarray(x))
 
 
