@@ -241,8 +241,15 @@ def _run_pde(cfg, out, seed, model, check_model):
         for x, u in zip(nodes, sol.values[-1].ravel()):
             fh.write(",".join(map(repr, [0.0, *map(float, x), float(u)])) + "\n")
     ok = const_err <= 1e-8
+    # where the march left the paper's class (b_d < 0 on the boundary layer)
+    # and what that did to each column's range; reported, not gated
     return ok, {"constant_data_error": const_err, "killing": has_killing,
-                "scheme": scheme}
+                "scheme": scheme, "downwind_rows": sol.meta["downwind_rows"],
+                "min_boundary_bd": sol.meta["min_boundary_bd"],
+                "layer_min": {"constant": float(sol_const.layer_min.min()),
+                              "payoff": float(sol.layer_min.min())},
+                "layer_max": {"constant": float(sol_const.layer_max.max()),
+                              "payoff": float(sol.layer_max.max())}}
 
 
 def _run_duality(cfg, out, seed, model, check_model):

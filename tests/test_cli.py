@@ -104,6 +104,20 @@ class TestCheckKinds:
         assert report["constant_data_error"] < 1e-8
         assert (tmp_path / "out" / "solution.csv").exists()
 
+    def test_pde_rerun_byte_identical_modulo_manifest(self, tmp_path):
+        cfg = base_sim_config(tmp_path, kind="pde")
+        cfg["pde"] = {"dt": 1.0 / 16, "x_prime_extent": 1.5, "x_max": 0.5,
+                      "counts": [9, 9], "horizon": 0.25}
+        out = tmp_path / "out"
+        assert cli.run(cfg) == 0
+        first = {name: (out / name).read_bytes() for name in ("solution.csv", "report.json")}
+        report = json.loads(first["report.json"])
+        for key in ("downwind_rows", "min_boundary_bd", "layer_min", "layer_max"):
+            assert key in report
+        assert cli.run(cfg) == 0
+        for name, data in first.items():
+            assert (out / name).read_bytes() == data, name
+
     @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
     def test_pde_kind_killing_at_coarse_dt(self, tmp_path, scheme):
         # constant data with a constant killing rate c: the march is compared

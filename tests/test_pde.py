@@ -1,13 +1,15 @@
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import linalg as sp_linalg
 
 import mimicsde as m
+from mimicsde import pde
 from mimicsde.pde import (
     SCHEMES,
     _assemble_operator,
+    _dissection_order,
     _march,
     _Stencil,
     killing_on_grid,
@@ -53,8 +55,7 @@ class TestStencilStructure:
         # below x_d = 0 exists to be read, which is the whole point
         grid = small_grid(n=9)
         st = _Stencil(grid)
-        p = _assemble_operator(heston, 0.0, st).tocsr()
-        nd = grid.shape[-1]
+        p = _assemble_operator(heston, 0.0, st)[0][st.rank][:, st.rank].tocsr()  # grid order
         xd_index = st.index[-1]
         for row in st.blayer:
             cols = p.indices[p.indptr[row]: p.indptr[row + 1]]
@@ -63,10 +64,55 @@ class TestStencilStructure:
     def test_outer_rows_zero_in_operator(self, heston):
         grid = small_grid(n=9)
         st = _Stencil(grid)
-        p = _assemble_operator(heston, 0.0, st).tocsr()
+        p = _assemble_operator(heston, 0.0, st)[0][st.rank][:, st.rank].tocsr()  # grid order
         outer_rows = np.where(st.outer)[0]
         for row in outer_rows:
             assert p.indptr[row] == p.indptr[row + 1]
+
+
+class TestDissectionOrder:
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 9), (9, 9), (65, 65), (81, 97), (9, 9, 9)])
+    def test_is_permutation(self, shape):
+        order = _dissection_order(shape)
+        assert np.array_equal(np.sort(order), np.arange(np.prod(shape)))
+
+    def test_fill_below_default_order(self, heston, monkeypatch):
+        # capture the march's (matrix, factor) through the module attribute
+        captured = []
+        splu = sp_linalg.splu
+        monkeypatch.setattr(sp_linalg, "splu",
+                            lambda a, **k: captured.append((a, splu(a, **k))) or captured[-1][1])
+        grid = m.Grid.build(dt=1 / 128, x_prime_extent=1.5, x_max=0.5, counts=[65, 65])
+        m.solve_cauchy(heston, None, ones, grid, grid.dt, store="ends")
+        monkeypatch.undo()
+        ((a_mat, lu),) = captured
+        rank = _Stencil(grid).rank
+        default = sp_linalg.splu(a_mat[rank][:, rank].tocsc())  # grid order, COLAMD
+        assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
+
+    @pytest.mark.parametrize("model_name", ["heston", "gridded_model"])
+    def test_step_matches_grid_order_solve(self, request, model_name, monkeypatch):
+        # the reference assembles in plain grid numbering (identity order)
+        # and solves with spsolve; the march relabels u, f, the outer rows
+        # and the stored layers through its own order
+        model = request.getfixturevalue(model_name)
+        grid = m.Grid.build(dt=2.0**-5, x_prime_extent=1.0, x_max=0.5, counts=(17, 17))
+        x = grid.nodes()
+        block = np.column_stack([np.exp(-x[:, 0] ** 2) * (1.0 + x[:, 1]), x[:, 0] - x[:, 1] ** 2])
+        f = lambda t, x: t * np.sin(x[:, 0]) * (1.0 + x[:, 1])
+
+        monkeypatch.setattr(pde, "_dissection_order", lambda shape: np.arange(np.prod(shape)))
+        st = _Stencil(grid)
+        monkeypatch.undo()
+        p_grid = _assemble_operator(model, grid.dt, st)[0]
+        a_grid = (st.nonouter_diag - grid.dt * p_grid + st.outer_matrix).tocsc()
+        rhs = block - grid.dt * f(grid.dt, x)[:, None]
+        rhs[st.outer] = 0.0
+        ref = sp_linalg.spsolve(a_grid, rhs)
+
+        sols = _march(model, f, block, grid, grid.dt, "implicit_euler", "all")
+        got = np.column_stack([sol.values[1].ravel() for sol in sols])
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestExactness:

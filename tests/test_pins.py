@@ -84,7 +84,7 @@ HESTON_PINS = {
 HESTON_CSV_PIN = "9a61af0c56dd7a8efcad0792e2383c8818fefcaec03f392828972a4f38aab166"
 DRIVER_CSV_PIN = "9fa334c79a1297e14df3d1b421b8a53bd3dbdf8ae5b36ff7f607e925d3caee6b"
 GRIDDED_PIN = "677476567d53689a7bf84c065cfb814e21e3e9c1d25aeee85048b909106dfad6"
-GRIDDED_PDE_PIN = "d6c2ebcf585d87226842cf1d0548eea1d8d5c9529d445bef8af6f5fc9457bff6"
+GRIDDED_PDE_PIN = "fc7bdcf7f57bbefcc2fa60a8e5675779d1cf84cb6999de1c7d6ed6f5d0e4e5c8"
 # states digest + the first 16 hex digits of the report's JSON digest
 RESTART_PINS = {
     "full_truncation":
@@ -424,14 +424,14 @@ CLI_PINS = {
     "pde": {
         "status": 0,
         "report.json":
-            "8b1109da337858a3516b8d4d304504abee4585caaa68fbff0e5d57c01e8ff8d3",
+            "5f01858b0e3f9a2a5b62d4b8549d50e8d54df53e06b211108625bbbdc60e9ecd",
         "solution.csv":
-            "fb7afa3c0c6fdeec9fbfc6cb5e1245578e63245a8c5e88505dc1a702df2fba34",
+            "8142dfbaefb9ccb00bb9de8c629cade979f32a0976fbb97c352eababa0c24c61",
     },
     "duality": {
         "status": 0,
         "report.json":
-            "149a433898522ac9c45a917484877b8428d149f0133f5609740ed1ad23c920a7",
+            "8c94ad99ad31bcb54e29963e3031548cf5cc71d0e7163e56f7ff3f5d27ca1f4d",
     },
     "restart": {
         "status": 0,
@@ -455,7 +455,7 @@ CLI_PINS = {
     "duality+drift": {
         "status": 1,
         "report.json":
-            "fa236d6e177d045ab8923450f4f31776fafb242e7eb93a16ecc6da42c846b9a5",
+            "91e0bfe611a2a10005d011476df1c0fb9179fc81e080dc3d4b436836dffb5dd6",
     },
 }
 
@@ -486,9 +486,9 @@ def test_cli_kind_pinned(tmp_path, kind):
 GRIDDED_CLI_PDE_PIN = {
     "status": 0,
     "report.json":
-        "5c22ae42195fc39b9c182a770da3be5894f42a949fc1713c4b48fd61558fba21",
+        "2f9a022af84eb51b9e2c76c3a041f2f0bad55532fca8f912c37888edbc535376",
     "solution.csv":
-        "b406f37b3110980269a05d2646e42b374706fa2bb152d4ee957e243ab5c96f0d",
+        "6e489ef9ce3774517e2c45709b2f1f187291db91d950a77bae2c9d208ba399af",
 }
 
 

@@ -8,8 +8,6 @@ from scipy import stats as sp_stats
 import mimicsde as m
 from mimicsde.projection import _ks_statistic, _w1
 
-from conftest import constant_model
-
 
 def heston_driver_ensemble(heston, n=8000, h=2.0**-6, stride=4, seed=21):
     grid = m.TimeGrid(0.0, 1.0, h)

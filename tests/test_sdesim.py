@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import mimicsde as m
 from mimicsde import sdesim
 
-from conftest import constant_model, kinked_model, zero_model
+from conftest import kinked_model, zero_model
 
 
 class TestTimeGrid:
