@@ -14,7 +14,7 @@ point and time grid and simulate a model over it; ``_projection_stage``
 estimates, builds, saves and validates the mimicking model; ``_coordinates``
 and ``_DEFAULT_PAYOFF`` are the shared test statistics and terminal payoff.
 The ``pde`` kind is one march: its constant-data check and terminal-value solve
-are two columns of one time-reversed march that factors each step once.
+are two columns of one time-reversed march that assembles each step's stages once.
 
 Seeds are mandatory — there are no entropy defaults — so re-running a config
 reproduces byte-identical CSV artifacts (the manifest timestamp aside).  The
@@ -242,14 +242,16 @@ def _run_pde(cfg, out, seed, model, check_model):
             fh.write(",".join(map(repr, [0.0, *map(float, x), float(u)])) + "\n")
     ok = const_err <= 1e-8
     # where the march left the paper's class (b_d < 0 on the boundary layer)
-    # and what that did to each column's range; reported, not gated
+    # and what that did to each column's range, over all nodes and over the
+    # non-outer nodes the extrapolation closure does not reach; reported, not gated
+    cols = {"constant": sol_const, "payoff": sol}
     return ok, {"constant_data_error": const_err, "killing": has_killing,
                 "scheme": scheme, "downwind_rows": sol.meta["downwind_rows"],
                 "min_boundary_bd": sol.meta["min_boundary_bd"],
-                "layer_min": {"constant": float(sol_const.layer_min.min()),
-                              "payoff": float(sol.layer_min.min())},
-                "layer_max": {"constant": float(sol_const.layer_max.max()),
-                              "payoff": float(sol.layer_max.max())}}
+                "layer_min": {k: float(s.layer_min.min()) for k, s in cols.items()},
+                "layer_max": {k: float(s.layer_max.max()) for k, s in cols.items()},
+                "inner_min": {k: s.meta["inner_min"] for k, s in cols.items()},
+                "inner_max": {k: s.meta["inner_max"] for k, s in cols.items()}}
 
 
 def _run_duality(cfg, out, seed, model, check_model):

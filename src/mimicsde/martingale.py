@@ -208,10 +208,12 @@ def _compensated(ens: PathEnsemble, model: CoefficientModel, vs: Sequence[TestFu
                  cols: np.ndarray) -> np.ndarray:
     """M^v of every v in ``vs`` at the stored nodes ``cols``: shape (len(vs), n, len(cols)).
 
-    One pass over the stored nodes.  Node k's states are copied once into a
-    contiguous block; a and b are evaluated on it once for all functions, and
-    each function's jet there closes M^v at node k and drives step k's
-    left-endpoint compensator.  Only the requested columns are kept.
+    One pass over the stored nodes.  Node k's states are copied into one
+    contiguous block reused at every node; a and b are evaluated on it once
+    for all functions, and each function's jet there closes M^v at node k and
+    drives step k's left-endpoint compensator.  Only the requested columns
+    are kept; the node-0 values are copied, since a jet may return a view of
+    the block.
     """
     if any(v.time_dependent for v in vs):
         raise ValueError("martingale increments are defined for spatial test functions")
@@ -224,15 +226,16 @@ def _compensated(ens: PathEnsemble, model: CoefficientModel, vs: Sequence[TestFu
     out = np.empty((len(vs), n, len(slot)))
     v0 = [None] * len(vs)
     comp = np.zeros((len(vs), n))
+    x = np.empty((n, ens.states.shape[2]), dtype=ens.states.dtype)
     for k in range(m1):
         t = nodes[k]
-        x = np.ascontiguousarray(ens.states[:, k, :])
+        np.copyto(x, ens.states[:, k, :])
         if k < m1 - 1:
             av, bv, xd = model.a(t, x), model.b(t, x), np.maximum(x[:, -1], 0.0)
         for i, v in enumerate(vs):
             val, g, hs = (np.asarray(a, dtype=float) for a in v.jet(t, x))
             if k == 0:
-                v0[i] = val
+                v0[i] = val.copy()
             if k in slot:
                 out[i, :, slot[k]] = 0.0 if k == 0 else val - v0[i] - comp[i]
             if k < m1 - 1:

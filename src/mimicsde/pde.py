@@ -15,16 +15,26 @@ structural, not imposed.
 
 Interior stencils: centered 3-point second differences (nonuniform-ready),
 drift terms upwinded on the sign of b (which keeps I - dt*P an M-matrix in the
-absence of cross terms), mixed derivatives by composed centered first
-differences (a 9-point cross block).  The outer artificial boundaries close
+absence of cross terms), mixed derivatives by a sign-split 7-point cross
+stencil of one-sided corner terms.  The outer artificial boundaries close
 with a vanishing second normal difference (linear extrapolation), which keeps
 affine solutions exact.
 
-Every step solves its linear system exactly, by one sparse LU (SuperLU).  The
-unknowns are numbered once per grid in a nested-dissection order of the nodes
-(George 1973, "Nested dissection of a regular finite element mesh"), in which
-the LU of the stencil matrix fills far less than in SuperLU's default COLAMD
-order; the order changes only the rounding of the solve, not the scheme.
+Time stepping splits P into line operators (locally one-dimensional Lie
+splitting): one stage per axis and one per lattice diagonal e_i +- e_j that a
+cross term uses.  A node's cross stencil is a 3-point second difference
+along e_i + e_j (coefficient >= 0) or e_i - e_j (< 0) minus its corner
+weights on the two axis stencils (Bonnans, Ottenwaelter & Zidani 2004), so
+each off-diagonal entry of P lands in exactly one stage and the stages sum to
+P.  Stage row sums are zero but for c, which sits with the source in stage 0,
+so each I - theta*dt*P_k is an M-matrix wherever P's row is one, the step (a
+product of their inverses) is monotone, and constants and affine data stay
+exact.  Odd steps run the stages in reverse, so step pairs compose
+symmetrically.  A stage is one tridiagonal solve over all of its lines,
+concatenated with no coupling between them; an outer node closes inside the
+axis stage along which it extrapolates and is an identity row in the others,
+and after every stage an explicit pass re-imposes all closures, so no stage
+reads a stale outer value.
 """
 
 from __future__ import annotations
@@ -34,8 +44,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as sp_linalg
+from scipy.linalg import solve_banded
 
 from .coeffs import CoefficientModel, LatticeInterpolator
 from .geometry import SpaceTimePoint
@@ -119,57 +128,37 @@ def _diff_weights(ax: np.ndarray) -> dict[str, np.ndarray]:
     hm[1:] = np.diff(ax)
     w2m = np.zeros(n)
     w2p = np.zeros(n)
-    c1m = np.zeros(n)
-    c10 = np.zeros(n)
-    c1p = np.zeros(n)
     inner = slice(1, n - 1)
     hpi, hmi = hp[inner], hm[inner]
     w2m[inner] = 2.0 / (hmi * (hmi + hpi))
     w2p[inner] = 2.0 / (hpi * (hmi + hpi))
-    c1m[inner] = -hpi / (hmi * (hmi + hpi))
-    c1p[inner] = hmi / (hpi * (hmi + hpi))
-    c10[inner] = (hpi - hmi) / (hpi * hmi)
-    return {"hp": hp, "hm": hm, "w2m": w2m, "w20": -(w2m + w2p), "w2p": w2p,
-            "c1m": c1m, "c10": c10, "c1p": c1p}
+    return {"hp": hp, "hm": hm, "w2m": w2m, "w20": -(w2m + w2p), "w2p": w2p}
 
 
-_ND_LEAF = 16  # boxes of at most this many nodes keep their natural order
+class _Lines:
+    """The lattice lines of one direction, concatenated into one numbering.
 
-
-def _dissection_order(shape: Sequence[int]) -> np.ndarray:
-    """Grid (C-order) node indices in nested-dissection elimination order.
-
-    The index box is bisected on its longest axis by a one-node-thick
-    separator hyperplane, ordered after both halves; each half is dissected
-    the same way down to boxes of at most ``_ND_LEAF`` nodes, which are
-    ordered naturally.  The operator's stencil reaches one node along each
-    axis, so it couples neither half to the other, and eliminating one half
-    fills no entry of the other (only the outer closure rows reach two nodes).
+    ``order[p]`` is the grid node at position p: consecutive positions on a
+    line are neighbours along ``direction`` and no entry couples one line to
+    the next.  ``closures`` are the outer-node closures that run along this
+    direction, as (positions, step, e1, e2): row p reads
+    u_p + e1 u_{p+step} + e2 u_{p+2 step} = 0.
     """
-    parts = []
 
-    def dissect(box: np.ndarray) -> None:
-        if box.size <= _ND_LEAF:
-            parts.append(box.ravel())
-            return
-        j = int(np.argmax(box.shape))
-        mid = box.shape[j] // 2
-        lo, sep, hi = np.split(box, [mid, mid + 1], axis=j)
-        dissect(lo)
-        dissect(hi)
-        parts.append(sep.ravel())
-
-    dissect(np.arange(int(np.prod(shape))).reshape(shape))
-    return np.concatenate(parts)
+    def __init__(self, index: np.ndarray, direction: np.ndarray):
+        lead = int(np.flatnonzero(direction)[0])
+        # each line is named by where it crosses index 0 of its lead axis
+        base = index - np.outer(direction, index[lead])
+        self.order = np.lexsort((index[lead], *base[::-1]))
+        self.rank = np.empty_like(self.order)
+        self.rank[self.order] = np.arange(self.order.size)
+        self.closures: list[tuple] = []
 
 
 class _Stencil:
-    """Geometry-only assembly data shared across time steps.
-
-    Node attributes (``index``, ``outer``, ``blayer``, ``full``) use grid
-    numbering.  The linear systems use solver numbering: grid node g is
-    unknown ``rank[g]``, and unknown p is grid node ``order[p]``.
-    """
+    """Geometry-only assembly data shared across time steps, in grid
+    (C-order) numbering: the node classes, the outer closures in the order
+    the closure pass applies them, and the lines of every stage direction."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
@@ -182,9 +171,10 @@ class _Stencil:
             [int(np.prod(shape[j + 1:], dtype=np.int64)) for j in range(d)], dtype=np.int64)
         self.index = np.stack(np.unravel_index(np.arange(nn), shape))  # (d, nn)
         self.weights = [_diff_weights(ax) for ax in grid.axes]
-        self.order = _dissection_order(shape)
-        self.rank = np.empty(nn, dtype=np.int64)
-        self.rank[self.order] = np.arange(nn)
+        unit = np.eye(d, dtype=np.int64)
+        self.axes = [_Lines(self.index, unit[j]) for j in range(d)]
+        self.diagonals = {(i, j, sign): _Lines(self.index, unit[i] + sign * unit[j])
+                          for i in range(d) for j in range(i + 1, d) for sign in (1, -1)}
 
         outer = np.zeros(nn, dtype=bool)
         for j in range(d - 1):
@@ -194,80 +184,55 @@ class _Stencil:
         self.outer = outer
         self.blayer = np.where(blayer)[0]
         self.full = np.where(~outer & ~blayer)[0]
-        self.solver_outer = outer[self.order]
 
-        # extrapolation rows: vanishing second normal difference along the
-        # first outward axis, with nonuniform weights so affine data stay exact
-        rows, cols, vals = [], [], []
-        out_idx = np.where(outer)[0]
-        remaining = out_idx
+        # extrapolation closures: vanishing second normal difference along the
+        # first outward axis, with nonuniform weights so affine data stay
+        # exact, as (rows, offset, e1, e2): u_r + e1 u_{r+offset} + e2 u_{r+2 offset} = 0
+        self.closures: list[tuple] = []
+        remaining = np.where(outer)[0]
         for j in range(d):
-            if remaining.size == 0:
-                break
             ij = self.index[j][remaining]
             w = self.weights[j]
-            at_lo = ij == 0
-            if j < d - 1:
-                sel = remaining[at_lo]
-                if sel.size:
-                    s = self.strides[j]
-                    rows += [sel, sel, sel]
-                    cols += [sel, sel + s, sel + 2 * s]
-                    vals += [np.full(sel.size, w["w2m"][1]),
-                             np.full(sel.size, w["w20"][1]),
-                             np.full(sel.size, w["w2p"][1])]
-            at_hi = ij == shape[j] - 1
-            sel = remaining[at_hi]
-            if sel.size:
-                s = self.strides[j]
-                n_j = shape[j]
-                rows += [sel, sel, sel]
-                cols += [sel, sel - s, sel - 2 * s]
-                vals += [np.full(sel.size, w["w2p"][n_j - 2]),
-                         np.full(sel.size, w["w20"][n_j - 2]),
-                         np.full(sel.size, w["w2m"][n_j - 2])]
-            handled = at_lo | at_hi if j < d - 1 else at_hi
-            remaining = remaining[~handled]
+            n_j = shape[j]
+            at_lo = (ij == 0) if j < d - 1 else np.zeros(ij.size, dtype=bool)
+            at_hi = ij == n_j - 1
+            for sel, step, k, own, far in ((at_lo, 1, 1, "w2m", "w2p"),
+                                           (at_hi, -1, n_j - 2, "w2p", "w2m")):
+                rows = remaining[sel]
+                if rows.size:
+                    e1, e2 = w["w20"][k] / w[own][k], w[far][k] / w[own][k]
+                    self.closures.append((rows, step * self.strides[j], e1, e2))
+                    self.axes[j].closures.append((self.axes[j].rank[rows], step, e1, e2))
+            remaining = remaining[~(at_lo | at_hi)]
         if remaining.size:
             raise AssertionError("unclosed outer nodes in stencil construction")
-        self.outer_matrix = sparse.coo_matrix(
-            (np.concatenate(vals),
-             (self.rank[np.concatenate(rows)], self.rank[np.concatenate(cols)])),
-            shape=(nn, nn)).tocsr()
-        self.nonouter_diag = sparse.diags((~self.solver_outer).astype(float))
+        # a closure reads only nodes that close along a later axis, or none:
+        # the closure pass runs the x_d top edge first and axis 0 last
+        self.closures.reverse()
 
 
-def _assemble_operator(model: CoefficientModel, t: float,
-                       st: _Stencil) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Spatial operator P at time t in solver numbering, and b_d on the
-    boundary-layer rows (``st.blayer``); rows at outer nodes of P are
-    identically zero."""
+def _assemble_stages(model: CoefficientModel, t: float,
+                     st: _Stencil) -> tuple[list[tuple[_Lines, np.ndarray]], np.ndarray]:
+    """The spatial operator P at time t as a sum of line operators, and b_d
+    on the boundary-layer rows (``st.blayer``).
+
+    Each stage is (lines, bands): ``bands[:, p]`` holds P_k's weights on the
+    previous node of the line, the node itself and the next node, at
+    position p of ``lines.order``.  The axis stages come first, stage 0 with
+    c; then one stage per diagonal that a cross term uses.  Rows at outer
+    nodes are zero in every stage.
+    """
     d = st.grid.d
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    def emit(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
+    axis = np.zeros((d, 3, st.nn))  # grid numbering; neighbours at -e_j, 0, +e_j
+    diagonal = {}
 
     def upwind(sel: np.ndarray, bj: np.ndarray, j: int):
         ij = st.index[j][sel]
-        w = st.weights[j]
-        s = st.strides[j]
-        pos = bj > 0
-        if np.any(pos):
-            r = sel[pos]
-            hp = w["hp"][ij[pos]]
-            emit(r, r, -bj[pos] / hp)
-            emit(r, r + s, bj[pos] / hp)
-        neg = bj < 0
-        if np.any(neg):
-            r = sel[neg]
-            hm = w["hm"][ij[neg]]
-            emit(r, r, bj[neg] / hm)
-            emit(r, r - s, -bj[neg] / hm)
+        fwd = np.maximum(bj, 0.0) / st.weights[j]["hp"][ij]
+        bwd = np.maximum(-bj, 0.0) / st.weights[j]["hm"][ij]
+        axis[j, 0, sel] += bwd
+        axis[j, 1, sel] -= fwd + bwd
+        axis[j, 2, sel] += fwd
 
     # full-stencil nodes
     F = st.full
@@ -277,70 +242,86 @@ def _assemble_operator(model: CoefficientModel, t: float,
         bv = np.asarray(model.b(t, xf), dtype=float)
         cv = np.asarray(model.c(t, xf), dtype=float)
         xd = xf[:, -1]
-        emit(F, F, cv)
+        axis[0, 1, F] += cv
         for j in range(d):
             ij = st.index[j][F]
             w = st.weights[j]
-            s = st.strides[j]
             coef2 = 0.5 * xd * av[:, j, j]
-            emit(F, F - s, coef2 * w["w2m"][ij])
-            emit(F, F, coef2 * w["w20"][ij])
-            emit(F, F + s, coef2 * w["w2p"][ij])
+            axis[j, 0, F] += coef2 * w["w2m"][ij]
+            axis[j, 1, F] += coef2 * w["w20"][ij]
+            axis[j, 2, F] += coef2 * w["w2p"][ij]
             upwind(F, bv[:, j], j)
-        # mixed derivatives: sign-dependent 7-point cross stencil built from
-        # one-sided corner operators (exact on quadratics); choosing the
-        # corner pair by the sign of the coefficient keeps every off-diagonal
-        # entry nonnegative whenever the axis terms dominate the cross term
+        # mixed derivatives: the sign-split 7-point cross stencil is the
+        # one-sided corner pair (+e_i + s e_j, -e_i - s e_j) with s the sign of
+        # the coefficient, i.e. a 3-point second difference along e_i + s e_j
+        # minus its corner weights on the axis stencils of e_i and e_j
         for i in range(d):
             for j in range(i + 1, d):
                 coefm = xd * av[:, i, j]
-                if not np.any(coefm):
-                    continue
-                ii = st.index[i][F]
-                jj = st.index[j][F]
-                wi = st.weights[i]
-                wj = st.weights[j]
-                si = st.strides[i]
-                sj = st.strides[j]
-                hip, him = wi["hp"][ii], wi["hm"][ii]
-                hjp, hjm = wj["hp"][jj], wj["hm"][jj]
-                for sign, sj_dir in ((coefm >= 0, 1), (coefm < 0, -1)):
-                    sel = np.where(sign & (coefm != 0))[0]
+                ii, jj = st.index[i][F], st.index[j][F]
+                wi, wj = st.weights[i], st.weights[j]
+                for sign in (1, -1):
+                    sel = np.flatnonzero(sign * coefm > 0)
                     if sel.size == 0:
                         continue
                     r = F[sel]
                     cval = np.abs(coefm[sel])
-                    hj1 = hjp[sel] if sj_dir == 1 else hjm[sel]
-                    hj2 = hjm[sel] if sj_dir == 1 else hjp[sel]
-                    w1 = 0.5 / (hip[sel] * hj1)  # corner (+e_i, sj_dir*e_j)
-                    w2 = 0.5 / (him[sel] * hj2)  # corner (-e_i, -sj_dir*e_j)
-                    emit(r, r + si + sj_dir * sj, cval * w1)
-                    emit(r, r - si - sj_dir * sj, cval * w2)
-                    emit(r, r + si, -cval * w1)
-                    emit(r, r + sj_dir * sj, -cval * w1)
-                    emit(r, r - si, -cval * w2)
-                    emit(r, r - sj_dir * sj, -cval * w2)
-                    emit(r, r, cval * (w1 + w2))
+                    hj_fwd, hj_bwd = (wj["hp"], wj["hm"]) if sign == 1 else (wj["hm"], wj["hp"])
+                    bands = np.zeros((3, st.nn))
+                    bands[0, r] = cval * (0.5 / (wi["hm"][ii[sel]] * hj_bwd[jj[sel]]))
+                    bands[2, r] = cval * (0.5 / (wi["hp"][ii[sel]] * hj_fwd[jj[sel]]))
+                    bands[1, r] = -(bands[0, r] + bands[2, r])
+                    diagonal[(i, j, sign)] = bands
+                    axis[i] -= bands
+                    axis[j] -= bands if sign == 1 else bands[::-1]
 
     # degenerate boundary layer: first-order transport, one-sided inward in x_d
     # (never empty, since every axis has at least 3 nodes)
     B = st.blayer
     xb = st.nodes[B]
     bv = np.asarray(model.b(t, xb), dtype=float)
-    cv = np.asarray(model.c(t, xb), dtype=float)
-    emit(B, B, cv)
-    s = st.strides[d - 1]
-    hp0 = st.weights[d - 1]["hp"][0]
-    bd = bv[:, -1]
-    emit(B, B, -bd / hp0)
-    emit(B, B + s, bd / hp0)
+    axis[0, 1, B] += np.asarray(model.c(t, xb), dtype=float)
     for j in range(d - 1):
         upwind(B, bv[:, j], j)
+    bd = bv[:, -1]
+    hp0 = st.weights[d - 1]["hp"][0]
+    axis[d - 1, 1, B] -= bd / hp0
+    axis[d - 1, 2, B] += bd / hp0
 
-    p_mat = sparse.coo_matrix(
-        (np.concatenate(vals), (st.rank[np.concatenate(rows)], st.rank[np.concatenate(cols)])),
-        shape=(st.nn, st.nn)).tocsr()
-    return p_mat, bd
+    stages = [(lines, axis[j][:, lines.order]) for j, lines in enumerate(st.axes)]
+    for key, bands in diagonal.items():
+        lines = st.diagonals[key]
+        stages.append((lines, bands[:, lines.order]))
+    return stages, bd
+
+
+def _stage_matrix(lines: _Lines, bands: np.ndarray, h: float) -> np.ndarray:
+    """I - h P_k in ``solve_banded``'s tridiagonal layout.
+
+    Each closure row that ``lines`` owns, u_p = -(e1 u_q + e2 u_{q+step}) with
+    q = p + step, is substituted into row q, the only row that reads u_p, and
+    row p becomes an identity row whose value the closure pass after the
+    stage replaces; this is the stage's closure system, solved at bandwidth 1.
+    """
+    ab = np.zeros((3, bands.shape[1]))
+    ab[1] = 1.0 - h * bands[1]
+    ab[0, 1:] = -h * bands[2, :-1]
+    ab[2, :-1] = -h * bands[0, 1:]
+    for pos, step, e1, e2 in lines.closures:
+        q = pos + step
+        weight = ab[1 + step, pos]  # row q's entry on u_p
+        ab[1, q] -= weight * e1
+        ab[1 - step, q + step] -= weight * e2
+        ab[1 + step, pos] = 0.0
+    return ab
+
+
+def _apply(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """P_k v for an (N, k) block v in the stage's line order."""
+    pv = bands[1, :, None] * v
+    pv[1:] += bands[0, 1:, None] * v[:-1]
+    pv[:-1] += bands[2, :-1, None] * v[1:]
+    return pv
 
 
 @dataclass
@@ -353,7 +334,9 @@ class PdeSolution:
     records in ``meta`` where it left the paper's class b_d > 0 on x_d = 0:
     ``downwind_rows``, the most boundary-layer rows with b_d < 0 that any
     step assembled, and ``min_boundary_bd``, the least boundary-layer b_d
-    over all assembled steps (None when no step was taken).
+    over all assembled steps (None when no step was taken).  ``inner_min``
+    and ``inner_max`` are the extrema over every computed layer at the
+    non-outer nodes, which the outer extrapolation closure does not reach.
     """
 
     grid: Grid
@@ -377,12 +360,13 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
            horizon: float, scheme: str, store: str) -> list[PdeSolution]:
     """March an (N, k) block of initial layers; one PdeSolution per column.
 
-    Each step assembles and factors its matrix once (a time-independent model
-    once in all) and solves all k columns in one ``SuperLU.solve``; the solve
-    is exact, with no iteration.  The matrix is assembled directly in the
-    stencil's nested-dissection numbering and factored in that order
-    (``permc_spec="NATURAL"``), so the state ``u``, the source and the outer-row
-    mask live in solver order; layers are stored back in grid order.  Every
+    Each step assembles its line stages once (a time-independent model once
+    in all) and applies them in turn, odd steps in reverse order so that step
+    pairs compose symmetrically, each as one theta-step
+    u <- (I - theta dt P_k)^{-1} (I + (1 - theta) dt P_k) u with the source in
+    stage 0, solved exactly by one tridiagonal LU over all lines and all k
+    columns.  After each stage an explicit pass re-imposes the outer
+    closures, x_d top edge first, then the x' edges and corners.  Every
     operation, the extrema ``u.min(axis=0)`` included, acts column by column,
     so column j has the bits of a march of column j alone.
     """
@@ -391,6 +375,8 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
     n_steps = int(round(horizon / grid.dt))
     if abs(n_steps * grid.dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError("horizon must be an integer number of time steps")
+    if any(ax.size < 4 for ax in grid.axes[:-1]):
+        raise ValueError("the outer closures need at least 4 nodes on each x' axis")
     st = _Stencil(grid)
     theta = THETA[scheme]
 
@@ -407,36 +393,42 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
     stored_times = [0.0]
     layer_min = [u0.min(axis=0)]
     layer_max = [u0.max(axis=0)]
+    inner = ~st.outer
+    inner_min, inner_max = u0[inner].min(axis=0), u0[inner].max(axis=0)
 
-    u = u0[st.order]
-    lu = None
-    p_mat = None
+    u = np.array(u0, dtype=float)
+    stages = None
     downwind_rows, boundary_bd_min = [], []
     for n in range(n_steps):
         t_next = (n + 1) * grid.dt
         t_eval = t_next if theta == 1.0 else (n + 0.5) * grid.dt
-        if p_mat is None or not model.time_independent:
-            p_mat, bd = _assemble_operator(model, t_eval, st)
+        if stages is None or not model.time_independent:
+            parts, bd = _assemble_stages(model, t_eval, st)
             downwind_rows.append(int(np.count_nonzero(bd < 0)))
             boundary_bd_min.append(float(bd.min()))
-            a_mat = (st.nonouter_diag - (theta * grid.dt) * p_mat + st.outer_matrix).tocsc()
-            lu = None
-        rhs = u.copy()
-        if theta != 1.0:
-            rhs += (1.0 - theta) * grid.dt * (p_mat @ u)
-        if f is not None:
-            rhs -= grid.dt * np.asarray(f(t_eval, st.nodes), dtype=float)[st.order, None]
-        rhs[st.solver_outer] = 0.0
-        try:
-            if lu is None:
-                lu = sp_linalg.splu(a_mat, permc_spec="NATURAL")
-            u = lu.solve(rhs)
-        except RuntimeError as exc:
-            raise RuntimeError(f"linear-system solve failure at step {n}: {exc}") from exc
+            stages = [(lines, bands, _stage_matrix(lines, bands, theta * grid.dt))
+                      for lines, bands in parts]
+        for lines, bands, ab in stages if n % 2 == 0 else stages[::-1]:
+            rhs = u[lines.order]
+            if theta != 1.0:
+                rhs += (1.0 - theta) * grid.dt * _apply(bands, rhs)
+            if f is not None and lines is st.axes[0]:
+                src = np.asarray(f(t_eval, st.nodes), dtype=float)
+                rhs -= grid.dt * np.where(st.outer, 0.0, src)[lines.order, None]
+            try:
+                u[lines.order] = solve_banded((1, 1), ab, rhs, overwrite_b=True,
+                                              check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(f"linear-system solve failure at step {n}: {exc}") from exc
+            for rows, offset, e1, e2 in st.closures:
+                u[rows] = -(e1 * u[rows + offset] + e2 * u[rows + 2 * offset])
         layer_min.append(u.min(axis=0))
         layer_max.append(u.max(axis=0))
+        u_inner = u[inner]
+        inner_min = np.minimum(inner_min, u_inner.min(axis=0))
+        inner_max = np.maximum(inner_max, u_inner.max(axis=0))
         if store_all or n == n_steps - 1:
-            stored.append(u[st.rank].T)
+            stored.append(u.T.copy())
             stored_times.append(t_next)
 
     values, lo, hi = (np.stack(a, axis=1) for a in (stored, layer_min, layer_max))
@@ -444,7 +436,8 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
             "min_boundary_bd": min(boundary_bd_min, default=None)}
     return [PdeSolution(
         grid=grid, times=np.asarray(stored_times), values=values[j].reshape((-1, *grid.shape)),
-        layer_min=lo[j], layer_max=hi[j], scheme=scheme, meta=dict(meta),
+        layer_min=lo[j], layer_max=hi[j], scheme=scheme,
+        meta=dict(meta, inner_min=float(inner_min[j]), inner_max=float(inner_max[j])),
     ) for j in range(u0.shape[1])]
 
 

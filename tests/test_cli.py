@@ -118,6 +118,21 @@ class TestCheckKinds:
         for name, data in first.items():
             assert (out / name).read_bytes() == data, name
 
+    def test_pde_kind_reports_inner_extrema(self, tmp_path):
+        # in the paper's class (no downwind rows) the payoff's undershoot sits
+        # at the outer nodes, where the extrapolation closure is not monotone;
+        # the non-outer extrema leave it out
+        cfg = base_sim_config(tmp_path, kind="pde")
+        cfg["pde"] = {"dt": 1.0 / 16, "x_prime_extent": 1.5, "x_max": 0.5,
+                      "counts": [9, 9], "horizon": 0.25}
+        assert cli.run(cfg) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["downwind_rows"] == 0
+        for col in ("constant", "payoff"):
+            assert report["layer_min"][col] <= report["inner_min"][col]
+            assert report["inner_max"][col] <= report["layer_max"][col]
+        assert report["layer_min"]["payoff"] < report["inner_min"]["payoff"]
+
     @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
     def test_pde_kind_killing_at_coarse_dt(self, tmp_path, scheme):
         # constant data with a constant killing rate c: the march is compared

@@ -2,14 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.sparse import linalg as sp_linalg
 
 import mimicsde as m
-from mimicsde import pde
 from mimicsde.pde import (
     SCHEMES,
-    _assemble_operator,
-    _dissection_order,
+    _assemble_stages,
+    _Lines,
     _march,
     _Stencil,
     killing_on_grid,
@@ -42,6 +40,12 @@ class TestGrid:
         assert ax[0] == 0.0 and ax[-1] == 1.0
         assert np.diff(ax)[0] < np.diff(ax)[-1]
 
+    def test_march_rejects_three_node_x_prime_axis(self):
+        # the two edge closures of a 3-node axis read each other: singular
+        grid = m.Grid.build(dt=1 / 16, x_prime_extent=1.0, x_max=0.5, counts=[3, 9])
+        with pytest.raises(ValueError, match="at least 4 nodes"):
+            m.solve_cauchy(constant_model([0.0, 0.1]), None, ones, grid, 0.25)
+
     def test_coarsen(self):
         g = small_grid(n=33)
         c = g.coarsen()
@@ -49,70 +53,123 @@ class TestGrid:
         assert np.array_equal(c.axes[0], g.axes[0][::2])
 
 
+def dense_stage(st, lines, bands, h):
+    """I - h P_k with the closure rows ``lines`` owns, as a dense matrix in grid numbering."""
+    order = lines.order
+    mat = np.eye(st.nn)
+    for band, shift in ((0, -1), (1, 0), (2, 1)):
+        p = np.flatnonzero(bands[band])
+        mat[order[p], order[p + shift]] -= h * bands[band][p]
+    for pos, step, e1, e2 in lines.closures:
+        mat[order[pos], order[pos + step]] = e1
+        mat[order[pos], order[pos + 2 * step]] = e2
+    return mat
+
+
+def line_neighbours(lines, bands, pos):
+    """Grid nodes that the stage rows at line positions ``pos`` read."""
+    prev = pos[bands[0][pos] != 0]
+    nxt = pos[bands[2][pos] != 0]
+    return np.concatenate([lines.order[prev - 1], lines.order[nxt + 1]])
+
+
 class TestStencilStructure:
     def test_no_dependence_below_boundary(self, heston):
-        # the boundary-layer rows only reference x_d layers 0 and 1: nothing
-        # below x_d = 0 exists to be read, which is the whole point
+        # every stage row of a boundary-layer node only references x_d layers
+        # 0 and 1: nothing below x_d = 0 exists to be read, which is the whole point
         grid = small_grid(n=9)
         st = _Stencil(grid)
-        p = _assemble_operator(heston, 0.0, st)[0][st.rank][:, st.rank].tocsr()  # grid order
-        xd_index = st.index[-1]
-        for row in st.blayer:
-            cols = p.indices[p.indptr[row]: p.indptr[row + 1]]
-            assert set(xd_index[cols]).issubset({0, 1})
+        stages, _ = _assemble_stages(heston, 0.0, st)
+        assert len(stages) == 3  # x', x_d and Heston's e_1 - e_2 diagonal
+        for lines, bands in stages:
+            read = line_neighbours(lines, bands, lines.rank[st.blayer])
+            assert set(st.index[-1][read]).issubset({0, 1})
 
     def test_outer_rows_zero_in_operator(self, heston):
         grid = small_grid(n=9)
         st = _Stencil(grid)
-        p = _assemble_operator(heston, 0.0, st)[0][st.rank][:, st.rank].tocsr()  # grid order
-        outer_rows = np.where(st.outer)[0]
-        for row in outer_rows:
-            assert p.indptr[row] == p.indptr[row + 1]
+        for lines, bands in _assemble_stages(heston, 0.0, st)[0]:
+            assert not np.any(bands[:, lines.rank[st.outer]])
+
+    def test_stage_matrices_have_nonpositive_off_diagonals(self, heston):
+        # P's Heston rows are M-matrix rows on this grid, and each stage keeps
+        # P's off-diagonal entries, so every I - dt P_k is an M-matrix there
+        grid = small_grid(n=33)
+        st = _Stencil(grid)
+        rows = np.flatnonzero(~st.outer)
+        for lines, bands in _assemble_stages(heston, grid.dt, st)[0]:
+            mat = dense_stage(st, lines, bands, grid.dt)[rows]
+            diag = mat[np.arange(rows.size), rows].copy()
+            mat[np.arange(rows.size), rows] = 0.0
+            assert mat.max() <= 0.0
+            # diagonally dominant: row sums stay 1 with c = 0
+            assert np.all(diag + mat.sum(axis=1) >= 1.0 - 1e-12)
 
 
-class TestDissectionOrder:
-    @pytest.mark.parametrize("shape", [(3, 3), (5, 9), (9, 9), (65, 65), (81, 97), (9, 9, 9)])
-    def test_is_permutation(self, shape):
-        order = _dissection_order(shape)
-        assert np.array_equal(np.sort(order), np.arange(np.prod(shape)))
+@pytest.mark.parametrize("shape", [(3, 3), (5, 9), (9, 9), (65, 65), (81, 97), (9, 9, 9)])
+def test_line_order_is_permutation(shape):
+    # each direction's order visits every node once, and consecutive
+    # positions either step once along the direction or start a new line
+    grid = m.Grid(dt=0.1, axes=tuple(np.arange(n) / (n - 1) for n in shape))
+    st = _Stencil(grid)
+    unit = np.eye(len(shape), dtype=int)
+    directions = [*unit, *(unit[i] + sign * unit[j] for i, j, sign in st.diagonals)]
+    for direction in directions:
+        lines = _Lines(st.index, direction)
+        assert np.array_equal(np.sort(lines.order), np.arange(st.nn))
+        idx = st.index[:, lines.order]
+        step = np.diff(idx, axis=1)
+        along = np.all(step == direction[:, None], axis=0)
+        starts = np.concatenate([[0], np.flatnonzero(~along) + 1])
+        # one run of steps per lattice line: as many runs as lines
+        lead = int(np.flatnonzero(direction)[0])
+        base = idx - np.outer(direction, idx[lead])
+        assert np.unique(base, axis=1).shape[1] == starts.size
 
-    def test_fill_below_default_order(self, heston, monkeypatch):
-        # capture the march's (matrix, factor) through the module attribute
-        captured = []
-        splu = sp_linalg.splu
-        monkeypatch.setattr(sp_linalg, "splu",
-                            lambda a, **k: captured.append((a, splu(a, **k))) or captured[-1][1])
-        grid = m.Grid.build(dt=1 / 128, x_prime_extent=1.5, x_max=0.5, counts=[65, 65])
-        m.solve_cauchy(heston, None, ones, grid, grid.dt, store="ends")
-        monkeypatch.undo()
-        ((a_mat, lu),) = captured
-        rank = _Stencil(grid).rank
-        default = sp_linalg.splu(a_mat[rank][:, rank].tocsc())  # grid order, COLAMD
-        assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
 
+class TestStageSplit:
     @pytest.mark.parametrize("model_name", ["heston", "gridded_model"])
-    def test_step_matches_grid_order_solve(self, request, model_name, monkeypatch):
-        # the reference assembles in plain grid numbering (identity order)
-        # and solves with spsolve; the march relabels u, f, the outer rows
-        # and the stored layers through its own order
+    def test_steps_match_dense_stage_solves(self, request, model_name):
+        # an implicit step is the product of the stage solves, each a dense
+        # solve in grid numbering followed by the explicit closure pass; the
+        # second step runs the stages in reverse order
         model = request.getfixturevalue(model_name)
         grid = m.Grid.build(dt=2.0**-5, x_prime_extent=1.0, x_max=0.5, counts=(17, 17))
         x = grid.nodes()
         block = np.column_stack([np.exp(-x[:, 0] ** 2) * (1.0 + x[:, 1]), x[:, 0] - x[:, 1] ** 2])
         f = lambda t, x: t * np.sin(x[:, 0]) * (1.0 + x[:, 1])
 
-        monkeypatch.setattr(pde, "_dissection_order", lambda shape: np.arange(np.prod(shape)))
         st = _Stencil(grid)
-        monkeypatch.undo()
-        p_grid = _assemble_operator(model, grid.dt, st)[0]
-        a_grid = (st.nonouter_diag - grid.dt * p_grid + st.outer_matrix).tocsc()
-        rhs = block - grid.dt * f(grid.dt, x)[:, None]
-        rhs[st.outer] = 0.0
-        ref = sp_linalg.spsolve(a_grid, rhs)
+        ref = block.copy()
+        refs = []
+        for n in range(2):
+            t = (n + 1) * grid.dt
+            stages = _assemble_stages(model, t, st)[0]
+            for lines, bands in stages if n == 0 else stages[::-1]:
+                rhs = ref.copy()
+                if lines is st.axes[0]:
+                    rhs[~st.outer] -= grid.dt * f(t, x)[~st.outer, None]
+                for pos, *_ in lines.closures:
+                    rhs[lines.order[pos]] = 0.0
+                ref = np.linalg.solve(dense_stage(st, lines, bands, grid.dt), rhs)
+                for rows, offset, e1, e2 in st.closures:
+                    ref[rows] = -(e1 * ref[rows + offset] + e2 * ref[rows + 2 * offset])
+            refs.append(ref)
 
-        sols = _march(model, f, block, grid, grid.dt, "implicit_euler", "all")
-        got = np.column_stack([sol.values[1].ravel() for sol in sols])
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        sols = _march(model, f, block, grid, 2 * grid.dt, "implicit_euler", "all")
+        for n, ref in enumerate(refs):
+            got = np.column_stack([sol.values[n + 1].ravel() for sol in sols])
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_inner_extrema_exclude_outer_nodes(self, heston):
+        grid = small_grid(n=9)
+        g = lambda x: np.exp(-np.sum(x**2, axis=1))
+        sol = m.solve_cauchy(heston, None, g, grid, 0.25, store="all")
+        inner = ~_Stencil(grid).outer
+        layers = sol.values.reshape(len(sol.times), -1)[:, inner]
+        assert sol.meta["inner_min"] == layers.min()
+        assert sol.meta["inner_max"] == layers.max()
+        assert sol.layer_min.min() <= sol.meta["inner_min"]
 
 
 class TestExactness:

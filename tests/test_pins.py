@@ -14,10 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import linalg as sp_linalg
 
 import mimicsde as m
-from mimicsde import cli, rng
+from mimicsde import cli, pde, rng
 from mimicsde.martingale import constant_probe, left_coordinate_probe
 
 
@@ -84,7 +83,7 @@ HESTON_PINS = {
 HESTON_CSV_PIN = "9a61af0c56dd7a8efcad0792e2383c8818fefcaec03f392828972a4f38aab166"
 DRIVER_CSV_PIN = "9fa334c79a1297e14df3d1b421b8a53bd3dbdf8ae5b36ff7f607e925d3caee6b"
 GRIDDED_PIN = "677476567d53689a7bf84c065cfb814e21e3e9c1d25aeee85048b909106dfad6"
-GRIDDED_PDE_PIN = "fc7bdcf7f57bbefcc2fa60a8e5675779d1cf84cb6999de1c7d6ed6f5d0e4e5c8"
+GRIDDED_PDE_PIN = "4de66d187fc4b1787025a4f82202e2b080fc985a2787a29a9abd9ac0a1db9d78"
 # states digest + the first 16 hex digits of the report's JSON digest
 RESTART_PINS = {
     "full_truncation":
@@ -195,6 +194,30 @@ def test_gridded_pde_pinned(gridded_model):
     pts = np.array([[0.0, 0.09], [0.3, 0.0], [-1.2, 0.7], [0.95, 0.2]])
     assert _digest(sol.values, sol.layer_min, sol.layer_max,
                    sol.interpolate(0.3, pts)) == GRIDDED_PDE_PIN
+
+
+# w^T (P v) for the spatial operator P at t = dt on a 17^2 grid, with seeded
+# standard normal w and v in grid order (w, v = rng(seed).standard_normal((2, N))),
+# computed from the assembled sparse P before the march was split into line
+# stages: the stages must still sum to that P
+OPERATOR_PINS = {
+    ("heston", 0): -508.8539842889448,
+    ("heston", 1): -1200.041003847805,
+    ("gridded_model", 0): -266.58265818140796,
+    ("gridded_model", 1): -360.9346198532071,
+}
+
+
+@pytest.mark.parametrize("case", OPERATOR_PINS, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_stage_sum_reproduces_operator(request, case):
+    model_name, seed = case
+    grid = m.Grid.build(dt=2.0**-5, x_prime_extent=1.0, x_max=0.5, counts=(17, 17))
+    st = pde._Stencil(grid)
+    w, v = np.random.default_rng(seed).standard_normal((2, grid.n_nodes))
+    pv = np.zeros(grid.n_nodes)
+    for lines, bands in pde._assemble_stages(request.getfixturevalue(model_name), grid.dt, st)[0]:
+        pv[lines.order] += pde._apply(bands, v[lines.order, None])[:, 0]
+    assert abs(w @ pv - OPERATOR_PINS[case]) <= 1e-13 * abs(OPERATOR_PINS[case])
 
 
 def _json_digest(obj) -> str:
@@ -424,14 +447,14 @@ CLI_PINS = {
     "pde": {
         "status": 0,
         "report.json":
-            "5f01858b0e3f9a2a5b62d4b8549d50e8d54df53e06b211108625bbbdc60e9ecd",
+            "5bc89a98282e53699dc5354052e53d32d558dda9ea6939e884730491c2386ead",
         "solution.csv":
-            "8142dfbaefb9ccb00bb9de8c629cade979f32a0976fbb97c352eababa0c24c61",
+            "1e54011187559890e07763a13ba432bf49769c48f24962b1311afd9ab5f8c789",
     },
     "duality": {
         "status": 0,
         "report.json":
-            "8c94ad99ad31bcb54e29963e3031548cf5cc71d0e7163e56f7ff3f5d27ca1f4d",
+            "da90208bf98ee759ba06105a201cba63284b387fe7da17d3ced73519e8ca2a02",
     },
     "restart": {
         "status": 0,
@@ -455,7 +478,7 @@ CLI_PINS = {
     "duality+drift": {
         "status": 1,
         "report.json":
-            "91e0bfe611a2a10005d011476df1c0fb9179fc81e080dc3d4b436836dffb5dd6",
+            "3275de99e5a127b2aed2eab7a13aaeca33aff6b087bc37a34889b9e8a59c2a36",
     },
 }
 
@@ -482,13 +505,13 @@ def test_cli_kind_pinned(tmp_path, kind):
 
 
 # the pde kind on the time-dependent model that the pinned project config
-# builds, where every march step assembles and factors its own matrix
+# builds, where every march step assembles its own stages
 GRIDDED_CLI_PDE_PIN = {
     "status": 0,
     "report.json":
-        "2f9a022af84eb51b9e2c76c3a041f2f0bad55532fca8f912c37888edbc535376",
+        "2d093bdb59eb67891fdfdd06fb5d6da9ade6fc51c9c46b3d6a4e10fa0253f8de",
     "solution.csv":
-        "6e489ef9ce3774517e2c45709b2f1f187291db91d950a77bae2c9d208ba399af",
+        "1b236be046d92e120edb8b0d90c948a350d8d50be3b2cd4a2c7b6a6173500d19",
 }
 
 
@@ -512,12 +535,13 @@ def test_cli_pde_gridded_pinned(tmp_path, project_csv):
 
 
 @pytest.mark.parametrize("model", ["heston", "gridded"])
-def test_cli_pde_factorizations(tmp_path, project_csv, monkeypatch, model):
-    # both solves share one march: Heston is time-independent and factors
-    # once; the gridded model factors once per step, not once per step per solve
+def test_cli_pde_stage_assemblies(tmp_path, project_csv, monkeypatch, model):
+    # both solves share one march: Heston is time-independent and assembles
+    # its stages once; the gridded model once per step, not once per step per solve
     calls = []
-    splu = sp_linalg.splu
-    monkeypatch.setattr(sp_linalg, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    assemble = pde._assemble_stages
+    monkeypatch.setattr(pde, "_assemble_stages",
+                        lambda *a, **k: calls.append(1) or assemble(*a, **k))
     cfg = (_gridded_pde_config(tmp_path, project_csv) if model == "gridded"
            else _cli_config("pde", tmp_path))
     assert cli.run(cfg) == 0
