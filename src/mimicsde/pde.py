@@ -30,8 +30,9 @@ P.  Stage row sums are zero but for c, which sits with the source in stage 0,
 so each I - theta*dt*P_k is an M-matrix wherever P's row is one, the step (a
 product of their inverses) is monotone, and constants and affine data stay
 exact.  Odd steps run the stages in reverse, so step pairs compose
-symmetrically.  A stage is one tridiagonal solve over all of its lines,
-concatenated with no coupling between them; an outer node closes inside the
+symmetrically.  A stage is one tridiagonal system over all of its lines,
+concatenated with no coupling between them, factored (LAPACK gttrf) once per
+assembly and solved (gttrs) once per step; an outer node closes inside the
 axis stage along which it extrapolates and is an identity row in the others,
 and after every stage an explicit pass re-imposes all closures, so no stage
 reads a stale outer value.
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from .coeffs import CoefficientModel, LatticeInterpolator
 from .geometry import SpaceTimePoint
@@ -295,8 +296,8 @@ def _assemble_stages(model: CoefficientModel, t: float,
     return stages, bd
 
 
-def _stage_matrix(lines: _Lines, bands: np.ndarray, h: float) -> np.ndarray:
-    """I - h P_k in ``solve_banded``'s tridiagonal layout.
+def _stage_lu(lines: _Lines, bands: np.ndarray, h: float, n: int) -> list:
+    """LAPACK gttrf's LU factors of I - h P_k, for gttrs; n is the step.
 
     Each closure row that ``lines`` owns, u_p = -(e1 u_q + e2 u_{q+step}) with
     q = p + step, is substituted into row q, the only row that reads u_p, and
@@ -313,7 +314,10 @@ def _stage_matrix(lines: _Lines, bands: np.ndarray, h: float) -> np.ndarray:
         ab[1, q] -= weight * e1
         ab[1 - step, q + step] -= weight * e2
         ab[1 + step, pos] = 0.0
-    return ab
+    *lu, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    if info > 0:
+        raise RuntimeError(f"linear-system solve failure at step {n}: singular stage matrix")
+    return lu
 
 
 def _apply(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -360,12 +364,12 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
            horizon: float, scheme: str, store: str) -> list[PdeSolution]:
     """March an (N, k) block of initial layers; one PdeSolution per column.
 
-    Each step assembles its line stages once (a time-independent model once
-    in all) and applies them in turn, odd steps in reverse order so that step
-    pairs compose symmetrically, each as one theta-step
+    Each step assembles and factors its line stages once (a time-independent
+    model once in all) and applies them in turn, odd steps in reverse order so
+    that step pairs compose symmetrically, each as one theta-step
     u <- (I - theta dt P_k)^{-1} (I + (1 - theta) dt P_k) u with the source in
-    stage 0, solved exactly by one tridiagonal LU over all lines and all k
-    columns.  After each stage an explicit pass re-imposes the outer
+    stage 0, solved exactly with the stage's tridiagonal LU over all lines
+    and all k columns.  After each stage an explicit pass re-imposes the outer
     closures, x_d top edge first, then the x' edges and corners.  Every
     operation, the extrema ``u.min(axis=0)`` included, acts column by column,
     so column j has the bits of a march of column j alone.
@@ -406,20 +410,16 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
             parts, bd = _assemble_stages(model, t_eval, st)
             downwind_rows.append(int(np.count_nonzero(bd < 0)))
             boundary_bd_min.append(float(bd.min()))
-            stages = [(lines, bands, _stage_matrix(lines, bands, theta * grid.dt))
+            stages = [(lines, bands, _stage_lu(lines, bands, theta * grid.dt, n))
                       for lines, bands in parts]
-        for lines, bands, ab in stages if n % 2 == 0 else stages[::-1]:
+        for lines, bands, lu in stages if n % 2 == 0 else stages[::-1]:
             rhs = u[lines.order]
             if theta != 1.0:
                 rhs += (1.0 - theta) * grid.dt * _apply(bands, rhs)
             if f is not None and lines is st.axes[0]:
                 src = np.asarray(f(t_eval, st.nodes), dtype=float)
                 rhs -= grid.dt * np.where(st.outer, 0.0, src)[lines.order, None]
-            try:
-                u[lines.order] = solve_banded((1, 1), ab, rhs, overwrite_b=True,
-                                              check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise RuntimeError(f"linear-system solve failure at step {n}: {exc}") from exc
+            u[lines.order] = lapack.dgttrs(*lu, rhs, overwrite_b=True)[0]
             for rows, offset, e1, e2 in st.closures:
                 u[rows] = -(e1 * u[rows + offset] + e2 * u[rows + 2 * offset])
         layer_min.append(u.min(axis=0))

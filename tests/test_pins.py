@@ -535,18 +535,21 @@ def test_cli_pde_gridded_pinned(tmp_path, project_csv):
 
 
 @pytest.mark.parametrize("model", ["heston", "gridded"])
-def test_cli_pde_stage_assemblies(tmp_path, project_csv, monkeypatch, model):
+def test_cli_pde_factorizations(tmp_path, project_csv, monkeypatch, model):
     # both solves share one march: Heston is time-independent and assembles
-    # its stages once; the gridded model once per step, not once per step per solve
-    calls = []
-    assemble = pde._assemble_stages
+    # and factors its stages once; the gridded model once per step, not once
+    # per step per solve
+    assembled, factored = [], []
+    assemble, factor = pde._assemble_stages, pde.lapack.dgttrf
     monkeypatch.setattr(pde, "_assemble_stages",
-                        lambda *a, **k: calls.append(1) or assemble(*a, **k))
+                        lambda *a, **k: assembled.append(r := assemble(*a, **k)) or r)
+    monkeypatch.setattr(pde.lapack, "dgttrf", lambda *a, **k: factored.append(1) or factor(*a, **k))
     cfg = (_gridded_pde_config(tmp_path, project_csv) if model == "gridded"
            else _cli_config("pde", tmp_path))
     assert cli.run(cfg) == 0
     n_steps = round(cfg["pde"]["horizon"] / cfg["pde"]["dt"])
-    assert len(calls) == (n_steps if model == "gridded" else 1)
+    assert len(assembled) == (n_steps if model == "gridded" else 1)
+    assert len(factored) == sum(len(stages) for stages, _ in assembled)
 
 
 def test_cli_martingale_evaluates_model_once_per_node(tmp_path, monkeypatch):
