@@ -196,6 +196,41 @@ def test_gridded_pde_pinned(gridded_model):
                    sol.interpolate(0.3, pts)) == GRIDDED_PDE_PIN
 
 
+# duality reports on a 33^2 grid over T = 0.25 from (0, 0.09), 4000 paths at
+# h = 2^-7, seed 11: the bump payoff scored at the start and at a start
+# shifted by (0, 0.05), and g = 1 under Heston's constant killing rate
+DUALITY_PINS = {
+    "heston-bump": {
+        "pde_value": 0.8943831174608872, "mc_mean": 0.8968084232390218,
+        "mc_se": 0.002446605837932078, "grid_error": 0.002275350556751765,
+        "gap": 0.002425305778134601, "tolerance": 0.011890518627299763,
+        "interpolated": True, "passed": True},
+    "heston-bump-shifted": {
+        "pde_value": 0.827119414739122, "mc_mean": 0.8968084232390218,
+        "mc_se": 0.002446605837932078, "grid_error": 0.0020775805044702667,
+        "gap": 0.06968900849989978, "tolerance": 0.011494978522736767,
+        "interpolated": True, "passed": False},
+    "killing-ones": {
+        "pde_value": 0.995013256384575, "mc_mean": 0.9950124791926824,
+        "mc_se": 1.7556362025312897e-18, "grid_error": 7.768688289333525e-07,
+        "gap": 7.771918926202659e-07, "tolerance": 1.5537376578719719e-06,
+        "interpolated": True, "passed": True},
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUALITY_PINS))
+def test_duality_pinned(heston, heston_killing, case):
+    bump = m.radial_bump([0.0, 0.04], 0.5)
+    g = (lambda x: np.ones(x.shape[0])) if case == "killing-ones" else (
+        lambda x: bump.jet(0.0, x)[0])
+    model = heston_killing if case == "killing-ones" else heston
+    shift = [0.0, 0.05] if case == "heston-bump-shifted" else None
+    grid = m.Grid.build(dt=1 / 64, x_prime_extent=1.5, x_max=0.5, counts=[33, 33])
+    rep = m.duality_check(model, g, [0.0, 0.09], 0.25, grid, mc_paths=4000,
+                          mc_step=2.0**-7, mc_seed=11, pde_eval_shift=shift)
+    assert rep.to_json() == DUALITY_PINS[case]
+
+
 # w^T (P v) for the spatial operator P at t = dt on a 17^2 grid, with seeded
 # standard normal w and v in grid order (w, v = rng(seed).standard_normal((2, N))),
 # computed from the assembled sparse P before the march was split into line
