@@ -52,9 +52,11 @@ from .pde import (
     DualityReport,
     Grid,
     PdeSolution,
+    TwoGridValue,
     duality_check,
     solve_cauchy,
     solve_terminal_value,
+    solve_two_grid,
 )
 from .projection import (
     BinningSpec,
@@ -71,6 +73,7 @@ from .sdesim import (
     ItoDriver,
     PathEnsemble,
     TimeGrid,
+    discounted_mean,
     ensemble_to_csv,
     model_driver,
     regime_switching_driver,

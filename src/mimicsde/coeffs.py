@@ -20,7 +20,7 @@ Evaluators are vectorized: they accept t as a scalar or (n,) array and x as an
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,7 +64,7 @@ class RegularityBudget:
             raise ValueError("alpha must lie in (0, 1)")
 
     def to_json(self) -> dict:
-        return {"delta": self.delta, "K": self.K, "nu": self.nu, "alpha": self.alpha}
+        return asdict(self)
 
 
 @dataclass
@@ -346,15 +346,7 @@ class ConditionCheck:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "observed": self.observed,
-            "bound": self.bound,
-            "kind": self.kind,
-            "witness": self.witness,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

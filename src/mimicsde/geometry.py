@@ -20,7 +20,7 @@ in the pair budget, and safe to evaluate concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -115,13 +115,7 @@ class HolderEstimate:
         return self.pairs == 0
 
     def to_json(self) -> dict:
-        return {
-            "seminorm": self.seminorm,
-            "sup_norm": self.sup_norm,
-            "pairs": self.pairs,
-            "metric": self.metric,
-            "alpha": self.alpha,
-        }
+        return asdict(self)
 
 
 def cycloidal_distance_arrays(

@@ -25,7 +25,7 @@ consumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -275,9 +275,7 @@ class MartingaleTestEntry:
     status: str  # pass | inconclusive | fail | excluded
 
     def to_json(self) -> dict:
-        return {"probe": self.probe, "t_lo": self.t_lo, "t_hi": self.t_hi,
-                "mean": self.mean, "se": self.se, "z": self.z,
-                "n_test": self.n_test, "status": self.status}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -382,8 +380,7 @@ class ItoResidualReport:
     max_abs_residual: float
 
     def to_json(self) -> dict:
-        return {"step": self.step, "mean_abs_residual": self.mean_abs_residual,
-                "rms_residual": self.rms_residual, "max_abs_residual": self.max_abs_residual}
+        return asdict(self)
 
 
 def ito_formula_residual(ens: PathEnsemble, model: CoefficientModel, v: TestFunction) -> ItoResidualReport:
@@ -466,8 +463,7 @@ class RestartBinEntry:
     passed: bool
 
     def to_json(self) -> dict:
-        return {"g": self.g, "bin_lo": self.bin_lo, "bin_hi": self.bin_hi,
-                "count": self.count, "ks": self.ks, "passed": self.passed}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -41,15 +41,14 @@ reads a stale outer value.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .coeffs import CoefficientModel, LatticeInterpolator
-from .geometry import SpaceTimePoint
-from .sdesim import TimeGrid, simulate_sde
+from .sdesim import discounted_mean
 
 THETA = {"implicit_euler": 1.0, "crank_nicolson": 0.5}  # scheme -> implicit weight
 SCHEMES = tuple(THETA)
@@ -503,11 +502,10 @@ def killing_on_grid(model: CoefficientModel, grid: Grid,
     its common value.
 
     The rate is returned when c takes one value on every node at every one
-    of ``times`` (constant in space and time), else None.  Deciding from the
-    whole grid at every time a caller steps through, not from one point at
-    t = 0, keeps a c that happens to vanish at the start point or at t = 0
-    from silently dropping the discount.  The check is a sample: a c that is
-    nonzero only off the grid nodes or between the given times goes unseen.
+    of ``times`` (constant in space and time), else None.  The ``pde`` kind's
+    constant-data check needs that rate at every node and march time, which is
+    all this samples: a c that is nonzero only off the grid nodes or between
+    the given times goes unseen.
     """
     nodes = grid.nodes()
     cv = np.stack([np.asarray(model.c(float(t), nodes), dtype=float) for t in times])
@@ -530,68 +528,54 @@ class DualityReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {"pde_value": self.pde_value, "mc_mean": self.mc_mean,
-                "mc_se": self.mc_se, "grid_error": self.grid_error,
-                "gap": self.gap, "tolerance": self.tolerance,
-                "interpolated": self.interpolated, "passed": self.passed}
+        return asdict(self)
 
 
-def duality_check(
-    model: CoefficientModel,
-    g: Callable,
-    x: Sequence[float],
-    horizon: float,
-    grid: Grid,
-    mc_paths: int = 10_000,
-    mc_step: float = 2.0**-9,
-    mc_seed: int = 0,
-    mc_scheme: str = "full_truncation",
-    scheme: str = "implicit_euler",
-    pde_eval_shift: Sequence[float] | None = None,
-    mc_model: CoefficientModel | None = None,
-) -> DualityReport:
+@dataclass(frozen=True)
+class TwoGridValue:
+    """The PDE side of the duality check: the terminal-value solution at
+    t = 0 on a grid and on its coarsening, read at any point without solving
+    again."""
+
+    fine: PdeSolution
+    coarse: PdeSolution
+
+    def report(self, x: Sequence[float], mc_mean: float, mc_se: float) -> DualityReport:
+        """Score a Monte Carlo mean and standard error against v(0, x).
+
+        The tolerance is 3 standard errors plus twice the two-grid difference
+        at x: for a first-order scheme that difference matches the fine-grid
+        error exactly, so it gets the standard factor-2 headroom.
+        """
+        x = np.asarray(x, dtype=float)
+        pde_value = self.fine.value_at(0.0, x)
+        grid_error = abs(pde_value - self.coarse.value_at(0.0, x))
+        on_node = all(np.any(np.isclose(ax, x[j], atol=1e-12))
+                      for j, ax in enumerate(self.fine.grid.axes))
+        gap = abs(pde_value - mc_mean)
+        tol = 3.0 * mc_se + 2.0 * grid_error
+        return DualityReport(pde_value=pde_value, mc_mean=mc_mean, mc_se=mc_se,
+                             grid_error=grid_error, gap=gap, tolerance=tol,
+                             interpolated=not on_node, passed=bool(gap <= tol))
+
+
+def solve_two_grid(model: CoefficientModel, g: Callable, horizon: float, grid: Grid,
+                   scheme: str = "implicit_euler") -> TwoGridValue:
+    """Terminal-value solutions with v(horizon, .) = g on ``grid`` and on
+    ``grid.coarsen()``, each stored at its two ends."""
+    return TwoGridValue(*(solve_terminal_value(model, g, horizon, gr, scheme=scheme, store="ends")
+                          for gr in (grid, grid.coarsen())))
+
+
+def duality_check(model: CoefficientModel, g: Callable, x: Sequence[float], horizon: float,
+                  grid: Grid, mc_paths: int = 10_000, mc_step: float = 2.0**-9, mc_seed: int = 0,
+                  mc_scheme: str = "full_truncation", scheme: str = "implicit_euler") -> DualityReport:
     """Check E[exp(int c) g(X(T))] against the terminal-value solution at (0, x).
 
-    The tolerance is 3 Monte Carlo standard errors plus a two-grid Richardson
-    estimate of the discretization error against ``grid.coarsen()`` (with
-    factor-2 headroom, since the plain grid difference matches the fine-grid
-    error exactly for a first-order scheme).  ``pde_eval_shift`` moves only the PDE evaluation point and
-    exists for the wrong-start negative control; ``mc_model`` lets the
-    simulation side run a different model than the solver side (the broken-
-    generator control corrupts only the solver's model).  Whether the Monte
-    Carlo side accumulates the discount is decided from the simulated model's
-    c on every node of ``grid`` at every Monte Carlo time node
-    (:func:`killing_on_grid`).
+    The composition of the two sides: :func:`discounted_mean` simulates the
+    expectation and :func:`solve_two_grid` scores it at x.  A negative
+    control composes them itself, scoring one simulation at a shifted point
+    or against the solution of a corrupted model.
     """
-    x = np.asarray(x, dtype=float)
-    sim_model = mc_model if mc_model is not None else model
-    v_fine = solve_terminal_value(model, g, horizon, grid, scheme=scheme, store="ends")
-    v_coarse = solve_terminal_value(model, g, horizon, grid.coarsen(), scheme=scheme, store="ends")
-
-    x_eval = x if pde_eval_shift is None else x + np.asarray(pde_eval_shift, dtype=float)
-    pde_value = v_fine.value_at(0.0, x_eval)
-    grid_error = abs(pde_value - v_coarse.value_at(0.0, x_eval))
-    on_node = all(np.any(np.isclose(ax, x_eval[j], atol=1e-12)) for j, ax in enumerate(grid.axes))
-
-    tg = TimeGrid(0.0, horizon, mc_step)
-    has_killing, _ = killing_on_grid(sim_model, grid, tg.nodes)
-    stride = 1 if has_killing else tg.n_steps
-    ens = simulate_sde(sim_model, SpaceTimePoint(0.0, tuple(x)), tg, mc_paths, mc_seed,
-                       scheme=mc_scheme, store_stride=stride)
-    payoff = np.asarray(g(ens.states[:, -1, :]), dtype=float)
-    if has_killing:
-        nodes = ens.grid.nodes
-        acc = np.zeros(ens.n_paths)
-        for k in range(nodes.size - 1):
-            acc += np.asarray(sim_model.c(nodes[k], ens.states[:, k, :]), dtype=float) * ens.grid.step
-        payoff = payoff * np.exp(acc)
-    mc_mean = float(payoff.mean())
-    mc_se = float(payoff.std(ddof=1) / np.sqrt(payoff.size))
-
-    gap = abs(pde_value - mc_mean)
-    # the two-grid difference estimates the fine-grid error exactly at order
-    # 1, so give it the standard factor-2 headroom
-    tol = 3.0 * mc_se + 2.0 * grid_error
-    return DualityReport(pde_value=pde_value, mc_mean=mc_mean, mc_se=mc_se,
-                         grid_error=grid_error, gap=gap, tolerance=tol,
-                         interpolated=not on_node, passed=bool(gap <= tol))
+    mc_mean, mc_se = discounted_mean(model, g, x, horizon, mc_paths, mc_step, mc_seed, mc_scheme)
+    return solve_two_grid(model, g, horizon, grid, scheme).report(x, mc_mean, mc_se)

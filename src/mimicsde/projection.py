@@ -57,6 +57,8 @@ class BinningSpec:
             raise ValueError("x_d edges must start at 0")
         if self.bandwidth is not None and any(b <= 0 for b in self.bandwidth):
             raise ValueError("bandwidths must be positive")
+        if not self.min_count > 0:
+            raise ValueError("min_count must be positive, or empty cells go unmasked")
 
     @property
     def d(self) -> int:

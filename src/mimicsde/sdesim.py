@@ -18,16 +18,17 @@ step, so ensembles are reproducible regardless of scheduling and extendable
 in time.
 
 One loop, :func:`_euler_paths`, steps every path: :func:`simulate_sde`
-replays a coefficient model as an :class:`ItoDriver`,
-:func:`simulate_ito_process` runs a general driver under ``absorbed_euler``
-and reads its drift and diffusion through an observation hook, and the
-strong-Markov restart in :mod:`.martingale` continues paths from per-path
-start times.
+replays a coefficient model as an :class:`ItoDriver`, :func:`discounted_mean`
+does the same and sums the killing rate c along each path through the
+loop's observation hook, :func:`simulate_ito_process` runs a general driver
+under ``absorbed_euler`` and reads its drift and diffusion through that
+hook, and the strong-Markov restart in :mod:`.martingale` continues paths
+from per-path start times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, IO
 
 import numpy as np
@@ -324,6 +325,32 @@ def simulate_sde(
     return _simulate(model_driver(model), x0, grid, n_paths, seed, scheme, store_stride)[0]
 
 
+def discounted_mean(model: CoefficientModel, g: Callable, x, horizon: float, n_paths: int,
+                    step: float, seed: int, scheme: str = "full_truncation") -> tuple[float, float]:
+    """Monte Carlo mean and standard error of exp(sum_k c(t_k, X_k) h) g(X_T).
+
+    The paths are :func:`simulate_sde`'s from (0, x) at step h, stored at the
+    endpoints only; the discount sums c along each path at the left endpoint
+    t_k = k h of every step, at the clipped state the kernel's observation
+    hook sees, so a c that vanishes on some lattice or at t = 0 still counts.
+    """
+    if n_paths < 2:
+        raise ValueError("the standard error needs at least 2 paths")
+    grid = TimeGrid(0.0, horizon, step)
+    x0 = _as_start_state(x, model.d)
+    model.check_symmetry()
+    log_discount = np.zeros(n_paths)
+
+    def observe(k, x_k, beta, xi):
+        nonlocal log_discount
+        log_discount += np.asarray(model.c(k * step, x_k), dtype=float) * step
+
+    ens, _ = _simulate(model_driver(model), x0, grid, n_paths, seed, scheme, grid.n_steps,
+                       observe)
+    payoff = np.asarray(g(ens.states[:, -1, :]), dtype=float) * np.exp(log_discount)
+    return float(payoff.mean()), float(payoff.std(ddof=1) / np.sqrt(n_paths))
+
+
 def _outer_square(xi: np.ndarray) -> np.ndarray:
     """xi xi^* for a batch of (d, r) matrices, shape (n, d, d).
 
@@ -410,13 +437,7 @@ class SupportReport:
     boundary_row_violations: int
 
     def to_json(self) -> dict:
-        return {
-            "violations": self.violations,
-            "max_negative_excursion_pre_clip": self.max_negative_excursion_pre_clip,
-            "p99_negative_excursion_pre_clip": self.p99_negative_excursion_pre_clip,
-            "clip_fraction": self.clip_fraction,
-            "boundary_row_violations": self.boundary_row_violations,
-        }
+        return asdict(self)
 
 
 def support_check(ens: PathEnsemble) -> SupportReport:

@@ -111,11 +111,12 @@ def test_05_duality(model):
     bump = m.radial_bump([0.0, 0.04], 0.5)
     g = lambda x: bump.jet(0.0, x)[0]
     grid = m.Grid.build(dt=1 / 256, x_prime_extent=1.5, x_max=0.5, counts=[129, 129])
-    rep = m.duality_check(model, g, list(START), 0.5, grid,
-                          mc_paths=100_000, mc_step=2.0**-9, mc_seed=1051)
-    neg = m.duality_check(model, g, list(START), 0.5, grid,
-                          mc_paths=100_000, mc_step=2.0**-9, mc_seed=1051,
-                          pde_eval_shift=[0.0, 0.05])
+    # one solve and one simulation, scored at the start and, as the
+    # wrong-start negative control, at a start shifted by (0, 0.05)
+    pde_side = m.solve_two_grid(model, g, 0.5, grid)
+    mc = m.discounted_mean(model, g, START, 0.5, 100_000, 2.0**-9, 1051)
+    rep = pde_side.report(START, *mc)
+    neg = pde_side.report(np.add(START, [0.0, 0.05]), *mc)
     announce(5, "pde-mc-duality", rep.passed and not neg.passed,
              f"gap={rep.gap:.2e} <= tol={rep.tolerance:.2e} "
              f"(pde={rep.pde_value:.5f}, mc={rep.mc_mean:.5f}); "

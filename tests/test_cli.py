@@ -173,6 +173,9 @@ class TestCheckKinds:
                                 "radius": 0.5}}
         assert cli.run(cfg) == 0
         assert cli.run(cfg, break_generator="drift") == 1
+        # the wrong-start control reads the solution at a shifted start
+        cfg["duality"]["pde_eval_shift"] = [0.0, 0.05]
+        assert cli.run(cfg) == 1
 
     def test_restart_kind(self, tmp_path):
         cfg = base_sim_config(tmp_path, kind="restart")

@@ -303,21 +303,16 @@ class TestStructuralProperties:
 
 class TestDuality:
     def test_heston_bump_small(self, heston):
+        # one solve and one simulation, scored at the start and, as the
+        # wrong-start negative control, at a start shifted by (0, 0.05)
         bump = m.radial_bump([0.0, 0.04], 0.5)
         g = lambda x: bump.jet(0.0, x)[0]
         grid = m.Grid.build(dt=1 / 128, x_prime_extent=1.5, x_max=0.5, counts=[65, 65])
-        rep = m.duality_check(heston, g, [0.0, 0.09], 0.5, grid,
-                              mc_paths=20_000, mc_step=2.0**-8, mc_seed=11)
+        pde_side = m.solve_two_grid(heston, g, 0.5, grid)
+        mc = m.discounted_mean(heston, g, [0.0, 0.09], 0.5, 20_000, 2.0**-8, 11)
+        rep = pde_side.report([0.0, 0.09], *mc)
         assert rep.passed, rep.to_json()
-
-    def test_wrong_start_fails(self, heston):
-        bump = m.radial_bump([0.0, 0.04], 0.5)
-        g = lambda x: bump.jet(0.0, x)[0]
-        grid = m.Grid.build(dt=1 / 128, x_prime_extent=1.5, x_max=0.5, counts=[65, 65])
-        rep = m.duality_check(heston, g, [0.0, 0.09], 0.5, grid,
-                              mc_paths=20_000, mc_step=2.0**-8, mc_seed=11,
-                              pde_eval_shift=[0.0, 0.05])
-        assert not rep.passed
+        assert not pde_side.report(np.add([0.0, 0.09], [0.0, 0.05]), *mc).passed
 
     def test_killing_discount(self, heston_killing):
         # g = 1 with killing: both sides equal exp(c T)
@@ -350,6 +345,23 @@ class TestDuality:
                               mc_paths=8, mc_step=2.0**-9, mc_seed=3)
         assert rep.mc_mean == pytest.approx(np.exp(-0.5), abs=2e-3)
         assert rep.pde_value == pytest.approx(np.exp(-0.5), abs=0.05)
+
+    def test_killing_between_grid_nodes_is_discounted(self):
+        # transport x_1(t) = t through c = -1 on |x_1 - 0.05| < 0.01, an
+        # interval holding no node of the 33-node x' axis on [-1.5, 1.5]:
+        # the paths spend time 0.02 there, so the discount is about exp(-0.02)
+        model = dataclasses.replace(
+            constant_model([1.0, 0.0], a_mat=np.zeros((2, 2))),
+            c=lambda t, x: np.where(np.abs(np.asarray(x)[:, 0] - 0.05) < 0.01, -1.0, 0.0))
+        grid = m.Grid.build(dt=1 / 64, x_prime_extent=1.5, x_max=1.0, counts=[33, 9])
+        assert not np.any(np.abs(grid.axes[0] - 0.05) < 0.01)
+        rep = m.duality_check(model, ones, [0.0, 0.5], 0.125, grid,
+                              mc_paths=8, mc_step=2.0**-9, mc_seed=3)
+        assert rep.mc_mean == pytest.approx(np.exp(-0.02), abs=1e-3)
+
+    def test_sample_side_needs_two_paths(self, heston):
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            m.discounted_mean(heston, ones, [0.0, 0.09], 0.5, 1, 2.0**-6, 3)
 
 
 def test_killing_on_grid(heston, heston_killing):

@@ -224,10 +224,15 @@ def test_duality_pinned(heston, heston_killing, case):
     g = (lambda x: np.ones(x.shape[0])) if case == "killing-ones" else (
         lambda x: bump.jet(0.0, x)[0])
     model = heston_killing if case == "killing-ones" else heston
-    shift = [0.0, 0.05] if case == "heston-bump-shifted" else None
     grid = m.Grid.build(dt=1 / 64, x_prime_extent=1.5, x_max=0.5, counts=[33, 33])
-    rep = m.duality_check(model, g, [0.0, 0.09], 0.25, grid, mc_paths=4000,
-                          mc_step=2.0**-7, mc_seed=11, pde_eval_shift=shift)
+    if case == "heston-bump-shifted":
+        # the wrong-start control: the two sides composed by hand
+        mc = m.discounted_mean(model, g, [0.0, 0.09], 0.25, 4000, 2.0**-7, 11)
+        rep = m.solve_two_grid(model, g, 0.25, grid).report(
+            np.add([0.0, 0.09], [0.0, 0.05]), *mc)
+    else:
+        rep = m.duality_check(model, g, [0.0, 0.09], 0.25, grid, mc_paths=4000,
+                              mc_step=2.0**-7, mc_seed=11)
     assert rep.to_json() == DUALITY_PINS[case]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -30,6 +31,10 @@ class TestBinningSpec:
             m.BinningSpec(times=(0.5,), edges=(np.array([0.1, 1.0]),))  # x_d not from 0
         with pytest.raises(ValueError):
             m.BinningSpec(times=(0.5,), edges=(np.array([0.0, 1.0]),), kernel="epanechnikov")
+        # min_count <= 0 would leave empty cells unmasked, as NaN in the built model
+        for min_count in (0, -1.0):
+            with pytest.raises(ValueError, match="min_count"):
+                m.BinningSpec(times=(0.5,), edges=(np.array([0.0, 1.0]),), min_count=min_count)
         spec = m.BinningSpec(times=(0.5,), edges=(np.array([0.0, 0.5, 1.0]),))
         assert spec.cell_shape == (2,)
         assert np.allclose(spec.centers[0], [0.25, 0.75])
@@ -286,6 +291,15 @@ class TestSerialization:
         good = ~mc.mask
         assert np.allclose(back.b_hat[good], mc.b_hat[good], rtol=0, atol=0)
         assert np.allclose(back.d_hat[good], mc.d_hat[good], rtol=0, atol=0)
+
+    def test_load_rejects_nonpositive_min_count(self, heston, tmp_path):
+        ens = heston_driver_ensemble(heston, n=200)
+        m.save_mimicked(m.estimate_mimicking_coefficients(ens, default_spec()), tmp_path / "mc.csv")
+        sidecar = tmp_path / "mc.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps(dict(meta, min_count=0)))
+        with pytest.raises(ValueError, match="min_count"):
+            m.load_mimicked(tmp_path / "mc.csv")
 
     def test_loaded_model_usable(self, heston, tmp_path):
         ens = heston_driver_ensemble(heston, n=8000)
