@@ -302,16 +302,24 @@ class TestStructuralProperties:
 
 
 class TestDuality:
-    def test_heston_bump_small(self, heston):
-        # one solve and one simulation, scored at the start and, as the
-        # wrong-start negative control, at a start shifted by (0, 0.05)
+    @pytest.fixture(scope="class")
+    def heston_bump_sides(self, heston):
+        # one solve and one simulation, shared by the start and wrong-start tests
         bump = m.radial_bump([0.0, 0.04], 0.5)
         g = lambda x: bump.jet(0.0, x)[0]
         grid = m.Grid.build(dt=1 / 128, x_prime_extent=1.5, x_max=0.5, counts=[65, 65])
         pde_side = m.solve_two_grid(heston, g, 0.5, grid)
         mc = m.discounted_mean(heston, g, [0.0, 0.09], 0.5, 20_000, 2.0**-8, 11)
+        return pde_side, mc
+
+    def test_heston_bump_small(self, heston_bump_sides):
+        pde_side, mc = heston_bump_sides
         rep = pde_side.report([0.0, 0.09], *mc)
         assert rep.passed, rep.to_json()
+
+    def test_wrong_start_fails(self, heston_bump_sides):
+        # negative control: the PDE side read at a start shifted by (0, 0.05)
+        pde_side, mc = heston_bump_sides
         assert not pde_side.report(np.add([0.0, 0.09], [0.0, 0.05]), *mc).passed
 
     def test_killing_discount(self, heston_killing):
