@@ -574,6 +574,41 @@ def test_cli_pde_gridded_pinned(tmp_path, project_csv):
     assert _cli_digests(_gridded_pde_config(tmp_path, project_csv)) == GRIDDED_CLI_PDE_PIN
 
 
+
+# save_mimicked's CSV and sidecar for an unfilled Gaussian-kernel estimate whose
+# masked rows hold NaN, and load_mimicked's arrays read back from that file
+# ("unfilled") and from the filled lattice the pinned project config writes
+MIMICKED_IO_PINS = {
+    "mimicked.csv":
+        "e4513497790854234a7c7283868235c680e065045beba4a715571534d83603a0",
+    "mimicked.csv.meta.json":
+        "26f506aabe223f41faabb781ab3dd12570dd06d4efaebbadc3dd6b0c511a88fe",
+    "unfilled": "cb05a0c5d7cd53b52ad9456c43c13703e5dc8fde2ceed7641559b45fd20580d1",
+    "project": "ab55af19f1271096d29665097f3a9a5d455b4bcd48967c924c458379258b6d29",
+}
+
+
+def _loaded_digest(csv_path: Path) -> str:
+    mc = m.load_mimicked(csv_path)
+    return _digest(mc.b_hat, mc.d_hat, mc.occupancy, mc.mask, mc.clip, mc.bandwidths)
+
+
+def test_mimicked_io_pinned(heston, tmp_path, project_csv):
+    ens = m.simulate_ito_process(m.regime_switching_driver(heston), np.array([0.0, 0.09]),
+                                 m.TimeGrid(0.0, 0.5, 2.0**-5), 300, 4301,
+                                 record_drivers=True, store_stride=4)
+    spec = m.BinningSpec(times=(0.25, 0.5), edges=(np.linspace(-0.9, 0.9, 7),
+                                                   [0.0, 0.04, 0.08, 0.15, 0.3]),
+                         kernel="gaussian", min_count=4.0)
+    mc = m.estimate_mimicking_coefficients(ens, spec)
+    assert 0 < mc.mask.sum() < mc.mask.size and np.isnan(mc.b_hat[mc.mask]).all()
+    m.save_mimicked(mc, tmp_path / "mimicked.csv")
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir())}
+    digests["unfilled"] = _loaded_digest(tmp_path / "mimicked.csv")
+    digests["project"] = _loaded_digest(project_csv)
+    assert digests == MIMICKED_IO_PINS
+
 @pytest.mark.parametrize("model", ["heston", "gridded"])
 def test_cli_pde_factorizations(tmp_path, project_csv, monkeypatch, model):
     # both solves share one march: Heston is time-independent and assembles
