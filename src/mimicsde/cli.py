@@ -15,12 +15,14 @@ estimates, builds, saves and validates the mimicking model; ``_coordinates``
 and ``_DEFAULT_PAYOFF`` are the shared test statistics and terminal payoff.
 The ``pde`` kind is one march: its constant-data check and terminal-value solve
 are two columns of one time-reversed march that assembles each step's stages once.
+It reads its terminal payoff from ``duality.g`` (default: radial bump at (0, 0.04), radius 0.5).
 
 Seeds are mandatory — there are no entropy defaults — so re-running a config
-reproduces byte-identical CSV artifacts (the manifest timestamp aside).  The
-``--break-generator`` flag deliberately corrupts the generator used on the
-*checking* side of the martingale and duality pipelines, the only kinds that
-take it; it exists so the suite can demonstrate its own negative controls.
+reproduces byte-identical CSV artifacts (the manifest timestamp aside), each
+written by :func:`.sdesim.write_csv`.  The ``--break-generator`` flag
+deliberately corrupts the generator used on the *checking* side of the
+martingale and duality pipelines, the only kinds that take it; it exists so
+the suite can demonstrate its own negative controls.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .sdesim import (
     simulate_ito_process,
     simulate_sde,
     support_check,
+    write_csv,
 )
 
 _log = logging.getLogger(__name__)
@@ -171,7 +174,7 @@ def _projection_stage(cfg, out, seed, model, start):
     mc = estimate_mimicking_coefficients(ens, _binning_from_config(cfg))
     cap = cfg["binning"].get("max_masked_fraction", 0.9)
     built = build_mimicking_model(mc, max_masked_fraction=cap)
-    save_mimicked(mc, out / "mimicked.csv", out / "mimicked.csv.meta.json")
+    save_mimicked(mc, out / "mimicked.csv")
     vrep = validate_coefficients(built, seed=seed, n_samples=1024, pair_budget=1024)
     return ens, built, {"masked_fraction": mc.masked_fraction,
                         "built_model_validation": vrep.to_json()}
@@ -238,9 +241,8 @@ def _run_pde(cfg, out, seed, model, check_model):
     const_err = float(np.abs(sol_const.values[-1] - expected).max())
 
     with open(out / "solution.csv", "w", newline="") as fh:
-        fh.write("t," + ",".join(f"x_{j+1}" for j in range(grid.d)) + ",u\n")
-        for x, u in zip(nodes, sol.values[-1].ravel()):
-            fh.write(",".join(map(repr, [0.0, *map(float, x), float(u)])) + "\n")
+        write_csv(fh, ["t", *(f"x_{j+1}" for j in range(grid.d)), "u"],
+                  [[np.zeros(grid.n_nodes), *nodes.T, sol.values[-1].ravel()]])
     ok = const_err <= 1e-8
     # where the march left the paper's class (b_d < 0 on the boundary layer)
     # and what that did to each column's range, over all nodes and over the

@@ -16,7 +16,6 @@ records the distance.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +25,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .coeffs import CoefficientModel, LatticeInterpolator, RegularityBudget
-from .sdesim import PathEnsemble
+from .sdesim import PathEnsemble, write_csv
 
 _CELL_CHUNK = 64
 _DELTA_FLOOR_SCALE = 1e-6  # eigenvalue floor of a built model's a, relative to trace / d
@@ -431,30 +430,31 @@ def same_law_ks_quantile(
     return float(np.quantile(stats, q))
 
 
+def _mimicked_header(d: int) -> list[str]:
+    return (["t_index"] + [f"cell_{j+1}" for j in range(d)]
+            + [f"x_{j+1}" for j in range(d)] + ["occupancy"]
+            + [f"b_{j+1}" for j in range(d)]
+            + [f"D_{i+1}{j+1}" for i in range(d) for j in range(d)]
+            + ["clip"])
+
+
+def _sidecar_path(csv_path, sidecar_path) -> Path:
+    return Path(sidecar_path or f"{csv_path}.meta.json")
+
+
 def save_mimicked(mc: MimickedCoefficients, csv_path, sidecar_path=None) -> None:
-    """Line-oriented CSV of per-node estimates plus a JSON lattice sidecar."""
-    csv_path = Path(csv_path)
-    sidecar_path = Path(sidecar_path) if sidecar_path else csv_path.with_suffix(csv_path.suffix + ".meta.json")
+    """CSV of per-node estimates, one row per (t_index, cell) in C order, plus a JSON sidecar.
+
+    Columns: ``t_index, cell_*`` (integers), ``x_*`` (the cell center), ``occupancy, b_*,
+    D_*, clip``; masked estimates are ``nan``.  The sidecar defaults to ``<csv>.meta.json``.
+    """
     d = mc.d
-    cells = mc.spec.cell_shape
-    centers = mc.spec.centers
-    header = (["t_index"] + [f"cell_{j+1}" for j in range(d)]
-              + [f"x_{j+1}" for j in range(d)] + ["occupancy"]
-              + [f"b_{j+1}" for j in range(d)]
-              + [f"D_{i+1}{j+1}" for i in range(d) for j in range(d)]
-              + ["clip"])
+    index = np.indices((len(mc.spec.times), *mc.spec.cell_shape)).reshape(d + 1, -1)
+    columns = [*index, *(c[i] for c, i in zip(mc.spec.centers, index[1:])),
+               mc.occupancy.ravel(), *mc.b_hat.reshape(-1, d).T,
+               *mc.d_hat.reshape(-1, d * d).T, mc.clip.ravel()]
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for kt in range(len(mc.spec.times)):
-            for multi in np.ndindex(*cells):
-                row = [str(kt)] + [str(i) for i in multi]
-                row += [repr(float(centers[j][multi[j]])) for j in range(d)]
-                row += [repr(float(mc.occupancy[(kt, *multi)]))]
-                row += [repr(float(v)) for v in np.atleast_1d(mc.b_hat[(kt, *multi)])]
-                row += [repr(float(v)) for v in mc.d_hat[(kt, *multi)].ravel()]
-                row += [repr(float(mc.clip[(kt, *multi)]))]
-                writer.writerow(row)
+        write_csv(fh, _mimicked_header(d), [columns])
     meta = {
         "d": d,
         "times": [float(t) for t in mc.spec.times],
@@ -465,16 +465,18 @@ def save_mimicked(mc: MimickedCoefficients, csv_path, sidecar_path=None) -> None
         "min_count": mc.spec.min_count,
         "n_paths": mc.n_paths,
     }
-    with open(sidecar_path, "w") as fh:
+    with open(_sidecar_path(csv_path, sidecar_path), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_mimicked(csv_path, sidecar_path=None) -> MimickedCoefficients:
-    """Rebuild :class:`MimickedCoefficients` from the CSV + sidecar pair."""
-    csv_path = Path(csv_path)
-    sidecar_path = Path(sidecar_path) if sidecar_path else csv_path.with_suffix(csv_path.suffix + ".meta.json")
-    with open(sidecar_path) as fh:
+    """Rebuild :class:`MimickedCoefficients` from the CSV + sidecar pair.
+
+    The CSV must hold :func:`save_mimicked`'s header and exactly one row per (t_index, cell)
+    of the sidecar's lattice, in any order; anything else raises ``ValueError``.
+    """
+    with open(_sidecar_path(csv_path, sidecar_path)) as fh:
         meta = json.load(fh)
     spec = BinningSpec(
         times=tuple(meta["times"]),
@@ -484,30 +486,26 @@ def load_mimicked(csv_path, sidecar_path=None) -> MimickedCoefficients:
         min_count=meta["min_count"],
     )
     d = spec.d
-    cells = spec.cell_shape
-    k_times = len(spec.times)
-    shape = (k_times, *cells)
-    b_hat = np.full(shape + (d,), np.nan)
-    d_hat = np.full(shape + (d, d), np.nan)
-    occupancy = np.zeros(shape)
-    clip = np.zeros(shape)
+    shape = (len(spec.times), *spec.cell_shape)
+    header = _mimicked_header(d)
     with open(csv_path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        for row in reader:
-            kt = int(row[0])
-            multi = tuple(int(v) for v in row[1 : 1 + d])
-            pos = 1 + 2 * d
-            occupancy[(kt, *multi)] = float(row[pos])
-            pos += 1
-            b_hat[(kt, *multi)] = [float(v) for v in row[pos : pos + d]]
-            pos += d
-            d_hat[(kt, *multi)] = np.array([float(v) for v in row[pos : pos + d * d]]).reshape(d, d)
-            pos += d * d
-            clip[(kt, *multi)] = float(row[pos])
-    mask = occupancy < spec.min_count
+        if fh.readline().rstrip("\n").split(",") != header:
+            raise ValueError(f"{csv_path}: header is not {','.join(header)}")
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    rows = rows[np.lexsort(rows[:, d::-1].T)]
+    if rows.shape[1] != len(header) or not np.array_equal(
+            rows[:, : d + 1], np.indices(shape).reshape(d + 1, -1).T):
+        raise ValueError(f"{csv_path}: need one row of {len(header)} values per (t_index, cell) "
+                         f"of the {shape} lattice; an index is missing, repeated or out of range")
+    pos = 1 + 2 * d
+    # fresh C-contiguous arrays: the fill policy writes through reshape views
+    occupancy = rows[:, pos].reshape(shape).copy()
+    b_hat = rows[:, pos + 1 : pos + 1 + d].reshape(shape + (d,)).copy()
+    d_hat = rows[:, pos + 1 + d : -1].reshape(shape + (d, d)).copy()
+    clip = rows[:, -1].reshape(shape).copy()
     return MimickedCoefficients(
-        spec=spec, b_hat=b_hat, d_hat=d_hat, occupancy=occupancy, mask=mask,
-        bandwidths=np.asarray(meta.get("bandwidths_used", np.zeros((k_times, d)))),
+        spec=spec, b_hat=b_hat, d_hat=d_hat, occupancy=occupancy,
+        mask=occupancy < spec.min_count,
+        bandwidths=np.asarray(meta.get("bandwidths_used", np.zeros((shape[0], d)))),
         n_paths=int(meta.get("n_paths", 0)), clip=clip,
     )

@@ -29,7 +29,7 @@ from per-path start times.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, IO
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -89,19 +89,16 @@ class PathEnsemble:
     """Sample paths on a stored grid, plus scheme bookkeeping.
 
     ``grid`` is the storage grid; the integrator may have used a finer
-    internal step (``internal_step``) with states retained every
-    ``store_stride`` steps.  ``pre_clip_min_xd`` holds, per path, the minimum
-    of the last coordinate *before* any clipping, which is the scheme-quality
-    diagnostic behind :func:`support_check`.
+    internal step with states retained every ``store_stride`` steps.
+    ``pre_clip_min_xd`` holds, per path, the minimum of the last coordinate
+    *before* any clipping, which is the scheme-quality diagnostic behind
+    :func:`support_check`.
     """
 
     grid: TimeGrid
     states: np.ndarray  # (n_paths, n_nodes, d)
     seed: int
-    scheme: str
-    internal_step: float
     store_stride: int
-    start_state: np.ndarray
     pre_clip_min_xd: np.ndarray
     n_clipped_steps: int
     n_internal_steps: int
@@ -298,9 +295,8 @@ def _simulate(driver, x0, grid, n_paths, seed, scheme, store_stride, observe=Non
         scheme, store_stride, observe)
     ens = PathEnsemble(
         grid=TimeGrid(grid.start, grid.end, grid.step * store_stride), states=states,
-        seed=seed, scheme=scheme, internal_step=grid.step, store_stride=store_stride,
-        start_state=x0, pre_clip_min_xd=pre_clip_min, n_clipped_steps=n_clipped,
-        n_internal_steps=grid.n_steps * n_paths,
+        seed=seed, store_stride=store_stride, pre_clip_min_xd=pre_clip_min,
+        n_clipped_steps=n_clipped, n_internal_steps=grid.n_steps * n_paths,
     )
     return ens, aux
 
@@ -458,31 +454,34 @@ def support_check(ens: PathEnsemble) -> SupportReport:
     )
 
 
+def write_csv(fh: IO[str], header: Sequence[str], blocks: Iterable[Sequence[np.ndarray]]) -> None:
+    """Write a CSV data artifact: the header, then one row per entry of each block of columns.
+
+    A block holds equal-length 1-D arrays, one per header name.  Each value is written as
+    the ``%r`` of its ``.tolist()`` int or float, so floats round-trip exactly.
+    """
+    fh.write(",".join(header) + "\n")
+    row = ",".join(["%r"] * len(header)) + "\n"
+    for columns in blocks:
+        fh.write("".join(map(row.__mod__, zip(*(c.tolist() for c in columns)))))
+
+
 def ensemble_to_csv(ens: PathEnsemble, fh: IO[str]) -> None:
     """Long-format CSV: (path_id, t, x_1..x_d[, beta_*, xi2_*]) per stored node.
 
-    Values are written as ``repr`` of the float, so the file round-trips
-    exactly.  Paths are formatted and written a block at a time, which keeps
-    the text held in memory to about ``_CSV_BLOCK_ROWS`` rows.
+    Written by :func:`write_csv`, so the file round-trips exactly.  Paths are
+    formatted and written a block at a time, which keeps the text held in
+    memory to about ``_CSV_BLOCK_ROWS`` rows.
     """
-    d = ens.d
+    d, n_nodes = ens.d, ens.grid.n_steps + 1
     header = ["path_id", "t"] + [f"x_{i+1}" for i in range(d)]
-    with_drivers = ens.drivers is not None
-    if with_drivers:
+    values = [ens.states]
+    if ens.drivers is not None:
         header += [f"beta_{i+1}" for i in range(d)]
         header += [f"xi2_{i+1}{j+1}" for i in range(d) for j in range(d)]
-    fh.write(",".join(header) + "\n")
-    row = "%d,%r" + ",%r" * (len(header) - 2) + "\n"
-    times = ens.grid.nodes.tolist()
-    n_nodes = len(times)
-    block = max(1, _CSV_BLOCK_ROWS // n_nodes)
-    for p0 in range(0, ens.n_paths, block):
-        p1 = min(p0 + block, ens.n_paths)
-        values = ens.states[p0:p1]
-        if with_drivers:
-            values = np.concatenate([
-                values, ens.drivers.beta[p0:p1],
-                ens.drivers.xi2[p0:p1].reshape(p1 - p0, n_nodes, d * d)], axis=2)
-        ids = np.repeat(np.arange(p0, p1), n_nodes).tolist()
-        columns = values.reshape(-1, values.shape[2]).T.tolist()
-        fh.write("".join(map(row.__mod__, zip(ids, times * (p1 - p0), *columns))))
+        values += [ens.drivers.beta, ens.drivers.xi2]
+    n_rows = ens.n_paths * n_nodes
+    columns = [np.repeat(np.arange(ens.n_paths), n_nodes), np.tile(ens.grid.nodes, ens.n_paths),
+               *(c for v in values for c in v.reshape(n_rows, -1).T)]
+    block = max(1, _CSV_BLOCK_ROWS // n_nodes) * n_nodes
+    write_csv(fh, header, ([c[r:r + block] for c in columns] for r in range(0, n_rows, block)))

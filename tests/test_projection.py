@@ -278,7 +278,65 @@ class TestMergedCdfs:
             m.same_law_ks_quantile(np.array([]), np.array([1.0, 2.0]), n_boot=5)
 
 
+def _swap_columns(header: str, a: str, b: str) -> str:
+    names = header.rstrip("\n").split(",")
+    i, j = names.index(a), names.index(b)
+    names[i], names[j] = names[j], names[i]
+    return ",".join(names) + "\n"
+
+
+def _with_field(row: str, col: int, value: str) -> str:
+    fields = row.rstrip("\n").split(",")
+    fields[col] = value
+    return ",".join(fields) + "\n"
+
+
+# each edit of (header, rows) leaves a file load_mimicked must reject; the
+# parent loader filled cut rows from their neighbours, let a later duplicate
+# win, wrapped index -1 into the last cell and ignored the header
+CORRUPTIONS = {
+    "last-100-rows-cut": lambda h, rows: (h, rows[:-100]),
+    "duplicate-row-other-values": lambda h, rows: (h, rows + [_with_field(rows[7], 5, "99.0")]),
+    "negative-cell-index": lambda h, rows: (h, rows[:-1] + [_with_field(rows[-1], 1, "-1")]),
+    "header-columns-swapped": lambda h, rows: (_swap_columns(h, "b_1", "b_2"), rows),
+}
+
+
 class TestSerialization:
+    @pytest.fixture(scope="class")
+    def saved(self, heston, tmp_path_factory):
+        """An unfilled box-kernel estimate with masked rows, saved; 1728 rows."""
+        mc = m.estimate_mimicking_coefficients(heston_driver_ensemble(heston, n=2000),
+                                               default_spec())
+        assert 0 < mc.mask.sum() < mc.mask.size
+        out = tmp_path_factory.mktemp("saved")
+        m.save_mimicked(mc, out / "mc.csv")
+        return out / "mc.csv"
+
+    @staticmethod
+    def _edited(saved, tmp_path, edit):
+        header, *rows = saved.read_text().splitlines(keepends=True)
+        header, rows = edit(header, rows)
+        (tmp_path / "mc.csv").write_text(header + "".join(rows))
+        (tmp_path / "mc.csv.meta.json").write_bytes(saved.with_name("mc.csv.meta.json").read_bytes())
+        return tmp_path / "mc.csv"
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_load_rejects_incomplete_or_inconsistent_file(self, saved, tmp_path, case):
+        path = self._edited(saved, tmp_path, CORRUPTIONS[case])
+        with pytest.raises(ValueError):
+            m.load_mimicked(path)
+
+    def test_load_accepts_rows_in_any_order(self, saved, tmp_path):
+        order = np.random.default_rng(0).permutation
+        path = self._edited(saved, tmp_path, lambda h, rows: (h, list(order(rows))))
+        a, b = m.load_mimicked(saved), m.load_mimicked(path)
+        for name in ("b_hat", "d_hat", "occupancy", "mask", "clip", "bandwidths"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        # the fill policy writes through reshape views of the loaded arrays
+        m.build_mimicking_model(b, max_masked_fraction=1.0)
+        assert not np.isnan(b.b_hat).any() and not np.isnan(b.d_hat).any()
+
     def test_save_load_round_trip(self, heston, tmp_path):
         ens = heston_driver_ensemble(heston, n=3000)
         mc = m.estimate_mimicking_coefficients(ens, default_spec())
