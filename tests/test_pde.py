@@ -152,8 +152,8 @@ class TestStageSplit:
                 for pos, *_ in lines.closures:
                     rhs[lines.order[pos]] = 0.0
                 ref = np.linalg.solve(dense_stage(st, lines, bands, grid.dt), rhs)
-                for rows, offset, e1, e2 in st.closures:
-                    ref[rows] = -(e1 * ref[rows + offset] + e2 * ref[rows + 2 * offset])
+                for rows, near, far, e1, e2 in st.closures:
+                    ref[rows] = -(e1 * ref[near] + e2 * ref[far])
             refs.append(ref)
 
         sols = _march(model, f, block, grid, 2 * grid.dt, "implicit_euler", "all")
@@ -410,3 +410,5 @@ class TestBlockMarch:
                     assert np.array_equal(sol.values, ref.values)
                     assert np.array_equal(sol.layer_min, ref.layer_min)
                     assert np.array_equal(sol.layer_max, ref.layer_max)
+                    for key in ("inner_min", "inner_max"):
+                        assert sol.meta[key] == ref.meta[key]
