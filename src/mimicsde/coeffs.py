@@ -69,7 +69,16 @@ class RegularityBudget:
 
 @dataclass
 class CoefficientModel:
-    """Evaluable coefficient triple (a, b, c) with a declared regularity budget."""
+    """Evaluable coefficient triple (a, b, c) with a declared regularity budget.
+
+    ``time_independent`` declares that a, b and c do not depend on t.
+    ``knots``, a strictly increasing 1-d array when set, declares that they
+    are affine in t between consecutive knots and constant before the first
+    and after the last, so their values at the knots determine them at every
+    t.  Both are claims about the fields: a ``dataclasses.replace`` of a, b
+    or c must reset them (``time_independent=False``, ``knots=None``) unless
+    the new fields keep them true.
+    """
 
     d: int
     a: MatrixField
@@ -79,6 +88,13 @@ class CoefficientModel:
     provenance: str = "analytic"
     time_independent: bool = False
     name: str = ""
+    knots: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.knots is not None:
+            self.knots = np.asarray(self.knots, dtype=float)
+            if self.knots.ndim != 1 or self.knots.size == 0 or np.any(np.diff(self.knots) <= 0):
+                raise ValueError("knots must be a non-empty strictly increasing 1-d array")
 
     def varsigma(self, t, x: np.ndarray) -> np.ndarray:
         """Pointwise square root of a(t, x), batched (see :func:`diffusion_root`)."""

@@ -35,7 +35,15 @@ concatenated with no coupling between them, factored (LAPACK gttrf) once per
 assembly and solved (gttrs) once per step; an outer node closes inside the
 axis stage along which it extrapolates and is an identity row in the others,
 and after every stage an explicit pass re-imposes all closures, so no stage
-reads a stale outer value.
+reads a stale outer value.  The march keeps the (N, k) block in grid order
+and moves it into and out of a stage's line order by gathers
+(``np.take`` by the line order, then by its inverse, the line rank).
+
+Coefficients are read at fixed node sets, so a model that declares
+``knots`` (a, b and c affine in t between them, as a lattice interpolated
+linearly in time is) is evaluated only at the knots the march reaches, and
+each step blends the two that bracket its time: the same coefficients up
+to rounding, at one evaluation per knot instead of one per step.
 """
 
 from __future__ import annotations
@@ -184,6 +192,10 @@ class _Stencil:
         self.outer = outer
         self.blayer = np.where(blayer)[0]
         self.full = np.where(~outer & ~blayer)[0]
+        # where the assembly reads coefficients: a at the full-stencil nodes,
+        # b and c at those followed by the boundary layer
+        self.a_nodes = self.nodes[self.full]
+        self.bc_nodes = self.nodes[np.concatenate([self.full, self.blayer])]
 
         # extrapolation closures: vanishing second normal difference along the
         # first outward axis, with nonuniform weights so affine data stay
@@ -213,10 +225,53 @@ class _Stencil:
         self.closures.reverse()
 
 
-def _assemble_stages(model: CoefficientModel, t: float,
-                     st: _Stencil) -> tuple[list[tuple[_Lines, np.ndarray]], np.ndarray]:
-    """The spatial operator P at time t as a sum of line operators, and b_d
-    on the boundary-layer rows (``st.blayer``).
+def _node_coefficients(model: CoefficientModel, st: _Stencil) -> Callable:
+    """t -> (a at ``st.a_nodes``, b and c at ``st.bc_nodes``), as float arrays.
+
+    A model with ``knots`` is evaluated only at knots: t at or outside the
+    end knots takes the end knot's values, t strictly between two knots
+    blends theirs linearly, which is the model itself up to rounding.  Only
+    the knots the last t needed are kept, at most two.  Other models are
+    evaluated at t itself.
+    """
+
+    def at(t) -> tuple:
+        return (np.asarray(model.a(t, st.a_nodes), dtype=float),
+                np.asarray(model.b(t, st.bc_nodes), dtype=float),
+                np.asarray(model.c(t, st.bc_nodes), dtype=float))
+
+    knots = model.knots
+    if knots is None:
+        return at
+    kept: dict[int, tuple] = {}
+
+    def blended(t) -> tuple:
+        i = int(np.searchsorted(knots, t, side="right")) - 1  # knots[i] <= t < knots[i + 1]
+        if i < 0:
+            weights = {0: 1.0}
+        elif i == knots.size - 1 or t == knots[i]:
+            weights = {i: 1.0}
+        else:
+            frac = (t - knots[i]) / (knots[i + 1] - knots[i])
+            weights = {i: 1.0 - frac, i + 1: frac}
+        for k in set(kept) - set(weights):
+            del kept[k]
+        for k in weights:
+            if k not in kept:
+                kept[k] = at(float(knots[k]))
+        if len(weights) == 1:
+            return kept[next(iter(weights))]
+        (lo, w_lo), (hi, w_hi) = weights.items()
+        return tuple(w_lo * v_lo + w_hi * v_hi for v_lo, v_hi in zip(kept[lo], kept[hi]))
+
+    return blended
+
+
+def _assemble_stages(st: _Stencil,
+                     coefficients: tuple) -> tuple[list[tuple[_Lines, np.ndarray]], np.ndarray]:
+    """The spatial operator P as a sum of line operators, and b_d on the
+    boundary-layer rows (``st.blayer``), from one time's ``coefficients``
+    as :func:`_node_coefficients` returns them.
 
     Each stage is (lines, bands): ``bands[:, p]`` holds P_k's weights on the
     previous node of the line, the node itself and the next node, at
@@ -236,14 +291,12 @@ def _assemble_stages(model: CoefficientModel, t: float,
         axis[j, 1, sel] -= fwd + bwd
         axis[j, 2, sel] += fwd
 
-    # full-stencil nodes
+    av, b_all, c_all = coefficients
     F = st.full
+    # full-stencil nodes
     if F.size:
-        xf = st.nodes[F]
-        av = np.asarray(model.a(t, xf), dtype=float)
-        bv = np.asarray(model.b(t, xf), dtype=float)
-        cv = np.asarray(model.c(t, xf), dtype=float)
-        xd = xf[:, -1]
+        bv, cv = b_all[:F.size], c_all[:F.size]
+        xd = st.a_nodes[:, -1]
         axis[0, 1, F] += cv
         for j in range(d):
             ij = st.index[j][F]
@@ -280,9 +333,8 @@ def _assemble_stages(model: CoefficientModel, t: float,
     # degenerate boundary layer: first-order transport, one-sided inward in x_d
     # (never empty, since every axis has at least 3 nodes)
     B = st.blayer
-    xb = st.nodes[B]
-    bv = np.asarray(model.b(t, xb), dtype=float)
-    axis[0, 1, B] += np.asarray(model.c(t, xb), dtype=float)
+    bv = b_all[F.size:]
+    axis[0, 1, B] += c_all[F.size:]
     for j in range(d - 1):
         upwind(B, bv[:, j], j)
     bd = bv[:, -1]
@@ -366,7 +418,11 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
     """March an (N, k) block of initial layers; one PdeSolution per column.
 
     Each step assembles and factors its line stages once (a time-independent
-    model once in all) and applies them in turn, odd steps in reverse order so
+    model once in all) from the coefficients at its time (for a model with
+    knots, the linear blend of the two bracketing knots' values, each knot
+    evaluated once and at most two kept) and applies them in turn, each
+    stage's right-hand side gathered into line order and its solution
+    gathered back into grid order, odd steps in reverse order so
     that step pairs compose symmetrically, each as one theta-step
     u <- (I - theta dt P_k)^{-1} (I + (1 - theta) dt P_k) u with the source in
     stage 0, solved exactly with the stage's tridiagonal LU over all lines
@@ -413,13 +469,14 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
 
     u = np.array(u0, dtype=float)
     record(u, 0.0, True)
+    coefficients = _node_coefficients(model, st)
     stages = None
     downwind_rows, boundary_bd_min = [], []
     for n in range(n_steps):
         t_next = (n + 1) * grid.dt
         t_eval = t_next if theta == 1.0 else (n + 0.5) * grid.dt
         if stages is None or not model.time_independent:
-            parts, bd = _assemble_stages(model, t_eval, st)
+            parts, bd = _assemble_stages(st, coefficients(t_eval))
             downwind_rows.append(int(np.count_nonzero(bd < 0)))
             boundary_bd_min.append(float(bd.min()))
             stages = [(lines, bands, _stage_lu(lines, bands, theta * grid.dt, n))
@@ -470,13 +527,15 @@ def solve_cauchy(
 
 
 def time_reversed_model(model: CoefficientModel, horizon: float) -> CoefficientModel:
-    """Coefficients evaluated at horizon - t (the terminal-value reversal)."""
+    """Coefficients evaluated at horizon - t (the terminal-value reversal),
+    with knots at horizon minus the model's knots."""
     return replace(
         model,
         a=lambda t, x: model.a(horizon - np.asarray(t), x),
         b=lambda t, x: model.b(horizon - np.asarray(t), x),
         c=lambda t, x: model.c(horizon - np.asarray(t), x),
         name=model.name + "|time-reversed",
+        knots=None if model.knots is None else horizon - model.knots[::-1],
     )
 
 

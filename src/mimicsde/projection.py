@@ -234,7 +234,8 @@ def build_mimicking_model(
     ``mc.clip`` (a model-quality metric; exceeding ``clip_budget`` raises).  The model's ``a`` and ``b`` are :class:`LatticeInterpolator`
     instances over (spec.times, cell centers with the x_d = 0 layer
     prepended): multilinear in (t, x) with edge clamping, a shared time
-    bracketed once per call.  The diffusion evaluator is
+    bracketed once per call, so with two or more time layers the layer
+    times are the model's ``knots``.  The diffusion evaluator is
     sqrt(x_d^+) * Cholesky(a).
     """
     if mc.masked_fraction > max_masked_fraction:
@@ -298,7 +299,7 @@ def build_mimicking_model(
     return CoefficientModel(
         d=d, a=a_interp, b=b_interp,
         c=c_eval, budget=budget, provenance="gridded",
-        time_independent=(k_times == 1),
+        time_independent=(k_times == 1), knots=times if k_times > 1 else None,
         name=f"mimicking(kernel={mc.spec.kernel},times={k_times},cells={mc.spec.cell_shape})",
     )
 

@@ -9,6 +9,7 @@ from mimicsde.pde import (
     _assemble_stages,
     _Lines,
     _march,
+    _node_coefficients,
     _Stencil,
     killing_on_grid,
     time_reversed_model,
@@ -53,6 +54,11 @@ class TestGrid:
         assert np.array_equal(c.axes[0], g.axes[0][::2])
 
 
+def assemble(model, t, st):
+    """The line stages and boundary-layer b_d at time t, from the march's own coefficients."""
+    return _assemble_stages(st, _node_coefficients(model, st)(t))
+
+
 def dense_stage(st, lines, bands, h):
     """I - h P_k with the closure rows ``lines`` owns, as a dense matrix in grid numbering."""
     order = lines.order
@@ -79,7 +85,7 @@ class TestStencilStructure:
         # 0 and 1: nothing below x_d = 0 exists to be read, which is the whole point
         grid = small_grid(n=9)
         st = _Stencil(grid)
-        stages, _ = _assemble_stages(heston, 0.0, st)
+        stages, _ = assemble(heston, 0.0, st)
         assert len(stages) == 3  # x', x_d and Heston's e_1 - e_2 diagonal
         for lines, bands in stages:
             read = line_neighbours(lines, bands, lines.rank[st.blayer])
@@ -88,7 +94,7 @@ class TestStencilStructure:
     def test_outer_rows_zero_in_operator(self, heston):
         grid = small_grid(n=9)
         st = _Stencil(grid)
-        for lines, bands in _assemble_stages(heston, 0.0, st)[0]:
+        for lines, bands in assemble(heston, 0.0, st)[0]:
             assert not np.any(bands[:, lines.rank[st.outer]])
 
     def test_stage_matrices_have_nonpositive_off_diagonals(self, heston):
@@ -97,7 +103,7 @@ class TestStencilStructure:
         grid = small_grid(n=33)
         st = _Stencil(grid)
         rows = np.flatnonzero(~st.outer)
-        for lines, bands in _assemble_stages(heston, grid.dt, st)[0]:
+        for lines, bands in assemble(heston, grid.dt, st)[0]:
             mat = dense_stage(st, lines, bands, grid.dt)[rows]
             diag = mat[np.arange(rows.size), rows].copy()
             mat[np.arange(rows.size), rows] = 0.0
@@ -144,7 +150,7 @@ class TestStageSplit:
         refs = []
         for n in range(2):
             t = (n + 1) * grid.dt
-            stages = _assemble_stages(model, t, st)[0]
+            stages = assemble(model, t, st)[0]
             for lines, bands in stages if n == 0 else stages[::-1]:
                 rhs = ref.copy()
                 if lines is st.axes[0]:
@@ -383,6 +389,54 @@ def test_killing_on_grid(heston, heston_killing):
     late = dataclasses.replace(heston, c=lambda t, x: np.full(np.asarray(x).shape[0], -float(t)))
     assert killing_on_grid(late, grid, [0.0]) == (False, 0.0)
     assert killing_on_grid(late, grid, times) == (True, None)
+
+
+def counted(model, calls):
+    """``model`` with a, b and c appending (field, t) to ``calls`` on each call.
+
+    The values are unchanged, so the model's ``knots`` stay true."""
+    return dataclasses.replace(model, **{
+        f: lambda t, x, f=f, fn=getattr(model, f): calls.append((f, float(t))) or fn(t, x)
+        for f in "abc"})
+
+
+class TestKnots:
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_blend_matches_model(self, gridded_model, reverse):
+        # before the first knot, at every knot, between knots and after the
+        # last, the march's coefficients are the model's own up to rounding
+        model = time_reversed_model(gridded_model, 1.0) if reverse else gridded_model
+        knots = model.knots
+        between = [k + w * (k_next - k) for k, k_next in zip(knots[:-1], knots[1:])
+                   for w in (0.1, 0.5, 2 / 3)]
+        times = np.sort([knots[0] - 0.3, *knots, *between, knots[-1] + 0.2])
+        st = _Stencil(small_grid(n=9))
+        coefficients = _node_coefficients(model, st)
+        for t in times:
+            want = (model.a(t, st.a_nodes), model.b(t, st.bc_nodes), model.c(t, st.bc_nodes))
+            for got, ref in zip(coefficients(t), want):
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_knots_declared_and_reversed(self, gridded_model):
+        assert np.array_equal(gridded_model.knots, [0.25, 0.5, 0.75, 1.0])
+        assert np.array_equal(time_reversed_model(gridded_model, 1.0).knots,
+                              [0.0, 0.25, 0.5, 0.75])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            dataclasses.replace(gridded_model, knots=[0.5, 0.25])
+
+    def test_march_evaluates_each_reached_knot_once(self, gridded_model):
+        # pde-gridded's time layout: lattice times k/16 (k = 1..16), horizon
+        # 0.5, dt 2^-7.  The fixture's own knots 1/4, 1/2, 3/4 and 1 are among
+        # those times, so it is affine between them too.  The march's 64 steps
+        # reach the original times 1/16, ..., 8/16: 3 calls at each of those 8
+        # knots, where evaluating at every step made 5 per step (a once, b and
+        # c at the full-stencil nodes and again at the boundary layer)
+        calls = []
+        model = counted(dataclasses.replace(gridded_model, knots=np.arange(1, 17) / 16), calls)
+        grid = m.Grid.build(dt=2.0**-7, x_prime_extent=1.0, x_max=0.5, counts=(9, 9))
+        m.solve_terminal_value(model, ones, 0.5, grid, store="ends")
+        assert sorted(calls) == [(f, k / 16) for f in "abc" for k in range(1, 9)]
 
 
 class TestBlockMarch:

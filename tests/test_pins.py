@@ -7,6 +7,7 @@ stepping arithmetic or the artifact format, and must say so and re-run every
 acceptance criterion at its unchanged seed instead of re-pinning quietly.
 """
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -83,7 +84,7 @@ HESTON_PINS = {
 HESTON_CSV_PIN = "9a61af0c56dd7a8efcad0792e2383c8818fefcaec03f392828972a4f38aab166"
 DRIVER_CSV_PIN = "9fa334c79a1297e14df3d1b421b8a53bd3dbdf8ae5b36ff7f607e925d3caee6b"
 GRIDDED_PIN = "677476567d53689a7bf84c065cfb814e21e3e9c1d25aeee85048b909106dfad6"
-GRIDDED_PDE_PIN = "4de66d187fc4b1787025a4f82202e2b080fc985a2787a29a9abd9ac0a1db9d78"
+GRIDDED_PDE_PIN = "9e0cb47099ddb87e3c8ff16f441c1eba8e5785734e3e7144dc6547dabe7271eb"
 # states digest + the first 16 hex digits of the report's JSON digest
 RESTART_PINS = {
     "full_truncation":
@@ -186,8 +187,9 @@ def test_gridded_ensemble_pinned(gridded_model):
 
 
 def test_gridded_pde_pinned(gridded_model):
-    # the time-reversed march evaluates the lattice at 0-d t; the solution's
-    # own interpolation covers a clamped point and the x_d = 0 layer
+    # the time-reversed march evaluates the lattice at its knots and blends
+    # them; the solution's own interpolation covers a clamped point and the
+    # x_d = 0 layer
     grid = m.Grid.build(dt=2.0**-5, x_prime_extent=1.0, x_max=0.5, counts=(9, 9))
     sol = m.solve_terminal_value(gridded_model,
                                  lambda x: np.exp(-x[:, 0] ** 2) * (1.0 + x[:, 1]), 1.0, grid)
@@ -255,7 +257,8 @@ def test_stage_sum_reproduces_operator(request, case):
     st = pde._Stencil(grid)
     w, v = np.random.default_rng(seed).standard_normal((2, grid.n_nodes))
     pv = np.zeros(grid.n_nodes)
-    for lines, bands in pde._assemble_stages(request.getfixturevalue(model_name), grid.dt, st)[0]:
+    model = request.getfixturevalue(model_name)
+    for lines, bands in pde._assemble_stages(st, pde._node_coefficients(model, st)(grid.dt))[0]:
         pv[lines.order] += pde._apply(bands, v[lines.order, None])[:, 0]
     assert abs(w @ pv - OPERATOR_PINS[case]) <= 1e-13 * abs(OPERATOR_PINS[case])
 
@@ -549,9 +552,9 @@ def test_cli_kind_pinned(tmp_path, kind):
 GRIDDED_CLI_PDE_PIN = {
     "status": 0,
     "report.json":
-        "2d093bdb59eb67891fdfdd06fb5d6da9ade6fc51c9c46b3d6a4e10fa0253f8de",
+        "9e42e2c7401537e74c5fae3bad8636bfc99d280cb3d6b49f461e6d96019ac953",
     "solution.csv":
-        "1b236be046d92e120edb8b0d90c948a350d8d50be3b2cd4a2c7b6a6173500d19",
+        "addb664f9d6c90f3e68c9a5cac8fc579f82bf27cf13b806f08505c368a7fbed2",
 }
 
 
@@ -625,6 +628,23 @@ def test_cli_pde_factorizations(tmp_path, project_csv, monkeypatch, model):
     n_steps = round(cfg["pde"]["horizon"] / cfg["pde"]["dt"])
     assert len(assembled) == (n_steps if model == "gridded" else 1)
     assert len(factored) == sum(len(stages) for stages, _ in assembled)
+
+
+def test_cli_pde_gridded_evaluates_each_knot_once(tmp_path, project_csv, monkeypatch):
+    # the march reads a, b and c once at each lattice time it reaches, not at
+    # each step: the 8 steps over [0, 0.5] reach the lattice times 1/8, 1/4,
+    # 3/8 and 1/2, so 12 calls where evaluating at every step made 40
+    calls = []
+    march = cli._march
+
+    def counted_march(model, *args):
+        fields = {f: lambda t, x, f=f, fn=getattr(model, f): calls.append(f) or fn(t, x)
+                  for f in "abc"}
+        return march(dataclasses.replace(model, **fields), *args)
+
+    monkeypatch.setattr(cli, "_march", counted_march)
+    assert cli.run(_gridded_pde_config(tmp_path, project_csv)) == 0
+    assert sorted(calls) == ["a"] * 4 + ["b"] * 4 + ["c"] * 4
 
 
 def test_cli_martingale_evaluates_model_once_per_node(tmp_path, monkeypatch):
