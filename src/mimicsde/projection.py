@@ -475,7 +475,8 @@ def load_mimicked(csv_path, sidecar_path=None) -> MimickedCoefficients:
     """Rebuild :class:`MimickedCoefficients` from the CSV + sidecar pair.
 
     The CSV must hold :func:`save_mimicked`'s header and exactly one row per (t_index, cell)
-    of the sidecar's lattice, in any order; anything else raises ``ValueError``.
+    of the sidecar's lattice, in any order, whose ``x_*`` columns are that cell's centre
+    under the sidecar's edges; anything else raises ``ValueError``.
     """
     with open(_sidecar_path(csv_path, sidecar_path)) as fh:
         meta = json.load(fh)
@@ -494,11 +495,16 @@ def load_mimicked(csv_path, sidecar_path=None) -> MimickedCoefficients:
             raise ValueError(f"{csv_path}: header is not {','.join(header)}")
         rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     rows = rows[np.lexsort(rows[:, d::-1].T)]
-    if rows.shape[1] != len(header) or not np.array_equal(
-            rows[:, : d + 1], np.indices(shape).reshape(d + 1, -1).T):
+    index = np.indices(shape).reshape(d + 1, -1)
+    if rows.shape[1] != len(header) or not np.array_equal(rows[:, : d + 1], index.T):
         raise ValueError(f"{csv_path}: need one row of {len(header)} values per (t_index, cell) "
                          f"of the {shape} lattice; an index is missing, repeated or out of range")
     pos = 1 + 2 * d
+    # save_mimicked writes the centres bit for bit, so they must match exactly
+    centers = [c[i] for c, i in zip(spec.centers, index[1:])]
+    if not np.array_equal(rows[:, d + 1 : pos], np.column_stack(centers)):
+        raise ValueError(f"{csv_path}: the x_* columns are not the cell centres of the "
+                         "sidecar's edges")
     # fresh C-contiguous arrays: the fill policy writes through reshape views
     occupancy = rows[:, pos].reshape(shape).copy()
     b_hat = rows[:, pos + 1 : pos + 1 + d].reshape(shape + (d,)).copy()

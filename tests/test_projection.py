@@ -327,6 +327,16 @@ class TestSerialization:
         with pytest.raises(ValueError):
             m.load_mimicked(path)
 
+    def test_load_rejects_sidecar_of_other_geometry(self, saved, tmp_path):
+        # same cell shape, other edges: the CSV's x_* columns give it away
+        sidecar = saved.with_name("mc.csv.meta.json")
+        meta = json.loads(sidecar.read_text())
+        meta["edges"][0] = [2.0 * e for e in meta["edges"][0]]
+        (tmp_path / "mc.csv").write_bytes(saved.read_bytes())
+        (tmp_path / "mc.csv.meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="cell centres"):
+            m.load_mimicked(tmp_path / "mc.csv")
+
     def test_load_accepts_rows_in_any_order(self, saved, tmp_path):
         order = np.random.default_rng(0).permutation
         path = self._edited(saved, tmp_path, lambda h, rows: (h, list(order(rows))))
