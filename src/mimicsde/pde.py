@@ -192,10 +192,14 @@ class _Stencil:
         self.outer = outer
         self.blayer = np.where(blayer)[0]
         self.full = np.where(~outer & ~blayer)[0]
-        # where the assembly reads coefficients: a at the full-stencil nodes,
-        # b and c at those followed by the boundary layer
-        self.a_nodes = self.nodes[self.full]
-        self.bc_nodes = self.nodes[np.concatenate([self.full, self.blayer])]
+        # where the assembly reads coefficients: b and c at the full-stencil
+        # nodes followed by the boundary layer, a at the former; and the
+        # difference weights (w2m, w20, w2p, hm, hp) of each axis there
+        self.bc_rows = np.concatenate([self.full, self.blayer])
+        self.bc_nodes = self.nodes[self.bc_rows]
+        self.a_nodes = self.bc_nodes[:self.full.size]
+        self.bc_weights = [np.stack([w[k][i] for k in ("w2m", "w20", "w2p", "hm", "hp")])
+                           for w, i in zip(self.weights, self.index[:, self.bc_rows])]
 
         # extrapolation closures: vanishing second normal difference along the
         # first outward axis, with nonuniform weights so affine data stay
@@ -247,22 +251,17 @@ def _node_coefficients(model: CoefficientModel, st: _Stencil) -> Callable:
 
     def blended(t) -> tuple:
         i = int(np.searchsorted(knots, t, side="right")) - 1  # knots[i] <= t < knots[i + 1]
-        if i < 0:
-            weights = {0: 1.0}
-        elif i == knots.size - 1 or t == knots[i]:
-            weights = {i: 1.0}
-        else:
-            frac = (t - knots[i]) / (knots[i + 1] - knots[i])
-            weights = {i: 1.0 - frac, i + 1: frac}
-        for k in set(kept) - set(weights):
+        between = 0 <= i < knots.size - 1 and t != knots[i]
+        i = max(i, 0)
+        needed = {i, i + 1} if between else {i}
+        for k in set(kept) - needed:
             del kept[k]
-        for k in weights:
-            if k not in kept:
-                kept[k] = at(float(knots[k]))
-        if len(weights) == 1:
-            return kept[next(iter(weights))]
-        (lo, w_lo), (hi, w_hi) = weights.items()
-        return tuple(w_lo * v_lo + w_hi * v_hi for v_lo, v_hi in zip(kept[lo], kept[hi]))
+        for k in needed - set(kept):
+            kept[k] = at(float(knots[k]))
+        if not between:
+            return kept[i]
+        frac = (t - knots[i]) / (knots[i + 1] - knots[i])
+        return tuple((1.0 - frac) * lo + frac * hi for lo, hi in zip(kept[i], kept[i + 1]))
 
     return blended
 
@@ -280,67 +279,56 @@ def _assemble_stages(st: _Stencil,
     nodes are zero in every stage.
     """
     d = st.grid.d
-    axis = np.zeros((d, 3, st.nn))  # grid numbering; neighbours at -e_j, 0, +e_j
-    diagonal = {}
+    nf = st.full.size
+    av, bv, cv = coefficients
+    xd = st.a_nodes[:, -1]
+    # the axis bands at st.bc_rows; neighbours at -e_j, 0, +e_j
+    band = np.zeros((d, 3, st.bc_rows.size))
+    band[0, 1] += cv
 
-    def upwind(sel: np.ndarray, bj: np.ndarray, j: int):
-        ij = st.index[j][sel]
-        fwd = np.maximum(bj, 0.0) / st.weights[j]["hp"][ij]
-        bwd = np.maximum(-bj, 0.0) / st.weights[j]["hm"][ij]
-        axis[j, 0, sel] += bwd
-        axis[j, 1, sel] -= fwd + bwd
-        axis[j, 2, sel] += fwd
+    def upwind(j: int, rows: slice) -> None:
+        hm, hp = st.bc_weights[j][3:, rows]
+        fwd = np.maximum(bv[rows, j], 0.0) / hp
+        bwd = np.maximum(-bv[rows, j], 0.0) / hm
+        band[j, 0, rows] += bwd
+        band[j, 1, rows] -= fwd + bwd
+        band[j, 2, rows] += fwd
 
-    av, b_all, c_all = coefficients
-    F = st.full
-    # full-stencil nodes
-    if F.size:
-        bv, cv = b_all[:F.size], c_all[:F.size]
-        xd = st.a_nodes[:, -1]
-        axis[0, 1, F] += cv
-        for j in range(d):
-            ij = st.index[j][F]
-            w = st.weights[j]
-            coef2 = 0.5 * xd * av[:, j, j]
-            axis[j, 0, F] += coef2 * w["w2m"][ij]
-            axis[j, 1, F] += coef2 * w["w20"][ij]
-            axis[j, 2, F] += coef2 * w["w2p"][ij]
-            upwind(F, bv[:, j], j)
-        # mixed derivatives: the sign-split 7-point cross stencil is the
-        # one-sided corner pair (+e_i + s e_j, -e_i - s e_j) with s the sign of
-        # the coefficient, i.e. a 3-point second difference along e_i + s e_j
-        # minus its corner weights on the axis stencils of e_i and e_j
-        for i in range(d):
-            for j in range(i + 1, d):
-                coefm = xd * av[:, i, j]
-                ii, jj = st.index[i][F], st.index[j][F]
-                wi, wj = st.weights[i], st.weights[j]
-                for sign in (1, -1):
-                    sel = np.flatnonzero(sign * coefm > 0)
-                    if sel.size == 0:
-                        continue
-                    r = F[sel]
-                    cval = np.abs(coefm[sel])
-                    hj_fwd, hj_bwd = (wj["hp"], wj["hm"]) if sign == 1 else (wj["hm"], wj["hp"])
-                    bands = np.zeros((3, st.nn))
-                    bands[0, r] = cval * (0.5 / (wi["hm"][ii[sel]] * hj_bwd[jj[sel]]))
-                    bands[2, r] = cval * (0.5 / (wi["hp"][ii[sel]] * hj_fwd[jj[sel]]))
-                    bands[1, r] = -(bands[0, r] + bands[2, r])
-                    diagonal[(i, j, sign)] = bands
-                    axis[i] -= bands
-                    axis[j] -= bands if sign == 1 else bands[::-1]
-
-    # degenerate boundary layer: first-order transport, one-sided inward in x_d
-    # (never empty, since every axis has at least 3 nodes)
-    B = st.blayer
-    bv = b_all[F.size:]
-    axis[0, 1, B] += c_all[F.size:]
-    for j in range(d - 1):
-        upwind(B, bv[:, j], j)
-    bd = bv[:, -1]
+    for j in range(d):
+        band[j, :, :nf] += (0.5 * xd * av[:, j, j]) * st.bc_weights[j][:3, :nf]
+        # the degenerate boundary layer is first-order transport: upwinded
+        # along x', one-sided inward in x_d (below)
+        upwind(j, slice(None) if j < d - 1 else slice(nf))
+    bd = bv[nf:, -1]
     hp0 = st.weights[d - 1]["hp"][0]
-    axis[d - 1, 1, B] -= bd / hp0
-    axis[d - 1, 2, B] += bd / hp0
+    band[d - 1, 1, nf:] -= bd / hp0
+    band[d - 1, 2, nf:] += bd / hp0
+    axis = np.zeros((d, 3, st.nn))  # grid numbering
+    axis[:, :, st.bc_rows] = band
+
+    # mixed derivatives: the sign-split 7-point cross stencil is the
+    # one-sided corner pair (+e_i + s e_j, -e_i - s e_j) with s the sign of
+    # the coefficient, i.e. a 3-point second difference along e_i + s e_j
+    # minus its corner weights on the axis stencils of e_i and e_j
+    diagonal = {}
+    for i in range(d):
+        for j in range(i + 1, d):
+            coefm = xd * av[:, i, j]
+            (hm_i, hp_i), (hm_j, hp_j) = st.bc_weights[i][3:, :nf], st.bc_weights[j][3:, :nf]
+            for sign in (1, -1):
+                sel = np.flatnonzero(sign * coefm > 0)
+                if sel.size == 0:
+                    continue
+                r = st.full[sel]
+                cval = np.abs(coefm[sel])
+                hj_fwd, hj_bwd = (hp_j, hm_j) if sign == 1 else (hm_j, hp_j)
+                bands = np.zeros((3, st.nn))
+                bands[0, r] = cval * (0.5 / (hm_i[sel] * hj_bwd[sel]))
+                bands[2, r] = cval * (0.5 / (hp_i[sel] * hj_fwd[sel]))
+                bands[1, r] = -(bands[0, r] + bands[2, r])
+                diagonal[(i, j, sign)] = bands
+                axis[i] -= bands
+                axis[j] -= bands if sign == 1 else bands[::-1]
 
     stages = [(lines, np.take(axis[j], lines.order, axis=1)) for j, lines in enumerate(st.axes)]
     for key, bands in diagonal.items():
