@@ -14,7 +14,8 @@ point and time grid and simulate a model over it; ``_projection_stage``
 estimates, builds, saves and validates the mimicking model; ``_coordinates``
 and ``_DEFAULT_PAYOFF`` are the shared test statistics and terminal payoff.
 The ``pde`` kind is one march: its constant-data check and terminal-value solve
-are two columns of one time-reversed march that assembles each step's stages once.
+are two columns of one time-reversed march, and the check takes its one killing rate
+from the range of c the march applied (``meta`` ``c_min``, ``c_max``), raising if it varies.
 It reads its terminal payoff from ``duality.g`` (default: radial bump at (0, 0.04), radius 0.5).
 
 Seeds are mandatory — there are no entropy defaults — so re-running a config
@@ -50,7 +51,7 @@ from .martingale import (
     radial_bump,
     strong_markov_restart_test,
 )
-from .pde import THETA, Grid, _march, killing_on_grid, solve_two_grid, time_reversed_model
+from .pde import THETA, Grid, _march, solve_two_grid, time_reversed_model
 from .projection import (
     BinningSpec,
     build_mimicking_model,
@@ -222,11 +223,6 @@ def _run_pde(cfg, out, seed, model, check_model):
     horizon = p.get("horizon", 0.5)
     scheme = p.get("scheme", "implicit_euler")
 
-    march_times = np.linspace(0.0, horizon, int(round(horizon / grid.dt)) + 1)
-    has_killing, rate = killing_on_grid(model, grid, march_times)
-    if rate is None:
-        raise ValueError("the constant-data check needs a killing rate c that is constant "
-                         "in space and time; c varies over the grid nodes or march times")
     # one time-reversed march: column 1 ends at v(0, .); column 0 is constant
     # data, whose value is exact at any dt because the constant rate survives
     # reversal: each theta-step multiplies by (1 + (1 - theta) c dt) / (1 - theta c dt)
@@ -235,9 +231,14 @@ def _run_pde(cfg, out, seed, model, check_model):
     block = np.column_stack([np.ones(grid.n_nodes), g(nodes)])
     sol_const, sol = _march(time_reversed_model(model, horizon), None, block, grid, horizon,
                             scheme, "ends")
+    rate = sol.meta["c_min"]
+    if rate != sol.meta["c_max"]:
+        raise ValueError("the constant-data check needs a killing rate c that is constant "
+                         "in space and time; the march applied c from "
+                         f"{rate:.6g} to {sol.meta['c_max']:.6g}")
     theta = THETA[scheme]
     expected = ((1.0 + (1.0 - theta) * rate * grid.dt)
-                / (1.0 - theta * rate * grid.dt)) ** (march_times.size - 1)
+                / (1.0 - theta * rate * grid.dt)) ** sol.meta["n_steps"]
     const_err = float(np.abs(sol_const.values[-1] - expected).max())
 
     with open(out / "solution.csv", "w", newline="") as fh:
@@ -248,7 +249,7 @@ def _run_pde(cfg, out, seed, model, check_model):
     # and what that did to each column's range, over all nodes and over the
     # non-outer nodes the extrapolation closure does not reach; reported, not gated
     cols = {"constant": sol_const, "payoff": sol}
-    return ok, {"constant_data_error": const_err, "killing": has_killing,
+    return ok, {"constant_data_error": const_err, "killing": rate != 0.0,
                 "scheme": scheme, "downwind_rows": sol.meta["downwind_rows"],
                 "min_boundary_bd": sol.meta["min_boundary_bd"],
                 "layer_min": {k: float(s.layer_min.min()) for k, s in cols.items()},

@@ -71,13 +71,13 @@ class RegularityBudget:
 class CoefficientModel:
     """Evaluable coefficient triple (a, b, c) with a declared regularity budget.
 
-    ``time_independent`` declares that a, b and c do not depend on t.
-    ``knots``, a strictly increasing 1-d array when set, declares that they
-    are affine in t between consecutive knots and constant before the first
-    and after the last, so their values at the knots determine them at every
-    t.  Both are claims about the fields: a ``dataclasses.replace`` of a, b
-    or c must reset them (``time_independent=False``, ``knots=None``) unless
-    the new fields keep them true.
+    ``knots``, a finite strictly increasing 1-d array when set, is the
+    model's one declaration of how a, b and c depend on t: affine between
+    consecutive knots and constant before the first and after the last, so
+    their values at the knots determine them at every t.  A single knot
+    declares them constant in t; ``None`` declares nothing.  It is a claim
+    about the fields: a ``dataclasses.replace`` of a, b or c must reset it
+    (``knots=None``) unless the new fields keep it true.
     """
 
     d: int
@@ -85,16 +85,15 @@ class CoefficientModel:
     b: VectorField
     c: ScalarField
     budget: RegularityBudget
-    provenance: str = "analytic"
-    time_independent: bool = False
     name: str = ""
     knots: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.knots is not None:
             self.knots = np.asarray(self.knots, dtype=float)
-            if self.knots.ndim != 1 or self.knots.size == 0 or np.any(np.diff(self.knots) <= 0):
-                raise ValueError("knots must be a non-empty strictly increasing 1-d array")
+            if (self.knots.ndim != 1 or self.knots.size == 0 or not np.all(np.isfinite(self.knots))
+                    or np.any(np.diff(self.knots) <= 0)):
+                raise ValueError("knots must be a non-empty, finite, strictly increasing 1-d array")
 
     def varsigma(self, t, x: np.ndarray) -> np.ndarray:
         """Pointwise square root of a(t, x), batched (see :func:`diffusion_root`)."""
@@ -343,8 +342,7 @@ def heston_model(
         budget = RegularityBudget(delta=0.8 * lam_min, K=k_bound, nu=0.8 * kappa * theta, alpha=0.5)
 
     return CoefficientModel(
-        d=2, a=a_eval, b=b_eval, c=c_eval, budget=budget,
-        provenance="analytic", time_independent=True,
+        d=2, a=a_eval, b=b_eval, c=c_eval, budget=budget, knots=(0.0,),
         name=f"heston(kappa={kappa},theta={theta},zeta={zeta},rho={rho},r={r},q={q},killing={with_killing})",
     )
 
@@ -419,14 +417,13 @@ def _extremum_clause(name: str, values: np.ndarray, bound: float, kind: str,
 
 def validate_coefficients(
     model: CoefficientModel,
-    budget: RegularityBudget | None = None,
     t_max: float = 1.0,
     n_samples: int = 4096,
     pair_budget: int = 4096,
     seed: int = 0,
     alphas: Sequence[float] | None = None,
 ) -> ValidationReport:
-    """Check every regularity clause of the declared budget on sampled data.
+    """Check every regularity clause of ``model.budget`` on sampled data.
 
     Points are sampled in [0, t_max] x [-3, 3]^(d-1) x [0, 6].  The state
     space splits at x_d = 2: below it the ellipticity/boundedness/
@@ -435,8 +432,7 @@ def validate_coefficients(
     metric.  The Hölder exponent is taken from the budget; extra exponents in
     ``alphas`` are scored and reported without affecting pass/fail.
     """
-    if budget is None:
-        budget = model.budget
+    budget = model.budget
     d = model.d
     ext = _X_PRIME_EXTENT
     report_alphas = list(alphas) if alphas is not None else []

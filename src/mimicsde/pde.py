@@ -40,10 +40,11 @@ and moves it into and out of a stage's line order by gathers
 (``np.take`` by the line order, then by its inverse, the line rank).
 
 Coefficients are read at fixed node sets, so a model that declares
-``knots`` (a, b and c affine in t between them, as a lattice interpolated
-linearly in time is) is evaluated only at the knots the march reaches, and
-each step blends the two that bracket its time: the same coefficients up
-to rounding, at one evaluation per knot instead of one per step.
+``knots`` (a, b and c affine in t between them, constant outside) is
+evaluated only at the knots the march reaches, and each step blends the two
+that bracket its time: the same coefficients up to rounding, at one
+evaluation per knot instead of one per step.  Steps that read one knot's
+values unblended (with a single knot, every step) share one assembly.
 """
 
 from __future__ import annotations
@@ -232,11 +233,12 @@ class _Stencil:
 def _node_coefficients(model: CoefficientModel, st: _Stencil) -> Callable:
     """t -> (a at ``st.a_nodes``, b and c at ``st.bc_nodes``), as float arrays.
 
-    A model with ``knots`` is evaluated only at knots: t at or outside the
-    end knots takes the end knot's values, t strictly between two knots
-    blends theirs linearly, which is the model itself up to rounding.  Only
-    the knots the last t needed are kept, at most two.  Other models are
-    evaluated at t itself.
+    A model with ``knots`` is evaluated only at knots, and only the knots
+    the last t needed are kept, at most two.  A t at a knot or outside the
+    knots' range returns that knot's kept tuple itself, so calls in a row on
+    one knot return one object, which the march's reuse rests on; a t
+    strictly between two knots returns a fresh blend of theirs, the model
+    itself up to rounding.  Other models return a fresh tuple at t itself.
     """
 
     def at(t) -> tuple:
@@ -379,9 +381,11 @@ class PdeSolution:
     records in ``meta`` where it left the paper's class b_d > 0 on x_d = 0:
     ``downwind_rows``, the most boundary-layer rows with b_d < 0 that any
     step assembled, and ``min_boundary_bd``, the least boundary-layer b_d
-    over all assembled steps (None when no step was taken).  ``inner_min``
-    and ``inner_max`` are the extrema over every computed layer at the
-    non-outer nodes, which the outer extrapolation closure does not reach.
+    over all assembled steps; ``c_min`` and ``c_max``, the least and
+    greatest c that any assembly applied (all three None when no step was
+    taken; ``n_steps`` counts the steps).  ``inner_min`` and ``inner_max``
+    are the extrema over every computed layer at the non-outer nodes, where
+    the assembly reads c and which the outer extrapolation closure does not reach.
     """
 
     grid: Grid
@@ -405,10 +409,10 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
            horizon: float, scheme: str, store: str) -> list[PdeSolution]:
     """March an (N, k) block of initial layers; one PdeSolution per column.
 
-    Each step assembles and factors its line stages once (a time-independent
-    model once in all) from the coefficients at its time (for a model with
-    knots, the linear blend of the two bracketing knots' values, each knot
-    evaluated once and at most two kept) and applies them in turn, each
+    Each step reads its coefficients from :func:`_node_coefficients` (for a
+    model with knots, the blend of the two bracketing knots' values) and,
+    when that returns another tuple than the one last assembled, assembles
+    and factors its line stages from them; it applies them in turn, each
     stage's right-hand side gathered into line order and its solution
     gathered back into grid order, odd steps in reverse order so
     that step pairs compose symmetrically, each as one theta-step
@@ -458,15 +462,19 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
     u = np.array(u0, dtype=float)
     record(u, 0.0, True)
     coefficients = _node_coefficients(model, st)
-    stages = None
-    downwind_rows, boundary_bd_min = [], []
+    assembled = None
+    downwind_rows, boundary_bd_min, c_min, c_max = [], [], [], []
     for n in range(n_steps):
         t_next = (n + 1) * grid.dt
         t_eval = t_next if theta == 1.0 else (n + 0.5) * grid.dt
-        if stages is None or not model.time_independent:
-            parts, bd = _assemble_stages(st, coefficients(t_eval))
+        now = coefficients(t_eval)
+        if now is not assembled:
+            assembled = now
+            parts, bd = _assemble_stages(st, now)
             downwind_rows.append(int(np.count_nonzero(bd < 0)))
             boundary_bd_min.append(float(bd.min()))
+            c_min.append(float(now[2].min()))
+            c_max.append(float(now[2].max()))
             stages = [(lines, bands, _stage_lu(lines, bands, theta * grid.dt, n))
                       for lines, bands in parts]
         for lines, bands, lu in stages if n % 2 == 0 else stages[::-1]:
@@ -484,7 +492,8 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
     values, lo, hi = (np.stack(a, axis=1) for a in (stored, layer_min, layer_max))
     inner_min, inner_max = np.min(inner_min, axis=0), np.max(inner_max, axis=0)
     meta = {"n_steps": n_steps, "store": store, "downwind_rows": max(downwind_rows, default=0),
-            "min_boundary_bd": min(boundary_bd_min, default=None)}
+            "min_boundary_bd": min(boundary_bd_min, default=None),
+            "c_min": min(c_min, default=None), "c_max": max(c_max, default=None)}
     return [PdeSolution(
         grid=grid, times=np.asarray(stored_times), values=values[j].reshape((-1, *grid.shape)),
         layer_min=lo[j], layer_max=hi[j], scheme=scheme,
@@ -548,24 +557,6 @@ def solve_terminal_value(
     return replace(um, times=horizon - um.times[::-1], values=um.values[::-1],
                    layer_min=um.layer_min[::-1], layer_max=um.layer_max[::-1],
                    meta=dict(um.meta, reversed=True))
-
-
-def killing_on_grid(model: CoefficientModel, grid: Grid,
-                    times: Sequence[float]) -> tuple[bool, float | None]:
-    """Whether c is nonzero at any node of ``grid`` at any of ``times``, and
-    its common value.
-
-    The rate is returned when c takes one value on every node at every one
-    of ``times`` (constant in space and time), else None.  The ``pde`` kind's
-    constant-data check needs that rate at every node and march time, which is
-    all this samples: a c that is nonzero only off the grid nodes or between
-    the given times goes unseen.
-    """
-    nodes = grid.nodes()
-    cv = np.stack([np.asarray(model.c(float(t), nodes), dtype=float) for t in times])
-    has_killing = bool(np.any(np.abs(cv) > 0))
-    rate = float(cv.flat[0]) if np.all(cv == cv.flat[0]) else None
-    return has_killing, rate
 
 
 @dataclass(frozen=True)

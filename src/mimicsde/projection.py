@@ -10,8 +10,9 @@ product D is the stable object near the boundary; a is derived by division
 away from x_d = 0 and by linear extrapolation onto the boundary layer, then
 eigenvalue-floored so the rebuilt model is usable by the simulator and the
 PDE solver.  Cells with too little occupancy are masked, never silently
-interpolated from; the fill policy copies the nearest unmasked cell and
-records the distance.
+interpolated from: the fill policy copies the nearest unmasked cell into
+them, in place, and records the distance, and the mask, recomputed from the
+occupancy, still marks them in a saved and reloaded lattice.
 """
 
 from __future__ import annotations
@@ -223,20 +224,21 @@ def build_mimicking_model(
     mc: MimickedCoefficients,
     max_masked_fraction: float = 0.5,
     clip_budget: float | None = None,
-    budget: RegularityBudget | None = None,
 ) -> CoefficientModel:
     """Turn gridded (b, D) estimates into an evaluable coefficient model.
 
-    a = D / x_d at cell centers (all have x_d > 0); the boundary layer
-    a(., x_d = 0) is linearly extrapolated from the two nearest center layers.
-    Each node's a is made positive semi-definite by flooring eigenvalues at
-    1e-6 * trace/d, and the total eigenvalue shift per node is recorded in
-    ``mc.clip`` (a model-quality metric; exceeding ``clip_budget`` raises).  The model's ``a`` and ``b`` are :class:`LatticeInterpolator`
-    instances over (spec.times, cell centers with the x_d = 0 layer
-    prepended): multilinear in (t, x) with edge clamping, a shared time
-    bracketed once per call, so with two or more time layers the layer
-    times are the model's ``knots``.  The diffusion evaluator is
-    sqrt(x_d^+) * Cholesky(a).
+    Masked cells of ``mc`` are filled in place first (nearest unmasked
+    cell).  a = D / x_d at cell centers (all have x_d > 0); the boundary
+    layer a(., x_d = 0) is linearly extrapolated from the two nearest center
+    layers.  Each node's a is made positive semi-definite by flooring
+    eigenvalues at 1e-6 * trace/d, and the total eigenvalue shift per node
+    is recorded in ``mc.clip`` (a model-quality metric; exceeding
+    ``clip_budget`` raises).  The model's ``a`` and ``b`` are
+    :class:`LatticeInterpolator` instances over (spec.times, cell centers
+    with the x_d = 0 layer prepended): multilinear in (t, x) with edge
+    clamping, a shared time bracketed once per call, so the layer times are
+    the model's ``knots`` (one layer: constant in t).  The diffusion
+    evaluator is sqrt(x_d^+) * Cholesky(a).
     """
     if mc.masked_fraction > max_masked_fraction:
         raise ValueError(
@@ -283,23 +285,21 @@ def build_mimicking_model(
     a_interp = LatticeInterpolator(times, axes, a_grid)
     b_interp = LatticeInterpolator(times, axes, b_grid)
 
-    if budget is None:
-        eig_min = float(np.linalg.eigvalsh(a_grid.reshape(-1, d, d)).min())
-        nu = float(np.min(b_grid[..., 0, -1]))  # drift component d on the x_d = 0 layer
-        budget = RegularityBudget(
-            delta=max(0.5 * eig_min, 1e-12),
-            K=float(max(np.abs(a_grid).max(), np.abs(b_grid).max(), 1.0) * 4.0),
-            nu=max(0.8 * nu, 1e-12),
-            alpha=0.5,
-        )
+    eig_min = float(np.linalg.eigvalsh(a_grid.reshape(-1, d, d)).min())
+    nu = float(np.min(b_grid[..., 0, -1]))  # drift component d on the x_d = 0 layer
+    budget = RegularityBudget(
+        delta=max(0.5 * eig_min, 1e-12),
+        K=float(max(np.abs(a_grid).max(), np.abs(b_grid).max(), 1.0) * 4.0),
+        nu=max(0.8 * nu, 1e-12),
+        alpha=0.5,
+    )
 
     def c_eval(t, x):
         return np.zeros(np.asarray(x).shape[0])
 
     return CoefficientModel(
         d=d, a=a_interp, b=b_interp,
-        c=c_eval, budget=budget, provenance="gridded",
-        time_independent=(k_times == 1), knots=times if k_times > 1 else None,
+        c=c_eval, budget=budget, knots=times,
         name=f"mimicking(kernel={mc.spec.kernel},times={k_times},cells={mc.spec.cell_shape})",
     )
 
@@ -447,7 +447,9 @@ def save_mimicked(mc: MimickedCoefficients, csv_path, sidecar_path=None) -> None
     """CSV of per-node estimates, one row per (t_index, cell) in C order, plus a JSON sidecar.
 
     Columns: ``t_index, cell_*`` (integers), ``x_*`` (the cell center), ``occupancy, b_*,
-    D_*, clip``; masked estimates are ``nan``.  The sidecar defaults to ``<csv>.meta.json``.
+    D_*, clip``.  Masked estimates are written as ``mc`` holds them: ``nan`` as estimated,
+    their nearest unmasked cell's values once :func:`build_mimicking_model` has filled
+    them (the CLI saves after building).  The sidecar defaults to ``<csv>.meta.json``.
     """
     d = mc.d
     index = np.indices((len(mc.spec.times), *mc.spec.cell_shape)).reshape(d + 1, -1)

@@ -46,7 +46,7 @@ def zero_model(d: int = 2) -> m.CoefficientModel:
         b=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
         c=lambda t, x: np.zeros(np.asarray(x).shape[0]),
         budget=m.RegularityBudget(1e-9, 1.0, 1e-9, 0.5),
-        time_independent=True,
+        knots=[0.0],
         name="zero",
     )
 
@@ -61,7 +61,7 @@ def constant_model(b_vec, a_mat=None, d=None) -> m.CoefficientModel:
         b=lambda t, x: np.broadcast_to(b_vec, np.asarray(x).shape).copy(),
         c=lambda t, x: np.zeros(np.asarray(x).shape[0]),
         budget=m.RegularityBudget(0.5, 10.0, max(float(b_vec[-1]), 1e-9), 0.5),
-        time_independent=True,
+        knots=[0.0],
         name="constant",
     )
 
@@ -81,5 +81,5 @@ def kinked_model(d: int = 2) -> m.CoefficientModel:
     return m.CoefficientModel(
         d=d, a=a, b=b, c=lambda t, x: np.zeros(np.asarray(x).shape[0]),
         budget=m.RegularityBudget(1e-9, 10.0, 0.4, 0.5),
-        time_independent=True, name="kinked",
+        knots=[0.0], name="kinked",
     )

@@ -231,7 +231,7 @@ def test_10_pde_exactness_oracles(model):
         a=lambda t, x: np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy(),
         b=lambda t, x: np.broadcast_to(np.array([0.3, 0.2]), x.shape).copy(),
         c=lambda t, x: np.zeros(x.shape[0]),
-        budget=m.RegularityBudget(0.5, 10.0, 0.1, 0.5), time_independent=True)
+        budget=m.RegularityBudget(0.5, 10.0, 0.1, 0.5), knots=[0.0])
     sol = m.solve_cauchy(const_model, None, lambda x: x[:, 0], grid, 0.5, store="ends")
     nodes = grid.nodes()
     inner = (np.abs(nodes[:, 0]) <= 0.75) & (nodes[:, 1] <= 0.25)
@@ -274,7 +274,7 @@ def test_11_validator(model):
     counter = m.CoefficientModel(
         d=2, a=model.a,
         b=lambda t, x: np.stack([0.02 - 0.5 * x[:, 1], -1.5 * x[:, 1]], axis=1),
-        c=model.c, budget=model.budget, time_independent=True)
+        c=model.c, budget=model.budget, knots=[0.0])
     crep = m.validate_coefficients(counter, seed=1111)
     floor_clause = crep.condition("boundary_drift_floor")
     emp = rep.empirical

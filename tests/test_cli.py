@@ -155,7 +155,7 @@ class TestCheckKinds:
         # the constant-data check compares against the march's own value for
         # one rate c: a c that varies over the grid or in time must raise
         heston = cli.heston_model(1.5, 0.04, 0.3, -0.5)
-        varying = dataclasses.replace(heston, c=c, time_independent=False)
+        varying = dataclasses.replace(heston, c=c, knots=None)
         monkeypatch.setattr(cli, "_model_from_config", lambda cfg: varying)
         cfg = base_sim_config(tmp_path, kind="pde")
         cfg["pde"] = {"dt": 1.0 / 16, "x_prime_extent": 1.5, "x_max": 0.5,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,13 +142,13 @@ class TestValidator:
         emp = rep.empirical
         tightened = m.RegularityBudget(delta=emp["delta"] * 0.95, K=emp["K"] * 1.05,
                                        nu=emp["nu"] * 0.95, alpha=emp["alpha"])
-        assert m.validate_coefficients(heston, budget=tightened, seed=6).passed
+        assert m.validate_coefficients(dataclasses.replace(heston, budget=tightened), seed=6).passed
 
     def test_zero_boundary_drift_fails_floor_clause(self, heston):
         counter = m.CoefficientModel(
             d=2, a=heston.a,
             b=lambda t, x: np.stack([0.02 - 0.5 * x[:, 1], -1.5 * x[:, 1]], axis=1),
-            c=heston.c, budget=heston.budget, time_independent=True)
+            c=heston.c, budget=heston.budget, knots=[0.0])
         rep = m.validate_coefficients(counter, seed=5)
         clause = rep.condition("boundary_drift_floor")
         assert not clause.passed

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mimicsde as m
+from mimicsde import pde
 from mimicsde.pde import (
     SCHEMES,
     _assemble_stages,
@@ -11,7 +12,6 @@ from mimicsde.pde import (
     _march,
     _node_coefficients,
     _Stencil,
-    killing_on_grid,
     time_reversed_model,
 )
 
@@ -353,7 +353,7 @@ class TestDuality:
         # must still be applied
         model = dataclasses.replace(constant_model([0.0, 0.0], a_mat=np.zeros((2, 2))),
                                     c=lambda t, x: np.full(np.asarray(x).shape[0], -float(t)),
-                                    time_independent=False)
+                                    knots=None)
         grid = m.Grid.build(dt=1 / 64, x_prime_extent=1.5, x_max=1.0, counts=[9, 9])
         rep = m.duality_check(model, ones, [0.0, 0.5], 1.0, grid,
                               mc_paths=8, mc_step=2.0**-9, mc_seed=3)
@@ -378,17 +378,21 @@ class TestDuality:
             m.discounted_mean(heston, ones, [0.0, 0.09], 0.5, 1, 2.0**-6, 3)
 
 
-def test_killing_on_grid(heston, heston_killing):
-    grid = small_grid(n=9)
-    times = [0.0, 0.25, 0.5]
-    assert killing_on_grid(heston, grid, times) == (False, 0.0)
-    assert killing_on_grid(heston_killing, grid, times) == (True, -0.02)
+def test_march_reports_killing_applied(heston, heston_killing):
+    # meta's c range is the least and greatest c that the march assembled
+    grid = small_grid(n=9, dt=1.0 / 8)
+    u0 = np.ones((grid.n_nodes, 1))
+
+    def c_range(model):
+        meta = _march(model, None, u0, grid, 0.5, "implicit_euler", "ends")[0].meta
+        return meta["c_min"], meta["c_max"]
+
+    assert c_range(heston) == (0.0, 0.0)
+    assert c_range(heston_killing) == (-0.02, -0.02)
     varying = dataclasses.replace(heston, c=lambda t, x: -np.asarray(x)[:, 0] ** 2)
     assert varying.c(0.0, np.zeros((1, 2)))[0] == 0.0  # zero at the origin, a node
-    assert killing_on_grid(varying, grid, times) == (True, None)
-    late = dataclasses.replace(heston, c=lambda t, x: np.full(np.asarray(x).shape[0], -float(t)))
-    assert killing_on_grid(late, grid, [0.0]) == (False, 0.0)
-    assert killing_on_grid(late, grid, times) == (True, None)
+    lo, hi = c_range(varying)
+    assert lo < hi == 0.0
 
 
 def counted(model, calls):
@@ -422,8 +426,32 @@ class TestKnots:
         assert np.array_equal(gridded_model.knots, [0.25, 0.5, 0.75, 1.0])
         assert np.array_equal(time_reversed_model(gridded_model, 1.0).knots,
                               [0.0, 0.25, 0.5, 0.75])
-        with pytest.raises(ValueError, match="strictly increasing"):
-            dataclasses.replace(gridded_model, knots=[0.5, 0.25])
+        for knots in ([0.5, 0.25], [0.0, np.nan], [np.inf], [-np.inf, 0.0]):
+            with pytest.raises(ValueError, match="finite, strictly increasing"):
+                dataclasses.replace(gridded_model, knots=knots)
+
+    def test_constant_models_assemble_once(self, heston, monkeypatch):
+        # a one-layer built model has a single knot, constant in t; a model
+        # whose knots all precede the march reads its last knot at every
+        # step: either way the march reuses its first stages throughout
+        ens = m.simulate_ito_process(m.model_driver(heston), np.array([0.0, 0.09]),
+                                     m.TimeGrid(0.0, 0.5, 2.0**-4), 2000, 31,
+                                     record_drivers=True, store_stride=2)
+        spec = m.BinningSpec(times=(0.5,), edges=(np.linspace(-1.5, 1.5, 9),
+                                                  [0.0, 0.05, 0.1, 0.2, 0.4]), min_count=5)
+        one_layer = m.build_mimicking_model(m.estimate_mimicking_coefficients(ens, spec),
+                                            max_masked_fraction=0.99)
+        assert np.array_equal(one_layer.knots, [0.5])
+        early = dataclasses.replace(heston, knots=[-1.0, -0.5])
+        assembled = []
+        assemble = pde._assemble_stages
+        monkeypatch.setattr(pde, "_assemble_stages",
+                            lambda *a: assembled.append(1) or assemble(*a))
+        grid = small_grid(n=9, dt=1.0 / 16)
+        for model in (one_layer, early):
+            assembled.clear()
+            _march(model, None, np.ones((grid.n_nodes, 1)), grid, 0.5, "implicit_euler", "ends")
+            assert len(assembled) == 1
 
     def test_march_evaluates_each_reached_knot_once(self, gridded_model):
         # pde-gridded's time layout: lattice times k/16 (k = 1..16), horizon

@@ -614,9 +614,11 @@ def test_mimicked_io_pinned(heston, tmp_path, project_csv):
 
 @pytest.mark.parametrize("model", ["heston", "gridded"])
 def test_cli_pde_factorizations(tmp_path, project_csv, monkeypatch, model):
-    # both solves share one march: Heston is time-independent and assembles
-    # and factors its stages once; the gridded model once per step, not once
-    # per step per solve
+    # both solves share one march, which assembles and factors its stages
+    # only when its coefficients change: Heston, constant in t (one knot),
+    # once; the gridded model at each of its 8 steps but the last two, not
+    # once per step per solve: t = 7/16 and 1/2 lie past the last reversed
+    # knot 3/8 and reuse its stages
     assembled, factored = [], []
     assemble, factor = pde._assemble_stages, pde.lapack.dgttrf
     monkeypatch.setattr(pde, "_assemble_stages",
@@ -625,8 +627,7 @@ def test_cli_pde_factorizations(tmp_path, project_csv, monkeypatch, model):
     cfg = (_gridded_pde_config(tmp_path, project_csv) if model == "gridded"
            else _cli_config("pde", tmp_path))
     assert cli.run(cfg) == 0
-    n_steps = round(cfg["pde"]["horizon"] / cfg["pde"]["dt"])
-    assert len(assembled) == (n_steps if model == "gridded" else 1)
+    assert len(assembled) == (6 if model == "gridded" else 1)
     assert len(factored) == sum(len(stages) for stages, _ in assembled)
 
 

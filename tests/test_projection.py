@@ -374,7 +374,25 @@ class TestSerialization:
         mc = m.estimate_mimicking_coefficients(ens, default_spec())
         m.save_mimicked(mc, tmp_path / "mc.csv")
         model = m.load_gridded_model(tmp_path / "mc.csv", max_masked_fraction=0.95)
-        assert model.provenance == "gridded"
         x = np.array([[0.0, 0.09]])
         assert np.isfinite(model.b(0.5, x)).all()
         assert np.isfinite(model.sigma(0.5, x)).all()
+
+    def test_saved_filled_lattice_rebuilds_bit_equal(self, heston, tmp_path):
+        # the CLI saves after building, so the file holds the filled lattice:
+        # masked rows carry their nearest unmasked cell's values, not nan, and
+        # loading and building again gives the model that was built
+        mc = m.estimate_mimicking_coefficients(heston_driver_ensemble(heston, n=3000),
+                                               default_spec())
+        built = m.build_mimicking_model(mc, max_masked_fraction=0.95)
+        m.save_mimicked(mc, tmp_path / "mc.csv")
+        saved = m.load_mimicked(tmp_path / "mc.csv")
+        assert saved.mask.any() and not np.isnan(saved.b_hat).any()
+        loaded = m.load_gridded_model(tmp_path / "mc.csv", max_masked_fraction=0.95)
+        assert loaded.knots.tobytes() == built.knots.tobytes()
+        assert loaded.budget == built.budget
+        u = np.random.default_rng(5).uniform(size=(2000, 2))
+        x = np.column_stack([3.6 * u[:, 0] - 1.8, 0.6 * u[:, 1]])
+        for t in (0.0, 0.125, 0.3, 1.0, 1.5):
+            for f in "ab":
+                assert getattr(loaded, f)(t, x).tobytes() == getattr(built, f)(t, x).tobytes()

@@ -68,7 +68,7 @@ class TestSimulateSde:
             d=2,
             a=lambda t, x: np.where((x[:, -1] < 0)[:, None, None], np.nan, heston.a(t, x)),
             b=lambda t, x: np.where((x[:, -1] < 0)[:, None], np.nan, heston.b(t, x)),
-            c=heston.c, budget=heston.budget, time_independent=True)
+            c=heston.c, budget=heston.budget, knots=[0.0])
         grid = m.TimeGrid(0.0, 1.0, 2.0**-6)
         for scheme in ("full_truncation", "absorbed_euler"):
             a = m.simulate_sde(heston, start, grid, 400, 11, scheme=scheme)
