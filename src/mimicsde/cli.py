@@ -5,8 +5,8 @@ compute, executes one pipeline, writes CSV data artifacts plus a
 ``report.json``, and records a ``manifest.json`` with the config hash, package
 version, wall-clock time, and whether a ``--threads`` cap took effect.  Exit
 status: 0 when all asserted checks pass, 1 on a check failure (the report is
-still written), 2 on misuse: a schema violation, or ``--break-generator`` on a
-kind other than martingale and duality.
+still written), 2 on misuse: a schema violation (an unknown key included), or
+``--break-generator`` on a kind other than martingale and duality.
 
 The runners share one set of stages: :func:`run` resolves the model and its
 checking copy once; ``_start``, ``_time_grid`` and ``_ensemble`` read the start
@@ -312,18 +312,29 @@ CONFIG_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
     "required": ["kind", "seed", "output_dir"],
+    "additionalProperties": False,
     "properties": {
         "kind": {"enum": list(KINDS)},
         "seed": {"type": "integer"},
         "output_dir": {"type": "string"},
         "model": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "builtin": {"enum": ["heston"]},
-                "params": {"type": "object"},
+                "params": {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "properties": {
+                        **{k: {"type": "number"}
+                           for k in ("kappa", "theta", "zeta", "rho", "r", "q")},
+                        "with_killing": {"type": "boolean"},
+                    },
+                },
                 "gridded": {
                     "type": "object",
                     "required": ["csv"],
+                    "additionalProperties": False,
                     "properties": {"csv": {"type": "string"}, "sidecar": {"type": "string"}},
                 },
             },
@@ -331,6 +342,7 @@ CONFIG_SCHEMA = {
         "start": {
             "type": "object",
             "required": ["x"],
+            "additionalProperties": False,
             "properties": {
                 "t": {"type": "number", "minimum": 0},
                 "x": {"type": "array", "items": {"type": "number"}, "minItems": 1},
@@ -339,6 +351,7 @@ CONFIG_SCHEMA = {
         "ensemble": {
             "type": "object",
             "required": ["n_paths", "step", "horizon"],
+            "additionalProperties": False,
             "properties": {
                 "n_paths": {"type": "integer", "minimum": 1},
                 "step": {"type": "number", "exclusiveMinimum": 0},
@@ -349,6 +362,7 @@ CONFIG_SCHEMA = {
         },
         "driver": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "kind": {"enum": ["markov_replay", "regime_switching"]},
                 "hi_factor": {"type": "number", "exclusiveMinimum": 0},
@@ -359,6 +373,7 @@ CONFIG_SCHEMA = {
         "binning": {
             "type": "object",
             "required": ["times", "edges"],
+            "additionalProperties": False,
             "properties": {
                 "times": {"type": "array", "items": {"type": "number"}, "minItems": 1},
                 "edges": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
@@ -370,6 +385,7 @@ CONFIG_SCHEMA = {
         },
         "pde": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "dt": {"type": "number", "exclusiveMinimum": 0},
                 "x_prime_extent": {"type": "number", "exclusiveMinimum": 0},
@@ -382,6 +398,7 @@ CONFIG_SCHEMA = {
         },
         "martingale": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "n_intervals": {"type": "integer", "minimum": 2},
                 "z_crit": {"type": "number", "exclusiveMinimum": 0},
@@ -389,9 +406,18 @@ CONFIG_SCHEMA = {
                 "test_functions": {"type": "array"},
             },
         },
-        "duality": {"type": "object"},
+        "duality": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "horizon": {"type": "number", "exclusiveMinimum": 0},
+                "g": {"type": "object"},
+                "pde_eval_shift": {"type": ["number", "array"], "items": {"type": "number"}},
+            },
+        },
         "restart": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "level": {"type": "number"},
                 "t_cap": {"type": "number", "exclusiveMinimum": 0},
@@ -404,6 +430,7 @@ CONFIG_SCHEMA = {
         },
         "thresholds": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "ks": {"type": "number", "exclusiveMinimum": 0},
                 "gap_z": {"type": "number", "exclusiveMinimum": 0},
@@ -411,7 +438,16 @@ CONFIG_SCHEMA = {
             },
         },
         "compare_times": {"type": "array", "items": {"type": "number"}},
-        "validator": {"type": "object"},
+        "validator": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "n_samples": {"type": "integer", "minimum": 1},
+                "pair_budget": {"type": "integer", "minimum": 1},
+                "t_max": {"type": "number", "exclusiveMinimum": 0},
+                "alphas": {"type": "array", "items": {"type": "number"}},
+            },
+        },
     },
 }
 

@@ -49,6 +49,18 @@ class TestSchema:
         cfg["thresholds"] = {"ks": -0.1}
         assert cli.run(cfg) == 2
 
+    @pytest.mark.parametrize("section, key", [
+        (None, "sed"), ("params", "kapa"), ("validator", "n_sample")], ids=str)
+    def test_misspelt_key_rejected(self, tmp_path, section, key):
+        # a typo must not fall back to a default: kapa would run kappa = 1.5
+        cfg = base_sim_config(tmp_path, kind="validate")
+        cfg["validator"] = {"n_samples": 64, "pair_budget": 64}
+        target = {None: cfg, "params": cfg["model"]["params"],
+                  "validator": cfg["validator"]}[section]
+        target[key] = 3
+        assert cli.run(cfg) == 2
+        assert not (tmp_path / "out" / "report.json").exists()
+
 
 class TestSimulateKind:
     def test_artifacts_and_exit_zero(self, tmp_path):
