@@ -393,6 +393,9 @@ def test_march_reports_killing_applied(heston, heston_killing):
     assert varying.c(0.0, np.zeros((1, 2)))[0] == 0.0  # zero at the origin, a node
     lo, hi = c_range(varying)
     assert lo < hi == 0.0
+    late = dataclasses.replace(heston, c=lambda t, x: np.full(np.asarray(x).shape[0], -float(t)),
+                               knots=None)
+    assert c_range(late) == (-0.5, -0.125)  # c at the step times 1/8, ..., 1/2
 
 
 def counted(model, calls):
