@@ -5,8 +5,9 @@ compute, executes one pipeline, writes CSV data artifacts plus a
 ``report.json``, and records a ``manifest.json`` with the config hash, package
 version, wall-clock time, and whether a ``--threads`` cap took effect.  Exit
 status: 0 when all asserted checks pass, 1 on a check failure (the report is
-still written), 2 on misuse: a schema violation (an unknown key included), or
-``--break-generator`` on a kind other than martingale and duality.
+still written), 2 on misuse: a schema violation (an unknown key included, in
+a typed payoff or test function too, or a gridded model next to ``builtin`` or
+``params``), or ``--break-generator`` on a kind other than martingale and duality.
 
 The runners share one set of stages: :func:`run` resolves the model and its
 checking copy once; ``_start``, ``_time_grid`` and ``_ensemble`` read the start
@@ -39,7 +40,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from . import __version__
+from . import __version__, pde, sdesim
 from .coeffs import heston_model, load_gridded_model, strip_generator_term, validate_coefficients
 from .geometry import SpaceTimePoint
 from .martingale import (
@@ -97,15 +98,12 @@ def _test_function_from_spec(spec: dict):
         return linear_function(spec["weights"])
     if kind == "radial_bump":
         return radial_bump(spec["center"], spec["radius"])
-    if kind == "boundary_bump":
-        return boundary_bump(spec["center_prime"], spec["radius"])
-    raise ValueError(f"unknown test function type {kind!r}")
+    return boundary_bump(spec["center_prime"], spec["radius"])
 
 
 def _payoff_from_spec(spec: dict):
-    kind = spec.get("type", "constant")
-    if kind == "constant":
-        val = float(spec.get("value", 1.0))
+    if spec.get("type", "constant") == "constant":
+        val = float(spec["value"])
         return lambda x: np.full(np.asarray(x).shape[0], val)
     tf = _test_function_from_spec(spec)
     return lambda x: tf.jet(0.0, x)[0]
@@ -308,6 +306,23 @@ KINDS = tuple(_RUNNERS)
 # the kinds with a checking side for --break-generator to corrupt
 _CHECKING_KINDS = ("martingale", "duality")
 
+_NUMBERS = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+# each test function type's keys, all required
+_TEST_FUNCTION_KEYS = {
+    "linear": {"weights": _NUMBERS},
+    "radial_bump": {"center": _NUMBERS, "radius": {"type": "number"}},
+    "boundary_bump": {"center_prime": _NUMBERS, "radius": {"type": "number"}},
+}
+
+
+def _typed_schema(default: str, keys: dict) -> dict:
+    """A closed object schema per ``type``, all its keys required; ``default`` needs no ``type``."""
+    return {"oneOf": [{"type": "object", "additionalProperties": False,
+                       "required": [*fields] + ([] if kind == default else ["type"]),
+                       "properties": {"type": {"const": kind}, **fields}}
+                      for kind, fields in keys.items()]}
+
+
 CONFIG_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
@@ -320,6 +335,9 @@ CONFIG_SCHEMA = {
         "model": {
             "type": "object",
             "additionalProperties": False,
+            # a gridded model takes no built-in name or parameters
+            "not": {"required": ["gridded"],
+                    "anyOf": [{"required": ["builtin"]}, {"required": ["params"]}]},
             "properties": {
                 "builtin": {"enum": ["heston"]},
                 "params": {
@@ -345,7 +363,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "t": {"type": "number", "minimum": 0},
-                "x": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+                "x": _NUMBERS,
             },
         },
         "ensemble": {
@@ -356,7 +374,7 @@ CONFIG_SCHEMA = {
                 "n_paths": {"type": "integer", "minimum": 1},
                 "step": {"type": "number", "exclusiveMinimum": 0},
                 "horizon": {"type": "number", "exclusiveMinimum": 0},
-                "scheme": {"enum": ["full_truncation", "absorbed_euler"]},
+                "scheme": {"enum": list(sdesim.SCHEMES)},
                 "store_stride": {"type": "integer", "minimum": 1},
             },
         },
@@ -375,7 +393,7 @@ CONFIG_SCHEMA = {
             "required": ["times", "edges"],
             "additionalProperties": False,
             "properties": {
-                "times": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+                "times": _NUMBERS,
                 "edges": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
                 "kernel": {"enum": ["box", "gaussian"]},
                 "bandwidth": {"type": ["array", "null"]},
@@ -392,7 +410,7 @@ CONFIG_SCHEMA = {
                 "x_max": {"type": "number", "exclusiveMinimum": 0},
                 "counts": {"type": "array", "items": {"type": "integer", "minimum": 3}},
                 "xd_stretch": {"type": "number", "minimum": 1},
-                "scheme": {"enum": ["implicit_euler", "crank_nicolson"]},
+                "scheme": {"enum": list(pde.SCHEMES)},
                 "horizon": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -403,7 +421,8 @@ CONFIG_SCHEMA = {
                 "n_intervals": {"type": "integer", "minimum": 2},
                 "z_crit": {"type": "number", "exclusiveMinimum": 0},
                 "fail_crit": {"type": "number", "exclusiveMinimum": 0},
-                "test_functions": {"type": "array"},
+                "test_functions": {"type": "array",
+                                   "items": _typed_schema("radial_bump", _TEST_FUNCTION_KEYS)},
             },
         },
         "duality": {
@@ -411,7 +430,8 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "horizon": {"type": "number", "exclusiveMinimum": 0},
-                "g": {"type": "object"},
+                "g": _typed_schema("constant", {"constant": {"value": {"type": "number"}},
+                                                **_TEST_FUNCTION_KEYS}),
                 "pde_eval_shift": {"type": ["number", "array"], "items": {"type": "number"}},
             },
         },

@@ -96,8 +96,28 @@ class CoefficientModel:
                 raise ValueError("knots must be a non-empty, finite, strictly increasing 1-d array")
 
     def varsigma(self, t, x: np.ndarray) -> np.ndarray:
-        """Pointwise square root of a(t, x), batched (see :func:`diffusion_root`)."""
-        return diffusion_root(np.asarray(self.a(t, x), dtype=float))
+        """Pointwise square root of a(t, x), batched.
+
+        The lower Cholesky factor wherever a is positive definite: in closed
+        form for d <= 2 (the same operations, in the same order, as LAPACK's
+        unblocked factorisation, so the bits agree) and by LAPACK for d >= 3.
+        Only the rows that are not positive definite fall back to a symmetric
+        eigendecomposition root, which also covers semidefinite models (e.g.
+        a = 0 for deterministic test configurations); each row's root is
+        therefore independent of the batch it is evaluated in.  Eigenvalues
+        below a scale-relative negative tolerance are an evaluation error.
+        """
+        av = np.asarray(self.a(t, x), dtype=float)
+        root, failed = _cholesky_rows(av)
+        if failed.any():
+            w, v = np.linalg.eigh(av[failed])
+            scale = np.maximum(np.abs(w).max(axis=-1), 1.0)
+            w_min = w.min(axis=-1)
+            if np.any(w_min < -1e-10 * scale):
+                raise ValueError(
+                    f"a(t,x) has a negative eigenvalue {w_min.min():.3e}; not a diffusion matrix")
+            root[failed] = np.einsum("...ik,...k->...ik", v, np.sqrt(np.maximum(w, 0.0)))
+        return root
 
     def sigma(self, t, x: np.ndarray) -> np.ndarray:
         """Diffusion matrix sqrt(x_d^+) * varsigma(t, x), batched."""
@@ -115,30 +135,6 @@ class CoefficientModel:
         gap = np.abs(av - np.swapaxes(av, -1, -2)).max()
         if gap > 1e-10 * max(1.0, np.abs(av).max()):
             raise ValueError(f"a(t,x) fails symmetry sampling: max asymmetry {gap:.3e}")
-
-
-def diffusion_root(av: np.ndarray) -> np.ndarray:
-    """Pointwise square root of a batch of evaluated diffusion matrices ``av``.
-
-    The lower Cholesky factor wherever a is positive definite: in closed
-    form for d <= 2 (the same operations, in the same order, as LAPACK's
-    unblocked factorisation, so the bits agree) and by LAPACK for d >= 3.
-    Only the rows that are not positive definite fall back to a symmetric
-    eigendecomposition root, which also covers semidefinite models (e.g.
-    a = 0 for deterministic test configurations); each row's root is
-    therefore independent of the batch it is evaluated in.  Eigenvalues
-    below a scale-relative negative tolerance are an evaluation error.
-    """
-    root, failed = _cholesky_rows(av)
-    if failed.any():
-        w, v = np.linalg.eigh(av[failed])
-        scale = np.maximum(np.abs(w).max(axis=-1), 1.0)
-        w_min = w.min(axis=-1)
-        if np.any(w_min < -1e-10 * scale):
-            raise ValueError(
-                f"a(t,x) has a negative eigenvalue {w_min.min():.3e}; not a diffusion matrix")
-        root[failed] = np.einsum("...ik,...k->...ik", v, np.sqrt(np.maximum(w, 0.0)))
-    return root
 
 
 def _cholesky_rows(av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

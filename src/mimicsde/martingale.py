@@ -18,9 +18,9 @@ A test function is one jet: ``jet(t, x)`` returns v, Dv and D^2 v at the
 rows of x, of shapes (n,), (n, d) and (n, d, d), from one evaluation, and
 every consumer reads that one evaluator.  The boundary Itô-formula check also
 consumes the product x_d * Hessian as a single continuous evaluator, so
-nothing is ever evaluated as 0 * infinity on the boundary; the stochastic
-integral is accumulated from the same counter-based noise the simulator
-consumed.
+nothing is ever evaluated as 0 * infinity on the boundary; it runs its own
+simulation and accumulates the stochastic integral in the Euler kernel's
+observation hook, from the very normals and sigma each step used.
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng
-from .coeffs import CoefficientModel, _generator_contract, diffusion_root
+from .coeffs import CoefficientModel, _generator_contract
 from .geometry import SpaceTimePoint
 from .projection import _ks_statistic
-from .sdesim import PathEnsemble, TimeGrid, _euler_paths, model_driver, simulate_sde
+from .sdesim import (PathEnsemble, TimeGrid, _as_start_state, _euler_paths, _simulate,
+                     model_driver, simulate_sde)
 
 _FD_TOL = 1e-4
 _FD_TIME = 0.37  # the time at which derivatives are probed
@@ -383,44 +384,43 @@ class ItoResidualReport:
         return asdict(self)
 
 
-def ito_formula_residual(ens: PathEnsemble, model: CoefficientModel, v: TestFunction) -> ItoResidualReport:
-    """Both sides of the Itô identity for boundary-regular v, on the same noise.
+def ito_formula_residual(model: CoefficientModel, v: TestFunction, start: SpaceTimePoint,
+                         grid: TimeGrid, n_paths: int, seed: int, scheme: str) -> ItoResidualReport:
+    """Both sides of the Itô identity for boundary-regular v along simulated paths.
 
-    Requires stride-1 storage (the stochastic integral is rebuilt from the
-    exact per-step normals the simulator consumed) and a v exposing v_t and
-    the product x_d * Hessian as continuous evaluators.  The quadratic
-    variation is booked as (1/2) x_d <a, Hess>, matching the generator
-    convention used everywhere else.
+    The paths are :func:`simulate_sde`'s from ``start`` over ``grid``, stored
+    at the endpoints only.  The kernel's observation hook sums both sides at
+    the left endpoint t_k = t0 + k h of every step, from the state, drift, sigma
+    and normals that the step itself used; v must expose v_t and the product
+    x_d * Hessian as continuous evaluators.  The quadratic variation is
+    booked as (1/2) x_d <a, Hess>, matching the generator convention used
+    everywhere else.
     """
     if not v.time_dependent:
         raise ValueError("ito_formula_residual needs a time-dependent test function")
     if v.xd_hess is None:
         raise ValueError("v must expose x_d * hessian as a single continuous evaluator")
-    if ens.store_stride != 1:
-        raise ValueError("ensemble must be stored at stride 1 to rebuild the noise")
-    nodes = ens.grid.nodes
-    h = ens.grid.step
+    x0 = _as_start_state(start, model.d, grid)
+    model.check_symmetry()
+    h = grid.step
     sqrt_h = np.sqrt(h)
-    n, m1, d = ens.states.shape
-    paths = np.arange(n, dtype=np.uint64)
+    stoch = np.zeros(n_paths)
+    quad = np.zeros(n_paths)
 
-    stoch = np.zeros(n)
-    quad = np.zeros(n)
-    for k in range(m1 - 1):
-        t = float(nodes[k])
-        xk = np.ascontiguousarray(ens.states[:, k, :])
-        g = np.asarray(v.jet(t, xk)[1], dtype=float)
-        av = np.asarray(model.a(t, xk), dtype=float)
-        sig = np.sqrt(np.maximum(xk[:, -1], 0.0))[:, None, None] * diffusion_root(av)
-        z = rng.normals(ens.seed, rng.DOMAIN_BROWNIAN, paths, k, d)
-        stoch += np.einsum("ni,nij,nj->n", g, sig, z) * sqrt_h
-        xdh = np.asarray(v.xd_hess(t, xk), dtype=float)
-        quad += (np.asarray(v.dt(t, xk), dtype=float)
-                 + np.einsum("ni,ni->n", np.asarray(model.b(t, xk), dtype=float), g)
-                 + 0.5 * np.einsum("nij,nij->n", av, xdh)) * h
+    def observe(k, x, beta, xi, z):
+        nonlocal stoch, quad
+        t = grid.start + k * h
+        g = np.asarray(v.jet(t, x)[1], dtype=float)
+        stoch += np.einsum("ni,nij,nj->n", g, xi, z) * sqrt_h
+        quad += (np.asarray(v.dt(t, x), dtype=float) + np.einsum("ni,ni->n", beta, g)
+                 + 0.5 * np.einsum("nij,nij->n", np.asarray(model.a(t, x), dtype=float),
+                                   np.asarray(v.xd_hess(t, x), dtype=float))) * h
 
-    lhs = (np.asarray(v.jet(nodes[-1], ens.states[:, -1, :])[0], dtype=float)
-           - np.asarray(v.jet(nodes[0], ens.states[:, 0, :])[0], dtype=float))
+    # endpoints only; a grid of no steps stores its one node
+    ens, _ = _simulate(model_driver(model), x0, grid, n_paths, seed, scheme,
+                       max(grid.n_steps, 1), observe)
+    lhs = (np.asarray(v.jet(grid.start + grid.n_steps * h, ens.states[:, -1, :])[0], dtype=float)
+           - np.asarray(v.jet(grid.start, ens.states[:, 0, :])[0], dtype=float))
     resid = lhs - stoch - quad
     return ItoResidualReport(
         step=h,
@@ -441,11 +441,8 @@ def ito_residual_ladder(
     scheme: str = "full_truncation",
 ) -> dict:
     """Residual decay of `ito_formula_residual` across a step-size ladder."""
-    reports = []
-    for h in steps:
-        grid = TimeGrid(start.t, start.t + horizon, h)
-        ens = simulate_sde(model, start, grid, n_paths, seed, scheme)
-        reports.append(ito_formula_residual(ens, model, v))
+    reports = [ito_formula_residual(model, v, start, TimeGrid(start.t, start.t + horizon, h),
+                                    n_paths, seed, scheme) for h in steps]
     means = [r.mean_abs_residual for r in reports]
     ratios = [means[i] / means[i + 1] for i in range(len(means) - 1)]
     return {"steps": list(steps), "mean_abs_residuals": means,

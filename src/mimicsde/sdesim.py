@@ -17,13 +17,14 @@ counter-based (see :mod:`.rng`): path p consumes stream (seed, p), step by
 step, so ensembles are reproducible regardless of scheduling and extendable
 in time.
 
-One loop, :func:`_euler_paths`, steps every path: :func:`simulate_sde`
-replays a coefficient model as an :class:`ItoDriver`, :func:`discounted_mean`
-does the same and sums the killing rate c along each path through the
-loop's observation hook, :func:`simulate_ito_process` runs a general driver
-under ``absorbed_euler`` and reads its drift and diffusion through that
-hook, and the strong-Markov restart in :mod:`.martingale` continues paths
-from per-path start times.
+One loop, :func:`_euler_paths`, steps every path and alone draws the
+Brownian normals: :func:`simulate_sde` replays a coefficient model as an
+:class:`ItoDriver`; :func:`discounted_mean` and the Itô-formula residual in
+:mod:`.martingale` do the same and sum the killing rate c, or both sides of
+Itô's formula, along each path through the loop's observation hook;
+:func:`simulate_ito_process` runs a general driver under ``absorbed_euler``
+and reads its drift and diffusion through that hook; and the strong-Markov
+restart in :mod:`.martingale` continues paths from per-path start times.
 """
 
 from __future__ import annotations
@@ -97,7 +98,6 @@ class PathEnsemble:
 
     grid: TimeGrid
     states: np.ndarray  # (n_paths, n_nodes, d)
-    seed: int
     store_stride: int
     pre_clip_min_xd: np.ndarray
     n_clipped_steps: int
@@ -236,13 +236,13 @@ def _euler_paths(
     Steps n paths from the states ``x0`` (shape (n, d), x_d >= 0) at times
     t0 + k h, where ``t0`` is a scalar, kept scalar so a lattice brackets it
     once, or one start time per path.  Step k evaluates the driver at the
-    clipped state, draws r normals from stream (seed, path) at step k and
+    clipped state, draws r normals z from stream (seed, path) at step k and
     adds beta h + xi z sqrt(h): to the internal state under
     ``full_truncation``, to the clipped state under ``absorbed_euler``.  The
     driver's aux state is created from ``DOMAIN_DRIVER_INIT`` uniforms and
     advanced, after the step, on ``DOMAIN_DRIVER`` uniforms at step k.
-    ``observe(k, x, beta, xi)`` sees every step's clipped state and driver
-    values before the increment.
+    ``observe(k, x, beta, xi, z)`` sees every step's clipped state, driver
+    values and normals before the increment.
 
     Returns the clipped states at every stride-th node (start and end
     included), the per-path minimum of x_d before clipping, the number of
@@ -269,9 +269,9 @@ def _euler_paths(
     for k in range(n_steps):
         t_k = t0 + k * h
         beta, xi = _eval_driver(driver, t_k, x_eval, aux, f"step {k}")
-        if observe is not None:
-            observe(k, x_eval, beta, xi)
         z = rng.normals(seed, rng.DOMAIN_BROWNIAN, paths, k, driver.r)
+        if observe is not None:
+            observe(k, x_eval, beta, xi, z)
         # no name for the increment, so it is not held through the next
         # step's evaluation, where peak memory is reached
         x_int = (x_int if scheme == "full_truncation" else x_eval) + (
@@ -295,7 +295,7 @@ def _simulate(driver, x0, grid, n_paths, seed, scheme, store_stride, observe=Non
         scheme, store_stride, observe)
     ens = PathEnsemble(
         grid=TimeGrid(grid.start, grid.end, grid.step * store_stride), states=states,
-        seed=seed, store_stride=store_stride, pre_clip_min_xd=pre_clip_min,
+        store_stride=store_stride, pre_clip_min_xd=pre_clip_min,
         n_clipped_steps=n_clipped, n_internal_steps=grid.n_steps * n_paths,
     )
     return ens, aux
@@ -337,7 +337,7 @@ def discounted_mean(model: CoefficientModel, g: Callable, x, horizon: float, n_p
     model.check_symmetry()
     log_discount = np.zeros(n_paths)
 
-    def observe(k, x_k, beta, xi):
+    def observe(k, x_k, beta, xi, z):
         nonlocal log_discount
         log_discount += np.asarray(model.c(k * step, x_k), dtype=float) * step
 
@@ -397,7 +397,7 @@ def simulate_ito_process(
             xi2=np.empty((n_paths, n_stored + 1, d, d)),
         )
 
-    def observe(k, x, beta, xi):
+    def observe(k, x, beta, xi, z):
         nonlocal boundary_viol, integrability
         xi2 = _outer_square(xi)
         on_boundary = x[:, -1] == 0.0

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -58,6 +59,33 @@ class TestSchema:
         target = {None: cfg, "params": cfg["model"]["params"],
                   "validator": cfg["validator"]}[section]
         target[key] = 3
+        assert cli.run(cfg) == 2
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("kind, section, good, bad", [
+        ("pde", "duality", {"g": {"type": "constant", "value": 2.0}},
+         {"g": {"type": "constant", "valu": 2.0}}),
+        ("pde", "duality", {"g": {"value": 2.0}}, {"g": {"valu": 2.0}}),
+        ("martingale", "martingale", {"test_functions": [{"type": "linear", "weights": [1, 0]}]},
+         {"test_functions": [{"type": "linear", "weights": [1, 0], "weigths": [0, 1]}]}),
+        ("martingale", "martingale", {"test_functions": [{"center": [0, 0.05], "radius": 1.0}]},
+         {"test_functions": [{"centre": [0, 0.05], "radius": 1.0}]}),
+    ], ids=["g-valu", "untyped-g-valu", "linear-weigths", "untyped-bump-centre"])
+    def test_misspelt_typed_spec_rejected(self, tmp_path, kind, section, good, bad):
+        # a payoff or test function is closed per type too: valu would run the payoff 1.0
+        cfg = base_sim_config(tmp_path, kind=kind, **{section: good})
+        cfg["ensemble"]["store_stride"] = 1  # the martingale kind's compensator needs it
+        jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
+        assert cli.run({**cfg, section: bad}) == 2
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("params", {"kappa": 9}), ("builtin", "heston")])
+    def test_gridded_model_takes_no_builtin_or_params(self, tmp_path, key, value):
+        # the gridded loader would ignore kappa = 9 without a word
+        cfg = base_sim_config(tmp_path, kind="pde")
+        cfg["model"] = {"gridded": {"csv": str(tmp_path / "mimicked.csv")}}
+        jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
+        cfg["model"][key] = value
         assert cli.run(cfg) == 2
         assert not (tmp_path / "out" / "report.json").exists()
 

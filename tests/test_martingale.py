@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mimicsde as m
+from mimicsde import rng
 from mimicsde.coeffs import strip_generator_term
 from mimicsde.martingale import _bump_psi, _compensated, constant_probe, left_coordinate_probe
 
@@ -184,7 +185,6 @@ class TestMartingaleTest:
 class TestItoFormula:
     def test_linear_identity_exact(self, heston, start):
         grid = m.TimeGrid(0.0, 0.5, 2.0**-6)
-        ens = m.simulate_sde(heston, start, grid, 2000, 13)
         v = m.TestFunction(
             name="x1", d=2,
             jet=lambda t, x: (x[:, 0], np.tile([1.0, 0.0], (x.shape[0], 1)),
@@ -192,7 +192,7 @@ class TestItoFormula:
             dt=lambda t, x: np.zeros(x.shape[0]),
             xd_hess=lambda t, x: np.zeros((x.shape[0], 2, 2)),
         )
-        rep = m.ito_formula_residual(ens, heston, v)
+        rep = m.ito_formula_residual(heston, v, start, grid, 2000, 13, "full_truncation")
         assert rep.max_abs_residual <= 1e-12
 
     def test_boundary_function_residual_halves(self, heston, start):
@@ -211,22 +211,34 @@ class TestItoFormula:
             xd_hess=lambda t, x: np.zeros((x.shape[0], 2, 2)),
         )
         grid = m.TimeGrid(0.0, horizon, 2.0**-5)
-        ens = m.simulate_sde(heston, start, grid, 64, 3)
-        rep = m.ito_formula_residual(ens, heston, v)
+        rep = m.ito_formula_residual(heston, v, start, grid, 64, 3, "full_truncation")
         # noise terms vanish, so the residual is the same deterministic
         # time-quadrature error on every path
         assert rep.max_abs_residual == pytest.approx(rep.mean_abs_residual, rel=1e-9)
         assert rep.rms_residual == pytest.approx(rep.mean_abs_residual, rel=1e-9)
 
-    def test_requires_stride_one(self, heston, start):
+    def test_draws_each_steps_normals_once(self, heston, start, monkeypatch):
+        # the residual reads the kernel's own normals: one Brownian draw per step
+        domains = []
+        normals = rng.normals
+
+        def counted(seed, domain, *args):
+            domains.append(domain)
+            return normals(seed, domain, *args)
+
+        monkeypatch.setattr(rng, "normals", counted)
         grid = m.TimeGrid(0.0, 0.5, 2.0**-5)
-        ens = m.simulate_sde(heston, start, grid, 16, 1, store_stride=2)
-        with pytest.raises(ValueError, match="stride"):
-            m.ito_formula_residual(ens, heston, m.time_weighted_xd(0.5))
+        m.ito_formula_residual(heston, m.time_weighted_xd(0.5), start, grid, 16, 1,
+                               "full_truncation")
+        assert domains.count(rng.DOMAIN_BROWNIAN) == grid.n_steps
+
+    def test_grid_without_steps_has_zero_residual(self, heston, start):
+        rep = m.ito_formula_residual(heston, m.time_weighted_xd(0.5), start,
+                                     m.TimeGrid(0.0, 0.0, 0.1), 8, 1, "full_truncation")
+        assert rep.max_abs_residual == 0.0
 
     def test_requires_product_hessian(self, heston, start):
         grid = m.TimeGrid(0.0, 0.5, 2.0**-5)
-        ens = m.simulate_sde(heston, start, grid, 16, 1)
         v = m.TestFunction(
             name="no-product", d=2,
             jet=lambda t, x: (x[:, 0], np.tile([1.0, 0.0], (x.shape[0], 1)),
@@ -234,7 +246,7 @@ class TestItoFormula:
             dt=lambda t, x: np.zeros(x.shape[0]),
         )
         with pytest.raises(ValueError, match="x_d"):
-            m.ito_formula_residual(ens, heston, v)
+            m.ito_formula_residual(heston, v, start, grid, 16, 1, "full_truncation")
 
 
 class TestRestart:

@@ -363,8 +363,10 @@ def test_martingale_test_pinned(heston, gridded_model, start, stride_one_ensembl
     assert _json_digest([r.to_json() for r in reports]) == MARTINGALE_TEST_PINS[case]
 
 
-def test_ito_residual_pinned(heston, stride_one_ensemble):
-    rep = m.ito_formula_residual(stride_one_ensemble, heston, m.time_weighted_xd(0.5))
+def test_ito_residual_pinned(heston, start):
+    # the same paths as stride_one_ensemble's, simulated by the residual itself
+    rep = m.ito_formula_residual(heston, m.time_weighted_xd(0.5), start,
+                                 m.TimeGrid(0.0, 0.5, 2.0**-5), 256, 707, "full_truncation")
     assert _json_digest(rep.to_json()) == ITO_RESIDUAL_PIN
 
 

@@ -1,5 +1,7 @@
+import ast
 import csv
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +112,29 @@ class TestSimulateSde:
         # full truncation lets the internal state excurse deeper than absorption
         assert (m.support_check(ft).max_negative_excursion_pre_clip
                 >= m.support_check(ab).max_negative_excursion_pre_clip)
+
+
+def test_only_the_euler_kernel_draws_brownian_normals():
+    # one consumer of the Brownian stream: rng.DOMAIN_BROWNIAN is named only
+    # in rng.py and inside sdesim._euler_paths
+    src = Path(m.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "rng.py":
+            continue
+
+        def scan(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                where = f"{where}.{node.name}"
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [getattr(node, "attr", getattr(node, "id", None))])
+            if "DOMAIN_BROWNIAN" in names:
+                found.append(where)
+            for child in ast.iter_child_nodes(node):
+                scan(child, where)
+
+        scan(ast.parse(path.read_text()), path.stem)
+    assert found == ["sdesim._euler_paths"]
 
 
 class TestItoProcess:
