@@ -11,7 +11,9 @@ a typed payoff or test function too, or a gridded model next to ``builtin`` or
 
 The runners share one set of stages: :func:`run` resolves the model and its
 checking copy once; ``_start``, ``_time_grid`` and ``_ensemble`` read the start
-point and time grid and simulate a model over it; ``_projection_stage``
+point and time grid and simulate a model over it (the martingale kind's one
+simulation, in :func:`.martingale.martingale_test`, stores endpoints only and
+does not read ``ensemble.store_stride``); ``_projection_stage``
 estimates, builds, saves and validates the mimicking model; ``_coordinates``
 and ``_DEFAULT_PAYOFF`` are the shared test statistics and terminal payoff.
 The ``pde`` kind is one march: its constant-data check and terminal-value solve
@@ -196,7 +198,7 @@ def _run_validate(cfg, out, seed, model, check_model):
 
 
 def _run_martingale(cfg, out, seed, model, check_model):
-    ens = _ensemble(cfg, model, _start(cfg), seed)
+    start, e = _start(cfg), cfg["ensemble"]
     m = cfg.get("martingale", {})
     specs = m.get("test_functions", [
         {"type": "linear", "weights": [1.0, 0.0]},
@@ -204,8 +206,10 @@ def _run_martingale(cfg, out, seed, model, check_model):
         {"type": "boundary_bump", "center_prime": [0.0], "radius": 0.6},
     ])
     probes = [constant_probe()] + [left_coordinate_probe(i) for i in range(model.d)]
-    reports = martingale_test(ens, check_model, [_test_function_from_spec(s) for s in specs],
-                              probes, n_intervals=m.get("n_intervals", 4),
+    reports = martingale_test(model, check_model, [_test_function_from_spec(s) for s in specs],
+                              probes, start, _time_grid(cfg, start), e["n_paths"], seed,
+                              e.get("scheme", "full_truncation"),
+                              n_intervals=m.get("n_intervals", 4),
                               z_crit=m.get("z_crit", 3.0), fail_crit=m.get("fail_crit", 5.0))
     return all(r.passed for r in reports), {"martingale": [r.to_json() for r in reports]}
 
@@ -421,7 +425,7 @@ CONFIG_SCHEMA = {
                 "n_intervals": {"type": "integer", "minimum": 2},
                 "z_crit": {"type": "number", "exclusiveMinimum": 0},
                 "fail_crit": {"type": "number", "exclusiveMinimum": 0},
-                "test_functions": {"type": "array",
+                "test_functions": {"type": "array", "minItems": 1,
                                    "items": _typed_schema("radial_bump", _TEST_FUNCTION_KEYS)},
             },
         },

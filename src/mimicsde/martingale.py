@@ -7,20 +7,20 @@ For a smooth test function v, the compensated process
 must be a martingale when X solves the SDE generated by A.  The tests here
 work with the discrete chain directly: left-endpoint quadrature makes M^v an
 exact discrete martingale for linear v, so positive and negative controls are
-sharp.  Orthogonality against adapted probes is enforced structurally (probes
-only ever see the path truncated at the interval's left endpoint), and
-calibration and testing use disjoint halves of the ensemble.  M^v is
-accumulated in one pass over the stored nodes for all test functions at once:
-a and b are evaluated once per node, and ``martingale_test`` keeps M^v only at
-its interval bounds.
+sharp.  A probe is a function of (t, X_t) at an interval's left endpoint, so
+it is adapted by construction, and calibration and testing use disjoint
+halves of the ensemble.  M^v of all test functions is summed in the Euler
+kernel's observation hook during the one pass that simulates the paths: a and
+b are evaluated once per step, M^v and the state are kept only at the
+requested nodes, and no path is stored beyond its endpoints.
 
 A test function is one jet: ``jet(t, x)`` returns v, Dv and D^2 v at the
 rows of x, of shapes (n,), (n, d) and (n, d, d), from one evaluation, and
 every consumer reads that one evaluator.  The boundary Itô-formula check also
 consumes the product x_d * Hessian as a single continuous evaluator, so
-nothing is ever evaluated as 0 * infinity on the boundary; it runs its own
-simulation and accumulates the stochastic integral in the Euler kernel's
-observation hook, from the very normals and sigma each step used.
+nothing is ever evaluated as 0 * infinity on the boundary; it too sums along
+the kernel's pass in the observation hook, from the very normals and sigma
+each step used.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from . import rng
 from .coeffs import CoefficientModel, _generator_contract
 from .geometry import SpaceTimePoint
 from .projection import _ks_statistic
-from .sdesim import (PathEnsemble, TimeGrid, _as_start_state, _euler_paths, _simulate,
-                     model_driver, simulate_sde)
+from .sdesim import TimeGrid, _euler_paths, model_driver, simulate_sde
 
 _FD_TOL = 1e-4
 _FD_TIME = 0.37  # the time at which derivatives are probed
@@ -196,60 +195,60 @@ def time_weighted_xd(horizon: float) -> TestFunction:
     )
 
 
-def martingale_increments(ens: PathEnsemble, model: CoefficientModel, v: TestFunction) -> np.ndarray:
-    """Per-path trajectory of M^v on the stored grid; M^v at the start is exactly 0.
+def martingale_increments(model: CoefficientModel, generator: CoefficientModel,
+                          test_functions: Sequence[TestFunction], nodes: Sequence[int],
+                          start: SpaceTimePoint, grid: TimeGrid, n_paths: int, seed: int,
+                          scheme: str = "full_truncation") -> tuple[np.ndarray, list]:
+    """M^v of every test function at the grid nodes ``nodes``, from one kernel pass.
 
-    The compensator is summed at the stored step, which is the integrator's
-    step only for stride-1 storage; coarser storage is rejected.
+    The paths are :func:`simulate_sde`'s of ``model``, stored at the endpoints
+    only; ``generator`` compensates.  At step k the observation hook sees the
+    clipped state at t_k = t0 + k h: a and b are evaluated there once for all
+    functions, and each jet closes M^v at node k and drives step k's
+    left-endpoint compensator.  The final node is closed from the stored
+    endpoint.  Returns M^v, (len(test_functions), n_paths, len(nodes)) and 0
+    at node 0, and the states (n_paths, d) at the nodes, which the kernel
+    never writes again.
     """
-    return _compensated(ens, model, [v], np.arange(ens.states.shape[1]))[0]
-
-
-def _compensated(ens: PathEnsemble, model: CoefficientModel, vs: Sequence[TestFunction],
-                 cols: np.ndarray) -> np.ndarray:
-    """M^v of every v in ``vs`` at the stored nodes ``cols``: shape (len(vs), n, len(cols)).
-
-    One pass over the stored nodes.  Node k's states are copied into one
-    contiguous block reused at every node; a and b are evaluated on it once
-    for all functions, and each function's jet there closes M^v at node k and
-    drives step k's left-endpoint compensator.  Only the requested columns
-    are kept; the node-0 values are copied, since a jet may return a view of
-    the block.
-    """
-    if any(v.time_dependent for v in vs):
+    if any(v.time_dependent for v in test_functions):
         raise ValueError("martingale increments are defined for spatial test functions")
-    if ens.store_stride != 1:
-        raise ValueError("ensemble must be stored at stride 1 for an exact compensator")
-    nodes = ens.grid.nodes
-    h = ens.grid.step
-    n, m1, _ = ens.states.shape
-    slot = {int(k): j for j, k in enumerate(cols)}
-    out = np.empty((len(vs), n, len(slot)))
-    v0 = [None] * len(vs)
-    comp = np.zeros((len(vs), n))
-    x = np.empty((n, ens.states.shape[2]), dtype=ens.states.dtype)
-    for k in range(m1):
-        t = nodes[k]
-        np.copyto(x, ens.states[:, k, :])
-        if k < m1 - 1:
-            av, bv, xd = model.a(t, x), model.b(t, x), np.maximum(x[:, -1], 0.0)
-        for i, v in enumerate(vs):
+    m, h = grid.n_steps, grid.step
+    slot = {int(k): j for j, k in enumerate(nodes)}
+    if len(slot) != len(nodes) or not all(0 <= k <= m for k in slot):
+        raise ValueError(f"nodes must be distinct nodes 0..{m} of the grid")
+    out = np.empty((len(test_functions), n_paths, len(slot)))
+    states = [None] * len(slot)
+    v0 = [None] * len(test_functions)
+    comp = np.zeros((len(test_functions), n_paths))
+
+    def close(k, x, step):
+        t = grid.start + k * h
+        if step:
+            av, bv, xd = generator.a(t, x), generator.b(t, x), np.maximum(x[:, -1], 0.0)
+        if k in slot:
+            states[slot[k]] = x
+        for i, v in enumerate(test_functions):
             val, g, hs = (np.asarray(a, dtype=float) for a in v.jet(t, x))
             if k == 0:
-                v0[i] = val.copy()
+                v0[i] = val
             if k in slot:
                 out[i, :, slot[k]] = 0.0 if k == 0 else val - v0[i] - comp[i]
-            if k < m1 - 1:
+            if step:
                 comp[i] += _generator_contract(av, bv, xd, g, hs) * h
-    return out
+
+    # endpoints only; a grid of no steps stores its one node
+    ens = simulate_sde(model, start, grid, n_paths, seed, scheme, max(m, 1),
+                       observe=lambda k, x, beta, xi, z: close(k, x, True))
+    close(m, np.ascontiguousarray(ens.states[:, -1, :]), False)
+    return out, states
 
 
 @dataclass(frozen=True)
 class AdaptedProbe:
-    """A functional of the truncated path; adaptedness is enforced by shape.
+    """A function of the state at an interval's left endpoint, so adapted by construction.
 
-    ``fn(times, states)`` receives only nodes up to the interval's left
-    endpoint (states of shape (n_paths, k+1, d)) and returns (n_paths,).
+    ``fn(t, x)`` receives the left endpoint's time t and states x of shape
+    (n_paths, d) and returns (n_paths,).
     """
 
     name: str
@@ -257,11 +256,11 @@ class AdaptedProbe:
 
 
 def constant_probe() -> AdaptedProbe:
-    return AdaptedProbe("const", lambda times, states: np.ones(states.shape[0]))
+    return AdaptedProbe("const", lambda t, x: np.ones(x.shape[0]))
 
 
 def left_coordinate_probe(i: int) -> AdaptedProbe:
-    return AdaptedProbe(f"x_{i+1}(left)", lambda times, states: states[:, -1, i])
+    return AdaptedProbe(f"x_{i+1}(left)", lambda t, x: x[:, i])
 
 
 @dataclass(frozen=True)
@@ -313,39 +312,36 @@ class MartingaleReport:
                 "entries": [e.to_json() for e in self.entries]}
 
 
-def martingale_test(
-    ens: PathEnsemble,
-    model: CoefficientModel,
-    test_functions: Sequence[TestFunction],
-    probes: Sequence[AdaptedProbe],
-    n_intervals: int = 4,
-    z_crit: float = 3.0,
-    fail_crit: float = 5.0,
-) -> list[MartingaleReport]:
+def martingale_test(model: CoefficientModel, generator: CoefficientModel,
+                    test_functions: Sequence[TestFunction], probes: Sequence[AdaptedProbe],
+                    start: SpaceTimePoint, grid: TimeGrid, n_paths: int, seed: int,
+                    scheme: str = "full_truncation", n_intervals: int = 4,
+                    z_crit: float = 3.0, fail_crit: float = 5.0) -> list[MartingaleReport]:
     """Standardized test of E[phi * (M^v_{t_{i+1}} - M^v_{t_i})] = 0 for each v.
 
-    One report per test function, labelled ``v.name``.  M^v of all the
-    functions comes from one pass over the stored nodes and is kept only at
-    the interval bounds, never as an (n_paths, n_nodes) array.  Even-indexed
-    paths calibrate the variance, odd-indexed paths supply the tested mean, so
-    no path is reused between estimation and testing.  |z| beyond ``z_crit``
-    but within ``fail_crit`` is flagged inconclusive rather than failed; probes
+    One report per test function, labelled ``v.name``, on ``model``'s paths
+    compensated by ``generator``: M^v and the states the probes read are
+    :func:`martingale_increments`' at the interval bounds.  Even-indexed paths
+    calibrate the variance, odd-indexed paths supply the tested mean, so no
+    path is reused between estimation and testing.  |z| beyond ``z_crit`` but
+    within ``fail_crit`` is flagged inconclusive rather than failed; probes
     with degenerate variance are excluded and reported.
     """
+    if not test_functions or not probes:
+        raise ValueError("need at least one test function and one probe")
     if n_intervals < 2:
         raise ValueError("need at least 2 sub-intervals")
-    n, m1, _ = ens.states.shape
-    nodes = ens.grid.nodes
-    bounds = np.unique(np.round(np.linspace(0, m1 - 1, n_intervals + 1)).astype(int))
-    mv = _compensated(ens, model, test_functions, bounds)
-    cal = np.arange(n) % 2 == 0
+    nodes = grid.nodes
+    bounds = np.unique(np.round(np.linspace(0, grid.n_steps, n_intervals + 1)).astype(int))
+    mv, states = martingale_increments(model, generator, test_functions, bounds, start, grid,
+                                       n_paths, seed, scheme)
+    cal = np.arange(n_paths) % 2 == 0
     test = ~cal
     n_test = int(test.sum())
 
     entries = [[] for _ in test_functions]
     for j, (i0, i1) in enumerate(zip(bounds[:-1], bounds[1:])):
-        phis = [np.asarray(p.fn(nodes[: i0 + 1], ens.states[:, : i0 + 1, :]), dtype=float)
-                for p in probes]
+        phis = [np.asarray(p.fn(nodes[i0], states[j]), dtype=float) for p in probes]
         for m_v, rows in zip(mv, entries):
             dm = m_v[:, j + 1] - m_v[:, j]
             for probe, phi in zip(probes, phis):
@@ -400,8 +396,6 @@ def ito_formula_residual(model: CoefficientModel, v: TestFunction, start: SpaceT
         raise ValueError("ito_formula_residual needs a time-dependent test function")
     if v.xd_hess is None:
         raise ValueError("v must expose x_d * hessian as a single continuous evaluator")
-    x0 = _as_start_state(start, model.d, grid)
-    model.check_symmetry()
     h = grid.step
     sqrt_h = np.sqrt(h)
     stoch = np.zeros(n_paths)
@@ -417,8 +411,7 @@ def ito_formula_residual(model: CoefficientModel, v: TestFunction, start: SpaceT
                                    np.asarray(v.xd_hess(t, x), dtype=float))) * h
 
     # endpoints only; a grid of no steps stores its one node
-    ens, _ = _simulate(model_driver(model), x0, grid, n_paths, seed, scheme,
-                       max(grid.n_steps, 1), observe)
+    ens = simulate_sde(model, start, grid, n_paths, seed, scheme, max(grid.n_steps, 1), observe)
     lhs = (np.asarray(v.jet(grid.start + grid.n_steps * h, ens.states[:, -1, :])[0], dtype=float)
            - np.asarray(v.jet(grid.start, ens.states[:, 0, :])[0], dtype=float))
     resid = lhs - stoch - quad

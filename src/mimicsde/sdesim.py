@@ -18,10 +18,11 @@ step, so ensembles are reproducible regardless of scheduling and extendable
 in time.
 
 One loop, :func:`_euler_paths`, steps every path and alone draws the
-Brownian normals: :func:`simulate_sde` replays a coefficient model as an
-:class:`ItoDriver`; :func:`discounted_mean` and the Itô-formula residual in
-:mod:`.martingale` do the same and sum the killing rate c, or both sides of
-Itô's formula, along each path through the loop's observation hook;
+Brownian normals.  :func:`simulate_sde` replays a coefficient model as an
+:class:`ItoDriver` and passes the loop's observation hook through, where
+:func:`discounted_mean` sums the killing rate c and the martingale-problem
+test and Itô-formula residual in :mod:`.martingale` sum the compensator or
+both sides of Itô's formula along each path, storing endpoints only.
 :func:`simulate_ito_process` runs a general driver under ``absorbed_euler``
 and reads its drift and diffusion through that hook; and the strong-Markov
 restart in :mod:`.martingale` continues paths from per-path start times.
@@ -90,7 +91,7 @@ class PathEnsemble:
     """Sample paths on a stored grid, plus scheme bookkeeping.
 
     ``grid`` is the storage grid; the integrator may have used a finer
-    internal step with states retained every ``store_stride`` steps.
+    internal step, n_internal_steps / n_paths steps in all.
     ``pre_clip_min_xd`` holds, per path, the minimum of the last coordinate
     *before* any clipping, which is the scheme-quality diagnostic behind
     :func:`support_check`.
@@ -98,7 +99,6 @@ class PathEnsemble:
 
     grid: TimeGrid
     states: np.ndarray  # (n_paths, n_nodes, d)
-    store_stride: int
     pre_clip_min_xd: np.ndarray
     n_clipped_steps: int
     n_internal_steps: int
@@ -183,10 +183,10 @@ def regime_switching_driver(
     )
 
 
-def _as_start_state(start, d: int, grid: TimeGrid | None = None) -> np.ndarray:
+def _as_start_state(start, d: int, grid: TimeGrid) -> np.ndarray:
     """The start vector; a SpaceTimePoint start must sit at ``grid.start``."""
     if isinstance(start, SpaceTimePoint):
-        if grid is not None and abs(grid.start - start.t) > 1e-12:
+        if abs(grid.start - start.t) > 1e-12:
             raise ValueError("grid.start must equal the start time")
         x = np.asarray(start.x, dtype=float)
     else:
@@ -295,30 +295,33 @@ def _simulate(driver, x0, grid, n_paths, seed, scheme, store_stride, observe=Non
         scheme, store_stride, observe)
     ens = PathEnsemble(
         grid=TimeGrid(grid.start, grid.end, grid.step * store_stride), states=states,
-        store_stride=store_stride, pre_clip_min_xd=pre_clip_min,
-        n_clipped_steps=n_clipped, n_internal_steps=grid.n_steps * n_paths,
+        pre_clip_min_xd=pre_clip_min, n_clipped_steps=n_clipped,
+        n_internal_steps=grid.n_steps * n_paths,
     )
     return ens, aux
 
 
 def simulate_sde(
     model: CoefficientModel,
-    start: SpaceTimePoint,
+    start: SpaceTimePoint | np.ndarray,
     grid: TimeGrid,
     n_paths: int,
     seed: int,
     scheme: str = "full_truncation",
     store_stride: int = 1,
+    observe: Callable | None = None,
 ) -> PathEnsemble:
     """Euler-Maruyama ensemble for dX = b dt + sqrt(x_d^+) varsigma dW.
 
     Deterministic given (config, seed); every stored state has x_d >= 0.
     ``store_stride`` keeps every stride-th node (endpoints always included) so
-    long fine-step runs stay within memory.
+    long fine-step runs stay within memory.  ``observe`` is the kernel's
+    observation hook, called at every step as :func:`_euler_paths` describes.
     """
     x0 = _as_start_state(start, model.d, grid)
     model.check_symmetry()
-    return _simulate(model_driver(model), x0, grid, n_paths, seed, scheme, store_stride)[0]
+    return _simulate(model_driver(model), x0, grid, n_paths, seed, scheme, store_stride,
+                     observe)[0]
 
 
 def discounted_mean(model: CoefficientModel, g: Callable, x, horizon: float, n_paths: int,
@@ -332,17 +335,16 @@ def discounted_mean(model: CoefficientModel, g: Callable, x, horizon: float, n_p
     """
     if n_paths < 2:
         raise ValueError("the standard error needs at least 2 paths")
+    if horizon <= 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
     grid = TimeGrid(0.0, horizon, step)
-    x0 = _as_start_state(x, model.d)
-    model.check_symmetry()
     log_discount = np.zeros(n_paths)
 
     def observe(k, x_k, beta, xi, z):
         nonlocal log_discount
         log_discount += np.asarray(model.c(k * step, x_k), dtype=float) * step
 
-    ens, _ = _simulate(model_driver(model), x0, grid, n_paths, seed, scheme, grid.n_steps,
-                       observe)
+    ens = simulate_sde(model, x, grid, n_paths, seed, scheme, grid.n_steps, observe)
     payoff = np.asarray(g(ens.states[:, -1, :]), dtype=float) * np.exp(log_discount)
     return float(payoff.mean()), float(payoff.std(ddof=1) / np.sqrt(n_paths))
 

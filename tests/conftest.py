@@ -20,13 +20,6 @@ def start():
 
 
 @pytest.fixture(scope="session")
-def small_ensemble(heston, start):
-    """4000 paths, h = 2^-6, T = 1: shared by the statistical unit tests."""
-    grid = m.TimeGrid(0.0, 1.0, 2.0**-6)
-    return m.simulate_sde(heston, start, grid, 4000, 123)
-
-
-@pytest.fixture(scope="session")
 def gridded_model(heston):
     """A time-dependent mimicking model: 4 time layers on an 8 x 8-cell lattice."""
     grid = m.TimeGrid(0.0, 1.0, 2.0**-4)

@@ -74,9 +74,17 @@ class TestSchema:
     def test_misspelt_typed_spec_rejected(self, tmp_path, kind, section, good, bad):
         # a payoff or test function is closed per type too: valu would run the payoff 1.0
         cfg = base_sim_config(tmp_path, kind=kind, **{section: good})
-        cfg["ensemble"]["store_stride"] = 1  # the martingale kind's compensator needs it
         jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
         assert cli.run({**cfg, section: bad}) == 2
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_empty_test_function_list_rejected(self, tmp_path):
+        # no test function leaves no entry to fail, so the run would pass
+        # vacuously, under a broken generator too
+        cfg = base_sim_config(tmp_path, kind="martingale", martingale={"test_functions": []},
+                              ensemble={"n_paths": 100, "step": 0.03125, "horizon": 1.0})
+        assert cli.run(cfg) == 2
+        assert cli.run(cfg, break_generator="drift") == 2
         assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("key, value", [("params", {"kappa": 9}), ("builtin", "heston")])
@@ -134,6 +142,16 @@ class TestCheckKinds:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["passed"] is False
         assert report["broken_generator"] == "drift"
+
+    def test_martingale_kind_ignores_store_stride(self, tmp_path):
+        # the check stores endpoints only, so the stride changes no byte of the report
+        runs = []
+        for stride in (1, 4):
+            cfg = base_sim_config(tmp_path / str(stride), kind="martingale")
+            cfg["ensemble"]["store_stride"] = stride
+            status = cli.run(cfg)
+            runs.append((status, (tmp_path / str(stride) / "out" / "report.json").read_bytes()))
+        assert runs[0] == runs[1]
 
     def test_pde_kind(self, tmp_path):
         cfg = base_sim_config(tmp_path, kind="pde")

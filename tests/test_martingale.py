@@ -6,7 +6,7 @@ import pytest
 import mimicsde as m
 from mimicsde import rng
 from mimicsde.coeffs import strip_generator_term
-from mimicsde.martingale import _bump_psi, _compensated, constant_probe, left_coordinate_probe
+from mimicsde.martingale import _bump_psi, constant_probe, left_coordinate_probe
 
 from conftest import constant_model, zero_model
 
@@ -62,64 +62,77 @@ class TestTestFunction:
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+# the statistical unit tests' paths: 4000 paths, h = 2^-6, T = 1, seed 123
+_SMALL_GRID = m.TimeGrid(0.0, 1.0, 2.0**-6)
+
+
+def _trajectory(model, v, start, grid=_SMALL_GRID, n_paths=4000, seed=123):
+    """M^v of one function at every node of ``model``'s paths, compensated with ``model``."""
+    inc, _ = m.martingale_increments(model, model, [v], np.arange(grid.n_steps + 1), start,
+                                     grid, n_paths, seed)
+    return inc[0]
+
+
 class TestIncrements:
-    def test_starts_at_zero_exactly(self, small_ensemble, heston):
-        v = m.radial_bump([0.0, 0.05], 1.0)
-        inc = m.martingale_increments(small_ensemble, heston, v)
+    def test_starts_at_zero_exactly(self, heston, start):
+        inc = _trajectory(heston, m.radial_bump([0.0, 0.05], 1.0), start)
         assert np.all(inc[:, 0] == 0.0)
 
     def test_zero_model_constant_paths_zero_martingale(self, start):
-        model = zero_model()
-        grid = m.TimeGrid(0.0, 1.0, 0.125)
-        ens = m.simulate_sde(model, start, grid, 30, 1)
-        inc = m.martingale_increments(ens, model, m.radial_bump([0.0, 0.1], 0.5))
+        inc = _trajectory(zero_model(), m.radial_bump([0.0, 0.1], 0.5), start,
+                          m.TimeGrid(0.0, 1.0, 0.125), 30, 1)
         assert np.all(inc == 0.0)
 
-    def test_paths_outside_support_give_zero(self, small_ensemble, heston):
-        faraway = m.radial_bump([50.0, 30.0], 0.5)
-        inc = m.martingale_increments(small_ensemble, heston, faraway)
+    def test_paths_outside_support_give_zero(self, heston, start):
+        inc = _trajectory(heston, m.radial_bump([50.0, 30.0], 0.5), start)
         assert np.all(inc == 0.0)
 
-    def test_pathwise_linearity_exact(self, small_ensemble, heston):
+    def test_pathwise_linearity_exact(self, heston, start):
         v1 = m.radial_bump([0.0, 0.05], 1.0)
         v2 = m.linear_function([1.0, 0.0])
-        i1 = m.martingale_increments(small_ensemble, heston, v1)
-        i2 = m.martingale_increments(small_ensemble, heston, v2)
         combo = m.TestFunction(
             name="2*v1-3*v2", d=2,
             jet=lambda t, x: tuple(2 * p1 - 3 * p2
                                    for p1, p2 in zip(v1.jet(t, x), v2.jet(t, x))),
         )
-        ic = m.martingale_increments(small_ensemble, heston, combo)
+        i1, i2, ic = (_trajectory(heston, v, start) for v in (v1, v2, combo))
         assert np.allclose(ic, 2 * i1 - 3 * i2, atol=1e-12)
 
     @pytest.mark.parametrize("case", ["heston", "gridded", "drift-broken"])
     def test_one_pass_equals_single_function_passes(self, heston, gridded_model, start, case):
         # many functions in one pass give each one's own M^v bit for bit, at
-        # every column and on a subset of columns
-        model = {"heston": heston, "gridded": gridded_model,
-                 "drift-broken": strip_generator_term(heston, "drift")}[case]
-        ens = m.simulate_sde(model, start, m.TimeGrid(0.0, 0.5, 2.0**-5), 300, 17)
+        # every node and on a subset of nodes; the states kept at those nodes
+        # are the stride-1 ensemble's
+        model = gridded_model if case == "gridded" else heston
+        generator = strip_generator_term(heston, "drift") if case == "drift-broken" else model
+        grid = m.TimeGrid(0.0, 0.5, 2.0**-5)
         vs = [m.linear_function([0.0, 1.0]), m.radial_bump([0.0, 0.05], 1.0),
               m.boundary_bump([0.0], 0.6)]
-        cols = np.arange(ens.states.shape[1])
-        together = _compensated(ens, model, vs, cols)
-        some = _compensated(ens, model, vs, cols[::5])
+        cols = np.arange(grid.n_steps + 1)
+
+        def increments(fns, nodes):
+            return m.martingale_increments(model, generator, fns, nodes, start, grid, 300, 17)
+
+        together, _ = increments(vs, cols)
+        some, states = increments(vs, cols[::5])
         for v, mv, mv_some in zip(vs, together, some):
-            alone = m.martingale_increments(ens, model, v).view(np.uint64)
+            alone = increments([v], cols)[0][0].view(np.uint64)
             assert np.array_equal(mv.view(np.uint64), alone)
             assert np.array_equal(mv_some.view(np.uint64), alone[:, ::5])
+        ens = m.simulate_sde(model, start, grid, 300, 17)
+        for k, x in zip(cols[::5], states):
+            assert np.array_equal(x.view(np.uint64), ens.states[:, k, :].view(np.uint64))
 
-    def test_rejects_time_dependent(self, small_ensemble, heston):
+    def test_rejects_time_dependent(self, heston, start):
         with pytest.raises(ValueError):
-            m.martingale_increments(small_ensemble, heston, m.time_weighted_xd(1.0))
+            _trajectory(heston, m.time_weighted_xd(1.0), start)
 
-    def test_requires_stride_one(self, heston, start):
-        # a compensator summed at the stored step would be a coarse quadrature
-        grid = m.TimeGrid(0.0, 0.5, 2.0**-5)
-        ens = m.simulate_sde(heston, start, grid, 16, 1, store_stride=2)
-        with pytest.raises(ValueError, match="stride"):
-            m.martingale_increments(ens, heston, m.linear_function([0.0, 1.0]))
+    @pytest.mark.parametrize("nodes", [[0, 17], [-1, 4], [2, 2]], ids=str)
+    def test_rejects_nodes_off_the_grid_or_repeated(self, heston, start, nodes):
+        # a node outside 0..16, or named twice, would leave a column unwritten
+        with pytest.raises(ValueError, match="nodes"):
+            m.martingale_increments(heston, heston, [m.linear_function([0.0, 1.0])], nodes,
+                                    start, m.TimeGrid(0.0, 0.5, 2.0**-5), 16, 1)
 
 
 class TestMartingaleTest:
@@ -127,23 +140,22 @@ class TestMartingaleTest:
         # M = <w, X_t - X_0 - b t> is an exact discrete martingale
         model = constant_model([0.1, 0.2], a_mat=[[1.0, 0.0], [0.0, 0.5]])
         grid = m.TimeGrid(0.0, 1.0, 2.0**-5)
-        ens = m.simulate_sde(model, start, grid, 20_000, 7)
-        rep, = m.martingale_test(ens, model, [m.linear_function([1.0, 1.0])],
-                                 [constant_probe(), left_coordinate_probe(1)])
+        rep, = m.martingale_test(model, model, [m.linear_function([1.0, 1.0])],
+                                 [constant_probe(), left_coordinate_probe(1)],
+                                 start, grid, 20_000, 7)
         assert rep.passed, rep.to_json()
 
-    def test_heston_bump(self, small_ensemble, heston):
+    def test_heston_bump(self, heston, start):
         v = m.radial_bump([0.0, 0.05], 1.0)
-        rep, = m.martingale_test(small_ensemble, heston, [v],
-                                 [constant_probe(), left_coordinate_probe(1)])
+        rep, = m.martingale_test(heston, heston, [v], [constant_probe(), left_coordinate_probe(1)],
+                                 start, _SMALL_GRID, 4000, 123)
         assert rep.overall in ("pass", "inconclusive")
         assert rep.max_abs_z <= 5.0
 
     def test_degenerate_probe_excluded(self, start):
         model = zero_model()
-        grid = m.TimeGrid(0.0, 1.0, 0.25)
-        ens = m.simulate_sde(model, start, grid, 40, 1)
-        rep, = m.martingale_test(ens, model, [m.linear_function([1.0, 0.0])], [constant_probe()])
+        rep, = m.martingale_test(model, model, [m.linear_function([1.0, 0.0])], [constant_probe()],
+                                 start, m.TimeGrid(0.0, 1.0, 0.25), 40, 1)
         assert all(e.status == "excluded" for e in rep.entries)
         assert rep.overall == "pass"  # nothing testable, nothing failed
 
@@ -154,32 +166,42 @@ class TestMartingaleTest:
         broken = strip_generator_term(heston, "drift")
         zs = []
         for n in (2000, 8000):
-            ens = m.simulate_sde(heston, start, grid, n, 31)
-            rep, = m.martingale_test(ens, broken, [m.linear_function([0.0, 1.0])],
-                                     [constant_probe()])
+            rep, = m.martingale_test(heston, broken, [m.linear_function([0.0, 1.0])],
+                                     [constant_probe()], start, grid, n, 31)
             zs.append(rep.max_abs_z)
         assert zs[0] > 3.0
         assert zs[1] > 1.3 * zs[0]
 
     def test_peak_memory_below_one_trajectory(self, heston, start):
-        # M^v is kept at the interval bounds only: the test never holds an
-        # (n_paths, n_nodes) array, which dominates at 256 steps
-        ens = m.simulate_sde(heston, start, m.TimeGrid(0.0, 1.0, 2.0**-8), 2000, 5)
-        n, m1, _ = ens.states.shape
+        # simulation and test together store endpoints only and keep M^v and
+        # the state at the interval bounds: the whole check peaks below one
+        # stride-1 states array, which dominates at 256 steps
+        grid = m.TimeGrid(0.0, 1.0, 2.0**-8)
+        n = 2000
         vs = [m.linear_function([0.0, 1.0]), m.radial_bump([0.0, 0.05], 1.0),
               m.boundary_bump([0.0], 0.6)]
         tracemalloc.start()
         try:
-            m.martingale_test(ens, heston, vs, [constant_probe(), left_coordinate_probe(1)])
+            m.martingale_test(heston, heston, vs, [constant_probe(), left_coordinate_probe(1)],
+                              start, grid, n, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n * m1 * 8
+        assert peak < n * (grid.n_steps + 1) * heston.d * 8
 
-    def test_needs_two_intervals(self, small_ensemble, heston):
+    def test_needs_two_intervals(self, heston, start):
         with pytest.raises(ValueError):
-            m.martingale_test(small_ensemble, heston, [m.linear_function([1.0, 0.0])],
-                              [constant_probe()], n_intervals=1)
+            m.martingale_test(heston, heston, [m.linear_function([1.0, 0.0])], [constant_probe()],
+                              start, _SMALL_GRID, 16, 1, n_intervals=1)
+
+    @pytest.mark.parametrize("empty", ["test_functions", "probes"])
+    def test_needs_a_test_function_and_a_probe(self, heston, start, empty):
+        # an empty list has no entry to fail, so its report would pass vacuously
+        lists = {"test_functions": [m.linear_function([1.0, 0.0])], "probes": [constant_probe()]}
+        lists[empty] = []
+        with pytest.raises(ValueError, match="at least one"):
+            m.martingale_test(heston, heston, lists["test_functions"], lists["probes"],
+                              start, _SMALL_GRID, 16, 1)
 
 
 class TestItoFormula:

@@ -377,6 +377,11 @@ class TestDuality:
         with pytest.raises(ValueError, match="at least 2 paths"):
             m.discounted_mean(heston, ones, [0.0, 0.09], 0.5, 1, 2.0**-6, 3)
 
+    @pytest.mark.parametrize("horizon", [0.0, -0.5])
+    def test_sample_side_needs_positive_horizon(self, heston, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            m.discounted_mean(heston, ones, [0.0, 0.09], horizon, 8, 2.0**-6, 3)
+
 
 def test_march_reports_killing_applied(heston, heston_killing):
     # meta's c range is the least and greatest c that the march assembled

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import mimicsde as m
-from mimicsde import cli, pde, rng
+from mimicsde import cli, martingale, pde, rng
 from mimicsde.martingale import constant_probe, left_coordinate_probe
 
 
@@ -104,8 +104,9 @@ VALIDATOR_PINS = {
 }
 # the cycloidal and parabolic Hölder estimates of one field over one region
 HOLDER_PIN = "a59582a5368f3483661487bf9d0c1eab957310d8a860c85105bd2c2f76cde3e8"
-# acceptance 03's test functions on one stride-1 Heston ensemble; "+drift"
-# compensates with the drift-stripped generator
+# acceptance 03's test functions at every node of the 256 Heston paths of
+# _MARTINGALE_GRID at seed 707; "+drift" compensates with the drift-stripped
+# generator
 INCREMENTS_PINS = {
     "linear": "6f9c7b12547fc6c9785786fcac1797ca178aae35aaec606c5a498dc5f9a51445",
     "bump": "ab082d5e1a6238dfc6001c8d37cd1f017b81867735b4b475128ccc3cdb0b4d3e",
@@ -113,8 +114,9 @@ INCREMENTS_PINS = {
     "linear+drift": "d51f338c6c721884df937d79618d62a2ee683b7ca62cec34594e9b1565557759",
 }
 # martingale_test's reports for the linear, bump and boundary-bump functions
-# with the CLI's probes: on the stride-1 Heston ensemble, on a stride-1
-# ensemble of the gridded model, and compensated with the drift-stripped Heston
+# with the CLI's probes: on those Heston paths, on 256 paths of the gridded
+# model at seed 708, and on the Heston paths compensated with the drift-stripped
+# Heston
 MARTINGALE_TEST_PINS = {
     "heston": "839d203af8c1a79b135708fbf2b58e1b3d2ab086f5e85bf2c4ab7b9969a62c7c",
     "gridded": "7d7a03976320f039189c50ed08dc85f8565dccbceb6c716f5eb4c21a9856491f",
@@ -334,39 +336,35 @@ def _test_functions() -> dict:
             "time_weighted": m.time_weighted_xd(0.5)}
 
 
-@pytest.fixture(scope="module")
-def stride_one_ensemble(heston, start):
-    return m.simulate_sde(heston, start, m.TimeGrid(0.0, 0.5, 2.0**-5), 256, 707)
+_MARTINGALE_GRID = m.TimeGrid(0.0, 0.5, 2.0**-5)
 
 
 @pytest.mark.parametrize("case", sorted(INCREMENTS_PINS))
-def test_martingale_increments_pinned(heston, stride_one_ensemble, case):
+def test_martingale_increments_pinned(heston, start, case):
     name, _, part = case.partition("+")
-    model = m.strip_generator_term(heston, part) if part else heston
-    inc = m.martingale_increments(stride_one_ensemble, model, _test_functions()[name])
-    assert _digest(inc) == INCREMENTS_PINS[case]
+    generator = m.strip_generator_term(heston, part) if part else heston
+    grid = _MARTINGALE_GRID
+    inc, _ = m.martingale_increments(heston, generator, [_test_functions()[name]],
+                                     np.arange(grid.n_steps + 1), start, grid, 256, 707)
+    assert _digest(inc[0]) == INCREMENTS_PINS[case]
 
 
 @pytest.mark.parametrize("case", sorted(MARTINGALE_TEST_PINS))
-def test_martingale_test_pinned(heston, gridded_model, start, stride_one_ensemble, case):
-    # the CLI's three test functions and probes; the gridded case reads the
-    # lattice from a stride-1 ensemble of the gridded model itself
-    if case == "gridded":
-        model = gridded_model
-        ens = m.simulate_sde(model, start, m.TimeGrid(0.0, 0.5, 2.0**-5), 256, 708)
-    else:
-        model = m.strip_generator_term(heston, "drift") if case == "drift-broken" else heston
-        ens = stride_one_ensemble
+def test_martingale_test_pinned(heston, gridded_model, start, case):
+    # the CLI's three test functions and probes; the gridded case simulates
+    # and compensates with the gridded model itself
+    model, seed = (gridded_model, 708) if case == "gridded" else (heston, 707)
+    generator = m.strip_generator_term(heston, "drift") if case == "drift-broken" else model
     tfs = [_test_functions()[name] for name in ("linear", "bump", "boundary_bump")]
     probes = [constant_probe()] + [left_coordinate_probe(i) for i in range(model.d)]
-    reports = m.martingale_test(ens, model, tfs, probes)
+    reports = m.martingale_test(model, generator, tfs, probes, start, _MARTINGALE_GRID, 256, seed)
     assert _json_digest([r.to_json() for r in reports]) == MARTINGALE_TEST_PINS[case]
 
 
 def test_ito_residual_pinned(heston, start):
-    # the same paths as stride_one_ensemble's, simulated by the residual itself
+    # the same paths as the martingale pins' Heston paths, simulated by the residual itself
     rep = m.ito_formula_residual(heston, m.time_weighted_xd(0.5), start,
-                                 m.TimeGrid(0.0, 0.5, 2.0**-5), 256, 707, "full_truncation")
+                                 _MARTINGALE_GRID, 256, 707, "full_truncation")
     assert _json_digest(rep.to_json()) == ITO_RESIDUAL_PIN
 
 
@@ -651,10 +649,11 @@ def test_cli_pde_gridded_evaluates_each_knot_once(tmp_path, project_csv, monkeyp
 
 
 def test_cli_martingale_evaluates_model_once_per_node(tmp_path, monkeypatch):
-    # outside the simulation, the check evaluates a and b once per compensated
-    # node for all three test functions together, not once per node per function
-    calls, simulated = [], []
-    heston_model, ensemble = cli.heston_model, cli._ensemble
+    # inside the kernel's observation hook, the check evaluates a and b once
+    # per step for all three test functions together, not once per step per
+    # function; the final node needs only the jets
+    calls, observed = [], []
+    heston_model, simulate = cli.heston_model, martingale.simulate_sde
 
     def counted_model(*args, **kwargs):
         model = heston_model(*args, **kwargs)
@@ -665,17 +664,16 @@ def test_cli_martingale_evaluates_model_once_per_node(tmp_path, monkeypatch):
             setattr(model, f, counted)
         return model
 
-    def counted_ensemble(*args, **kwargs):
-        start = len(calls)
-        ens = ensemble(*args, **kwargs)
-        simulated.extend(range(start, len(calls)))
-        return ens
+    def counted_simulate(*args, observe, **kwargs):
+        def counted_observe(*step):
+            first = len(calls)
+            observe(*step)
+            observed.extend(calls[first:])
+        return simulate(*args, observe=counted_observe, **kwargs)
 
     monkeypatch.setattr(cli, "heston_model", counted_model)
-    monkeypatch.setattr(cli, "_ensemble", counted_ensemble)
+    monkeypatch.setattr(martingale, "simulate_sde", counted_simulate)
     cfg = _cli_config("martingale", tmp_path)
     assert cli.run(cfg) == 0
-    simulated = set(simulated)
-    checked = [f for i, f in enumerate(calls) if i not in simulated]
     n_steps = round(cfg["ensemble"]["horizon"] / cfg["ensemble"]["step"])
-    assert (checked.count("a"), checked.count("b")) == (n_steps, n_steps)
+    assert (observed.count("a"), observed.count("b")) == (n_steps, n_steps)

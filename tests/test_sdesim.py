@@ -114,27 +114,37 @@ class TestSimulateSde:
                 >= m.support_check(ab).max_negative_excursion_pre_clip)
 
 
-def test_only_the_euler_kernel_draws_brownian_normals():
-    # one consumer of the Brownian stream: rng.DOMAIN_BROWNIAN is named only
-    # in rng.py and inside sdesim._euler_paths
-    src = Path(m.__file__).parent
+def _named_in(name: str) -> list[str]:
+    """The functions and classes of the package whose code names ``name``, in file order."""
     found = []
-    for path in sorted(src.glob("*.py")):
-        if path.name == "rng.py":
-            continue
+    for path in sorted(Path(m.__file__).parent.glob("*.py")):
 
         def scan(node, where):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 where = f"{where}.{node.name}"
             names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
                      else [getattr(node, "attr", getattr(node, "id", None))])
-            if "DOMAIN_BROWNIAN" in names:
+            if name in names:
                 found.append(where)
             for child in ast.iter_child_nodes(node):
                 scan(child, where)
 
         scan(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_only_the_euler_kernel_draws_brownian_normals():
+    # one consumer of the Brownian stream: rng.DOMAIN_BROWNIAN is named only
+    # in rng.py and inside sdesim._euler_paths
+    found = [where for where in _named_in("DOMAIN_BROWNIAN") if not where.startswith("rng")]
     assert found == ["sdesim._euler_paths"]
+
+
+def test_models_are_replayed_only_through_simulate_sde():
+    # sdesim._simulate is reached only through simulate_sde, which replays a
+    # coefficient model, and simulate_ito_process, which runs a general
+    # driver; every check that replays a model enters through simulate_sde
+    assert _named_in("_simulate") == ["sdesim.simulate_sde", "sdesim.simulate_ito_process"]
 
 
 class TestItoProcess:
