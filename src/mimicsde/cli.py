@@ -13,9 +13,12 @@ The runners share one set of stages: :func:`run` resolves the model and its
 checking copy once; ``_start``, ``_time_grid`` and ``_ensemble`` read the start
 point and time grid and simulate a model over it (the martingale kind's one
 simulation, in :func:`.martingale.martingale_test`, stores endpoints only and
-does not read ``ensemble.store_stride``); ``_projection_stage``
-estimates, builds, saves and validates the mimicking model; ``_coordinates``
-and ``_DEFAULT_PAYOFF`` are the shared test statistics and terminal payoff.
+does not read ``ensemble.store_stride``; the restart kind reads
+``ensemble.n_paths``, ``step`` and ``scheme`` only, over the horizon
+``t_cap + u``, so it ignores ``ensemble.horizon`` and ``store_stride``);
+``_projection_stage`` estimates, builds, saves and validates the mimicking
+model; ``_coordinates`` and ``_DEFAULT_PAYOFF`` are the shared test statistics
+and terminal payoff.
 The ``pde`` kind is one march: its constant-data check and terminal-value solve
 are two columns of one time-reversed march, and the check takes its one killing rate
 from the range of c the march applied (``meta`` ``c_min``, ``c_max``), raising if it varies.
@@ -284,7 +287,7 @@ def _run_restart(cfg, out, seed, model, check_model):
         model, _start(cfg),
         level=r.get("level", 0.01), t_cap=r.get("t_cap", 0.5), u=r.get("u", 0.25),
         g_list=_coordinates(model.d),
-        n_paths=e["n_paths"], h=e["step"], seed=seed,
+        n_paths=e["n_paths"], h=e["step"], seed=seed, scheme=e.get("scheme", "full_truncation"),
         n_bins=r.get("n_bins", 4), min_bin=r.get("min_bin", 200),
         ks_threshold=r.get("ks_threshold", 0.05),
         perturb=r.get("perturb"),

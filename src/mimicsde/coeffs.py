@@ -495,6 +495,8 @@ def validate_coefficients(
         per_alpha: dict[str, float] = {}
         for label, f in component_fields(product):
             est, wit = _holder_scan(f, region, budget.alpha, metric, pair_budget, seed + salt)
+            if est.empty:  # no scored pair: the clause would pass vacuously
+                raise ValueError(f"{name}: no admissible pair among pair_budget={pair_budget}")
             if est.seminorm >= worst:
                 worst = est.seminorm
                 worst_label = label

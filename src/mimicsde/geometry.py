@@ -61,10 +61,6 @@ class SpaceTimePoint:
     def d(self) -> int:
         return len(self.x)
 
-    @property
-    def xd(self) -> float:
-        return self.x[-1]
-
 
 @dataclass(frozen=True)
 class Region:

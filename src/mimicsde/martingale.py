@@ -20,7 +20,8 @@ every consumer reads that one evaluator.  The boundary Itô-formula check also
 consumes the product x_d * Hessian as a single continuous evaluator, so
 nothing is ever evaluated as 0 * infinity on the boundary; it too sums along
 the kernel's pass in the observation hook, from the very normals and sigma
-each step used.
+each step used.  The strong-Markov restart finds its stopping time in that
+hook too, and restarts the kernel from each path's (tau, X(tau)).
 """
 
 from __future__ import annotations
@@ -500,35 +501,40 @@ def strong_markov_restart_test(
     """Compare continuation beyond a stopping time with an independent restart.
 
     The stopping rule is tau = first node with x_d <= level, capped at t_cap
-    (capped paths record a hit at the cap).  Each path's continuation value
-    g(X(tau+u)) is compared with a fresh simulation of length u restarted at
-    (tau, X(tau)) under the independent seed seed + 0x517CC1B7, stratified
-    into occupancy bins of X_d(tau); distributional agreement per bin is the
-    pass criterion.
+    (capped paths record a hit at the cap); t_cap and t_cap + u must be grid
+    nodes, checked before any path is simulated.  One :func:`simulate_sde`
+    pass stores endpoints only and keeps X(tau) and X(tau+u) in its hook.
+    Each path's continuation value g(X(tau+u)) is compared with a fresh
+    simulation of length u restarted at (tau, X(tau)) under the independent
+    seed seed + 0x517CC1B7, stratified into occupancy bins of X_d(tau);
+    distributional agreement per bin is the pass criterion.
     ``perturb`` shifts the restart state and serves as the negative control.
     """
-    if u <= 0:
-        raise ValueError("continuation horizon u must be positive")
+    if u < h / 2:  # u is a whole number of steps once both grid checks below pass
+        raise ValueError("continuation horizon u must be at least one step h")
     grid = TimeGrid(start.t, start.t + t_cap + u, h)
-    ens = simulate_sde(model, start, grid, n_paths, seed, scheme)
-    nodes = ens.grid.nodes
-    k_cap = ens.grid.node_index(start.t + t_cap)
-    u_steps = int(round(u / h))
-    if abs(u_steps * h - u) > 1e-9:
-        raise ValueError("u must be a multiple of the step h")
+    k_cap = grid.node_index(start.t + t_cap)
+    u_steps = grid.n_steps - k_cap
+    stop = np.full(n_paths, grid.n_steps + 1)  # above k_cap until the path stops
+    x_tau = np.empty((n_paths, start.d))
+    x_cont = np.empty((n_paths, start.d))
 
-    xd = ens.states[:, : k_cap + 1, -1]
-    hit = xd <= level
-    any_hit = hit.any(axis=1)
-    first = np.where(any_hit, hit.argmax(axis=1), k_cap)
-    n_capped = int(np.count_nonzero(~any_hit))
+    def observe(k, x, beta, xi, z):
+        if k <= k_cap:
+            now = (stop > k_cap) & ((x[:, -1] <= level) | (k == k_cap))
+            stop[now] = k
+            x_tau[now] = x[now]
+        due = stop + u_steps == k
+        x_cont[due] = x[due]
 
-    rows = np.arange(n_paths)
-    x_tau = ens.states[rows, first, :]
-    t_tau = nodes[first]
-    x_cont = ens.states[rows, first + u_steps, :]
+    # endpoints only: paths stopped at the cap continue to the last node
+    ens = simulate_sde(model, start, grid, n_paths, seed, scheme, grid.n_steps, observe)
+    last = stop == k_cap
+    x_cont[last] = ens.states[last, -1, :]
+    n_capped = int(np.count_nonzero(x_tau[:, -1] > level))
+    t_tau = grid.nodes[stop]
 
-    x_restart0 = x_tau.copy()
+    x_restart0 = x_tau
     if perturb is not None:
         x_restart0 = x_restart0 + np.asarray(perturb, dtype=float)
         x_restart0[:, -1] = np.maximum(x_restart0[:, -1], 0.0)

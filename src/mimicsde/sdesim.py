@@ -25,7 +25,8 @@ test and Itô-formula residual in :mod:`.martingale` sum the compensator or
 both sides of Itô's formula along each path, storing endpoints only.
 :func:`simulate_ito_process` runs a general driver under ``absorbed_euler``
 and reads its drift and diffusion through that hook; and the strong-Markov
-restart in :mod:`.martingale` continues paths from per-path start times.
+restart in :mod:`.martingale` finds each path's stopping time in that hook,
+storing endpoints only, then continues the paths from per-path start times.
 """
 
 from __future__ import annotations

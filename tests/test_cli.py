@@ -242,6 +242,27 @@ class TestCheckKinds:
                           "min_bin": 200, "ks_threshold": 0.1}
         assert cli.run(cfg) == 0
 
+    def test_restart_kind_runs_the_ensemble_scheme(self, tmp_path, monkeypatch):
+        # the two schemes' reports agree at this size, so the scheme is read
+        # where the test receives it
+        schemes = []
+
+        def restart(*args, **kwargs):
+            schemes.append(kwargs.get("scheme"))
+            return real(*args, **kwargs)
+
+        real = cli.strong_markov_restart_test
+        monkeypatch.setattr(cli, "strong_markov_restart_test", restart)
+        cfg = base_sim_config(tmp_path, kind="restart")
+        cfg["ensemble"] = {"n_paths": 400, "step": 2.0**-5, "horizon": 1.0,
+                           "scheme": "absorbed_euler"}
+        cfg["restart"] = {"level": 0.06, "t_cap": 0.25, "u": 0.125, "n_bins": 2,
+                          "min_bin": 50, "ks_threshold": 0.5}
+        assert cli.run(cfg) == 0
+        del cfg["ensemble"]["scheme"]
+        assert cli.run(cfg) == 0
+        assert schemes == ["absorbed_euler", "full_truncation"]
+
     def test_full_mimic_kind(self, tmp_path):
         cfg = base_sim_config(tmp_path, kind="full-mimic")
         cfg["ensemble"] = {"n_paths": 8000, "step": 2.0**-6, "horizon": 1.0,

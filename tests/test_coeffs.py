@@ -167,6 +167,14 @@ class TestValidator:
         details = rep.condition("near_boundary_holder_cycloidal").details
         assert set(details["reported_alphas"]) == {"alpha=0.3", "alpha=0.7"}
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_holder_clause_without_a_scored_pair_raises(self, heston, seed):
+        # the one sampled pair lies beyond distance 1 in the near (seed 1) or
+        # interior (seed 2) region, so that clause would score no pair and
+        # pass with observed 0.0 and no witness
+        with pytest.raises(ValueError, match="pair_budget=1"):
+            m.validate_coefficients(heston, n_samples=8, pair_budget=1, seed=seed)
+
     def test_json_round_trip(self, heston):
         import json
 

@@ -271,6 +271,16 @@ class TestItoFormula:
             m.ito_formula_residual(heston, v, start, grid, 16, 1, "full_truncation")
 
 
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fail any kernel run the restart test starts."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a path was simulated before the arguments were checked")
+
+    monkeypatch.setattr(m.martingale, "simulate_sde", fail)
+    monkeypatch.setattr(m.martingale, "_euler_paths", fail)
+
+
 class TestRestart:
     def test_deterministic_model_exact(self, start):
         det = constant_model([0.1, 0.05], a_mat=np.zeros((2, 2)))
@@ -294,8 +304,74 @@ class TestRestart:
         bad = m.strong_markov_restart_test(heston, start, perturb=[0.0, 0.05], **common)
         assert not bad.passed
 
-    def test_u_must_be_grid_multiple(self, heston, start):
-        with pytest.raises(ValueError):
+    def test_u_must_be_grid_multiple(self, heston, start, no_simulation):
+        # t_cap is a node but t_cap + u = 0.8 is not
+        with pytest.raises(ValueError, match="must be an integer"):
             m.strong_markov_restart_test(heston, start, level=0.01, t_cap=0.5, u=0.3,
                                          g_list=[("x", lambda x: x[:, 0])],
                                          n_paths=100, h=0.25, seed=1)
+
+    @pytest.mark.parametrize("t_cap, u, match", [
+        (0.55, 0.2, "not a node"),  # t_cap + u = 0.75 is a node, t_cap is not
+        (0.5, 0.0, "at least one step"),
+        (0.5, -0.25, "at least one step"),
+    ])
+    def test_misuse_raises_before_simulating(self, heston, start, no_simulation, t_cap, u, match):
+        with pytest.raises(ValueError, match=match):
+            m.strong_markov_restart_test(heston, start, level=0.01, t_cap=t_cap, u=u,
+                                         g_list=[("x", lambda x: x[:, 0])],
+                                         n_paths=100, h=0.25, seed=1)
+
+    @pytest.mark.parametrize("level, t_cap, capped", [
+        (0.09, 0.5, "none"),  # the start is at the level: tau = t0 on every path
+        (0.06, 2.0**-5, "some"),  # the cap is the first step
+        (0.005, 0.125, "all"),  # no path reaches the level
+    ], ids=["start-at-level", "cap-one-step", "level-unreached"])
+    def test_stop_and_continuation_match_stored_paths(self, heston, start, monkeypatch,
+                                                       level, t_cap, capped):
+        # the reference reads tau off a stride-1 ensemble of the same seed; g
+        # sees X(tau+u) and the restart kernel X(tau) and tau (one bin, so in
+        # path order)
+        h, u, n, seed = 2.0**-5, 0.125, 300, 61
+        ens = m.simulate_sde(heston, start, m.TimeGrid(0.0, t_cap + u, h), n, seed)
+        k_cap, u_steps = round(t_cap / h), round(u / h)
+        hit = ens.states[:, :k_cap + 1, -1] <= level
+        first = np.where(hit.any(axis=1), hit.argmax(axis=1), k_cap)
+        rows = np.arange(n)
+        seen, restarts = [], []
+
+        def g(x):
+            seen.append(np.array(x))
+            return x[:, 1]
+
+        def euler_paths(driver, x0, t0, *args, **kwargs):
+            restarts.append((np.array(x0), np.array(t0)))
+            return real(driver, x0, t0, *args, **kwargs)
+
+        real = m.martingale._euler_paths
+        monkeypatch.setattr(m.martingale, "_euler_paths", euler_paths)
+        rep = m.strong_markov_restart_test(heston, start, level=level, t_cap=t_cap, u=u,
+                                           g_list=[("x_2", g)], n_paths=n, h=h, seed=seed,
+                                           n_bins=1, min_bin=1)
+        (x_tau, t_tau), = restarts
+        assert np.array_equal(x_tau, ens.states[rows, first])
+        assert np.array_equal(t_tau, ens.grid.nodes[first])
+        assert np.array_equal(seen[0], ens.states[rows, first + u_steps])
+        assert rep.n_capped == np.count_nonzero(~hit.any(axis=1))
+        assert {"none": rep.n_capped == 0 and not first.any(), "all": rep.n_capped == n,
+                "some": 0 < rep.n_capped < n}[capped]
+
+    def test_peak_memory_below_one_trajectory(self, heston, start):
+        # tau, X(tau) and X(tau+u) are kept in the kernel's hook on a pass
+        # that stores endpoints only, so the whole test peaks below one
+        # stride-1 states array, which dominates at 256 steps
+        h, n = 2.0**-8, 2000
+        tracemalloc.start()
+        try:
+            m.strong_markov_restart_test(heston, start, level=0.01, t_cap=0.5, u=0.5,
+                                         g_list=[("x_2", lambda x: x[:, 1])],
+                                         n_paths=n, h=h, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * (round(1.0 / h) + 1) * heston.d * 8
