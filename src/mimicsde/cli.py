@@ -7,7 +7,9 @@ version, wall-clock time, and whether a ``--threads`` cap took effect.  Exit
 status: 0 when all asserted checks pass, 1 on a check failure (the report is
 still written), 2 on misuse: a schema violation (an unknown key included, in
 a typed payoff or test function too, or a gridded model next to ``builtin`` or
-``params``), or ``--break-generator`` on a kind other than martingale and duality.
+``params``), ``--break-generator`` on a kind other than martingale and duality,
+a config file that is not JSON, or a config the library rejects with a
+``ValueError`` (``config error: ...`` on stderr; no report or manifest).
 
 The runners share one set of stages: :func:`run` resolves the model and its
 checking copy once; ``_start``, ``_time_grid`` and ``_ensemble`` read the start
@@ -403,7 +405,8 @@ CONFIG_SCHEMA = {
                 "times": _NUMBERS,
                 "edges": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
                 "kernel": {"enum": ["box", "gaussian"]},
-                "bandwidth": {"type": ["array", "null"]},
+                "bandwidth": {"type": ["array", "null"],
+                              "items": {"type": "number", "exclusiveMinimum": 0}},
                 "min_count": {"type": "number", "exclusiveMinimum": 0},
                 "max_masked_fraction": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
             },
@@ -452,7 +455,7 @@ CONFIG_SCHEMA = {
                 "n_bins": {"type": "integer", "minimum": 1},
                 "min_bin": {"type": "integer", "minimum": 1},
                 "ks_threshold": {"type": "number", "exclusiveMinimum": 0},
-                "perturb": {"type": ["array", "null"]},
+                "perturb": {"type": ["array", "null"], "items": {"type": "number"}},
             },
         },
         "thresholds": {
@@ -506,9 +509,13 @@ def run(config: dict, threads: int | None = None, break_generator: str | None = 
     out = Path(config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.monotonic()
-    model = _model_from_config(config)
-    check_model = strip_generator_term(model, break_generator) if break_generator else model
-    ok, payload = _RUNNERS[kind](config, out, config["seed"], model, check_model)
+    try:
+        model = _model_from_config(config)
+        check_model = strip_generator_term(model, break_generator) if break_generator else model
+        ok, payload = _RUNNERS[kind](config, out, config["seed"], model, check_model)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     wallclock = time.monotonic() - t_start
 
     report = {"kind": kind, "passed": bool(ok), **payload}
@@ -545,7 +552,11 @@ def main(argv: list[str] | None = None) -> int:
                            "(martingale and duality kinds only)")
     args = parser.parse_args(argv)
     with open(args.config) as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            print(f"config is not valid JSON: {exc}", file=sys.stderr)
+            return 2
     return run(config, threads=args.threads, break_generator=args.break_generator)
 
 

@@ -11,7 +11,8 @@ so the second-order part vanishes identically on the boundary x_d = 0 and the
 inward drift floor b_d(t, x', 0) >= nu > 0 is what carries information off the
 boundary.  The validator checks the budget clause by clause on sampled points
 and pairs: it can certify a failure (a violated inequality at a concrete
-witness) but only ever provides evidence of success.
+witness) but only ever provides evidence of success.  Each Hölder clause draws
+its pairs once and scores every coefficient entry at every exponent from them.
 
 Evaluators are vectorized: they accept t as a scalar or (n,) array and x as an
 (n, d) array, returning (n, d, d), (n, d), (n,) respectively, and must be pure
@@ -427,6 +428,11 @@ def validate_coefficients(
     above it they are imposed on the product x_d * a with the parabolic
     metric.  The Hölder exponent is taken from the budget; extra exponents in
     ``alphas`` are scored and reported without affecting pass/fail.
+
+    Each Hölder clause draws its pairs once and scores a[i,j] (x_d*a[i,j] far
+    from the boundary) for i <= j row-major, then b[0..d-1], then c at every
+    exponent.  It reports the last entry at the maximum with its witness (None
+    if every seminorm is 0), and each extra exponent's maximum over entries.
     """
     budget = model.budget
     d = model.d
@@ -471,47 +477,32 @@ def validate_coefficients(
     conditions.append(_extremum_clause("near_boundary_sup_bounds", stacked, budget.K,
                                        "max<=bound", ts, xs))
 
-    # Hölder clauses: component fields near (cycloidal on a, b, c) and far
-    # (parabolic on x_d * a, b, c)
-    def component_fields(product_with_xd: bool):
-        fields = []
-        for i in range(d):
-            for j in range(i, d):
-                if product_with_xd:
-                    fields.append((f"xd*a[{i},{j}]",
-                                   lambda t, x, i=i, j=j: x[:, -1] * model.a(t, x)[:, i, j]))
-                else:
-                    fields.append((f"a[{i},{j}]",
-                                   lambda t, x, i=i, j=j: model.a(t, x)[:, i, j]))
-        for i in range(d):
-            fields.append((f"b[{i}]", lambda t, x, i=i: model.b(t, x)[:, i]))
-        fields.append(("c", lambda t, x: model.c(t, x)))
-        return fields
+    # Hölder clauses: near the boundary on a, b, c (cycloidal), far from it on
+    # x_d * a, b, c (parabolic); one scan scores every entry at every exponent
+    rows, cols = np.triu_indices(d)
 
     def holder_clause(name: str, region: Region, metric: str, product: bool, salt: int):
-        worst = 0.0
-        worst_label = None
-        worst_witness = None
-        per_alpha: dict[str, float] = {}
-        for label, f in component_fields(product):
-            est, wit = _holder_scan(f, region, budget.alpha, metric, pair_budget, seed + salt)
-            if est.empty:  # no scored pair: the clause would pass vacuously
-                raise ValueError(f"{name}: no admissible pair among pair_budget={pair_budget}")
-            if est.seminorm >= worst:
-                worst = est.seminorm
-                worst_label = label
-                worst_witness = wit
-            for extra in report_alphas:
-                est2, _ = _holder_scan(f, region, extra, metric, pair_budget, seed + salt)
-                key = f"alpha={extra}"
-                per_alpha[key] = max(per_alpha.get(key, 0.0), est2.seminorm)
-        details = {"component": worst_label, "metric": metric}
-        if per_alpha:
-            details["reported_alphas"] = per_alpha
+        labels = ([f"{'xd*a' if product else 'a'}[{i},{j}]" for i, j in zip(rows, cols)]
+                  + [f"b[{i}]" for i in range(d)] + ["c"])
+
+        def entries(t, x):
+            av = np.asarray(model.a(t, x), dtype=float) * (x[:, -1:, None] if product else 1.0)
+            return np.column_stack([av[:, rows, cols], np.asarray(model.b(t, x), dtype=float),
+                                    np.asarray(model.c(t, x), dtype=float)])
+
+        semi, _, pairs, witnesses = _holder_scan(entries, region, [budget.alpha, *report_alphas],
+                                                 metric, pair_budget, seed + salt)
+        if pairs == 0:  # no scored pair: the clause would pass vacuously
+            raise ValueError(f"{name}: no admissible pair among pair_budget={pair_budget}")
+        k = len(labels) - 1 - int(np.argmax(semi[0, ::-1]))  # the last entry at the maximum
+        details = {"component": labels[k], "metric": metric}
+        if report_alphas:
+            details["reported_alphas"] = {f"alpha={extra}": float(row.max())
+                                          for extra, row in zip(report_alphas, semi[1:])}
         conditions.append(ConditionCheck(
-            name=name, passed=bool(worst <= budget.K),
-            observed=worst, bound=budget.K, kind="max<=bound",
-            witness=worst_witness, details=details,
+            name=name, passed=bool(semi[0, k] <= budget.K),
+            observed=float(semi[0, k]), bound=budget.K, kind="max<=bound",
+            witness=witnesses[0][k], details=details,
         ))
 
     holder_clause("near_boundary_holder_cycloidal", near, "cycloidal", False, 4)

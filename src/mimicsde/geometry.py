@@ -15,13 +15,18 @@ x_d in [y0, y1] with 0 < y0 < y1 but not up to the boundary.
 Hölder seminorms over a region are uncomputable exactly, so they are
 estimated by maxima over indexed quasi-random point pairs: pair i
 is a pure function of (seed, i), which makes estimates deterministic, monotone
-in the pair budget, and safe to evaluate concurrently.
+in the pair budget, and safe to evaluate concurrently.  One scan draws and
+evaluates each batch of pairs once and scores every column of a field at every
+exponent from it, so a column's estimate is the one it would get alone: in a
+batch a column takes its first maximal ratio |u1 - u2| / dist^alpha, a later
+batch replaces it only with a strictly larger one, and its witness pair is
+None while its seminorm is 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -197,12 +202,13 @@ def _sample_pair_batch(
 def _holder_scan(
     field: Field,
     region: Region,
-    alpha: float,
+    alphas: Sequence[float],
     metric: str,
     pair_budget: int,
     seed: int,
-) -> tuple[HolderEstimate, dict | None]:
-    if not 0.0 < alpha < 1.0:
+) -> tuple[np.ndarray, float, int, list[list[dict | None]]]:
+    """Seminorms (len(alphas), m) of an (n,) or (n, m) field, sup-norm, scored pairs, witnesses."""
+    if not all(0.0 < alpha < 1.0 for alpha in alphas):
         raise ValueError("alpha must lie in (0, 1)")
     if pair_budget < 1:
         raise ValueError("pair_budget must be >= 1")
@@ -210,37 +216,38 @@ def _holder_scan(
         raise ValueError(f"unknown metric {metric!r}")
     dist_fn = _METRICS[metric]
 
-    seminorm = 0.0
     sup_norm = 0.0
     scored = 0
-    witness: dict | None = None
     batch = 4096
     done = 0
     while done < pair_budget:
         count = min(batch, pair_budget - done)
         t1, x1, t2, x2 = _sample_pair_batch(region, seed, done, count)
-        u1 = np.asarray(field(t1, x1), dtype=float)
-        u2 = np.asarray(field(t2, x2), dtype=float)
+        u1 = np.asarray(field(t1, x1), dtype=float).reshape(count, -1)
+        u2 = np.asarray(field(t2, x2), dtype=float).reshape(count, -1)
+        if done == 0:
+            seminorms = np.zeros((len(alphas), u1.shape[1]))
+            witnesses: list[list[dict | None]] = [[None] * u1.shape[1] for _ in alphas]
         sup_norm = max(sup_norm, float(np.abs(u1).max()), float(np.abs(u2).max()))
         dist = dist_fn(t1, x1, t2, x2)
         ok = (dist > 0.0) & (dist <= 1.0)
         scored += int(ok.sum())
         if np.any(ok):
-            ratios = np.abs(u1 - u2) / np.where(ok, dist, 1.0) ** alpha
-            ratios[~ok] = -np.inf
-            k = int(np.argmax(ratios))
-            if ratios[k] > seminorm:
-                seminorm = float(ratios[k])
-                witness = {
-                    "p1": {"t": float(t1[k]), "x": [float(v) for v in x1[k]]},
-                    "p2": {"t": float(t2[k]), "x": [float(v) for v in x2[k]]},
-                    "distance": float(dist[k]),
-                }
+            gap = np.abs(u1 - u2)
+            for a, alpha in enumerate(alphas):
+                ratios = gap / (np.where(ok, dist, 1.0) ** alpha)[:, None]
+                ratios[~ok] = -np.inf
+                top = ratios.max(axis=0)
+                for j in np.flatnonzero(top > seminorms[a]):
+                    k = int(np.argmax(ratios[:, j]))
+                    seminorms[a, j] = top[j]
+                    witnesses[a][j] = {
+                        "p1": {"t": float(t1[k]), "x": [float(v) for v in x1[k]]},
+                        "p2": {"t": float(t2[k]), "x": [float(v) for v in x2[k]]},
+                        "distance": float(dist[k]),
+                    }
         done += count
-    est = HolderEstimate(
-        seminorm=seminorm, sup_norm=sup_norm, pairs=scored, metric=metric, alpha=alpha
-    )
-    return est, witness
+    return seminorms, sup_norm, scored, witnesses
 
 
 def holder_seminorm_estimate(
@@ -257,5 +264,6 @@ def holder_seminorm_estimate(
     Hölder condition rather than an unrestricted seminorm.  Deterministic given
     the seed; nondecreasing in ``pair_budget`` for a fixed seed.
     """
-    est, _ = _holder_scan(field, region, alpha, metric, pair_budget, seed)
-    return est
+    seminorms, sup_norm, pairs, _ = _holder_scan(field, region, [alpha], metric, pair_budget, seed)
+    return HolderEstimate(seminorm=float(seminorms[0, 0]), sup_norm=sup_norm, pairs=pairs,
+                          metric=metric, alpha=alpha)

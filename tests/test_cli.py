@@ -87,6 +87,34 @@ class TestSchema:
         assert cli.run(cfg, break_generator="drift") == 2
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("kind, section, bad", [
+        ("project", "binning", {"times": [0.5], "edges": [[-1.0, 0.0, 1.0], [0.0, 0.5]],
+                                "bandwidth": ["x", 0.1]}),
+        ("restart", "restart", {"perturb": ["a", 0.0]}),
+    ], ids=["bandwidth", "perturb"])
+    def test_untyped_array_item_rejected(self, tmp_path, kind, section, bad):
+        # a string bandwidth reached BinningSpec as a TypeError, a string
+        # perturbation the restart test as a ValueError
+        cfg = base_sim_config(tmp_path, kind=kind, **{section: bad})
+        assert cli.run(cfg) == 2
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("kind, section, bad, message", [
+        ("validate", "validator", {"n_samples": 8, "pair_budget": 1}, "pair_budget=1"),
+        ("restart", "restart", {"t_cap": 0.3}, "must be an integer"),
+    ], ids=["validator-pair-budget", "restart-off-grid-t-cap"])
+    def test_config_rejected_by_the_library_is_misuse(self, tmp_path, capsys, kind, section,
+                                                      bad, message):
+        # the schema passes these; the library raises ValueError on them
+        cfg = base_sim_config(tmp_path, kind=kind, seed=1, **{section: bad})
+        cfg["ensemble"] = {"n_paths": 100, "step": 2.0**-7, "horizon": 1.0}
+        jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
+        assert cli.run(cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not (tmp_path / "out" / "report.json").exists()
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     @pytest.mark.parametrize("key, value", [("params", {"kappa": 9}), ("builtin", "heston")])
     def test_gridded_model_takes_no_builtin_or_params(self, tmp_path, key, value):
         # the gridded loader would ignore kappa = 9 without a word
@@ -209,17 +237,18 @@ class TestCheckKinds:
         lambda t, x: -np.asarray(x)[:, 0] ** 2,  # zero at the origin, varies in space
         lambda t, x: np.full(np.asarray(x).shape[0], -float(t)),  # zero at t = 0
     ], ids=["space", "time"])
-    def test_pde_kind_rejects_varying_killing(self, tmp_path, monkeypatch, c):
+    def test_pde_kind_rejects_varying_killing(self, tmp_path, monkeypatch, capsys, c):
         # the constant-data check compares against the march's own value for
-        # one rate c: a c that varies over the grid or in time must raise
+        # one rate c: a c that varies over the grid or in time is misuse
         heston = cli.heston_model(1.5, 0.04, 0.3, -0.5)
         varying = dataclasses.replace(heston, c=c, knots=None)
         monkeypatch.setattr(cli, "_model_from_config", lambda cfg: varying)
         cfg = base_sim_config(tmp_path, kind="pde")
         cfg["pde"] = {"dt": 1.0 / 16, "x_prime_extent": 1.5, "x_max": 0.5,
                       "counts": [9, 9], "horizon": 0.25}
-        with pytest.raises(ValueError, match="constant in space and time"):
-            cli.run(cfg)
+        assert cli.run(cfg) == 2
+        assert "constant in space and time" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_duality_kind_negative_control(self, tmp_path):
         cfg = base_sim_config(tmp_path, kind="duality")
@@ -305,6 +334,12 @@ class TestMain:
         cfg = base_sim_config(tmp_path)
         path = write_config(tmp_path, cfg)
         assert cli.main(["run", "--config", str(path)]) == 0
+
+    def test_config_file_not_json_is_misuse(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"kind": "simulate",')
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
 
     def test_threads_flag_accepted(self, tmp_path):
         cfg = base_sim_config(tmp_path)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mimicsde as m
+from mimicsde import geometry
 from mimicsde.coeffs import generator_apply_batch, strip_generator_term
 
 from conftest import constant_model, kinked_model
@@ -174,6 +175,23 @@ class TestValidator:
         # pass with observed 0.0 and no witness
         with pytest.raises(ValueError, match="pair_budget=1"):
             m.validate_coefficients(heston, n_samples=8, pair_budget=1, seed=seed)
+
+    @pytest.mark.parametrize("pair_budget, alphas, calls", [(1024, None, 2), (5000, [0.3], 4)])
+    def test_holder_clause_draws_its_pairs_once(self, heston, monkeypatch, pair_budget, alphas,
+                                                calls):
+        # one draw per clause and batch of pairs, whatever the number of
+        # coefficient entries (6 at d = 2) and exponents
+        drawn = []
+        real = geometry._sample_pair_batch
+
+        def counted(*args):
+            drawn.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(geometry, "_sample_pair_batch", counted)
+        m.validate_coefficients(heston, seed=5, n_samples=256, pair_budget=pair_budget,
+                                alphas=alphas)
+        assert len(drawn) == calls
 
     def test_json_round_trip(self, heston):
         import json

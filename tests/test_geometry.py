@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import mimicsde as m
 from mimicsde.geometry import (
+    _holder_scan,
     _sample_pair_batch,
     cycloidal_distance_arrays,
     parabolic_distance_arrays,
@@ -149,6 +150,25 @@ class TestHolderEstimator:
             m.holder_seminorm_estimate(f, reg, 0.5, "parabolic", 0, 0)
         with pytest.raises(ValueError):
             m.holder_seminorm_estimate(f, reg, 0.5, "euclidean", 10, 0)
+
+    def test_scan_scores_each_column_as_alone(self):
+        # one draw of 5000 pairs (two batches) scores three columns at two
+        # exponents, bit for bit as three one-column scans at each exponent
+        region = m.Region(0.0, 1.0, (-1.0, 0.0), (1.0, 0.5))
+        columns = [lambda t, x: np.sin(3.0 * x[:, 0]) * np.sqrt(x[:, 1]) + t,
+                   lambda t, x: np.sqrt(x[:, -1]),
+                   lambda t, x: np.cos(x[:, 0]) * x[:, 1]]
+        field = lambda t, x: np.stack([f(t, x) for f in columns], axis=1)
+        alphas = [0.5, 0.3]
+        for metric in ("cycloidal", "parabolic"):
+            seminorms, sup_norm, pairs, witnesses = _holder_scan(field, region, alphas, metric,
+                                                                 5000, 4)
+            alone = [[m.holder_seminorm_estimate(f, region, a, metric, 5000, 4) for f in columns]
+                     for a in alphas]
+            assert seminorms.tolist() == [[e.seminorm for e in row] for row in alone]
+            assert sup_norm == max(e.sup_norm for e in alone[0])
+            assert pairs == alone[0][0].pairs
+            assert all(w is not None for row in witnesses for w in row)
 
     def test_json_schema(self):
         reg = m.Region(0.0, 1.0, (0.0, 0.0), (1.0, 1.0))
