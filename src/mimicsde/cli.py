@@ -6,10 +6,29 @@ compute, executes one pipeline, writes CSV data artifacts plus a
 version, wall-clock time, and whether a ``--threads`` cap took effect.  Exit
 status: 0 when all asserted checks pass, 1 on a check failure (the report is
 still written), 2 on misuse: a schema violation (an unknown key included, in
-a typed payoff or test function too, or a gridded model next to ``builtin`` or
-``params``), ``--break-generator`` on a kind other than martingale and duality,
+a typed payoff or test function too, a gridded model next to ``builtin`` or
+``params``, or a kind without a section it has no fallback for: ``ensemble``
+for simulate, martingale, project and full-mimic, ``binning`` for project and
+full-mimic), ``--break-generator`` on a kind other than martingale and duality,
 a config file that is not JSON, or a config the library rejects with a
-``ValueError`` (``config error: ...`` on stderr; no report or manifest).
+``ValueError`` or a gridded model whose files cannot be read (``config error:
+...`` on stderr; no report or manifest).
+
+Config keys are the keyword names of the call each section configures, so a
+default lives in that call's signature: ``model.params`` goes to
+``heston_model``; ``pde`` less ``scheme`` and ``horizon`` to ``Grid.build``;
+``driver`` less ``kind`` to ``regime_switching_driver``; ``binning`` less
+``max_masked_fraction`` to ``BinningSpec``; ``validator`` to
+``validate_coefficients``; ``martingale`` less ``test_functions`` to
+``martingale_test``; ``restart`` to ``strong_markov_restart_test``; and
+``ensemble.scheme`` and ``store_stride`` to the simulators.  The CLI's own
+defaults are those no signature holds or that differ on purpose, each with its
+reason where it is set: the Heston parameters (r = 0.02, not 0), the PDE grid,
+the restart's ``level``, ``t_cap`` and ``u``, and ``max_masked_fraction`` 0.9
+(not 0.5); and what no library call chooses: the start point, the payoff, the
+martingale test functions, ``compare_times``, the pde kind's horizon and scheme
+(it runs the march, which takes no defaults), and the duality and restart
+ensembles.
 
 The runners share one set of stages: :func:`run` resolves the model and its
 checking copy once; ``_start``, ``_time_grid`` and ``_ensemble`` read the start
@@ -81,6 +100,11 @@ from .sdesim import (
 
 _log = logging.getLogger(__name__)
 
+# heston_model requires these; r = 0.02, where it has 0, is the acceptance suite's rate
+_HESTON = {"kappa": 1.5, "theta": 0.04, "zeta": 0.3, "rho": -0.5, "r": 0.02}
+# Grid.build and strong_markov_restart_test require these
+_GRID = {"dt": 1.0 / 256, "x_prime_extent": 1.5, "x_max": 0.5, "counts": [65, 65]}
+_RESTART = {"level": 0.01, "t_cap": 0.5, "u": 0.25}
 # terminal payoff of the pde and duality kinds when the config names none
 _DEFAULT_PAYOFF = {"type": "radial_bump", "center": [0.0, 0.04], "radius": 0.5}
 
@@ -89,14 +113,11 @@ def _model_from_config(cfg: dict):
     spec = cfg.get("model", {})
     if "gridded" in spec:
         g = spec["gridded"]
-        return load_gridded_model(g["csv"], g.get("sidecar"))
-    params = dict(spec.get("params", {}))
-    return heston_model(
-        kappa=params.get("kappa", 1.5), theta=params.get("theta", 0.04),
-        zeta=params.get("zeta", 0.3), rho=params.get("rho", -0.5),
-        r=params.get("r", 0.02), q=params.get("q", 0.0),
-        with_killing=params.get("with_killing", False),
-    )
+        try:
+            return load_gridded_model(g["csv"], g.get("sidecar"))
+        except OSError as exc:  # a missing or unreadable file is misuse, like a bad value
+            raise ValueError(f"cannot read the gridded model: {exc}") from exc
+    return heston_model(**{**_HESTON, **spec.get("params", {})})
 
 
 def _test_function_from_spec(spec: dict):
@@ -116,14 +137,18 @@ def _payoff_from_spec(spec: dict):
     return lambda x: tf.jet(0.0, x)[0]
 
 
-def _grid_from_config(pcfg: dict) -> Grid:
-    return Grid.build(
-        dt=pcfg.get("dt", 1.0 / 256),
-        x_prime_extent=pcfg.get("x_prime_extent", 1.5),
-        x_max=pcfg.get("x_max", 0.5),
-        counts=pcfg.get("counts", [65, 65]),
-        xd_stretch=pcfg.get("xd_stretch", 1.0),
-    )
+def _without(section: dict, *keys: str) -> dict:
+    """``section`` less the keys its runner reads itself."""
+    return {k: v for k, v in section.items() if k not in keys}
+
+
+def _only(section: dict, *keys: str) -> dict:
+    """The entries of ``section`` that are keys in ``keys``."""
+    return {k: section[k] for k in keys if k in section}
+
+
+def _grid(cfg: dict) -> Grid:
+    return Grid.build(**{**_GRID, **_without(cfg.get("pde", {}), "scheme", "horizon")})
 
 
 def _start(cfg: dict) -> SpaceTimePoint:
@@ -139,8 +164,7 @@ def _time_grid(cfg: dict, start: SpaceTimePoint) -> TimeGrid:
 def _ensemble(cfg: dict, model, start: SpaceTimePoint, seed: int):
     e = cfg["ensemble"]
     return simulate_sde(model, start, _time_grid(cfg, start), e["n_paths"], seed,
-                        scheme=e.get("scheme", "full_truncation"),
-                        store_stride=e.get("store_stride", 1))
+                        **_only(e, "scheme", "store_stride"))
 
 
 def _coordinates(d: int) -> list:
@@ -148,38 +172,18 @@ def _coordinates(d: int) -> list:
     return [(f"x_{i+1}", lambda x, i=i: x[:, i]) for i in range(d)]
 
 
-def _driver_from_config(cfg: dict, model):
-    d = cfg.get("driver", {"kind": "markov_replay"})
-    if d.get("kind", "markov_replay") == "markov_replay":
-        return model_driver(model)
-    return regime_switching_driver(
-        model, hi_factor=d.get("hi_factor", 1.5),
-        switch_rate=d.get("switch_rate", 2.0),
-        p_start_hi=d.get("p_start_hi", 0.5),
-    )
-
-
-def _binning_from_config(cfg: dict) -> BinningSpec:
-    b = cfg["binning"]
-    return BinningSpec(
-        times=tuple(b["times"]),
-        edges=tuple(np.asarray(e, dtype=float) for e in b["edges"]),
-        kernel=b.get("kernel", "box"),
-        bandwidth=tuple(b["bandwidth"]) if b.get("bandwidth") else None,
-        min_count=b.get("min_count", 20.0),
-    )
-
-
 def _projection_stage(cfg, out, seed, model, start):
     """Driver ensemble -> estimated coefficients -> built model, saved and validated;
     returns the driver ensemble, the built model and the report fields they share."""
-    e = cfg["ensemble"]
-    ens = simulate_ito_process(_driver_from_config(cfg, model), np.asarray(start.x),
-                               _time_grid(cfg, start), e["n_paths"], seed,
-                               record_drivers=True, store_stride=e.get("store_stride", 1))
-    mc = estimate_mimicking_coefficients(ens, _binning_from_config(cfg))
-    cap = cfg["binning"].get("max_masked_fraction", 0.9)
-    built = build_mimicking_model(mc, max_masked_fraction=cap)
+    e, b, d = cfg["ensemble"], cfg["binning"], cfg.get("driver", {})
+    driver = (regime_switching_driver(model, **_without(d, "kind"))
+              if d.get("kind") == "regime_switching" else model_driver(model))
+    ens = simulate_ito_process(driver, np.asarray(start.x), _time_grid(cfg, start),
+                               e["n_paths"], seed, **_only(e, "store_stride"))
+    mc = estimate_mimicking_coefficients(ens, BinningSpec(**_without(b, "max_masked_fraction")))
+    # a pipeline fills and reports its masked cells, so it accepts more than the
+    # library's 0.5, which a lattice loaded as model.gridded must still meet
+    built = build_mimicking_model(mc, max_masked_fraction=b.get("max_masked_fraction", 0.9))
     save_mimicked(mc, out / "mimicked.csv")
     vrep = validate_coefficients(built, seed=seed, n_samples=1024, pair_budget=1024)
     return ens, built, {"masked_fraction": mc.masked_fraction,
@@ -195,10 +199,7 @@ def _run_simulate(cfg, out, seed, model, check_model):
 
 
 def _run_validate(cfg, out, seed, model, check_model):
-    v = cfg.get("validator", {})
-    rep = validate_coefficients(model, seed=seed, n_samples=v.get("n_samples", 4096),
-                                pair_budget=v.get("pair_budget", 4096),
-                                t_max=v.get("t_max", 1.0), alphas=v.get("alphas"))
+    rep = validate_coefficients(model, seed=seed, **cfg.get("validator", {}))
     return rep.passed, {"validation": rep.to_json()}
 
 
@@ -213,9 +214,7 @@ def _run_martingale(cfg, out, seed, model, check_model):
     probes = [constant_probe()] + [left_coordinate_probe(i) for i in range(model.d)]
     reports = martingale_test(model, check_model, [_test_function_from_spec(s) for s in specs],
                               probes, start, _time_grid(cfg, start), e["n_paths"], seed,
-                              e.get("scheme", "full_truncation"),
-                              n_intervals=m.get("n_intervals", 4),
-                              z_crit=m.get("z_crit", 3.0), fail_crit=m.get("fail_crit", 5.0))
+                              **_only(e, "scheme"), **_without(m, "test_functions"))
     return all(r.passed for r in reports), {"martingale": [r.to_json() for r in reports]}
 
 
@@ -226,7 +225,7 @@ def _run_project(cfg, out, seed, model, check_model):
 
 def _run_pde(cfg, out, seed, model, check_model):
     p = cfg.get("pde", {})
-    grid = _grid_from_config(p)
+    grid = _grid(cfg)
     horizon = p.get("horizon", 0.5)
     scheme = p.get("scheme", "implicit_euler")
 
@@ -268,32 +267,24 @@ def _run_pde(cfg, out, seed, model, check_model):
 def _run_duality(cfg, out, seed, model, check_model):
     dcfg = cfg.get("duality", {})
     p = cfg.get("pde", {})
-    grid = _grid_from_config(p)
     horizon = dcfg.get("horizon", p.get("horizon", 0.5))
     g = _payoff_from_spec(dcfg.get("g", _DEFAULT_PAYOFF))
-    e = cfg.get("ensemble", {"n_paths": 20000, "step": 2.0**-9, "horizon": horizon})
+    e = cfg.get("ensemble", {"n_paths": 20000, "step": 2.0**-9})
     x = np.asarray(_start(cfg).x)
     mc_mean, mc_se = discounted_mean(model, g, x, horizon, e["n_paths"], e["step"], seed,
-                                     e.get("scheme", "full_truncation"))
+                                     **_only(e, "scheme"))
     # the break corrupts only the solver side; the simulation stays faithful
-    pde_side = solve_two_grid(check_model, g, horizon, grid, p.get("scheme", "implicit_euler"))
+    pde_side = solve_two_grid(check_model, g, horizon, _grid(cfg), **_only(p, "scheme"))
     # pde_eval_shift moves only the point the solution is read at: a wrong-start control
     rep = pde_side.report(x + np.asarray(dcfg.get("pde_eval_shift", 0.0)), mc_mean, mc_se)
     return rep.passed, {"duality": rep.to_json()}
 
 
 def _run_restart(cfg, out, seed, model, check_model):
-    r = cfg.get("restart", {})
     e = cfg.get("ensemble", {"n_paths": 10000, "step": 2.0**-7})
     rep = strong_markov_restart_test(
-        model, _start(cfg),
-        level=r.get("level", 0.01), t_cap=r.get("t_cap", 0.5), u=r.get("u", 0.25),
-        g_list=_coordinates(model.d),
-        n_paths=e["n_paths"], h=e["step"], seed=seed, scheme=e.get("scheme", "full_truncation"),
-        n_bins=r.get("n_bins", 4), min_bin=r.get("min_bin", 200),
-        ks_threshold=r.get("ks_threshold", 0.05),
-        perturb=r.get("perturb"),
-    )
+        model, _start(cfg), g_list=_coordinates(model.d), n_paths=e["n_paths"], h=e["step"],
+        seed=seed, **_only(e, "scheme"), **{**_RESTART, **cfg.get("restart", {})})
     return rep.passed, {"restart": rep.to_json()}
 
 
@@ -332,10 +323,16 @@ def _typed_schema(default: str, keys: dict) -> dict:
                       for kind, fields in keys.items()]}
 
 
+# the sections a kind reads with no fallback
+_REQUIRED_BY_KIND = {"ensemble": ["simulate", "martingale", "project", "full-mimic"],
+                     "binning": ["project", "full-mimic"]}
+
 CONFIG_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
     "required": ["kind", "seed", "output_dir"],
+    "allOf": [{"if": {"properties": {"kind": {"enum": kinds}}}, "then": {"required": [section]}}
+              for section, kinds in _REQUIRED_BY_KIND.items()],
     "additionalProperties": False,
     "properties": {
         "kind": {"enum": list(KINDS)},

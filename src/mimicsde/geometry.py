@@ -111,10 +111,6 @@ class HolderEstimate:
     metric: str
     alpha: float
 
-    @property
-    def empty(self) -> bool:
-        return self.pairs == 0
-
     def to_json(self) -> dict:
         return asdict(self)
 

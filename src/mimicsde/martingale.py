@@ -510,8 +510,13 @@ def strong_markov_restart_test(
     distributional agreement per bin is the pass criterion.
     ``perturb`` shifts the restart state and serves as the negative control.
     """
-    if u < h / 2:  # u is a whole number of steps once both grid checks below pass
+    if u < h / 2:  # u is a whole number of steps once the check below passes
         raise ValueError("continuation horizon u must be at least one step h")
+    for name, value, end in (("t_cap", t_cap, t_cap), ("u", u, t_cap + u)):
+        k = end / h
+        if abs(k - round(k)) > 1e-9 * max(1.0, k):
+            raise ValueError(f"{name} = {value:g} makes t = {start.t + end:g} not a node of the "
+                             f"time grid of step h = {h:g}")
     grid = TimeGrid(start.t, start.t + t_cap + u, h)
     k_cap = grid.node_index(start.t + t_cap)
     u_steps = grid.n_steps - k_cap

@@ -46,10 +46,13 @@ class BinningSpec:
     def __post_init__(self) -> None:
         if self.kernel not in ("box", "gaussian"):
             raise ValueError("kernel must be 'box' or 'gaussian'")
+        object.__setattr__(self, "times", tuple(self.times))
         if len(self.times) < 1:
             raise ValueError("need at least one time node")
         edges = tuple(np.asarray(e, dtype=float) for e in self.edges)
         object.__setattr__(self, "edges", edges)
+        if self.bandwidth is not None:  # empty means unset, as None does
+            object.__setattr__(self, "bandwidth", tuple(self.bandwidth) or None)
         for e in edges:
             if e.ndim != 1 or e.size < 2 or np.any(np.diff(e) <= 0):
                 raise ValueError("each edge array must be strictly increasing with >= 2 entries")
@@ -124,7 +127,8 @@ def estimate_mimicking_coefficients(ens: PathEnsemble, spec: BinningSpec) -> Mim
     masked with NaN values.
     """
     if ens.drivers is None:
-        raise ValueError("ensemble carries no driver records; simulate with record_drivers=True")
+        raise ValueError("ensemble carries no driver records; simulate it with "
+                         "simulate_ito_process")
     d = ens.d
     if spec.d != d:
         raise ValueError("binning spec dimension does not match ensemble")
@@ -482,13 +486,8 @@ def load_mimicked(csv_path, sidecar_path=None) -> MimickedCoefficients:
     """
     with open(_sidecar_path(csv_path, sidecar_path)) as fh:
         meta = json.load(fh)
-    spec = BinningSpec(
-        times=tuple(meta["times"]),
-        edges=tuple(np.asarray(e) for e in meta["edges"]),
-        kernel=meta["kernel"],
-        bandwidth=tuple(meta["bandwidth"]) if meta["bandwidth"] else None,
-        min_count=meta["min_count"],
-    )
+    spec = BinningSpec(**{k: meta[k] for k in ("times", "edges", "kernel", "bandwidth",
+                                               "min_count")})
     d = spec.d
     shape = (len(spec.times), *spec.cell_shape)
     header = _mimicked_header(d)

@@ -373,17 +373,16 @@ def simulate_ito_process(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    record_drivers: bool = False,
     store_stride: int = 1,
 ) -> PathEnsemble:
     """Euler ensemble for dX = beta dt + xi dW with half-space clipping.
 
     The kernel's ``absorbed_euler`` step, so a model-replay driver reproduces
-    :func:`simulate_sde`'s absorbed-Euler ensemble bit for bit.  With
-    ``record_drivers`` the instantaneous beta and xi xi^* are retained at
-    every stored node, which is what the conditional-expectation estimator
-    consumes.  xi xi^* is formed entry by entry (:func:`_outer_square`), with
-    the same bits as one batched einsum.  The sample mean of
+    :func:`simulate_sde`'s absorbed-Euler ensemble bit for bit.  The
+    instantaneous beta and xi xi^* are retained at every stored node, which
+    is what the conditional-expectation estimator consumes.  xi xi^* is
+    formed entry by entry (:func:`_outer_square`), with the same bits as one
+    batched einsum.  The sample mean of
     int (|beta| + |xi xi^*|) dt is reported as an empirical integrability
     diagnostic, and a high clip rate flags a driver whose noise does not
     vanish on the boundary.
@@ -393,12 +392,10 @@ def simulate_ito_process(
     d, h = driver.d, grid.step
     boundary_viol = 0
     integrability = np.zeros(n_paths)
-    records = None
-    if record_drivers:
-        records = DriverRecords(
-            beta=np.empty((n_paths, n_stored + 1, d)),
-            xi2=np.empty((n_paths, n_stored + 1, d, d)),
-        )
+    records = DriverRecords(
+        beta=np.empty((n_paths, n_stored + 1, d)),
+        xi2=np.empty((n_paths, n_stored + 1, d, d)),
+    )
 
     def observe(k, x, beta, xi, z):
         nonlocal boundary_viol, integrability
@@ -407,7 +404,7 @@ def simulate_ito_process(
         if np.any(on_boundary):
             boundary_viol += int(np.count_nonzero(
                 np.abs(xi[on_boundary, -1, :]).max(axis=1) > 1e-12))
-        if records is not None and k % store_stride == 0:
+        if k % store_stride == 0:
             records.beta[:, k // store_stride, :] = beta
             records.xi2[:, k // store_stride, :, :] = xi2
         # numpy.linalg.norm's own reduction for real input, without its conj() copy
@@ -416,11 +413,10 @@ def simulate_ito_process(
 
     ens, aux = _simulate(driver, x0, grid, n_paths, seed, "absorbed_euler", store_stride,
                          observe)
-    if records is not None:
-        x_end = np.ascontiguousarray(ens.states[:, -1, :])
-        beta, xi = _eval_driver(driver, grid.end, x_end, aux, "final node")
-        records.beta[:, n_stored, :] = beta
-        records.xi2[:, n_stored, :, :] = _outer_square(xi)
+    x_end = np.ascontiguousarray(ens.states[:, -1, :])
+    beta, xi = _eval_driver(driver, grid.end, x_end, aux, "final node")
+    records.beta[:, n_stored, :] = beta
+    records.xi2[:, n_stored, :, :] = _outer_square(xi)
     return replace(ens, drivers=records, integrability_mean=float(integrability.mean()),
                    boundary_row_violations=boundary_viol)
 

@@ -134,7 +134,7 @@ def _mimic_lattice():
 def test_06_mimicking_round_trip(model, start):
     grid = m.TimeGrid(0.0, 1.0, 2.0**-7)
     ens = m.simulate_ito_process(m.model_driver(model), np.array(START), grid, 100_000,
-                                 1061, record_drivers=True, store_stride=8)
+                                 1061, store_stride=8)
     mc = m.estimate_mimicking_coefficients(ens, _mimic_lattice())
     built = m.build_mimicking_model(mc, max_masked_fraction=0.97)
     mimic = m.simulate_sde(built, start, grid, 100_000, 1062, store_stride=8)
@@ -152,7 +152,7 @@ def test_07_mimicking_regime_switching(model, start):
     driver = m.regime_switching_driver(model, hi_factor=1.5, switch_rate=2.0)
     grid = m.TimeGrid(0.0, 1.0, 2.0**-7)
     ens = m.simulate_ito_process(driver, np.array(START), grid, 100_000, 3071,
-                                 record_drivers=True, store_stride=8)
+                                 store_stride=8)
     mc = m.estimate_mimicking_coefficients(ens, _mimic_lattice())
     built = m.build_mimicking_model(mc, max_masked_fraction=0.97)
     mimic = m.simulate_sde(built, start, grid, 100_000, 3072, store_stride=8)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import logging
 import os
@@ -10,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mimicsde import cli
+from mimicsde import cli, martingale, sdesim
 
 
 def write_config(tmp_path: Path, cfg: dict) -> Path:
@@ -101,7 +102,8 @@ class TestSchema:
 
     @pytest.mark.parametrize("kind, section, bad, message", [
         ("validate", "validator", {"n_samples": 8, "pair_budget": 1}, "pair_budget=1"),
-        ("restart", "restart", {"t_cap": 0.3}, "must be an integer"),
+        ("restart", "restart", {"t_cap": 0.3},
+         "t_cap = 0.3 makes t = 0.3 not a node of the time grid of step h = 0.0078125"),
     ], ids=["validator-pair-budget", "restart-off-grid-t-cap"])
     def test_config_rejected_by_the_library_is_misuse(self, tmp_path, capsys, kind, section,
                                                       bad, message):
@@ -115,6 +117,34 @@ class TestSchema:
         assert not (tmp_path / "out" / "report.json").exists()
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("kind, section", [("simulate", "ensemble"), ("project", "binning")])
+    def test_missing_section_is_misuse(self, tmp_path, capsys, kind, section):
+        # the kind reads the section with no fallback: it used to end in a
+        # KeyError traceback with exit 1, which means a failed check
+        cfg = base_sim_config(tmp_path, kind=kind)
+        cfg.pop(section, None)
+        assert cli.run(cfg) == 2
+        assert f"'{section}' is a required property" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("missing", ["csv", "sidecar"])
+    def test_unreadable_gridded_model_is_misuse(self, tmp_path, capsys, missing):
+        # the loader reads the sidecar, then the CSV; either one absent used to
+        # end in a FileNotFoundError traceback with exit 1
+        files = {"csv": tmp_path / "mimicked.csv", "sidecar": tmp_path / "lattice.json"}
+        files["csv"].write_text("t_index\n")
+        files["sidecar"].write_text(json.dumps({
+            "times": [0.5], "edges": [[-1.0, 0.0, 1.0], [0.0, 0.5]], "kernel": "box",
+            "bandwidth": None, "min_count": 1.0}))
+        files[missing].unlink()
+        cfg = base_sim_config(tmp_path, kind="pde")
+        cfg["model"] = {"gridded": {k: str(v) for k, v in files.items()}}
+        assert cli.run(cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read the gridded model")
+        assert str(files[missing]) in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("key, value", [("params", {"kappa": 9}), ("builtin", "heston")])
     def test_gridded_model_takes_no_builtin_or_params(self, tmp_path, key, value):
         # the gridded loader would ignore kappa = 9 without a word
@@ -124,6 +154,36 @@ class TestSchema:
         cfg["model"][key] = value
         assert cli.run(cfg) == 2
         assert not (tmp_path / "out" / "report.json").exists()
+
+
+# each config section the CLI forwards as keyword arguments: the call it
+# configures, the keys its runner reads itself, and the CLI's own defaults
+_ENSEMBLE_SIZES = ("n_paths", "step", "horizon")
+FORWARDED = {
+    "model.params": (cli.heston_model, (), cli._HESTON),
+    "pde": (cli.Grid.build, ("scheme", "horizon"), cli._GRID),
+    "driver": (cli.regime_switching_driver, ("kind",), {}),
+    "binning": (cli.BinningSpec, ("max_masked_fraction",), {}),
+    "validator": (cli.validate_coefficients, (), {}),
+    "martingale": (cli.martingale_test, ("test_functions",), {}),
+    "restart": (cli.strong_markov_restart_test, (), cli._RESTART),
+    "ensemble>simulate_sde": (cli.simulate_sde, _ENSEMBLE_SIZES, {}),
+    "ensemble>simulate_ito_process": (cli.simulate_ito_process, (*_ENSEMBLE_SIZES, "scheme"), {}),
+    **{f"ensemble>{f.__name__}": (f, (*_ENSEMBLE_SIZES, "store_stride"), {})
+       for f in (cli.martingale_test, cli.discounted_mean, cli.strong_markov_restart_test)},
+}
+
+
+@pytest.mark.parametrize("case", FORWARDED)
+def test_forwarded_keys_are_parameters_of_the_callee(case):
+    # a library rename must fail here, not as a TypeError that run() does not
+    # map to exit 2
+    callee, own, defaults = FORWARDED[case]
+    schema = cli.CONFIG_SCHEMA
+    for key in case.partition(">")[0].split("."):
+        schema = schema["properties"][key]
+    keys = set(schema["properties"]) - set(own)
+    assert keys and keys | set(defaults) <= set(inspect.signature(callee).parameters)
 
 
 class TestSimulateKind:
@@ -273,15 +333,16 @@ class TestCheckKinds:
 
     def test_restart_kind_runs_the_ensemble_scheme(self, tmp_path, monkeypatch):
         # the two schemes' reports agree at this size, so the scheme is read
-        # where the test receives it
+        # where the Euler kernel runs it, in the test's first pass and its restart
         schemes = []
+        kernel = sdesim._euler_paths
 
-        def restart(*args, **kwargs):
-            schemes.append(kwargs.get("scheme"))
-            return real(*args, **kwargs)
+        def spy(*args, **kwargs):
+            schemes.append(inspect.signature(kernel).bind(*args, **kwargs).arguments["scheme"])
+            return kernel(*args, **kwargs)
 
-        real = cli.strong_markov_restart_test
-        monkeypatch.setattr(cli, "strong_markov_restart_test", restart)
+        monkeypatch.setattr(sdesim, "_euler_paths", spy)
+        monkeypatch.setattr(martingale, "_euler_paths", spy)
         cfg = base_sim_config(tmp_path, kind="restart")
         cfg["ensemble"] = {"n_paths": 400, "step": 2.0**-5, "horizon": 1.0,
                            "scheme": "absorbed_euler"}
@@ -290,7 +351,7 @@ class TestCheckKinds:
         assert cli.run(cfg) == 0
         del cfg["ensemble"]["scheme"]
         assert cli.run(cfg) == 0
-        assert schemes == ["absorbed_euler", "full_truncation"]
+        assert schemes == ["absorbed_euler"] * 2 + ["full_truncation"] * 2
 
     def test_full_mimic_kind(self, tmp_path):
         cfg = base_sim_config(tmp_path, kind="full-mimic")

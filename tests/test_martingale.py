@@ -306,7 +306,7 @@ class TestRestart:
 
     def test_u_must_be_grid_multiple(self, heston, start, no_simulation):
         # t_cap is a node but t_cap + u = 0.8 is not
-        with pytest.raises(ValueError, match="must be an integer"):
+        with pytest.raises(ValueError, match="u = 0.3 makes t = 0.8 not a node"):
             m.strong_markov_restart_test(heston, start, level=0.01, t_cap=0.5, u=0.3,
                                          g_list=[("x", lambda x: x[:, 0])],
                                          n_paths=100, h=0.25, seed=1)

@@ -444,7 +444,7 @@ class TestKnots:
         # step: either way the march reuses its first stages throughout
         ens = m.simulate_ito_process(m.model_driver(heston), np.array([0.0, 0.09]),
                                      m.TimeGrid(0.0, 0.5, 2.0**-4), 2000, 31,
-                                     record_drivers=True, store_stride=2)
+                                     store_stride=2)
         spec = m.BinningSpec(times=(0.5,), edges=(np.linspace(-1.5, 1.5, 9),
                                                   [0.0, 0.05, 0.1, 0.2, 0.4]), min_count=5)
         one_layer = m.build_mimicking_model(m.estimate_mimicking_coefficients(ens, spec),

@@ -177,7 +177,7 @@ def test_heston_csv_pinned(heston, start):
 def test_driver_records_csv_pinned(heston):
     grid = m.TimeGrid(0.0, 0.25, 2.0**-4)
     ens = m.simulate_ito_process(m.regime_switching_driver(heston), np.array([0.0, 0.09]),
-                                 grid, 12, 77, record_drivers=True)
+                                 grid, 12, 77)
     assert _csv_digest(ens) == DRIVER_CSV_PIN
 
 
@@ -302,7 +302,7 @@ def test_ito_ensemble_pinned(heston, case):
               else _leaky_driver(heston))
     grid = m.TimeGrid(0.0, 0.5, 2.0**-5)
     ens = m.simulate_ito_process(driver, m.SpaceTimePoint(0.0, (0.0, 0.09)), grid, 200, 808,
-                                 record_drivers=True, store_stride=4)
+                                 store_stride=4)
     assert ens.n_clipped_steps > 0
     assert (ens.boundary_row_violations > 0) == (case == "leaky")
     assert _digest(ens.states, ens.pre_clip_min_xd,
@@ -547,6 +547,85 @@ def test_cli_kind_pinned(tmp_path, kind):
         assert digests == CLI_PINS[case], case
 
 
+def _bare_cli_config(case: str, out: Path) -> dict:
+    """``case``'s kind with every optional key and section omitted, so each default runs:
+    only the sizes of the sections the kind requires are given.  ``project+sections``
+    adds a regime-switching driver and a Gaussian kernel with every other key of
+    those sections omitted, and ``[]`` for the plug-in bandwidth."""
+    kind, _, variant = case.partition("+")
+    cfg = {"kind": kind, "seed": 97, "output_dir": str(out)}
+    if kind in ("simulate", "martingale", "project", "full-mimic"):
+        cfg["ensemble"] = {"n_paths": 2000, "step": 2.0**-5, "horizon": 1.0}
+    if kind in ("project", "full-mimic"):
+        cfg["binning"] = {"times": [0.25, 0.5], "edges": _MIMIC_BINNING["edges"]}
+    if variant:
+        cfg["driver"] = {"kind": "regime_switching"}
+        cfg["binning"].update(kernel="gaussian", bandwidth=[])
+    return cfg
+
+
+# the CLI_PINS digests of _bare_cli_config's runs; the full-mimic run fails its
+# compare_marginals check at t = 1 (KS 0.048 against the default 0.03)
+CLI_DEFAULT_PINS = {
+    "simulate": {
+        "status": 0,
+        "ensemble.csv": "7fe6ac5759191c68474395611a5fdf2a7c5a1b5ca6ae839f5c35efa404f7bdb9",
+        "report.json": "ed78fcfe0e9a0a01d1b9ac791fb95553eb69d3baea1769e5a3d720be79649a3c",
+    },
+    "validate": {
+        "status": 0,
+        "report.json": "4964f66e033a07c9002e9495e7f0c710192dfdde76a263a50dbf7a7afe0b8ebe",
+    },
+    "martingale": {
+        "status": 0,
+        "report.json": "79aee89bc464185bb5293bf4488a7610613e612d694430af09d750309b53062b",
+    },
+    "project": {
+        "status": 0,
+        "mimicked.csv": "da8a7623fa359d29be5aded3e5237bcb2ec40acb892f2d73929520fd6dddd621",
+        "mimicked.csv.meta.json":
+            "f7dd084b9c5fade4a6878be175cc9925c5303110cb9253e3362e8d72e09b1feb",
+        "report.json": "abdae8d539a4b588b60a55dc9a532fd1f59e38fbaa1a735a05a6d36c2e53fe0b",
+    },
+    "pde": {
+        "status": 0,
+        "report.json": "04bfeb108c2e8969a4ecf5b71c037ef08ded9227ff5df67cbca277dda37a167d",
+        "solution.csv": "47e27fb7e45e9eee76faa9951cc36b64134867448e04a44e9e3cc20c2dc40f32",
+    },
+    "duality": {
+        "status": 0,
+        "report.json": "c169f7b37dfa53d00ea4798c56b935cee3a38a50d8c5e30fb32d791232481026",
+    },
+    "restart": {
+        "status": 0,
+        "report.json": "925ff9af564e1ad75b611a8c56b43a6840b99e7fb7f09fee6326c72c64aec8cc",
+    },
+    "full-mimic": {
+        "status": 1,
+        "mimicked.csv": "da8a7623fa359d29be5aded3e5237bcb2ec40acb892f2d73929520fd6dddd621",
+        "mimicked.csv.meta.json":
+            "f7dd084b9c5fade4a6878be175cc9925c5303110cb9253e3362e8d72e09b1feb",
+        "report.json": "78093331f59396bab9a4648cc751bdb719b3c12c424a48b3d5730f2f4f17a9ba",
+    },
+    "project+sections": {
+        "status": 0,
+        "mimicked.csv": "da37ba666e58432dcc2a5a3c19a72585a65e66e7ff4594850ba39a48f96fd2a2",
+        "mimicked.csv.meta.json":
+            "5de058e4efd9f78997c12b2c5d6cff458fd3a059f9153da37114b5646fd1d5f0",
+        "report.json": "d67f8b4dce157be02a083913bd3fa73e75472d949e1eca7b60d8a374b819afb7",
+    },
+}
+
+
+def test_cli_default_pins_cover_every_kind():
+    assert {case.partition("+")[0] for case in CLI_DEFAULT_PINS} == set(cli.KINDS)
+
+
+@pytest.mark.parametrize("case", sorted(CLI_DEFAULT_PINS))
+def test_cli_defaults_pinned(tmp_path, case):
+    assert _cli_digests(_bare_cli_config(case, tmp_path)) == CLI_DEFAULT_PINS[case]
+
+
 # the pde kind on the time-dependent model that the pinned project config
 # builds, where every march step assembles its own stages
 GRIDDED_CLI_PDE_PIN = {
@@ -599,7 +678,7 @@ def _loaded_digest(csv_path: Path) -> str:
 def test_mimicked_io_pinned(heston, tmp_path, project_csv):
     ens = m.simulate_ito_process(m.regime_switching_driver(heston), np.array([0.0, 0.09]),
                                  m.TimeGrid(0.0, 0.5, 2.0**-5), 300, 4301,
-                                 record_drivers=True, store_stride=4)
+                                 store_stride=4)
     spec = m.BinningSpec(times=(0.25, 0.5), edges=(np.linspace(-0.9, 0.9, 7),
                                                    [0.0, 0.04, 0.08, 0.15, 0.3]),
                          kernel="gaussian", min_count=4.0)

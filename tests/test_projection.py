@@ -13,7 +13,7 @@ from mimicsde.projection import _ks_statistic, _w1
 def heston_driver_ensemble(heston, n=8000, h=2.0**-6, stride=4, seed=21):
     grid = m.TimeGrid(0.0, 1.0, h)
     return m.simulate_ito_process(m.model_driver(heston), np.array([0.0, 0.09]),
-                                  grid, n, seed, record_drivers=True, store_stride=stride)
+                                  grid, n, seed, store_stride=stride)
 
 
 def default_spec(kernel="box", min_count=10):

@@ -151,8 +151,7 @@ class TestItoProcess:
     def test_replay_collapses_to_absorbed_euler(self, heston, start):
         grid = m.TimeGrid(0.0, 1.0, 2.0**-6)
         sde = m.simulate_sde(heston, start, grid, 400, 3, scheme="absorbed_euler")
-        ito = m.simulate_ito_process(m.model_driver(heston), np.array(start.x), grid, 400, 3,
-                                     record_drivers=True)
+        ito = m.simulate_ito_process(m.model_driver(heston), np.array(start.x), grid, 400, 3)
         assert np.array_equal(sde.states, ito.states)
         # recorded drivers are the exact model coefficients along the path
         k = 17
@@ -181,8 +180,7 @@ class TestItoProcess:
     def test_regime_switching_is_supported_and_non_degenerate(self, heston, start):
         driver = m.regime_switching_driver(heston, hi_factor=1.5, switch_rate=2.0)
         grid = m.TimeGrid(0.0, 1.0, 2.0**-6)
-        ens = m.simulate_ito_process(driver, np.array(start.x), grid, 2000, 5,
-                                     record_drivers=True)
+        ens = m.simulate_ito_process(driver, np.array(start.x), grid, 2000, 5)
         assert m.support_check(ens).violations == 0
         assert ens.boundary_row_violations == 0
         # both regimes occur: the recorded xi2 takes (at least) two magnitudes
@@ -205,8 +203,7 @@ class TestDiagnostics:
 class TestCsvExport:
     def test_header_and_rows(self, heston, start):
         grid = m.TimeGrid(0.0, 0.5, 0.25)
-        ens = m.simulate_ito_process(m.model_driver(heston), np.array(start.x), grid, 3, 1,
-                                     record_drivers=True)
+        ens = m.simulate_ito_process(m.model_driver(heston), np.array(start.x), grid, 3, 1)
         buf = io.StringIO()
         m.ensemble_to_csv(ens, buf)
         lines = buf.getvalue().strip().split("\n")
@@ -228,7 +225,7 @@ class TestCsvExport:
         # reference: one csv.writer row per (path, node), every float as repr
         grid = m.TimeGrid(0.0, 0.5, 0.125)
         ens = m.simulate_ito_process(m.regime_switching_driver(heston), np.array(start.x),
-                                     grid, 11, 4, record_drivers=True)
+                                     grid, 11, 4)
         ref = io.StringIO()
         writer = csv.writer(ref, lineterminator="\n")
         writer.writerow(["path_id", "t", "x_1", "x_2", "beta_1", "beta_2",
