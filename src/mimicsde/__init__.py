@@ -53,7 +53,6 @@ from .pde import (
     Grid,
     PdeSolution,
     TwoGridValue,
-    duality_check,
     solve_cauchy,
     solve_terminal_value,
     solve_two_grid,

@@ -7,12 +7,13 @@ version, wall-clock time, and whether a ``--threads`` cap took effect.  Exit
 status: 0 when all asserted checks pass, 1 on a check failure (the report is
 still written), 2 on misuse: a schema violation (an unknown key included, in
 a typed payoff or test function too, a gridded model next to ``builtin`` or
-``params``, or a kind without a section it has no fallback for: ``ensemble``
-for simulate, martingale, project and full-mimic, ``binning`` for project and
-full-mimic), ``--break-generator`` on a kind other than martingale and duality,
-a config file that is not JSON, or a config the library rejects with a
-``ValueError`` or a gridded model whose files cannot be read (``config error:
-...`` on stderr; no report or manifest).
+``params``, a regime-switching ``driver`` parameter without ``"kind":
+"regime_switching"``, or a kind without a section it has no fallback for:
+``ensemble`` for simulate, martingale, project and full-mimic, ``binning`` for
+project and full-mimic), ``--break-generator`` on a kind other than
+martingale and duality, a config file that is not JSON, or a config the
+library rejects with a ``ValueError`` or a gridded model whose files cannot be
+read (``config error: ...`` on stderr; no report or manifest).
 
 Config keys are the keyword names of the call each section configures, so a
 default lives in that call's signature: ``model.params`` goes to
@@ -21,7 +22,10 @@ default lives in that call's signature: ``model.params`` goes to
 ``max_masked_fraction`` to ``BinningSpec``; ``validator`` to
 ``validate_coefficients``; ``martingale`` less ``test_functions`` to
 ``martingale_test``; ``restart`` to ``strong_markov_restart_test``; and
-``ensemble.scheme`` and ``store_stride`` to the simulators.  The CLI's own
+``ensemble.scheme`` and ``store_stride`` to the simulators.  The driver
+ensemble of project and full-mimic always steps absorbed Euler
+(:func:`.sdesim.simulate_ito_process` takes no scheme), so ``ensemble.scheme``
+reaches only full-mimic's mimic ensemble.  The CLI's own
 defaults are those no signature holds or that differ on purpose, each with its
 reason where it is set: the Heston parameters (r = 0.02, not 0), the PDE grid,
 the restart's ``level``, ``t_cap`` and ``u``, and ``max_masked_fraction`` 0.9
@@ -236,7 +240,7 @@ def _run_pde(cfg, out, seed, model, check_model):
     nodes = grid.nodes()
     block = np.column_stack([np.ones(grid.n_nodes), g(nodes)])
     sol_const, sol = _march(time_reversed_model(model, horizon), None, block, grid, horizon,
-                            scheme, "ends")
+                            scheme)
     rate = sol.meta["c_min"]
     if rate != sol.meta["c_max"]:
         raise ValueError("the constant-data check needs a killing rate c that is constant "
@@ -245,11 +249,11 @@ def _run_pde(cfg, out, seed, model, check_model):
     theta = THETA[scheme]
     expected = ((1.0 + (1.0 - theta) * rate * grid.dt)
                 / (1.0 - theta * rate * grid.dt)) ** sol.meta["n_steps"]
-    const_err = float(np.abs(sol_const.values[-1] - expected).max())
+    const_err = float(np.abs(sol_const.values - expected).max())
 
     with open(out / "solution.csv", "w", newline="") as fh:
         write_csv(fh, ["t", *(f"x_{j+1}" for j in range(grid.d)), "u"],
-                  [[np.zeros(grid.n_nodes), *nodes.T, sol.values[-1].ravel()]])
+                  [[np.zeros(grid.n_nodes), *nodes.T, sol.values.ravel()]])
     ok = const_err <= 1e-8
     # where the march left the paper's class (b_d < 0 on the boundary layer)
     # and what that did to each column's range, over all nodes and over the
@@ -258,8 +262,8 @@ def _run_pde(cfg, out, seed, model, check_model):
     return ok, {"constant_data_error": const_err, "killing": rate != 0.0,
                 "scheme": scheme, "downwind_rows": sol.meta["downwind_rows"],
                 "min_boundary_bd": sol.meta["min_boundary_bd"],
-                "layer_min": {k: float(s.layer_min.min()) for k, s in cols.items()},
-                "layer_max": {k: float(s.layer_max.max()) for k, s in cols.items()},
+                "layer_min": {k: s.layer_min for k, s in cols.items()},
+                "layer_max": {k: s.layer_max for k, s in cols.items()},
                 "inner_min": {k: s.meta["inner_min"] for k, s in cols.items()},
                 "inner_max": {k: s.meta["inner_max"] for k, s in cols.items()}}
 
@@ -387,6 +391,9 @@ CONFIG_SCHEMA = {
         "driver": {
             "type": "object",
             "additionalProperties": False,
+            # the regime-switching parameters need their driver
+            "if": {"anyOf": [{"required": [k]} for k in ("hi_factor", "switch_rate", "p_start_hi")]},
+            "then": {"required": ["kind"], "properties": {"kind": {"const": "regime_switching"}}},
             "properties": {
                 "kind": {"enum": ["markov_replay", "regime_switching"]},
                 "hi_factor": {"type": "number", "exclusiveMinimum": 0},

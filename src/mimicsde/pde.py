@@ -57,7 +57,6 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .coeffs import CoefficientModel, LatticeInterpolator
-from .sdesim import discounted_mean
 
 THETA = {"implicit_euler": 1.0, "crank_nicolson": 0.5}  # scheme -> implicit weight
 SCHEMES = tuple(THETA)
@@ -373,40 +372,36 @@ def _apply(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PdeSolution:
-    """Grid function with per-layer extrema and multilinear evaluation.
+    """The final layer of a march, its extrema and multilinear evaluation.
 
-    ``values`` holds the stored layers (shape (n_stored, *grid.shape)) at
-    ``times``; ``layer_min``/``layer_max`` cover *every* computed layer, which
-    is what the discrete maximum principle is checked against.  A march
-    records in ``meta`` where it left the paper's class b_d > 0 on x_d = 0:
-    ``downwind_rows``, the most boundary-layer rows with b_d < 0 that any
-    step assembled, and ``min_boundary_bd``, the least boundary-layer b_d
-    over all assembled steps; ``c_min`` and ``c_max``, the least and
-    greatest c that any assembly applied (all three None when no step was
-    taken; ``n_steps`` counts the steps).  ``inner_min`` and ``inner_max``
-    are the extrema over every computed layer at the non-outer nodes, where
-    the assembly reads c and which the outer extrapolation closure does not reach.
+    ``values`` is the layer at the march's horizon, of shape ``grid.shape``;
+    ``layer_min``/``layer_max`` are the extrema over *every* computed layer,
+    the initial one included, which is what the discrete maximum principle
+    is checked against.  A march records in ``meta`` where it left the
+    paper's class b_d > 0 on x_d = 0: ``downwind_rows``, the most
+    boundary-layer rows with b_d < 0 that any step assembled, and
+    ``min_boundary_bd``, the least boundary-layer b_d over all assembled
+    steps; ``c_min`` and ``c_max``, the least and greatest c that any
+    assembly applied (all three None when no step was taken; ``n_steps``
+    counts the steps).  ``inner_min`` and ``inner_max`` are the extrema over
+    every computed layer at the non-outer nodes, where the assembly reads c
+    and which the outer extrapolation closure does not reach.
     """
 
     grid: Grid
-    times: np.ndarray
     values: np.ndarray
-    layer_min: np.ndarray
-    layer_max: np.ndarray
-    scheme: str
+    layer_min: float
+    layer_max: float
     meta: dict = field(default_factory=dict)
 
-    def interpolate(self, t, x: np.ndarray) -> np.ndarray:
-        interp = LatticeInterpolator(self.times, self.grid.axes,
-                                     self.values.reshape((self.times.size, *self.grid.shape)))
-        return interp(t, np.asarray(x, dtype=float))
-
-    def value_at(self, t: float, x: Sequence[float]) -> float:
-        return float(self.interpolate(t, np.asarray(x, dtype=float)[None, :])[0])
+    def value_at(self, x: Sequence[float]) -> float:
+        """The final layer at x, multilinear between nodes and clamped to the box."""
+        interp = LatticeInterpolator(np.zeros(1), self.grid.axes, self.values[None])
+        return float(interp(0.0, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Grid,
-           horizon: float, scheme: str, store: str) -> list[PdeSolution]:
+           horizon: float, scheme: str) -> list[PdeSolution]:
     """March an (N, k) block of initial layers; one PdeSolution per column.
 
     Each step reads its coefficients from :func:`_node_coefficients` (for a
@@ -441,12 +436,10 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
                 "crank_nicolson with strong drift: |b| dt / h = "
                 f"{probe * grid.dt / min_h:.2f} > 1 risks oscillations", RuntimeWarning)
 
-    store_all = store == "all"
     inner = np.flatnonzero(~st.outer)
-    stored, stored_times = [], []
     layer_min, layer_max, inner_min, inner_max = [], [], [], []
 
-    def record(u: np.ndarray, t: float, keep: bool) -> None:
+    def record(u: np.ndarray) -> None:
         # extrema over rows of one column-contiguous copy: a reduction along
         # the contiguous axis, much faster than along axis 0 of (N, k)
         cols = u.T.copy()
@@ -455,12 +448,9 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
         cols_inner = np.take(cols, inner, axis=1)
         inner_min.append(cols_inner.min(axis=1))
         inner_max.append(cols_inner.max(axis=1))
-        if keep:
-            stored.append(cols)
-            stored_times.append(t)
 
     u = np.array(u0, dtype=float)
-    record(u, 0.0, True)
+    record(u)
     coefficients = _node_coefficients(model, st)
     assembled = None
     downwind_rows, boundary_bd_min, c_min, c_max = [], [], [], []
@@ -487,16 +477,16 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
             u = np.take(lapack.dgttrs(*lu, rhs, overwrite_b=True)[0], lines.rank, axis=0)
             for rows, near, far, e1, e2 in st.closures:
                 u[rows] = -(e1 * np.take(u, near, axis=0) + e2 * np.take(u, far, axis=0))
-        record(u, t_next, store_all or n == n_steps - 1)
+        record(u)
 
-    values, lo, hi = (np.stack(a, axis=1) for a in (stored, layer_min, layer_max))
+    lo, hi = np.min(layer_min, axis=0), np.max(layer_max, axis=0)
     inner_min, inner_max = np.min(inner_min, axis=0), np.max(inner_max, axis=0)
-    meta = {"n_steps": n_steps, "store": store, "downwind_rows": max(downwind_rows, default=0),
+    meta = {"n_steps": n_steps, "downwind_rows": max(downwind_rows, default=0),
             "min_boundary_bd": min(boundary_bd_min, default=None),
             "c_min": min(c_min, default=None), "c_max": max(c_max, default=None)}
+    final = u.T.reshape((-1, *grid.shape))
     return [PdeSolution(
-        grid=grid, times=np.asarray(stored_times), values=values[j].reshape((-1, *grid.shape)),
-        layer_min=lo[j], layer_max=hi[j], scheme=scheme,
+        grid=grid, values=final[j], layer_min=float(lo[j]), layer_max=float(hi[j]),
         meta=dict(meta, inner_min=float(inner_min[j]), inner_max=float(inner_max[j])),
     ) for j in range(u0.shape[1])]
 
@@ -508,19 +498,18 @@ def solve_cauchy(
     grid: Grid,
     horizon: float,
     scheme: str = "implicit_euler",
-    store: str = "all",
 ) -> PdeSolution:
-    """March u_t = A u + c u - f forward from u(0, .) = g.
+    """March u_t = A u + c u - f forward from u(0, .) = g to u(horizon, .).
 
-    The initial layer equals g at the nodes exactly.  No data is imposed on
-    x_d = 0 (see module docstring); the outer box edges close with linear
-    extrapolation.
+    The initial layer equals g at the nodes exactly (a horizon of 0 returns
+    it).  No data is imposed on x_d = 0 (see module docstring); the outer box
+    edges close with linear extrapolation.
     """
     nodes = grid.nodes()
     u0 = np.asarray(g(nodes), dtype=float)
     if u0.shape != (nodes.shape[0],):
         raise ValueError("initial data must evaluate to one value per grid node")
-    return _march(model, f, u0[:, None], grid, horizon, scheme, store)[0]
+    return _march(model, f, u0[:, None], grid, horizon, scheme)[0]
 
 
 def time_reversed_model(model: CoefficientModel, horizon: float) -> CoefficientModel:
@@ -543,20 +532,16 @@ def solve_terminal_value(
     grid: Grid,
     scheme: str = "implicit_euler",
     f: Callable | None = None,
-    store: str = "all",
 ) -> PdeSolution:
     """Solve v_t + A v + c v = f with v(horizon, .) = g by time reversal.
 
-    Defined as exactly solve_cauchy on the time-reversed coefficients, with
-    layers re-indexed so entry k is v at stored time t_k; the terminal layer
-    equals g at the nodes exactly.
+    Defined as exactly solve_cauchy on the time-reversed coefficients and
+    source, so ``values`` is v(0, .) and the extrema cover every layer from
+    the terminal one, which equals g at the nodes exactly, down to t = 0.
     """
     f_rev = None if f is None else (lambda t, x: f(horizon - np.asarray(t), x))
-    um = solve_cauchy(time_reversed_model(model, horizon), f_rev, g, grid, horizon,
-                      scheme=scheme, store=store)
-    return replace(um, times=horizon - um.times[::-1], values=um.values[::-1],
-                   layer_min=um.layer_min[::-1], layer_max=um.layer_max[::-1],
-                   meta=dict(um.meta, reversed=True))
+    return solve_cauchy(time_reversed_model(model, horizon), f_rev, g, grid, horizon,
+                        scheme=scheme)
 
 
 @dataclass(frozen=True)
@@ -593,8 +578,8 @@ class TwoGridValue:
         error exactly, so it gets the standard factor-2 headroom.
         """
         x = np.asarray(x, dtype=float)
-        pde_value = self.fine.value_at(0.0, x)
-        grid_error = abs(pde_value - self.coarse.value_at(0.0, x))
+        pde_value = self.fine.value_at(x)
+        grid_error = abs(pde_value - self.coarse.value_at(x))
         on_node = all(np.any(np.isclose(ax, x[j], atol=1e-12))
                       for j, ax in enumerate(self.fine.grid.axes))
         gap = abs(pde_value - mc_mean)
@@ -607,20 +592,12 @@ class TwoGridValue:
 def solve_two_grid(model: CoefficientModel, g: Callable, horizon: float, grid: Grid,
                    scheme: str = "implicit_euler") -> TwoGridValue:
     """Terminal-value solutions with v(horizon, .) = g on ``grid`` and on
-    ``grid.coarsen()``, each stored at its two ends."""
-    return TwoGridValue(*(solve_terminal_value(model, g, horizon, gr, scheme=scheme, store="ends")
-                          for gr in (grid, grid.coarsen())))
+    ``grid.coarsen()``.
 
-
-def duality_check(model: CoefficientModel, g: Callable, x: Sequence[float], horizon: float,
-                  grid: Grid, mc_paths: int = 10_000, mc_step: float = 2.0**-9, mc_seed: int = 0,
-                  mc_scheme: str = "full_truncation", scheme: str = "implicit_euler") -> DualityReport:
-    """Check E[exp(int c) g(X(T))] against the terminal-value solution at (0, x).
-
-    The composition of the two sides: :func:`discounted_mean` simulates the
-    expectation and :func:`solve_two_grid` scores it at x.  A negative
-    control composes them itself, scoring one simulation at a shifted point
-    or against the solution of a corrupted model.
+    The duality check E[exp(int c) g(X(T))] = v(0, x) composes this with
+    :func:`.sdesim.discounted_mean`: ``solve_two_grid(...).report(x,
+    *discounted_mean(...))``.  A negative control scores the same simulation
+    at a shifted point or against the solution of a corrupted model.
     """
-    mc_mean, mc_se = discounted_mean(model, g, x, horizon, mc_paths, mc_step, mc_seed, mc_scheme)
-    return solve_two_grid(model, g, horizon, grid, scheme).report(x, mc_mean, mc_se)
+    return TwoGridValue(*(solve_terminal_value(model, g, horizon, gr, scheme=scheme)
+                          for gr in (grid, grid.coarsen())))

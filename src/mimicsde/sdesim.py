@@ -377,8 +377,10 @@ def simulate_ito_process(
 ) -> PathEnsemble:
     """Euler ensemble for dX = beta dt + xi dW with half-space clipping.
 
-    The kernel's ``absorbed_euler`` step, so a model-replay driver reproduces
-    :func:`simulate_sde`'s absorbed-Euler ensemble bit for bit.  The
+    The kernel's ``absorbed_euler`` step, always (there is no ``scheme``), so
+    a model-replay driver reproduces :func:`simulate_sde`'s absorbed-Euler
+    ensemble bit for bit; the CLI's project and full-mimic driver ensembles
+    step it whatever their ``ensemble.scheme``.  The
     instantaneous beta and xi xi^* are retained at every stored node, which
     is what the conditional-expectation estimator consumes.  xi xi^* is
     formed entry by entry (:func:`_outer_square`), with the same bits as one

@@ -224,8 +224,8 @@ def test_10_pde_exactness_oracles(model):
     grid = m.Grid.build(dt=1 / 64, x_prime_extent=1.5, x_max=0.5, counts=[65, 65])
     const_err = 0.0
     for scheme in ("implicit_euler", "crank_nicolson"):
-        sol = m.solve_cauchy(model, None, ones, grid, 0.5, scheme=scheme, store="ends")
-        const_err = max(const_err, float(np.abs(sol.values[-1] - 1.0).max()))
+        sol = m.solve_cauchy(model, None, ones, grid, 0.5, scheme=scheme)
+        const_err = max(const_err, float(np.abs(sol.values - 1.0).max()))
 
     const_model = m.CoefficientModel(
         d=2,
@@ -233,10 +233,10 @@ def test_10_pde_exactness_oracles(model):
         b=lambda t, x: np.broadcast_to(np.array([0.3, 0.2]), x.shape).copy(),
         c=lambda t, x: np.zeros(x.shape[0]),
         budget=m.RegularityBudget(0.5, 10.0, 0.1, 0.5), knots=[0.0])
-    sol = m.solve_cauchy(const_model, None, lambda x: x[:, 0], grid, 0.5, store="ends")
+    sol = m.solve_cauchy(const_model, None, lambda x: x[:, 0], grid, 0.5)
     nodes = grid.nodes()
     inner = (np.abs(nodes[:, 0]) <= 0.75) & (nodes[:, 1] <= 0.25)
-    affine_err = float(np.abs(sol.values[-1].ravel() - (nodes[:, 0] + 0.15))[inner].max())
+    affine_err = float(np.abs(sol.values.ravel() - (nodes[:, 0] + 0.15))[inner].max())
 
     # discrete maximum principle on 50 random bump data (box sized so the
     # extrapolation closure only sees negligible tails)
@@ -248,9 +248,9 @@ def test_10_pde_exactness_oracles(model):
         center = np.array([gen.uniform(-0.6, 0.6), gen.uniform(0.1, 0.3)])
         bump = m.radial_bump(center, radius)
         g = lambda x: bump.jet(0.0, x)[0]
-        solb = m.solve_cauchy(model, None, g, mp_grid, 0.25, store="ends")
-        mp_min = min(mp_min, float(solb.layer_min.min()))
-        mp_max = max(mp_max, float(solb.layer_max.max()))
+        solb = m.solve_cauchy(model, None, g, mp_grid, 0.25)
+        mp_min = min(mp_min, solb.layer_min)
+        mp_max = max(mp_max, solb.layer_max)
     max_principle = mp_min >= -1e-6 and mp_max <= 1.0 + 1e-6
 
     bump = m.radial_bump([0.0, 0.1], 0.35)
@@ -258,9 +258,9 @@ def test_10_pde_exactness_oracles(model):
     sols = {}
     for n, dt in ((33, 1 / 64), (65, 1 / 128), (129, 1 / 256)):
         grd = m.Grid.build(dt=dt, x_prime_extent=1.5, x_max=0.5, counts=[n, n])
-        sols[n] = m.solve_cauchy(model, None, g, grd, 0.25, store="ends")
-    d1 = float(np.abs(sols[65].values[-1][::2, ::2] - sols[33].values[-1]).max())
-    d2 = float(np.abs(sols[129].values[-1][::4, ::4] - sols[65].values[-1][::2, ::2]).max())
+        sols[n] = m.solve_cauchy(model, None, g, grd, 0.25)
+    d1 = float(np.abs(sols[65].values[::2, ::2] - sols[33].values).max())
+    d2 = float(np.abs(sols[129].values[::4, ::4] - sols[65].values[::2, ::2]).max())
     order = float(np.log2(d1 / d2))
 
     ok = const_err <= 1e-8 and affine_err <= 1e-8 and max_principle and order >= 1.0

@@ -36,6 +36,10 @@ def base_sim_config(tmp_path: Path, **overrides) -> dict:
     return cfg
 
 
+# a project kind's binning that a few hundred driver paths fill
+SMALL_BINNING = {"times": [0.25, 0.5], "edges": [[-1.0, -0.25, 0.25, 1.0], [0.0, 0.05, 0.1, 0.5]]}
+
+
 class TestSchema:
     def test_missing_seed_is_schema_violation(self, tmp_path, capsys):
         cfg = base_sim_config(tmp_path)
@@ -116,6 +120,17 @@ class TestSchema:
         assert err.startswith("config error: ") and message in err
         assert not (tmp_path / "out" / "report.json").exists()
         assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("driver", [{"hi_factor": 3.0},
+                                        {"kind": "markov_replay", "switch_rate": 1.0}],
+                             ids=["no-kind", "markov-replay"])
+    def test_regime_parameter_without_its_driver_rejected(self, tmp_path, driver):
+        # the project kind would step the model driver and ignore the parameter
+        cfg = base_sim_config(tmp_path, kind="project", binning=SMALL_BINNING)
+        jsonschema.validate({**cfg, "driver": {**driver, "kind": "regime_switching"}},
+                            cli.CONFIG_SCHEMA)
+        assert cli.run({**cfg, "driver": driver}) == 2
+        assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("kind, section", [("simulate", "ensemble"), ("project", "binning")])
     def test_missing_section_is_misuse(self, tmp_path, capsys, kind, section):
@@ -352,6 +367,19 @@ class TestCheckKinds:
         del cfg["ensemble"]["scheme"]
         assert cli.run(cfg) == 0
         assert schemes == ["absorbed_euler"] * 2 + ["full_truncation"] * 2
+
+    def test_project_driver_ensemble_ignores_the_scheme(self, tmp_path):
+        # the driver ensemble always steps absorbed Euler, so ensemble.scheme
+        # leaves the estimated lattice as it is
+        written = []
+        for scheme in sdesim.SCHEMES:
+            out = tmp_path / scheme
+            cfg = base_sim_config(tmp_path, kind="project", output_dir=str(out),
+                                  binning=SMALL_BINNING)
+            cfg["ensemble"] = {"n_paths": 400, "step": 2.0**-5, "horizon": 0.5, "scheme": scheme}
+            assert cli.run(cfg) == 0
+            written.append((out / "mimicked.csv").read_bytes())
+        assert len(sdesim.SCHEMES) == 2 and written[0] == written[1]
 
     def test_full_mimic_kind(self, tmp_path):
         cfg = base_sim_config(tmp_path, kind="full-mimic")

@@ -162,98 +162,99 @@ class TestStageSplit:
                     ref[rows] = -(e1 * ref[near] + e2 * ref[far])
             refs.append(ref)
 
-        sols = _march(model, f, block, grid, 2 * grid.dt, "implicit_euler", "all")
         for n, ref in enumerate(refs):
-            got = np.column_stack([sol.values[n + 1].ravel() for sol in sols])
+            sols = _march(model, f, block, grid, (n + 1) * grid.dt, "implicit_euler")
+            got = np.column_stack([sol.values.ravel() for sol in sols])
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_inner_extrema_exclude_outer_nodes(self, heston):
         grid = small_grid(n=9)
         g = lambda x: np.exp(-np.sum(x**2, axis=1))
-        sol = m.solve_cauchy(heston, None, g, grid, 0.25, store="all")
+        sol = m.solve_cauchy(heston, None, g, grid, 0.25)
         inner = ~_Stencil(grid).outer
-        layers = sol.values.reshape(len(sol.times), -1)[:, inner]
+        # every layer of the 16-step march, as the final layer of a k-step march
+        layers = np.array([m.solve_cauchy(heston, None, g, grid, k * grid.dt).values.ravel()[inner]
+                           for k in range(17)])
         assert sol.meta["inner_min"] == layers.min()
         assert sol.meta["inner_max"] == layers.max()
-        assert sol.layer_min.min() <= sol.meta["inner_min"]
+        assert sol.layer_min <= sol.meta["inner_min"]
 
 
 class TestExactness:
     def test_constants_both_schemes(self, heston):
         grid = small_grid()
         for scheme in ("implicit_euler", "crank_nicolson"):
-            sol = m.solve_cauchy(heston, None, ones, grid, 0.5, scheme=scheme, store="ends")
-            assert np.abs(sol.values[-1] - 1.0).max() < 1e-12
+            sol = m.solve_cauchy(heston, None, ones, grid, 0.5, scheme=scheme)
+            assert np.abs(sol.values - 1.0).max() < 1e-12
 
     def test_affine_transport_exact(self):
         # b constant, g = x_1: u(t, x) = x_1 + b_1 t solves the problem and
         # second differences kill it, so only drift quadrature remains (exact)
         model = constant_model([0.3, 0.2])
         grid = small_grid()
-        sol = m.solve_cauchy(model, None, lambda x: x[:, 0], grid, 0.5, store="ends")
+        sol = m.solve_cauchy(model, None, lambda x: x[:, 0], grid, 0.5)
         nodes = grid.nodes()
         expected = nodes[:, 0] + 0.3 * 0.5
-        err = np.abs(sol.values[-1].ravel() - expected)
+        err = np.abs(sol.values.ravel() - expected)
         inner = (np.abs(nodes[:, 0]) <= 0.75) & (nodes[:, 1] <= 0.25)
         assert err[inner].max() < 1e-8
 
     def test_killing_reduces_to_ode(self, heston_killing):
         grid = small_grid(dt=1.0 / 128)
-        sol = m.solve_cauchy(heston_killing, None, ones, grid, 0.5, store="ends")
-        assert np.abs(sol.values[-1] - np.exp(-0.02 * 0.5)).max() < 1e-6
+        sol = m.solve_cauchy(heston_killing, None, ones, grid, 0.5)
+        assert np.abs(sol.values - np.exp(-0.02 * 0.5)).max() < 1e-6
 
     def test_initial_layer_exact(self, heston):
         grid = small_grid()
         g = lambda x: np.cos(x[:, 0]) + x[:, 1]
-        sol = m.solve_cauchy(heston, None, g, grid, 0.25, store="all")
-        assert np.array_equal(sol.values[0].ravel(), g(grid.nodes()))
+        sol = m.solve_cauchy(heston, None, g, grid, 0.0)
+        assert np.array_equal(sol.values.ravel(), g(grid.nodes()))
 
     def test_source_term_spatially_constant(self, heston):
         # u_t = A u - f with f = 1, g = 0, c = 0: u(t) = -t exactly
         grid = small_grid()
         f = lambda t, x: np.ones(x.shape[0])
         zero = lambda x: np.zeros(x.shape[0])
-        sol = m.solve_cauchy(heston, f, zero, grid, 0.5, store="ends")
-        assert np.abs(sol.values[-1] + 0.5).max() < 1e-12
+        sol = m.solve_cauchy(heston, f, zero, grid, 0.5)
+        assert np.abs(sol.values + 0.5).max() < 1e-12
 
 
 class TestTerminalValue:
     def test_constant_terminal(self, heston):
         grid = small_grid()
-        sol = m.solve_terminal_value(heston, ones, 0.5, grid, store="ends")
-        assert np.abs(sol.values[0] - 1.0).max() < 1e-12
+        sol = m.solve_terminal_value(heston, ones, 0.5, grid)
+        assert np.abs(sol.values - 1.0).max() < 1e-12
 
     def test_reversal_is_definitional(self, heston):
         grid = small_grid()
         g = lambda x: np.exp(-np.sum(x**2, axis=1))
-        vt = m.solve_terminal_value(heston, g, 0.5, grid, store="all")
-        uc = m.solve_cauchy(time_reversed_model(heston, 0.5), None, g, grid, 0.5, store="all")
-        n = len(vt.times)
-        for k in range(n):
-            assert np.array_equal(vt.values[k], uc.values[n - 1 - k])
-        assert np.array_equal(vt.values[-1].ravel(), g(grid.nodes()))
+        vt = m.solve_terminal_value(heston, g, 0.5, grid)
+        uc = m.solve_cauchy(time_reversed_model(heston, 0.5), None, g, grid, 0.5)
+        assert np.array_equal(vt.values, uc.values)
+        assert (vt.layer_min, vt.layer_max) == (uc.layer_min, uc.layer_max)
+        assert vt.meta == uc.meta
 
     def test_pure_transport_characteristics(self):
         # a = 0, b constant: v(t, x) = g(x + b (T - t)) along characteristics
         model = constant_model([0.0, 0.4], a_mat=np.zeros((2, 2)))
         grid = m.Grid.build(dt=1.0 / 256, x_prime_extent=1.5, x_max=1.5, counts=[65, 129])
         g = lambda x: np.exp(-8.0 * ((x[:, 0]) ** 2 + (x[:, 1] - 0.5) ** 2))
-        sol = m.solve_terminal_value(model, g, 0.25, grid, store="ends")
+        sol = m.solve_terminal_value(model, g, 0.25, grid)
         nodes = grid.nodes()
         shifted = nodes.copy()
         shifted[:, 1] += 0.4 * 0.25
         expected = g(shifted)
         inner = (np.abs(nodes[:, 0]) <= 0.75) & (nodes[:, 1] <= 0.75)
-        err = np.abs(sol.values[0].ravel() - expected)[inner].max()
+        err = np.abs(sol.values.ravel() - expected)[inner].max()
         # first-order upwinding smears the profile at O(h) scale
         assert err < 0.12
         coarse = m.Grid.build(dt=1.0 / 128, x_prime_extent=1.5, x_max=1.5, counts=[65, 65])
-        sol_c = m.solve_terminal_value(model, g, 0.25, coarse, store="ends")
+        sol_c = m.solve_terminal_value(model, g, 0.25, coarse)
         nodes_c = coarse.nodes()
         shifted_c = nodes_c.copy()
         shifted_c[:, 1] += 0.4 * 0.25
         inner_c = (np.abs(nodes_c[:, 0]) <= 0.75) & (nodes_c[:, 1] <= 0.75)
-        err_c = np.abs(sol_c.values[0].ravel() - g(shifted_c))[inner_c].max()
+        err_c = np.abs(sol_c.values.ravel() - g(shifted_c))[inner_c].max()
         assert err < err_c  # refined mesh does better
 
 
@@ -269,18 +270,18 @@ class TestStructuralProperties:
             c = np.array([gen.uniform(-0.6, 0.6), gen.uniform(0.1, 0.3)])
             bump = m.radial_bump(c, r)
             g = lambda x: bump.jet(0.0, x)[0]
-            sol = m.solve_cauchy(heston, None, g, grid, 0.25, store="ends")
-            assert sol.layer_max.max() <= 1.0 + 1e-6
-            assert sol.layer_min.min() >= -1e-6
+            sol = m.solve_cauchy(heston, None, g, grid, 0.25)
+            assert sol.layer_max <= 1.0 + 1e-6
+            assert sol.layer_min >= -1e-6
 
     def test_linearity_to_solver_tolerance(self, heston):
         grid = small_grid()
         g1 = lambda x: np.exp(-np.sum(x**2, axis=1))
         g2 = lambda x: np.cos(x[:, 0])
         combo = lambda x: 2.0 * g1(x) - 0.5 * g2(x)
-        s1 = m.solve_cauchy(heston, None, g1, grid, 0.25, store="ends").values[-1]
-        s2 = m.solve_cauchy(heston, None, g2, grid, 0.25, store="ends").values[-1]
-        sc = m.solve_cauchy(heston, None, combo, grid, 0.25, store="ends").values[-1]
+        s1 = m.solve_cauchy(heston, None, g1, grid, 0.25).values
+        s2 = m.solve_cauchy(heston, None, g2, grid, 0.25).values
+        sc = m.solve_cauchy(heston, None, combo, grid, 0.25).values
         assert np.abs(sc - (2.0 * s1 - 0.5 * s2)).max() < 1e-10
 
     def test_self_convergence_order(self, heston):
@@ -289,11 +290,11 @@ class TestStructuralProperties:
         sols = {}
         for n, dt in ((33, 1 / 64), (65, 1 / 128), (129, 1 / 256)):
             grid = m.Grid.build(dt=dt, x_prime_extent=1.5, x_max=0.5, counts=[n, n])
-            sols[n] = m.solve_cauchy(heston, None, g, grid, 0.25, store="ends")
+            sols[n] = m.solve_cauchy(heston, None, g, grid, 0.25)
         # compare on the shared coarse nodes (every other fine node)
-        u33 = sols[33].values[-1]
-        u65 = sols[65].values[-1][::2, ::2]
-        u129 = sols[129].values[-1][::4, ::4]
+        u33 = sols[33].values
+        u65 = sols[65].values[::2, ::2]
+        u129 = sols[129].values[::4, ::4]
         d1 = np.abs(u65 - u33).max()
         d2 = np.abs(u129 - u65).max()
         order = np.log2(d1 / d2)
@@ -303,8 +304,7 @@ class TestStructuralProperties:
         model = constant_model([50.0, 1.0])
         grid = small_grid()
         with pytest.warns(RuntimeWarning, match="crank_nicolson"):
-            m.solve_cauchy(model, None, ones, grid, 0.25, scheme="crank_nicolson",
-                           store="ends")
+            m.solve_cauchy(model, None, ones, grid, 0.25, scheme="crank_nicolson")
 
 
 class TestDuality:
@@ -331,8 +331,8 @@ class TestDuality:
     def test_killing_discount(self, heston_killing):
         # g = 1 with killing: both sides equal exp(c T)
         grid = m.Grid.build(dt=1 / 128, x_prime_extent=1.5, x_max=0.5, counts=[33, 33])
-        rep = m.duality_check(heston_killing, ones, [0.0, 0.09], 0.5, grid,
-                              mc_paths=500, mc_step=2.0**-6, mc_seed=3)
+        mc = m.discounted_mean(heston_killing, ones, [0.0, 0.09], 0.5, 500, 2.0**-6, 3)
+        rep = m.solve_two_grid(heston_killing, ones, 0.5, grid).report([0.0, 0.09], *mc)
         assert rep.passed
         assert rep.mc_mean == pytest.approx(np.exp(-0.01), abs=1e-6)
 
@@ -342,8 +342,8 @@ class TestDuality:
         model = dataclasses.replace(constant_model([1.0, 0.0], a_mat=np.zeros((2, 2))),
                                     c=lambda t, x: -np.asarray(x)[:, 0] ** 2)
         grid = m.Grid.build(dt=1 / 64, x_prime_extent=1.5, x_max=1.0, counts=[33, 9])
-        rep = m.duality_check(model, ones, [0.0, 0.5], 1.0, grid,
-                              mc_paths=8, mc_step=2.0**-9, mc_seed=3)
+        mc = m.discounted_mean(model, ones, [0.0, 0.5], 1.0, 8, 2.0**-9, 3)
+        rep = m.solve_two_grid(model, ones, 1.0, grid).report([0.0, 0.5], *mc)
         assert rep.mc_mean == pytest.approx(np.exp(-1.0 / 3.0), abs=2e-3)
         assert rep.pde_value == pytest.approx(np.exp(-1.0 / 3.0), abs=0.05)
 
@@ -355,8 +355,8 @@ class TestDuality:
                                     c=lambda t, x: np.full(np.asarray(x).shape[0], -float(t)),
                                     knots=None)
         grid = m.Grid.build(dt=1 / 64, x_prime_extent=1.5, x_max=1.0, counts=[9, 9])
-        rep = m.duality_check(model, ones, [0.0, 0.5], 1.0, grid,
-                              mc_paths=8, mc_step=2.0**-9, mc_seed=3)
+        mc = m.discounted_mean(model, ones, [0.0, 0.5], 1.0, 8, 2.0**-9, 3)
+        rep = m.solve_two_grid(model, ones, 1.0, grid).report([0.0, 0.5], *mc)
         assert rep.mc_mean == pytest.approx(np.exp(-0.5), abs=2e-3)
         assert rep.pde_value == pytest.approx(np.exp(-0.5), abs=0.05)
 
@@ -369,8 +369,8 @@ class TestDuality:
             c=lambda t, x: np.where(np.abs(np.asarray(x)[:, 0] - 0.05) < 0.01, -1.0, 0.0))
         grid = m.Grid.build(dt=1 / 64, x_prime_extent=1.5, x_max=1.0, counts=[33, 9])
         assert not np.any(np.abs(grid.axes[0] - 0.05) < 0.01)
-        rep = m.duality_check(model, ones, [0.0, 0.5], 0.125, grid,
-                              mc_paths=8, mc_step=2.0**-9, mc_seed=3)
+        mc = m.discounted_mean(model, ones, [0.0, 0.5], 0.125, 8, 2.0**-9, 3)
+        rep = m.solve_two_grid(model, ones, 0.125, grid).report([0.0, 0.5], *mc)
         assert rep.mc_mean == pytest.approx(np.exp(-0.02), abs=1e-3)
 
     def test_sample_side_needs_two_paths(self, heston):
@@ -389,7 +389,7 @@ def test_march_reports_killing_applied(heston, heston_killing):
     u0 = np.ones((grid.n_nodes, 1))
 
     def c_range(model):
-        meta = _march(model, None, u0, grid, 0.5, "implicit_euler", "ends")[0].meta
+        meta = _march(model, None, u0, grid, 0.5, "implicit_euler")[0].meta
         return meta["c_min"], meta["c_max"]
 
     assert c_range(heston) == (0.0, 0.0)
@@ -458,7 +458,7 @@ class TestKnots:
         grid = small_grid(n=9, dt=1.0 / 16)
         for model in (one_layer, early):
             assembled.clear()
-            _march(model, None, np.ones((grid.n_nodes, 1)), grid, 0.5, "implicit_euler", "ends")
+            _march(model, None, np.ones((grid.n_nodes, 1)), grid, 0.5, "implicit_euler")
             assert len(assembled) == 1
 
     def test_march_evaluates_each_reached_knot_once(self, gridded_model):
@@ -471,15 +471,14 @@ class TestKnots:
         calls = []
         model = counted(dataclasses.replace(gridded_model, knots=np.arange(1, 17) / 16), calls)
         grid = m.Grid.build(dt=2.0**-7, x_prime_extent=1.0, x_max=0.5, counts=(9, 9))
-        m.solve_terminal_value(model, ones, 0.5, grid, store="ends")
+        m.solve_terminal_value(model, ones, 0.5, grid)
         assert sorted(calls) == [(f, k / 16) for f in "abc" for k in range(1, 9)]
 
 
 class TestBlockMarch:
-    @pytest.mark.parametrize("store", ["all", "ends"])
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("model_name", ["heston", "gridded_model"])
-    def test_columns_bit_equal_single_marches(self, request, model_name, scheme, store):
+    def test_columns_bit_equal_single_marches(self, request, model_name, scheme):
         # Heston factors once; the time-dependent gridded model factors at
         # every step.  Either way each column of a k-column march carries
         # exactly the bits of a march of that column alone.
@@ -489,16 +488,14 @@ class TestBlockMarch:
         block = np.column_stack([np.ones(len(x)), np.exp(-x[:, 0] ** 2) * (1.0 + x[:, 1]),
                                  x[:, 0] - x[:, 1] ** 2])
         for f in (None, lambda t, x: t * np.sin(x[:, 0]) * x[:, 1]):
-            singles = [_march(model, f, block[:, [j]], grid, 0.25, scheme, store)[0]
+            singles = [_march(model, f, block[:, [j]], grid, 0.25, scheme)[0]
                        for j in range(3)]
             for k in (2, 3):
-                sols = _march(model, f, block[:, :k], grid, 0.25, scheme, store)
+                sols = _march(model, f, block[:, :k], grid, 0.25, scheme)
                 assert len(sols) == k
                 for sol, ref in zip(sols, singles):
                     assert sol.values.shape == ref.values.shape
-                    assert np.array_equal(sol.times, ref.times)
                     assert np.array_equal(sol.values, ref.values)
-                    assert np.array_equal(sol.layer_min, ref.layer_min)
-                    assert np.array_equal(sol.layer_max, ref.layer_max)
+                    assert (sol.layer_min, sol.layer_max) == (ref.layer_min, ref.layer_max)
                     for key in ("inner_min", "inner_max"):
                         assert sol.meta[key] == ref.meta[key]

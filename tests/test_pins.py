@@ -84,7 +84,7 @@ HESTON_PINS = {
 HESTON_CSV_PIN = "9a61af0c56dd7a8efcad0792e2383c8818fefcaec03f392828972a4f38aab166"
 DRIVER_CSV_PIN = "9fa334c79a1297e14df3d1b421b8a53bd3dbdf8ae5b36ff7f607e925d3caee6b"
 GRIDDED_PIN = "677476567d53689a7bf84c065cfb814e21e3e9c1d25aeee85048b909106dfad6"
-GRIDDED_PDE_PIN = "9e0cb47099ddb87e3c8ff16f441c1eba8e5785734e3e7144dc6547dabe7271eb"
+GRIDDED_PDE_PIN = "d17ead7f61a0fe7e9f028033f589e6ba01f216d757932a09b11a7b9a2f6f9696"
 # states digest + the first 16 hex digits of the report's JSON digest
 RESTART_PINS = {
     "full_truncation":
@@ -190,14 +190,14 @@ def test_gridded_ensemble_pinned(gridded_model):
 
 def test_gridded_pde_pinned(gridded_model):
     # the time-reversed march evaluates the lattice at its knots and blends
-    # them; the solution's own interpolation covers a clamped point and the
-    # x_d = 0 layer
+    # them; the solution's own interpolation of v(0, .) covers a clamped
+    # point and the x_d = 0 layer
     grid = m.Grid.build(dt=2.0**-5, x_prime_extent=1.0, x_max=0.5, counts=(9, 9))
     sol = m.solve_terminal_value(gridded_model,
                                  lambda x: np.exp(-x[:, 0] ** 2) * (1.0 + x[:, 1]), 1.0, grid)
     pts = np.array([[0.0, 0.09], [0.3, 0.0], [-1.2, 0.7], [0.95, 0.2]])
-    assert _digest(sol.values, sol.layer_min, sol.layer_max,
-                   sol.interpolate(0.3, pts)) == GRIDDED_PDE_PIN
+    assert _digest(sol.values, sol.layer_min, sol.layer_max, sol.meta["inner_min"],
+                   sol.meta["inner_max"], [sol.value_at(p) for p in pts]) == GRIDDED_PDE_PIN
 
 
 # duality reports on a 33^2 grid over T = 0.25 from (0, 0.09), 4000 paths at
@@ -229,14 +229,10 @@ def test_duality_pinned(heston, heston_killing, case):
         lambda x: bump.jet(0.0, x)[0])
     model = heston_killing if case == "killing-ones" else heston
     grid = m.Grid.build(dt=1 / 64, x_prime_extent=1.5, x_max=0.5, counts=[33, 33])
-    if case == "heston-bump-shifted":
-        # the wrong-start control: the two sides composed by hand
-        mc = m.discounted_mean(model, g, [0.0, 0.09], 0.25, 4000, 2.0**-7, 11)
-        rep = m.solve_two_grid(model, g, 0.25, grid).report(
-            np.add([0.0, 0.09], [0.0, 0.05]), *mc)
-    else:
-        rep = m.duality_check(model, g, [0.0, 0.09], 0.25, grid, mc_paths=4000,
-                              mc_step=2.0**-7, mc_seed=11)
+    # the wrong-start control reads the solution at a shifted start
+    x = np.add([0.0, 0.09], [0.0, 0.05] if case == "heston-bump-shifted" else 0.0)
+    mc = m.discounted_mean(model, g, [0.0, 0.09], 0.25, 4000, 2.0**-7, 11)
+    rep = m.solve_two_grid(model, g, 0.25, grid).report(x, *mc)
     assert rep.to_json() == DUALITY_PINS[case]
 
 
