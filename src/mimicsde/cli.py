@@ -19,10 +19,13 @@ Config keys are the keyword names of the call each section configures, so a
 default lives in that call's signature: ``model.params`` goes to
 ``heston_model``; ``pde`` less ``scheme`` and ``horizon`` to ``Grid.build``;
 ``driver`` less ``kind`` to ``regime_switching_driver``; ``binning`` less
-``max_masked_fraction`` to ``BinningSpec``; ``validator`` to
+``kernel`` and ``max_masked_fraction`` to ``BinningSpec``; ``validator`` to
 ``validate_coefficients``; ``martingale`` less ``test_functions`` to
 ``martingale_test``; ``restart`` to ``strong_markov_restart_test``; and
-``ensemble.scheme`` and ``store_stride`` to the simulators.  The driver
+``ensemble.scheme`` and ``store_stride`` to the simulators.  The estimator is
+the box-cell mean alone: ``binning.kernel`` accepts only ``"box"``
+(``"gaussian"`` exits 2), and ``binning.bandwidth`` is no longer a key, so a
+config that names it exits 2.  The driver
 ensemble of project and full-mimic always steps absorbed Euler
 (:func:`.sdesim.simulate_ito_process` takes no scheme), so ``ensemble.scheme``
 reaches only full-mimic's mimic ensemble.  The CLI's own
@@ -184,7 +187,8 @@ def _projection_stage(cfg, out, seed, model, start):
               if d.get("kind") == "regime_switching" else model_driver(model))
     ens = simulate_ito_process(driver, np.asarray(start.x), _time_grid(cfg, start),
                                e["n_paths"], seed, **_only(e, "store_stride"))
-    mc = estimate_mimicking_coefficients(ens, BinningSpec(**_without(b, "max_masked_fraction")))
+    mc = estimate_mimicking_coefficients(
+        ens, BinningSpec(**_without(b, "kernel", "max_masked_fraction")))
     # a pipeline fills and reports its masked cells, so it accepts more than the
     # library's 0.5, which a lattice loaded as model.gridded must still meet
     built = build_mimicking_model(mc, max_masked_fraction=b.get("max_masked_fraction", 0.9))
@@ -408,9 +412,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "times": _NUMBERS,
                 "edges": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-                "kernel": {"enum": ["box", "gaussian"]},
-                "bandwidth": {"type": ["array", "null"],
-                              "items": {"type": "number", "exclusiveMinimum": 0}},
+                "kernel": {"const": "box"},
                 "min_count": {"type": "number", "exclusiveMinimum": 0},
                 "max_masked_fraction": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
             },

@@ -5,7 +5,7 @@ Given an Itô ensemble with recorded drivers, the mimicking coefficients are
     b(t, x)     = E[ beta(t)        | X(t) = x ]
     D(t, x)     = E[ xi(t) xi*(t)   | X(t) = x ]     (D = x_d * a)
 
-estimated by kernel regression on a space lattice at selected time nodes.  The
+estimated by box-cell means on a space lattice at selected time nodes.  The
 product D is the stable object near the boundary; a is derived by division
 away from x_d = 0 and by linear extrapolation onto the boundary layer, then
 eigenvalue-floored so the rebuilt model is usable by the simulator and the
@@ -28,38 +28,29 @@ from scipy.spatial import cKDTree
 from .coeffs import CoefficientModel, LatticeInterpolator, RegularityBudget
 from .sdesim import PathEnsemble, write_csv
 
-_CELL_CHUNK = 64
 _DELTA_FLOOR_SCALE = 1e-6  # eigenvalue floor of a built model's a, relative to trace / d
 _N_DIRECTIONS = 16  # random directions of the sliced Wasserstein-1 distance
 
 
 @dataclass(frozen=True)
 class BinningSpec:
-    """Lattice, kernel, and occupancy policy for the conditional-expectation estimate."""
+    """Lattice and occupancy policy for the conditional-expectation estimate."""
 
     times: tuple[float, ...]
     edges: tuple  # one strictly increasing edge array per coordinate; x_d edges start at 0
-    kernel: str = "box"
-    bandwidth: tuple[float, ...] | None = None  # per coordinate; None = plug-in rule
     min_count: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.kernel not in ("box", "gaussian"):
-            raise ValueError("kernel must be 'box' or 'gaussian'")
         object.__setattr__(self, "times", tuple(self.times))
         if len(self.times) < 1:
             raise ValueError("need at least one time node")
         edges = tuple(np.asarray(e, dtype=float) for e in self.edges)
         object.__setattr__(self, "edges", edges)
-        if self.bandwidth is not None:  # empty means unset, as None does
-            object.__setattr__(self, "bandwidth", tuple(self.bandwidth) or None)
         for e in edges:
             if e.ndim != 1 or e.size < 2 or np.any(np.diff(e) <= 0):
                 raise ValueError("each edge array must be strictly increasing with >= 2 entries")
         if edges[-1][0] != 0.0:
             raise ValueError("x_d edges must start at 0")
-        if self.bandwidth is not None and any(b <= 0 for b in self.bandwidth):
-            raise ValueError("bandwidths must be positive")
         if not self.min_count > 0:
             raise ValueError("min_count must be positive, or empty cells go unmasked")
 
@@ -90,7 +81,6 @@ class MimickedCoefficients:
     d_hat: np.ndarray       # (K, *cells, d, d), symmetric
     occupancy: np.ndarray   # (K, *cells)
     mask: np.ndarray        # (K, *cells) bool
-    bandwidths: np.ndarray  # (K, d) as used (zeros for box kernel)
     n_paths: int
     clip: np.ndarray = field(default=None)
     fill_distance: np.ndarray = field(default=None)
@@ -110,21 +100,12 @@ class MimickedCoefficients:
         return float(self.mask.mean())
 
 
-def _plugin_bandwidth(x: np.ndarray) -> np.ndarray:
-    n, d = x.shape
-    sd = x.std(axis=0, ddof=1)
-    sd = np.maximum(sd, 1e-12)
-    return 1.06 * sd * n ** (-1.0 / (d + 4))
-
-
 def estimate_mimicking_coefficients(ens: PathEnsemble, spec: BinningSpec) -> MimickedCoefficients:
-    """Kernel-regress recorded drivers on the state, per time node and cell.
+    """Box-cell means of the recorded drivers, per binning time (a stored node of ``ens``).
 
-    Box kernel: plain cell averages (exact tower property over full coverage).
-    Gaussian kernel: Nadaraya-Watson weights at cell centers with per-
-    coordinate bandwidths (plug-in rule when the spec leaves them unset).
-    The estimated D is symmetrized; cells under the occupancy minimum are
-    masked with NaN values.
+    A cell's b-hat and D-hat average beta and xi xi* over the paths in it, so the
+    tower property holds exactly over full coverage.  D-hat is symmetrized; cells
+    under the occupancy minimum are masked with NaN values.
     """
     if ens.drivers is None:
         raise ValueError("ensemble carries no driver records; simulate it with "
@@ -135,60 +116,41 @@ def estimate_mimicking_coefficients(ens: PathEnsemble, spec: BinningSpec) -> Mim
     cells = spec.cell_shape
     n_cells = int(np.prod(cells))
     k_times = len(spec.times)
-    centers = spec.centers
 
     b_hat = np.full((k_times, n_cells, d), np.nan)
     d_hat = np.full((k_times, n_cells, d, d), np.nan)
     occupancy = np.zeros((k_times, n_cells))
-    bandwidths = np.zeros((k_times, d))
-
-    center_grid = np.stack(np.meshgrid(*centers, indexing="ij"), axis=-1).reshape(n_cells, d)
+    mask = np.zeros((k_times, n_cells), dtype=bool)
 
     for kt, t in enumerate(spec.times):
-        node = ens.grid.node_index(t)
+        try:
+            node = ens.grid.node_index(t)
+        except ValueError as err:
+            raise ValueError(f"binning time {t} is not a stored node of the driver ensemble ("
+                             f"stored step {ens.grid.step} = step * store_stride): {err}") from None
         x = ens.states[:, node, :]
         beta = ens.drivers.beta[:, node, :]
         s = ens.drivers.xi2[:, node, :, :]
 
-        if spec.kernel == "box":
-            idx = np.zeros(x.shape[0], dtype=np.int64)
-            inside = np.ones(x.shape[0], dtype=bool)
-            for j in range(d):
-                cj = np.searchsorted(spec.edges[j], x[:, j], side="right") - 1
-                inside &= (cj >= 0) & (cj < cells[j])
-                idx = idx * cells[j] + np.clip(cj, 0, cells[j] - 1)
-            idx = idx[inside]
-            np.add.at(occupancy[kt], idx, 1.0)
-            sb = np.zeros((n_cells, d))
-            np.add.at(sb, idx, beta[inside])
-            sd_ = np.zeros((n_cells, d, d))
-            np.add.at(sd_, idx, s[inside])
-            occ = occupancy[kt]
-            good = occ >= max(spec.min_count, 1.0)
-            b_hat[kt, good] = sb[good] / occ[good, None]
-            d_hat[kt, good] = sd_[good] / occ[good, None, None]
-        else:
-            bw = (np.asarray(spec.bandwidth, dtype=float)
-                  if spec.bandwidth is not None else _plugin_bandwidth(x))
-            bandwidths[kt] = bw
-            for lo in range(0, n_cells, _CELL_CHUNK):
-                hi = min(lo + _CELL_CHUNK, n_cells)
-                cc = center_grid[lo:hi]
-                z2 = np.zeros((hi - lo, x.shape[0]))
-                for j in range(d):
-                    z2 += ((x[None, :, j] - cc[:, None, j]) / bw[j]) ** 2
-                w = np.exp(-0.5 * z2)
-                occ = w.sum(axis=1)
-                occupancy[kt, lo:hi] = occ
-                good = occ >= spec.min_count
-                if np.any(good):
-                    rows = np.where(good)[0]
-                    b_hat[kt, lo + rows] = (w[rows] @ beta) / occ[rows, None]
-                    d_hat[kt, lo + rows] = np.einsum("mn,nij->mij", w[rows], s) / occ[rows, None, None]
-
+        idx = np.zeros(x.shape[0], dtype=np.int64)
+        inside = np.ones(x.shape[0], dtype=bool)
+        for j in range(d):
+            cj = np.searchsorted(spec.edges[j], x[:, j], side="right") - 1
+            inside &= (cj >= 0) & (cj < cells[j])
+            idx = idx * cells[j] + np.clip(cj, 0, cells[j] - 1)
+        idx = idx[inside]
+        np.add.at(occupancy[kt], idx, 1.0)
+        sb = np.zeros((n_cells, d))
+        np.add.at(sb, idx, beta[inside])
+        sd_ = np.zeros((n_cells, d, d))
+        np.add.at(sd_, idx, s[inside])
+        occ = occupancy[kt]
+        mask[kt] = occ < spec.min_count
+        good = ~mask[kt]
+        b_hat[kt, good] = sb[good] / occ[good, None]
+        d_hat[kt, good] = sd_[good] / occ[good, None, None]
         d_hat[kt] = 0.5 * (d_hat[kt] + np.swapaxes(d_hat[kt], -1, -2))
 
-    mask = occupancy < spec.min_count
     shape = (k_times, *cells)
     return MimickedCoefficients(
         spec=spec,
@@ -196,7 +158,6 @@ def estimate_mimicking_coefficients(ens: PathEnsemble, spec: BinningSpec) -> Mim
         d_hat=d_hat.reshape(shape + (d, d)),
         occupancy=occupancy.reshape(shape),
         mask=mask.reshape(shape),
-        bandwidths=bandwidths,
         n_paths=ens.n_paths,
     )
 
@@ -304,7 +265,7 @@ def build_mimicking_model(
     return CoefficientModel(
         d=d, a=a_interp, b=b_interp,
         c=c_eval, budget=budget, knots=times,
-        name=f"mimicking(kernel={mc.spec.kernel},times={k_times},cells={mc.spec.cell_shape})",
+        name=f"mimicking(times={k_times},cells={mc.spec.cell_shape})",
     )
 
 
@@ -466,9 +427,10 @@ def save_mimicked(mc: MimickedCoefficients, csv_path, sidecar_path=None) -> None
         "d": d,
         "times": [float(t) for t in mc.spec.times],
         "edges": [[float(v) for v in e] for e in mc.spec.edges],
-        "kernel": mc.spec.kernel,
-        "bandwidth": list(mc.spec.bandwidth) if mc.spec.bandwidth else None,
-        "bandwidths_used": mc.bandwidths.tolist(),
+        # the estimator is fixed; these keep the format of files already written
+        "kernel": "box",
+        "bandwidth": None,
+        "bandwidths_used": np.zeros((len(mc.spec.times), d)).tolist(),
         "min_count": mc.spec.min_count,
         "n_paths": mc.n_paths,
     }
@@ -486,8 +448,9 @@ def load_mimicked(csv_path, sidecar_path=None) -> MimickedCoefficients:
     """
     with open(_sidecar_path(csv_path, sidecar_path)) as fh:
         meta = json.load(fh)
-    spec = BinningSpec(**{k: meta[k] for k in ("times", "edges", "kernel", "bandwidth",
-                                               "min_count")})
+    if meta.get("kernel", "box") != "box":  # a kernel occupancy sums weights, not paths
+        raise ValueError(f"{csv_path}: sidecar kernel {meta['kernel']!r} is not 'box'")
+    spec = BinningSpec(**{k: meta[k] for k in ("times", "edges", "min_count")})
     d = spec.d
     shape = (len(spec.times), *spec.cell_shape)
     header = _mimicked_header(d)
@@ -514,6 +477,5 @@ def load_mimicked(csv_path, sidecar_path=None) -> MimickedCoefficients:
     return MimickedCoefficients(
         spec=spec, b_hat=b_hat, d_hat=d_hat, occupancy=occupancy,
         mask=occupancy < spec.min_count,
-        bandwidths=np.asarray(meta.get("bandwidths_used", np.zeros((shape[0], d)))),
         n_paths=int(meta.get("n_paths", 0)), clip=clip,
     )

@@ -468,7 +468,7 @@ def write_csv(fh: IO[str], header: Sequence[str], blocks: Iterable[Sequence[np.n
 
 
 def ensemble_to_csv(ens: PathEnsemble, fh: IO[str]) -> None:
-    """Long-format CSV: (path_id, t, x_1..x_d[, beta_*, xi2_*]) per stored node.
+    """Long-format CSV: (path_id, t, x_1..x_d) per stored node.
 
     Written by :func:`write_csv`, so the file round-trips exactly.  Paths are
     formatted and written a block at a time, which keeps the text held in
@@ -476,13 +476,8 @@ def ensemble_to_csv(ens: PathEnsemble, fh: IO[str]) -> None:
     """
     d, n_nodes = ens.d, ens.grid.n_steps + 1
     header = ["path_id", "t"] + [f"x_{i+1}" for i in range(d)]
-    values = [ens.states]
-    if ens.drivers is not None:
-        header += [f"beta_{i+1}" for i in range(d)]
-        header += [f"xi2_{i+1}{j+1}" for i in range(d) for j in range(d)]
-        values += [ens.drivers.beta, ens.drivers.xi2]
     n_rows = ens.n_paths * n_nodes
     columns = [np.repeat(np.arange(ens.n_paths), n_nodes), np.tile(ens.grid.nodes, ens.n_paths),
-               *(c for v in values for c in v.reshape(n_rows, -1).T)]
+               *ens.states.reshape(n_rows, d).T]
     block = max(1, _CSV_BLOCK_ROWS // n_nodes) * n_nodes
     write_csv(fh, header, ([c[r:r + block] for c in columns] for r in range(0, n_rows, block)))

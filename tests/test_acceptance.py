@@ -128,7 +128,7 @@ def _mimic_lattice():
     times = tuple(np.arange(1, 17) / 16.0)
     e1 = np.linspace(-1.8, 1.8, 25)
     e2 = np.concatenate([[0.0], 0.6 * np.linspace(0.025, 1.0, 26) ** 1.2])
-    return m.BinningSpec(times=times, edges=(e1, e2), kernel="box", min_count=20)
+    return m.BinningSpec(times=times, edges=(e1, e2), min_count=20)
 
 
 def test_06_mimicking_round_trip(model, start):

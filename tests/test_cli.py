@@ -98,10 +98,36 @@ class TestSchema:
         ("restart", "restart", {"perturb": ["a", 0.0]}),
     ], ids=["bandwidth", "perturb"])
     def test_untyped_array_item_rejected(self, tmp_path, kind, section, bad):
-        # a string bandwidth reached BinningSpec as a TypeError, a string
-        # perturbation the restart test as a ValueError
+        # a string bandwidth reached BinningSpec as a TypeError (now any
+        # bandwidth key exits 2), a string perturbation the restart test as a
+        # ValueError
         cfg = base_sim_config(tmp_path, kind=kind, **{section: bad})
         assert cli.run(cfg) == 2
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("option", [{"bandwidth": None}, {"bandwidth": [0.1, 0.02]},
+                                        {"kernel": "gaussian"}],
+                             ids=["bandwidth-null", "bandwidth-positive", "kernel-gaussian"])
+    def test_removed_estimator_option_rejected(self, tmp_path, capsys, option):
+        # the box-cell mean is the one estimator: any bandwidth key, and any
+        # kernel but "box", is misuse rather than an option silently ignored
+        cfg = base_sim_config(tmp_path, kind="project", binning=SMALL_BINNING)
+        jsonschema.validate({**cfg, "binning": {**SMALL_BINNING, "kernel": "box"}},
+                            cli.CONFIG_SCHEMA)
+        assert cli.run({**cfg, "binning": {**SMALL_BINNING, **option}}) == 2
+        assert capsys.readouterr().err.startswith("config schema violation")
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_binning_time_off_the_stored_grid_names_the_stride(self, tmp_path, capsys):
+        # 1/32 is a node of the step-1/64 grid but not of the stored grid,
+        # every 4th node; the message named neither the binning time nor the stride
+        cfg = base_sim_config(tmp_path, kind="project",
+                              binning={**SMALL_BINNING, "times": [0.03125]})
+        cfg["ensemble"].update(step=2.0**-6, store_stride=4)
+        assert cli.run(cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: binning time 0.03125 is not a stored node")
+        assert "stored step 0.0625 = step * store_stride" in err
         assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("kind, section, bad, message", [
@@ -178,7 +204,7 @@ FORWARDED = {
     "model.params": (cli.heston_model, (), cli._HESTON),
     "pde": (cli.Grid.build, ("scheme", "horizon"), cli._GRID),
     "driver": (cli.regime_switching_driver, ("kind",), {}),
-    "binning": (cli.BinningSpec, ("max_masked_fraction",), {}),
+    "binning": (cli.BinningSpec, ("kernel", "max_masked_fraction"), {}),
     "validator": (cli.validate_coefficients, (), {}),
     "martingale": (cli.martingale_test, ("test_functions",), {}),
     "restart": (cli.strong_markov_restart_test, (), cli._RESTART),

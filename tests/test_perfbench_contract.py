@@ -1,15 +1,24 @@
-"""The benchmark tracer wraps ``mimicsde`` callables by name.
+"""The benchmark's contract with ``mimicsde``: the tracer and the workload configs.
 
-Deleting or renaming one of them breaks a traced benchmark run, and a change
-to what a wrapped call returns can break a counter the tracer reads from it;
-these tests make the suite fail first.  They only import ``perfbench/tracer.py``.
+The benchmark tracer wraps ``mimicsde`` callables by name.  Deleting or
+renaming one of them breaks a traced benchmark run, and a change to what a
+wrapped call returns can break a counter the tracer reads from it.  A schema
+change that rejects a workload's config fails every call of that workload.
+These tests make the suite fail first.  They only import ``perfbench/tracer.py``
+and ``perfbench/workloads.py``.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import jsonschema
+import pytest
+
+from mimicsde import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,3 +52,21 @@ def test_tracer_counts_the_pde_march():
     metrics = json.loads(proc.stdout.splitlines()[-1])
     assert metrics["pde.march_steps"] > 0
     assert metrics["pde.nodes"] == metrics["n_nodes"]
+
+
+def test_every_workload_config_passes_the_schema(tmp_path):
+    # each workload's config, and the project config that writes pde-gridded's
+    # input model; the workload module imports nothing of mimicsde
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out, sizes = str(tmp_path), workloads.TINY
+    configs = {name: workloads.config(name, w.base_seed, out, sizes,
+                                      model_csv=str(tmp_path / "mimicked.csv"))
+               for name, w in workloads.WORKLOADS.items()}
+    configs["project"] = workloads.mimic_config("project", 0, out, sizes)
+    for name, cfg in configs.items():
+        try:
+            jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
+        except jsonschema.ValidationError as err:
+            pytest.fail(f"workload {name}: {err.message}")

@@ -82,7 +82,6 @@ HESTON_PINS = {
         "3a9a30cf28e32f505bb4af65d7538407ab5bc9cc7e45acfb86de9fd26ae9a0ce",
 }
 HESTON_CSV_PIN = "9a61af0c56dd7a8efcad0792e2383c8818fefcaec03f392828972a4f38aab166"
-DRIVER_CSV_PIN = "9fa334c79a1297e14df3d1b421b8a53bd3dbdf8ae5b36ff7f607e925d3caee6b"
 GRIDDED_PIN = "677476567d53689a7bf84c065cfb814e21e3e9c1d25aeee85048b909106dfad6"
 GRIDDED_PDE_PIN = "d17ead7f61a0fe7e9f028033f589e6ba01f216d757932a09b11a7b9a2f6f9696"
 # states digest + the first 16 hex digits of the report's JSON digest
@@ -172,13 +171,6 @@ def test_heston_ensemble_pinned(heston, start, scheme):
 
 def test_heston_csv_pinned(heston, start):
     assert _csv_digest(_heston_ensemble(heston, start, "full_truncation")) == HESTON_CSV_PIN
-
-
-def test_driver_records_csv_pinned(heston):
-    grid = m.TimeGrid(0.0, 0.25, 2.0**-4)
-    ens = m.simulate_ito_process(m.regime_switching_driver(heston), np.array([0.0, 0.09]),
-                                 grid, 12, 77)
-    assert _csv_digest(ens) == DRIVER_CSV_PIN
 
 
 def test_gridded_ensemble_pinned(gridded_model):
@@ -546,8 +538,7 @@ def test_cli_kind_pinned(tmp_path, kind):
 def _bare_cli_config(case: str, out: Path) -> dict:
     """``case``'s kind with every optional key and section omitted, so each default runs:
     only the sizes of the sections the kind requires are given.  ``project+sections``
-    adds a regime-switching driver and a Gaussian kernel with every other key of
-    those sections omitted, and ``[]`` for the plug-in bandwidth."""
+    adds a regime-switching driver with every other key of that section omitted."""
     kind, _, variant = case.partition("+")
     cfg = {"kind": kind, "seed": 97, "output_dir": str(out)}
     if kind in ("simulate", "martingale", "project", "full-mimic"):
@@ -556,7 +547,6 @@ def _bare_cli_config(case: str, out: Path) -> dict:
         cfg["binning"] = {"times": [0.25, 0.5], "edges": _MIMIC_BINNING["edges"]}
     if variant:
         cfg["driver"] = {"kind": "regime_switching"}
-        cfg["binning"].update(kernel="gaussian", bandwidth=[])
     return cfg
 
 
@@ -605,10 +595,10 @@ CLI_DEFAULT_PINS = {
     },
     "project+sections": {
         "status": 0,
-        "mimicked.csv": "da37ba666e58432dcc2a5a3c19a72585a65e66e7ff4594850ba39a48f96fd2a2",
+        "mimicked.csv": "ba35ec1c2ad90a1754b60b97e0a88effe315765fd732bd842f11beecd429b4b3",
         "mimicked.csv.meta.json":
-            "5de058e4efd9f78997c12b2c5d6cff458fd3a059f9153da37114b5646fd1d5f0",
-        "report.json": "d67f8b4dce157be02a083913bd3fa73e75472d949e1eca7b60d8a374b819afb7",
+            "f7dd084b9c5fade4a6878be175cc9925c5303110cb9253e3362e8d72e09b1feb",
+        "report.json": "a9cc3e463e577b9c642a87dfa31137bde2d6924c137b32853ab7719b6f9a3473",
     },
 }
 
@@ -653,22 +643,22 @@ def test_cli_pde_gridded_pinned(tmp_path, project_csv):
 
 
 
-# save_mimicked's CSV and sidecar for an unfilled Gaussian-kernel estimate whose
+# save_mimicked's CSV and sidecar for an unfilled box estimate whose
 # masked rows hold NaN, and load_mimicked's arrays read back from that file
 # ("unfilled") and from the filled lattice the pinned project config writes
 MIMICKED_IO_PINS = {
     "mimicked.csv":
-        "e4513497790854234a7c7283868235c680e065045beba4a715571534d83603a0",
+        "d57ea3bb248cfa64375a0aca0c9c8708a32cbdff2c50d4908651a50139ffdcb5",
     "mimicked.csv.meta.json":
-        "26f506aabe223f41faabb781ab3dd12570dd06d4efaebbadc3dd6b0c511a88fe",
-    "unfilled": "cb05a0c5d7cd53b52ad9456c43c13703e5dc8fde2ceed7641559b45fd20580d1",
-    "project": "ab55af19f1271096d29665097f3a9a5d455b4bcd48967c924c458379258b6d29",
+        "e97af8b62e7dc653eb3aa3c76f45af3b2c91c84630f48544621f4ce0eb74132b",
+    "unfilled": "69cd3fbd9b75c989ca8bd84a897ac7f669ccd573ab1b72f6376a3a94fa7ce6a1",
+    "project": "5d2c2bebe964856fee6d987a949c48795ff35c94d376d283e73dacd58e45bbfd",
 }
 
 
 def _loaded_digest(csv_path: Path) -> str:
     mc = m.load_mimicked(csv_path)
-    return _digest(mc.b_hat, mc.d_hat, mc.occupancy, mc.mask, mc.clip, mc.bandwidths)
+    return _digest(mc.b_hat, mc.d_hat, mc.occupancy, mc.mask, mc.clip)
 
 
 def test_mimicked_io_pinned(heston, tmp_path, project_csv):
@@ -677,7 +667,7 @@ def test_mimicked_io_pinned(heston, tmp_path, project_csv):
                                  store_stride=4)
     spec = m.BinningSpec(times=(0.25, 0.5), edges=(np.linspace(-0.9, 0.9, 7),
                                                    [0.0, 0.04, 0.08, 0.15, 0.3]),
-                         kernel="gaussian", min_count=4.0)
+                         min_count=4.0)
     mc = m.estimate_mimicking_coefficients(ens, spec)
     assert 0 < mc.mask.sum() < mc.mask.size and np.isnan(mc.b_hat[mc.mask]).all()
     m.save_mimicked(mc, tmp_path / "mimicked.csv")

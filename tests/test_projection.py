@@ -16,11 +16,11 @@ def heston_driver_ensemble(heston, n=8000, h=2.0**-6, stride=4, seed=21):
                                   grid, n, seed, store_stride=stride)
 
 
-def default_spec(kernel="box", min_count=10):
+def default_spec(min_count=10):
     e1 = np.linspace(-1.5, 1.5, 19)
     e2 = np.concatenate([[0.0], 0.5 * np.linspace(0.05, 1.0, 12) ** 1.3])
     times = tuple(np.arange(1, 9) / 8.0)
-    return m.BinningSpec(times=times, edges=(e1, e2), kernel=kernel, min_count=min_count)
+    return m.BinningSpec(times=times, edges=(e1, e2), min_count=min_count)
 
 
 class TestBinningSpec:
@@ -29,8 +29,6 @@ class TestBinningSpec:
             m.BinningSpec(times=(0.5,), edges=(np.array([0.0, 1.0, 0.5]),))
         with pytest.raises(ValueError):
             m.BinningSpec(times=(0.5,), edges=(np.array([0.1, 1.0]),))  # x_d not from 0
-        with pytest.raises(ValueError):
-            m.BinningSpec(times=(0.5,), edges=(np.array([0.0, 1.0]),), kernel="epanechnikov")
         # min_count <= 0 would leave empty cells unmasked, as NaN in the built model
         for min_count in (0, -1.0):
             with pytest.raises(ValueError, match="min_count"):
@@ -59,17 +57,28 @@ class TestEstimate:
         b_true = heston.b(0.5, pts)
         err_b = np.abs(mc.b_hat[kt][occ] - b_true).max()
         assert err_b < 0.05
-        d_true = pts[:, -1][:, None, None] * heston.a(0.5, pts)
+        a_true = heston.a(0.5, pts)
+        d_true = pts[:, -1][:, None, None] * a_true
         err_d = np.abs(mc.d_hat[kt][occ] - d_true).max()
         assert err_d < 0.02
+        # b and D = x_d a are affine in x and beta = b(X), xi xi* = D(X), so a
+        # cell's estimate is their value at its paths' mean state, which lies in
+        # the cell: within the map's variation over half a cell of the centre
+        half = np.stack(np.meshgrid(*(0.5 * np.diff(e) for e in mc.spec.edges),
+                                    indexing="ij"), axis=-1)[occ]
+        slopes = np.stack([heston.b(0.5, pts + e) - b_true for e in np.eye(2)], axis=-1)
+        b_bound = np.einsum("nij,nj->ni", np.abs(slopes), half)
+        assert np.all(np.abs(mc.b_hat[kt][occ] - b_true) <= b_bound)
+        d_bound = half[:, -1, None, None] * np.abs(a_true)
+        assert np.all(np.abs(mc.d_hat[kt][occ] - d_true) <= d_bound)
 
     def test_tower_property_box_kernel(self, heston):
-        # with a box kernel and a lattice covering every sample, the
+        # with box-cell means and a lattice covering every sample, the
         # occupancy-weighted average of b-hat is exactly the plain mean of beta
         ens = heston_driver_ensemble(heston, n=5000)
         e1 = np.linspace(-6.0, 6.0, 13)
         e2 = np.concatenate([[0.0], np.linspace(0.05, 3.0, 9)])
-        spec = m.BinningSpec(times=(0.5,), edges=(e1, e2), kernel="box", min_count=1)
+        spec = m.BinningSpec(times=(0.5,), edges=(e1, e2), min_count=1)
         mc = m.estimate_mimicking_coefficients(ens, spec)
         node = ens.grid.node_index(0.5)
         plain = ens.drivers.beta[:, node, :].mean(axis=0)
@@ -92,15 +101,6 @@ class TestEstimate:
         good = ~mc.mask
         assert np.allclose(mc.d_hat[good], np.swapaxes(mc.d_hat[good], -1, -2))
 
-    def test_gaussian_kernel_close_to_box(self, heston):
-        ens = heston_driver_ensemble(heston, n=20_000)
-        box = m.estimate_mimicking_coefficients(ens, default_spec())
-        gauss = m.estimate_mimicking_coefficients(ens, default_spec(kernel="gaussian"))
-        kt = 3
-        good = (~box.mask[kt]) & (~gauss.mask[kt]) & (box.occupancy[kt] > 100)
-        gap = np.abs(box.b_hat[kt][good] - gauss.b_hat[kt][good]).max()
-        assert gap < 0.05
-
 
 class TestBuild:
     def test_identity_diffusion_round_trip(self):
@@ -120,7 +120,7 @@ class TestBuild:
             spec=spec, b_hat=b_hat, d_hat=d_hat,
             occupancy=np.full((k, *cells), 100.0),
             mask=np.zeros((k, *cells), dtype=bool),
-            bandwidths=np.zeros((k, 2)), n_paths=100)
+            n_paths=100)
         model = m.build_mimicking_model(mc)
         x = np.array([[0.3, 0.7], [0.0, 1.44], [-0.5, 0.0]])
         assert np.allclose(model.a(0.5, x), np.eye(2), atol=1e-9)
@@ -136,7 +136,7 @@ class TestBuild:
         mc = m.MimickedCoefficients(
             spec=spec, b_hat=b_hat, d_hat=d_hat,
             occupancy=np.full((1, 2), 10.0), mask=np.zeros((1, 2), dtype=bool),
-            bandwidths=np.zeros((1, 1)), n_paths=10)
+            n_paths=10)
         model = m.build_mimicking_model(mc)
         assert mc.clip.max() > 0.0
         assert np.linalg.eigvalsh(model.a(0.0, np.array([[1.5]]))).min() >= 0.0
@@ -149,7 +149,7 @@ class TestBuild:
         mc = m.MimickedCoefficients(
             spec=spec, b_hat=b_hat, d_hat=d_hat,
             occupancy=np.full((1, 2), 10.0), mask=np.zeros((1, 2), dtype=bool),
-            bandwidths=np.zeros((1, 1)), n_paths=10)
+            n_paths=10)
         with pytest.raises(ValueError, match="clip"):
             m.build_mimicking_model(mc, clip_budget=1e-3)
 
@@ -174,25 +174,6 @@ class TestBuild:
                                m.TimeGrid(0.0, 1.0, 2.0**-6), 20_000, 78, store_stride=4)
         comp = m.compare_marginals(ens, mimic, [0.5, 1.0], thresholds={"ks": 0.025})
         assert comp.passed, comp.to_json()
-
-    def test_bandwidth_refinement_does_not_hurt(self, heston):
-        # halving the bandwidth with 4x the samples must not increase the
-        # coefficient recovery error (regression guard on the kernel choice)
-        def recovery_error(n, bw, seed):
-            ens = heston_driver_ensemble(heston, n=n, seed=seed)
-            e1 = np.linspace(-1.5, 1.5, 19)
-            e2 = np.concatenate([[0.0], 0.5 * np.linspace(0.05, 1.0, 12) ** 1.3])
-            spec = m.BinningSpec(times=(0.5,), edges=(e1, e2), kernel="gaussian",
-                                 bandwidth=bw, min_count=10)
-            mc = m.estimate_mimicking_coefficients(ens, spec)
-            occ = (~mc.mask[0]) & (mc.occupancy[0] > 50)
-            centers = np.stack(np.meshgrid(*spec.centers, indexing="ij"), axis=-1)
-            pts = centers[occ]
-            return np.abs(mc.b_hat[0][occ] - heston.b(0.5, pts)).max()
-
-        coarse = recovery_error(5000, (0.2, 0.04), 91)
-        fine = recovery_error(20_000, (0.1, 0.02), 92)
-        assert fine <= coarse * 1.5
 
 
 class TestCompareMarginals:
@@ -305,7 +286,7 @@ CORRUPTIONS = {
 class TestSerialization:
     @pytest.fixture(scope="class")
     def saved(self, heston, tmp_path_factory):
-        """An unfilled box-kernel estimate with masked rows, saved; 1728 rows."""
+        """An unfilled estimate with masked rows, saved; 1728 rows."""
         mc = m.estimate_mimicking_coefficients(heston_driver_ensemble(heston, n=2000),
                                                default_spec())
         assert 0 < mc.mask.sum() < mc.mask.size
@@ -337,11 +318,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match="cell centres"):
             m.load_mimicked(tmp_path / "mc.csv")
 
+    def test_load_rejects_kernel_weighted_sidecar(self, saved, tmp_path):
+        # a Gaussian estimate's occupancy is a sum of kernel weights, so the
+        # count rule that rebuilds the mask would not hold for it
+        sidecar = saved.with_name("mc.csv.meta.json")
+        meta = json.loads(sidecar.read_text())
+        assert meta["kernel"] == "box"
+        (tmp_path / "mc.csv").write_bytes(saved.read_bytes())
+        (tmp_path / "mc.csv.meta.json").write_text(json.dumps({**meta, "kernel": "gaussian"}))
+        with pytest.raises(ValueError, match="kernel"):
+            m.load_mimicked(tmp_path / "mc.csv")
+
     def test_load_accepts_rows_in_any_order(self, saved, tmp_path):
         order = np.random.default_rng(0).permutation
         path = self._edited(saved, tmp_path, lambda h, rows: (h, list(order(rows))))
         a, b = m.load_mimicked(saved), m.load_mimicked(path)
-        for name in ("b_hat", "d_hat", "occupancy", "mask", "clip", "bandwidths"):
+        for name in ("b_hat", "d_hat", "occupancy", "mask", "clip"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
         # the fill policy writes through reshape views of the loaded arrays
         m.build_mimicking_model(b, max_masked_fraction=1.0)

@@ -207,8 +207,8 @@ class TestCsvExport:
         buf = io.StringIO()
         m.ensemble_to_csv(ens, buf)
         lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == ("path_id,t,x_1,x_2,beta_1,beta_2,"
-                            "xi2_11,xi2_12,xi2_21,xi2_22")
+        # states only, though an Itô ensemble carries driver records
+        assert lines[0] == "path_id,t,x_1,x_2"
         assert len(lines) == 1 + 3 * 3  # header + paths * nodes
 
     def test_deterministic_bytes(self, heston, start):
@@ -228,13 +228,11 @@ class TestCsvExport:
                                      grid, 11, 4)
         ref = io.StringIO()
         writer = csv.writer(ref, lineterminator="\n")
-        writer.writerow(["path_id", "t", "x_1", "x_2", "beta_1", "beta_2",
-                         "xi2_11", "xi2_12", "xi2_21", "xi2_22"])
+        writer.writerow(["path_id", "t", "x_1", "x_2"])
         for p in range(ens.n_paths):
             for k, t in enumerate(ens.grid.nodes):
-                values = np.concatenate([ens.states[p, k], ens.drivers.beta[p, k],
-                                         ens.drivers.xi2[p, k].ravel()])
-                writer.writerow([str(p), repr(float(t))] + [repr(float(v)) for v in values])
+                writer.writerow([str(p), repr(float(t))]
+                                + [repr(float(v)) for v in ens.states[p, k]])
         for block_rows in (1, 7, 10, 1 << 14):
             monkeypatch.setattr(sdesim, "_CSV_BLOCK_ROWS", block_rows)
             buf = io.StringIO()
