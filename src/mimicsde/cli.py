@@ -3,7 +3,8 @@
 Every run validates its config against the JSON schema below before any
 compute, executes one pipeline, writes CSV data artifacts plus a
 ``report.json``, and records a ``manifest.json`` with the config hash, package
-version, wall-clock time, and whether a ``--threads`` cap took effect.  Exit
+version, random stream id with the numpy and scipy versions that fix its bits,
+wall-clock time, and whether a ``--threads`` cap took effect.  Exit
 status: 0 when all asserted checks pass, 1 on a check failure (the report is
 still written), 2 on misuse: a schema violation (an unknown key included, in
 a typed payoff or test function too, a gridded model next to ``builtin`` or
@@ -72,8 +73,9 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
+import scipy
 
-from . import __version__, pde, sdesim
+from . import __version__, pde, rng, sdesim
 from .coeffs import heston_model, load_gridded_model, strip_generator_term, validate_coefficients
 from .geometry import SpaceTimePoint
 from .martingale import (
@@ -534,6 +536,9 @@ def run(config: dict, threads: int | None = None, break_generator: str | None = 
         "config_sha256": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "version": __version__,
+        "rng_stream": rng.STREAM,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "wallclock_s": wallclock,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "threads": threads,

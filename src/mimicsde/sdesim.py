@@ -237,7 +237,8 @@ def _euler_paths(
     Steps n paths from the states ``x0`` (shape (n, d), x_d >= 0) at times
     t0 + k h, where ``t0`` is a scalar, kept scalar so a lattice brackets it
     once, or one start time per path.  Step k evaluates the driver at the
-    clipped state, draws r normals z from stream (seed, path) at step k and
+    clipped state, takes path p's r normals z from the Brownian stream at
+    (seed, step k, path p), so a path's noise never depends on its batch, and
     adds beta h + xi z sqrt(h): to the internal state under
     ``full_truncation``, to the clipped state under ``absorbed_euler``.  The
     driver's aux state is created from ``DOMAIN_DRIVER_INIT`` uniforms and

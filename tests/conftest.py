@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mimicsde as m
+from mimicsde import geometry
 
 
 @pytest.fixture(scope="session")
@@ -76,3 +77,23 @@ def kinked_model(d: int = 2) -> m.CoefficientModel:
         budget=m.RegularityBudget(1e-9, 10.0, 0.4, 0.5),
         knots=[0.0], name="kinked",
     )
+
+
+def record_holder_pair_distances(monkeypatch) -> list[np.ndarray]:
+    """Record, per pair batch, the distances of the pairs the validator's Hölder clauses draw.
+
+    The validator draws the near-boundary clause's pairs first (cycloidal
+    distance), then the interior clause's (parabolic); at ``pair_budget=1``
+    each clause draws one batch of one pair.
+    """
+    distances = []
+    draw = geometry._sample_pair_batch
+    metrics = iter([geometry.cycloidal_distance_arrays, geometry.parabolic_distance_arrays])
+
+    def recorded(*args):
+        pairs = draw(*args)
+        distances.append(next(metrics)(*pairs))
+        return pairs
+
+    monkeypatch.setattr(geometry, "_sample_pair_batch", recorded)
+    return distances

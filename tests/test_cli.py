@@ -10,8 +10,11 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+import scipy
 
-from mimicsde import cli, martingale, sdesim
+from mimicsde import cli, martingale, rng, sdesim
+
+from conftest import record_holder_pair_distances
 
 
 def write_config(tmp_path: Path, cfg: dict) -> Path:
@@ -130,18 +133,23 @@ class TestSchema:
         assert "stored step 0.0625 = step * store_stride" in err
         assert not (tmp_path / "out" / "report.json").exists()
 
-    @pytest.mark.parametrize("kind, section, bad, message", [
-        ("validate", "validator", {"n_samples": 8, "pair_budget": 1}, "pair_budget=1"),
-        ("restart", "restart", {"t_cap": 0.3},
+    @pytest.mark.parametrize("kind, section, bad, seed, message", [
+        ("validate", "validator", {"n_samples": 8, "pair_budget": 1}, 12, "pair_budget=1"),
+        ("restart", "restart", {"t_cap": 0.3}, 1,
          "t_cap = 0.3 makes t = 0.3 not a node of the time grid of step h = 0.0078125"),
     ], ids=["validator-pair-budget", "restart-off-grid-t-cap"])
-    def test_config_rejected_by_the_library_is_misuse(self, tmp_path, capsys, kind, section,
-                                                      bad, message):
-        # the schema passes these; the library raises ValueError on them
-        cfg = base_sim_config(tmp_path, kind=kind, seed=1, **{section: bad})
+    def test_config_rejected_by_the_library_is_misuse(self, tmp_path, capsys, monkeypatch, kind,
+                                                      section, bad, seed, message):
+        # the schema passes these; the library raises ValueError on them: at
+        # seed 12 the near-boundary Hölder clause's one pair lies beyond
+        # distance 1, so that clause scores no pair
+        distances = record_holder_pair_distances(monkeypatch)
+        cfg = base_sim_config(tmp_path, kind=kind, seed=seed, **{section: bad})
         cfg["ensemble"] = {"n_paths": 100, "step": 2.0**-7, "horizon": 1.0}
         jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
         assert cli.run(cfg) == 2
+        if kind == "validate":
+            assert len(distances) == 1 and distances[0].shape == (1,) and distances[0][0] > 1.0
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert not (tmp_path / "out" / "report.json").exists()
@@ -237,6 +245,10 @@ class TestSimulateKind:
         assert report["support"]["violations"] == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["version"]
+        # the stream's id and the versions that fix its bits: numpy the
+        # Philox words, scipy the ndtri normals
+        assert manifest["rng_stream"] == rng.STREAM == "philox4x64-ndtri/1"
+        assert (manifest["numpy"], manifest["scipy"]) == (np.__version__, scipy.__version__)
         assert (out / "ensemble.csv").exists()
 
     def test_rerun_byte_identical_modulo_manifest(self, tmp_path):

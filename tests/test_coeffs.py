@@ -9,7 +9,7 @@ import mimicsde as m
 from mimicsde import geometry
 from mimicsde.coeffs import generator_apply_batch, strip_generator_term
 
-from conftest import constant_model, kinked_model
+from conftest import constant_model, kinked_model, record_holder_pair_distances
 
 
 def _generate(model, t, x, grad, hess) -> float:
@@ -168,13 +168,18 @@ class TestValidator:
         details = rep.condition("near_boundary_holder_cycloidal").details
         assert set(details["reported_alphas"]) == {"alpha=0.3", "alpha=0.7"}
 
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_holder_clause_without_a_scored_pair_raises(self, heston, seed):
-        # the one sampled pair lies beyond distance 1 in the near (seed 1) or
-        # interior (seed 2) region, so that clause would score no pair and
-        # pass with observed 0.0 and no witness
-        with pytest.raises(ValueError, match="pair_budget=1"):
+    @pytest.mark.parametrize("seed, clause", [(12, "near_boundary_holder_cycloidal"),
+                                              (10, "interior_holder_parabolic")],
+                             ids=["near", "interior"])
+    def test_holder_clause_without_a_scored_pair_raises(self, heston, monkeypatch, seed, clause):
+        # the one sampled pair of ``clause`` lies beyond distance 1, and any
+        # clause before it scored its pair, so ``clause`` would score no pair
+        # and pass with observed 0.0 and no witness
+        distances = record_holder_pair_distances(monkeypatch)
+        with pytest.raises(ValueError, match=f"{clause}: no admissible pair among pair_budget=1"):
             m.validate_coefficients(heston, n_samples=8, pair_budget=1, seed=seed)
+        assert [d.shape for d in distances] == [(1,)] * (1 if clause.startswith("near") else 2)
+        assert distances[-1][0] > 1.0 and all(d[0] <= 1.0 for d in distances[:-1])
 
     @pytest.mark.parametrize("pair_budget, alphas, calls", [(1024, None, 2), (5000, [0.3], 4)])
     def test_holder_clause_draws_its_pairs_once(self, heston, monkeypatch, pair_budget, alphas,

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import mimicsde as m
 from mimicsde import cli, martingale, pde, rng
@@ -36,92 +37,103 @@ def _csv_digest(ens) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
-_P32 = 2**32
-_P63 = 2**63
+# what the stream pins were made with: numpy fixes the Philox words and
+# scipy's ndtri the normals, so a stream pin that fails names any change
+PINNED_WITH = {"rng_stream": "philox4x64-ndtri/1", "numpy": "2.4.6", "scipy": "1.17.1"}
 
-# (seed, domain, path indices, step, n): odd n spans several Philox blocks;
-# path indices next to 2^32 and 2^63 cross the 32-bit limbs of the multiply.
+
+def _stream_note() -> str:
+    now = {"rng_stream": rng.STREAM, "numpy": np.__version__, "scipy": scipy.__version__}
+    moved = [f"{k} {v} -> {now[k]}" for k, v in PINNED_WITH.items() if now[k] != v]
+    return "pinned with " + (", ".join(moved) if moved else "the same stream and versions")
+
+
+# (seed, domain, path indices, step, n): one Philox generator serves a block
+# of 4096 paths, so paths 4095 / 4096 / 4097 straddle a block boundary; path
+# 2^64 - 1, the last of the last block, comes first in an unsorted list;
+# step 2^60 fills the key's second word; odd n splits a path's words across
+# Philox's 4-word outputs
 RNG_CASES = {
     "small": (0, rng.DOMAIN_BROWNIAN, list(range(7)), 0, 2),
     "odd-n": (123, rng.DOMAIN_DRIVER, list(range(5)), 17, 5),
-    "limb32": (2**40 + 3, rng.DOMAIN_DRIVER_INIT, [_P32 - 2, _P32 - 1, _P32, _P32 + 1], 3, 3),
-    "limb63": (987654321, rng.DOMAIN_BROWNIAN, [_P63 - 1, _P63, _P63 + 1, 2**64 - 1], 2**33 + 1, 1),
+    "block-edge": (2**40 + 3, rng.DOMAIN_DRIVER_INIT, [4095, 4096, 4097], 3, 3),
+    "last-path": (987654321, rng.DOMAIN_BROWNIAN, [2**64 - 1, 8191, 0], 2**33 + 1, 1),
     "big-step": (2**64 - 1, rng.DOMAIN_DRIVER, [0, 1, 2**31, 2**48], 2**60, 4),
 }
 
 NORMALS_PINS = {
     "small":
-        "05ac3bc52447ef52d5c3788eccc417f53fa8f084bb38298071db42b8c9561485",
+        "df54b20a18ee73ba7e9052a6fa61898add9c5e44093cae4fc665bb6de2cc61db",
     "odd-n":
-        "52c2c9f2edf88223bbc528f5a85c06db1cfc336872d82eb34caa74dcc5b2498c",
-    "limb32":
-        "4063b5882dd372c6b47d83d7807b1652c831605877a7fb615597c30280564bc5",
-    "limb63":
-        "bb4a4fbb8b871a7a0d20ff85fc60159786c793f11dd4ec9076ad60e5f4239ff7",
+        "3ce0a6a5b55b8ea421329112e57809b2dce1e19ad51a6ae6c68e0bd1aaa119c9",
+    "block-edge":
+        "ebfe1782522ebbccf192a30d3efbefc037c02627c84e0e48774d9c64dd18ed95",
+    "last-path":
+        "b1a55b9bb75647c5c702876ffe3db765dddcbf28055020b0a2db4e4266391b4c",
     "big-step":
-        "e4f812181773fc8ce1da28c20b7959aa147c384d38730296ee8cb236743a4b16",
+        "99bb037ab42e44010197fd4da5bc47ec60d1d91d6269577beecca17abcbc6539",
 }
 
 UNIFORMS_PINS = {
     "small":
-        "4d10bf643e3f3e29d8d7ed8cfe77b33b38e21b8d724dbd866735db4d29ca096e",
+        "87483aeef256bfa176f4bed060f76ccbc9d39364201789645a4839c49eae0c35",
     "odd-n":
-        "a567f23b91177f1bfeff7a8a6557609da5fc312d97b1e8bf79452302f1ddf230",
-    "limb32":
-        "ed631714fbe19ee0a16652e149fcce064cf81c1dcfde4aacb58d5e5ad241ad3f",
-    "limb63":
-        "dbc32d70ee836673f982979387bfe753b7f9dda42f15537ecae3f095b1b7c410",
+        "0ebb861afeefd7edd02330d0cb1343737810bf58fda1b04ad203ccb966b4262a",
+    "block-edge":
+        "a762e4325c62e7fe3936ce3cb98335c2c5e372c3b58d1faa08cece14a9c46816",
+    "last-path":
+        "0b8fd6578d22c6e3f46b5cc9dfce7c0d1839226ee69e1e1a8075327e50ef0c5d",
     "big-step":
-        "cc6350ad93d3153e6f62329e5a71ec57d44a93903d43d9018dd2acc121ae9f0f",
+        "0eef6eb4d367bb4876115e56d7159bf8a6b08ee3fb4570dc32772bfe5a200cfd",
 }
 
 HESTON_PINS = {
     "full_truncation":
-        "94c4e40ea15c314ffd8499e8806f44c92e3032926ade1a78b949f1159c41b9e7",
+        "5f8cfbfcd658eaa80cbaf2ae1364e0bf8a99f82898933a2c6c0e78de857f4dfb",
     "absorbed_euler":
-        "3a9a30cf28e32f505bb4af65d7538407ab5bc9cc7e45acfb86de9fd26ae9a0ce",
+        "dc3cd90aac8f4c0bb4c32aab89775d0cb11b85fa4eaf2aa8862dad729a0207f4",
 }
-HESTON_CSV_PIN = "9a61af0c56dd7a8efcad0792e2383c8818fefcaec03f392828972a4f38aab166"
-GRIDDED_PIN = "677476567d53689a7bf84c065cfb814e21e3e9c1d25aeee85048b909106dfad6"
-GRIDDED_PDE_PIN = "d17ead7f61a0fe7e9f028033f589e6ba01f216d757932a09b11a7b9a2f6f9696"
+HESTON_CSV_PIN = "a1ccb12f422fd33175ea64331dd3d541c42ec745eb8f782260f5e1b8ec8b8d21"
+GRIDDED_PIN = "33f0a27253e8f00b418bba51b52755a5335865e2876fa9b547d86efcde5b82e7"
+GRIDDED_PDE_PIN = "7fa95e831071ba9679c9f943ef0b187bbef8a1dc409eb97dabe7eac132cb0d4a"
 # states digest + the first 16 hex digits of the report's JSON digest
 RESTART_PINS = {
     "full_truncation":
-        "14865db80b6c0de821ff47786b432181b4c434c480c314bb75937fe2c1e4a4a1" "a3b4eb5de5829611",
+        "887ca9103e1befa99b0a5dfa3b180fcf7999d14c9f484eb6e0bba0f967ce3dfd" "3d11aba4267bc905",
     "absorbed_euler":
-        "b2f56956fc74a5bd3baa680ff7dcb4ced58fbcb68af51b185b823c33da3e446a" "a3b4eb5de5829611",
+        "8722f9ab82a088e56b46f98891af888bc60afed16574914f66cf7b7dda133c1c" "3d11aba4267bc905",
     "full_truncation+perturb":
-        "db5f5975c4d5990310e65a5e2aa4af202aa0b52f8b1f1c8daac7d449324428624" "be9057d6311a53b",
+        "e4ce2dcebbf2ba82e229cbb8b7fb17bb773f313fbbda7362095963a2cf6ad1b6" "275878439620d904",
 }
 ITO_PINS = {
-    "regime": "cc94280292c942fec677bd83520083b9e381b519969497d38a4d6dd34684550c",
-    "leaky": "5359b01aaeb5c7ed1d3fbca7f45f0748f3d1c3a1ea35cda9f60b0b02d7a6e455",
+    "regime": "ebcec9082f041e9cfe15bd778c4dd7cc86fa3824a2922eec74f1a554666085a1",
+    "leaky": "257d3eafd808c26e6ca1402fa4031066582137e1786a75f64278a82b21e71315",
 }
 VALIDATOR_PINS = {
-    "heston": "6a2a8af2ee7936c24c1cbb367d735cea958be8602d207cfb1421179d12778daa",
-    "gridded": "5fedd0929255a929d15e673a0c54efb5996fb7c69af1cf8ffdf70ad95e302b0b",
+    "heston": "bd32790a483f7ffbdd236ae523e96988232f623fd7d1ab3aee5db05c7e8855f4",
+    "gridded": "73dfc3d05a514fe9306b08416763e5a69229ed62d4b822511a8b6f49902d6d8b",
 }
 # the cycloidal and parabolic Hölder estimates of one field over one region
-HOLDER_PIN = "a59582a5368f3483661487bf9d0c1eab957310d8a860c85105bd2c2f76cde3e8"
+HOLDER_PIN = "da5b5217fb177bec17c61be9563723b32109c0bca8c19bdc8279022ac21a507b"
 # acceptance 03's test functions at every node of the 256 Heston paths of
 # _MARTINGALE_GRID at seed 707; "+drift" compensates with the drift-stripped
 # generator
 INCREMENTS_PINS = {
-    "linear": "6f9c7b12547fc6c9785786fcac1797ca178aae35aaec606c5a498dc5f9a51445",
-    "bump": "ab082d5e1a6238dfc6001c8d37cd1f017b81867735b4b475128ccc3cdb0b4d3e",
-    "boundary_bump": "fa583e2e9ca661a5d08522d1da7a94352c798233decd4c964e77d38d1d8e1121",
-    "linear+drift": "d51f338c6c721884df937d79618d62a2ee683b7ca62cec34594e9b1565557759",
+    "linear": "072cde954def0266621a23eca2af6d4aada5c24955eb54a63cb83ee1060fe7b4",
+    "bump": "ae9715537b2cc33b421a8f7e8f722157c12356ba9f73de6d6aaded4fb41aeadb",
+    "boundary_bump": "e3a41ca73dc9e3b8cc6a5e7b39d6d1c498227b4680de64dbef022b07f68b439e",
+    "linear+drift": "573a56e3660ed612acfc8be4257564aa061922d0ac9e2a68599e93127f7c4cbf",
 }
 # martingale_test's reports for the linear, bump and boundary-bump functions
 # with the CLI's probes: on those Heston paths, on 256 paths of the gridded
 # model at seed 708, and on the Heston paths compensated with the drift-stripped
 # Heston
 MARTINGALE_TEST_PINS = {
-    "heston": "839d203af8c1a79b135708fbf2b58e1b3d2ab086f5e85bf2c4ab7b9969a62c7c",
-    "gridded": "7d7a03976320f039189c50ed08dc85f8565dccbceb6c716f5eb4c21a9856491f",
-    "drift-broken": "431be841c368829a482fc920468a30db990bbf8e44a5eba652903a9196abb63b",
+    "heston": "0ff1f9c7e40861fe5416a7b357be17b2816d733c71d77da2fe5867142f9a2c0c",
+    "gridded": "b03b7a2e8b60db3321caa1d226e190445a982c384fd885d4c7f3672045afdd39",
+    "drift-broken": "39759b2a731188f01c249e7961b86654f8ce870bfffb309e5e0f38ace5187960",
 }
-ITO_RESIDUAL_PIN = "237bcf5cd888a141bc792e73dfe7399e3fb83d3fd202945dc011ae0e5a1354cc"
+ITO_RESIDUAL_PIN = "bc2e700d2cd1897274bc3eed20fd0875f191b30721f2daf34c67d74c5600cf34"
 # value, gradient, Hessian, x_d * Hessian (and v_t where defined) at TF_POINTS, t = 0.3
 TEST_FUNCTION_PINS = {
     "linear": "565cad8234f8f537b985799ea57810943c8c97890664049bfa327205d2e05603",
@@ -146,7 +158,7 @@ def test_normals_pinned(case):
     seed, domain, idx, step, n = RNG_CASES[case]
     z = rng.normals(seed, domain, _paths(idx), step, n)
     assert z.shape == (len(idx), n)
-    assert _digest(z) == NORMALS_PINS[case]
+    assert _digest(z) == NORMALS_PINS[case], _stream_note()
 
 
 @pytest.mark.parametrize("case", sorted(RNG_CASES))
@@ -154,7 +166,7 @@ def test_uniforms_pinned(case):
     seed, domain, idx, step, n = RNG_CASES[case]
     u = rng.uniforms(seed, domain, _paths(idx), step, n)
     assert u.shape == (len(idx), n)
-    assert _digest(u) == UNIFORMS_PINS[case]
+    assert _digest(u) == UNIFORMS_PINS[case], _stream_note()
 
 
 def _heston_ensemble(heston, start, scheme):
@@ -197,14 +209,14 @@ def test_gridded_pde_pinned(gridded_model):
 # shifted by (0, 0.05), and g = 1 under Heston's constant killing rate
 DUALITY_PINS = {
     "heston-bump": {
-        "pde_value": 0.8943831174608872, "mc_mean": 0.8968084232390218,
-        "mc_se": 0.002446605837932078, "grid_error": 0.002275350556751765,
-        "gap": 0.002425305778134601, "tolerance": 0.011890518627299763,
+        "pde_value": 0.8943831174608872, "mc_mean": 0.8953507085744561,
+        "mc_se": 0.0024129159107350467, "grid_error": 0.002275350556751765,
+        "gap": 0.0009675911135689219, "tolerance": 0.01178944884570867,
         "interpolated": True, "passed": True},
     "heston-bump-shifted": {
-        "pde_value": 0.827119414739122, "mc_mean": 0.8968084232390218,
-        "mc_se": 0.002446605837932078, "grid_error": 0.0020775805044702667,
-        "gap": 0.06968900849989978, "tolerance": 0.011494978522736767,
+        "pde_value": 0.827119414739122, "mc_mean": 0.8953507085744561,
+        "mc_se": 0.0024129159107350467, "grid_error": 0.0020775805044702667,
+        "gap": 0.0682312938353341, "tolerance": 0.011393908741145674,
         "interpolated": True, "passed": False},
     "killing-ones": {
         "pde_value": 0.995013256384575, "mc_mean": 0.9950124791926824,
@@ -231,12 +243,13 @@ def test_duality_pinned(heston, heston_killing, case):
 # w^T (P v) for the spatial operator P at t = dt on a 17^2 grid, with seeded
 # standard normal w and v in grid order (w, v = rng(seed).standard_normal((2, N))),
 # computed from the assembled sparse P before the march was split into line
-# stages: the stages must still sum to that P
+# stages (the gridded values with that assembler, from a272442, on the model
+# the current random stream builds): the stages must still sum to that P
 OPERATOR_PINS = {
     ("heston", 0): -508.8539842889448,
     ("heston", 1): -1200.041003847805,
-    ("gridded_model", 0): -266.58265818140796,
-    ("gridded_model", 1): -360.9346198532071,
+    ("gridded_model", 0): -284.06041453864447,
+    ("gridded_model", 1): -630.6733285246772,
 }
 
 
@@ -369,10 +382,10 @@ def test_test_function_pinned(case):
 # and two unequal full-truncation ensembles whose x_d sits exactly at 0 on most
 # paths (ties inside and across the samples); same_law_ks_quantile on the tied x_d
 COMPARE_PINS = {
-    "heston": "c0b99cdc58103a16d50eeaec4d234773d904f73a163140d18f9ceff3a0cf755b",
-    "ties": "a729947a6d05b8d5c11a5d577ff9c8b29d4a0465c95c77580cb03478ece7cae5",
+    "heston": "6d8b376a35eda6f53d59d5b16bc567f36c20078439a3e333539a0174affda70b",
+    "ties": "baf603ab516ff1ab8ab9e71a8cb44385054719dfb006a72702380b2f1d915b14",
 }
-SAME_LAW_KS_PIN = "81c2cb228cc7ab6bd1cf6731cf6aa16ad4582129d6e8d0e3d4a1130cb0199bed"
+SAME_LAW_KS_PIN = "c5a1c557b67252eb0519172cc304a8af9970f95d92aa3fc16bd255e0184538fe"
 
 
 @pytest.fixture(scope="module")
@@ -452,28 +465,28 @@ CLI_PINS = {
     "simulate": {
         "status": 0,
         "ensemble.csv":
-            "6ee889e578ffddf13345697395eb68f23bbdf5ed13119e368d022aa0cc7adb7e",
+            "482263d939ef9357ac013b8ca740865240b1ea908d34940f0e39ad9f050c4864",
         "report.json":
-            "7fcf33ed79d8cc40cbb21cebb0e7f00fa0e5aee75ce43eb9b6fe294a3a41ba95",
+            "fd3ded0f35d3a83ff38fa3870c66e7d0119cf591fcb6442c7c47640ee81cfaba",
     },
     "validate": {
         "status": 0,
         "report.json":
-            "fe008bbf2437829646ddcba1f5a7f4b6bc49f8f1a4979cc52ef2d526380afc97",
+            "2c5a6ddc82730ea30a550d9c89583dc00f6d6c81528a4dd8346d4dc230c6231d",
     },
     "martingale": {
         "status": 0,
         "report.json":
-            "c1506917918938959964229ab58af191869b4b9ba2bc8293eba1a9e58e84a606",
+            "275ea851db6f35898032cad3cc16f88d2fa4b7531272ac60eb8cd27811dbea3c",
     },
     "project": {
         "status": 0,
         "mimicked.csv":
-            "ee5af15587b8d8ac9280017deb092856b7945b4b8a7a998552823af3984a0b85",
+            "aabf5bfe0fd44d71b58804f5a632923b7cb5fa3841ce4b9f0c1863866431a6c3",
         "mimicked.csv.meta.json":
             "19ec41e3a1063c0a331d1efdc5dbb7982a0f820124b5666e092d9724e8d6d8a7",
         "report.json":
-            "0c1f6d186c58ff689fec3caefeefb2c2f43e2099c07b662d93e38991581978b5",
+            "526f037882e504dd62f850d56a519a032eb7e2af592bd2f0710bd18853090136",
     },
     "pde": {
         "status": 0,
@@ -485,31 +498,31 @@ CLI_PINS = {
     "duality": {
         "status": 0,
         "report.json":
-            "da90208bf98ee759ba06105a201cba63284b387fe7da17d3ced73519e8ca2a02",
+            "dafad354e86f4b50e5d892cadb6f5ee8599254e6e48cc265ed5289cc5ff20a37",
     },
     "restart": {
         "status": 0,
         "report.json":
-            "aee1a721becf0481785d8e0b7fc1adf576d6d99eb52e3783a539825f630f73bd",
+            "0cbe0d3b9980b3d64bfb379e0fe6883269cff1eb36cb691fbba4ac8ca7d06a76",
     },
     "full-mimic": {
         "status": 0,
         "mimicked.csv":
-            "ee5af15587b8d8ac9280017deb092856b7945b4b8a7a998552823af3984a0b85",
+            "aabf5bfe0fd44d71b58804f5a632923b7cb5fa3841ce4b9f0c1863866431a6c3",
         "mimicked.csv.meta.json":
             "19ec41e3a1063c0a331d1efdc5dbb7982a0f820124b5666e092d9724e8d6d8a7",
         "report.json":
-            "247a043f8c2a017c9a7eda9e013aede24b7e5e0a8d5d7aa6abb4cacab4dd1e42",
+            "95cb6c74da52f1bd0793bf3047ba73cedab9c6e8b50eb76b96a8a7cdd8d54df7",
     },
     "martingale+drift": {
         "status": 1,
         "report.json":
-            "432c2479492bf31c8b0c18b6285b54a82627ef33913d97d14bbe217b96ec67e9",
+            "04cb0f149f5e9ea4018163543a3782516c1276a797474f6df5cb6f1aa7722cca",
     },
     "duality+drift": {
-        "status": 1,
+        "status": 0,
         "report.json":
-            "3275de99e5a127b2aed2eab7a13aaeca33aff6b087bc37a34889b9e8a59c2a36",
+            "a20fcc2f68c4a00080dd33c9616b2ee008ddeb610d29ee0bec6dcabe9d2a968b",
     },
 }
 
@@ -555,23 +568,23 @@ def _bare_cli_config(case: str, out: Path) -> dict:
 CLI_DEFAULT_PINS = {
     "simulate": {
         "status": 0,
-        "ensemble.csv": "7fe6ac5759191c68474395611a5fdf2a7c5a1b5ca6ae839f5c35efa404f7bdb9",
-        "report.json": "ed78fcfe0e9a0a01d1b9ac791fb95553eb69d3baea1769e5a3d720be79649a3c",
+        "ensemble.csv": "4d731aa9f762d617540833b6aa7d7a83ffce4f1875280fdba9b06739dd14b41e",
+        "report.json": "06f2b31dd63ff96e26b1e65517b77cb7bdb8bc0702fe146df23c11624716fa6f",
     },
     "validate": {
         "status": 0,
-        "report.json": "4964f66e033a07c9002e9495e7f0c710192dfdde76a263a50dbf7a7afe0b8ebe",
+        "report.json": "3ee6ab71e5ac67d15c50abb1ffd67e319aef0f805432acee0846aa0766c5cf22",
     },
     "martingale": {
         "status": 0,
-        "report.json": "79aee89bc464185bb5293bf4488a7610613e612d694430af09d750309b53062b",
+        "report.json": "52f26fe4cd09f3326569cf501ea01c58d57c1b665be028a8fe33858c286f83b2",
     },
     "project": {
         "status": 0,
-        "mimicked.csv": "da8a7623fa359d29be5aded3e5237bcb2ec40acb892f2d73929520fd6dddd621",
+        "mimicked.csv": "2b340cd9fd5cd6d39482df72bc2dfa59e87a8d610637062fbf93a2bb59569f22",
         "mimicked.csv.meta.json":
             "f7dd084b9c5fade4a6878be175cc9925c5303110cb9253e3362e8d72e09b1feb",
-        "report.json": "abdae8d539a4b588b60a55dc9a532fd1f59e38fbaa1a735a05a6d36c2e53fe0b",
+        "report.json": "eb547358af81bcb077589d208ca2de48e39de67db541453aaf7e30ef066bcd06",
     },
     "pde": {
         "status": 0,
@@ -580,25 +593,25 @@ CLI_DEFAULT_PINS = {
     },
     "duality": {
         "status": 0,
-        "report.json": "c169f7b37dfa53d00ea4798c56b935cee3a38a50d8c5e30fb32d791232481026",
+        "report.json": "297c6f1fe2fc967e12b34a1ba8ad959999c855545b6c58392a1addeee9a04bd3",
     },
     "restart": {
         "status": 0,
-        "report.json": "925ff9af564e1ad75b611a8c56b43a6840b99e7fb7f09fee6326c72c64aec8cc",
+        "report.json": "09d286b505e0de1439c4f663b5b0fdac0adf0d703356f843407e88e19191b23b",
     },
     "full-mimic": {
         "status": 1,
-        "mimicked.csv": "da8a7623fa359d29be5aded3e5237bcb2ec40acb892f2d73929520fd6dddd621",
+        "mimicked.csv": "2b340cd9fd5cd6d39482df72bc2dfa59e87a8d610637062fbf93a2bb59569f22",
         "mimicked.csv.meta.json":
             "f7dd084b9c5fade4a6878be175cc9925c5303110cb9253e3362e8d72e09b1feb",
-        "report.json": "78093331f59396bab9a4648cc751bdb719b3c12c424a48b3d5730f2f4f17a9ba",
+        "report.json": "14a3c129fa1469da17d08128d2339c9bbdfdb0c7828049e3a6b8447c3126986e",
     },
     "project+sections": {
         "status": 0,
-        "mimicked.csv": "ba35ec1c2ad90a1754b60b97e0a88effe315765fd732bd842f11beecd429b4b3",
+        "mimicked.csv": "24e251fc309aebb4a88be1cbd8c92e47ad72792a502e3b6df458134bfdec002b",
         "mimicked.csv.meta.json":
             "f7dd084b9c5fade4a6878be175cc9925c5303110cb9253e3362e8d72e09b1feb",
-        "report.json": "a9cc3e463e577b9c642a87dfa31137bde2d6924c137b32853ab7719b6f9a3473",
+        "report.json": "de75f5ada9f3e038bea47acfe137d48eaa184a55229ce570b34721bed002102b",
     },
 }
 
@@ -617,9 +630,9 @@ def test_cli_defaults_pinned(tmp_path, case):
 GRIDDED_CLI_PDE_PIN = {
     "status": 0,
     "report.json":
-        "9e42e2c7401537e74c5fae3bad8636bfc99d280cb3d6b49f461e6d96019ac953",
+        "2795c8a67f6174c84dd8b5fab93887f8121c60ec866bcc49d9760ca3ec34b689",
     "solution.csv":
-        "addb664f9d6c90f3e68c9a5cac8fc579f82bf27cf13b806f08505c368a7fbed2",
+        "7c69e5d2d9a8dda1f8160b6b957b688d60e2c58df6cf631393967e5af1deaaf1",
 }
 
 
@@ -648,11 +661,11 @@ def test_cli_pde_gridded_pinned(tmp_path, project_csv):
 # ("unfilled") and from the filled lattice the pinned project config writes
 MIMICKED_IO_PINS = {
     "mimicked.csv":
-        "d57ea3bb248cfa64375a0aca0c9c8708a32cbdff2c50d4908651a50139ffdcb5",
+        "4b629874cd24e4e10b994dd9a69fe9117a5f028b23f26d83d5dd3a1138f00cd4",
     "mimicked.csv.meta.json":
         "e97af8b62e7dc653eb3aa3c76f45af3b2c91c84630f48544621f4ce0eb74132b",
-    "unfilled": "69cd3fbd9b75c989ca8bd84a897ac7f669ccd573ab1b72f6376a3a94fa7ce6a1",
-    "project": "5d2c2bebe964856fee6d987a949c48795ff35c94d376d283e73dacd58e45bbfd",
+    "unfilled": "cedf554f93a67f0bd7684b82a6771b4662f9aa16baba894cdb509187ad6f4e81",
+    "project": "5976636bf48ef705dcccfe271dc15d8572fe3027f21de0cbc2240ab82a981c04",
 }
 
 

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from mimicsde import rng
 
@@ -23,6 +25,29 @@ def test_path_subsets_agree():
     assert np.array_equal(full[40:60], part)
 
 
+@pytest.mark.parametrize("lo, hi", [(4000, 4200), (4095, 4097), (4096, 8193), (8191, 9000),
+                                    (1, 10_000)])
+def test_offset_ranges_across_blocks_agree(lo, hi):
+    # a generator serves 4096 paths, so a range that starts inside a block or
+    # crosses into the next takes the same words as the full batch
+    full = rng.normals(3, 0, np.arange(10_000, dtype=np.uint64), 2, 3)
+    assert np.array_equal(full[lo:hi], rng.normals(3, 0, np.arange(lo, hi, dtype=np.uint64), 2, 3))
+    full_u = rng.uniforms(3, 1, np.arange(10_000, dtype=np.uint64), 2, 3)
+    assert np.array_equal(full_u[lo:hi],
+                          rng.uniforms(3, 1, np.arange(lo, hi, dtype=np.uint64), 2, 3))
+
+
+def test_non_contiguous_and_unsorted_paths():
+    full = rng.normals(4, 0, np.arange(12_300, dtype=np.uint64), 6, 2)
+    strided = np.arange(0, 12_300, 7, dtype=np.uint64)
+    assert np.array_equal(rng.normals(4, 0, strided, 6, 2), full[::7])
+    shuffled = np.random.default_rng(0).permutation(12_300)[:5000].astype(np.uint64)
+    assert np.array_equal(rng.normals(4, 0, shuffled, 6, 2), full[shuffled.astype(np.intp)])
+    repeated = np.array([9000, 5, 4096, 5, 4095, 9000], dtype=np.uint64)
+    assert np.array_equal(rng.normals(4, 0, repeated, 6, 2), full[repeated.astype(np.intp)])
+    assert rng.normals(4, 0, np.array([], dtype=np.uint64), 6, 2).shape == (0, 2)
+
+
 def test_step_extendability():
     # draws for step k never depend on how many steps were generated before
     paths = np.arange(8, dtype=np.uint64)
@@ -41,6 +66,21 @@ def test_moments_and_range():
     assert abs(u.mean() - 0.5) < 0.005
 
 
+def test_normals_pass_ks_against_standard_normal():
+    # 10^6 draws over 62 generators: 1 % critical value 1.63e-3
+    z = rng.normals(0, rng.DOMAIN_BROWNIAN, np.arange(250_000, dtype=np.uint64), 0, 4)
+    assert stats.kstest(z.ravel(), "norm").pvalue > 0.01
+
+
+def test_uniforms_stay_in_open_interval():
+    # the extreme words map to 2^-54 and 1 - 2^-54, so ndtri stays finite
+    extremes = rng._to_unit(np.array([0, 2**11 - 1, 2**64 - 1], dtype=np.uint64))
+    assert extremes[0] == extremes[1] == 2.0**-54 and extremes[2] == 1.0 - 2.0**-54
+    u = rng.uniforms(2, rng.DOMAIN_DRIVER, np.arange(300_000, dtype=np.uint64), 1, 3)
+    assert u.min() > 0.0 and u.max() < 1.0
+    assert np.isfinite(rng.normals(2, 0, np.arange(300_000, dtype=np.uint64), 1, 3)).all()
+
+
 def test_cross_correlations_negligible():
     paths = np.arange(100_000, dtype=np.uint64)
     a = rng.normals(5, 0, paths, 0, 1)[:, 0]
@@ -54,7 +94,9 @@ def test_cross_correlations_negligible():
        st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
 def test_philox_bijective_blocks(seed, domain, step):
-    # distinct counters under one key can never collide (the map is a bijection)
+    # Philox is a bijection on counters, so the distinct words of one
+    # generator's block never repeat; 53-bit uniforms of 512 words collide
+    # with probability about 2^-36
     paths = np.arange(256, dtype=np.uint64)
     u = rng.uniforms(seed, domain, paths, step, 2)
     assert np.unique(u).size == u.size

@@ -109,9 +109,10 @@ class TestSimulateSde:
         assert m.support_check(ab).violations == 0
         assert ft.n_clipped_steps > 0
         assert not np.array_equal(ft.states, ab.states)
-        # full truncation lets the internal state excurse deeper than absorption
-        assert (m.support_check(ft).max_negative_excursion_pre_clip
-                >= m.support_check(ab).max_negative_excursion_pre_clip)
+        # full truncation keeps stepping the negative internal state, which
+        # absorption resets to 0 each step, so it clips more path-steps (the
+        # two schemes' deepest excursions are sample maxima in no fixed order)
+        assert ft.n_clipped_steps > ab.n_clipped_steps
 
 
 def _named_in(name: str) -> list[str]:
