@@ -70,7 +70,9 @@ def _unit_draws(seed: int, domain: int, paths: np.ndarray, step: int, n: int) ->
                    dtype=np.uint64)
     blocks = paths >> _U64(_BLOCK_BITS)
     # a range of paths takes one run of words from each block it meets; any
-    # other array is grouped by block with a stable sort and gathered
+    # other array is grouped by block with a stable sort and gathered.  Every
+    # caller in the package passes a range, and the gather alone measured
+    # 1.88 against 1.22 ms per 3e4 x 2 call (2-CPU x86), so both are kept
     in_range = np.all(paths[1:] - paths[:-1] == _U64(1))
     order = None if in_range else np.argsort(blocks, kind="stable")
     by_block = blocks if order is None else blocks[order]
