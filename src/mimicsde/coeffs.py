@@ -129,8 +129,7 @@ class CoefficientModel:
         """Verify a(t,x) is symmetric at 64 sampled points of [0, 1] x [-3, 3]^d
         with x_d >= 0, to a relative 1e-10; raises on violation."""
         region = Region(0.0, 1.0, (-3.0,) * (self.d - 1) + (0.0,), (3.0,) * self.d)
-        u = rng.uniforms(0, _DOMAIN_VALIDATE, np.arange(_SYMMETRY_SAMPLES, dtype=np.uint64), 0,
-                         self.d + 1)
+        u = rng.uniforms(0, _DOMAIN_VALIDATE, range(_SYMMETRY_SAMPLES), 0, self.d + 1)
         ts, xs = region_points(region, u)
         av = np.asarray(self.a(ts, xs), dtype=float)
         gap = np.abs(av - np.swapaxes(av, -1, -2)).max()
@@ -446,8 +445,8 @@ def validate_coefficients(
     conditions: list[ConditionCheck] = []
 
     def sample_region(region: Region, salt: int) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.arange(n_samples, dtype=np.uint64)
-        return region_points(region, rng.uniforms(seed + salt, _DOMAIN_VALIDATE, idx, 0, d + 1))
+        u = rng.uniforms(seed + salt, _DOMAIN_VALIDATE, range(n_samples), 0, d + 1)
+        return region_points(region, u)
 
     # clause: c(t,x) <= K everywhere sampled
     ts, xs = sample_region(wide, 1)

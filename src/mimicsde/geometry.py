@@ -176,7 +176,7 @@ def _sample_pair_batch(
     into the region.
     """
     d = region.d
-    idx = np.arange(index0, index0 + count, dtype=np.uint64)
+    idx = range(index0, index0 + count)
     u = rng.uniforms(seed, _DOMAIN_PAIR_U, idx, 0, d + 2)
     g = rng.normals(seed, _DOMAIN_PAIR_G, idx, 0, d + 1)
 

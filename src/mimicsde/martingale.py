@@ -73,7 +73,7 @@ class TestFunction:
     def _self_check(self) -> None:
         pts = self.check_points
         if pts is None:
-            u = rng.uniforms(7, 105, np.arange(8, dtype=np.uint64), 0, self.d)
+            u = rng.uniforms(7, 105, range(8), 0, self.d)
             pts = 0.2 + 0.6 * u
         pts = np.asarray(pts, dtype=float)
         t = _FD_TIME
@@ -154,7 +154,7 @@ def radial_bump(center: Sequence[float], radius: float, name: str | None = None)
         return psi, grad, hess
 
     # probe points inside the support, kept at x_d > 0
-    u8 = rng.uniforms(11, 105, np.arange(8, dtype=np.uint64), 0, d)
+    u8 = rng.uniforms(11, 105, range(8), 0, d)
     pts = c + (u8 - 0.5) * radius
     pts[:, -1] = np.maximum(np.abs(pts[:, -1] - c[-1]) * 0.5 + max(c[-1], 0.05), 1e-3)
 

@@ -13,9 +13,9 @@ boundary x_d = 0.  Two nonnegativity-preserving variants are provided:
 
 Every stored state satisfies x_d >= 0; clipping is counted, never silent,
 because a large clip rate invalidates downstream marginal claims.  Noise is
-counter-based (see :mod:`.rng`): path p consumes stream (seed, p), step by
-step, so ensembles are reproducible regardless of scheduling and extendable
-in time.
+counter-based (see :mod:`.rng`): a step draws for the path range 0..n-1, and
+path p's draws at step k depend on (seed, domain, k, p) alone, so ensembles
+are reproducible regardless of batching and extendable in time.
 
 One loop, :func:`_euler_paths`, steps every path and alone draws the
 Brownian normals.  :func:`simulate_sde` replays a coefficient model as an
@@ -69,9 +69,9 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.n_steps + 1)
 
-    def node_index(self, t: float, tol: float = 1e-9) -> int:
+    def node_index(self, t: float) -> int:
         k = (t - self.start) / self.step
-        if abs(k - round(k)) > tol:
+        if abs(k - round(k)) > 1e-9:
             raise ValueError(f"time {t} is not a node of this grid")
         k = int(round(k))
         if not 0 <= k <= self.n_steps:
@@ -237,9 +237,9 @@ def _euler_paths(
     Steps n paths from the states ``x0`` (shape (n, d), x_d >= 0) at times
     t0 + k h, where ``t0`` is a scalar, kept scalar so a lattice brackets it
     once, or one start time per path.  Step k evaluates the driver at the
-    clipped state, takes path p's r normals z from the Brownian stream at
-    (seed, step k, path p), so a path's noise never depends on its batch, and
-    adds beta h + xi z sqrt(h): to the internal state under
+    clipped state, takes the r normals z of the path range 0..n-1 from the
+    Brownian stream at (seed, step k), where path p's row depends on (seed,
+    k, p) alone, and adds beta h + xi z sqrt(h): to the internal state under
     ``full_truncation``, to the clipped state under ``absorbed_euler``.  The
     driver's aux state is created from ``DOMAIN_DRIVER_INIT`` uniforms and
     advanced, after the step, on ``DOMAIN_DRIVER`` uniforms at step k.
@@ -255,7 +255,7 @@ def _euler_paths(
     n, d = x0.shape
     states = np.empty((n, _n_stored(n_steps, store_stride) + 1, d))
     sqrt_h = np.sqrt(h)
-    paths = np.arange(n, dtype=np.uint64)
+    paths = range(n)
     aux = None
     if driver.init_aux is not None:
         u0 = rng.uniforms(seed, rng.DOMAIN_DRIVER_INIT, paths, 0, max(driver.init_noise_dim, 1))

@@ -97,3 +97,29 @@ def record_holder_pair_distances(monkeypatch) -> list[np.ndarray]:
 
     monkeypatch.setattr(geometry, "_sample_pair_batch", recorded)
     return distances
+
+
+def affine_cell_error_ratio(mc, field, estimate) -> float:
+    """Worst |estimate - field(t, centre)| / bound over the unmasked cells of every layer.
+
+    When the driver's coefficient is field(t, X) with field affine in x, a
+    cell's box mean is field at its paths' mean state, which lies in the cell,
+    so it is within bound = sum_j |d_j field| * half the cell's width in x_j
+    of field at the centre.  A ratio above 1 is an estimator fault, not Monte
+    Carlo noise; a cell with bound 0 counts as ratio 0 if exact, else inf.
+    """
+    centers = np.stack(np.meshgrid(*mc.spec.centers, indexing="ij"), axis=-1)
+    half = np.stack(np.meshgrid(*(0.5 * np.diff(e) for e in mc.spec.edges), indexing="ij"),
+                    axis=-1)
+    worst = 0.0
+    for kt, t in enumerate(mc.spec.times):
+        good = ~mc.mask[kt]
+        pts, width = centers[good], half[good]
+        exact = field(t, pts)
+        per_row = (-1,) + (1,) * (exact.ndim - 1)
+        bound = sum(np.abs(field(t, pts + e) - exact) * width[:, j].reshape(per_row)
+                    for j, e in enumerate(np.eye(pts.shape[1])))
+        err = np.abs(estimate[kt][good] - exact)
+        ratio = np.divide(err, bound, out=np.where(err > 0.0, np.inf, 0.0), where=bound > 0.0)
+        worst = max(worst, float(ratio.max(initial=0.0)))
+    return worst

@@ -14,6 +14,8 @@ import mimicsde as m
 from mimicsde.coeffs import strip_generator_term
 from mimicsde.martingale import constant_probe, left_coordinate_probe
 
+from conftest import affine_cell_error_ratio
+
 HESTON = dict(kappa=1.5, theta=0.04, zeta=0.3, rho=-0.5, r=0.02, q=0.0)
 START = (0.0, 0.09)
 
@@ -142,10 +144,16 @@ def test_06_mimicking_round_trip(model, start):
     # reported, not asserted: x_2's KS distance from the exact CIR law
     exact = {name: [f"{exact_law_ks(e, t):.4f}" for t in (0.25, 0.5, 1.0)]
              for name, e in (("mimicked", mimic), ("driver", ens))}
-    announce(6, "mimicking-round-trip", comp.passed,
+    # beta = b(X) and xi xi* = x_d a(X) are affine in x, so every unmasked
+    # cell's estimate is within the affine oracle's bound of its exact value
+    oracle = max(affine_cell_error_ratio(mc, model.b, mc.b_hat),
+                 affine_cell_error_ratio(mc, lambda t, x: x[:, -1, None, None] * model.a(t, x),
+                                         mc.d_hat))
+    announce(6, "mimicking-round-trip", comp.passed and oracle <= 1.0,
              f"per-coordinate KS at t in (0.25, 0.5, 1.0): max={comp.max_ks:.4f} <= 0.02; "
              f"masked fraction={mc.masked_fraction:.2f}; exact-law KS of x_2: "
-             f"mimicked={exact['mimicked']}, driver={exact['driver']}")
+             f"mimicked={exact['mimicked']}, driver={exact['driver']}; "
+             f"b-hat and D-hat worst error/affine bound={oracle:.3f} <= 1")
 
 
 def test_07_mimicking_regime_switching(model, start):
@@ -181,11 +189,16 @@ def test_07_mimicking_regime_switching(model, start):
     order_ok = (np.linalg.eigvalsh(dd - lo).min() >= -tol
                 and np.linalg.eigvalsh(2.25 * lo - dd).min() >= -tol)
 
+    # the driver scales sigma only, so beta = b(X), affine in x: every
+    # unmasked cell's b-hat is within the affine oracle's bound
+    oracle = affine_cell_error_ratio(mc, model.b, mc.b_hat)
+
     worst_z = max(g["z"] for e in comp.entries for g in e["gaps"])
     announce(7, "mimicking-regime-switching",
-             comp.passed and worst_z <= 3.0 and order_ok,
+             comp.passed and worst_z <= 3.0 and order_ok and oracle <= 1.0,
              f"max KS={comp.max_ks:.4f} <= 0.03 (same-law bootstrap q99 at n=2e4: {boot:.4f}); "
-             f"max gap z={worst_z:.2f} <= 3 pooled SE; regime mixture order holds")
+             f"max gap z={worst_z:.2f} <= 3 pooled SE; regime mixture order holds; "
+             f"b-hat worst error/affine bound={oracle:.3f} <= 1")
 
 
 def test_08_scheme_agreement(model, start):

@@ -48,17 +48,22 @@ def _stream_note() -> str:
     return "pinned with " + (", ".join(moved) if moved else "the same stream and versions")
 
 
-# (seed, domain, path indices, step, n): one Philox generator serves a block
-# of 4096 paths, so paths 4095 / 4096 / 4097 straddle a block boundary; path
-# 2^64 - 1, the last of the last block, comes first in an unsorted list;
-# step 2^60 fills the key's second word; odd n splits a path's words across
-# Philox's 4-word outputs
+def _one_path_ranges(*paths) -> list[range]:
+    return [range(p, p + 1) for p in paths]
+
+
+# (seed, domain, path ranges, step, n), the draws of the ranges stacked in the
+# listed order: a block of 4096 paths shares its counter, so paths 4095 /
+# 4096 / 4097 straddle a block boundary; path 2^64 - 1, the last of the last
+# block, comes first in an unsorted list; step 2^60 fills the key's second
+# word; odd n splits a path's words across Philox's 4-word outputs
 RNG_CASES = {
-    "small": (0, rng.DOMAIN_BROWNIAN, list(range(7)), 0, 2),
-    "odd-n": (123, rng.DOMAIN_DRIVER, list(range(5)), 17, 5),
-    "block-edge": (2**40 + 3, rng.DOMAIN_DRIVER_INIT, [4095, 4096, 4097], 3, 3),
-    "last-path": (987654321, rng.DOMAIN_BROWNIAN, [2**64 - 1, 8191, 0], 2**33 + 1, 1),
-    "big-step": (2**64 - 1, rng.DOMAIN_DRIVER, [0, 1, 2**31, 2**48], 2**60, 4),
+    "small": (0, rng.DOMAIN_BROWNIAN, [range(7)], 0, 2),
+    "odd-n": (123, rng.DOMAIN_DRIVER, [range(5)], 17, 5),
+    "block-edge": (2**40 + 3, rng.DOMAIN_DRIVER_INIT, [range(4095, 4098)], 3, 3),
+    "last-path": (987654321, rng.DOMAIN_BROWNIAN, _one_path_ranges(2**64 - 1, 8191, 0),
+                  2**33 + 1, 1),
+    "big-step": (2**64 - 1, rng.DOMAIN_DRIVER, _one_path_ranges(0, 1, 2**31, 2**48), 2**60, 4),
 }
 
 NORMALS_PINS = {
@@ -149,24 +154,21 @@ TF_POINTS = np.array([[0.1, 0.2], [-0.3, 0.05], [0.0, 0.0], [0.25, 0.0], [2.0, 0
                       [0.6 - 1e-9, 0.0]])
 
 
-def _paths(idx):
-    return np.array(idx, dtype=np.uint64)
+def _stacked_draws(draw, case):
+    seed, domain, ranges, step, n = RNG_CASES[case]
+    out = np.concatenate([draw(seed, domain, r, step, n) for r in ranges])
+    assert out.shape == (sum(map(len, ranges)), n)
+    return out
 
 
 @pytest.mark.parametrize("case", sorted(RNG_CASES))
 def test_normals_pinned(case):
-    seed, domain, idx, step, n = RNG_CASES[case]
-    z = rng.normals(seed, domain, _paths(idx), step, n)
-    assert z.shape == (len(idx), n)
-    assert _digest(z) == NORMALS_PINS[case], _stream_note()
+    assert _digest(_stacked_draws(rng.normals, case)) == NORMALS_PINS[case], _stream_note()
 
 
 @pytest.mark.parametrize("case", sorted(RNG_CASES))
 def test_uniforms_pinned(case):
-    seed, domain, idx, step, n = RNG_CASES[case]
-    u = rng.uniforms(seed, domain, _paths(idx), step, n)
-    assert u.shape == (len(idx), n)
-    assert _digest(u) == UNIFORMS_PINS[case], _stream_note()
+    assert _digest(_stacked_draws(rng.uniforms, case)) == UNIFORMS_PINS[case], _stream_note()
 
 
 def _heston_ensemble(heston, start, scheme):
@@ -448,8 +450,10 @@ def _cli_config(kind: str, out: Path) -> dict:
     elif kind == "pde":
         cfg["pde"] = pde
     elif kind == "duality":
-        cfg["ensemble"] = {"n_paths": 4000, "step": 2.0**-6, "horizon": 0.25}
-        cfg["pde"] = dict(pde, counts=[17, 17])
+        # the grid of test_cli's negative control: the drift-stripped model
+        # fails it by a clear margin, which a 17^2, dt 1/16 grid does not
+        cfg["ensemble"] = {"n_paths": 4000, "step": 2.0**-7, "horizon": 0.25}
+        cfg["pde"] = dict(pde, dt=1.0 / 64, counts=[33, 33])
         cfg["duality"] = {"horizon": 0.25,
                           "g": {"type": "radial_bump", "center": [0.0, 0.04], "radius": 0.5}}
     elif kind == "restart":
@@ -498,7 +502,7 @@ CLI_PINS = {
     "duality": {
         "status": 0,
         "report.json":
-            "dafad354e86f4b50e5d892cadb6f5ee8599254e6e48cc265ed5289cc5ff20a37",
+            "fa195822c43efdd3b693f8644af64a4654fda3e8664c9968607539dda1800944",
     },
     "restart": {
         "status": 0,
@@ -520,9 +524,9 @@ CLI_PINS = {
             "04cb0f149f5e9ea4018163543a3782516c1276a797474f6df5cb6f1aa7722cca",
     },
     "duality+drift": {
-        "status": 0,
+        "status": 1,
         "report.json":
-            "a20fcc2f68c4a00080dd33c9616b2ee008ddeb610d29ee0bec6dcabe9d2a968b",
+            "bb96fac4402cdd268f5bbe0fd88818b684d170f51ab678397d2202238ec7ca03",
     },
 }
 

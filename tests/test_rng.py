@@ -8,7 +8,7 @@ from mimicsde import rng
 
 
 def test_deterministic_and_domain_separated():
-    paths = np.arange(64, dtype=np.uint64)
+    paths = range(64)
     a = rng.normals(9, rng.DOMAIN_BROWNIAN, paths, 5, 3)
     b = rng.normals(9, rng.DOMAIN_BROWNIAN, paths, 5, 3)
     assert np.array_equal(a, b)
@@ -20,8 +20,8 @@ def test_deterministic_and_domain_separated():
 
 def test_path_subsets_agree():
     # stream is keyed per path, so any subset of paths sees identical draws
-    full = rng.normals(3, 0, np.arange(100, dtype=np.uint64), 2, 2)
-    part = rng.normals(3, 0, np.arange(40, 60, dtype=np.uint64), 2, 2)
+    full = rng.normals(3, 0, range(100), 2, 2)
+    part = rng.normals(3, 0, range(40, 60), 2, 2)
     assert np.array_equal(full[40:60], part)
 
 
@@ -30,34 +30,36 @@ def test_path_subsets_agree():
 def test_offset_ranges_across_blocks_agree(lo, hi):
     # a generator serves 4096 paths, so a range that starts inside a block or
     # crosses into the next takes the same words as the full batch
-    full = rng.normals(3, 0, np.arange(10_000, dtype=np.uint64), 2, 3)
-    assert np.array_equal(full[lo:hi], rng.normals(3, 0, np.arange(lo, hi, dtype=np.uint64), 2, 3))
-    full_u = rng.uniforms(3, 1, np.arange(10_000, dtype=np.uint64), 2, 3)
-    assert np.array_equal(full_u[lo:hi],
-                          rng.uniforms(3, 1, np.arange(lo, hi, dtype=np.uint64), 2, 3))
+    full = rng.normals(3, 0, range(10_000), 2, 3)
+    assert np.array_equal(full[lo:hi], rng.normals(3, 0, range(lo, hi), 2, 3))
+    full_u = rng.uniforms(3, 1, range(10_000), 2, 3)
+    assert np.array_equal(full_u[lo:hi], rng.uniforms(3, 1, range(lo, hi), 2, 3))
 
 
-def test_non_contiguous_and_unsorted_paths():
-    full = rng.normals(4, 0, np.arange(12_300, dtype=np.uint64), 6, 2)
-    strided = np.arange(0, 12_300, 7, dtype=np.uint64)
-    assert np.array_equal(rng.normals(4, 0, strided, 6, 2), full[::7])
-    shuffled = np.random.default_rng(0).permutation(12_300)[:5000].astype(np.uint64)
-    assert np.array_equal(rng.normals(4, 0, shuffled, 6, 2), full[shuffled.astype(np.intp)])
-    repeated = np.array([9000, 5, 4096, 5, 4095, 9000], dtype=np.uint64)
-    assert np.array_equal(rng.normals(4, 0, repeated, 6, 2), full[repeated.astype(np.intp)])
-    assert rng.normals(4, 0, np.array([], dtype=np.uint64), 6, 2).shape == (0, 2)
+@pytest.mark.parametrize("paths", [np.arange(8, dtype=np.uint64), range(0, 16, 2), list(range(8))],
+                         ids=["uint64-array", "strided-range", "list"])
+def test_paths_other_than_a_step_one_range_rejected(paths):
+    for draw in (rng.normals, rng.uniforms):
+        with pytest.raises(TypeError, match="range of consecutive path indices"):
+            draw(4, 0, paths, 6, 2)
+
+
+def test_empty_range_has_no_rows():
+    for draw in (rng.normals, rng.uniforms):
+        assert draw(4, 0, range(0), 6, 2).shape == (0, 2)
+        assert draw(4, 0, range(5000, 5000), 6, 2).shape == (0, 2)
 
 
 def test_step_extendability():
     # draws for step k never depend on how many steps were generated before
-    paths = np.arange(8, dtype=np.uint64)
+    paths = range(8)
     later = rng.normals(7, 0, paths, 1000, 2)
     again = rng.normals(7, 0, paths, 1000, 2)
     assert np.array_equal(later, again)
 
 
 def test_moments_and_range():
-    paths = np.arange(200_000, dtype=np.uint64)
+    paths = range(200_000)
     z = rng.normals(1, 0, paths, 0, 2)
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
@@ -68,7 +70,7 @@ def test_moments_and_range():
 
 def test_normals_pass_ks_against_standard_normal():
     # 10^6 draws over 62 generators: 1 % critical value 1.63e-3
-    z = rng.normals(0, rng.DOMAIN_BROWNIAN, np.arange(250_000, dtype=np.uint64), 0, 4)
+    z = rng.normals(0, rng.DOMAIN_BROWNIAN, range(250_000), 0, 4)
     assert stats.kstest(z.ravel(), "norm").pvalue > 0.01
 
 
@@ -76,13 +78,13 @@ def test_uniforms_stay_in_open_interval():
     # the extreme words map to 2^-54 and 1 - 2^-54, so ndtri stays finite
     extremes = rng._to_unit(np.array([0, 2**11 - 1, 2**64 - 1], dtype=np.uint64))
     assert extremes[0] == extremes[1] == 2.0**-54 and extremes[2] == 1.0 - 2.0**-54
-    u = rng.uniforms(2, rng.DOMAIN_DRIVER, np.arange(300_000, dtype=np.uint64), 1, 3)
+    u = rng.uniforms(2, rng.DOMAIN_DRIVER, range(300_000), 1, 3)
     assert u.min() > 0.0 and u.max() < 1.0
-    assert np.isfinite(rng.normals(2, 0, np.arange(300_000, dtype=np.uint64), 1, 3)).all()
+    assert np.isfinite(rng.normals(2, 0, range(300_000), 1, 3)).all()
 
 
 def test_cross_correlations_negligible():
-    paths = np.arange(100_000, dtype=np.uint64)
+    paths = range(100_000)
     a = rng.normals(5, 0, paths, 0, 1)[:, 0]
     b = rng.normals(5, 0, paths, 1, 1)[:, 0]
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
@@ -97,6 +99,6 @@ def test_philox_bijective_blocks(seed, domain, step):
     # Philox is a bijection on counters, so the distinct words of one
     # generator's block never repeat; 53-bit uniforms of 512 words collide
     # with probability about 2^-36
-    paths = np.arange(256, dtype=np.uint64)
+    paths = range(256)
     u = rng.uniforms(seed, domain, paths, step, 2)
     assert np.unique(u).size == u.size
