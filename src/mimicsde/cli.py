@@ -29,7 +29,10 @@ the box-cell mean alone: ``binning.kernel`` accepts only ``"box"``
 config that names it exits 2.  The driver
 ensemble of project and full-mimic always steps absorbed Euler
 (:func:`.sdesim.simulate_ito_process` takes no scheme), so ``ensemble.scheme``
-reaches only full-mimic's mimic ensemble.  The CLI's own
+reaches only full-mimic's mimic ensemble.  That ensemble sums its drivers
+into the lattice cells as it steps, so ``binning`` is validated before any
+driver path is simulated, and each binning time must be a node of the time
+grid, stored or not (``store_stride`` thins the stored states alone).  The CLI's own
 defaults are those no signature holds or that differ on purpose, each with its
 reason where it is set: the Heston parameters (r = 0.02, not 0), the PDE grid,
 the restart's ``level``, ``t_cap`` and ``u``, and ``max_masked_fraction`` 0.9
@@ -185,12 +188,12 @@ def _projection_stage(cfg, out, seed, model, start):
     """Driver ensemble -> estimated coefficients -> built model, saved and validated;
     returns the driver ensemble, the built model and the report fields they share."""
     e, b, d = cfg["ensemble"], cfg["binning"], cfg.get("driver", {})
+    spec = BinningSpec(**_without(b, "kernel", "max_masked_fraction"))
     driver = (regime_switching_driver(model, **_without(d, "kind"))
               if d.get("kind") == "regime_switching" else model_driver(model))
     ens = simulate_ito_process(driver, np.asarray(start.x), _time_grid(cfg, start),
-                               e["n_paths"], seed, **_only(e, "store_stride"))
-    mc = estimate_mimicking_coefficients(
-        ens, BinningSpec(**_without(b, "kernel", "max_masked_fraction")))
+                               e["n_paths"], seed, spec, **_only(e, "store_stride"))
+    mc = estimate_mimicking_coefficients(ens)
     # a pipeline fills and reports its masked cells, so it accepts more than the
     # library's 0.5, which a lattice loaded as model.gridded must still meet
     built = build_mimicking_model(mc, max_masked_fraction=b.get("max_masked_fraction", 0.9))

@@ -1,11 +1,12 @@
 """Conditional-expectation coefficients and marginal-law comparison.
 
-Given an Itô ensemble with recorded drivers, the mimicking coefficients are
+Given an Itô ensemble with its driver sums per cell, the mimicking coefficients are
 
     b(t, x)     = E[ beta(t)        | X(t) = x ]
     D(t, x)     = E[ xi(t) xi*(t)   | X(t) = x ]     (D = x_d * a)
 
-estimated by box-cell means on a space lattice at selected time nodes.  The
+estimated by box-cell means on a space lattice at selected time nodes,
+which :func:`.sdesim.simulate_ito_process` sums as it steps.  The
 product D is the stable object near the boundary; a is derived by division
 away from x_d = 0 and by linear extrapolation onto the boundary layer, then
 eigenvalue-floored so the rebuilt model is usable by the simulator and the
@@ -66,6 +67,17 @@ class BinningSpec:
     def cell_shape(self) -> tuple[int, ...]:
         return tuple(e.size - 1 for e in self.edges)
 
+    def cell_index(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which points of ``x`` (n, d) lie in the lattice, and the C-order cells of those."""
+        cells = self.cell_shape
+        idx = np.zeros(x.shape[0], dtype=np.int64)
+        inside = np.ones(x.shape[0], dtype=bool)
+        for j in range(self.d):
+            cj = np.searchsorted(self.edges[j], x[:, j], side="right") - 1
+            inside &= (cj >= 0) & (cj < cells[j])
+            idx = idx * cells[j] + np.clip(cj, 0, cells[j] - 1)
+        return inside, idx[inside]
+
 
 @dataclass
 class MimickedCoefficients:
@@ -99,64 +111,38 @@ class MimickedCoefficients:
     def masked_fraction(self) -> float:
         return float(self.mask.mean())
 
+    @property
+    def outside_fraction(self) -> np.ndarray:
+        """Per binning time, the fraction of the paths that fell outside the lattice."""
+        return 1.0 - self.occupancy.reshape(len(self.spec.times), -1).sum(axis=1) / self.n_paths
 
-def estimate_mimicking_coefficients(ens: PathEnsemble, spec: BinningSpec) -> MimickedCoefficients:
-    """Box-cell means of the recorded drivers, per binning time (a stored node of ``ens``).
+
+def estimate_mimicking_coefficients(ens: PathEnsemble) -> MimickedCoefficients:
+    """Box-cell means of the driver sums of ``ens``, per binning time of their spec.
 
     A cell's b-hat and D-hat average beta and xi xi* over the paths in it, so the
     tower property holds exactly over full coverage.  D-hat is symmetrized; cells
     under the occupancy minimum are masked with NaN values.
     """
-    if ens.drivers is None:
-        raise ValueError("ensemble carries no driver records; simulate it with "
+    sums = ens.drivers
+    if sums is None:
+        raise ValueError("ensemble carries no driver sums; simulate it with "
                          "simulate_ito_process")
-    d = ens.d
-    if spec.d != d:
-        raise ValueError("binning spec dimension does not match ensemble")
-    cells = spec.cell_shape
-    n_cells = int(np.prod(cells))
-    k_times = len(spec.times)
+    spec, occ = sums.spec, sums.occupancy
+    mask = occ < spec.min_count
+    good = ~mask
+    b_hat = np.full(sums.beta.shape, np.nan)
+    d_hat = np.full(sums.xi2.shape, np.nan)
+    b_hat[good] = sums.beta[good] / occ[good, None]
+    d_hat[good] = sums.xi2[good] / occ[good, None, None]
+    d_hat = 0.5 * (d_hat + np.swapaxes(d_hat, -1, -2))
 
-    b_hat = np.full((k_times, n_cells, d), np.nan)
-    d_hat = np.full((k_times, n_cells, d, d), np.nan)
-    occupancy = np.zeros((k_times, n_cells))
-    mask = np.zeros((k_times, n_cells), dtype=bool)
-
-    for kt, t in enumerate(spec.times):
-        try:
-            node = ens.grid.node_index(t)
-        except ValueError as err:
-            raise ValueError(f"binning time {t} is not a stored node of the driver ensemble ("
-                             f"stored step {ens.grid.step} = step * store_stride): {err}") from None
-        x = ens.states[:, node, :]
-        beta = ens.drivers.beta[:, node, :]
-        s = ens.drivers.xi2[:, node, :, :]
-
-        idx = np.zeros(x.shape[0], dtype=np.int64)
-        inside = np.ones(x.shape[0], dtype=bool)
-        for j in range(d):
-            cj = np.searchsorted(spec.edges[j], x[:, j], side="right") - 1
-            inside &= (cj >= 0) & (cj < cells[j])
-            idx = idx * cells[j] + np.clip(cj, 0, cells[j] - 1)
-        idx = idx[inside]
-        np.add.at(occupancy[kt], idx, 1.0)
-        sb = np.zeros((n_cells, d))
-        np.add.at(sb, idx, beta[inside])
-        sd_ = np.zeros((n_cells, d, d))
-        np.add.at(sd_, idx, s[inside])
-        occ = occupancy[kt]
-        mask[kt] = occ < spec.min_count
-        good = ~mask[kt]
-        b_hat[kt, good] = sb[good] / occ[good, None]
-        d_hat[kt, good] = sd_[good] / occ[good, None, None]
-        d_hat[kt] = 0.5 * (d_hat[kt] + np.swapaxes(d_hat[kt], -1, -2))
-
-    shape = (k_times, *cells)
+    shape = (len(spec.times), *spec.cell_shape)
     return MimickedCoefficients(
         spec=spec,
-        b_hat=b_hat.reshape(shape + (d,)),
-        d_hat=d_hat.reshape(shape + (d, d)),
-        occupancy=occupancy.reshape(shape),
+        b_hat=b_hat.reshape(shape + (spec.d,)),
+        d_hat=d_hat.reshape(shape + (spec.d, spec.d)),
+        occupancy=occ.reshape(shape),
         mask=mask.reshape(shape),
         n_paths=ens.n_paths,
     )

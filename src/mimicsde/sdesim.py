@@ -24,7 +24,8 @@ Brownian normals.  :func:`simulate_sde` replays a coefficient model as an
 test and Itô-formula residual in :mod:`.martingale` sum the compensator or
 both sides of Itô's formula along each path, storing endpoints only.
 :func:`simulate_ito_process` runs a general driver under ``absorbed_euler``
-and reads its drift and diffusion through that hook; and the strong-Markov
+and sums its drift and diffusion into lattice cells in that hook, storing no
+per-path driver values; and the strong-Markov
 restart in :mod:`.martingale` finds each path's stopping time in that hook,
 storing endpoints only, then continues the paths from per-path start times.
 """
@@ -32,13 +33,16 @@ storing endpoints only, then continues the paths from per-path start times.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import rng
 from .coeffs import CoefficientModel
 from .geometry import SpaceTimePoint
+
+if TYPE_CHECKING:
+    from .projection import BinningSpec
 
 SCHEMES = ("full_truncation", "absorbed_euler")
 _CSV_BLOCK_ROWS = 1 << 14
@@ -72,7 +76,7 @@ class TimeGrid:
     def node_index(self, t: float) -> int:
         k = (t - self.start) / self.step
         if abs(k - round(k)) > 1e-9:
-            raise ValueError(f"time {t} is not a node of this grid")
+            raise ValueError(f"time {t} is not a node of the time grid of step {self.step}")
         k = int(round(k))
         if not 0 <= k <= self.n_steps:
             raise ValueError(f"time {t} outside grid range")
@@ -80,11 +84,13 @@ class TimeGrid:
 
 
 @dataclass
-class DriverRecords:
-    """Per-stored-node driver values: drift beta and squared diffusion xi xi^*."""
+class DriverSums:
+    """Per binning time and (C-order) cell of ``spec``: path count, sums of beta and xi xi^*."""
 
-    beta: np.ndarray  # (n_paths, n_nodes, d)
-    xi2: np.ndarray   # (n_paths, n_nodes, d, d)
+    occupancy: np.ndarray  # (K, cells)
+    beta: np.ndarray       # (K, cells, d)
+    xi2: np.ndarray        # (K, cells, d, d)
+    spec: BinningSpec
 
 
 @dataclass
@@ -103,7 +109,7 @@ class PathEnsemble:
     pre_clip_min_xd: np.ndarray
     n_clipped_steps: int
     n_internal_steps: int
-    drivers: DriverRecords | None = None
+    drivers: DriverSums | None = None
     integrability_mean: float | None = None
     boundary_row_violations: int = 0
 
@@ -201,12 +207,6 @@ def _as_start_state(start, d: int, grid: TimeGrid) -> np.ndarray:
     return x
 
 
-def _n_stored(n_steps: int, store_stride: int) -> int:
-    if store_stride < 1 or n_steps % store_stride != 0:
-        raise ValueError("store_stride must divide the number of steps")
-    return n_steps // store_stride
-
-
 def _eval_driver(driver: ItoDriver, t, x: np.ndarray, aux, label: str):
     """(beta, xi) at (t, x), shape-checked against (n, d) and (n, d, r)."""
     beta, xi = driver.coeffs(t, x, aux)
@@ -252,8 +252,10 @@ def _euler_paths(
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; use one of {SCHEMES}")
+    if store_stride < 1 or n_steps % store_stride != 0:
+        raise ValueError("store_stride must divide the number of steps")
     n, d = x0.shape
-    states = np.empty((n, _n_stored(n_steps, store_stride) + 1, d))
+    states = np.empty((n, n_steps // store_stride + 1, d))
     sqrt_h = np.sqrt(h)
     paths = range(n)
     aux = None
@@ -374,6 +376,7 @@ def simulate_ito_process(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
+    spec: BinningSpec,
     store_stride: int = 1,
 ) -> PathEnsemble:
     """Euler ensemble for dX = beta dt + xi dW with half-space clipping.
@@ -381,24 +384,34 @@ def simulate_ito_process(
     The kernel's ``absorbed_euler`` step, always (there is no ``scheme``), so
     a model-replay driver reproduces :func:`simulate_sde`'s absorbed-Euler
     ensemble bit for bit; the CLI's project and full-mimic driver ensembles
-    step it whatever their ``ensemble.scheme``.  The
-    instantaneous beta and xi xi^* are retained at every stored node, which
-    is what the conditional-expectation estimator consumes.  xi xi^* is
-    formed entry by entry (:func:`_outer_square`), with the same bits as one
-    batched einsum.  The sample mean of
-    int (|beta| + |xi xi^*|) dt is reported as an empirical integrability
-    diagnostic, and a high clip rate flags a driver whose noise does not
-    vanish on the boundary.
+    step it whatever their ``ensemble.scheme``.  At each binning time of
+    ``spec``, a node of ``grid`` (stored or not), the observation hook counts
+    each path into its lattice cell and adds its beta and xi xi^* there, in
+    path order: these :class:`DriverSums` are what the estimator consumes.
+    xi xi^* is formed entry by entry (:func:`_outer_square`), with the same
+    bits as one batched einsum.  The sample mean of int (|beta| + |xi xi^*|) dt
+    is reported as an empirical integrability diagnostic, and a high clip
+    rate flags a driver whose noise does not vanish on the boundary.
     """
     x0 = _as_start_state(start, driver.d, grid)
-    n_stored = _n_stored(grid.n_steps, store_stride)
+    if spec.d != driver.d:
+        raise ValueError(f"binning spec dimension {spec.d} != driver dimension {driver.d}")
+    try:
+        nodes = np.array([grid.node_index(t) for t in spec.times])
+    except ValueError as err:
+        raise ValueError(f"binning {err}") from None
     d, h = driver.d, grid.step
+    shape = (len(nodes), int(np.prod(spec.cell_shape)))
+    sums = DriverSums(np.zeros(shape), np.zeros(shape + (d,)), np.zeros(shape + (d, d)), spec)
     boundary_viol = 0
     integrability = np.zeros(n_paths)
-    records = DriverRecords(
-        beta=np.empty((n_paths, n_stored + 1, d)),
-        xi2=np.empty((n_paths, n_stored + 1, d, d)),
-    )
+
+    def add_to_cells(k, x, beta, xi2):
+        for kt in np.flatnonzero(nodes == k):
+            inside, idx = spec.cell_index(x)
+            np.add.at(sums.occupancy[kt], idx, 1.0)
+            np.add.at(sums.beta[kt], idx, beta[inside])
+            np.add.at(sums.xi2[kt], idx, xi2[inside])
 
     def observe(k, x, beta, xi, z):
         nonlocal boundary_viol, integrability
@@ -407,20 +420,18 @@ def simulate_ito_process(
         if np.any(on_boundary):
             boundary_viol += int(np.count_nonzero(
                 np.abs(xi[on_boundary, -1, :]).max(axis=1) > 1e-12))
-        if k % store_stride == 0:
-            records.beta[:, k // store_stride, :] = beta
-            records.xi2[:, k // store_stride, :, :] = xi2
+        add_to_cells(k, x, beta, xi2)
         # numpy.linalg.norm's own reduction for real input, without its conj() copy
         integrability += (np.sqrt(np.add.reduce(beta * beta, axis=1))
                           + np.sqrt(np.add.reduce(xi2 * xi2, axis=(1, 2)))) * h
 
     ens, aux = _simulate(driver, x0, grid, n_paths, seed, "absorbed_euler", store_stride,
                          observe)
-    x_end = np.ascontiguousarray(ens.states[:, -1, :])
-    beta, xi = _eval_driver(driver, grid.end, x_end, aux, "final node")
-    records.beta[:, n_stored, :] = beta
-    records.xi2[:, n_stored, :, :] = _outer_square(xi)
-    return replace(ens, drivers=records, integrability_mean=float(integrability.mean()),
+    if grid.n_steps in nodes:  # the hook does not see the final node
+        x_end = np.ascontiguousarray(ens.states[:, -1, :])
+        beta, xi = _eval_driver(driver, grid.end, x_end, aux, "final node")
+        add_to_cells(grid.n_steps, x_end, beta, _outer_square(xi))
+    return replace(ens, drivers=sums, integrability_mean=float(integrability.mean()),
                    boundary_row_violations=boundary_viol)
 
 

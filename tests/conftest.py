@@ -24,12 +24,12 @@ def start():
 def gridded_model(heston):
     """A time-dependent mimicking model: 4 time layers on an 8 x 8-cell lattice."""
     grid = m.TimeGrid(0.0, 1.0, 2.0**-4)
-    ens = m.simulate_ito_process(m.model_driver(heston), np.array([0.0, 0.09]),
-                                 grid, 2000, 31, store_stride=2)
     e1 = np.linspace(-1.5, 1.5, 9)
     e2 = np.concatenate([[0.0], 0.5 * np.linspace(0.05, 1.0, 8) ** 1.3])
     spec = m.BinningSpec(times=(0.25, 0.5, 0.75, 1.0), edges=(e1, e2), min_count=5)
-    return m.build_mimicking_model(m.estimate_mimicking_coefficients(ens, spec),
+    ens = m.simulate_ito_process(m.model_driver(heston), np.array([0.0, 0.09]),
+                                 grid, 2000, 31, spec, store_stride=2)
+    return m.build_mimicking_model(m.estimate_mimicking_coefficients(ens),
                                    max_masked_fraction=0.99)
 
 

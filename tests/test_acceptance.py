@@ -136,8 +136,8 @@ def _mimic_lattice():
 def test_06_mimicking_round_trip(model, start):
     grid = m.TimeGrid(0.0, 1.0, 2.0**-7)
     ens = m.simulate_ito_process(m.model_driver(model), np.array(START), grid, 100_000,
-                                 1061, store_stride=8)
-    mc = m.estimate_mimicking_coefficients(ens, _mimic_lattice())
+                                 1061, _mimic_lattice(), store_stride=8)
+    mc = m.estimate_mimicking_coefficients(ens)
     built = m.build_mimicking_model(mc, max_masked_fraction=0.97)
     mimic = m.simulate_sde(built, start, grid, 100_000, 1062, store_stride=8)
     comp = m.compare_marginals(ens, mimic, [0.25, 0.5, 1.0], thresholds={"ks": 0.02})
@@ -160,8 +160,8 @@ def test_07_mimicking_regime_switching(model, start):
     driver = m.regime_switching_driver(model, hi_factor=1.5, switch_rate=2.0)
     grid = m.TimeGrid(0.0, 1.0, 2.0**-7)
     ens = m.simulate_ito_process(driver, np.array(START), grid, 100_000, 3071,
-                                 store_stride=8)
-    mc = m.estimate_mimicking_coefficients(ens, _mimic_lattice())
+                                 _mimic_lattice(), store_stride=8)
+    mc = m.estimate_mimicking_coefficients(ens)
     built = m.build_mimicking_model(mc, max_masked_fraction=0.97)
     mimic = m.simulate_sde(built, start, grid, 100_000, 3072, store_stride=8)
 
@@ -192,13 +192,16 @@ def test_07_mimicking_regime_switching(model, start):
     # the driver scales sigma only, so beta = b(X), affine in x: every
     # unmasked cell's b-hat is within the affine oracle's bound
     oracle = affine_cell_error_ratio(mc, model.b, mc.b_hat)
+    # reported, not asserted: the paths the lattice drops at t = 1/4, 1/2 and 1
+    outside = ", ".join(f"{mc.outside_fraction[kt]:.2%}" for kt in (3, 7, 15))
 
     worst_z = max(g["z"] for e in comp.entries for g in e["gaps"])
     announce(7, "mimicking-regime-switching",
              comp.passed and worst_z <= 3.0 and order_ok and oracle <= 1.0,
              f"max KS={comp.max_ks:.4f} <= 0.03 (same-law bootstrap q99 at n=2e4: {boot:.4f}); "
              f"max gap z={worst_z:.2f} <= 3 pooled SE; regime mixture order holds; "
-             f"b-hat worst error/affine bound={oracle:.3f} <= 1")
+             f"b-hat worst error/affine bound={oracle:.3f} <= 1; "
+             f"paths outside the lattice at t in (0.25, 0.5, 1.0): {outside}")
 
 
 def test_08_scheme_agreement(model, start):

@@ -121,17 +121,32 @@ class TestSchema:
         assert capsys.readouterr().err.startswith("config schema violation")
         assert not (tmp_path / "out" / "report.json").exists()
 
-    def test_binning_time_off_the_stored_grid_names_the_stride(self, tmp_path, capsys):
-        # 1/32 is a node of the step-1/64 grid but not of the stored grid,
-        # every 4th node; the message named neither the binning time nor the stride
+    def test_binning_time_off_the_time_grid_names_the_step(self, tmp_path, capsys):
+        # a binning time need only be a node of the time grid, stored or not;
+        # 0.01 is a node of neither the step-1/64 grid nor its stored grid
         cfg = base_sim_config(tmp_path, kind="project",
-                              binning={**SMALL_BINNING, "times": [0.03125]})
+                              binning={**SMALL_BINNING, "times": [0.01]})
         cfg["ensemble"].update(step=2.0**-6, store_stride=4)
         assert cli.run(cfg) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: binning time 0.03125 is not a stored node")
-        assert "stored step 0.0625 = step * store_stride" in err
+        assert err.startswith("config error: binning time 0.01 is not a node of the time grid")
+        assert "step 0.015625" in err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_bad_binning_fails_before_any_driver_path(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        simulate = cli.simulate_ito_process
+        monkeypatch.setattr(cli, "simulate_ito_process",
+                            lambda *a, **k: calls.append(1) or simulate(*a, **k))
+        edges = [SMALL_BINNING["edges"][0], [0.01, 0.05, 0.1, 0.5]]
+        cfg = base_sim_config(tmp_path, kind="project",
+                              binning={**SMALL_BINNING, "edges": edges})
+        assert cli.run(cfg) == 2
+        assert capsys.readouterr().err.startswith("config error: x_d edges must start at 0")
+        assert calls == []
+        # the counter counts: the same config with good edges simulates once
+        assert cli.run(base_sim_config(tmp_path, kind="project", binning=SMALL_BINNING)) == 0
+        assert calls == [1]
 
     @pytest.mark.parametrize("kind, section, bad, seed, message", [
         ("validate", "validator", {"n_samples": 8, "pair_budget": 1}, 12, "pair_budget=1"),

@@ -442,12 +442,12 @@ class TestKnots:
         # a one-layer built model has a single knot, constant in t; a model
         # whose knots all precede the march reads its last knot at every
         # step: either way the march reuses its first stages throughout
-        ens = m.simulate_ito_process(m.model_driver(heston), np.array([0.0, 0.09]),
-                                     m.TimeGrid(0.0, 0.5, 2.0**-4), 2000, 31,
-                                     store_stride=2)
         spec = m.BinningSpec(times=(0.5,), edges=(np.linspace(-1.5, 1.5, 9),
                                                   [0.0, 0.05, 0.1, 0.2, 0.4]), min_count=5)
-        one_layer = m.build_mimicking_model(m.estimate_mimicking_coefficients(ens, spec),
+        ens = m.simulate_ito_process(m.model_driver(heston), np.array([0.0, 0.09]),
+                                     m.TimeGrid(0.0, 0.5, 2.0**-4), 2000, 31, spec,
+                                     store_stride=2)
+        one_layer = m.build_mimicking_model(m.estimate_mimicking_coefficients(ens),
                                             max_masked_fraction=0.99)
         assert np.array_equal(one_layer.knots, [0.5])
         early = dataclasses.replace(heston, knots=[-1.0, -0.5])

@@ -110,9 +110,12 @@ RESTART_PINS = {
     "full_truncation+perturb":
         "e4ce2dcebbf2ba82e229cbb8b7fb17bb773f313fbbda7362095963a2cf6ad1b6" "275878439620d904",
 }
+# the Itô ensemble and its box estimate on _ITO_SPEC, computed from the
+# per-path driver records that simulate_ito_process kept before it summed
+# its drivers into the cells as it stepped
 ITO_PINS = {
-    "regime": "ebcec9082f041e9cfe15bd778c4dd7cc86fa3824a2922eec74f1a554666085a1",
-    "leaky": "257d3eafd808c26e6ca1402fa4031066582137e1786a75f64278a82b21e71315",
+    "regime": "5c685180bb650734dca300b5b3749c566e8a56db7cd91ee90206ddeb11485a72",
+    "leaky": "ba946d6b0935aedd18803d24257266d0c4e3ae9411a274c22f6980e56debb9b3",
 }
 VALIDATOR_PINS = {
     "heston": "bd32790a483f7ffbdd236ae523e96988232f623fd7d1ab3aee5db05c7e8855f4",
@@ -299,19 +302,26 @@ def _leaky_driver(heston):
         heston.b(t, x), np.broadcast_to(xi, (x.shape[0], 2, 2))), name="leaky")
 
 
+# 1/2 twice: a repeated time, at the final node, which the kernel's hook does not see
+_ITO_SPEC = m.BinningSpec(times=(0.125, 0.5, 0.5),
+                          edges=(np.linspace(-0.6, 0.6, 5), [0.0, 0.05, 0.1, 0.2, 0.4]),
+                          min_count=5.0)
+
+
 @pytest.mark.parametrize("case", sorted(ITO_PINS))
 def test_ito_ensemble_pinned(heston, case):
     driver = (m.regime_switching_driver(heston, hi_factor=2.5) if case == "regime"
               else _leaky_driver(heston))
     grid = m.TimeGrid(0.0, 0.5, 2.0**-5)
     ens = m.simulate_ito_process(driver, m.SpaceTimePoint(0.0, (0.0, 0.09)), grid, 200, 808,
-                                 store_stride=4)
+                                 _ITO_SPEC, store_stride=4)
     assert ens.n_clipped_steps > 0
     assert (ens.boundary_row_violations > 0) == (case == "leaky")
+    mc = m.estimate_mimicking_coefficients(ens)
     assert _digest(ens.states, ens.pre_clip_min_xd,
                    np.array([ens.n_clipped_steps, ens.boundary_row_violations]),
                    np.array([ens.integrability_mean]),
-                   ens.drivers.beta, ens.drivers.xi2) == ITO_PINS[case]
+                   mc.occupancy, mc.b_hat, mc.d_hat) == ITO_PINS[case]
 
 
 @pytest.mark.parametrize("case", sorted(VALIDATOR_PINS))
@@ -679,13 +689,13 @@ def _loaded_digest(csv_path: Path) -> str:
 
 
 def test_mimicked_io_pinned(heston, tmp_path, project_csv):
-    ens = m.simulate_ito_process(m.regime_switching_driver(heston), np.array([0.0, 0.09]),
-                                 m.TimeGrid(0.0, 0.5, 2.0**-5), 300, 4301,
-                                 store_stride=4)
     spec = m.BinningSpec(times=(0.25, 0.5), edges=(np.linspace(-0.9, 0.9, 7),
                                                    [0.0, 0.04, 0.08, 0.15, 0.3]),
                          min_count=4.0)
-    mc = m.estimate_mimicking_coefficients(ens, spec)
+    ens = m.simulate_ito_process(m.regime_switching_driver(heston), np.array([0.0, 0.09]),
+                                 m.TimeGrid(0.0, 0.5, 2.0**-5), 300, 4301, spec,
+                                 store_stride=4)
+    mc = m.estimate_mimicking_coefficients(ens)
     assert 0 < mc.mask.sum() < mc.mask.size and np.isnan(mc.b_hat[mc.mask]).all()
     m.save_mimicked(mc, tmp_path / "mimicked.csv")
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()

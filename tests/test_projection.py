@@ -12,10 +12,10 @@ from mimicsde.projection import _ks_statistic, _w1
 from conftest import affine_cell_error_ratio
 
 
-def heston_driver_ensemble(heston, n=8000, h=2.0**-6, stride=4, seed=21):
+def heston_driver_ensemble(heston, n=8000, h=2.0**-6, stride=4, seed=21, spec=None):
     grid = m.TimeGrid(0.0, 1.0, h)
     return m.simulate_ito_process(m.model_driver(heston), np.array([0.0, 0.09]),
-                                  grid, n, seed, store_stride=stride)
+                                  grid, n, seed, spec or default_spec(), store_stride=stride)
 
 
 def default_spec(min_count=10):
@@ -44,14 +44,14 @@ class TestEstimate:
     def test_requires_driver_records(self, heston, start):
         grid = m.TimeGrid(0.0, 1.0, 0.125)
         ens = m.simulate_sde(heston, start, grid, 50, 1)
-        with pytest.raises(ValueError, match="driver records"):
-            m.estimate_mimicking_coefficients(ens, default_spec())
+        with pytest.raises(ValueError, match="driver sums"):
+            m.estimate_mimicking_coefficients(ens)
 
     def test_markov_replay_recovers_coefficients(self, heston):
         # conditioning a deterministic function of the state recovers that
         # function up to binning bias
         ens = heston_driver_ensemble(heston, n=20_000)
-        mc = m.estimate_mimicking_coefficients(ens, default_spec())
+        mc = m.estimate_mimicking_coefficients(ens)
         kt = 3  # t = 0.5
         occ = ~mc.mask[kt]
         centers = np.stack(np.meshgrid(*mc.spec.centers, indexing="ij"), axis=-1)
@@ -72,29 +72,46 @@ class TestEstimate:
     def test_tower_property_box_kernel(self, heston):
         # with box-cell means and a lattice covering every sample, the
         # occupancy-weighted average of b-hat is exactly the plain mean of beta
-        ens = heston_driver_ensemble(heston, n=5000)
         e1 = np.linspace(-6.0, 6.0, 13)
         e2 = np.concatenate([[0.0], np.linspace(0.05, 3.0, 9)])
         spec = m.BinningSpec(times=(0.5,), edges=(e1, e2), min_count=1)
-        mc = m.estimate_mimicking_coefficients(ens, spec)
-        node = ens.grid.node_index(0.5)
-        plain = ens.drivers.beta[:, node, :].mean(axis=0)
+        ens = heston_driver_ensemble(heston, n=5000, spec=spec)
+        mc = m.estimate_mimicking_coefficients(ens)
+        # the replayed drift is beta = b(t, X) at the stored states
+        plain = heston.b(0.5, ens.states_at(0.5)).mean(axis=0)
         occ = mc.occupancy[0]
         good = ~mc.mask[0]
         weighted = (occ[good, None] * mc.b_hat[0][good]).sum(axis=0) / occ[good].sum()
         assert occ.sum() == ens.n_paths  # full coverage
         assert np.allclose(weighted, plain, rtol=1e-10, atol=1e-12)
 
+    def test_outside_fraction_counts_paths_off_the_lattice(self, heston):
+        # a narrow lattice, so a share of the paths falls outside it at each time
+        spec = default_spec()
+        spec = m.BinningSpec(times=spec.times, edges=(np.linspace(-0.3, 0.3, 7),
+                                                      [0.0, 0.04, 0.08, 0.12]))
+        ens = heston_driver_ensemble(heston, n=2000, spec=spec)
+        mc = m.estimate_mimicking_coefficients(ens)
+        direct = []
+        for t in spec.times:
+            x = ens.states_at(t)
+            inside = np.ones(ens.n_paths, dtype=bool)
+            for j, e in enumerate(spec.edges):
+                inside &= (x[:, j] >= e[0]) & (x[:, j] < e[-1])
+            direct.append(np.count_nonzero(~inside) / ens.n_paths)
+        assert 0 < min(direct) and max(direct) < 1
+        assert np.allclose(mc.outside_fraction, direct, rtol=0, atol=1e-15)
+
     def test_empty_cells_masked_not_zero(self, heston):
         ens = heston_driver_ensemble(heston, n=2000)
-        mc = m.estimate_mimicking_coefficients(ens, default_spec())
+        mc = m.estimate_mimicking_coefficients(ens)
         assert mc.mask.any()
         assert np.isnan(mc.b_hat[mc.mask]).all()
         assert not np.isnan(mc.b_hat[~mc.mask]).any()
 
     def test_d_hat_symmetric(self, heston):
         ens = heston_driver_ensemble(heston, n=3000)
-        mc = m.estimate_mimicking_coefficients(ens, default_spec())
+        mc = m.estimate_mimicking_coefficients(ens)
         good = ~mc.mask
         assert np.allclose(mc.d_hat[good], np.swapaxes(mc.d_hat[good], -1, -2))
 
@@ -151,21 +168,21 @@ class TestBuild:
             m.build_mimicking_model(mc, clip_budget=1e-3)
 
     def test_excessive_masking_rejected(self, heston):
-        ens = heston_driver_ensemble(heston, n=500)
-        mc = m.estimate_mimicking_coefficients(ens, default_spec(min_count=50))
+        ens = heston_driver_ensemble(heston, n=500, spec=default_spec(min_count=50))
+        mc = m.estimate_mimicking_coefficients(ens)
         with pytest.raises(ValueError, match="masked"):
             m.build_mimicking_model(mc, max_masked_fraction=0.05)
 
     def test_fill_distance_recorded(self, heston):
         ens = heston_driver_ensemble(heston, n=4000)
-        mc = m.estimate_mimicking_coefficients(ens, default_spec())
+        mc = m.estimate_mimicking_coefficients(ens)
         m.build_mimicking_model(mc, max_masked_fraction=0.99)
         assert mc.fill_distance[mc.mask].min() > 0.0
         assert np.all(mc.fill_distance[~mc.mask] == 0.0)
 
     def test_round_trip_marginals(self, heston):
         ens = heston_driver_ensemble(heston, n=20_000, seed=77)
-        mc = m.estimate_mimicking_coefficients(ens, default_spec())
+        mc = m.estimate_mimicking_coefficients(ens)
         built = m.build_mimicking_model(mc, max_masked_fraction=0.95)
         mimic = m.simulate_sde(built, m.SpaceTimePoint(0.0, (0.0, 0.09)),
                                m.TimeGrid(0.0, 1.0, 2.0**-6), 20_000, 78, store_stride=4)
@@ -284,8 +301,7 @@ class TestSerialization:
     @pytest.fixture(scope="class")
     def saved(self, heston, tmp_path_factory):
         """An unfilled estimate with masked rows, saved; 1728 rows."""
-        mc = m.estimate_mimicking_coefficients(heston_driver_ensemble(heston, n=2000),
-                                               default_spec())
+        mc = m.estimate_mimicking_coefficients(heston_driver_ensemble(heston, n=2000))
         assert 0 < mc.mask.sum() < mc.mask.size
         out = tmp_path_factory.mktemp("saved")
         m.save_mimicked(mc, out / "mc.csv")
@@ -338,7 +354,7 @@ class TestSerialization:
 
     def test_save_load_round_trip(self, heston, tmp_path):
         ens = heston_driver_ensemble(heston, n=3000)
-        mc = m.estimate_mimicking_coefficients(ens, default_spec())
+        mc = m.estimate_mimicking_coefficients(ens)
         csv_path = tmp_path / "mc.csv"
         m.save_mimicked(mc, csv_path)
         back = m.load_mimicked(csv_path)
@@ -351,7 +367,7 @@ class TestSerialization:
 
     def test_load_rejects_nonpositive_min_count(self, heston, tmp_path):
         ens = heston_driver_ensemble(heston, n=200)
-        m.save_mimicked(m.estimate_mimicking_coefficients(ens, default_spec()), tmp_path / "mc.csv")
+        m.save_mimicked(m.estimate_mimicking_coefficients(ens), tmp_path / "mc.csv")
         sidecar = tmp_path / "mc.csv.meta.json"
         meta = json.loads(sidecar.read_text())
         sidecar.write_text(json.dumps(dict(meta, min_count=0)))
@@ -360,7 +376,7 @@ class TestSerialization:
 
     def test_loaded_model_usable(self, heston, tmp_path):
         ens = heston_driver_ensemble(heston, n=8000)
-        mc = m.estimate_mimicking_coefficients(ens, default_spec())
+        mc = m.estimate_mimicking_coefficients(ens)
         m.save_mimicked(mc, tmp_path / "mc.csv")
         model = m.load_gridded_model(tmp_path / "mc.csv", max_masked_fraction=0.95)
         x = np.array([[0.0, 0.09]])
@@ -371,8 +387,7 @@ class TestSerialization:
         # the CLI saves after building, so the file holds the filled lattice:
         # masked rows carry their nearest unmasked cell's values, not nan, and
         # loading and building again gives the model that was built
-        mc = m.estimate_mimicking_coefficients(heston_driver_ensemble(heston, n=3000),
-                                               default_spec())
+        mc = m.estimate_mimicking_coefficients(heston_driver_ensemble(heston, n=3000))
         built = m.build_mimicking_model(mc, max_masked_fraction=0.95)
         m.save_mimicked(mc, tmp_path / "mc.csv")
         saved = m.load_mimicked(tmp_path / "mc.csv")

@@ -148,48 +148,99 @@ def test_models_are_replayed_only_through_simulate_sde():
     assert _named_in("_simulate") == ["sdesim.simulate_sde", "sdesim.simulate_ito_process"]
 
 
+def _spec(*times) -> m.BinningSpec:
+    """A small binning lattice at ``times``, for an Itô ensemble's driver sums."""
+    return m.BinningSpec(times=times, edges=(np.linspace(-1.5, 1.5, 7),
+                                             [0.0, 0.05, 0.1, 0.2, 0.4, 1.0]))
+
+
+def _cell_members(spec: m.BinningSpec, x: np.ndarray):
+    """(flat cell, the paths in it) for each cell of ``spec``, in C order."""
+    c = [np.digitize(x[:, j], e) - 1 for j, e in enumerate(spec.edges)]
+    for cell, ij in enumerate(np.ndindex(spec.cell_shape)):
+        yield cell, np.logical_and.reduce([cj == i for cj, i in zip(c, ij)])
+
+
 class TestItoProcess:
     def test_replay_collapses_to_absorbed_euler(self, heston, start):
         grid = m.TimeGrid(0.0, 1.0, 2.0**-6)
-        sde = m.simulate_sde(heston, start, grid, 400, 3, scheme="absorbed_euler")
-        ito = m.simulate_ito_process(m.model_driver(heston), np.array(start.x), grid, 400, 3)
-        assert np.array_equal(sde.states, ito.states)
-        # recorded drivers are the exact model coefficients along the path
         k = 17
         t_k = grid.nodes[k]
-        assert np.allclose(ito.drivers.beta[:, k, :], heston.b(t_k, ito.states[:, k, :]))
+        spec = _spec(t_k)
+        sde = m.simulate_sde(heston, start, grid, 400, 3, scheme="absorbed_euler")
+        ito = m.simulate_ito_process(m.model_driver(heston), np.array(start.x), grid, 400, 3,
+                                     spec)
+        assert np.array_equal(sde.states, ito.states)
+        # the hook sums the exact model coefficients along the path, cell by cell
+        x = ito.states[:, k, :]
+        beta, xi2 = heston.b(t_k, x), x[:, -1, None, None] * heston.a(t_k, x)
+        sums = ito.drivers
+        for cell, mine in _cell_members(spec, x):
+            assert sums.occupancy[0, cell] == np.count_nonzero(mine)
+            assert np.allclose(sums.beta[0, cell], beta[mine].sum(axis=0))
+            assert np.allclose(sums.xi2[0, cell], xi2[mine].sum(axis=0))
+        assert sums.occupancy.sum() > 0.9 * ito.n_paths
+
+    def test_binning_times_need_only_be_grid_nodes(self, heston, start):
+        # 1/32 is a node of the step-1/64 grid but not of its every-4th-node
+        # stored grid: the estimate there does not depend on the stride
+        grid = m.TimeGrid(0.0, 1.0, 2.0**-6)
+        spec = _spec(1.0 / 32, 1.0)
+        driver = m.regime_switching_driver(heston)
+        est = [m.estimate_mimicking_coefficients(m.simulate_ito_process(
+            driver, np.array(start.x), grid, 500, 9, spec, store_stride=stride))
+            for stride in (4, 1)]
+        for name in ("occupancy", "b_hat", "d_hat", "mask"):
+            assert getattr(est[0], name).tobytes() == getattr(est[1], name).tobytes(), name
+
+    def test_binning_spec_must_fit_grid_and_driver(self, heston, start):
+        grid = m.TimeGrid(0.0, 1.0, 2.0**-6)
+        with pytest.raises(ValueError, match=r"binning time 0\.01 .*step 0\.015625"):
+            m.simulate_ito_process(m.model_driver(heston), np.array(start.x), grid, 10, 1,
+                                   _spec(0.5, 0.01))
+        one_d = m.BinningSpec(times=(0.5,), edges=([0.0, 1.0],))
+        with pytest.raises(ValueError, match="dimension"):
+            m.simulate_ito_process(m.model_driver(heston), np.array(start.x), grid, 10, 1, one_d)
 
     def test_start_must_match_grid(self, heston):
         grid = m.TimeGrid(0.0, 1.0, 0.125)
         with pytest.raises(ValueError, match="grid.start"):
             m.simulate_ito_process(m.model_driver(heston), m.SpaceTimePoint(0.3, (0.0, 0.09)),
-                                   grid, 10, 1)
+                                   grid, 10, 1, _spec(0.5))
 
     def test_driver_dimension_mismatch(self, start):
         bad = m.ItoDriver(d=2, r=2, coeffs=lambda t, x, aux: (np.zeros((x.shape[0], 3)),
                                                               np.zeros((x.shape[0], 2, 2))))
         grid = m.TimeGrid(0.0, 0.5, 0.25)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            m.simulate_ito_process(bad, np.array([0.0, 0.09]), grid, 10, 1)
+            m.simulate_ito_process(bad, np.array([0.0, 0.09]), grid, 10, 1, _spec(0.5))
 
     def test_integrability_reported(self, heston, start):
         grid = m.TimeGrid(0.0, 1.0, 2.0**-6)
-        ito = m.simulate_ito_process(m.model_driver(heston), np.array(start.x), grid, 500, 3)
+        ito = m.simulate_ito_process(m.model_driver(heston), np.array(start.x), grid, 500, 3,
+                                     _spec(0.5))
         assert ito.integrability_mean is not None
         assert 0.0 < ito.integrability_mean < 10.0
 
     def test_regime_switching_is_supported_and_non_degenerate(self, heston, start):
         driver = m.regime_switching_driver(heston, hi_factor=1.5, switch_rate=2.0)
         grid = m.TimeGrid(0.0, 1.0, 2.0**-6)
-        ens = m.simulate_ito_process(driver, np.array(start.x), grid, 2000, 5)
+        spec = _spec(0.5)
+        ens = m.simulate_ito_process(driver, np.array(start.x), grid, 2000, 5, spec)
         assert m.support_check(ens).violations == 0
         assert ens.boundary_row_violations == 0
-        # both regimes occur: the recorded xi2 takes (at least) two magnitudes
-        x = ens.states[:, 32, :]
-        base = x[:, -1][:, None, None] * heston.a(0.5, x)
-        ratio = ens.drivers.xi2[:, 32, 1, 1] / np.maximum(base[:, 1, 1], 1e-300)
-        assert (np.abs(ratio - 1.0) < 1e-9).any()
-        assert (np.abs(ratio - 2.25) < 1e-9).any()
+        # both regimes occur: on a populated cell, D-hat over the cell's mean
+        # of x_d a lies strictly between the regimes' factors 1 and 1.5^2
+        mc = m.estimate_mimicking_coefficients(ens)
+        x = ens.states_at(0.5)
+        base = x[:, -1] * heston.a(0.5, x)[:, 1, 1]
+        d_hat = mc.d_hat[0].reshape(-1, 2, 2)
+        ratios = np.array([d_hat[cell, 1, 1] / base[mine].mean()
+                           for cell, mine in _cell_members(spec, x)
+                           if np.count_nonzero(mine) >= 50])
+        assert ratios.size > 0
+        assert ((ratios > 1.0 - 1e-9) & (ratios < 2.25 + 1e-9)).all()
+        assert ((ratios > 1.0 + 1e-6) & (ratios < 2.25 - 1e-6)).any()
 
 
 class TestDiagnostics:
@@ -204,11 +255,12 @@ class TestDiagnostics:
 class TestCsvExport:
     def test_header_and_rows(self, heston, start):
         grid = m.TimeGrid(0.0, 0.5, 0.25)
-        ens = m.simulate_ito_process(m.model_driver(heston), np.array(start.x), grid, 3, 1)
+        ens = m.simulate_ito_process(m.model_driver(heston), np.array(start.x), grid, 3, 1,
+                                     _spec(0.5))
         buf = io.StringIO()
         m.ensemble_to_csv(ens, buf)
         lines = buf.getvalue().strip().split("\n")
-        # states only, though an Itô ensemble carries driver records
+        # states only, though an Itô ensemble carries driver sums
         assert lines[0] == "path_id,t,x_1,x_2"
         assert len(lines) == 1 + 3 * 3  # header + paths * nodes
 
@@ -226,7 +278,7 @@ class TestCsvExport:
         # reference: one csv.writer row per (path, node), every float as repr
         grid = m.TimeGrid(0.0, 0.5, 0.125)
         ens = m.simulate_ito_process(m.regime_switching_driver(heston), np.array(start.x),
-                                     grid, 11, 4)
+                                     grid, 11, 4, _spec(0.5))
         ref = io.StringIO()
         writer = csv.writer(ref, lineterminator="\n")
         writer.writerow(["path_id", "t", "x_1", "x_2"])
