@@ -4,7 +4,10 @@ Every run validates its config against the JSON schema below before any
 compute, executes one pipeline, writes CSV data artifacts plus a
 ``report.json``, and records a ``manifest.json`` with the config hash, package
 version, random stream id with the numpy and scipy versions that fix its bits,
-wall-clock time, and whether a ``--threads`` cap took effect.  Exit
+wall-clock time, the pipeline's minor page faults, whether a ``--threads`` cap
+took effect, and whether glibc's mmap and trim thresholds were raised so that
+each Euler step's arrays are reused from the heap rather than mapped afresh
+(``heap_applied``, with both thresholds; results are unaffected).  Exit
 status: 0 when all asserted checks pass, 1 on a check failure (the report is
 still written), 2 on misuse: a schema violation (an unknown key included, in
 a typed payoff or test function too, a gridded model next to ``builtin`` or
@@ -67,9 +70,11 @@ the suite can demonstrate its own negative controls.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import logging
+import resource
 import sys
 import time
 from pathlib import Path
@@ -119,6 +124,11 @@ _GRID = {"dt": 1.0 / 256, "x_prime_extent": 1.5, "x_max": 0.5, "counts": [65, 65
 _RESTART = {"level": 0.01, "t_cap": 0.5, "u": 0.25}
 # terminal payoff of the pde and duality kinds when the config names none
 _DEFAULT_PAYOFF = {"type": "radial_bump", "center": [0.0, 0.04], "radius": 0.5}
+# glibc's mallopt parameters and the values where its own dynamic mmap threshold
+# stops (32 MiB on 64-bit, trim twice that): at the default 128 KiB every
+# (n, d) and (n, d, d) step array is mapped, zero-filled and unmapped afresh
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 64 << 20
 
 
 def _model_from_config(cfg: dict):
@@ -493,6 +503,15 @@ CONFIG_SCHEMA = {
 }
 
 
+def _keep_arrays_on_heap() -> bool:
+    """Raise glibc's mmap and trim thresholds; False where libc has no ``mallopt``."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
+
+
 def run(config: dict, threads: int | None = None, break_generator: str | None = None) -> int:
     """Validate the config, execute its pipeline, write artifacts, return exit status."""
     try:
@@ -506,6 +525,7 @@ def run(config: dict, threads: int | None = None, break_generator: str | None = 
               f"not {kind!r}", file=sys.stderr)
         return 2
 
+    heap_applied = _keep_arrays_on_heap()
     threads_applied = False
     if threads is not None:
         try:
@@ -520,6 +540,7 @@ def run(config: dict, threads: int | None = None, break_generator: str | None = 
     out = Path(config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.monotonic()
+    faults_start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     try:
         model = _model_from_config(config)
         check_model = strip_generator_term(model, break_generator) if break_generator else model
@@ -528,6 +549,7 @@ def run(config: dict, threads: int | None = None, break_generator: str | None = 
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     wallclock = time.monotonic() - t_start
+    minor_faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults_start
 
     report = {"kind": kind, "passed": bool(ok), **payload}
     if kind in _CHECKING_KINDS:
@@ -543,9 +565,13 @@ def run(config: dict, threads: int | None = None, break_generator: str | None = 
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "wallclock_s": wallclock,
+        "minor_faults": minor_faults,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "threads": threads,
         "threads_applied": threads_applied,
+        "heap_applied": heap_applied,
+        "heap_mmap_threshold": _MMAP_THRESHOLD,
+        "heap_trim_threshold": _TRIM_THRESHOLD,
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

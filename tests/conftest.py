@@ -5,14 +5,43 @@ import mimicsde as m
 from mimicsde import geometry
 
 
+# the acceptance suite's Heston parameters
+HESTON = {"kappa": 1.5, "theta": 0.04, "zeta": 0.3, "rho": -0.5, "r": 0.02, "q": 0.0}
+
+
 @pytest.fixture(scope="session")
 def heston():
-    return m.heston_model(1.5, 0.04, 0.3, -0.5, r=0.02, q=0.0)
+    return m.heston_model(**HESTON)
 
 
 @pytest.fixture(scope="session")
 def heston_killing():
-    return m.heston_model(1.5, 0.04, 0.3, -0.5, r=0.02, q=0.0, with_killing=True)
+    return m.heston_model(**HESTON, with_killing=True)
+
+
+def heston_cf(u, t: float, x0) -> complex:
+    """E[exp(i u . X_t) | X_0 = x0] for the ``heston`` fixture's model, in closed form.
+
+    Heston is affine: the transform is exp(A(t) + i u_1 x0_1 + B(t) x0_2), where
+    B solves the Riccati equation B' = (phi^2 - phi)/2 + (rho zeta phi - kappa) B
+    + zeta^2 B^2 / 2 from B(0) = i u_2, phi = i u_1, and A' = (r - q) phi + kappa
+    theta B.  With roots lo, hi = (kappa - rho zeta phi -+ d) / zeta^2, the ratio
+    w = (B - lo) / (B - hi) decays as w0 e^{-d t}.  This is the stable branch of
+    Albrecher et al. (2007), "The little Heston trap", with w0 = g at u_2 = 0:
+    while |w0| < 1, 1 - w stays in the right half-plane and the principal log
+    is continuous in t.
+    """
+    kappa, theta, zeta, rho, r, q = HESTON.values()
+    phi, b0 = 1j * u[0], 1j * u[1]
+    beta = kappa - rho * zeta * phi
+    d = np.sqrt(beta**2 - zeta**2 * (phi * phi - phi))
+    lo, hi = (beta - d) / zeta**2, (beta + d) / zeta**2
+    w0 = (b0 - lo) / (b0 - hi)
+    assert abs(w0) < 1, "u is off the stable branch"
+    w = w0 * np.exp(-d * t)
+    b = (lo - hi * w) / (1 - w)
+    a = (r - q) * phi * t + kappa * theta * (lo * t - 2 / zeta**2 * np.log((1 - w) / (1 - w0)))
+    return complex(np.exp(a + phi * x0[0] + b * x0[1]))
 
 
 @pytest.fixture(scope="session")

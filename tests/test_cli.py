@@ -3,6 +3,7 @@ import inspect
 import json
 import logging
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,13 @@ import scipy
 from mimicsde import cli, martingale, rng, sdesim
 
 from conftest import record_holder_pair_distances
+
+
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this package's source."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def write_config(tmp_path: Path, cfg: dict) -> Path:
@@ -466,11 +474,8 @@ class TestCheckKinds:
 class TestMain:
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats is most of the CLI's import time, and no layer needs it
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         code = "import mimicsde.cli, sys; assert 'scipy.stats' not in sys.modules"
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+        subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True, timeout=120)
 
     def test_main_runs_config_file(self, tmp_path):
         cfg = base_sim_config(tmp_path)
@@ -497,3 +502,28 @@ class TestMain:
         assert manifest["threads"] == 1
         assert manifest["threads_applied"] is False
         assert "not applied" in caplog.text
+
+    def test_manifest_records_heap_thresholds(self, tmp_path):
+        assert cli.run(base_sim_config(tmp_path)) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        # glibc has mallopt; another C library leaves its allocator as it is
+        assert manifest["heap_applied"] is (platform.libc_ver()[0] == "glibc")
+        assert (manifest["heap_mmap_threshold"], manifest["heap_trim_threshold"]) == (2**25, 2**26)
+        assert isinstance(manifest["minor_faults"], int) and manifest["minor_faults"] >= 0
+
+    def test_run_without_mallopt_is_byte_identical(self, tmp_path):
+        # (n, 2, 2) step arrays of 256 KiB, above glibc's default mmap threshold
+        applied = base_sim_config(tmp_path / "applied")
+        applied["ensemble"]["n_paths"] = 8192
+        assert cli.run(applied) == 0
+        # a fresh process, so the allocator keeps glibc's default thresholds
+        plain = {**applied, "output_dir": str(tmp_path / "plain" / "out")}
+        code = ("import ctypes, json, sys; ctypes.CDLL = lambda name: object(); "
+                "from mimicsde import cli; sys.exit(cli.run(json.loads(sys.argv[1])))")
+        subprocess.run([sys.executable, "-c", code, json.dumps(plain)], env=_src_env(),
+                       check=True, timeout=120)
+        manifest = json.loads((tmp_path / "plain" / "out" / "manifest.json").read_text())
+        assert manifest["heap_applied"] is False
+        for name in ("report.json", "ensemble.csv"):
+            assert ((tmp_path / "plain" / "out" / name).read_bytes()
+                    == (tmp_path / "applied" / "out" / name).read_bytes())

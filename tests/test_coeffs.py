@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 import mimicsde as m
 from mimicsde import geometry
 from mimicsde.coeffs import generator_apply_batch, strip_generator_term
 
-from conftest import constant_model, kinked_model, record_holder_pair_distances
+from conftest import HESTON, constant_model, heston_cf, kinked_model, record_holder_pair_distances
 
 
 def _generate(model, t, x, grad, hess) -> float:
@@ -129,6 +130,25 @@ class TestHeston:
         x = np.array([[0.0, 0.5]])
         assert heston.c(0.0, x)[0] == 0.0
         assert heston_killing.c(0.0, x)[0] == -0.02
+
+    @pytest.mark.parametrize("t", [0.25, 0.5])
+    @pytest.mark.parametrize("u", [(2.0, 0.0), (0.0, 20.0), (2.0, 10.0)])
+    def test_closed_form_cf_solves_its_riccati_equation(self, u, t):
+        kappa, theta, zeta, rho, r, q = HESTON.values()
+        phi, x0 = 1j * u[0], (0.1, 0.09)
+
+        def rhs(_, y):
+            b = y[2] + 1j * y[3]
+            db = 0.5 * (phi * phi - phi) + (rho * zeta * phi - kappa) * b + 0.5 * zeta**2 * b * b
+            da = (r - q) * phi + kappa * theta * b
+            return [da.real, da.imag, db.real, db.imag]
+
+        sol = solve_ivp(rhs, (0.0, t), [0.0, 0.0, 0.0, u[1]], method="DOP853",
+                        rtol=1e-12, atol=1e-14)
+        assert sol.success
+        a, b = complex(*sol.y[:2, -1]), complex(*sol.y[2:, -1])
+        np.testing.assert_allclose(heston_cf(u, t, x0), np.exp(a + phi * x0[0] + b * x0[1]),
+                                   rtol=1e-12)
 
 
 class TestValidator:
