@@ -16,7 +16,8 @@ its pairs once and scores every coefficient entry at every exponent from them.
 
 Evaluators are vectorized: they accept t as a scalar or (n,) array and x as an
 (n, d) array, returning (n, d, d), (n, d), (n,) respectively, and must be pure
-(safe to call concurrently).
+(safe to call concurrently).  A returned array may be a read-only view, such
+as one matrix broadcast over the batch.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ class CoefficientModel:
     declares them constant in t; ``None`` declares nothing.  It is a claim
     about the fields: a ``dataclasses.replace`` of a, b or c must reset it
     (``knots=None``) unless the new fields keep it true.
+
+    Evaluation reads nothing else about the fields, only what they return
+    (:meth:`varsigma`) or are (:meth:`drift_and_sigma`), so a replaced
+    evaluator can never be taken for the one it replaced.
     """
 
     d: int
@@ -107,23 +112,30 @@ class CoefficientModel:
         a = 0 for deterministic test configurations); each row's root is
         therefore independent of the batch it is evaluated in.  Eigenvalues
         below a scale-relative negative tolerance are an evaluation error.
+
+        An evaluator may return one matrix broadcast over the batch (a
+        leading stride of 0, as ``heston_model``'s constant a does): that
+        matrix is factored once and its root broadcast, read-only, over the
+        batch, unless it is not positive definite.
         """
-        av = np.asarray(self.a(t, x), dtype=float)
-        root, failed = _cholesky_rows(av)
-        if failed.any():
-            w, v = np.linalg.eigh(av[failed])
-            scale = np.maximum(np.abs(w).max(axis=-1), 1.0)
-            w_min = w.min(axis=-1)
-            if np.any(w_min < -1e-10 * scale):
-                raise ValueError(
-                    f"a(t,x) has a negative eigenvalue {w_min.min():.3e}; not a diffusion matrix")
-            root[failed] = np.einsum("...ik,...k->...ik", v, np.sqrt(np.maximum(w, 0.0)))
-        return root
+        return _matrix_root(np.asarray(self.a(t, x), dtype=float))
 
     def sigma(self, t, x: np.ndarray) -> np.ndarray:
         """Diffusion matrix sqrt(x_d^+) * varsigma(t, x), batched."""
-        xd = np.maximum(x[..., -1], 0.0)
-        return np.sqrt(xd)[..., None, None] * self.varsigma(t, x)
+        return _sqrt_xd(x) * self.varsigma(t, x)
+
+    def drift_and_sigma(self, t, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(b(t, x), sigma(t, x)), as one Euler step needs them.
+
+        When a and b are :class:`LatticeField` views of one lattice table, as
+        a built mimicking model's are, (t, x) is bracketed and the corner
+        weights are formed once for both.
+        """
+        a, b = self.a, self.b
+        if isinstance(a, LatticeField) and isinstance(b, LatticeField) and a.lattice is b.lattice:
+            av, bv = LatticeField.evaluate_together(t, x, (a, b))
+            return bv, _sqrt_xd(x) * _matrix_root(av)
+        return b(t, x), self.sigma(t, x)
 
     def check_symmetry(self) -> None:
         """Verify a(t,x) is symmetric at 64 sampled points of [0, 1] x [-3, 3]^d
@@ -135,6 +147,29 @@ class CoefficientModel:
         gap = np.abs(av - np.swapaxes(av, -1, -2)).max()
         if gap > 1e-10 * max(1.0, np.abs(av).max()):
             raise ValueError(f"a(t,x) fails symmetry sampling: max asymmetry {gap:.3e}")
+
+
+def _sqrt_xd(x: np.ndarray) -> np.ndarray:
+    """sqrt(x_d^+) shaped to scale a batch of d x d matrices."""
+    return np.sqrt(np.maximum(x[..., -1], 0.0))[..., None, None]
+
+
+def _matrix_root(av: np.ndarray) -> np.ndarray:
+    """:meth:`CoefficientModel.varsigma` of evaluated matrices ``av``."""
+    if av.ndim == 3 and av.shape[0] > 1 and av.strides[0] == 0:
+        root, failed = _cholesky_rows(av[:1])
+        if not failed[0]:
+            return np.broadcast_to(root, av.shape)
+    root, failed = _cholesky_rows(av)
+    if failed.any():
+        w, v = np.linalg.eigh(av[failed])
+        scale = np.maximum(np.abs(w).max(axis=-1), 1.0)
+        w_min = w.min(axis=-1)
+        if np.any(w_min < -1e-10 * scale):
+            raise ValueError(
+                f"a(t,x) has a negative eigenvalue {w_min.min():.3e}; not a diffusion matrix")
+        root[failed] = np.einsum("...ik,...k->...ik", v, np.sqrt(np.maximum(w, 0.0)))
+    return root
 
 
 def _cholesky_rows(av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,14 +205,6 @@ def _cholesky_rows(av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             root[..., 1, 1] = l22
             ok &= l22 > 0.0
     return root, ~ok
-
-
-def generator_apply_batch(
-    model: CoefficientModel, t, x: np.ndarray, grads: np.ndarray, hesss: np.ndarray
-) -> np.ndarray:
-    """Vectorized generator: (1/2) x_d <a, H> + b . grad over a batch of points."""
-    return _generator_contract(model.a(t, x), model.b(t, x), np.maximum(x[..., -1], 0.0),
-                               grads, hesss)
 
 
 def _generator_contract(av, bv, xd, grads, hesss) -> np.ndarray:
@@ -252,6 +279,10 @@ class LatticeInterpolator:
 
     def __call__(self, t, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        return _points_first(self._combine(t, x, slice(None)), self.trailing)
+
+    def _combine(self, t, x: np.ndarray, rows: slice) -> np.ndarray:
+        """The table's component ``rows`` interpolated at (t, x), shape (rows, n)."""
         n = x.shape[0]
         t = np.asarray(t, dtype=float)
         if t.ndim != 0 or not self.axes:
@@ -265,17 +296,49 @@ class LatticeInterpolator:
             lo = 1.0 - f
             weights = [w * lo for w in weights] + [w * f for w in weights]
             base = base + i * self._strides[j + 1]
-        out = np.empty((self._table.shape[0], n))
+        table = self._table[rows]
+        out = np.empty((table.shape[0], n))
         term = np.empty_like(out)
         for corner, (k, w) in enumerate(zip(self._offsets, weights)):
             dst = out if corner == 0 else term
             # base + k is in range by construction; mode="clip" lets take
             # write straight into dst instead of through a buffer
-            np.take(self._table[:, k:], base, axis=1, out=dst, mode="clip")
+            np.take(table[:, k:], base, axis=1, out=dst, mode="clip")
             np.multiply(w, dst, out=dst)
             if corner:
                 out += term
-        return np.ascontiguousarray(out.T).reshape((n,) + self.trailing)
+        return out
+
+
+def _points_first(components: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Component-major (C, n) values as n points of the given shape."""
+    return np.ascontiguousarray(components.T).reshape((components.shape[1],) + shape)
+
+
+class LatticeField:
+    """A field of the given shape stored as the component ``rows`` of a
+    :class:`LatticeInterpolator` whose trailing shape is (C,).
+
+    A call interpolates only its own rows; :meth:`evaluate_together`
+    brackets (t, x) once for several fields of one lattice.
+    """
+
+    __slots__ = ("lattice", "rows", "shape")
+
+    def __init__(self, lattice: LatticeInterpolator, rows: slice, shape: tuple[int, ...]):
+        self.lattice, self.rows, self.shape = lattice, rows, shape
+
+    def __call__(self, t, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return _points_first(self.lattice._combine(t, x, self.rows), self.shape)
+
+    @staticmethod
+    def evaluate_together(t, x: np.ndarray, fields: Sequence[LatticeField]) -> list[np.ndarray]:
+        """Each of ``fields``, views of one lattice, at (t, x), from one pass
+        over every row of its table; bit-equal to calling each field alone."""
+        x = np.asarray(x, dtype=float)
+        out = fields[0].lattice._combine(t, x, slice(None))
+        return [_points_first(out[f.rows], f.shape) for f in fields]
 
 
 def heston_model(
@@ -294,7 +357,9 @@ def heston_model(
         dX_2 = kappa (theta - x_2) dt + zeta sqrt(x_2) (rho dW_1 + sqrt(1-rho^2) dW_2)
 
     stored so that sigma sigma^* = x_2 * a with a = [[1, rho zeta],
-    [rho zeta, zeta^2]]; the killing rate is c = -r when enabled.
+    [rho zeta, zeta^2]]; the killing rate is c = -r when enabled.  ``a``
+    returns that one matrix as a read-only view broadcast over the batch, so
+    :meth:`CoefficientModel.varsigma` factors it once.
     """
     if kappa <= 0 or theta <= 0:
         raise ValueError("need kappa > 0 and theta > 0")
@@ -308,10 +373,7 @@ def heston_model(
     a_const = np.array([[1.0, rho * zeta], [rho * zeta, zeta * zeta]])
 
     def a_eval(t, x):
-        n = np.asarray(x).shape[0]
-        out = np.empty((n, 2, 2))
-        out[:] = a_const
-        return out
+        return np.broadcast_to(a_const, (np.asarray(x).shape[0], 2, 2))
 
     def b_eval(t, x):
         x = np.asarray(x)

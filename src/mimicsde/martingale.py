@@ -205,7 +205,9 @@ def martingale_increments(model: CoefficientModel, generator: CoefficientModel,
     The paths are :func:`simulate_sde`'s of ``model``, stored at the endpoints
     only; ``generator`` compensates.  At step k the observation hook sees the
     clipped state at t_k = t0 + k h: a and b are evaluated there once for all
-    functions, and each jet closes M^v at node k and drives step k's
+    functions (b is the step's own drift when ``generator`` is ``model``, and
+    the generator's b otherwise, so a broken generator still compensates with
+    its own), and each jet closes M^v at node k and drives step k's
     left-endpoint compensator.  The final node is closed from the stored
     endpoint.  Returns M^v, (len(test_functions), n_paths, len(nodes)) and 0
     at node 0, and the states (n_paths, d) at the nodes, which the kernel
@@ -222,10 +224,12 @@ def martingale_increments(model: CoefficientModel, generator: CoefficientModel,
     v0 = [None] * len(test_functions)
     comp = np.zeros((len(test_functions), n_paths))
 
-    def close(k, x, step):
+    def close(k, x, beta):  # beta: step k's drift, None at the final node
         t = grid.start + k * h
+        step = beta is not None
         if step:
-            av, bv, xd = generator.a(t, x), generator.b(t, x), np.maximum(x[:, -1], 0.0)
+            bv = beta if generator is model else generator.b(t, x)
+            av, xd = generator.a(t, x), np.maximum(x[:, -1], 0.0)
         if k in slot:
             states[slot[k]] = x
         for i, v in enumerate(test_functions):
@@ -239,8 +243,8 @@ def martingale_increments(model: CoefficientModel, generator: CoefficientModel,
 
     # endpoints only; a grid of no steps stores its one node
     ens = simulate_sde(model, start, grid, n_paths, seed, scheme, max(m, 1),
-                       observe=lambda k, x, beta, xi, z: close(k, x, True))
-    close(m, np.ascontiguousarray(ens.states[:, -1, :]), False)
+                       observe=lambda k, x, beta, xi, z: close(k, x, beta))
+    close(m, np.ascontiguousarray(ens.states[:, -1, :]), None)
     return out, states
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .coeffs import CoefficientModel, LatticeInterpolator, RegularityBudget
+from .coeffs import CoefficientModel, LatticeField, LatticeInterpolator, RegularityBudget
 from .sdesim import PathEnsemble, write_csv
 
 _DELTA_FLOOR_SCALE = 1e-6  # eigenvalue floor of a built model's a, relative to trace / d
@@ -184,12 +184,14 @@ def build_mimicking_model(
     layers.  Each node's a is made positive semi-definite by flooring
     eigenvalues at 1e-6 * trace/d, and the total eigenvalue shift per node
     is recorded in ``mc.clip`` (a model-quality metric; exceeding
-    ``clip_budget`` raises).  The model's ``a`` and ``b`` are
-    :class:`LatticeInterpolator` instances over (spec.times, cell centers
-    with the x_d = 0 layer prepended): multilinear in (t, x) with edge
-    clamping, a shared time bracketed once per call, so the layer times are
-    the model's ``knots`` (one layer: constant in t).  The diffusion
-    evaluator is sqrt(x_d^+) * Cholesky(a).
+    ``clip_budget`` raises).  The model's ``a`` and ``b`` are two
+    :class:`LatticeField` views of one :class:`LatticeInterpolator` over
+    (spec.times, cell centers with the x_d = 0 layer prepended), whose table
+    stacks the d * d components of a and then the d of b: multilinear in
+    (t, x) with edge clamping, a shared time bracketed once per call, so the
+    layer times are the model's ``knots`` (one layer: constant in t).  Each
+    view alone interpolates only its own rows; an Euler step interpolates
+    both in one pass.  The diffusion evaluator is sqrt(x_d^+) * Cholesky(a).
     """
     if mc.masked_fraction > max_masked_fraction:
         raise ValueError(
@@ -233,8 +235,10 @@ def build_mimicking_model(
 
     axes = list(centers[:-1]) + [np.concatenate([[0.0], xd_centers])]
     times = np.asarray(mc.spec.times, dtype=float)
-    a_interp = LatticeInterpolator(times, axes, a_grid)
-    b_interp = LatticeInterpolator(times, axes, b_grid)
+    lattice = LatticeInterpolator(
+        times, axes, np.concatenate([a_grid.reshape(b_grid.shape[:-1] + (d * d,)), b_grid], -1))
+    a_field = LatticeField(lattice, slice(0, d * d), (d, d))
+    b_field = LatticeField(lattice, slice(d * d, None), (d,))
 
     eig_min = float(np.linalg.eigvalsh(a_grid.reshape(-1, d, d)).min())
     nu = float(np.min(b_grid[..., 0, -1]))  # drift component d on the x_d = 0 layer
@@ -249,7 +253,7 @@ def build_mimicking_model(
         return np.zeros(np.asarray(x).shape[0])
 
     return CoefficientModel(
-        d=d, a=a_interp, b=b_interp,
+        d=d, a=a_field, b=b_field,
         c=c_eval, budget=budget, knots=times,
         name=f"mimicking(times={k_times},cells={mc.spec.cell_shape})",
     )

@@ -151,7 +151,7 @@ def model_driver(model: CoefficientModel) -> ItoDriver:
     """Markov driver replaying a coefficient model: beta = b(t,X), xi = sigma(t,X)."""
 
     def coeffs(t, x, aux):
-        return model.b(t, x), model.sigma(t, x)
+        return model.drift_and_sigma(t, x)
 
     return ItoDriver(d=model.d, r=model.d, coeffs=coeffs,
                      name=f"model_driver({model.name})")
@@ -176,8 +176,8 @@ def regime_switching_driver(
         return (u0[:, 0] < p_start_hi).astype(np.int64)
 
     def coeffs(t, x, aux):
-        base = model.sigma(t, x)
-        return model.b(t, x), base * factors[aux][:, None, None]
+        beta, base = model.drift_and_sigma(t, x)
+        return beta, base * factors[aux][:, None, None]
 
     def advance_aux(t, h, x, aux, u):
         flip = u[:, 0] < switch_rate * h

@@ -3,6 +3,7 @@ import pytest
 
 import mimicsde as m
 from mimicsde import geometry
+from mimicsde.coeffs import _generator_contract
 
 
 # the acceptance suite's Heston parameters
@@ -42,6 +43,13 @@ def heston_cf(u, t: float, x0) -> complex:
     b = (lo - hi * w) / (1 - w)
     a = (r - q) * phi * t + kappa * theta * (lo * t - 2 / zeta**2 * np.log((1 - w) / (1 - w0)))
     return complex(np.exp(a + phi * x0[0] + b * x0[1]))
+
+
+def generator_apply_batch(model: m.CoefficientModel, t, x: np.ndarray, grads: np.ndarray,
+                          hesss: np.ndarray) -> np.ndarray:
+    """Vectorized generator: (1/2) x_d <a, H> + b . grad over a batch of points."""
+    return _generator_contract(model.a(t, x), model.b(t, x), np.maximum(x[..., -1], 0.0),
+                               grads, hesss)
 
 
 @pytest.fixture(scope="session")

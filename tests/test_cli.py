@@ -228,6 +228,78 @@ class TestSchema:
         assert not (tmp_path / "out" / "report.json").exists()
 
 
+def _with(cfg: dict, path: tuple, value) -> dict:
+    """``cfg`` with the entry at ``path`` set to ``value`` (removed if None)."""
+    *parents, key = path
+    target = cfg
+    for k in parents:
+        target = target[k]
+    if value is None:
+        target.pop(key, None)
+    else:
+        target[key] = value
+    return cfg
+
+
+# every config TestSchema rejects by the schema, as a function of tmp_path
+SCHEMA_VIOLATIONS = {
+    "missing-seed": lambda p: _with(base_sim_config(p), ("seed",), None),
+    "unknown-kind": lambda p: base_sim_config(p, kind="plot"),
+    "nonpositive-threshold": lambda p: base_sim_config(p, thresholds={"ks": -0.1}),
+    **{f"misspelt-{key}": lambda p, path=path: _with(
+        base_sim_config(p, kind="validate", validator={"n_samples": 64, "pair_budget": 64}),
+        path, 3)
+       for key, path in [("sed", ("sed",)), ("kapa", ("model", "params", "kapa")),
+                         ("n_sample", ("validator", "n_sample"))]},
+    **{f"misspelt-{case}": lambda p, kind=kind, section=section, bad=bad: base_sim_config(
+        p, kind=kind, **{section: bad})
+       for case, kind, section, bad in [
+           ("g-valu", "pde", "duality", {"g": {"type": "constant", "valu": 2.0}}),
+           ("untyped-g-valu", "pde", "duality", {"g": {"valu": 2.0}}),
+           ("linear-weigths", "martingale", "martingale", {"test_functions": [
+               {"type": "linear", "weights": [1, 0], "weigths": [0, 1]}]}),
+           ("untyped-bump-centre", "martingale", "martingale", {"test_functions": [
+               {"centre": [0, 0.05], "radius": 1.0}]})]},
+    "empty-test-functions": lambda p: base_sim_config(
+        p, kind="martingale", martingale={"test_functions": []},
+        ensemble={"n_paths": 100, "step": 0.03125, "horizon": 1.0}),
+    "untyped-bandwidth": lambda p: base_sim_config(p, kind="project", binning={
+        "times": [0.5], "edges": [[-1.0, 0.0, 1.0], [0.0, 0.5]], "bandwidth": ["x", 0.1]}),
+    "untyped-perturb": lambda p: base_sim_config(p, kind="restart",
+                                                 restart={"perturb": ["a", 0.0]}),
+    **{f"removed-{case}": lambda p, option=option: base_sim_config(
+        p, kind="project", binning={**SMALL_BINNING, **option})
+       for case, option in [("bandwidth-null", {"bandwidth": None}),
+                            ("bandwidth-positive", {"bandwidth": [0.1, 0.02]}),
+                            ("kernel-gaussian", {"kernel": "gaussian"})]},
+    **{f"regime-parameter-{case}": lambda p, driver=driver: base_sim_config(
+        p, kind="project", binning=SMALL_BINNING, driver=driver)
+       for case, driver in [("no-kind", {"hi_factor": 3.0}),
+                            ("markov-replay", {"kind": "markov_replay", "switch_rate": 1.0})]},
+    **{f"missing-{section}": lambda p, kind=kind, section=section: _with(
+        base_sim_config(p, kind=kind), (section,), None)
+       for kind, section in [("simulate", "ensemble"), ("project", "binning")]},
+    **{f"gridded-with-{key}": lambda p, key=key, value=value: base_sim_config(
+        p, kind="pde", model={"gridded": {"csv": str(p / "mimicked.csv")}, key: value})
+       for key, value in [("params", {"kappa": 9}), ("builtin", "heston")]},
+}
+
+
+@pytest.mark.parametrize("case", SCHEMA_VIOLATIONS)
+def test_schema_violation_message_is_jsonschemas(tmp_path, capsys, case):
+    # the prebuilt validator reports the error jsonschema.validate would raise
+    cfg = SCHEMA_VIOLATIONS[case](tmp_path)
+    with pytest.raises(jsonschema.ValidationError) as raised:
+        jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
+    assert cli.run(cfg) == 2
+    assert capsys.readouterr().err == f"config schema violation: {raised.value.message}\n"
+
+
+def test_config_schema_is_a_draft7_schema():
+    # cli.run validates with a prebuilt validator, which does not check the schema itself
+    jsonschema.Draft7Validator.check_schema(cli.CONFIG_SCHEMA)
+
+
 # each config section the CLI forwards as keyword arguments: the call it
 # configures, the keys its runner reads itself, and the CLI's own defaults
 _ENSEMBLE_SIZES = ("n_paths", "step", "horizon")

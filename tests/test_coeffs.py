@@ -8,9 +8,10 @@ from scipy.integrate import solve_ivp
 
 import mimicsde as m
 from mimicsde import geometry
-from mimicsde.coeffs import generator_apply_batch, strip_generator_term
+from mimicsde.coeffs import strip_generator_term
 
-from conftest import HESTON, constant_model, heston_cf, kinked_model, record_holder_pair_distances
+from conftest import (HESTON, constant_model, generator_apply_batch, heston_cf, kinked_model,
+                      record_holder_pair_distances)
 
 
 def _generate(model, t, x, grad, hess) -> float:
@@ -90,6 +91,46 @@ class TestVarsigma:
             alone = model.varsigma(0.0, x[i:i + 1])[0]
             assert np.array_equal(batch[i].view(np.uint64), alone.view(np.uint64))
             assert np.abs(batch[i] @ batch[i].T - model.a(0.0, x[i:i + 1])[0]).max() <= 1e-12
+
+    @pytest.mark.parametrize("case", ["heston", "constant-d3", "zero", "rank-one"])
+    def test_broadcast_root_equals_materialised(self, heston, monkeypatch, case):
+        # a constant a returned as one matrix broadcast over the batch is
+        # factored once; a matrix that is not positive definite takes the
+        # per-row path, eigh roots included, as its materialised copy does
+        if case == "heston":
+            model = heston
+        else:
+            mat = {"constant-d3": [[2.0, 0.3, -0.1], [0.3, 1.0, 0.2], [-0.1, 0.2, 0.5]],
+                   "zero": np.zeros((2, 2)), "rank-one": [[1.0, 1.0], [1.0, 1.0]]}[case]
+            mat = np.asarray(mat, dtype=float)
+            model = m.CoefficientModel(
+                d=mat.shape[0], a=lambda t, x: np.broadcast_to(mat, (len(x),) + mat.shape),
+                b=None, c=None, budget=m.RegularityBudget(1e-9, 1.0, 1e-9, 0.5))
+        copy = dataclasses.replace(model, a=lambda t, x: np.array(model.a(t, x)))
+        x = np.random.default_rng(4).uniform(0.0, 1.0, (50, model.d))
+        assert model.a(0.2, x).strides[0] == 0 and copy.a(0.2, x).strides[0] != 0
+        eigh_rows = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda av: eigh_rows.append(len(av)) or eigh(av))
+        root = model.varsigma(0.2, x)
+        factored_once = case in ("heston", "constant-d3")
+        assert (root.strides[0] == 0) == factored_once
+        assert eigh_rows == ([] if factored_once else [50])
+        want = copy.varsigma(0.2, x)
+        assert np.array_equal(root.view(np.uint64), want.view(np.uint64))
+
+    def test_diffusion_stripped_root_is_zero(self, heston):
+        broken = strip_generator_term(heston, "diffusion")
+        x = np.random.default_rng(6).uniform(0.0, 1.0, (20, 2))
+        assert np.all(broken.varsigma(0.5, x) == 0.0)
+        assert np.all(broken.sigma(0.5, x) == 0.0)
+
+    def test_constant_a_cannot_be_overwritten(self, heston):
+        # the broadcast view shares the model's one matrix: a write must raise
+        x = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="read-only"):
+            heston.a(0.0, x)[1, 0, 1] = 5.0
+        assert np.array_equal(heston.a(0.0, x)[1], [[1.0, -0.15], [-0.15, 0.09]])
 
     def test_negative_eigenvalue_rejected(self):
         a = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]])

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from mimicsde.coeffs import (
     _COUNT_BRACKET_MAX_NODES,
     _COUNT_BRACKET_MIN_POINTS,
+    LatticeField,
     LatticeInterpolator,
 )
 from mimicsde.sdesim import _outer_square
@@ -173,6 +174,34 @@ def test_interpolator_both_bracket_paths(n):
 def test_interpolator_rejects_mismatched_values():
     with pytest.raises(ValueError, match="grid shape"):
         LatticeInterpolator(np.array([0.0, 1.0]), [np.arange(3.0)], np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("n", [7, 30_000])
+def test_joint_fields_match_separate_interpolators(n):
+    # a built model's lattice in the full-mimic benchmark: 16 time layers, 16
+    # x_1 centres, the x_d = 0 layer and 14 x_d centres; a (d x d) then b (d)
+    # stacked per node.  Each view alone, and both in one pass, must give
+    # the bits of an interpolator over that field's own table
+    gen = np.random.default_rng(n)
+    times = np.arange(1, 17) / 16
+    axes = [-0.6 + 1.2 * (np.arange(16) + 0.5) / 16,
+            np.concatenate([[0.0], 0.25 * (np.arange(14) + 0.5) / 14])]
+    a_grid = gen.standard_normal((16, 16, 15, 2, 2))
+    b_grid = gen.standard_normal((16, 16, 15, 2))
+    stacked = np.concatenate([a_grid.reshape(16, 16, 15, 4), b_grid], axis=-1)
+    lattice = LatticeInterpolator(times, axes, stacked)
+    a_field = LatticeField(lattice, slice(0, 4), (2, 2))
+    b_field = LatticeField(lattice, slice(4, None), (2,))
+    # inside and beyond the hull of the centres on every axis, nodes included
+    x = _points(gen, times, axes, n)
+    for t in (0.3, 1.0 / 16, np.asarray(-0.2), 1.7, gen.uniform(-0.2, 1.2, n)):
+        want_a = LatticeInterpolator(times, axes, a_grid)(t, x)
+        want_b = LatticeInterpolator(times, axes, b_grid)(t, x)
+        _assert_bitwise(a_field(t, x), want_a)
+        _assert_bitwise(b_field(t, x), want_b)
+        got_a, got_b = LatticeField.evaluate_together(t, x, (a_field, b_field))
+        _assert_bitwise(got_a, want_a)
+        _assert_bitwise(got_b, want_b)
 
 
 @st.composite

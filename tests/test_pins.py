@@ -740,21 +740,26 @@ def test_cli_pde_gridded_evaluates_each_knot_once(tmp_path, project_csv, monkeyp
     assert sorted(calls) == ["a"] * 4 + ["b"] * 4 + ["c"] * 4
 
 
-def test_cli_martingale_evaluates_model_once_per_node(tmp_path, monkeypatch):
-    # inside the kernel's observation hook, the check evaluates a and b once
-    # per step for all three test functions together, not once per step per
-    # function; the final node needs only the jets
+def _martingale_hook_calls(tmp_path, monkeypatch, break_generator=None) -> tuple[int, list, int]:
+    """The martingale kind's exit status, every call of the Heston model's a
+    and b and of a broken generator's b (as "broken b") that its observation
+    hook makes, and its number of steps."""
     calls, observed = [], []
-    heston_model, simulate = cli.heston_model, martingale.simulate_sde
+    heston_model, strip = cli.heston_model, cli.strip_generator_term
+    simulate = martingale.simulate_sde
+
+    def counted(name, fn):
+        return lambda t, x: calls.append(name) or fn(t, x)
 
     def counted_model(*args, **kwargs):
         model = heston_model(*args, **kwargs)
         for f in "ab":
-            def counted(t, x, f=f, fn=getattr(model, f)):
-                calls.append(f)
-                return fn(t, x)
-            setattr(model, f, counted)
+            setattr(model, f, counted(f, getattr(model, f)))
         return model
+
+    def counted_strip(model, part):
+        broken = strip(model, part)
+        return dataclasses.replace(broken, b=counted("broken b", broken.b))
 
     def counted_simulate(*args, observe, **kwargs):
         def counted_observe(*step):
@@ -764,8 +769,27 @@ def test_cli_martingale_evaluates_model_once_per_node(tmp_path, monkeypatch):
         return simulate(*args, observe=counted_observe, **kwargs)
 
     monkeypatch.setattr(cli, "heston_model", counted_model)
+    monkeypatch.setattr(cli, "strip_generator_term", counted_strip)
     monkeypatch.setattr(martingale, "simulate_sde", counted_simulate)
     cfg = _cli_config("martingale", tmp_path)
-    assert cli.run(cfg) == 0
-    n_steps = round(cfg["ensemble"]["horizon"] / cfg["ensemble"]["step"])
-    assert (observed.count("a"), observed.count("b")) == (n_steps, n_steps)
+    status = cli.run(cfg, break_generator=break_generator)
+    return status, observed, round(cfg["ensemble"]["horizon"] / cfg["ensemble"]["step"])
+
+
+def test_cli_martingale_evaluates_model_once_per_node(tmp_path, monkeypatch):
+    # inside the kernel's observation hook, the check evaluates a once per
+    # step for all three test functions together, not once per step per
+    # function, and takes b from the step itself; the final node needs only
+    # the jets
+    status, observed, n_steps = _martingale_hook_calls(tmp_path, monkeypatch)
+    assert status == 0
+    assert (observed.count("a"), observed.count("b")) == (n_steps, 0)
+
+
+def test_cli_broken_martingale_compensates_with_its_own_drift(tmp_path, monkeypatch):
+    # a broken generator is not the model: the hook evaluates its b, never
+    # reuses the step's, so CLI_PINS["martingale+drift"] still fails
+    status, observed, n_steps = _martingale_hook_calls(tmp_path, monkeypatch, "drift")
+    assert status == CLI_PINS["martingale+drift"]["status"]
+    assert sorted(set(observed)) == ["a", "broken b"]
+    assert (observed.count("a"), observed.count("broken b")) == (n_steps, n_steps)

@@ -190,6 +190,26 @@ class TestBuild:
         assert comp.passed, comp.to_json()
 
 
+    @pytest.mark.parametrize("replaced", [None, "a", "b"])
+    def test_step_interpolates_a_and_b_in_one_pass(self, gridded_model, monkeypatch, replaced):
+        # a and b are views of one table, so a step brackets (t, x) once;
+        # an evaluator replaced by dataclasses.replace is evaluated as it is,
+        # alone, with the same bits
+        model = gridded_model
+        if replaced is not None:
+            field = getattr(model, replaced)
+            model = dataclasses.replace(model, **{replaced: lambda t, x: field(t, x)})
+        passes = []
+        combine = m.LatticeInterpolator._combine
+        monkeypatch.setattr(m.LatticeInterpolator, "_combine",
+                            lambda *args: passes.append(1) or combine(*args))
+        x = np.random.default_rng(3).uniform([-2.0, -0.1], [2.0, 0.6], (500, 2))
+        beta, xi = model.drift_and_sigma(0.4, x)
+        assert len(passes) == (1 if replaced is None else 2)
+        assert np.array_equal(beta.view(np.uint64), gridded_model.b(0.4, x).view(np.uint64))
+        assert np.array_equal(xi.view(np.uint64), gridded_model.sigma(0.4, x).view(np.uint64))
+
+
 class TestCompareMarginals:
     def test_identical_ensembles_zero(self, heston, start):
         grid = m.TimeGrid(0.0, 1.0, 0.125)
