@@ -17,7 +17,10 @@ a typed payoff or test function too, a gridded model next to ``builtin`` or
 project and full-mimic), ``--break-generator`` on a kind other than
 martingale and duality, a config file that is not JSON, or a config the
 library rejects with a ``ValueError`` or a gridded model whose files cannot be
-read (``config error: ...`` on stderr; no report or manifest).
+read (``config error: ...`` on stderr; no report or manifest).  Once the schema
+and ``--break-generator`` checks pass, a ``report.json`` and ``manifest.json``
+left in ``output_dir`` by an earlier run are deleted, so a run that is then
+rejected, or that raises, leaves neither behind.
 
 Config keys are the keyword names of the call each section configures, so a
 default lives in that call's signature: ``model.params`` goes to
@@ -34,7 +37,8 @@ ensemble of project and full-mimic always steps absorbed Euler
 (:func:`.sdesim.simulate_ito_process` takes no scheme), so ``ensemble.scheme``
 reaches only full-mimic's mimic ensemble.  That ensemble sums its drivers
 into the lattice cells as it steps, so ``binning`` is validated before any
-driver path is simulated, and each binning time must be a node of the time
+driver path is simulated: ``binning.times`` must be strictly increasing (they
+become the built model's knots), and each must be a node of the time
 grid, stored or not (``store_stride`` thins the stored states alone).  The CLI's own
 defaults are those no signature holds or that differ on purpose, each with its
 reason where it is set: the Heston parameters (r = 0.02, not 0), the PDE grid,
@@ -199,6 +203,8 @@ def _projection_stage(cfg, out, seed, model, start):
     returns the driver ensemble, the built model and the report fields they share."""
     e, b, d = cfg["ensemble"], cfg["binning"], cfg.get("driver", {})
     spec = BinningSpec(**_without(b, "kernel", "max_masked_fraction"))
+    if not np.all(np.diff(spec.times) > 0):  # the built model's knots
+        raise ValueError(f"binning.times must be strictly increasing, got {list(spec.times)}")
     driver = (regime_switching_driver(model, **_without(d, "kind"))
               if d.get("kind") == "regime_switching" else model_driver(model))
     ens = simulate_ito_process(driver, np.asarray(start.x), _time_grid(cfg, start),
@@ -542,6 +548,8 @@ def run(config: dict, threads: int | None = None, break_generator: str | None = 
 
     out = Path(config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
+    for stale in ("report.json", "manifest.json"):
+        (out / stale).unlink(missing_ok=True)
     t_start = time.monotonic()
     faults_start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     try:

@@ -73,6 +73,7 @@ class RegularityBudget:
 class CoefficientModel:
     """Evaluable coefficient triple (a, b, c) with a declared regularity budget.
 
+    A model carries no label; the reports built from it name what they check.
     ``knots``, a finite strictly increasing 1-d array when set, is the
     model's one declaration of how a, b and c depend on t: affine between
     consecutive knots and constant before the first and after the last, so
@@ -91,7 +92,6 @@ class CoefficientModel:
     b: VectorField
     c: ScalarField
     budget: RegularityBudget
-    name: str = ""
     knots: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -349,7 +349,6 @@ def heston_model(
     r: float = 0.0,
     q: float = 0.0,
     with_killing: bool = False,
-    budget: RegularityBudget | None = None,
 ) -> CoefficientModel:
     """The d = 2 log-price / variance model.
 
@@ -359,7 +358,8 @@ def heston_model(
     stored so that sigma sigma^* = x_2 * a with a = [[1, rho zeta],
     [rho zeta, zeta^2]]; the killing rate is c = -r when enabled.  ``a``
     returns that one matrix as a read-only view broadcast over the batch, so
-    :meth:`CoefficientModel.varsigma` factors it once.
+    :meth:`CoefficientModel.varsigma` factors it once.  The declared budget
+    is always derived from the parameters (delta = 0.8 lambda_min(a), nu = 0.8 kappa theta).
     """
     if kappa <= 0 or theta <= 0:
         raise ValueError("need kappa > 0 and theta > 0")
@@ -387,22 +387,18 @@ def heston_model(
     def c_eval(t, x):
         return np.full(np.asarray(x).shape[0], c_val)
 
-    if budget is None:
-        lam_min = float(np.linalg.eigvalsh(a_const)[0])
-        lip = max(kappa, 0.5)
-        k_bound = 4.0 * max(
-            1.0,
-            zeta * zeta,
-            1.0 + 2.0 * abs(rho * zeta) + zeta * zeta,
-            6.0 * lip,
-            abs(r - q) + kappa * theta + r,
-        )
-        budget = RegularityBudget(delta=0.8 * lam_min, K=k_bound, nu=0.8 * kappa * theta, alpha=0.5)
-
-    return CoefficientModel(
-        d=2, a=a_eval, b=b_eval, c=c_eval, budget=budget, knots=(0.0,),
-        name=f"heston(kappa={kappa},theta={theta},zeta={zeta},rho={rho},r={r},q={q},killing={with_killing})",
+    lam_min = float(np.linalg.eigvalsh(a_const)[0])
+    lip = max(kappa, 0.5)
+    k_bound = 4.0 * max(
+        1.0,
+        zeta * zeta,
+        1.0 + 2.0 * abs(rho * zeta) + zeta * zeta,
+        6.0 * lip,
+        abs(r - q) + kappa * theta + r,
     )
+    budget = RegularityBudget(delta=0.8 * lam_min, K=k_bound, nu=0.8 * kappa * theta, alpha=0.5)
+
+    return CoefficientModel(d=2, a=a_eval, b=b_eval, c=c_eval, budget=budget, knots=(0.0,))
 
 
 @dataclass(frozen=True)
@@ -611,12 +607,12 @@ def strip_generator_term(model: CoefficientModel, part: str) -> CoefficientModel
     """
     if part == "drift":
         b = lambda t, x: np.zeros_like(np.asarray(x, dtype=float))
-        return replace(model, b=b, name=model.name + "|drift-stripped")
+        return replace(model, b=b)
     if part == "diffusion":
         def a(t, x):
             n = np.asarray(x).shape[0]
             return np.zeros((n, model.d, model.d))
-        return replace(model, a=a, name=model.name + "|diffusion-stripped")
+        return replace(model, a=a)
     raise ValueError("part must be 'drift' or 'diffusion'")
 
 

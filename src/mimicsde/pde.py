@@ -520,7 +520,6 @@ def time_reversed_model(model: CoefficientModel, horizon: float) -> CoefficientM
         a=lambda t, x: model.a(horizon - np.asarray(t), x),
         b=lambda t, x: model.b(horizon - np.asarray(t), x),
         c=lambda t, x: model.c(horizon - np.asarray(t), x),
-        name=model.name + "|time-reversed",
         knots=None if model.knots is None else horizon - model.knots[::-1],
     )
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -171,11 +170,8 @@ def _fill_masked(mc: MimickedCoefficients) -> None:
         mc.fill_distance[kt].reshape(n_cells)[dst] = dist
 
 
-def build_mimicking_model(
-    mc: MimickedCoefficients,
-    max_masked_fraction: float = 0.5,
-    clip_budget: float | None = None,
-) -> CoefficientModel:
+def build_mimicking_model(mc: MimickedCoefficients,
+                          max_masked_fraction: float = 0.5) -> CoefficientModel:
     """Turn gridded (b, D) estimates into an evaluable coefficient model.
 
     Masked cells of ``mc`` are filled in place first (nearest unmasked
@@ -183,15 +179,14 @@ def build_mimicking_model(
     layer a(., x_d = 0) is linearly extrapolated from the two nearest center
     layers.  Each node's a is made positive semi-definite by flooring
     eigenvalues at 1e-6 * trace/d, and the total eigenvalue shift per node
-    is recorded in ``mc.clip`` (a model-quality metric; exceeding
-    ``clip_budget`` raises).  The model's ``a`` and ``b`` are two
-    :class:`LatticeField` views of one :class:`LatticeInterpolator` over
-    (spec.times, cell centers with the x_d = 0 layer prepended), whose table
-    stacks the d * d components of a and then the d of b: multilinear in
-    (t, x) with edge clamping, a shared time bracketed once per call, so the
-    layer times are the model's ``knots`` (one layer: constant in t).  Each
-    view alone interpolates only its own rows; an Euler step interpolates
-    both in one pass.  The diffusion evaluator is sqrt(x_d^+) * Cholesky(a).
+    is recorded in ``mc.clip``, a model-quality metric that is reported, not
+    gated.  The model's ``a`` and ``b`` are two :class:`LatticeField` views of
+    one :class:`LatticeInterpolator` over (spec.times, cell centers with the
+    x_d = 0 layer prepended), whose table stacks the d * d components of a
+    and then the d of b: multilinear in (t, x) with edge clamping, a shared
+    time bracketed once per call, so the layer times are the model's
+    ``knots`` (one layer: constant in t).  Each view alone interpolates only
+    its own rows; an Euler step interpolates both in one pass.  The diffusion evaluator is sqrt(x_d^+) * Cholesky(a).
     """
     if mc.masked_fraction > max_masked_fraction:
         raise ValueError(
@@ -228,10 +223,6 @@ def build_mimicking_model(
     a_grid = np.einsum("nik,nk,njk->nij", eigvec, clipped, eigvec).reshape(a_grid.shape)
     clip_nodes = clip_mag.reshape((k_times,) + tuple(c.size for c in centers[:-1]) + (xd_centers.size + 1,))
     mc.clip = clip_nodes[..., 1:]  # cell layers only; layer 0 is synthetic
-    if clip_budget is not None and clip_mag.max() > clip_budget:
-        raise ValueError(
-            f"PSD clip magnitude {clip_mag.max():.3e} exceeds budget {clip_budget:.3e}; "
-            "the estimate violates ellipticity too severely to trust")
 
     axes = list(centers[:-1]) + [np.concatenate([[0.0], xd_centers])]
     times = np.asarray(mc.spec.times, dtype=float)
@@ -252,11 +243,7 @@ def build_mimicking_model(
     def c_eval(t, x):
         return np.zeros(np.asarray(x).shape[0])
 
-    return CoefficientModel(
-        d=d, a=a_field, b=b_field,
-        c=c_eval, budget=budget, knots=times,
-        name=f"mimicking(times={k_times},cells={mc.spec.cell_shape})",
-    )
+    return CoefficientModel(d=d, a=a_field, b=b_field, c=c_eval, budget=budget, knots=times)
 
 
 @dataclass(frozen=True)
@@ -287,21 +274,15 @@ def _merged_cdf_gap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """
     if a.size == 0 or b.size == 0 or not np.isfinite([a[0], a[-1], b[0], b[-1]]).all():
         raise ValueError("marginal samples must be non-empty and finite")
-    # temporaries are released once spent: a lower peak leaves fewer pages
-    # to fault in afresh on the next call, which costs more than the arithmetic
     merged = np.concatenate((a, b))
     order = np.argsort(merged, kind="stable")  # one merge of the two sorted runs
     merged = merged[order]
     ends = np.flatnonzero(np.append(merged[1:] != merged[:-1], True))
-    count_a = np.cumsum(order < a.size, out=order)[ends]
-    del order
+    count_a = np.cumsum(order < a.size)[ends]
     lengths = np.diff(ends, prepend=-1)
     count_b = ends + 1 - count_a
-    del ends
     gap = count_a / a.size
-    del count_a
     gap -= count_b / b.size
-    del count_b
     return merged, np.repeat(gap, lengths)
 
 
@@ -394,17 +375,13 @@ def _mimicked_header(d: int) -> list[str]:
             + ["clip"])
 
 
-def _sidecar_path(csv_path, sidecar_path) -> Path:
-    return Path(sidecar_path or f"{csv_path}.meta.json")
-
-
-def save_mimicked(mc: MimickedCoefficients, csv_path, sidecar_path=None) -> None:
+def save_mimicked(mc: MimickedCoefficients, csv_path) -> None:
     """CSV of per-node estimates, one row per (t_index, cell) in C order, plus a JSON sidecar.
 
     Columns: ``t_index, cell_*`` (integers), ``x_*`` (the cell center), ``occupancy, b_*,
     D_*, clip``.  Masked estimates are written as ``mc`` holds them: ``nan`` as estimated,
     their nearest unmasked cell's values once :func:`build_mimicking_model` has filled
-    them (the CLI saves after building).  The sidecar defaults to ``<csv>.meta.json``.
+    them (the CLI saves after building).  The sidecar is ``<csv>.meta.json``.
     """
     d = mc.d
     index = np.indices((len(mc.spec.times), *mc.spec.cell_shape)).reshape(d + 1, -1)
@@ -424,19 +401,20 @@ def save_mimicked(mc: MimickedCoefficients, csv_path, sidecar_path=None) -> None
         "min_count": mc.spec.min_count,
         "n_paths": mc.n_paths,
     }
-    with open(_sidecar_path(csv_path, sidecar_path), "w") as fh:
+    with open(f"{csv_path}.meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_mimicked(csv_path, sidecar_path=None) -> MimickedCoefficients:
-    """Rebuild :class:`MimickedCoefficients` from the CSV + sidecar pair.
+    """Rebuild :class:`MimickedCoefficients` from the CSV + sidecar pair; the
+    sidecar defaults to ``<csv>.meta.json``, where :func:`save_mimicked` writes it.
 
     The CSV must hold :func:`save_mimicked`'s header and exactly one row per (t_index, cell)
     of the sidecar's lattice, in any order, whose ``x_*`` columns are that cell's centre
     under the sidecar's edges; anything else raises ``ValueError``.
     """
-    with open(_sidecar_path(csv_path, sidecar_path)) as fh:
+    with open(sidecar_path or f"{csv_path}.meta.json") as fh:
         meta = json.load(fh)
     if meta.get("kernel", "box") != "box":  # a kernel occupancy sums weights, not paths
         raise ValueError(f"{csv_path}: sidecar kernel {meta['kernel']!r} is not 'box'")

@@ -130,11 +130,11 @@ class ItoDriver:
     """Adapted coefficient process (beta(t), xi(t)) driven by an auxiliary state.
 
     ``coeffs(t, x, aux) -> (beta, xi)`` is pure (no noise), with beta of shape
-    (n, d) and xi of shape (n, d, r).  The auxiliary state evolves through
-    ``advance_aux(t, h, x, aux, u)`` on uniforms u of shape (n, noise_dim) and
-    is created by ``init_aux(n, u0)``.  A driver must produce a vanishing d-th
-    row of xi whenever x_d = 0, so the state can never diffuse across the
-    boundary; :func:`simulate_ito_process` counts the rows that do not.
+    (n, d) and xi of shape (n, d, r).  The auxiliary state is created by
+    ``init_aux(n, u0)`` and evolves through ``advance_aux(t, h, x, aux, u)``
+    on uniforms u0 and u of shape (n, 1).  A driver must produce a vanishing
+    d-th row of xi whenever x_d = 0, so the state can never diffuse across
+    the boundary; :func:`simulate_ito_process` counts the rows that do not.
     """
 
     d: int
@@ -142,9 +142,6 @@ class ItoDriver:
     coeffs: Callable
     advance_aux: Callable | None = None
     init_aux: Callable | None = None
-    noise_dim: int = 0
-    init_noise_dim: int = 0
-    name: str = ""
 
 
 def model_driver(model: CoefficientModel) -> ItoDriver:
@@ -153,8 +150,7 @@ def model_driver(model: CoefficientModel) -> ItoDriver:
     def coeffs(t, x, aux):
         return model.drift_and_sigma(t, x)
 
-    return ItoDriver(d=model.d, r=model.d, coeffs=coeffs,
-                     name=f"model_driver({model.name})")
+    return ItoDriver(d=model.d, r=model.d, coeffs=coeffs)
 
 
 def regime_switching_driver(
@@ -183,11 +179,8 @@ def regime_switching_driver(
         flip = u[:, 0] < switch_rate * h
         return np.where(flip, 1 - aux, aux)
 
-    return ItoDriver(
-        d=model.d, r=model.d, coeffs=coeffs, advance_aux=advance_aux,
-        init_aux=init_aux, noise_dim=1, init_noise_dim=1,
-        name=f"regime_switching(hi={hi_factor},rate={switch_rate})",
-    )
+    return ItoDriver(d=model.d, r=model.d, coeffs=coeffs, advance_aux=advance_aux,
+                     init_aux=init_aux)
 
 
 def _as_start_state(start, d: int, grid: TimeGrid) -> np.ndarray:
@@ -241,8 +234,9 @@ def _euler_paths(
     Brownian stream at (seed, step k), where path p's row depends on (seed,
     k, p) alone, and adds beta h + xi z sqrt(h): to the internal state under
     ``full_truncation``, to the clipped state under ``absorbed_euler``.  The
-    driver's aux state is created from ``DOMAIN_DRIVER_INIT`` uniforms and
-    advanced, after the step, on ``DOMAIN_DRIVER`` uniforms at step k.
+    driver's aux state is created from one column of ``DOMAIN_DRIVER_INIT``
+    uniforms and advanced, after the step, on one column of ``DOMAIN_DRIVER``
+    uniforms at step k.
     ``observe(k, x, beta, xi, z)`` sees every step's clipped state, driver
     values and normals before the increment.
 
@@ -260,7 +254,7 @@ def _euler_paths(
     paths = range(n)
     aux = None
     if driver.init_aux is not None:
-        u0 = rng.uniforms(seed, rng.DOMAIN_DRIVER_INIT, paths, 0, max(driver.init_noise_dim, 1))
+        u0 = rng.uniforms(seed, rng.DOMAIN_DRIVER_INIT, paths, 0, 1)
         aux = driver.init_aux(n, u0)
 
     x_int = x0
@@ -285,7 +279,7 @@ def _euler_paths(
         x_eval = x_int.copy()
         x_eval[:, -1] = np.maximum(x_eval[:, -1], 0.0)
         if driver.advance_aux is not None:
-            u = rng.uniforms(seed, rng.DOMAIN_DRIVER, paths, k, max(driver.noise_dim, 1))
+            u = rng.uniforms(seed, rng.DOMAIN_DRIVER, paths, k, 1)
             aux = driver.advance_aux(t_k, h, x_eval, aux, u)
         if (k + 1) % store_stride == 0:
             states[:, (k + 1) // store_stride, :] = x_eval

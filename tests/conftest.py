@@ -78,7 +78,6 @@ def zero_model(d: int = 2) -> m.CoefficientModel:
         c=lambda t, x: np.zeros(np.asarray(x).shape[0]),
         budget=m.RegularityBudget(1e-9, 1.0, 1e-9, 0.5),
         knots=[0.0],
-        name="zero",
     )
 
 
@@ -93,7 +92,6 @@ def constant_model(b_vec, a_mat=None, d=None) -> m.CoefficientModel:
         c=lambda t, x: np.zeros(np.asarray(x).shape[0]),
         budget=m.RegularityBudget(0.5, 10.0, max(float(b_vec[-1]), 1e-9), 0.5),
         knots=[0.0],
-        name="constant",
     )
 
 
@@ -112,7 +110,7 @@ def kinked_model(d: int = 2) -> m.CoefficientModel:
     return m.CoefficientModel(
         d=d, a=a, b=b, c=lambda t, x: np.zeros(np.asarray(x).shape[0]),
         budget=m.RegularityBudget(1e-9, 10.0, 0.4, 0.5),
-        knots=[0.0], name="kinked",
+        knots=[0.0],
     )
 
 

@@ -156,6 +156,41 @@ class TestSchema:
         assert cli.run(base_sim_config(tmp_path, kind="project", binning=SMALL_BINNING)) == 0
         assert calls == [1]
 
+    @pytest.mark.parametrize("times", [[0.5, 0.25], [0.5, 0.5]], ids=["decreasing", "repeated"])
+    def test_unordered_binning_times_fail_before_any_driver_path(self, tmp_path, capsys,
+                                                                 monkeypatch, times):
+        # the times become the built model's knots, which must increase strictly
+        def simulate(*args, **kwargs):
+            raise AssertionError("the driver ensemble was simulated")
+
+        monkeypatch.setattr(cli, "simulate_ito_process", simulate)
+        cfg = base_sim_config(tmp_path, kind="project", binning={**SMALL_BINNING, "times": times})
+        assert cli.run(cfg) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: binning.times must be strictly increasing")
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("failure", ["config-error", "runner-raises"])
+    def test_rejected_run_leaves_no_earlier_report(self, tmp_path, capsys, monkeypatch, failure):
+        out = tmp_path / "out"
+        assert cli.run(base_sim_config(tmp_path)) == 0
+        assert json.loads((out / "report.json").read_text())["passed"] is True
+        assert (out / "manifest.json").exists()
+        cfg = base_sim_config(tmp_path)
+        if failure == "config-error":
+            cfg["model"]["params"]["kappa"] = -1.0
+            assert cli.run(cfg) == 2
+            assert capsys.readouterr().err.startswith("config error: need kappa > 0")
+        else:
+            def runner(*args):
+                raise RuntimeError("runner failed")
+
+            monkeypatch.setitem(cli._RUNNERS, "simulate", runner)
+            with pytest.raises(RuntimeError, match="runner failed"):
+                cli.run(cfg)
+        assert not (out / "report.json").exists()
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("kind, section, bad, seed, message", [
         ("validate", "validator", {"n_samples": 8, "pair_budget": 1}, 12, "pair_budget=1"),
         ("restart", "restart", {"t_cap": 0.3}, 1,

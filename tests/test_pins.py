@@ -299,7 +299,7 @@ def _leaky_driver(heston):
     """A driver whose noise does not vanish on x_d = 0, despite its support claim."""
     xi = 0.2 * np.eye(2)
     return m.ItoDriver(d=2, r=2, coeffs=lambda t, x, aux: (
-        heston.b(t, x), np.broadcast_to(xi, (x.shape[0], 2, 2))), name="leaky")
+        heston.b(t, x), np.broadcast_to(xi, (x.shape[0], 2, 2))))
 
 
 # 1/2 twice: a repeated time, at the final node, which the kernel's hook does not see

@@ -155,18 +155,6 @@ class TestBuild:
         assert mc.clip.max() > 0.0
         assert np.linalg.eigvalsh(model.a(0.0, np.array([[1.5]]))).min() >= 0.0
 
-    def test_clip_budget_enforced(self):
-        e1 = np.array([0.0, 1.0, 2.0])
-        spec = m.BinningSpec(times=(0.0,), edges=(e1,), min_count=1)
-        d_hat = np.array([[[[0.5]], [[-1.5]]]])
-        b_hat = np.full((1, 2, 1), 0.1)
-        mc = m.MimickedCoefficients(
-            spec=spec, b_hat=b_hat, d_hat=d_hat,
-            occupancy=np.full((1, 2), 10.0), mask=np.zeros((1, 2), dtype=bool),
-            n_paths=10)
-        with pytest.raises(ValueError, match="clip"):
-            m.build_mimicking_model(mc, clip_budget=1e-3)
-
     def test_excessive_masking_rejected(self, heston):
         ens = heston_driver_ensemble(heston, n=500, spec=default_spec(min_count=50))
         mc = m.estimate_mimicking_coefficients(ens)
