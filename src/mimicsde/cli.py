@@ -4,10 +4,10 @@ Every run validates its config against the JSON schema below before any
 compute, executes one pipeline, writes CSV data artifacts plus a
 ``report.json``, and records a ``manifest.json`` with the config hash, package
 version, random stream id with the numpy and scipy versions that fix its bits,
-wall-clock time, the pipeline's minor page faults, whether a ``--threads`` cap
-took effect, and whether glibc's mmap and trim thresholds were raised so that
-each Euler step's arrays are reused from the heap rather than mapped afresh
-(``heap_applied``, with both thresholds; results are unaffected).  Exit
+wall-clock time, the pipeline's minor page faults, and whether glibc's mmap
+and trim thresholds were raised so that each Euler step's arrays are reused
+from the heap rather than mapped afresh (``heap_applied``, with both
+thresholds; results are unaffected).  Exit
 status: 0 when all asserted checks pass, 1 on a check failure (the report is
 still written), 2 on misuse: a schema violation (an unknown key included, in
 a typed payoff or test function too, a gridded model next to ``builtin`` or
@@ -16,11 +16,13 @@ a typed payoff or test function too, a gridded model next to ``builtin`` or
 ``ensemble`` for simulate, martingale, project and full-mimic, ``binning`` for
 project and full-mimic), ``--break-generator`` on a kind other than
 martingale and duality, a config file that is not JSON, or a config the
-library rejects with a ``ValueError`` or a gridded model whose files cannot be
+library rejects with a ``ValueError``, a duality run whose ``start.t`` is not 0
+(both of its sides start at t = 0) or a gridded model whose files cannot be
 read (``config error: ...`` on stderr; no report or manifest).  Once the schema
-and ``--break-generator`` checks pass, a ``report.json`` and ``manifest.json``
-left in ``output_dir`` by an earlier run are deleted, so a run that is then
-rejected, or that raises, leaves neither behind.
+and ``--break-generator`` checks pass, every artifact a run writes that an
+earlier run left in ``output_dir`` is deleted, save the gridded model this run
+reads (``model.gridded.csv`` and its sidecar ``<csv>.meta.json``), so a run
+that is then rejected, or that raises, leaves no earlier report or data behind.
 
 Config keys are the keyword names of the call each section configures, so a
 default lives in that call's signature: ``model.params`` goes to
@@ -77,7 +79,6 @@ import argparse
 import ctypes
 import hashlib
 import json
-import logging
 import resource
 import sys
 import time
@@ -119,8 +120,6 @@ from .sdesim import (
     write_csv,
 )
 
-_log = logging.getLogger(__name__)
-
 # heston_model requires these; r = 0.02, where it has 0, is the acceptance suite's rate
 _HESTON = {"kappa": 1.5, "theta": 0.04, "zeta": 0.3, "rho": -0.5, "r": 0.02}
 # Grid.build and strong_markov_restart_test require these
@@ -133,6 +132,9 @@ _DEFAULT_PAYOFF = {"type": "radial_bump", "center": [0.0, 0.04], "radius": 0.5}
 # (n, d) and (n, d, d) step array is mapped, zero-filled and unmapped afresh
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 64 << 20
+# every file a run writes, cleared before it computes
+_ARTIFACTS = ("report.json", "manifest.json", "ensemble.csv", "mimicked.csv",
+              "mimicked.csv.meta.json", "solution.csv")
 
 
 def _model_from_config(cfg: dict):
@@ -140,7 +142,7 @@ def _model_from_config(cfg: dict):
     if "gridded" in spec:
         g = spec["gridded"]
         try:
-            return load_gridded_model(g["csv"], g.get("sidecar"))
+            return load_gridded_model(g["csv"])
         except OSError as exc:  # a missing or unreadable file is misuse, like a bad value
             raise ValueError(f"cannot read the gridded model: {exc}") from exc
     return heston_model(**{**_HESTON, **spec.get("params", {})})
@@ -299,7 +301,10 @@ def _run_duality(cfg, out, seed, model, check_model):
     horizon = dcfg.get("horizon", p.get("horizon", 0.5))
     g = _payoff_from_spec(dcfg.get("g", _DEFAULT_PAYOFF))
     e = cfg.get("ensemble", {"n_paths": 20000, "step": 2.0**-9})
-    x = np.asarray(_start(cfg).x)
+    start = _start(cfg)
+    if start.t != 0.0:  # discounted_mean and solve_two_grid both start at t = 0
+        raise ValueError(f"the duality kind starts at t = 0; start.t = {start.t:g} is not 0")
+    x = np.asarray(start.x)
     mc_mean, mc_se = discounted_mean(model, g, x, horizon, e["n_paths"], e["step"], seed,
                                      **_only(e, "scheme"))
     # the break corrupts only the solver side; the simulation stays faithful
@@ -388,7 +393,7 @@ CONFIG_SCHEMA = {
                     "type": "object",
                     "required": ["csv"],
                     "additionalProperties": False,
-                    "properties": {"csv": {"type": "string"}, "sidecar": {"type": "string"}},
+                    "properties": {"csv": {"type": "string"}},
                 },
             },
         },
@@ -417,13 +422,12 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             # the regime-switching parameters need their driver
-            "if": {"anyOf": [{"required": [k]} for k in ("hi_factor", "switch_rate", "p_start_hi")]},
+            "if": {"anyOf": [{"required": [k]} for k in ("hi_factor", "switch_rate")]},
             "then": {"required": ["kind"], "properties": {"kind": {"const": "regime_switching"}}},
             "properties": {
                 "kind": {"enum": ["markov_replay", "regime_switching"]},
                 "hi_factor": {"type": "number", "exclusiveMinimum": 0},
                 "switch_rate": {"type": "number", "minimum": 0},
-                "p_start_hi": {"type": "number", "minimum": 0, "maximum": 1},
             },
         },
         "binning": {
@@ -446,7 +450,6 @@ CONFIG_SCHEMA = {
                 "x_prime_extent": {"type": "number", "exclusiveMinimum": 0},
                 "x_max": {"type": "number", "exclusiveMinimum": 0},
                 "counts": {"type": "array", "items": {"type": "integer", "minimum": 3}},
-                "xd_stretch": {"type": "number", "minimum": 1},
                 "scheme": {"enum": list(pde.SCHEMES)},
                 "horizon": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -457,7 +460,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "n_intervals": {"type": "integer", "minimum": 2},
                 "z_crit": {"type": "number", "exclusiveMinimum": 0},
-                "fail_crit": {"type": "number", "exclusiveMinimum": 0},
                 "test_functions": {"type": "array", "minItems": 1,
                                    "items": _typed_schema("radial_bump", _TEST_FUNCTION_KEYS)},
             },
@@ -501,7 +503,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "n_samples": {"type": "integer", "minimum": 1},
                 "pair_budget": {"type": "integer", "minimum": 1},
-                "t_max": {"type": "number", "exclusiveMinimum": 0},
                 "alphas": {"type": "array", "items": {"type": "number"}},
             },
         },
@@ -522,7 +523,7 @@ def _keep_arrays_on_heap() -> bool:
             and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
 
 
-def run(config: dict, threads: int | None = None, break_generator: str | None = None) -> int:
+def run(config: dict, break_generator: str | None = None) -> int:
     """Validate the config, execute its pipeline, write artifacts, return exit status."""
     error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(config))
     if error is not None:
@@ -535,21 +536,13 @@ def run(config: dict, threads: int | None = None, break_generator: str | None = 
         return 2
 
     heap_applied = _keep_arrays_on_heap()
-    threads_applied = False
-    if threads is not None:
-        try:
-            import threadpoolctl
-        except ImportError:
-            # results are thread-count independent; the cap is best-effort
-            _log.warning("--threads %d not applied: threadpoolctl is not installed", threads)
-        else:
-            threadpoolctl.threadpool_limits(threads)
-            threads_applied = True
-
     out = Path(config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    for stale in ("report.json", "manifest.json"):
-        (out / stale).unlink(missing_ok=True)
+    gridded = config.get("model", {}).get("gridded", {}).get("csv")
+    read = {Path(f).resolve() for f in (gridded, f"{gridded}.meta.json")} if gridded else set()
+    for stale in _ARTIFACTS:
+        if (out / stale).resolve() not in read:
+            (out / stale).unlink(missing_ok=True)
     t_start = time.monotonic()
     faults_start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     try:
@@ -578,8 +571,6 @@ def run(config: dict, threads: int | None = None, break_generator: str | None = 
         "wallclock_s": wallclock,
         "minor_faults": minor_faults,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "threads": threads,
-        "threads_applied": threads_applied,
         "heap_applied": heap_applied,
         "heap_mmap_threshold": _MMAP_THRESHOLD,
         "heap_trim_threshold": _TRIM_THRESHOLD,
@@ -590,25 +581,27 @@ def run(config: dict, threads: int | None = None, break_generator: str | None = 
     return 0 if ok else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mimicsde",
                                      description="degenerate half-space diffusion pipelines")
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="execute a pipeline from a JSON config")
     runp.add_argument("--config", required=True, help="path to the JSON config")
-    runp.add_argument("--threads", type=int, default=None,
-                      help="cap worker threads (results are unaffected)")
     runp.add_argument("--break-generator", choices=["drift", "diffusion"], default=None,
                       help="negative control: corrupt the checking-side generator "
                            "(martingale and duality kinds only)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     with open(args.config) as fh:
         try:
             config = json.load(fh)
         except json.JSONDecodeError as exc:
             print(f"config is not valid JSON: {exc}", file=sys.stderr)
             return 2
-    return run(config, threads=args.threads, break_generator=args.break_generator)
+    return run(config, break_generator=args.break_generator)
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ from .geometry import Region, _holder_scan, region_points
 _DOMAIN_VALIDATE = 104
 _XD_SPLIT = 2.0  # near/far split of the regularity conditions
 _X_PRIME_EXTENT, _XD_FAR_TOP = 3.0, 6.0  # the validator's box: |x_i| <= 3 (i < d), x_d <= 6
+_T_MAX = 1.0  # and its time range [0, 1], the range check_symmetry samples too
 _SYMMETRY_SAMPLES = 64  # points of a model's symmetry check
 # A lattice axis of at most _COUNT_BRACKET_MAX_NODES nodes, evaluated at
 # _COUNT_BRACKET_MIN_POINTS or more points, is bracketed by counting nodes
@@ -471,7 +472,6 @@ def _extremum_clause(name: str, values: np.ndarray, bound: float, kind: str,
 
 def validate_coefficients(
     model: CoefficientModel,
-    t_max: float = 1.0,
     n_samples: int = 4096,
     pair_budget: int = 4096,
     seed: int = 0,
@@ -479,7 +479,7 @@ def validate_coefficients(
 ) -> ValidationReport:
     """Check every regularity clause of ``model.budget`` on sampled data.
 
-    Points are sampled in [0, t_max] x [-3, 3]^(d-1) x [0, 6].  The state
+    Points are sampled in [0, 1] x [-3, 3]^(d-1) x [0, 6].  The state
     space splits at x_d = 2: below it the ellipticity/boundedness/
     Hölder conditions are imposed on `a` itself with the cycloidal metric;
     above it they are imposed on the product x_d * a with the parabolic
@@ -496,9 +496,9 @@ def validate_coefficients(
     ext = _X_PRIME_EXTENT
     report_alphas = list(alphas) if alphas is not None else []
 
-    near = Region(0.0, t_max, (-ext,) * (d - 1) + (0.0,), (ext,) * (d - 1) + (_XD_SPLIT,))
-    far = Region(0.0, t_max, (-ext,) * (d - 1) + (_XD_SPLIT,), (ext,) * (d - 1) + (_XD_FAR_TOP,))
-    wide = Region(0.0, t_max, (-ext,) * (d - 1) + (0.0,), (ext,) * (d - 1) + (_XD_FAR_TOP,))
+    near = Region(0.0, _T_MAX, (-ext,) * (d - 1) + (0.0,), (ext,) * (d - 1) + (_XD_SPLIT,))
+    far = Region(0.0, _T_MAX, (-ext,) * (d - 1) + (_XD_SPLIT,), (ext,) * (d - 1) + (_XD_FAR_TOP,))
+    wide = Region(0.0, _T_MAX, (-ext,) * (d - 1) + (0.0,), (ext,) * (d - 1) + (_XD_FAR_TOP,))
 
     conditions: list[ConditionCheck] = []
 
@@ -616,9 +616,9 @@ def strip_generator_term(model: CoefficientModel, part: str) -> CoefficientModel
     raise ValueError("part must be 'drift' or 'diffusion'")
 
 
-def load_gridded_model(csv_path, sidecar_path=None, **build_kwargs) -> CoefficientModel:
-    """Load mimicked-coefficient files (CSV + JSON sidecar) as a gridded model."""
+def load_gridded_model(csv_path, **build_kwargs) -> CoefficientModel:
+    """Load mimicked-coefficient files (CSV + sidecar ``<csv>.meta.json``) as a gridded model."""
     from . import projection
 
-    mc = projection.load_mimicked(csv_path, sidecar_path)
+    mc = projection.load_mimicked(csv_path)
     return projection.build_mimicking_model(mc, **build_kwargs)

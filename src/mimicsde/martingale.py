@@ -40,6 +40,7 @@ from .sdesim import TimeGrid, _euler_paths, model_driver, simulate_sde
 _FD_TOL = 1e-4
 _FD_TIME = 0.37  # the time at which derivatives are probed
 _RESTART_SEED_OFFSET = 0x517CC1B7  # the restart runs at seed + this
+_FAIL_CRIT = 5.0  # |z| beyond which a martingale-test entry fails rather than reads inconclusive
 
 
 @dataclass
@@ -107,13 +108,13 @@ class TestFunction:
                 raise ValueError(f"test function {self.name!r}: xd_hess inconsistent with x_d * hess")
 
 
-def linear_function(weights: Sequence[float], name: str | None = None) -> TestFunction:
+def linear_function(weights: Sequence[float]) -> TestFunction:
     """v(x) = <w, x>.  Unbounded, so a harness extension rather than a compactly
     supported test function; kept because it makes the discrete martingale exact."""
     w = np.asarray(weights, dtype=float)
     d = w.shape[0]
     return TestFunction(
-        name=name or "linear(" + ",".join(f"{v:g}" for v in w) + ")",
+        name="linear(" + ",".join(f"{v:g}" for v in w) + ")",
         d=d,
         jet=lambda t, x: (x @ w, np.broadcast_to(w, x.shape).copy(), np.zeros((x.shape[0], d, d))),
         xd_hess=lambda t, x: np.zeros((x.shape[0], d, d)),
@@ -166,11 +167,11 @@ def radial_bump(center: Sequence[float], radius: float, name: str | None = None)
     )
 
 
-def boundary_bump(center_prime: Sequence[float], radius: float, name: str | None = None) -> TestFunction:
+def boundary_bump(center_prime: Sequence[float], radius: float) -> TestFunction:
     """Bump centered on the boundary x_d = 0; compact support in the closed half-space."""
     c = tuple(center_prime) + (0.0,)
-    label = name or ("boundary_bump(c'=(" + ",".join(f"{float(v):g}" for v in center_prime)
-                     + f"),R={radius:g})")
+    label = ("boundary_bump(c'=(" + ",".join(f"{float(v):g}" for v in center_prime)
+             + f"),R={radius:g})")
     return radial_bump(c, radius, name=label)
 
 
@@ -290,7 +291,6 @@ class MartingaleReport:
     test_function: str
     entries: tuple[MartingaleTestEntry, ...]
     z_crit: float
-    fail_crit: float
 
     @property
     def overall(self) -> str:
@@ -313,7 +313,7 @@ class MartingaleReport:
     def to_json(self) -> dict:
         return {"test_function": self.test_function,
                 "overall": self.overall, "max_abs_z": self.max_abs_z,
-                "z_crit": self.z_crit, "fail_crit": self.fail_crit,
+                "z_crit": self.z_crit, "fail_crit": _FAIL_CRIT,
                 "entries": [e.to_json() for e in self.entries]}
 
 
@@ -321,7 +321,7 @@ def martingale_test(model: CoefficientModel, generator: CoefficientModel,
                     test_functions: Sequence[TestFunction], probes: Sequence[AdaptedProbe],
                     start: SpaceTimePoint, grid: TimeGrid, n_paths: int, seed: int,
                     scheme: str = "full_truncation", n_intervals: int = 4,
-                    z_crit: float = 3.0, fail_crit: float = 5.0) -> list[MartingaleReport]:
+                    z_crit: float = 3.0) -> list[MartingaleReport]:
     """Standardized test of E[phi * (M^v_{t_{i+1}} - M^v_{t_i})] = 0 for each v.
 
     One report per test function, labelled ``v.name``, on ``model``'s paths
@@ -329,7 +329,7 @@ def martingale_test(model: CoefficientModel, generator: CoefficientModel,
     :func:`martingale_increments`' at the interval bounds.  Even-indexed paths
     calibrate the variance, odd-indexed paths supply the tested mean, so no
     path is reused between estimation and testing.  |z| beyond ``z_crit`` but
-    within ``fail_crit`` is flagged inconclusive rather than failed; probes
+    within 5 is flagged inconclusive rather than failed; probes
     with degenerate variance are excluded and reported.
     """
     if not test_functions or not probes:
@@ -360,7 +360,7 @@ def martingale_test(model: CoefficientModel, generator: CoefficientModel,
                     z = mean / se
                     if abs(z) <= z_crit:
                         status = "pass"
-                    elif abs(z) <= fail_crit:
+                    elif abs(z) <= _FAIL_CRIT:
                         status = "inconclusive"
                     else:
                         status = "fail"
@@ -368,7 +368,7 @@ def martingale_test(model: CoefficientModel, generator: CoefficientModel,
                     probe=probe.name, t_lo=float(nodes[i0]), t_hi=float(nodes[i1]),
                     mean=mean, se=se, z=float(z), n_test=n_test, status=status))
     return [MartingaleReport(test_function=v.name, entries=tuple(rows),
-                             z_crit=z_crit, fail_crit=fail_crit)
+                             z_crit=z_crit)
             for v, rows in zip(test_functions, entries)]
 
 

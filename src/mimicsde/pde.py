@@ -89,15 +89,13 @@ class Grid:
         x_prime_extent: float,
         x_max: float,
         counts: Sequence[int],
-        xd_stretch: float = 1.0,
     ) -> "Grid":
-        """Uniform x' axes on [-extent, extent]; x_d on [0, x_max], optionally
-        refined toward 0 by the power mapping (j/n)^stretch."""
+        """Uniform axes: x' on [-extent, extent], x_d on [0, x_max]."""
         counts = list(counts)
         axes = [np.linspace(-x_prime_extent, x_prime_extent, n) for n in counts[:-1]]
         n_d = counts[-1]
         j = np.arange(n_d) / (n_d - 1)
-        axes.append(x_max * j**xd_stretch)
+        axes.append(x_max * j)
         return cls(dt=dt, axes=tuple(axes))
 
     @property
@@ -530,16 +528,14 @@ def solve_terminal_value(
     horizon: float,
     grid: Grid,
     scheme: str = "implicit_euler",
-    f: Callable | None = None,
 ) -> PdeSolution:
-    """Solve v_t + A v + c v = f with v(horizon, .) = g by time reversal.
+    """Solve v_t + A v + c v = 0 with v(horizon, .) = g by time reversal.
 
-    Defined as exactly solve_cauchy on the time-reversed coefficients and
-    source, so ``values`` is v(0, .) and the extrema cover every layer from
-    the terminal one, which equals g at the nodes exactly, down to t = 0.
+    Defined as exactly solve_cauchy on the time-reversed coefficients, so
+    ``values`` is v(0, .) and the extrema cover every layer from the terminal
+    one, which equals g at the nodes exactly, down to t = 0.
     """
-    f_rev = None if f is None else (lambda t, x: f(horizon - np.asarray(t), x))
-    return solve_cauchy(time_reversed_model(model, horizon), f_rev, g, grid, horizon,
+    return solve_cauchy(time_reversed_model(model, horizon), None, g, grid, horizon,
                         scheme=scheme)
 
 

@@ -406,15 +406,15 @@ def save_mimicked(mc: MimickedCoefficients, csv_path) -> None:
         fh.write("\n")
 
 
-def load_mimicked(csv_path, sidecar_path=None) -> MimickedCoefficients:
-    """Rebuild :class:`MimickedCoefficients` from the CSV + sidecar pair; the
-    sidecar defaults to ``<csv>.meta.json``, where :func:`save_mimicked` writes it.
+def load_mimicked(csv_path) -> MimickedCoefficients:
+    """Rebuild :class:`MimickedCoefficients` from the CSV and its sidecar
+    ``<csv>.meta.json``, the pair :func:`save_mimicked` writes.
 
     The CSV must hold :func:`save_mimicked`'s header and exactly one row per (t_index, cell)
     of the sidecar's lattice, in any order, whose ``x_*`` columns are that cell's centre
     under the sidecar's edges; anything else raises ``ValueError``.
     """
-    with open(sidecar_path or f"{csv_path}.meta.json") as fh:
+    with open(f"{csv_path}.meta.json") as fh:
         meta = json.load(fh)
     if meta.get("kernel", "box") != "box":  # a kernel occupancy sums weights, not paths
         raise ValueError(f"{csv_path}: sidecar kernel {meta['kernel']!r} is not 'box'")

@@ -130,7 +130,7 @@ class ItoDriver:
     """Adapted coefficient process (beta(t), xi(t)) driven by an auxiliary state.
 
     ``coeffs(t, x, aux) -> (beta, xi)`` is pure (no noise), with beta of shape
-    (n, d) and xi of shape (n, d, r).  The auxiliary state is created by
+    (n, d) and xi of shape (n, d, d).  The auxiliary state is created by
     ``init_aux(n, u0)`` and evolves through ``advance_aux(t, h, x, aux, u)``
     on uniforms u0 and u of shape (n, 1).  A driver must produce a vanishing
     d-th row of xi whenever x_d = 0, so the state can never diffuse across
@@ -138,7 +138,6 @@ class ItoDriver:
     """
 
     d: int
-    r: int
     coeffs: Callable
     advance_aux: Callable | None = None
     init_aux: Callable | None = None
@@ -150,26 +149,26 @@ def model_driver(model: CoefficientModel) -> ItoDriver:
     def coeffs(t, x, aux):
         return model.drift_and_sigma(t, x)
 
-    return ItoDriver(d=model.d, r=model.d, coeffs=coeffs)
+    return ItoDriver(d=model.d, coeffs=coeffs)
 
 
 def regime_switching_driver(
     model: CoefficientModel,
     hi_factor: float = 1.5,
     switch_rate: float = 2.0,
-    p_start_hi: float = 0.5,
 ) -> ItoDriver:
     """Two-regime diffusion scaling on top of a base model.
 
     The diffusion is sigma(t,X) in the low regime and hi_factor * sigma(t,X)
     in the high regime, with the hidden regime flipping at ``switch_rate``
-    per unit time.  The state X alone is not Markov, which is what makes the
+    per unit time from an even start: each path begins in either regime with
+    probability 1/2.  The state X alone is not Markov, which is what makes the
     mimicking construction a nontrivial exercise.
     """
     factors = np.array([1.0, hi_factor])
 
     def init_aux(n, u0):
-        return (u0[:, 0] < p_start_hi).astype(np.int64)
+        return (u0[:, 0] < 0.5).astype(np.int64)
 
     def coeffs(t, x, aux):
         beta, base = model.drift_and_sigma(t, x)
@@ -179,8 +178,7 @@ def regime_switching_driver(
         flip = u[:, 0] < switch_rate * h
         return np.where(flip, 1 - aux, aux)
 
-    return ItoDriver(d=model.d, r=model.d, coeffs=coeffs, advance_aux=advance_aux,
-                     init_aux=init_aux)
+    return ItoDriver(d=model.d, coeffs=coeffs, advance_aux=advance_aux, init_aux=init_aux)
 
 
 def _as_start_state(start, d: int, grid: TimeGrid) -> np.ndarray:
@@ -201,15 +199,15 @@ def _as_start_state(start, d: int, grid: TimeGrid) -> np.ndarray:
 
 
 def _eval_driver(driver: ItoDriver, t, x: np.ndarray, aux, label: str):
-    """(beta, xi) at (t, x), shape-checked against (n, d) and (n, d, r)."""
+    """(beta, xi) at (t, x), shape-checked against (n, d) and (n, d, d)."""
     beta, xi = driver.coeffs(t, x, aux)
     beta = np.asarray(beta, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    n, d, r = x.shape[0], driver.d, driver.r
-    if beta.shape != (n, d) or xi.shape != (n, d, r):
+    n, d = x.shape[0], driver.d
+    if beta.shape != (n, d) or xi.shape != (n, d, d):
         raise ValueError(
             f"driver output dimension mismatch at {label}: "
-            f"beta {beta.shape}, xi {xi.shape}, expected ({n},{d}) and ({n},{d},{r})"
+            f"beta {beta.shape}, xi {xi.shape}, expected ({n},{d}) and ({n},{d},{d})"
         )
     return beta, xi
 
@@ -230,7 +228,7 @@ def _euler_paths(
     Steps n paths from the states ``x0`` (shape (n, d), x_d >= 0) at times
     t0 + k h, where ``t0`` is a scalar, kept scalar so a lattice brackets it
     once, or one start time per path.  Step k evaluates the driver at the
-    clipped state, takes the r normals z of the path range 0..n-1 from the
+    clipped state, takes the d normals z of the path range 0..n-1 from the
     Brownian stream at (seed, step k), where path p's row depends on (seed,
     k, p) alone, and adds beta h + xi z sqrt(h): to the internal state under
     ``full_truncation``, to the clipped state under ``absorbed_euler``.  The
@@ -267,7 +265,7 @@ def _euler_paths(
     for k in range(n_steps):
         t_k = t0 + k * h
         beta, xi = _eval_driver(driver, t_k, x_eval, aux, f"step {k}")
-        z = rng.normals(seed, rng.DOMAIN_BROWNIAN, paths, k, driver.r)
+        z = rng.normals(seed, rng.DOMAIN_BROWNIAN, paths, k, driver.d)
         if observe is not None:
             observe(k, x_eval, beta, xi, z)
         # no name for the increment, so it is not held through the next

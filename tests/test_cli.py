@@ -1,7 +1,7 @@
 import dataclasses
 import inspect
+import argparse
 import json
-import logging
 import os
 import platform
 import subprocess
@@ -172,10 +172,11 @@ class TestSchema:
 
     @pytest.mark.parametrize("failure", ["config-error", "runner-raises"])
     def test_rejected_run_leaves_no_earlier_report(self, tmp_path, capsys, monkeypatch, failure):
+        # nor the earlier run's data, which a reader could take for this run's
         out = tmp_path / "out"
         assert cli.run(base_sim_config(tmp_path)) == 0
         assert json.loads((out / "report.json").read_text())["passed"] is True
-        assert (out / "manifest.json").exists()
+        assert (out / "manifest.json").exists() and (out / "ensemble.csv").exists()
         cfg = base_sim_config(tmp_path)
         if failure == "config-error":
             cfg["model"]["params"]["kappa"] = -1.0
@@ -188,8 +189,22 @@ class TestSchema:
             monkeypatch.setitem(cli._RUNNERS, "simulate", runner)
             with pytest.raises(RuntimeError, match="runner failed"):
                 cli.run(cfg)
-        assert not (out / "report.json").exists()
-        assert not (out / "manifest.json").exists()
+        assert list(out.iterdir()) == []
+
+    def test_run_keeps_the_gridded_model_it_reads(self, tmp_path):
+        # a pde run into the directory of the project run that saved its model
+        project = base_sim_config(tmp_path, kind="project", binning=SMALL_BINNING)
+        project["ensemble"]["n_paths"] = 2000
+        assert cli.run(project) == 0
+        out = tmp_path / "out"
+        model = {name: (out / name).read_bytes()
+                 for name in ("mimicked.csv", "mimicked.csv.meta.json")}
+        cfg = base_sim_config(tmp_path, kind="pde", model={"gridded": {
+            "csv": str(out / "mimicked.csv")}}, pde={"dt": 1.0 / 16, "counts": [9, 9],
+                                                     "horizon": 0.25})
+        assert cli.run(cfg) == 0
+        assert {name: (out / name).read_bytes() for name in model} == model
+        assert (out / "solution.csv").exists()
 
     @pytest.mark.parametrize("kind, section, bad, seed, message", [
         ("validate", "validator", {"n_samples": 8, "pair_budget": 1}, 12, "pair_budget=1"),
@@ -238,14 +253,15 @@ class TestSchema:
     def test_unreadable_gridded_model_is_misuse(self, tmp_path, capsys, missing):
         # the loader reads the sidecar, then the CSV; either one absent used to
         # end in a FileNotFoundError traceback with exit 1
-        files = {"csv": tmp_path / "mimicked.csv", "sidecar": tmp_path / "lattice.json"}
+        files = {"csv": tmp_path / "mimicked.csv",
+                 "sidecar": tmp_path / "mimicked.csv.meta.json"}
         files["csv"].write_text("t_index\n")
         files["sidecar"].write_text(json.dumps({
             "times": [0.5], "edges": [[-1.0, 0.0, 1.0], [0.0, 0.5]], "kernel": "box",
             "bandwidth": None, "min_count": 1.0}))
         files[missing].unlink()
         cfg = base_sim_config(tmp_path, kind="pde")
-        cfg["model"] = {"gridded": {k: str(v) for k, v in files.items()}}
+        cfg["model"] = {"gridded": {"csv": str(files["csv"])}}
         assert cli.run(cfg) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot read the gridded model")
@@ -317,6 +333,16 @@ SCHEMA_VIOLATIONS = {
     **{f"gridded-with-{key}": lambda p, key=key, value=value: base_sim_config(
         p, kind="pde", model={"gridded": {"csv": str(p / "mimicked.csv")}, key: value})
        for key, value in [("params", {"kappa": 9}), ("builtin", "heston")]},
+    # settings no run set, now gone from the schema and their callees
+    "removed-sidecar": lambda p: base_sim_config(p, kind="pde", model={"gridded": {
+        "csv": str(p / "mimicked.csv"), "sidecar": str(p / "mimicked.csv.meta.json")}}),
+    "removed-t_max": lambda p: base_sim_config(p, kind="validate", validator={"t_max": 1.0}),
+    "removed-xd_stretch": lambda p: base_sim_config(p, kind="pde", pde={"xd_stretch": 2.0}),
+    "removed-p_start_hi": lambda p: base_sim_config(p, kind="project", binning=SMALL_BINNING,
+                                                    driver={"kind": "regime_switching",
+                                                            "p_start_hi": 0.5}),
+    "removed-fail_crit": lambda p: base_sim_config(p, kind="martingale",
+                                                   martingale={"fail_crit": 5.0}),
 }
 
 
@@ -333,6 +359,35 @@ def test_schema_violation_message_is_jsonschemas(tmp_path, capsys, case):
 def test_config_schema_is_a_draft7_schema():
     # cli.run validates with a prebuilt validator, which does not check the schema itself
     jsonschema.Draft7Validator.check_schema(cli.CONFIG_SCHEMA)
+
+
+def _leaf_keys(schema: dict, prefix: str = "") -> list:
+    """Dotted paths of the keys under ``schema`` that hold no ``properties`` of their own."""
+    return [leaf for key, sub in schema["properties"].items()
+            for leaf in (_leaf_keys(sub, f"{prefix}{key}.") if "properties" in sub
+                         else [prefix + key])]
+
+
+def test_configuration_surface_is_pinned():
+    # every config key and run option a user can set: adding or dropping one
+    # is an edit to these lists, reviewed as a pin edit is
+    assert sorted(_leaf_keys(cli.CONFIG_SCHEMA)) == [
+        "binning.edges", "binning.kernel", "binning.max_masked_fraction", "binning.min_count",
+        "binning.times", "compare_times", "driver.hi_factor", "driver.kind",
+        "driver.switch_rate", "duality.g", "duality.horizon", "duality.pde_eval_shift",
+        "ensemble.horizon", "ensemble.n_paths", "ensemble.scheme", "ensemble.step",
+        "ensemble.store_stride", "kind", "martingale.n_intervals", "martingale.test_functions",
+        "martingale.z_crit", "model.builtin", "model.gridded.csv", "model.params.kappa",
+        "model.params.q", "model.params.r", "model.params.rho", "model.params.theta",
+        "model.params.with_killing", "model.params.zeta", "output_dir", "pde.counts", "pde.dt",
+        "pde.horizon", "pde.scheme", "pde.x_max", "pde.x_prime_extent", "restart.ks_threshold",
+        "restart.level", "restart.min_bin", "restart.n_bins", "restart.perturb", "restart.t_cap",
+        "restart.u", "seed", "start.t", "start.x", "thresholds.gap_z", "thresholds.ks",
+        "thresholds.w1", "validator.alphas", "validator.n_samples", "validator.pair_budget"]
+    sub, = (a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == ["run"]
+    assert sorted(s for a in sub.choices["run"]._actions for s in a.option_strings) == [
+        "--break-generator", "--config", "--help", "-h"]
 
 
 # each config section the CLI forwards as keyword arguments: the call it
@@ -493,6 +548,31 @@ class TestCheckKinds:
         assert "constant in space and time" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_pde_kind_constant_payoff(self, tmp_path):
+        # the march is linear, so a constant payoff of 2 is twice the
+        # constant-data column, bit for bit in every extremum
+        cfg = base_sim_config(tmp_path, kind="pde", duality={"g": {"type": "constant",
+                                                                   "value": 2.0}})
+        cfg["model"]["params"]["with_killing"] = True
+        cfg["pde"] = {"dt": 1.0 / 16, "counts": [9, 9], "horizon": 0.25}
+        assert cli.run(cfg) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        for key in ("layer_min", "layer_max", "inner_min", "inner_max"):
+            assert report[key]["payoff"] == 2.0 * report[key]["constant"], key
+        assert report["layer_min"]["constant"] < 1.0  # the killing acted
+        u = np.loadtxt(tmp_path / "out" / "solution.csv", delimiter=",", skiprows=1)[:, -1]
+        np.testing.assert_allclose(u, 2.0 * report["layer_min"]["constant"], rtol=1e-14)
+
+    def test_duality_kind_rejects_a_start_after_zero(self, tmp_path, capsys):
+        # both sides start at t = 0, so start.t = 0.25 would score v(0, x)
+        cfg = base_sim_config(tmp_path, kind="duality", start={"t": 0.25, "x": [0.0, 0.09]})
+        cfg["ensemble"] = {"n_paths": 200, "step": 2.0**-5, "horizon": 0.25}
+        cfg["pde"] = {"dt": 1.0 / 16, "counts": [9, 9], "horizon": 0.25}
+        assert cli.run(cfg) == 2
+        assert capsys.readouterr().err.startswith("config error: the duality kind starts at "
+                                                  "t = 0; start.t = 0.25")
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_duality_kind_negative_control(self, tmp_path):
         cfg = base_sim_config(tmp_path, kind="duality")
         cfg["ensemble"] = {"n_paths": 4000, "step": 2.0**-7, "horizon": 0.25}
@@ -595,20 +675,14 @@ class TestMain:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
-    def test_threads_flag_accepted(self, tmp_path):
-        cfg = base_sim_config(tmp_path)
-        path = write_config(tmp_path, cfg)
-        assert cli.main(["run", "--config", str(path), "--threads", "1"]) == 0
-
-    def test_manifest_records_thread_cap_not_applied(self, tmp_path, monkeypatch, caplog):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-        cfg = base_sim_config(tmp_path)
-        with caplog.at_level(logging.WARNING, logger="mimicsde.cli"):
-            assert cli.run(cfg, threads=1) == 0
-        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["threads"] == 1
-        assert manifest["threads_applied"] is False
-        assert "not applied" in caplog.text
+    def test_threads_flag_rejected(self, tmp_path, capsys):
+        # the flag could never take effect: threadpoolctl is no dependency
+        path = write_config(tmp_path, base_sim_config(tmp_path))
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["run", "--config", str(path), "--threads", "1"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_manifest_records_heap_thresholds(self, tmp_path):
         assert cli.run(base_sim_config(tmp_path)) == 0

@@ -304,6 +304,24 @@ class TestRestart:
         bad = m.strong_markov_restart_test(heston, start, perturb=[0.0, 0.05], **common)
         assert not bad.passed
 
+    def test_undersized_last_bin_merges_into_the_previous_bin(self, start):
+        # a drift of -0.4 stops 293 of 400 paths on x_d = 0 exactly (the clip),
+        # so three quartiles tie at 0: bins 0 and 1 are empty and merge
+        # rightward, bin 2 holds 300 paths and the last bin the 100 others
+        model = constant_model([0.0, -0.4])
+        common = dict(level=0.0, t_cap=0.25, u=0.25, g_list=[("x_2", lambda x: x[:, 1])],
+                      n_paths=400, h=2.0**-5, seed=3, n_bins=4)
+        split = m.strong_markov_restart_test(model, start, min_bin=50, **common)
+        assert split.merged_bins == 2
+        assert [e.count for e in split.entries] == [300, 100]
+        assert split.entries[0].bin_lo == 0.0
+        # at min_bin 150 the last bin is undersized and joins bin 2
+        merged = m.strong_markov_restart_test(model, start, min_bin=150, **common)
+        assert merged.merged_bins == 3
+        (entry,) = merged.entries
+        assert (entry.bin_lo, entry.bin_hi, entry.count) == (
+            split.entries[0].bin_lo, split.entries[-1].bin_hi, 400)
+
     def test_u_must_be_grid_multiple(self, heston, start, no_simulation):
         # t_cap is a node but t_cap + u = 0.8 is not
         with pytest.raises(ValueError, match="u = 0.3 makes t = 0.8 not a node"):

@@ -35,11 +35,18 @@ class TestGrid:
         with pytest.raises(ValueError):
             m.Grid(dt=-0.1, axes=(np.array([0.0, 0.5, 1.0]),))
 
-    def test_geometric_refinement(self):
-        g = m.Grid.build(dt=0.1, x_prime_extent=1.0, x_max=1.0, counts=[5, 9], xd_stretch=2.0)
-        ax = g.axes[-1]
-        assert ax[0] == 0.0 and ax[-1] == 1.0
-        assert np.diff(ax)[0] < np.diff(ax)[-1]
+    def test_affine_data_exact_on_a_refined_xd_axis(self):
+        # x_d = x_max (j/n)^2 spaces the first x_d interval 31 times finer than
+        # the last: the nonuniform difference weights, the boundary layer's
+        # one-sided drift and the outer closures keep affine data affine, so
+        # u(t, x) = g(x + b t) at every node (no cross term: a is diagonal)
+        ax_d = 0.5 * (np.arange(17) / 16) ** 2
+        grid = m.Grid(dt=1.0 / 64, axes=(np.linspace(-1.5, 1.5, 17), ax_d))
+        model = constant_model([0.3, 0.2], a_mat=np.diag([1.0, 0.5]))
+        g = lambda x: 1.0 + 2.0 * x[:, 0] - 3.0 * x[:, 1]
+        sol = m.solve_cauchy(model, None, g, grid, 0.5)
+        expected = g(grid.nodes() + 0.5 * np.array([0.3, 0.2]))
+        assert np.abs(sol.values.ravel() - expected).max() < 1e-12
 
     def test_march_rejects_three_node_x_prime_axis(self):
         # the two edge closures of a 3-node axis read each other: singular

@@ -298,7 +298,7 @@ def test_restart_continuation_pinned(gridded_model, case):
 def _leaky_driver(heston):
     """A driver whose noise does not vanish on x_d = 0, despite its support claim."""
     xi = 0.2 * np.eye(2)
-    return m.ItoDriver(d=2, r=2, coeffs=lambda t, x, aux: (
+    return m.ItoDriver(d=2, coeffs=lambda t, x, aux: (
         heston.b(t, x), np.broadcast_to(xi, (x.shape[0], 2, 2))))
 
 

@@ -210,6 +210,18 @@ class TestCompareMarginals:
             assert e["sliced_w1"] == 0.0
             assert e["gaps"][0]["gap"] == 0.0
 
+    def test_w1_threshold_gates(self, heston, start):
+        # two seeds of one law under a KS bound of 1, which every KS meets, so
+        # only the sliced-W1 bound decides (the loose bound shows the gaps pass)
+        grid = m.TimeGrid(0.0, 1.0, 0.125)
+        a = m.simulate_sde(heston, start, grid, 500, 5)
+        b = m.simulate_sde(heston, start, grid, 500, 6)
+        w1 = [e["sliced_w1"] for e in m.compare_marginals(a, b, [0.5, 1.0]).entries]
+        assert min(w1) > 0.0
+        for bound, passed in ((0.5 * min(w1), False), (2.0 * max(w1), True)):
+            comp = m.compare_marginals(a, b, [0.5, 1.0], thresholds={"ks": 1.0, "w1": bound})
+            assert comp.passed is passed
+
     def test_time_must_be_shared(self, heston, start):
         a = m.simulate_sde(heston, start, m.TimeGrid(0.0, 1.0, 0.125), 50, 5)
         b = m.simulate_sde(heston, start, m.TimeGrid(0.0, 1.0, 0.25), 50, 5)

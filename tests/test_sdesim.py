@@ -209,7 +209,7 @@ class TestItoProcess:
                                    grid, 10, 1, _spec(0.5))
 
     def test_driver_dimension_mismatch(self, start):
-        bad = m.ItoDriver(d=2, r=2, coeffs=lambda t, x, aux: (np.zeros((x.shape[0], 3)),
+        bad = m.ItoDriver(d=2, coeffs=lambda t, x, aux: (np.zeros((x.shape[0], 3)),
                                                               np.zeros((x.shape[0], 2, 2))))
         grid = m.TimeGrid(0.0, 0.5, 0.25)
         with pytest.raises(ValueError, match="dimension mismatch"):
