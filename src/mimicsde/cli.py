@@ -148,8 +148,14 @@ def _model_from_config(cfg: dict):
     return heston_model(**{**_HESTON, **spec.get("params", {})})
 
 
-def _test_function_from_spec(spec: dict):
+def _test_function_from_spec(spec: dict, d: int):
+    """The test function ``spec`` names, on R^d; a point of another length is misuse."""
     kind = spec.get("type", "radial_bump")
+    key = {"linear": "weights", "radial_bump": "center"}.get(kind, "center_prime")
+    want = d if key != "center_prime" else d - 1
+    if len(spec[key]) != want:
+        raise ValueError(f"{kind}'s {key} has {len(spec[key])} entries; "
+                         f"the model's dimension {d} needs {want}")
     if kind == "linear":
         return linear_function(spec["weights"])
     if kind == "radial_bump":
@@ -157,11 +163,11 @@ def _test_function_from_spec(spec: dict):
     return boundary_bump(spec["center_prime"], spec["radius"])
 
 
-def _payoff_from_spec(spec: dict):
+def _payoff_from_spec(spec: dict, d: int):
     if spec.get("type", "constant") == "constant":
         val = float(spec["value"])
         return lambda x: np.full(np.asarray(x).shape[0], val)
-    tf = _test_function_from_spec(spec)
+    tf = _test_function_from_spec(spec, d)
     return lambda x: tf.jet(0.0, x)[0]
 
 
@@ -175,8 +181,11 @@ def _only(section: dict, *keys: str) -> dict:
     return {k: section[k] for k in keys if k in section}
 
 
-def _grid(cfg: dict) -> Grid:
-    return Grid.build(**{**_GRID, **_without(cfg.get("pde", {}), "scheme", "horizon")})
+def _grid(cfg: dict, d: int) -> Grid:
+    grid = Grid.build(**{**_GRID, **_without(cfg.get("pde", {}), "scheme", "horizon")})
+    if grid.d != d:  # before a payoff reads the nodes
+        raise ValueError(f"pde.counts has {grid.d} entries; the model's dimension is {d}")
+    return grid
 
 
 def _start(cfg: dict) -> SpaceTimePoint:
@@ -243,9 +252,10 @@ def _run_martingale(cfg, out, seed, model, check_model):
         {"type": "boundary_bump", "center_prime": [0.0], "radius": 0.6},
     ])
     probes = [constant_probe()] + [left_coordinate_probe(i) for i in range(model.d)]
-    reports = martingale_test(model, check_model, [_test_function_from_spec(s) for s in specs],
-                              probes, start, _time_grid(cfg, start), e["n_paths"], seed,
-                              **_only(e, "scheme"), **_without(m, "test_functions"))
+    tests = [_test_function_from_spec(s, model.d) for s in specs]
+    reports = martingale_test(model, check_model, tests, probes, start, _time_grid(cfg, start),
+                              e["n_paths"], seed, **_only(e, "scheme"),
+                              **_without(m, "test_functions"))
     return all(r.passed for r in reports), {"martingale": [r.to_json() for r in reports]}
 
 
@@ -256,14 +266,14 @@ def _run_project(cfg, out, seed, model, check_model):
 
 def _run_pde(cfg, out, seed, model, check_model):
     p = cfg.get("pde", {})
-    grid = _grid(cfg)
+    grid = _grid(cfg, model.d)
     horizon = p.get("horizon", 0.5)
     scheme = p.get("scheme", "implicit_euler")
 
     # one time-reversed march: column 1 ends at v(0, .); column 0 is constant
     # data, whose value is exact at any dt because the constant rate survives
     # reversal: each theta-step multiplies by (1 + (1 - theta) c dt) / (1 - theta c dt)
-    g = _payoff_from_spec(cfg.get("duality", {}).get("g", _DEFAULT_PAYOFF))
+    g = _payoff_from_spec(cfg.get("duality", {}).get("g", _DEFAULT_PAYOFF), model.d)
     nodes = grid.nodes()
     block = np.column_stack([np.ones(grid.n_nodes), g(nodes)])
     sol_const, sol = _march(time_reversed_model(model, horizon), None, block, grid, horizon,
@@ -299,16 +309,17 @@ def _run_duality(cfg, out, seed, model, check_model):
     dcfg = cfg.get("duality", {})
     p = cfg.get("pde", {})
     horizon = dcfg.get("horizon", p.get("horizon", 0.5))
-    g = _payoff_from_spec(dcfg.get("g", _DEFAULT_PAYOFF))
+    g = _payoff_from_spec(dcfg.get("g", _DEFAULT_PAYOFF), model.d)
     e = cfg.get("ensemble", {"n_paths": 20000, "step": 2.0**-9})
     start = _start(cfg)
     if start.t != 0.0:  # discounted_mean and solve_two_grid both start at t = 0
         raise ValueError(f"the duality kind starts at t = 0; start.t = {start.t:g} is not 0")
     x = np.asarray(start.x)
+    grid = _grid(cfg, model.d)
     mc_mean, mc_se = discounted_mean(model, g, x, horizon, e["n_paths"], e["step"], seed,
                                      **_only(e, "scheme"))
     # the break corrupts only the solver side; the simulation stays faithful
-    pde_side = solve_two_grid(check_model, g, horizon, _grid(cfg), **_only(p, "scheme"))
+    pde_side = solve_two_grid(check_model, g, horizon, grid, **_only(p, "scheme"))
     # pde_eval_shift moves only the point the solution is read at: a wrong-start control
     rep = pde_side.report(x + np.asarray(dcfg.get("pde_eval_shift", 0.0)), mc_mean, mc_se)
     return rep.passed, {"duality": rep.to_json()}

@@ -13,31 +13,32 @@ discretized with one-sided differences oriented inward, and the stencil never
 reads a value below x_d = 0 — well-posedness without boundary conditions is
 structural, not imposed.
 
-Interior stencils: centered 3-point second differences (nonuniform-ready),
-drift terms upwinded on the sign of b (which keeps I - dt*P an M-matrix in the
-absence of cross terms), mixed derivatives by a sign-split 7-point cross
-stencil of one-sided corner terms.  The outer artificial boundaries close
-with a vanishing second normal difference (linear extrapolation), which keeps
-affine solutions exact.
+Every axis is uniformly spaced, with one spacing per axis.  Interior
+stencils: centered 3-point second differences, drift terms upwinded on the
+sign of b (which keeps I - dt*P an M-matrix in the absence of cross terms),
+mixed derivatives by a sign-split 7-point cross stencil of one-sided corner
+terms.  The outer artificial boundaries close with a vanishing second normal
+difference (linear extrapolation), which keeps affine solutions exact.
 
 Time stepping splits P into line operators (locally one-dimensional Lie
 splitting): one stage per axis and one per lattice diagonal e_i +- e_j that a
-cross term uses.  A node's cross stencil is a 3-point second difference
-along e_i + e_j (coefficient >= 0) or e_i - e_j (< 0) minus its corner
-weights on the two axis stencils (Bonnans, Ottenwaelter & Zidani 2004), so
-each off-diagonal entry of P lands in exactly one stage and the stages sum to
-P.  Stage row sums are zero but for c, which sits with the source in stage 0,
-so each I - theta*dt*P_k is an M-matrix wherever P's row is one, the step (a
-product of their inverses) is monotone, and constants and affine data stay
-exact.  Odd steps run the stages in reverse, so step pairs compose
-symmetrically.  A stage is one tridiagonal system over all of its lines,
-concatenated with no coupling between them, factored (LAPACK gttrf) once per
-assembly and solved (gttrs) once per step; an outer node closes inside the
-axis stage along which it extrapolates and is an identity row in the others,
-and after every stage an explicit pass re-imposes all closures, so no stage
-reads a stale outer value.  The march keeps the (N, k) block in grid order
-and moves it into and out of a stage's line order by gathers
-(``np.take`` by the line order, then by its inverse, the line rank).
+cross term uses.  A node's cross stencil is a 3-point second difference along
+e_i + e_j (coefficient >= 0) or e_i - e_j (< 0) minus its corner weights on
+the two axis stencils (Bonnans, Ottenwaelter & Zidani 2004), so each
+off-diagonal entry of P lands in exactly one stage and the stages sum to P.
+Stage row sums are zero but for c, which sits with the source in stage 0, so
+each I - theta*dt*P_k is an M-matrix wherever P's row is one and the step (a
+product of their inverses) is monotone.  On equal spacings each stage is zero
+on affine data by itself, so constants and affine data stay exact on every
+grid :class:`Grid` accepts, cross terms included.  Odd steps run the stages in
+reverse, so step pairs compose symmetrically.  A stage is one tridiagonal
+system over all of its lines, concatenated with no coupling between them,
+factored (LAPACK gttrf) once per assembly and solved (gttrs) once per step; an
+outer node closes inside the axis stage along which it extrapolates and is an
+identity row in the others, and after every stage an explicit pass re-imposes
+all closures, so no stage reads a stale outer value.  The march keeps the
+(N, k) block in grid order and moves it into and out of a stage's line order
+by gathers (``np.take`` by the line order, then by its inverse, the line rank).
 
 Coefficients are read at fixed node sets, so a model that declares
 ``knots`` (a, b and c affine in t between them, constant outside) is
@@ -64,7 +65,8 @@ SCHEMES = tuple(THETA)
 
 @dataclass(frozen=True)
 class Grid:
-    """Space grid plus time step.  The x_d axis always contains the 0 layer."""
+    """Space grid plus time step.  Each axis has at least 3 nodes at one
+    spacing (gaps equal to a relative 1e-9); the x_d axis starts at the 0 layer."""
 
     dt: float
     axes: tuple
@@ -77,8 +79,11 @@ class Grid:
         for ax in axes:
             if ax.size < 3:
                 raise ValueError("need at least 3 nodes per coordinate")
-            if np.any(np.diff(ax) <= 0):
+            gaps = np.diff(ax)
+            if np.any(gaps <= 0):
                 raise ValueError("axes must be strictly increasing")
+            if gaps.max() - gaps.min() > 1e-9 * gaps.mean():
+                raise ValueError("axes must be uniformly spaced")
         if axes[-1][0] != 0.0:
             raise ValueError("the x_d axis must start at the boundary layer 0")
 
@@ -103,6 +108,10 @@ class Grid:
         return len(self.axes)
 
     @property
+    def spacing(self) -> tuple[float, ...]:
+        return tuple(float(ax[-1] - ax[0]) / (ax.size - 1) for ax in self.axes)
+
+    @property
     def shape(self) -> tuple[int, ...]:
         return tuple(ax.size for ax in self.axes)
 
@@ -122,33 +131,14 @@ class Grid:
         return Grid(dt=2.0 * self.dt, axes=tuple(ax[::2] for ax in self.axes))
 
 
-def _diff_weights(ax: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-index nonuniform difference weights along one axis.
-
-    Entries at indices lacking a neighbor are zero and must not be used.
-    """
-    n = ax.size
-    hp = np.zeros(n)
-    hm = np.zeros(n)
-    hp[:-1] = np.diff(ax)
-    hm[1:] = np.diff(ax)
-    w2m = np.zeros(n)
-    w2p = np.zeros(n)
-    inner = slice(1, n - 1)
-    hpi, hmi = hp[inner], hm[inner]
-    w2m[inner] = 2.0 / (hmi * (hmi + hpi))
-    w2p[inner] = 2.0 / (hpi * (hmi + hpi))
-    return {"hp": hp, "hm": hm, "w2m": w2m, "w20": -(w2m + w2p), "w2p": w2p}
-
-
 class _Lines:
     """The lattice lines of one direction, concatenated into one numbering.
 
     ``order[p]`` is the grid node at position p: consecutive positions on a
     line are neighbours along ``direction`` and no entry couples one line to
     the next.  ``closures`` are the outer-node closures that run along this
-    direction, as (positions, step, e1, e2): row p reads
-    u_p + e1 u_{p+step} + e2 u_{p+2 step} = 0.
+    direction, as (positions, step): row p reads
+    u_p - 2 u_{p+step} + u_{p+2 step} = 0.
     """
 
     def __init__(self, index: np.ndarray, direction: np.ndarray):
@@ -176,7 +166,6 @@ class _Stencil:
         self.strides = np.array(
             [int(np.prod(shape[j + 1:], dtype=np.int64)) for j in range(d)], dtype=np.int64)
         self.index = np.stack(np.unravel_index(np.arange(nn), shape))  # (d, nn)
-        self.weights = [_diff_weights(ax) for ax in grid.axes]
         unit = np.eye(d, dtype=np.int64)
         self.axes = [_Lines(self.index, unit[j]) for j in range(d)]
         self.diagonals = {(i, j, sign): _Lines(self.index, unit[i] + sign * unit[j])
@@ -191,34 +180,26 @@ class _Stencil:
         self.blayer = np.where(blayer)[0]
         self.full = np.where(~outer & ~blayer)[0]
         # where the assembly reads coefficients: b and c at the full-stencil
-        # nodes followed by the boundary layer, a at the former; and the
-        # difference weights (w2m, w20, w2p, hm, hp) of each axis there
+        # nodes followed by the boundary layer, a at the former
         self.bc_rows = np.concatenate([self.full, self.blayer])
         self.bc_nodes = self.nodes[self.bc_rows]
         self.a_nodes = self.bc_nodes[:self.full.size]
-        self.bc_weights = [np.stack([w[k][i] for k in ("w2m", "w20", "w2p", "hm", "hp")])
-                           for w, i in zip(self.weights, self.index[:, self.bc_rows])]
 
         # extrapolation closures: vanishing second normal difference along the
-        # first outward axis, with nonuniform weights so affine data stay
-        # exact, as (rows, near, far, e1, e2) with near = rows + offset and
-        # far = rows + 2 offset: u_r + e1 u_near + e2 u_far = 0
+        # first outward axis, as (rows, near, far) with near = rows + offset
+        # and far = rows + 2 offset: u_r = 2 u_near - u_far
         self.closures: list[tuple] = []
         remaining = np.where(outer)[0]
         for j in range(d):
             ij = self.index[j][remaining]
-            w = self.weights[j]
-            n_j = shape[j]
             at_lo = (ij == 0) if j < d - 1 else np.zeros(ij.size, dtype=bool)
-            at_hi = ij == n_j - 1
-            for sel, step, k, own, far in ((at_lo, 1, 1, "w2m", "w2p"),
-                                           (at_hi, -1, n_j - 2, "w2p", "w2m")):
+            at_hi = ij == shape[j] - 1
+            for sel, step in ((at_lo, 1), (at_hi, -1)):
                 rows = remaining[sel]
                 if rows.size:
-                    e1, e2 = w["w20"][k] / w[own][k], w[far][k] / w[own][k]
                     offset = step * self.strides[j]
-                    self.closures.append((rows, rows + offset, rows + 2 * offset, e1, e2))
-                    self.axes[j].closures.append((self.axes[j].rank[rows], step, e1, e2))
+                    self.closures.append((rows, rows + offset, rows + 2 * offset))
+                    self.axes[j].closures.append((self.axes[j].rank[rows], step))
             remaining = remaining[~(at_lo | at_hi)]
         if remaining.size:
             raise AssertionError("unclosed outer nodes in stencil construction")
@@ -278,6 +259,7 @@ def _assemble_stages(st: _Stencil,
     nodes are zero in every stage.
     """
     d = st.grid.d
+    h = st.grid.spacing
     nf = st.full.size
     av, bv, cv = coefficients
     xd = st.a_nodes[:, -1]
@@ -286,22 +268,21 @@ def _assemble_stages(st: _Stencil,
     band[0, 1] += cv
 
     def upwind(j: int, rows: slice) -> None:
-        hm, hp = st.bc_weights[j][3:, rows]
-        fwd = np.maximum(bv[rows, j], 0.0) / hp
-        bwd = np.maximum(-bv[rows, j], 0.0) / hm
+        fwd = np.maximum(bv[rows, j], 0.0) / h[j]
+        bwd = np.maximum(-bv[rows, j], 0.0) / h[j]
         band[j, 0, rows] += bwd
         band[j, 1, rows] -= fwd + bwd
         band[j, 2, rows] += fwd
 
     for j in range(d):
-        band[j, :, :nf] += (0.5 * xd * av[:, j, j]) * st.bc_weights[j][:3, :nf]
+        w = 2.0 / (h[j] * (h[j] + h[j]))  # the centred second difference's outer weight
+        band[j, :, :nf] += (0.5 * xd * av[:, j, j]) * np.array([[w], [-(w + w)], [w]])
         # the degenerate boundary layer is first-order transport: upwinded
         # along x', one-sided inward in x_d (below)
         upwind(j, slice(None) if j < d - 1 else slice(nf))
     bd = bv[nf:, -1]
-    hp0 = st.weights[d - 1]["hp"][0]
-    band[d - 1, 1, nf:] -= bd / hp0
-    band[d - 1, 2, nf:] += bd / hp0
+    band[d - 1, 1, nf:] -= bd / h[-1]
+    band[d - 1, 2, nf:] += bd / h[-1]
     axis = np.zeros((d, 3, st.nn))  # grid numbering
     axis[:, :, st.bc_rows] = band
 
@@ -313,21 +294,20 @@ def _assemble_stages(st: _Stencil,
     for i in range(d):
         for j in range(i + 1, d):
             coefm = xd * av[:, i, j]
-            (hm_i, hp_i), (hm_j, hp_j) = st.bc_weights[i][3:, :nf], st.bc_weights[j][3:, :nf]
+            w = 0.5 / (h[i] * h[j])
             for sign in (1, -1):
                 sel = np.flatnonzero(sign * coefm > 0)
                 if sel.size == 0:
                     continue
                 r = st.full[sel]
                 cval = np.abs(coefm[sel])
-                hj_fwd, hj_bwd = (hp_j, hm_j) if sign == 1 else (hm_j, hp_j)
                 bands = np.zeros((3, st.nn))
-                bands[0, r] = cval * (0.5 / (hm_i[sel] * hj_bwd[sel]))
-                bands[2, r] = cval * (0.5 / (hp_i[sel] * hj_fwd[sel]))
+                bands[0, r] = bands[2, r] = cval * w
                 bands[1, r] = -(bands[0, r] + bands[2, r])
                 diagonal[(i, j, sign)] = bands
+                # the corner weights are symmetric along either diagonal
                 axis[i] -= bands
-                axis[j] -= bands if sign == 1 else bands[::-1]
+                axis[j] -= bands
 
     stages = [(lines, np.take(axis[j], lines.order, axis=1)) for j, lines in enumerate(st.axes)]
     for key, bands in diagonal.items():
@@ -339,7 +319,7 @@ def _assemble_stages(st: _Stencil,
 def _stage_lu(lines: _Lines, bands: np.ndarray, h: float, n: int) -> list:
     """LAPACK gttrf's LU factors of I - h P_k, for gttrs; n is the step.
 
-    Each closure row that ``lines`` owns, u_p = -(e1 u_q + e2 u_{q+step}) with
+    Each closure row that ``lines`` owns, u_p = 2 u_q - u_{q+step} with
     q = p + step, is substituted into row q, the only row that reads u_p, and
     row p becomes an identity row whose value the closure pass after the
     stage replaces; this is the stage's closure system, solved at bandwidth 1.
@@ -348,11 +328,11 @@ def _stage_lu(lines: _Lines, bands: np.ndarray, h: float, n: int) -> list:
     ab[1] = 1.0 - h * bands[1]
     ab[0, 1:] = -h * bands[2, :-1]
     ab[2, :-1] = -h * bands[0, 1:]
-    for pos, step, e1, e2 in lines.closures:
+    for pos, step in lines.closures:
         q = pos + step
         weight = ab[1 + step, pos]  # row q's entry on u_p
-        ab[1, q] -= weight * e1
-        ab[1 - step, q + step] -= weight * e2
+        ab[1, q] += 2.0 * weight
+        ab[1 - step, q + step] -= weight
         ab[1 + step, pos] = 0.0
     *lu, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
     if info > 0:
@@ -418,6 +398,8 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; use one of {SCHEMES}")
+    if grid.d != model.d:
+        raise ValueError(f"the grid has {grid.d} axes; the model's dimension is {model.d}")
     n_steps = int(round(horizon / grid.dt))
     if abs(n_steps * grid.dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError("horizon must be an integer number of time steps")
@@ -428,7 +410,7 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
 
     if scheme == "crank_nicolson":
         probe = np.abs(np.asarray(model.b(0.0, st.nodes), dtype=float)).max()
-        min_h = min(float(np.diff(ax).min()) for ax in grid.axes)
+        min_h = min(grid.spacing)
         if probe * grid.dt / min_h > 1.0:
             warnings.warn(
                 "crank_nicolson with strong drift: |b| dt / h = "
@@ -473,8 +455,8 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
                 src = np.asarray(f(t_eval, st.nodes), dtype=float)
                 rhs -= grid.dt * np.take(np.where(st.outer, 0.0, src), lines.order)[:, None]
             u = np.take(lapack.dgttrs(*lu, rhs, overwrite_b=True)[0], lines.rank, axis=0)
-            for rows, near, far, e1, e2 in st.closures:
-                u[rows] = -(e1 * np.take(u, near, axis=0) + e2 * np.take(u, far, axis=0))
+            for rows, near, far in st.closures:
+                u[rows] = 2.0 * np.take(u, near, axis=0) - np.take(u, far, axis=0)
         record(u)
 
     lo, hi = np.min(layer_min, axis=0), np.max(layer_max, axis=0)
@@ -570,9 +552,15 @@ class TwoGridValue:
 
         The tolerance is 3 standard errors plus twice the two-grid difference
         at x: for a first-order scheme that difference matches the fine-grid
-        error exactly, so it gets the standard factor-2 headroom.
+        error exactly, so it gets the standard factor-2 headroom.  An x
+        outside the fine grid's box raises ``ValueError``: the solution is
+        only clamped there, so the score would mean nothing.
         """
         x = np.asarray(x, dtype=float)
+        axes = self.fine.grid.axes
+        if x.shape != (len(axes),) or any(not ax[0] <= xj <= ax[-1] for ax, xj in zip(axes, x)):
+            box = " x ".join(f"[{ax[0]:g}, {ax[-1]:g}]" for ax in axes)
+            raise ValueError(f"the duality point {x.tolist()} lies outside the PDE box {box}")
         pde_value = self.fine.value_at(x)
         grid_error = abs(pde_value - self.coarse.value_at(x))
         on_node = all(np.any(np.isclose(ax, x[j], atol=1e-12))

@@ -1,6 +1,7 @@
+import argparse
+import ast
 import dataclasses
 import inspect
-import argparse
 import json
 import os
 import platform
@@ -278,6 +279,45 @@ class TestSchema:
         assert cli.run(cfg) == 2
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("kind, section, message", [
+        ("pde", {"pde": {"counts": [9]}}, "pde.counts has 1 entries"),
+        ("pde", {"pde": {"counts": [9, 9, 9]}}, "pde.counts has 3 entries"),
+        ("duality", {"pde": {"counts": [9, 9, 9]}}, "pde.counts has 3 entries"),
+        ("martingale", {"martingale": {"test_functions": [
+            {"type": "boundary_bump", "center_prime": [0.0, 0.0], "radius": 0.6}]}},
+         "boundary_bump's center_prime has 2 entries"),
+        ("pde", {"duality": {"g": {"type": "radial_bump", "center": [0.1], "radius": 0.5}}},
+         "radial_bump's center has 1 entries"),
+    ], ids=["pde-counts-1", "pde-counts-3", "duality-counts-3", "martingale-boundary-bump",
+            "pde-payoff-center-1"])
+    def test_dimension_mismatch_is_misuse(self, tmp_path, capsys, kind, section, message):
+        # Heston has d = 2: a grid or a test point of another length used to
+        # end in an IndexError, or to march a bump in x_1 alone and exit 0
+        cfg = base_sim_config(tmp_path, kind=kind, **section)
+        cfg["ensemble"] = {"n_paths": 200, "step": 2.0**-5, "horizon": 0.25}
+        cfg.setdefault("pde", {}).update(dt=1.0 / 16, horizon=0.25)
+        cfg["pde"].setdefault("counts", [9, 9])
+        assert cli.run(cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("start_x, shift", [
+        ([0.0, 0.9], None), ([2.0, 0.09], None), ([0.0, 0.09], [0.0, 0.5])],
+        ids=["above-x-max", "beyond-extent", "shifted-above-x-max"])
+    def test_duality_point_outside_the_pde_box_is_misuse(self, tmp_path, capsys, start_x,
+                                                          shift):
+        # the solution is clamped outside its box, so the score was spurious:
+        # (0, 0.9) read PDE 0.2461 against MC 0.0032, (2, 0.09) read 0 against 0
+        cfg = base_sim_config(tmp_path, kind="duality", start={"t": 0.0, "x": start_x})
+        cfg["ensemble"] = {"n_paths": 200, "step": 2.0**-5, "horizon": 0.25}
+        cfg["pde"] = {"dt": 1.0 / 16, "counts": [9, 9], "horizon": 0.25}
+        if shift is not None:
+            cfg["duality"] = {"pde_eval_shift": shift}
+        assert cli.run(cfg) == 2
+        assert "lies outside the PDE box [-1.5, 1.5] x [0, 0.5]" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
 
 def _with(cfg: dict, path: tuple, value) -> dict:
     """``cfg`` with the entry at ``path`` set to ``value`` (removed if None)."""
@@ -388,6 +428,101 @@ def test_configuration_surface_is_pinned():
     assert list(sub.choices) == ["run"]
     assert sorted(s for a in sub.choices["run"]._actions for s in a.option_strings) == [
         "--break-generator", "--config", "--help", "-h"]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(f, ast.Name) and f.id == "dataclass"
+               or isinstance(f, ast.Attribute) and f.attr == "dataclass"
+               for f in (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list))
+
+
+def _settable_values(node: ast.AST, prefix: str) -> dict:
+    """{qualified name: its defaulted parameters or dataclass fields} under ``node``."""
+    found = {}
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            a = child.args
+            positional = a.posonlyargs + a.args
+            values = [p.arg for p in positional[len(positional) - len(a.defaults):]]
+            values += [p.arg for p, v in zip(a.kwonlyargs, a.kw_defaults) if v is not None]
+        elif isinstance(child, ast.ClassDef) and _is_dataclass(child):
+            values = [s.target.id for s in child.body if isinstance(s, ast.AnnAssign)]
+        else:
+            found.update(_settable_values(child, prefix))
+            continue
+        if values:
+            found[prefix + child.name] = " ".join(values)
+        found.update(_settable_values(child, prefix + child.name + "."))
+    return found
+
+
+# each function's defaulted parameters and each dataclass's fields in src/mimicsde
+SETTABLE_VALUES = {
+    "cli.run": "break_generator",
+    "cli.main": "argv",
+    "coeffs.RegularityBudget": "delta K nu alpha",
+    "coeffs.CoefficientModel": "d a b c budget knots",
+    "coeffs.heston_model": "r q with_killing",
+    "coeffs.ConditionCheck": "name passed observed bound kind witness details",
+    "coeffs.ValidationReport": "conditions declared empirical",
+    "coeffs.validate_coefficients": "n_samples pair_budget seed alphas",
+    "geometry.SpaceTimePoint": "t x",
+    "geometry.Region": "t0 t1 lower upper",
+    "geometry.HolderEstimate": "seminorm sup_norm pairs metric alpha",
+    "geometry.region_points": "stratify_from",
+    "martingale.TestFunction": "name d jet dt xd_hess check_points",
+    "martingale.radial_bump": "name",
+    "martingale.martingale_increments": "scheme",
+    "martingale.AdaptedProbe": "name fn",
+    "martingale.MartingaleTestEntry": "probe t_lo t_hi mean se z n_test status",
+    "martingale.MartingaleReport": "test_function entries z_crit",
+    "martingale.martingale_test": "scheme n_intervals z_crit",
+    "martingale.ItoResidualReport": "step mean_abs_residual rms_residual max_abs_residual",
+    "martingale.ito_residual_ladder": "scheme",
+    "martingale.RestartBinEntry": "g bin_lo bin_hi count ks passed",
+    "martingale.RestartReport": "n_hits n_capped entries merged_bins ks_threshold",
+    "martingale.strong_markov_restart_test": "scheme n_bins min_bin ks_threshold perturb",
+    "pde.Grid": "dt axes",
+    "pde.PdeSolution": "grid values layer_min layer_max meta",
+    "pde.solve_cauchy": "scheme",
+    "pde.solve_terminal_value": "scheme",
+    "pde.DualityReport": "pde_value mc_mean mc_se grid_error gap tolerance interpolated passed",
+    "pde.TwoGridValue": "fine coarse",
+    "pde.solve_two_grid": "scheme",
+    "projection.BinningSpec": "times edges min_count",
+    "projection.MimickedCoefficients": (
+        "spec b_hat d_hat occupancy mask n_paths clip fill_distance"),
+    "projection.build_mimicking_model": "max_masked_fraction",
+    "projection.MarginalComparison": "entries thresholds",
+    "projection.compare_marginals": "g_list seed thresholds",
+    "projection.same_law_ks_quantile": "n_boot q seed",
+    "sdesim.TimeGrid": "start end step",
+    "sdesim.DriverSums": "occupancy beta xi2 spec",
+    "sdesim.PathEnsemble": (
+        "grid states pre_clip_min_xd n_clipped_steps n_internal_steps drivers integrability_mean "
+        "boundary_row_violations"),
+    "sdesim.ItoDriver": "d coeffs advance_aux init_aux",
+    "sdesim.regime_switching_driver": "hi_factor switch_rate",
+    "sdesim._euler_paths": "observe",
+    "sdesim._simulate": "observe",
+    "sdesim.simulate_sde": "scheme store_stride observe",
+    "sdesim.discounted_mean": "scheme",
+    "sdesim.simulate_ito_process": "store_stride",
+    "sdesim.SupportReport": (
+        "violations max_negative_excursion_pre_clip p99_negative_excursion_pre_clip clip_fraction "
+        "boundary_row_violations"),
+}
+
+
+def test_settable_values_are_pinned():
+    # adding or dropping a default or a dataclass field is an edit to this
+    # mapping, reviewed as a pin edit is, and the count is read off it
+    src = Path(cli.__file__).parent
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        found.update(_settable_values(ast.parse(path.read_text()), path.stem + "."))
+    assert found == SETTABLE_VALUES
+    assert sum(len(v.split()) for v in found.values()) == 159
 
 
 # each config section the CLI forwards as keyword arguments: the call it

@@ -35,18 +35,39 @@ class TestGrid:
         with pytest.raises(ValueError):
             m.Grid(dt=-0.1, axes=(np.array([0.0, 0.5, 1.0]),))
 
-    def test_affine_data_exact_on_a_refined_xd_axis(self):
-        # x_d = x_max (j/n)^2 spaces the first x_d interval 31 times finer than
-        # the last: the nonuniform difference weights, the boundary layer's
-        # one-sided drift and the outer closures keep affine data affine, so
-        # u(t, x) = g(x + b t) at every node (no cross term: a is diagonal)
+    def test_rejects_a_nonuniform_axis(self):
+        # x_d = x_max (j/n)^2 spaces the first x_d interval 31 times finer
+        # than the last: the march assembles one spacing per axis
         ax_d = 0.5 * (np.arange(17) / 16) ** 2
-        grid = m.Grid(dt=1.0 / 64, axes=(np.linspace(-1.5, 1.5, 17), ax_d))
-        model = constant_model([0.3, 0.2], a_mat=np.diag([1.0, 0.5]))
-        g = lambda x: 1.0 + 2.0 * x[:, 0] - 3.0 * x[:, 1]
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            m.Grid(dt=1.0 / 64, axes=(np.linspace(-1.5, 1.5, 17), ax_d))
+
+    @pytest.mark.parametrize("g", [lambda x: x[:, 0],
+                                   lambda x: 1.0 + 2.0 * x[:, 0] - 3.0 * x[:, 1]],
+                             ids=["x1", "affine"])
+    def test_affine_data_exact_with_a_cross_term(self, g):
+        # a cross term on counts that are not 2^k + 1: each line stage is zero
+        # on affine data by itself, and so are the boundary layer's one-sided
+        # drift and the outer closures, so u(t, x) = g(x + b t) at every node
+        grid = m.Grid.build(dt=1.0 / 64, x_prime_extent=1.5, x_max=0.5, counts=[21, 13])
+        model = constant_model([0.3, 0.2], a_mat=[[1.0, 0.4], [0.4, 0.5]])
         sol = m.solve_cauchy(model, None, g, grid, 0.5)
         expected = g(grid.nodes() + 0.5 * np.array([0.3, 0.2]))
         assert np.abs(sol.values.ravel() - expected).max() < 1e-12
+
+    def test_coarsened_linspace_axes_are_uniform(self):
+        # 21 nodes on [-1.5, 1.5] have gaps that differ at rounding level;
+        # their every-other-node subsampling passes the uniformity check too
+        grid = m.Grid.build(dt=1.0 / 64, x_prime_extent=1.5, x_max=0.5, counts=[21, 21])
+        coarse = grid.coarsen()
+        assert coarse.shape == (11, 11)
+        assert np.allclose(coarse.spacing, 2.0 * np.array(grid.spacing), rtol=1e-12)
+
+    def test_march_rejects_a_grid_of_another_dimension(self):
+        grid = m.Grid.build(dt=1 / 16, x_prime_extent=1.0, x_max=0.5, counts=[9, 9, 9])
+        with pytest.raises(ValueError, match="3 axes; the model's dimension is 2"):
+            _march(constant_model([0.0, 0.1]), None, np.ones((grid.n_nodes, 1)), grid, 0.25,
+                   "implicit_euler")
 
     def test_march_rejects_three_node_x_prime_axis(self):
         # the two edge closures of a 3-node axis read each other: singular
@@ -73,9 +94,9 @@ def dense_stage(st, lines, bands, h):
     for band, shift in ((0, -1), (1, 0), (2, 1)):
         p = np.flatnonzero(bands[band])
         mat[order[p], order[p + shift]] -= h * bands[band][p]
-    for pos, step, e1, e2 in lines.closures:
-        mat[order[pos], order[pos + step]] = e1
-        mat[order[pos], order[pos + 2 * step]] = e2
+    for pos, step in lines.closures:
+        mat[order[pos], order[pos + step]] = -2.0
+        mat[order[pos], order[pos + 2 * step]] = 1.0
     return mat
 
 
@@ -162,11 +183,11 @@ class TestStageSplit:
                 rhs = ref.copy()
                 if lines is st.axes[0]:
                     rhs[~st.outer] -= grid.dt * f(t, x)[~st.outer, None]
-                for pos, *_ in lines.closures:
+                for pos, _ in lines.closures:
                     rhs[lines.order[pos]] = 0.0
                 ref = np.linalg.solve(dense_stage(st, lines, bands, grid.dt), rhs)
-                for rows, near, far, e1, e2 in st.closures:
-                    ref[rows] = -(e1 * ref[near] + e2 * ref[far])
+                for rows, near, far in st.closures:
+                    ref[rows] = 2.0 * ref[near] - ref[far]
             refs.append(ref)
 
         for n, ref in enumerate(refs):
@@ -379,6 +400,16 @@ class TestDuality:
         mc = m.discounted_mean(model, ones, [0.0, 0.5], 0.125, 8, 2.0**-9, 3)
         rep = m.solve_two_grid(model, ones, 0.125, grid).report([0.0, 0.5], *mc)
         assert rep.mc_mean == pytest.approx(np.exp(-0.02), abs=1e-3)
+
+    @pytest.mark.parametrize("x", [[0.0, 0.6], [-1.6, 0.1], [0.0, -0.01], [0.0]])
+    def test_report_rejects_a_point_outside_the_box(self, x):
+        # the solution is only clamped outside its box: no score there
+        model = constant_model([0.0, 0.1])
+        grid = m.Grid.build(dt=1 / 16, x_prime_extent=1.5, x_max=0.5, counts=[9, 9])
+        pde_side = m.solve_two_grid(model, ones, 0.25, grid)
+        assert pde_side.report([1.5, 0.5], 1.0, 0.1).passed  # the box is closed
+        with pytest.raises(ValueError, match="outside the PDE box"):
+            pde_side.report(x, 1.0, 0.1)
 
     def test_sample_side_needs_two_paths(self, heston):
         with pytest.raises(ValueError, match="at least 2 paths"):
