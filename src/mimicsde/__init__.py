@@ -40,13 +40,11 @@ from .martingale import (
     TestFunction,
     boundary_bump,
     ito_formula_residual,
-    ito_residual_ladder,
     linear_function,
     martingale_increments,
     martingale_test,
     radial_bump,
     strong_markov_restart_test,
-    time_weighted_xd,
 )
 from .pde import (
     DualityReport,
@@ -65,7 +63,6 @@ from .projection import (
     compare_marginals,
     estimate_mimicking_coefficients,
     load_mimicked,
-    same_law_ks_quantile,
     save_mimicked,
 )
 from .sdesim import (

@@ -316,12 +316,14 @@ def _run_duality(cfg, out, seed, model, check_model):
         raise ValueError(f"the duality kind starts at t = 0; start.t = {start.t:g} is not 0")
     x = np.asarray(start.x)
     grid = _grid(cfg, model.d)
+    # pde_eval_shift moves only the point the solution is read at: a wrong-start
+    # control; it must lie in the box, checked before any path or solve
+    x_pde = grid.check_inside(x + np.asarray(dcfg.get("pde_eval_shift", 0.0)))
     mc_mean, mc_se = discounted_mean(model, g, x, horizon, e["n_paths"], e["step"], seed,
                                      **_only(e, "scheme"))
     # the break corrupts only the solver side; the simulation stays faithful
     pde_side = solve_two_grid(check_model, g, horizon, grid, **_only(p, "scheme"))
-    # pde_eval_shift moves only the point the solution is read at: a wrong-start control
-    rep = pde_side.report(x + np.asarray(dcfg.get("pde_eval_shift", 0.0)), mc_mean, mc_se)
+    rep = pde_side.report(x_pde, mc_mean, mc_se)
     return rep.passed, {"duality": rep.to_json()}
 
 

@@ -17,7 +17,17 @@ its pairs once and scores every coefficient entry at every exponent from them.
 Evaluators are vectorized: they accept t as a scalar or (n,) array and x as an
 (n, d) array, returning (n, d, d), (n, d), (n,) respectively, and must be pure
 (safe to call concurrently).  A returned array may be a read-only view, such
-as one matrix broadcast over the batch.
+as one matrix broadcast over the batch, or any other strided view.
+
+The per-path matrices and vectors an Euler step builds (the root of a, sigma,
+the drift of a lattice model) are stored entry-major: (d, d, n) and (d, n)
+arrays returned as transposed (n, d, d) and (n, d) views, so each entry is
+one contiguous column.  Small contractions over the d axis are written as
+column arithmetic (:func:`_dot`, :func:`_frobenius`): every sum starts from
++0.0, so a sum of -0.0 terms is +0.0, and runs in the order numpy's einsum
+uses at d <= 2, where the bits are the same (proven by the tests); at d >= 3
+einsum's SIMD order is not a plain left-to-right sum, so there the column
+sums differ from it at rounding level.
 """
 
 from __future__ import annotations
@@ -103,7 +113,8 @@ class CoefficientModel:
                 raise ValueError("knots must be a non-empty, finite, strictly increasing 1-d array")
 
     def varsigma(self, t, x: np.ndarray) -> np.ndarray:
-        """Pointwise square root of a(t, x), batched.
+        """Pointwise square root of a(t, x), batched: an (n, d, d) view of
+        entry-major (d, d, n) storage, one contiguous column per entry.
 
         The lower Cholesky factor wherever a is positive definite: in closed
         form for d <= 2 (the same operations, in the same order, as LAPACK's
@@ -122,20 +133,28 @@ class CoefficientModel:
         return _matrix_root(np.asarray(self.a(t, x), dtype=float))
 
     def sigma(self, t, x: np.ndarray) -> np.ndarray:
-        """Diffusion matrix sqrt(x_d^+) * varsigma(t, x), batched."""
-        return _sqrt_xd(x) * self.varsigma(t, x)
+        """Diffusion matrix sqrt(x_d^+) * varsigma(t, x), batched, as an (n, d, d)
+        view of entry-major (d, d, n) storage.  Each entry is one elementwise
+        product, so the bits are those of the row-major product at every d;
+        the sums that read it (the Euler increment, xi xi^*) run from +0.0 in
+        einsum's order, bit-identical to it at d <= 2 (see the module docstring)."""
+        return _rows_scaled(_sqrt_xd(x), self.varsigma(t, x))
 
     def drift_and_sigma(self, t, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(b(t, x), sigma(t, x)), as one Euler step needs them.
+        """(b(t, x), sigma(t, x)), as one Euler step needs them; sigma is
+        entry-major, as :meth:`sigma` says, with the same bits.
 
         When a and b are :class:`LatticeField` views of one lattice table, as
         a built mimicking model's are, (t, x) is bracketed and the corner
-        weights are formed once for both.
+        weights are formed once for both, and a and b are read as views of
+        the interpolated (C, n) rows, so b comes back entry-major too.
         """
         a, b = self.a, self.b
         if isinstance(a, LatticeField) and isinstance(b, LatticeField) and a.lattice is b.lattice:
-            av, bv = LatticeField.evaluate_together(t, x, (a, b))
-            return bv, _sqrt_xd(x) * _matrix_root(av)
+            x = np.asarray(x, dtype=float)
+            rows = a.lattice._combine(t, x, slice(None))
+            av, bv = (_points_view(rows[f.rows], f.shape) for f in (a, b))
+            return bv, _rows_scaled(_sqrt_xd(x), _matrix_root(av))
         return b(t, x), self.sigma(t, x)
 
     def check_symmetry(self) -> None:
@@ -151,13 +170,47 @@ class CoefficientModel:
 
 
 def _sqrt_xd(x: np.ndarray) -> np.ndarray:
-    """sqrt(x_d^+) shaped to scale a batch of d x d matrices."""
-    return np.sqrt(np.maximum(x[..., -1], 0.0))[..., None, None]
+    """sqrt(x_d^+) per row of x."""
+    return np.sqrt(np.maximum(x[:, -1], 0.0))
+
+
+def _entry_major(n: int, d: int) -> np.ndarray:
+    """An uninitialised batch of n d x d matrices: (d, d, n) storage as an (n, d, d) view."""
+    return np.empty((d, d, n)).transpose(2, 0, 1)
+
+
+def _rows_scaled(s: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """s[p] * m[p] for n matrices m (n, d, d) and scalars s (n,), entry-major."""
+    out = _entry_major(*m.shape[:2])
+    np.multiply(s, m.transpose(1, 2, 0), out=out.transpose(1, 2, 0))
+    return out
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_i u[..., i] v[..., i], left to right from +0.0: einsum's bits at d <= 2."""
+    out = np.zeros(np.broadcast_shapes(u.shape[:-1], v.shape[:-1]))
+    for i in range(u.shape[-1]):
+        out += u[..., i] * v[..., i]
+    return out
+
+
+def _frobenius(a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """<a, h> = sum_ij a_ij h_ij: each column j summed down i, the column sums
+    added left to right from +0.0; at d = 2 that is (a00 h00 + a10 h10) +
+    (a01 h01 + a11 h11), einsum's order, for a per-row or a broadcast a."""
+    d = a.shape[-1]
+    out = np.zeros(np.broadcast_shapes(a.shape[:-2], h.shape[:-2]))
+    for j in range(d):
+        col = a[..., 0, j] * h[..., 0, j]
+        for i in range(1, d):
+            col += a[..., i, j] * h[..., i, j]
+        out += col
+    return out
 
 
 def _matrix_root(av: np.ndarray) -> np.ndarray:
-    """:meth:`CoefficientModel.varsigma` of evaluated matrices ``av``."""
-    if av.ndim == 3 and av.shape[0] > 1 and av.strides[0] == 0:
+    """:meth:`CoefficientModel.varsigma` of evaluated matrices ``av`` (n, d, d)."""
+    if av.shape[0] > 1 and av.strides[0] == 0:
         root, failed = _cholesky_rows(av[:1])
         if not failed[0]:
             return np.broadcast_to(root, av.shape)
@@ -169,50 +222,48 @@ def _matrix_root(av: np.ndarray) -> np.ndarray:
         if np.any(w_min < -1e-10 * scale):
             raise ValueError(
                 f"a(t,x) has a negative eigenvalue {w_min.min():.3e}; not a diffusion matrix")
-        root[failed] = np.einsum("...ik,...k->...ik", v, np.sqrt(np.maximum(w, 0.0)))
+        # each eigenvector column scaled by its root, then + 0.0 as einsum adds it
+        root[failed] = v * np.sqrt(np.maximum(w, 0.0))[:, None, :] + 0.0
     return root
 
 
 def _cholesky_rows(av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower Cholesky factors of a batch of matrices, and the rows that are not PD.
+    """Lower Cholesky factors of n matrices (n, d, d), entry-major, and the rows that are not PD.
 
     Failed rows are left unspecified for the caller to fill.  For d <= 2 the
-    factor is written out: the pivot reciprocal is multiplied, not divided,
-    because that is how LAPACK's potf2 scales the column.
+    factor is written out column by column: the pivot reciprocal is
+    multiplied, not divided, because that is how LAPACK's potf2 scales the
+    column.
     """
-    d = av.shape[-1]
+    n, d = av.shape[0], av.shape[-1]
+    root = _entry_major(n, d)
     if d > 2:
+        failed = np.zeros(n, dtype=bool)
         try:
-            return np.linalg.cholesky(av), np.zeros(av.shape[:-2], dtype=bool)
+            root[...] = np.linalg.cholesky(av)
         except np.linalg.LinAlgError:
-            flat = av.reshape(-1, d, d)
-            root = np.zeros_like(flat)
-            failed = np.zeros(flat.shape[0], dtype=bool)
-            for i, a_i in enumerate(flat):
+            root[...] = 0.0
+            for i, a_i in enumerate(av):
                 try:
                     root[i] = np.linalg.cholesky(a_i)
                 except np.linalg.LinAlgError:
                     failed[i] = True
-            return root.reshape(av.shape), failed.reshape(av.shape[:-2])
-    root = np.zeros_like(av)
+        return root, failed
     with np.errstate(invalid="ignore", divide="ignore"):
-        l11 = np.sqrt(av[..., 0, 0])
-        root[..., 0, 0] = l11
+        l11 = np.sqrt(av[:, 0, 0], out=root[:, 0, 0])
         ok = l11 > 0.0
         if d == 2:
-            l21 = av[..., 1, 0] * (1.0 / l11)
-            l22 = np.sqrt(av[..., 1, 1] - l21 * l21)
-            root[..., 1, 0] = l21
-            root[..., 1, 1] = l22
+            root[:, 0, 1] = 0.0
+            l21 = np.multiply(av[:, 1, 0], 1.0 / l11, out=root[:, 1, 0])
+            l22 = np.sqrt(av[:, 1, 1] - l21 * l21, out=root[:, 1, 1])
             ok &= l22 > 0.0
     return root, ~ok
 
 
 def _generator_contract(av, bv, xd, grads, hesss) -> np.ndarray:
-    """(1/2) xd <av, H> + bv . grad from evaluated coefficients, with xd = x_d^+."""
-    second = 0.5 * xd * np.einsum("...ij,...ij->...", av, hesss)
-    first = np.einsum("...i,...i->...", bv, grads)
-    return second + first
+    """(1/2) xd <av, H> + bv . grad from evaluated coefficients, with xd = x_d^+,
+    in column arithmetic (:func:`_frobenius`, :func:`_dot`)."""
+    return 0.5 * xd * _frobenius(av, hesss) + _dot(bv, grads)
 
 
 class LatticeInterpolator:
@@ -311,17 +362,23 @@ class LatticeInterpolator:
         return out
 
 
+def _points_view(components: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Component-major (C, n) values as a view of n points of the given shape."""
+    return np.moveaxis(components.reshape(shape + (components.shape[1],)), -1, 0)
+
+
 def _points_first(components: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Component-major (C, n) values as n points of the given shape."""
-    return np.ascontiguousarray(components.T).reshape((components.shape[1],) + shape)
+    """Component-major (C, n) values as n C-contiguous points of the given shape."""
+    return np.ascontiguousarray(_points_view(components, shape))
 
 
 class LatticeField:
     """A field of the given shape stored as the component ``rows`` of a
     :class:`LatticeInterpolator` whose trailing shape is (C,).
 
-    A call interpolates only its own rows; :meth:`evaluate_together`
-    brackets (t, x) once for several fields of one lattice.
+    A call interpolates only its own rows and returns C-contiguous points;
+    :meth:`CoefficientModel.drift_and_sigma` brackets (t, x) once for the a
+    and b views of one lattice.
     """
 
     __slots__ = ("lattice", "rows", "shape")
@@ -332,14 +389,6 @@ class LatticeField:
     def __call__(self, t, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return _points_first(self.lattice._combine(t, x, self.rows), self.shape)
-
-    @staticmethod
-    def evaluate_together(t, x: np.ndarray, fields: Sequence[LatticeField]) -> list[np.ndarray]:
-        """Each of ``fields``, views of one lattice, at (t, x), from one pass
-        over every row of its table; bit-equal to calling each field alone."""
-        x = np.asarray(x, dtype=float)
-        out = fields[0].lattice._combine(t, x, slice(None))
-        return [_points_first(out[f.rows], f.shape) for f in fields]
 
 
 def heston_model(
@@ -376,12 +425,12 @@ def heston_model(
     def a_eval(t, x):
         return np.broadcast_to(a_const, (np.asarray(x).shape[0], 2, 2))
 
-    def b_eval(t, x):
+    def b_eval(t, x):  # entry-major
         x = np.asarray(x)
-        out = np.empty_like(x)
-        out[:, 0] = (r - q) - 0.5 * x[:, 1]
-        out[:, 1] = kappa * (theta - x[:, 1])
-        return out
+        out = np.empty((2, x.shape[0]))
+        out[0] = (r - q) - 0.5 * x[:, 1]
+        out[1] = kappa * (theta - x[:, 1])
+        return out.T
 
     c_val = -r if with_killing else 0.0
 

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng
-from .coeffs import CoefficientModel, _generator_contract
+from .coeffs import CoefficientModel, _dot, _entry_major, _frobenius, _generator_contract
 from .geometry import SpaceTimePoint
 from .projection import _ks_statistic
 from .sdesim import TimeGrid, _euler_paths, model_driver, simulate_sde
@@ -48,8 +48,13 @@ class TestFunction:
     """Evaluable v with analytic derivatives, self-checked at construction.
 
     ``jet(t, x)`` takes x of shape (n, d) and returns ``(value, grad, hess)``
-    of shapes (n,), (n, d) and (n, d, d) from one evaluation; spatial
-    functions simply ignore t.  A function is time-dependent exactly when it
+    of shapes (n,), (n, d) and (n, d, d) from one evaluation, in any memory
+    layout: the bumps return entry-major (d, n) and (d, d, n) storage as
+    transposed views, and the linear function broadcast derivatives, so the
+    compensator's column arithmetic reads contiguous or constant columns; its
+    sums run from +0.0 in einsum's order, bit-identical to einsum at d <= 2
+    and at rounding level from it at d >= 3.  Spatial functions simply
+    ignore t.  A function is time-dependent exactly when it
     supplies ``dt`` (v_t); to be usable at the degenerate boundary it also
     supplies ``xd_hess`` — the product x_d * Hessian as one continuous
     evaluator.  The jet's derivatives are probed against its own finite
@@ -116,7 +121,8 @@ def linear_function(weights: Sequence[float]) -> TestFunction:
     return TestFunction(
         name="linear(" + ",".join(f"{v:g}" for v in w) + ")",
         d=d,
-        jet=lambda t, x: (x @ w, np.broadcast_to(w, x.shape).copy(), np.zeros((x.shape[0], d, d))),
+        jet=lambda t, x: (x @ w, np.broadcast_to(w, x.shape),
+                          np.broadcast_to(np.zeros((d, d)), (x.shape[0], d, d))),
         xd_hess=lambda t, x: np.zeros((x.shape[0], d, d)),
     )
 
@@ -142,16 +148,21 @@ def radial_bump(center: Sequence[float], radius: float, name: str | None = None)
         # 1-D columns with the bits of the (n, d) broadcast form the tests
         # compare against: squares summed left to right; outer products added
         # to +0.0, as einsum does (a -0.0 becomes +0.0); off the diagonal no
-        # p1 * 0 term, which is -0.0 (p1 <= 0) and so would change no bit
+        # p1 * 0 term, which is -0.0 (p1 <= 0) and so would change no bit.
+        # The derivatives are stored entry-major.
         delta = [x[:, i] - c[i] for i in range(d)]
         psi, p1, p2 = _bump_psi(sum(col * col for col in delta) / r2)
-        grad = np.empty((x.shape[0], d))
-        hess = np.empty((x.shape[0], d, d))
+        grad = np.empty((d, x.shape[0])).T
+        hess = _entry_major(x.shape[0], d)
         for i in range(d):
-            grad[:, i] = p1 * (2.0 * delta[i] / r2)
+            np.multiply(p1, 2.0 * delta[i] / r2, out=grad[:, i])
             for j in range(i + 1):
-                hij = p2 * ((delta[i] * delta[j] + 0.0) * (4.0 / (r2 * r2)))
-                hess[:, i, j] = hess[:, j, i] = hij + p1 * (2.0 / r2) if i == j else hij
+                hij = np.multiply(p2, (delta[i] * delta[j] + 0.0) * (4.0 / (r2 * r2)),
+                                  out=hess[:, i, j])
+                if i == j:
+                    hij += p1 * (2.0 / r2)
+                else:
+                    hess[:, j, i] = hij
         return psi, grad, hess
 
     # probe points inside the support, kept at x_d > 0
@@ -175,28 +186,6 @@ def boundary_bump(center_prime: Sequence[float], radius: float) -> TestFunction:
     return radial_bump(c, radius, name=label)
 
 
-def time_weighted_xd(horizon: float) -> TestFunction:
-    """v(t, x) = (horizon - t) * x_d: the canonical boundary-regular space-time function.
-
-    Its raw hessian is zero, so x_d * hess is identically zero and the
-    boundary evaluation never forms 0 * infinity.
-    """
-
-    def jet(t, x):
-        w = horizon - np.asarray(t)
-        g = np.zeros_like(x)
-        g[:, -1] = w
-        return w * x[:, -1], g, np.zeros((x.shape[0], x.shape[1], x.shape[1]))
-
-    return TestFunction(
-        name=f"(T-t)*x_d, T={horizon}",
-        d=2,
-        jet=jet,
-        dt=lambda t, x: -x[:, -1],
-        xd_hess=lambda t, x: np.zeros((x.shape[0], x.shape[1], x.shape[1])),
-    )
-
-
 def martingale_increments(model: CoefficientModel, generator: CoefficientModel,
                           test_functions: Sequence[TestFunction], nodes: Sequence[int],
                           start: SpaceTimePoint, grid: TimeGrid, n_paths: int, seed: int,
@@ -209,7 +198,8 @@ def martingale_increments(model: CoefficientModel, generator: CoefficientModel,
     functions (b is the step's own drift when ``generator`` is ``model``, and
     the generator's b otherwise, so a broken generator still compensates with
     its own), and each jet closes M^v at node k and drives step k's
-    left-endpoint compensator.  The final node is closed from the stored
+    left-endpoint compensator, contracted column by column
+    (:func:`.coeffs._generator_contract`).  The final node is closed from the stored
     endpoint.  Returns M^v, (len(test_functions), n_paths, len(nodes)) and 0
     at node 0, and the states (n_paths, d) at the nodes, which the kernel
     never writes again.
@@ -395,7 +385,8 @@ def ito_formula_residual(model: CoefficientModel, v: TestFunction, start: SpaceT
     and normals that the step itself used; v must expose v_t and the product
     x_d * Hessian as continuous evaluators.  The quadratic variation is
     booked as (1/2) x_d <a, Hess>, matching the generator convention used
-    everywhere else.
+    everywhere else.  Both sides are summed in column arithmetic
+    (:func:`.coeffs._dot`, :func:`.coeffs._frobenius`), einsum's bits at d <= 2.
     """
     if not v.time_dependent:
         raise ValueError("ito_formula_residual needs a time-dependent test function")
@@ -410,10 +401,12 @@ def ito_formula_residual(model: CoefficientModel, v: TestFunction, start: SpaceT
         nonlocal stoch, quad
         t = grid.start + k * h
         g = np.asarray(v.jet(t, x)[1], dtype=float)
-        stoch += np.einsum("ni,nij,nj->n", g, xi, z) * sqrt_h
-        quad += (np.asarray(v.dt(t, x), dtype=float) + np.einsum("ni,ni->n", beta, g)
-                 + 0.5 * np.einsum("nij,nij->n", np.asarray(model.a(t, x), dtype=float),
-                                   np.asarray(v.xd_hess(t, x), dtype=float))) * h
+        # g . xi z as the products (g_i xi_ij) z_j, summed row-major in (i, j)
+        g_xi = (g[:, :, None] * xi).reshape(len(g), -1)
+        stoch += _dot(g_xi, np.tile(z, (1, z.shape[1]))) * sqrt_h
+        quad += (np.asarray(v.dt(t, x), dtype=float) + _dot(beta, g)
+                 + 0.5 * _frobenius(np.asarray(model.a(t, x), dtype=float),
+                                    np.asarray(v.xd_hess(t, x), dtype=float))) * h
 
     # endpoints only; a grid of no steps stores its one node
     ens = simulate_sde(model, start, grid, n_paths, seed, scheme, max(grid.n_steps, 1), observe)
@@ -426,26 +419,6 @@ def ito_formula_residual(model: CoefficientModel, v: TestFunction, start: SpaceT
         rms_residual=float(np.sqrt(np.mean(resid**2))),
         max_abs_residual=float(np.abs(resid).max()),
     )
-
-
-def ito_residual_ladder(
-    model: CoefficientModel,
-    v: TestFunction,
-    start: SpaceTimePoint,
-    horizon: float,
-    steps: Sequence[float],
-    n_paths: int,
-    seed: int,
-    scheme: str = "full_truncation",
-) -> dict:
-    """Residual decay of `ito_formula_residual` across a step-size ladder."""
-    reports = [ito_formula_residual(model, v, start, TimeGrid(start.t, start.t + horizon, h),
-                                    n_paths, seed, scheme) for h in steps]
-    means = [r.mean_abs_residual for r in reports]
-    ratios = [means[i] / means[i + 1] for i in range(len(means) - 1)]
-    return {"steps": list(steps), "mean_abs_residuals": means,
-            "halving_ratios": ratios,
-            "reports": [r.to_json() for r in reports]}
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,20 @@ class Grid:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
+    def check_inside(self, x: Sequence[float]) -> np.ndarray:
+        """``x`` as an array, after checking that it is a point of the box.
+
+        Raises ``ValueError`` naming the box when it is not, before any
+        solve: a solution is only clamped outside its box, so a value read
+        there would mean nothing.
+        """
+        x = np.asarray(x, dtype=float)
+        axes = self.axes
+        if x.shape != (len(axes),) or any(not ax[0] <= xj <= ax[-1] for ax, xj in zip(axes, x)):
+            box = " x ".join(f"[{ax[0]:g}, {ax[-1]:g}]" for ax in axes)
+            raise ValueError(f"the duality point {x.tolist()} lies outside the PDE box {box}")
+        return x
+
     def coarsen(self) -> "Grid":
         """Every-other-node subsampling (counts must be odd), dt doubled."""
         for ax in self.axes:
@@ -553,14 +567,10 @@ class TwoGridValue:
         The tolerance is 3 standard errors plus twice the two-grid difference
         at x: for a first-order scheme that difference matches the fine-grid
         error exactly, so it gets the standard factor-2 headroom.  An x
-        outside the fine grid's box raises ``ValueError``: the solution is
-        only clamped there, so the score would mean nothing.
+        outside the fine grid's box raises ``ValueError``
+        (:meth:`Grid.check_inside`).
         """
-        x = np.asarray(x, dtype=float)
-        axes = self.fine.grid.axes
-        if x.shape != (len(axes),) or any(not ax[0] <= xj <= ax[-1] for ax, xj in zip(axes, x)):
-            box = " x ".join(f"[{ax[0]:g}, {ax[-1]:g}]" for ax in axes)
-            raise ValueError(f"the duality point {x.tolist()} lies outside the PDE box {box}")
+        x = self.fine.grid.check_inside(x)
         pde_value = self.fine.value_at(x)
         grid_error = abs(pde_value - self.coarse.value_at(x))
         on_node = all(np.any(np.isclose(ax, x[j], atol=1e-12))

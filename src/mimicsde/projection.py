@@ -350,23 +350,6 @@ def compare_marginals(
     return MarginalComparison(entries=tuple(entries), thresholds=thr)
 
 
-def same_law_ks_quantile(
-    x: np.ndarray, y: np.ndarray, n_boot: int = 200, q: float = 0.99, seed: int = 0
-) -> float:
-    """Permutation quantile of the two-sample KS statistic under the same-law null.
-
-    Raises ``ValueError`` on an empty or non-finite sample.
-    """
-    pool = np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
-    nx = len(x)
-    gen = np.random.default_rng(seed)
-    stats = np.empty(n_boot)
-    for b in range(n_boot):
-        perm = gen.permutation(pool)
-        stats[b] = _ks_statistic(np.sort(perm[:nx]), np.sort(perm[nx:]))
-    return float(np.quantile(stats, q))
-
-
 def _mimicked_header(d: int) -> list[str]:
     return (["t_index"] + [f"cell_{j+1}" for j in range(d)]
             + [f"x_{j+1}" for j in range(d)] + ["occupancy"]

@@ -38,7 +38,7 @@ from typing import IO, TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from . import rng
-from .coeffs import CoefficientModel
+from .coeffs import CoefficientModel, _dot, _rows_scaled
 from .geometry import SpaceTimePoint
 
 if TYPE_CHECKING:
@@ -130,7 +130,11 @@ class ItoDriver:
     """Adapted coefficient process (beta(t), xi(t)) driven by an auxiliary state.
 
     ``coeffs(t, x, aux) -> (beta, xi)`` is pure (no noise), with beta of shape
-    (n, d) and xi of shape (n, d, d).  The auxiliary state is created by
+    (n, d) and xi of shape (n, d, d), in any memory layout; the drivers here
+    return them entry-major, as :meth:`.CoefficientModel.drift_and_sigma`
+    does, so each entry is a contiguous column that the kernel's column
+    arithmetic reads (sums from +0.0 in einsum's order, bit-identical to it
+    at d <= 2).  The auxiliary state is created by
     ``init_aux(n, u0)`` and evolves through ``advance_aux(t, h, x, aux, u)``
     on uniforms u0 and u of shape (n, 1).  A driver must produce a vanishing
     d-th row of xi whenever x_d = 0, so the state can never diffuse across
@@ -172,7 +176,7 @@ def regime_switching_driver(
 
     def coeffs(t, x, aux):
         beta, base = model.drift_and_sigma(t, x)
-        return beta, base * factors[aux][:, None, None]
+        return beta, _rows_scaled(factors[aux], base)
 
     def advance_aux(t, h, x, aux, u):
         flip = u[:, 0] < switch_rate * h
@@ -236,7 +240,10 @@ def _euler_paths(
     uniforms and advanced, after the step, on one column of ``DOMAIN_DRIVER``
     uniforms at step k.
     ``observe(k, x, beta, xi, z)`` sees every step's clipped state, driver
-    values and normals before the increment.
+    values and normals before the increment.  The increment is formed one
+    contiguous (n,) row per coordinate (:func:`_advance`), with xi z summed by
+    :func:`.coeffs._dot` (left to right from +0.0, numpy einsum's bits at
+    d <= 2, a rounding-level difference from it at d >= 3).
 
     Returns the clipped states at every stride-th node (start and end
     included), the per-path minimum of x_d before clipping, the number of
@@ -268,10 +275,8 @@ def _euler_paths(
         z = rng.normals(seed, rng.DOMAIN_BROWNIAN, paths, k, driver.d)
         if observe is not None:
             observe(k, x_eval, beta, xi, z)
-        # no name for the increment, so it is not held through the next
-        # step's evaluation, where peak memory is reached
-        x_int = (x_int if scheme == "full_truncation" else x_eval) + (
-            beta * h + np.einsum("nij,nj->ni", xi, z) * sqrt_h)
+        x_int = _advance(x_int if scheme == "full_truncation" else x_eval, beta, xi, z, h, sqrt_h)
+        del beta, xi, z  # not held through the next evaluation, where memory peaks
         np.minimum(pre_clip_min, x_int[:, -1], out=pre_clip_min)
         n_clipped += int(np.count_nonzero(x_int[:, -1] < 0.0))
         x_eval = x_int.copy()
@@ -282,6 +287,15 @@ def _euler_paths(
         if (k + 1) % store_stride == 0:
             states[:, (k + 1) // store_stride, :] = x_eval
     return states, pre_clip_min, n_clipped, aux
+
+
+def _advance(x: np.ndarray, beta, xi, z, h: float, sqrt_h: float) -> np.ndarray:
+    """x + (beta h + xi z sqrt(h)), coordinate by coordinate: each increment is
+    one contiguous (n,) row, added into that column of a new (n, d) state."""
+    out = np.empty_like(x)
+    for i in range(x.shape[1]):
+        np.add(x[:, i], beta[:, i] * h + _dot(xi[:, i], z) * sqrt_h, out=out[:, i])
+    return out
 
 
 def _simulate(driver, x0, grid, n_paths, seed, scheme, store_stride, observe=None):
@@ -379,11 +393,14 @@ def simulate_ito_process(
     step it whatever their ``ensemble.scheme``.  At each binning time of
     ``spec``, a node of ``grid`` (stored or not), the observation hook counts
     each path into its lattice cell and adds its beta and xi xi^* there, in
-    path order: these :class:`DriverSums` are what the estimator consumes.
-    xi xi^* is formed entry by entry (:func:`_outer_square`), with the same
-    bits as one batched einsum.  The sample mean of int (|beta| + |xi xi^*|) dt
-    is reported as an empirical integrability diagnostic, and a high clip
-    rate flags a driver whose noise does not vanish on the boundary.
+    path order, one ``np.bincount`` per entry (the bits of ``np.add.at``):
+    these :class:`DriverSums` are what the estimator consumes.  xi xi^* is
+    formed entry by entry (:func:`_outer_square`), with the same bits as one
+    batched einsum.  The sample mean of int (|beta| + |xi xi^*|) dt is
+    reported as an empirical integrability diagnostic, each norm summed
+    column by column, row-major from +0.0 (``np.add.reduce``'s bits at
+    d <= 2), and a high clip rate flags a driver whose noise does not vanish
+    on the boundary.
     """
     x0 = _as_start_state(start, driver.d, grid)
     if spec.d != driver.d:
@@ -393,17 +410,22 @@ def simulate_ito_process(
     except ValueError as err:
         raise ValueError(f"binning {err}") from None
     d, h = driver.d, grid.step
-    shape = (len(nodes), int(np.prod(spec.cell_shape)))
+    n_cells = int(np.prod(spec.cell_shape))
+    shape = (len(nodes), n_cells)
     sums = DriverSums(np.zeros(shape), np.zeros(shape + (d,)), np.zeros(shape + (d, d)), spec)
     boundary_viol = 0
     integrability = np.zeros(n_paths)
 
     def add_to_cells(k, x, beta, xi2):
+        # each binning time is one node, so its cells are summed once, from 0
         for kt in np.flatnonzero(nodes == k):
             inside, idx = spec.cell_index(x)
-            np.add.at(sums.occupancy[kt], idx, 1.0)
-            np.add.at(sums.beta[kt], idx, beta[inside])
-            np.add.at(sums.xi2[kt], idx, xi2[inside])
+            sums.occupancy[kt] = np.bincount(idx, minlength=n_cells)
+            for i in range(d):
+                sums.beta[kt, :, i] = np.bincount(idx, beta[:, i][inside], n_cells)
+                for j in range(i, d):
+                    sums.xi2[kt, :, i, j] = sums.xi2[kt, :, j, i] = np.bincount(
+                        idx, xi2[:, i, j][inside], n_cells)
 
     def observe(k, x, beta, xi, z):
         nonlocal boundary_viol, integrability
@@ -413,9 +435,9 @@ def simulate_ito_process(
             boundary_viol += int(np.count_nonzero(
                 np.abs(xi[on_boundary, -1, :]).max(axis=1) > 1e-12))
         add_to_cells(k, x, beta, xi2)
-        # numpy.linalg.norm's own reduction for real input, without its conj() copy
-        integrability += (np.sqrt(np.add.reduce(beta * beta, axis=1))
-                          + np.sqrt(np.add.reduce(xi2 * xi2, axis=(1, 2)))) * h
+        # numpy.linalg.norm's Frobenius and 2-norms, without its conj() copy
+        integrability += (np.sqrt(_dot(beta, beta))
+                          + np.sqrt(_dot(xi2.reshape(-1, d * d), xi2.reshape(-1, d * d)))) * h
 
     ens, aux = _simulate(driver, x0, grid, n_paths, seed, "absorbed_euler", store_stride,
                          observe)

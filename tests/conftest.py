@@ -4,6 +4,7 @@ import pytest
 import mimicsde as m
 from mimicsde import geometry
 from mimicsde.coeffs import _generator_contract
+from mimicsde.projection import _ks_statistic
 
 
 # the acceptance suite's Heston parameters
@@ -50,6 +51,57 @@ def generator_apply_batch(model: m.CoefficientModel, t, x: np.ndarray, grads: np
     """Vectorized generator: (1/2) x_d <a, H> + b . grad over a batch of points."""
     return _generator_contract(model.a(t, x), model.b(t, x), np.maximum(x[..., -1], 0.0),
                                grads, hesss)
+
+
+def time_weighted_xd(horizon: float) -> m.TestFunction:
+    """v(t, x) = (horizon - t) * x_d: the canonical boundary-regular space-time function.
+
+    Its raw hessian is zero, so x_d * hess is identically zero and the
+    boundary evaluation never forms 0 * infinity.
+    """
+
+    def jet(t, x):
+        w = horizon - np.asarray(t)
+        g = np.zeros_like(x)
+        g[:, -1] = w
+        return w * x[:, -1], g, np.zeros((x.shape[0], x.shape[1], x.shape[1]))
+
+    return m.TestFunction(
+        name=f"(T-t)*x_d, T={horizon}",
+        d=2,
+        jet=jet,
+        dt=lambda t, x: -x[:, -1],
+        xd_hess=lambda t, x: np.zeros((x.shape[0], x.shape[1], x.shape[1])),
+    )
+
+
+def ito_residual_ladder(model: m.CoefficientModel, v: m.TestFunction, start: m.SpaceTimePoint,
+                        horizon: float, steps, n_paths: int, seed: int,
+                        scheme: str = "full_truncation") -> dict:
+    """Residual decay of ``ito_formula_residual`` across a step-size ladder."""
+    reports = [m.ito_formula_residual(model, v, start, m.TimeGrid(start.t, start.t + horizon, h),
+                                      n_paths, seed, scheme) for h in steps]
+    means = [r.mean_abs_residual for r in reports]
+    ratios = [means[i] / means[i + 1] for i in range(len(means) - 1)]
+    return {"steps": list(steps), "mean_abs_residuals": means,
+            "halving_ratios": ratios,
+            "reports": [r.to_json() for r in reports]}
+
+
+def same_law_ks_quantile(x: np.ndarray, y: np.ndarray, n_boot: int = 200, q: float = 0.99,
+                         seed: int = 0) -> float:
+    """Permutation quantile of the two-sample KS statistic under the same-law null.
+
+    Raises ``ValueError`` on an empty or non-finite sample.
+    """
+    pool = np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
+    nx = len(x)
+    gen = np.random.default_rng(seed)
+    stats = np.empty(n_boot)
+    for b in range(n_boot):
+        perm = gen.permutation(pool)
+        stats[b] = _ks_statistic(np.sort(perm[:nx]), np.sort(perm[nx:]))
+    return float(np.quantile(stats, q))
 
 
 @pytest.fixture(scope="session")

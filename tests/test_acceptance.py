@@ -14,7 +14,8 @@ import mimicsde as m
 from mimicsde.coeffs import strip_generator_term
 from mimicsde.martingale import constant_probe, left_coordinate_probe
 
-from conftest import affine_cell_error_ratio, heston_cf
+from conftest import (affine_cell_error_ratio, heston_cf, ito_residual_ladder,
+                      same_law_ks_quantile, time_weighted_xd)
 
 HESTON = dict(kappa=1.5, theta=0.04, zeta=0.3, rho=-0.5, r=0.02, q=0.0)
 START = (0.0, 0.09)
@@ -101,7 +102,7 @@ def test_03_martingale_definition(model, start):
 
 
 def test_04_ito_formula_residual(model, start):
-    ladder = m.ito_residual_ladder(model, m.time_weighted_xd(1.0), start, 1.0,
+    ladder = ito_residual_ladder(model, time_weighted_xd(1.0), start, 1.0,
                                    [2.0**-6, 2.0**-7, 2.0**-8], 20_000, 51)
     ratios = ladder["halving_ratios"]
     ok = all(1.4 <= r <= 2.6 for r in ratios)
@@ -175,7 +176,7 @@ def test_07_mimicking_regime_switching(model, start):
           ("boundary_bump", lambda x: b2.jet(0.0, x)[0])]
     comp = m.compare_marginals(ens, mimic, [0.25, 0.5, 1.0], g_list=gs,
                                thresholds={"ks": 0.03})
-    boot = m.same_law_ks_quantile(ens.states_at(1.0)[:20_000, 1],
+    boot = same_law_ks_quantile(ens.states_at(1.0)[:20_000, 1],
                                   mimic.states_at(1.0)[:20_000, 1],
                                   n_boot=100, q=0.99, seed=37)
     # mixture-order sanity: estimated D sits between the regime extremes

@@ -305,10 +305,14 @@ class TestSchema:
     @pytest.mark.parametrize("start_x, shift", [
         ([0.0, 0.9], None), ([2.0, 0.09], None), ([0.0, 0.09], [0.0, 0.5])],
         ids=["above-x-max", "beyond-extent", "shifted-above-x-max"])
-    def test_duality_point_outside_the_pde_box_is_misuse(self, tmp_path, capsys, start_x,
-                                                          shift):
+    def test_duality_point_outside_the_pde_box_is_misuse(self, tmp_path, capsys, monkeypatch,
+                                                          start_x, shift):
         # the solution is clamped outside its box, so the score was spurious:
-        # (0, 0.9) read PDE 0.2461 against MC 0.0032, (2, 0.09) read 0 against 0
+        # (0, 0.9) read PDE 0.2461 against MC 0.0032, (2, 0.09) read 0 against 0.
+        # The box is checked first: no path is simulated and nothing is solved
+        ran = []
+        monkeypatch.setattr(sdesim, "_euler_paths", lambda *a, **k: ran.append("paths"))
+        monkeypatch.setattr(cli, "solve_two_grid", lambda *a, **k: ran.append("solve"))
         cfg = base_sim_config(tmp_path, kind="duality", start={"t": 0.0, "x": start_x})
         cfg["ensemble"] = {"n_paths": 200, "step": 2.0**-5, "horizon": 0.25}
         cfg["pde"] = {"dt": 1.0 / 16, "counts": [9, 9], "horizon": 0.25}
@@ -317,6 +321,7 @@ class TestSchema:
         assert cli.run(cfg) == 2
         assert "lies outside the PDE box [-1.5, 1.5] x [0, 0.5]" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
+        assert ran == []
 
 
 def _with(cfg: dict, path: tuple, value) -> dict:
@@ -478,7 +483,6 @@ SETTABLE_VALUES = {
     "martingale.MartingaleReport": "test_function entries z_crit",
     "martingale.martingale_test": "scheme n_intervals z_crit",
     "martingale.ItoResidualReport": "step mean_abs_residual rms_residual max_abs_residual",
-    "martingale.ito_residual_ladder": "scheme",
     "martingale.RestartBinEntry": "g bin_lo bin_hi count ks passed",
     "martingale.RestartReport": "n_hits n_capped entries merged_bins ks_threshold",
     "martingale.strong_markov_restart_test": "scheme n_bins min_bin ks_threshold perturb",
@@ -495,7 +499,6 @@ SETTABLE_VALUES = {
     "projection.build_mimicking_model": "max_masked_fraction",
     "projection.MarginalComparison": "entries thresholds",
     "projection.compare_marginals": "g_list seed thresholds",
-    "projection.same_law_ks_quantile": "n_boot q seed",
     "sdesim.TimeGrid": "start end step",
     "sdesim.DriverSums": "occupancy beta xi2 spec",
     "sdesim.PathEnsemble": (
@@ -522,7 +525,7 @@ def test_settable_values_are_pinned():
     for path in sorted(src.glob("*.py")):
         found.update(_settable_values(ast.parse(path.read_text()), path.stem + "."))
     assert found == SETTABLE_VALUES
-    assert sum(len(v.split()) for v in found.values()) == 159
+    assert sum(len(v.split()) for v in found.values()) == 155
 
 
 # each config section the CLI forwards as keyword arguments: the call it

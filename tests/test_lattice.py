@@ -1,8 +1,11 @@
-"""Bitwise equivalence of the gridded-evaluation kernels with their reference forms.
+"""Bitwise equivalence of the gridded-evaluation and Euler-step kernels with their reference forms.
 
 ``_LatticeInterpolator`` below is the per-corner fancy-indexing interpolator
 that ``coeffs.LatticeInterpolator`` replaced, kept verbatim as the reference.
-Both kernels must reproduce their reference bit for bit (compared as uint64,
+The column arithmetic of the Euler step (the increment, the generator
+contraction and the integrability norms) is compared with the ``einsum`` and
+``np.add.reduce`` expressions it replaced, at d <= 2, where the bits agree.
+Every kernel must reproduce its reference bit for bit (compared as uint64,
 so signed zeros and NaN payloads count), because the pinned ensembles and PDE
 layers depend on every bit.
 """
@@ -16,10 +19,13 @@ from hypothesis import given, settings, strategies as st
 from mimicsde.coeffs import (
     _COUNT_BRACKET_MAX_NODES,
     _COUNT_BRACKET_MIN_POINTS,
+    CoefficientModel,
     LatticeField,
     LatticeInterpolator,
+    RegularityBudget,
 )
-from mimicsde.sdesim import _outer_square
+from mimicsde.coeffs import _dot, _frobenius, _generator_contract
+from mimicsde.sdesim import _advance, _outer_square
 
 
 class _LatticeInterpolator:
@@ -180,18 +186,24 @@ def test_interpolator_rejects_mismatched_values():
 def test_joint_fields_match_separate_interpolators(n):
     # a built model's lattice in the full-mimic benchmark: 16 time layers, 16
     # x_1 centres, the x_d = 0 layer and 14 x_d centres; a (d x d) then b (d)
-    # stacked per node.  Each view alone, and both in one pass, must give
-    # the bits of an interpolator over that field's own table
+    # stacked per node.  Each view alone, and both in the one pass a model's
+    # drift_and_sigma makes, must give the bits of an interpolator over that
+    # field's own table
     gen = np.random.default_rng(n)
     times = np.arange(1, 17) / 16
     axes = [-0.6 + 1.2 * (np.arange(16) + 0.5) / 16,
             np.concatenate([[0.0], 0.25 * (np.arange(14) + 0.5) / 14])]
-    a_grid = gen.standard_normal((16, 16, 15, 2, 2))
+    f = gen.standard_normal((16, 16, 15, 2, 2))
+    a_grid = f @ np.swapaxes(f, -1, -2)  # a diffusion matrix, so that sigma is defined
     b_grid = gen.standard_normal((16, 16, 15, 2))
     stacked = np.concatenate([a_grid.reshape(16, 16, 15, 4), b_grid], axis=-1)
     lattice = LatticeInterpolator(times, axes, stacked)
     a_field = LatticeField(lattice, slice(0, 4), (2, 2))
     b_field = LatticeField(lattice, slice(4, None), (2,))
+    budget = RegularityBudget(1e-9, 1.0, 1e-9, 0.5)
+    model = CoefficientModel(d=2, a=a_field, b=b_field, c=None, budget=budget)
+    separate = CoefficientModel(d=2, a=LatticeInterpolator(times, axes, a_grid),
+                                b=None, c=None, budget=budget)
     # inside and beyond the hull of the centres on every axis, nodes included
     x = _points(gen, times, axes, n)
     for t in (0.3, 1.0 / 16, np.asarray(-0.2), 1.7, gen.uniform(-0.2, 1.2, n)):
@@ -199,9 +211,9 @@ def test_joint_fields_match_separate_interpolators(n):
         want_b = LatticeInterpolator(times, axes, b_grid)(t, x)
         _assert_bitwise(a_field(t, x), want_a)
         _assert_bitwise(b_field(t, x), want_b)
-        got_a, got_b = LatticeField.evaluate_together(t, x, (a_field, b_field))
-        _assert_bitwise(got_a, want_a)
-        _assert_bitwise(got_b, want_b)
+        got_b, got_sigma = model.drift_and_sigma(t, x)
+        np.testing.assert_array_equal(_bits(got_b), _bits(want_b))
+        np.testing.assert_array_equal(_bits(got_sigma), _bits(separate.sigma(t, x)))
 
 
 @st.composite
@@ -225,3 +237,80 @@ def test_outer_square_matches_einsum(xi):
         want = np.einsum("nik,njk->nij", xi, xi)
         got = _outer_square(xi)
     _assert_bitwise(got, want)
+
+
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -2.5e-310, 1e300])
+
+
+@st.composite
+def column_batches(draw):
+    """(gen, n, d, zero_rows): a batch size and dimension at which the column
+    forms must give einsum's bits, and the rows that hold signed zeros only."""
+    n = draw(st.sampled_from([1, 5, 257, 4099]))
+    d = draw(st.sampled_from([1, 2]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return gen, n, d, gen.random(n) < 0.3
+
+
+def _entries(gen, zero_rows, shape, entry_major=True):
+    """Per-row entries of the given shape, at magnitudes 1e-3..1e3 with 15 % special
+    values; ``zero_rows`` hold signed zeros only, so a sum of -0.0 terms occurs there.
+    Stored entry-major, as the Euler step stores them, or row-major."""
+    n = zero_rows.size
+    a = gen.standard_normal((n, *shape)) * 10.0 ** gen.integers(-3, 4, (n, *shape))
+    pick = gen.random(a.shape) < 0.15
+    a[pick] = gen.choice(_SPECIAL, pick.sum())
+    a[zero_rows] = gen.choice([0.0, -0.0], (zero_rows.sum(), *shape))
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0) if entry_major else a
+
+
+@settings(max_examples=60, deadline=None)
+@given(column_batches())
+def test_increment_matches_einsum(batch):
+    # the Euler step x + (beta h + xi z sqrt(h)): xi z summed from +0.0, so a
+    # row of -0.0 products with beta = x = -0.0 stays at +0.0, as einsum's does
+    gen, n, d, zero_rows = batch
+    beta, xi = _entries(gen, zero_rows, (d,)), _entries(gen, zero_rows, (d, d))
+    x, z = (_entries(gen, zero_rows, (d,), entry_major=False) for _ in range(2))
+    h = 2.0**-7
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = x + (beta * h + np.einsum("nij,nj->ni", np.ascontiguousarray(xi), z) * np.sqrt(h))
+        got = _advance(x, beta, xi, z, h, np.sqrt(h))
+    _assert_bitwise(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(column_batches(), st.booleans())
+def test_generator_contract_matches_einsum(batch, broadcast_a):
+    # (1/2) x_d <a, H> + b . g as the martingale compensator forms it, against
+    # the einsum form on the row-major arrays it used to read; a is per row
+    # (a lattice model's) or one matrix broadcast over the batch (Heston's)
+    gen, n, d, zero_rows = batch
+    if broadcast_a:
+        a = np.broadcast_to(_entries(gen, np.array([gen.random() < 0.3]), (d, d)), (n, d, d))
+        a_rows = a
+    else:
+        a = _entries(gen, zero_rows, (d, d))
+        a_rows = np.ascontiguousarray(a)
+    hess, b, g = (_entries(gen, zero_rows, shape) for shape in ((d, d), (d,), (d,)))
+    xd = np.abs(_entries(gen, zero_rows, (1,), entry_major=False)[:, 0])
+    with np.errstate(invalid="ignore", over="ignore"):
+        want_second = np.einsum("...ij,...ij->...", a_rows, np.ascontiguousarray(hess))
+        want_first = np.einsum("...i,...i->...", np.ascontiguousarray(b), np.ascontiguousarray(g))
+        _assert_bitwise(_frobenius(a, hess), want_second)
+        _assert_bitwise(_dot(b, g), want_first)
+        _assert_bitwise(_generator_contract(a, b, xd, g, hess), 0.5 * xd * want_second + want_first)
+
+
+@settings(max_examples=60, deadline=None)
+@given(column_batches())
+def test_integrability_norms_match_add_reduce(batch):
+    # simulate_ito_process's |beta| and |xi xi^*| per path; the terms are
+    # squares, never -0.0, so here only the row-major order can show
+    gen, n, d, zero_rows = batch
+    beta, xi = _entries(gen, zero_rows, (d,)), _entries(gen, zero_rows, (d, d))
+    with np.errstate(invalid="ignore", over="ignore"):
+        xi2 = _outer_square(xi)
+        flat = xi2.reshape(n, d * d)
+        _assert_bitwise(_dot(beta, beta), np.add.reduce(np.ascontiguousarray(beta * beta), axis=1))
+        _assert_bitwise(_dot(flat, flat), np.add.reduce(xi2 * xi2, axis=(1, 2)))

@@ -8,7 +8,7 @@ from mimicsde import rng
 from mimicsde.coeffs import strip_generator_term
 from mimicsde.martingale import _bump_psi, constant_probe, left_coordinate_probe
 
-from conftest import constant_model, zero_model
+from conftest import constant_model, ito_residual_ladder, time_weighted_xd, zero_model
 
 
 class TestTestFunction:
@@ -125,7 +125,7 @@ class TestIncrements:
 
     def test_rejects_time_dependent(self, heston, start):
         with pytest.raises(ValueError):
-            _trajectory(heston, m.time_weighted_xd(1.0), start)
+            _trajectory(heston, time_weighted_xd(1.0), start)
 
     @pytest.mark.parametrize("nodes", [[0, 17], [-1, 4], [2, 2]], ids=str)
     def test_rejects_nodes_off_the_grid_or_repeated(self, heston, start, nodes):
@@ -218,7 +218,7 @@ class TestItoFormula:
         assert rep.max_abs_residual <= 1e-12
 
     def test_boundary_function_residual_halves(self, heston, start):
-        ladder = m.ito_residual_ladder(heston, m.time_weighted_xd(1.0), start, 1.0,
+        ladder = ito_residual_ladder(heston, time_weighted_xd(1.0), start, 1.0,
                                        [2.0**-6, 2.0**-7, 2.0**-8], 8000, 51)
         for ratio in ladder["halving_ratios"]:
             assert 1.4 <= ratio <= 2.6
@@ -250,12 +250,12 @@ class TestItoFormula:
 
         monkeypatch.setattr(rng, "normals", counted)
         grid = m.TimeGrid(0.0, 0.5, 2.0**-5)
-        m.ito_formula_residual(heston, m.time_weighted_xd(0.5), start, grid, 16, 1,
+        m.ito_formula_residual(heston, time_weighted_xd(0.5), start, grid, 16, 1,
                                "full_truncation")
         assert domains.count(rng.DOMAIN_BROWNIAN) == grid.n_steps
 
     def test_grid_without_steps_has_zero_residual(self, heston, start):
-        rep = m.ito_formula_residual(heston, m.time_weighted_xd(0.5), start,
+        rep = m.ito_formula_residual(heston, time_weighted_xd(0.5), start,
                                      m.TimeGrid(0.0, 0.0, 0.1), 8, 1, "full_truncation")
         assert rep.max_abs_residual == 0.0
 

@@ -21,6 +21,8 @@ import mimicsde as m
 from mimicsde import cli, martingale, pde, rng
 from mimicsde.martingale import constant_probe, left_coordinate_probe
 
+from conftest import same_law_ks_quantile, time_weighted_xd
+
 
 def _digest(*arrays) -> str:
     h = hashlib.sha256()
@@ -99,6 +101,18 @@ HESTON_PINS = {
         "dc3cd90aac8f4c0bb4c32aab89775d0cb11b85fa4eaf2aa8862dad729a0207f4",
 }
 HESTON_CSV_PIN = "a1ccb12f422fd33175ea64331dd3d541c42ec745eb8f782260f5e1b8ec8b8d21"
+# _heston_ensemble's and the CLI's three test functions' increments from x = (0, 0),
+# where step 0's xi is +-0 on every path (the root's negative rho zeta times
+# sqrt(0) is -0), so every sum there must start from +0.0
+ORIGIN_PINS = {
+    "full_truncation":
+        "4b953bceafd5e892ae671c2d054d0105156a17ba3958d394630e7c68ed4f4098",
+    "absorbed_euler":
+        "f49b23dfb417d27b03db1a8b13c10ef16ae82de148653e94d26ee2f756afd0c0",
+    "linear": "ef6254b73370a4e3f699e23e08dc45238b40a3e554213f83607adffe8da4830e",
+    "bump": "6192d0eb7505774a54047af0be244e075144a3e58dadcb3a595c7cac08b2ec0f",
+    "boundary_bump": "0bb3f7b9ccbf7dbc14e71a4866d6e5ce1f39728ee7832b76fbbcb6a4892bf862",
+}
 GRIDDED_PIN = "33f0a27253e8f00b418bba51b52755a5335865e2876fa9b547d86efcde5b82e7"
 GRIDDED_PDE_PIN = "7fa95e831071ba9679c9f943ef0b187bbef8a1dc409eb97dabe7eac132cb0d4a"
 # states digest + the first 16 hex digits of the report's JSON digest
@@ -188,6 +202,27 @@ def test_heston_ensemble_pinned(heston, start, scheme):
 
 def test_heston_csv_pinned(heston, start):
     assert _csv_digest(_heston_ensemble(heston, start, "full_truncation")) == HESTON_CSV_PIN
+
+
+_ORIGIN = m.SpaceTimePoint(0.0, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("scheme", ["full_truncation", "absorbed_euler"])
+def test_heston_ensemble_from_origin_pinned(heston, scheme):
+    ens = _heston_ensemble(heston, _ORIGIN, scheme)
+    assert _digest(ens.states, ens.pre_clip_min_xd,
+                   np.array([ens.n_clipped_steps])) == ORIGIN_PINS[scheme]
+
+
+@pytest.mark.parametrize("case", ["linear", "bump", "boundary_bump"])
+def test_martingale_increments_from_origin_pinned(heston, case):
+    # the CLI's default martingale test functions
+    v = {"linear": m.linear_function([1.0, 0.0]), "bump": m.radial_bump([0.0, 0.05], 1.0),
+         "boundary_bump": m.boundary_bump([0.0], 0.6)}[case]
+    grid = _MARTINGALE_GRID
+    inc, _ = m.martingale_increments(heston, heston, [v], np.arange(grid.n_steps + 1), _ORIGIN,
+                                     grid, 256, 707)
+    assert _digest(inc[0]) == ORIGIN_PINS[case]
 
 
 def test_gridded_ensemble_pinned(gridded_model):
@@ -346,7 +381,7 @@ def _test_functions() -> dict:
     return {"linear": m.linear_function([0.0, 1.0]),
             "bump": m.radial_bump([0.0, 0.05], 1.0),
             "boundary_bump": m.boundary_bump([0.0], 0.6),
-            "time_weighted": m.time_weighted_xd(0.5)}
+            "time_weighted": time_weighted_xd(0.5)}
 
 
 _MARTINGALE_GRID = m.TimeGrid(0.0, 0.5, 2.0**-5)
@@ -376,7 +411,7 @@ def test_martingale_test_pinned(heston, gridded_model, start, case):
 
 def test_ito_residual_pinned(heston, start):
     # the same paths as the martingale pins' Heston paths, simulated by the residual itself
-    rep = m.ito_formula_residual(heston, m.time_weighted_xd(0.5), start,
+    rep = m.ito_formula_residual(heston, time_weighted_xd(0.5), start,
                                  _MARTINGALE_GRID, 256, 707, "full_truncation")
     assert _json_digest(rep.to_json()) == ITO_RESIDUAL_PIN
 
@@ -424,7 +459,7 @@ def test_compare_marginals_pinned(compare_ensembles, case):
 
 def test_same_law_ks_quantile_pinned(compare_ensembles):
     a, b = compare_ensembles["ties"]
-    q = m.same_law_ks_quantile(a.states_at(0.5)[:, 1], b.states_at(0.5)[:, 1],
+    q = same_law_ks_quantile(a.states_at(0.5)[:, 1], b.states_at(0.5)[:, 1],
                                n_boot=60, q=0.9, seed=5)
     assert _digest(np.array([q])) == SAME_LAW_KS_PIN
 

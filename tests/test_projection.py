@@ -9,7 +9,7 @@ from scipy import stats as sp_stats
 import mimicsde as m
 from mimicsde.projection import _ks_statistic, _w1
 
-from conftest import affine_cell_error_ratio
+from conftest import affine_cell_error_ratio, same_law_ks_quantile
 
 
 def heston_driver_ensemble(heston, n=8000, h=2.0**-6, stride=4, seed=21, spec=None):
@@ -232,7 +232,7 @@ class TestCompareMarginals:
         gen = np.random.default_rng(0)
         x = gen.standard_normal(2000)
         y = gen.standard_normal(2000)
-        q = m.same_law_ks_quantile(x, y, n_boot=100, q=0.99, seed=1)
+        q = same_law_ks_quantile(x, y, n_boot=100, q=0.99, seed=1)
         # asymptotic 99% two-sample quantile at n=m=2000: 1.628*sqrt(2/2000)
         assert 0.03 < q < 0.08
         assert float(np.abs(q - 1.628 * np.sqrt(2 / 2000))) < 0.02
@@ -283,14 +283,14 @@ class TestMergedCdfs:
         with pytest.raises(ValueError, match="finite"):
             m.compare_marginals(a, b, [0.5])
         with pytest.raises(ValueError, match="finite"):
-            m.same_law_ks_quantile(a.states_at(0.5)[:, 0], b.states_at(0.5)[:, 0], n_boot=5)
+            same_law_ks_quantile(a.states_at(0.5)[:, 0], b.states_at(0.5)[:, 0], n_boot=5)
 
     def test_empty_sample_raises(self, heston, start):
         a = m.simulate_sde(heston, start, m.TimeGrid(0.0, 1.0, 0.125), 50, 5)
         with pytest.raises(ValueError, match="non-empty"):
             m.compare_marginals(a, dataclasses.replace(a, states=a.states[:0]), [0.5])
         with pytest.raises(ValueError, match="non-empty"):
-            m.same_law_ks_quantile(np.array([]), np.array([1.0, 2.0]), n_boot=5)
+            same_law_ks_quantile(np.array([]), np.array([1.0, 2.0]), n_boot=5)
 
 
 def _swap_columns(header: str, a: str, b: str) -> str:
