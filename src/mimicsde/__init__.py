@@ -15,7 +15,7 @@ four ways of interrogating processes on it:
   boundary Itô formula, and the restart (strong Markov) property.
 
 :mod:`.geometry` supplies the cycloidal/parabolic distances and the sampled
-Hölder estimator used by the validator in :mod:`.coeffs`.
+Hölder scan used by the validator in :mod:`.coeffs`.
 """
 
 from .coeffs import (
@@ -28,12 +28,7 @@ from .coeffs import (
     strip_generator_term,
     validate_coefficients,
 )
-from .geometry import (
-    HolderEstimate,
-    Region,
-    SpaceTimePoint,
-    holder_seminorm_estimate,
-)
+from .geometry import Region, SpaceTimePoint
 from .martingale import (
     AdaptedProbe,
     MartingaleReport,

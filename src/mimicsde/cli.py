@@ -16,9 +16,11 @@ a typed payoff or test function too, a gridded model next to ``builtin`` or
 ``ensemble`` for simulate, martingale, project and full-mimic, ``binning`` for
 project and full-mimic), ``--break-generator`` on a kind other than
 martingale and duality, a config file that is not JSON, or a config the
-library rejects with a ``ValueError``, a duality run whose ``start.t`` is not 0
-(both of its sides start at t = 0) or a gridded model whose files cannot be
-read (``config error: ...`` on stderr; no report or manifest).  Once the schema
+library rejects with a ``ValueError``: among them an empty ``binning.edges``,
+``pde.counts`` or ``compare_times``, a martingale time grid of fewer steps
+than ``n_intervals``, a duality run whose ``start.t`` is not 0 (both of its
+sides start at t = 0) or a gridded model whose files cannot be read
+(``config error: ...`` on stderr; no report or manifest).  Once the schema
 and ``--break-generator`` checks pass, every artifact a run writes that an
 earlier run left in ``output_dir`` is deleted, save the gridded model this run
 reads (``model.gridded.csv`` and its sidecar ``<csv>.meta.json``), so a run
@@ -276,8 +278,7 @@ def _run_pde(cfg, out, seed, model, check_model):
     g = _payoff_from_spec(cfg.get("duality", {}).get("g", _DEFAULT_PAYOFF), model.d)
     nodes = grid.nodes()
     block = np.column_stack([np.ones(grid.n_nodes), g(nodes)])
-    sol_const, sol = _march(time_reversed_model(model, horizon), None, block, grid, horizon,
-                            scheme)
+    sol_const, sol = _march(time_reversed_model(model, horizon), block, grid, horizon, scheme)
     rate = sol.meta["c_min"]
     if rate != sol.meta["c_max"]:
         raise ValueError("the constant-data check needs a killing rate c that is constant "

@@ -596,8 +596,8 @@ def validate_coefficients(
             return np.column_stack([av[:, rows, cols], np.asarray(model.b(t, x), dtype=float),
                                     np.asarray(model.c(t, x), dtype=float)])
 
-        semi, _, pairs, witnesses = _holder_scan(entries, region, [budget.alpha, *report_alphas],
-                                                 metric, pair_budget, seed + salt)
+        semi, pairs, witnesses = _holder_scan(entries, region, [budget.alpha, *report_alphas],
+                                              metric, pair_budget, seed + salt)
         if pairs == 0:  # no scored pair: the clause would pass vacuously
             raise ValueError(f"{name}: no admissible pair among pair_budget={pair_budget}")
         k = len(labels) - 1 - int(np.argmax(semi[0, ::-1]))  # the last entry at the maximum
@@ -665,9 +665,9 @@ def strip_generator_term(model: CoefficientModel, part: str) -> CoefficientModel
     raise ValueError("part must be 'drift' or 'diffusion'")
 
 
-def load_gridded_model(csv_path, **build_kwargs) -> CoefficientModel:
-    """Load mimicked-coefficient files (CSV + sidecar ``<csv>.meta.json``) as a gridded model."""
+def load_gridded_model(csv_path) -> CoefficientModel:
+    """Load mimicked-coefficient files (CSV + sidecar ``<csv>.meta.json``) as a gridded
+    model, built at :func:`.projection.build_mimicking_model`'s default masked fraction."""
     from . import projection
 
-    mc = projection.load_mimicked(csv_path)
-    return projection.build_mimicking_model(mc, **build_kwargs)
+    return projection.build_mimicking_model(projection.load_mimicked(csv_path))

@@ -25,7 +25,7 @@ None while its seminorm is 0.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,26 +93,6 @@ class Region:
     @property
     def d(self) -> int:
         return len(self.lower)
-
-
-@dataclass(frozen=True)
-class HolderEstimate:
-    """Sampled Hölder seminorm and sup-norm over a region.
-
-    Both numbers are maxima over sampled admissible pairs/points, hence lower
-    bounds for the true suprema.  ``pairs`` counts the admissible pairs that
-    were actually scored; zero means the admissible set was empty and the
-    estimate is vacuous.
-    """
-
-    seminorm: float
-    sup_norm: float
-    pairs: int
-    metric: str
-    alpha: float
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def cycloidal_distance_arrays(
@@ -202,8 +182,8 @@ def _holder_scan(
     metric: str,
     pair_budget: int,
     seed: int,
-) -> tuple[np.ndarray, float, int, list[list[dict | None]]]:
-    """Seminorms (len(alphas), m) of an (n,) or (n, m) field, sup-norm, scored pairs, witnesses."""
+) -> tuple[np.ndarray, int, list[list[dict | None]]]:
+    """Seminorms (len(alphas), m) of an (n,) or (n, m) field, scored pairs, witnesses."""
     if not all(0.0 < alpha < 1.0 for alpha in alphas):
         raise ValueError("alpha must lie in (0, 1)")
     if pair_budget < 1:
@@ -212,7 +192,6 @@ def _holder_scan(
         raise ValueError(f"unknown metric {metric!r}")
     dist_fn = _METRICS[metric]
 
-    sup_norm = 0.0
     scored = 0
     batch = 4096
     done = 0
@@ -224,7 +203,6 @@ def _holder_scan(
         if done == 0:
             seminorms = np.zeros((len(alphas), u1.shape[1]))
             witnesses: list[list[dict | None]] = [[None] * u1.shape[1] for _ in alphas]
-        sup_norm = max(sup_norm, float(np.abs(u1).max()), float(np.abs(u2).max()))
         dist = dist_fn(t1, x1, t2, x2)
         ok = (dist > 0.0) & (dist <= 1.0)
         scored += int(ok.sum())
@@ -243,23 +221,5 @@ def _holder_scan(
                         "distance": float(dist[k]),
                     }
         done += count
-    return seminorms, sup_norm, scored, witnesses
+    return seminorms, scored, witnesses
 
-
-def holder_seminorm_estimate(
-    field: Field,
-    region: Region,
-    alpha: float,
-    metric: str,
-    pair_budget: int,
-    seed: int,
-) -> HolderEstimate:
-    """Sampled Hölder seminorm sup |u(P1)-u(P2)| / dist(P1,P2)^alpha over the region.
-
-    Only pairs with dist <= 1 are scored, so the estimate targets the local
-    Hölder condition rather than an unrestricted seminorm.  Deterministic given
-    the seed; nondecreasing in ``pair_budget`` for a fixed seed.
-    """
-    seminorms, sup_norm, pairs, _ = _holder_scan(field, region, [alpha], metric, pair_budget, seed)
-    return HolderEstimate(seminorm=float(seminorms[0, 0]), sup_norm=sup_norm, pairs=pairs,
-                          metric=metric, alpha=alpha)

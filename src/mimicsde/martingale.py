@@ -326,8 +326,11 @@ def martingale_test(model: CoefficientModel, generator: CoefficientModel,
         raise ValueError("need at least one test function and one probe")
     if n_intervals < 2:
         raise ValueError("need at least 2 sub-intervals")
+    if grid.n_steps < n_intervals:  # else rounded interval bounds coincide
+        raise ValueError(f"the time grid's {grid.n_steps} steps cannot bound "
+                         f"{n_intervals} sub-intervals")
     nodes = grid.nodes
-    bounds = np.unique(np.round(np.linspace(0, grid.n_steps, n_intervals + 1)).astype(int))
+    bounds = np.round(np.linspace(0, grid.n_steps, n_intervals + 1)).astype(int)
     mv, states = martingale_increments(model, generator, test_functions, bounds, start, grid,
                                        n_paths, seed, scheme)
     cal = np.arange(n_paths) % 2 == 0

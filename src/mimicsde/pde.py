@@ -2,7 +2,7 @@
 
 The marching equation is
 
-    u_t = (1/2) x_d sum_ij a_ij u_{x_i x_j} + sum_i b_i u_{x_i} + c u - f
+    u_t = (1/2) x_d sum_ij a_ij u_{x_i x_j} + sum_i b_i u_{x_i} + c u
 
 on a truncated box [-X', X']^{d-1} x [0, X_max].  The layer x_d = 0 is part of
 the computational domain but carries *no* boundary data: every second-order
@@ -26,7 +26,7 @@ cross term uses.  A node's cross stencil is a 3-point second difference along
 e_i + e_j (coefficient >= 0) or e_i - e_j (< 0) minus its corner weights on
 the two axis stencils (Bonnans, Ottenwaelter & Zidani 2004), so each
 off-diagonal entry of P lands in exactly one stage and the stages sum to P.
-Stage row sums are zero but for c, which sits with the source in stage 0, so
+Stage row sums are zero but for c, which sits alone in stage 0, so
 each I - theta*dt*P_k is an M-matrix wherever P's row is one and the step (a
 product of their inverses) is monotone.  On equal spacings each stage is zero
 on affine data by itself, so constants and affine data stay exact on every
@@ -65,8 +65,9 @@ SCHEMES = tuple(THETA)
 
 @dataclass(frozen=True)
 class Grid:
-    """Space grid plus time step.  Each axis has at least 3 nodes at one
-    spacing (gaps equal to a relative 1e-9); the x_d axis starts at the 0 layer."""
+    """Space grid plus time step.  There is at least one axis, each with at least
+    3 nodes at one spacing (gaps equal to a relative 1e-9); the x_d axis, the
+    last, starts at the 0 layer."""
 
     dt: float
     axes: tuple
@@ -76,6 +77,8 @@ class Grid:
             raise ValueError("dt must be positive")
         axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
         object.__setattr__(self, "axes", axes)
+        if not axes:
+            raise ValueError("need at least one axis")
         for ax in axes:
             if ax.size < 3:
                 raise ValueError("need at least 3 nodes per coordinate")
@@ -98,9 +101,8 @@ class Grid:
         """Uniform axes: x' on [-extent, extent], x_d on [0, x_max]."""
         counts = list(counts)
         axes = [np.linspace(-x_prime_extent, x_prime_extent, n) for n in counts[:-1]]
-        n_d = counts[-1]
-        j = np.arange(n_d) / (n_d - 1)
-        axes.append(x_max * j)
+        # the x_d axis; no counts make no axes, which the constructor rejects
+        axes += [x_max * (np.arange(n) / (n - 1)) for n in counts[-1:]]
         return cls(dt=dt, axes=tuple(axes))
 
     @property
@@ -392,8 +394,8 @@ class PdeSolution:
         return float(interp(0.0, np.asarray(x, dtype=float)[None, :])[0])
 
 
-def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Grid,
-           horizon: float, scheme: str) -> list[PdeSolution]:
+def _march(model: CoefficientModel, u0: np.ndarray, grid: Grid, horizon: float,
+           scheme: str) -> list[PdeSolution]:
     """March an (N, k) block of initial layers; one PdeSolution per column.
 
     Each step reads its coefficients from :func:`_node_coefficients` (for a
@@ -403,12 +405,12 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
     stage's right-hand side gathered into line order and its solution
     gathered back into grid order, odd steps in reverse order so
     that step pairs compose symmetrically, each as one theta-step
-    u <- (I - theta dt P_k)^{-1} (I + (1 - theta) dt P_k) u with the source in
-    stage 0, solved exactly with the stage's tridiagonal LU over all lines
-    and all k columns.  After each stage an explicit pass re-imposes the outer
-    closures, x_d top edge first, then the x' edges and corners.  Every
-    operation, the per-column extrema included, acts column by column, so
-    column j has the bits of a march of column j alone.
+    u <- (I - theta dt P_k)^{-1} (I + (1 - theta) dt P_k) u, solved exactly
+    with the stage's tridiagonal LU over all lines and all k columns.  After
+    each stage an explicit pass re-imposes the outer closures, x_d top edge
+    first, then the x' edges and corners.  Every operation, the per-column
+    extrema included, acts column by column, so column j has the bits of a
+    march of column j alone.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; use one of {SCHEMES}")
@@ -449,9 +451,8 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
     assembled = None
     downwind_rows, boundary_bd_min, c_min, c_max = [], [], [], []
     for n in range(n_steps):
-        t_next = (n + 1) * grid.dt
-        t_eval = t_next if theta == 1.0 else (n + 0.5) * grid.dt
-        now = coefficients(t_eval)
+        # implicit Euler reads the step's end, Crank-Nicolson its midpoint
+        now = coefficients((n + theta) * grid.dt)
         if now is not assembled:
             assembled = now
             parts, bd = _assemble_stages(st, now)
@@ -465,9 +466,6 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
             rhs = np.take(u, lines.order, axis=0)
             if theta != 1.0:
                 rhs += (1.0 - theta) * grid.dt * _apply(bands, rhs)
-            if f is not None and lines is st.axes[0]:
-                src = np.asarray(f(t_eval, st.nodes), dtype=float)
-                rhs -= grid.dt * np.take(np.where(st.outer, 0.0, src), lines.order)[:, None]
             u = np.take(lapack.dgttrs(*lu, rhs, overwrite_b=True)[0], lines.rank, axis=0)
             for rows, near, far in st.closures:
                 u[rows] = 2.0 * np.take(u, near, axis=0) - np.take(u, far, axis=0)
@@ -487,13 +485,12 @@ def _march(model: CoefficientModel, f: Callable | None, u0: np.ndarray, grid: Gr
 
 def solve_cauchy(
     model: CoefficientModel,
-    f: Callable | None,
     g: Callable,
     grid: Grid,
     horizon: float,
     scheme: str = "implicit_euler",
 ) -> PdeSolution:
-    """March u_t = A u + c u - f forward from u(0, .) = g to u(horizon, .).
+    """March u_t = A u + c u forward from u(0, .) = g to u(horizon, .).
 
     The initial layer equals g at the nodes exactly (a horizon of 0 returns
     it).  No data is imposed on x_d = 0 (see module docstring); the outer box
@@ -503,7 +500,7 @@ def solve_cauchy(
     u0 = np.asarray(g(nodes), dtype=float)
     if u0.shape != (nodes.shape[0],):
         raise ValueError("initial data must evaluate to one value per grid node")
-    return _march(model, f, u0[:, None], grid, horizon, scheme)[0]
+    return _march(model, u0[:, None], grid, horizon, scheme)[0]
 
 
 def time_reversed_model(model: CoefficientModel, horizon: float) -> CoefficientModel:
@@ -531,8 +528,7 @@ def solve_terminal_value(
     ``values`` is v(0, .) and the extrema cover every layer from the terminal
     one, which equals g at the nodes exactly, down to t = 0.
     """
-    return solve_cauchy(time_reversed_model(model, horizon), None, g, grid, horizon,
-                        scheme=scheme)
+    return solve_cauchy(time_reversed_model(model, horizon), g, grid, horizon, scheme=scheme)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,8 @@ class BinningSpec:
             raise ValueError("need at least one time node")
         edges = tuple(np.asarray(e, dtype=float) for e in self.edges)
         object.__setattr__(self, "edges", edges)
+        if not edges:
+            raise ValueError("need at least one edge array")
         for e in edges:
             if e.ndim != 1 or e.size < 2 or np.any(np.diff(e) <= 0):
                 raise ValueError("each edge array must be strictly increasing with >= 2 entries")
@@ -312,7 +314,8 @@ def compare_marginals(
     Per time: per-coordinate two-sample KS, sliced Wasserstein-1 along 16
     seeded random directions, and |E[g(A)] - E[g(B)]| gaps in units of the
     pooled standard error.  Both ensembles must contain every comparison time
-    as a stored node; an empty or non-finite sample there raises ``ValueError``.
+    as a stored node; no comparison time, or an empty or non-finite sample at
+    one, raises ``ValueError``.
     Each coordinate and projected sample is sorted once; KS and W1 from the
     merged CDFs equal scipy's ``ks_2samp`` and ``wasserstein_distance`` bit for bit.
     """
@@ -322,6 +325,8 @@ def compare_marginals(
     d = ens_a.d
     if ens_b.d != d:
         raise ValueError("ensembles must share the state dimension")
+    if len(times) == 0:  # the comparison would pass with nothing compared
+        raise ValueError("need at least one comparison time")
     gen = np.random.default_rng(seed)
     dirs = gen.standard_normal((_N_DIRECTIONS, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

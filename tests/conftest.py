@@ -1,3 +1,5 @@
+from dataclasses import asdict, dataclass
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,49 @@ def kinked_model(d: int = 2) -> m.CoefficientModel:
         budget=m.RegularityBudget(1e-9, 10.0, 0.4, 0.5),
         knots=[0.0],
     )
+
+
+@dataclass(frozen=True)
+class HolderEstimate:
+    """Sampled Hölder seminorm and sup-norm over a region.
+
+    Both numbers are maxima over sampled admissible pairs/points, hence lower
+    bounds for the true suprema.  ``pairs`` counts the admissible pairs that
+    were actually scored; zero means the admissible set was empty and the
+    estimate is vacuous.
+    """
+
+    seminorm: float
+    sup_norm: float
+    pairs: int
+    metric: str
+    alpha: float
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
+def holder_seminorm_estimate(field, region: m.Region, alpha: float, metric: str,
+                             pair_budget: int, seed: int) -> HolderEstimate:
+    """Sampled Hölder seminorm sup |u(P1)-u(P2)| / dist(P1,P2)^alpha over the region.
+
+    One :func:`geometry._holder_scan` at one exponent: only pairs with
+    dist <= 1 are scored, deterministic given the seed and nondecreasing in
+    ``pair_budget``.  The sup-norm is the largest |value| the scan read from
+    ``field``, at every drawn point, scored or not.
+    """
+    sup_norm = 0.0
+
+    def recorded(t, x):
+        nonlocal sup_norm
+        u = np.asarray(field(t, x), dtype=float)
+        sup_norm = max(sup_norm, float(np.abs(u).max()))
+        return u
+
+    seminorms, pairs, _ = geometry._holder_scan(recorded, region, [alpha], metric,
+                                                pair_budget, seed)
+    return HolderEstimate(seminorm=float(seminorms[0, 0]), sup_norm=sup_norm, pairs=pairs,
+                          metric=metric, alpha=alpha)
 
 
 def record_holder_pair_distances(monkeypatch) -> list[np.ndarray]:

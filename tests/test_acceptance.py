@@ -241,7 +241,7 @@ def test_10_pde_exactness_oracles(model):
     grid = m.Grid.build(dt=1 / 64, x_prime_extent=1.5, x_max=0.5, counts=[65, 65])
     const_err = 0.0
     for scheme in ("implicit_euler", "crank_nicolson"):
-        sol = m.solve_cauchy(model, None, ones, grid, 0.5, scheme=scheme)
+        sol = m.solve_cauchy(model, ones, grid, 0.5, scheme=scheme)
         const_err = max(const_err, float(np.abs(sol.values - 1.0).max()))
 
     const_model = m.CoefficientModel(
@@ -250,7 +250,7 @@ def test_10_pde_exactness_oracles(model):
         b=lambda t, x: np.broadcast_to(np.array([0.3, 0.2]), x.shape).copy(),
         c=lambda t, x: np.zeros(x.shape[0]),
         budget=m.RegularityBudget(0.5, 10.0, 0.1, 0.5), knots=[0.0])
-    sol = m.solve_cauchy(const_model, None, lambda x: x[:, 0], grid, 0.5)
+    sol = m.solve_cauchy(const_model, lambda x: x[:, 0], grid, 0.5)
     nodes = grid.nodes()
     inner = (np.abs(nodes[:, 0]) <= 0.75) & (nodes[:, 1] <= 0.25)
     affine_err = float(np.abs(sol.values.ravel() - (nodes[:, 0] + 0.15))[inner].max())
@@ -265,7 +265,7 @@ def test_10_pde_exactness_oracles(model):
         center = np.array([gen.uniform(-0.6, 0.6), gen.uniform(0.1, 0.3)])
         bump = m.radial_bump(center, radius)
         g = lambda x: bump.jet(0.0, x)[0]
-        solb = m.solve_cauchy(model, None, g, mp_grid, 0.25)
+        solb = m.solve_cauchy(model, g, mp_grid, 0.25)
         mp_min = min(mp_min, solb.layer_min)
         mp_max = max(mp_max, solb.layer_max)
     max_principle = mp_min >= -1e-6 and mp_max <= 1.0 + 1e-6
@@ -274,7 +274,7 @@ def test_10_pde_exactness_oracles(model):
     g = lambda x: bump.jet(0.0, x)[0]
     ladder = {n: m.Grid.build(dt=dt, x_prime_extent=1.5, x_max=0.5, counts=[n, n])
               for n, dt in ((33, 1 / 64), (65, 1 / 128), (129, 1 / 256))}
-    sols = {n: m.solve_cauchy(model, None, g, grd, 0.25) for n, grd in ladder.items()}
+    sols = {n: m.solve_cauchy(model, g, grd, 0.25) for n, grd in ladder.items()}
     d1 = float(np.abs(sols[65].values[::2, ::2] - sols[33].values).max())
     d2 = float(np.abs(sols[129].values[::4, ::4] - sols[65].values[::2, ::2]).max())
     order = float(np.log2(d1 / d2))
@@ -283,7 +283,7 @@ def test_10_pde_exactness_oracles(model):
     exact = []
     for u in ((2.0, 0.0), (2.0, 10.0)):
         cos_u = lambda x, u=u: np.cos(x @ np.asarray(u))
-        errs = [m.solve_cauchy(model, None, cos_u, grd, 0.25).value_at(START)
+        errs = [m.solve_cauchy(model, cos_u, grd, 0.25).value_at(START)
                 - heston_cf(u, 0.25, START).real for grd in ladder.values()]
         orders = [float(np.log2(e0 / e1)) for e0, e1 in zip(errs, errs[1:])]
         exact.append(f"u=({u[0]:g},{u[1]:g}): " + ", ".join(f"{e:.2e}" for e in errs)

@@ -302,6 +302,26 @@ class TestSchema:
         assert err.startswith("config error: ") and message in err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("kind, section, message", [
+        ("project", {"binning": {**SMALL_BINNING, "edges": []}}, "at least one edge array"),
+        ("pde", {"pde": {"dt": 1.0 / 16, "horizon": 0.25, "counts": []}}, "at least one axis"),
+        ("full-mimic", {"binning": SMALL_BINNING, "compare_times": []},
+         "at least one comparison time"),
+        ("martingale", {"ensemble": {"n_paths": 200, "step": 0.125, "horizon": 0.25}},
+         "2 steps cannot bound 4 sub-intervals"),
+    ], ids=["binning-edges", "pde-counts", "compare-times", "martingale-two-steps"])
+    def test_empty_or_too_short_is_misuse(self, tmp_path, capsys, kind, section, message):
+        # the first two used to end in an IndexError traceback, the last two
+        # to exit 0 after comparing nothing or testing fewer intervals
+        cfg = base_sim_config(tmp_path, kind=kind,
+                              ensemble={"n_paths": 400, "step": 2.0**-5, "horizon": 0.5})
+        cfg.update(section)
+        jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
+        assert cli.run(cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("start_x, shift", [
         ([0.0, 0.9], None), ([2.0, 0.09], None), ([0.0, 0.09], [0.0, 0.5])],
         ids=["above-x-max", "beyond-extent", "shifted-above-x-max"])
@@ -473,7 +493,6 @@ SETTABLE_VALUES = {
     "coeffs.validate_coefficients": "n_samples pair_budget seed alphas",
     "geometry.SpaceTimePoint": "t x",
     "geometry.Region": "t0 t1 lower upper",
-    "geometry.HolderEstimate": "seminorm sup_norm pairs metric alpha",
     "geometry.region_points": "stratify_from",
     "martingale.TestFunction": "name d jet dt xd_hess check_points",
     "martingale.radial_bump": "name",
@@ -525,7 +544,7 @@ def test_settable_values_are_pinned():
     for path in sorted(src.glob("*.py")):
         found.update(_settable_values(ast.parse(path.read_text()), path.stem + "."))
     assert found == SETTABLE_VALUES
-    assert sum(len(v.split()) for v in found.values()) == 155
+    assert sum(len(v.split()) for v in found.values()) == 150
 
 
 # each config section the CLI forwards as keyword arguments: the call it

@@ -13,6 +13,8 @@ from mimicsde.geometry import (
     parabolic_distance_arrays,
 )
 
+from conftest import holder_seminorm_estimate
+
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 nonneg = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
 times = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
@@ -105,16 +107,16 @@ class TestDistances:
 class TestHolderEstimator:
     def test_constant_field_zero(self):
         reg = m.Region(0.0, 1.0, (0.0, 0.0), (1.0, 1.0))
-        est = m.holder_seminorm_estimate(lambda t, x: np.ones(x.shape[0]), reg, 0.5,
-                                         "cycloidal", 500, 0)
+        est = holder_seminorm_estimate(lambda t, x: np.ones(x.shape[0]), reg, 0.5,
+                                       "cycloidal", 500, 0)
         assert est.seminorm == 0.0
         assert est.sup_norm == 1.0
         assert est.pairs > 0
 
     def test_lipschitz_bound_away_from_boundary(self):
         reg = m.Region(0.0, 1.0, (0.0, 1.0), (1.0, 2.0))
-        est = m.holder_seminorm_estimate(lambda t, x: x[:, 0], reg, 0.99,
-                                         "parabolic", 4000, 3)
+        est = holder_seminorm_estimate(lambda t, x: x[:, 0], reg, 0.99,
+                                       "parabolic", 4000, 3)
         assert est.seminorm <= 1.0 + 1e-9
 
     def test_sqrt_xd_cycloidal_vs_parabolic(self):
@@ -122,34 +124,34 @@ class TestHolderEstimator:
         # the parabolic estimate blows up as pairs approach it
         reg = m.Region(0.0, 0.5, (0.0, 0.0), (1.0, 1.0))
         f = lambda t, x: np.sqrt(x[:, -1])
-        cyc = m.holder_seminorm_estimate(f, reg, 0.9, "cycloidal", 20_000, 3)
-        par = m.holder_seminorm_estimate(f, reg, 0.9, "parabolic", 20_000, 3)
+        cyc = holder_seminorm_estimate(f, reg, 0.9, "cycloidal", 20_000, 3)
+        par = holder_seminorm_estimate(f, reg, 0.9, "parabolic", 20_000, 3)
         assert cyc.seminorm < 2.0
         assert par.seminorm > 5.0 * cyc.seminorm
 
     def test_budget_monotone_shared_seed(self):
         reg = m.Region(0.0, 0.5, (0.0, 0.0), (1.0, 1.0))
         f = lambda t, x: np.sqrt(x[:, -1])
-        vals = [m.holder_seminorm_estimate(f, reg, 0.9, "cycloidal", n, 3).seminorm
+        vals = [holder_seminorm_estimate(f, reg, 0.9, "cycloidal", n, 3).seminorm
                 for n in (200, 1000, 5000)]
         assert vals[0] <= vals[1] <= vals[2]
 
     def test_deterministic_given_seed(self):
         reg = m.Region(0.0, 1.0, (0.0, 0.0), (1.0, 1.0))
         f = lambda t, x: np.cos(x[:, 0]) * x[:, 1]
-        a = m.holder_seminorm_estimate(f, reg, 0.5, "parabolic", 2000, 11)
-        b = m.holder_seminorm_estimate(f, reg, 0.5, "parabolic", 2000, 11)
+        a = holder_seminorm_estimate(f, reg, 0.5, "parabolic", 2000, 11)
+        b = holder_seminorm_estimate(f, reg, 0.5, "parabolic", 2000, 11)
         assert a == b
 
     def test_validation_errors(self):
         reg = m.Region(0.0, 1.0, (0.0, 0.0), (1.0, 1.0))
         f = lambda t, x: x[:, 0]
         with pytest.raises(ValueError):
-            m.holder_seminorm_estimate(f, reg, 1.5, "parabolic", 10, 0)
+            holder_seminorm_estimate(f, reg, 1.5, "parabolic", 10, 0)
         with pytest.raises(ValueError):
-            m.holder_seminorm_estimate(f, reg, 0.5, "parabolic", 0, 0)
+            holder_seminorm_estimate(f, reg, 0.5, "parabolic", 0, 0)
         with pytest.raises(ValueError):
-            m.holder_seminorm_estimate(f, reg, 0.5, "euclidean", 10, 0)
+            holder_seminorm_estimate(f, reg, 0.5, "euclidean", 10, 0)
 
     def test_scan_scores_each_column_as_alone(self):
         # one draw of 5000 pairs (two batches) scores three columns at two
@@ -161,17 +163,17 @@ class TestHolderEstimator:
         field = lambda t, x: np.stack([f(t, x) for f in columns], axis=1)
         alphas = [0.5, 0.3]
         for metric in ("cycloidal", "parabolic"):
-            seminorms, sup_norm, pairs, witnesses = _holder_scan(field, region, alphas, metric,
-                                                                 5000, 4)
-            alone = [[m.holder_seminorm_estimate(f, region, a, metric, 5000, 4) for f in columns]
+            seminorms, pairs, witnesses = _holder_scan(field, region, alphas, metric, 5000, 4)
+            alone = [[holder_seminorm_estimate(f, region, a, metric, 5000, 4) for f in columns]
                      for a in alphas]
             assert seminorms.tolist() == [[e.seminorm for e in row] for row in alone]
-            assert sup_norm == max(e.sup_norm for e in alone[0])
+            together = holder_seminorm_estimate(field, region, alphas[0], metric, 5000, 4)
+            assert together.sup_norm == max(e.sup_norm for e in alone[0])
             assert pairs == alone[0][0].pairs
             assert all(w is not None for row in witnesses for w in row)
 
     def test_json_schema(self):
         reg = m.Region(0.0, 1.0, (0.0, 0.0), (1.0, 1.0))
-        est = m.holder_seminorm_estimate(lambda t, x: x[:, 0], reg, 0.5, "parabolic", 100, 0)
+        est = holder_seminorm_estimate(lambda t, x: x[:, 0], reg, 0.5, "parabolic", 100, 0)
         blob = json.loads(json.dumps(est.to_json()))
         assert set(blob) == {"seminorm", "sup_norm", "pairs", "metric", "alpha"}

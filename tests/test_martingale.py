@@ -194,6 +194,17 @@ class TestMartingaleTest:
             m.martingale_test(heston, heston, [m.linear_function([1.0, 0.0])], [constant_probe()],
                               start, _SMALL_GRID, 16, 1, n_intervals=1)
 
+    @pytest.mark.parametrize("grid", [m.TimeGrid(0.0, 0.0, 0.1), m.TimeGrid(0.0, 0.1, 0.1),
+                                      m.TimeGrid(0.0, 0.3, 0.1)], ids=["0", "1", "3"])
+    def test_needs_a_step_per_interval(self, heston, start, grid):
+        # rounded interval bounds would coincide: on no step a drift-broken
+        # generator passed with no entry, and on one step a single interval
+        # stood in for the 4 requested
+        broken = strip_generator_term(heston, "drift")
+        with pytest.raises(ValueError, match=f"{grid.n_steps} steps cannot bound 4"):
+            m.martingale_test(heston, broken, [m.linear_function([0.0, 1.0])],
+                              [constant_probe()], start, grid, 16, 1)
+
     @pytest.mark.parametrize("empty", ["test_functions", "probes"])
     def test_needs_a_test_function_and_a_probe(self, heston, start, empty):
         # an empty list has no entry to fail, so its report would pass vacuously

@@ -34,6 +34,8 @@ class TestGrid:
             m.Grid(dt=0.1, axes=(np.array([0.1, 0.5, 1.0]),))  # no boundary layer
         with pytest.raises(ValueError):
             m.Grid(dt=-0.1, axes=(np.array([0.0, 0.5, 1.0]),))
+        with pytest.raises(ValueError, match="at least one axis"):
+            m.Grid.build(dt=0.1, x_prime_extent=1.0, x_max=0.5, counts=[])
 
     def test_rejects_a_nonuniform_axis(self):
         # x_d = x_max (j/n)^2 spaces the first x_d interval 31 times finer
@@ -51,7 +53,7 @@ class TestGrid:
         # drift and the outer closures, so u(t, x) = g(x + b t) at every node
         grid = m.Grid.build(dt=1.0 / 64, x_prime_extent=1.5, x_max=0.5, counts=[21, 13])
         model = constant_model([0.3, 0.2], a_mat=[[1.0, 0.4], [0.4, 0.5]])
-        sol = m.solve_cauchy(model, None, g, grid, 0.5)
+        sol = m.solve_cauchy(model, g, grid, 0.5)
         expected = g(grid.nodes() + 0.5 * np.array([0.3, 0.2]))
         assert np.abs(sol.values.ravel() - expected).max() < 1e-12
 
@@ -66,14 +68,14 @@ class TestGrid:
     def test_march_rejects_a_grid_of_another_dimension(self):
         grid = m.Grid.build(dt=1 / 16, x_prime_extent=1.0, x_max=0.5, counts=[9, 9, 9])
         with pytest.raises(ValueError, match="3 axes; the model's dimension is 2"):
-            _march(constant_model([0.0, 0.1]), None, np.ones((grid.n_nodes, 1)), grid, 0.25,
+            _march(constant_model([0.0, 0.1]), np.ones((grid.n_nodes, 1)), grid, 0.25,
                    "implicit_euler")
 
     def test_march_rejects_three_node_x_prime_axis(self):
         # the two edge closures of a 3-node axis read each other: singular
         grid = m.Grid.build(dt=1 / 16, x_prime_extent=1.0, x_max=0.5, counts=[3, 9])
         with pytest.raises(ValueError, match="at least 4 nodes"):
-            m.solve_cauchy(constant_model([0.0, 0.1]), None, ones, grid, 0.25)
+            m.solve_cauchy(constant_model([0.0, 0.1]), ones, grid, 0.25)
 
     def test_coarsen(self):
         g = small_grid(n=33)
@@ -171,7 +173,6 @@ class TestStageSplit:
         grid = m.Grid.build(dt=2.0**-5, x_prime_extent=1.0, x_max=0.5, counts=(17, 17))
         x = grid.nodes()
         block = np.column_stack([np.exp(-x[:, 0] ** 2) * (1.0 + x[:, 1]), x[:, 0] - x[:, 1] ** 2])
-        f = lambda t, x: t * np.sin(x[:, 0]) * (1.0 + x[:, 1])
 
         st = _Stencil(grid)
         ref = block.copy()
@@ -181,8 +182,6 @@ class TestStageSplit:
             stages = assemble(model, t, st)[0]
             for lines, bands in stages if n == 0 else stages[::-1]:
                 rhs = ref.copy()
-                if lines is st.axes[0]:
-                    rhs[~st.outer] -= grid.dt * f(t, x)[~st.outer, None]
                 for pos, _ in lines.closures:
                     rhs[lines.order[pos]] = 0.0
                 ref = np.linalg.solve(dense_stage(st, lines, bands, grid.dt), rhs)
@@ -191,17 +190,17 @@ class TestStageSplit:
             refs.append(ref)
 
         for n, ref in enumerate(refs):
-            sols = _march(model, f, block, grid, (n + 1) * grid.dt, "implicit_euler")
+            sols = _march(model, block, grid, (n + 1) * grid.dt, "implicit_euler")
             got = np.column_stack([sol.values.ravel() for sol in sols])
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_inner_extrema_exclude_outer_nodes(self, heston):
         grid = small_grid(n=9)
         g = lambda x: np.exp(-np.sum(x**2, axis=1))
-        sol = m.solve_cauchy(heston, None, g, grid, 0.25)
+        sol = m.solve_cauchy(heston, g, grid, 0.25)
         inner = ~_Stencil(grid).outer
         # every layer of the 16-step march, as the final layer of a k-step march
-        layers = np.array([m.solve_cauchy(heston, None, g, grid, k * grid.dt).values.ravel()[inner]
+        layers = np.array([m.solve_cauchy(heston, g, grid, k * grid.dt).values.ravel()[inner]
                            for k in range(17)])
         assert sol.meta["inner_min"] == layers.min()
         assert sol.meta["inner_max"] == layers.max()
@@ -212,7 +211,7 @@ class TestExactness:
     def test_constants_both_schemes(self, heston):
         grid = small_grid()
         for scheme in ("implicit_euler", "crank_nicolson"):
-            sol = m.solve_cauchy(heston, None, ones, grid, 0.5, scheme=scheme)
+            sol = m.solve_cauchy(heston, ones, grid, 0.5, scheme=scheme)
             assert np.abs(sol.values - 1.0).max() < 1e-12
 
     def test_affine_transport_exact(self):
@@ -220,7 +219,7 @@ class TestExactness:
         # second differences kill it, so only drift quadrature remains (exact)
         model = constant_model([0.3, 0.2])
         grid = small_grid()
-        sol = m.solve_cauchy(model, None, lambda x: x[:, 0], grid, 0.5)
+        sol = m.solve_cauchy(model, lambda x: x[:, 0], grid, 0.5)
         nodes = grid.nodes()
         expected = nodes[:, 0] + 0.3 * 0.5
         err = np.abs(sol.values.ravel() - expected)
@@ -229,22 +228,14 @@ class TestExactness:
 
     def test_killing_reduces_to_ode(self, heston_killing):
         grid = small_grid(dt=1.0 / 128)
-        sol = m.solve_cauchy(heston_killing, None, ones, grid, 0.5)
+        sol = m.solve_cauchy(heston_killing, ones, grid, 0.5)
         assert np.abs(sol.values - np.exp(-0.02 * 0.5)).max() < 1e-6
 
     def test_initial_layer_exact(self, heston):
         grid = small_grid()
         g = lambda x: np.cos(x[:, 0]) + x[:, 1]
-        sol = m.solve_cauchy(heston, None, g, grid, 0.0)
+        sol = m.solve_cauchy(heston, g, grid, 0.0)
         assert np.array_equal(sol.values.ravel(), g(grid.nodes()))
-
-    def test_source_term_spatially_constant(self, heston):
-        # u_t = A u - f with f = 1, g = 0, c = 0: u(t) = -t exactly
-        grid = small_grid()
-        f = lambda t, x: np.ones(x.shape[0])
-        zero = lambda x: np.zeros(x.shape[0])
-        sol = m.solve_cauchy(heston, f, zero, grid, 0.5)
-        assert np.abs(sol.values + 0.5).max() < 1e-12
 
 
 class TestTerminalValue:
@@ -257,7 +248,7 @@ class TestTerminalValue:
         grid = small_grid()
         g = lambda x: np.exp(-np.sum(x**2, axis=1))
         vt = m.solve_terminal_value(heston, g, 0.5, grid)
-        uc = m.solve_cauchy(time_reversed_model(heston, 0.5), None, g, grid, 0.5)
+        uc = m.solve_cauchy(time_reversed_model(heston, 0.5), g, grid, 0.5)
         assert np.array_equal(vt.values, uc.values)
         assert (vt.layer_min, vt.layer_max) == (uc.layer_min, uc.layer_max)
         assert vt.meta == uc.meta
@@ -298,7 +289,7 @@ class TestStructuralProperties:
             c = np.array([gen.uniform(-0.6, 0.6), gen.uniform(0.1, 0.3)])
             bump = m.radial_bump(c, r)
             g = lambda x: bump.jet(0.0, x)[0]
-            sol = m.solve_cauchy(heston, None, g, grid, 0.25)
+            sol = m.solve_cauchy(heston, g, grid, 0.25)
             assert sol.layer_max <= 1.0 + 1e-6
             assert sol.layer_min >= -1e-6
 
@@ -307,9 +298,9 @@ class TestStructuralProperties:
         g1 = lambda x: np.exp(-np.sum(x**2, axis=1))
         g2 = lambda x: np.cos(x[:, 0])
         combo = lambda x: 2.0 * g1(x) - 0.5 * g2(x)
-        s1 = m.solve_cauchy(heston, None, g1, grid, 0.25).values
-        s2 = m.solve_cauchy(heston, None, g2, grid, 0.25).values
-        sc = m.solve_cauchy(heston, None, combo, grid, 0.25).values
+        s1 = m.solve_cauchy(heston, g1, grid, 0.25).values
+        s2 = m.solve_cauchy(heston, g2, grid, 0.25).values
+        sc = m.solve_cauchy(heston, combo, grid, 0.25).values
         assert np.abs(sc - (2.0 * s1 - 0.5 * s2)).max() < 1e-10
 
     def test_self_convergence_order(self, heston):
@@ -318,7 +309,7 @@ class TestStructuralProperties:
         sols = {}
         for n, dt in ((33, 1 / 64), (65, 1 / 128), (129, 1 / 256)):
             grid = m.Grid.build(dt=dt, x_prime_extent=1.5, x_max=0.5, counts=[n, n])
-            sols[n] = m.solve_cauchy(heston, None, g, grid, 0.25)
+            sols[n] = m.solve_cauchy(heston, g, grid, 0.25)
         # compare on the shared coarse nodes (every other fine node)
         u33 = sols[33].values
         u65 = sols[65].values[::2, ::2]
@@ -332,7 +323,7 @@ class TestStructuralProperties:
         model = constant_model([50.0, 1.0])
         grid = small_grid()
         with pytest.warns(RuntimeWarning, match="crank_nicolson"):
-            m.solve_cauchy(model, None, ones, grid, 0.25, scheme="crank_nicolson")
+            m.solve_cauchy(model, ones, grid, 0.25, scheme="crank_nicolson")
 
 
 class TestDuality:
@@ -427,7 +418,7 @@ def test_march_reports_killing_applied(heston, heston_killing):
     u0 = np.ones((grid.n_nodes, 1))
 
     def c_range(model):
-        meta = _march(model, None, u0, grid, 0.5, "implicit_euler")[0].meta
+        meta = _march(model, u0, grid, 0.5, "implicit_euler")[0].meta
         return meta["c_min"], meta["c_max"]
 
     assert c_range(heston) == (0.0, 0.0)
@@ -496,7 +487,7 @@ class TestKnots:
         grid = small_grid(n=9, dt=1.0 / 16)
         for model in (one_layer, early):
             assembled.clear()
-            _march(model, None, np.ones((grid.n_nodes, 1)), grid, 0.5, "implicit_euler")
+            _march(model, np.ones((grid.n_nodes, 1)), grid, 0.5, "implicit_euler")
             assert len(assembled) == 1
 
     def test_march_evaluates_each_reached_knot_once(self, gridded_model):
@@ -525,15 +516,13 @@ class TestBlockMarch:
         x = grid.nodes()
         block = np.column_stack([np.ones(len(x)), np.exp(-x[:, 0] ** 2) * (1.0 + x[:, 1]),
                                  x[:, 0] - x[:, 1] ** 2])
-        for f in (None, lambda t, x: t * np.sin(x[:, 0]) * x[:, 1]):
-            singles = [_march(model, f, block[:, [j]], grid, 0.25, scheme)[0]
-                       for j in range(3)]
-            for k in (2, 3):
-                sols = _march(model, f, block[:, :k], grid, 0.25, scheme)
-                assert len(sols) == k
-                for sol, ref in zip(sols, singles):
-                    assert sol.values.shape == ref.values.shape
-                    assert np.array_equal(sol.values, ref.values)
-                    assert (sol.layer_min, sol.layer_max) == (ref.layer_min, ref.layer_max)
-                    for key in ("inner_min", "inner_max"):
-                        assert sol.meta[key] == ref.meta[key]
+        singles = [_march(model, block[:, [j]], grid, 0.25, scheme)[0] for j in range(3)]
+        for k in (2, 3):
+            sols = _march(model, block[:, :k], grid, 0.25, scheme)
+            assert len(sols) == k
+            for sol, ref in zip(sols, singles):
+                assert sol.values.shape == ref.values.shape
+                assert np.array_equal(sol.values, ref.values)
+                assert (sol.layer_min, sol.layer_max) == (ref.layer_min, ref.layer_max)
+                for key in ("inner_min", "inner_max"):
+                    assert sol.meta[key] == ref.meta[key]

@@ -21,7 +21,7 @@ import mimicsde as m
 from mimicsde import cli, martingale, pde, rng
 from mimicsde.martingale import constant_probe, left_coordinate_probe
 
-from conftest import same_law_ks_quantile, time_weighted_xd
+from conftest import holder_seminorm_estimate, same_law_ks_quantile, time_weighted_xd
 
 
 def _digest(*arrays) -> str:
@@ -372,7 +372,7 @@ def test_validator_pinned(heston, gridded_model, case):
 def test_sampled_norms_pinned():
     region = m.Region(0.0, 1.0, (-1.0, 0.0), (1.0, 0.5))
     field = lambda t, x: np.sin(3.0 * x[:, 0]) * np.sqrt(x[:, 1]) + t
-    holder = [m.holder_seminorm_estimate(field, region, 0.5, metric, 5000, 4).to_json()
+    holder = [holder_seminorm_estimate(field, region, 0.5, metric, 5000, 4).to_json()
               for metric in ("cycloidal", "parabolic")]
     assert _json_digest(holder) == HOLDER_PIN
 

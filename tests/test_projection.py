@@ -31,6 +31,8 @@ class TestBinningSpec:
             m.BinningSpec(times=(0.5,), edges=(np.array([0.0, 1.0, 0.5]),))
         with pytest.raises(ValueError):
             m.BinningSpec(times=(0.5,), edges=(np.array([0.1, 1.0]),))  # x_d not from 0
+        with pytest.raises(ValueError, match="at least one edge array"):
+            m.BinningSpec(times=(0.5,), edges=())
         # min_count <= 0 would leave empty cells unmasked, as NaN in the built model
         for min_count in (0, -1.0):
             with pytest.raises(ValueError, match="min_count"):
@@ -285,6 +287,12 @@ class TestMergedCdfs:
         with pytest.raises(ValueError, match="finite"):
             same_law_ks_quantile(a.states_at(0.5)[:, 0], b.states_at(0.5)[:, 0], n_boot=5)
 
+    def test_no_comparison_time_raises(self, heston, start):
+        # an empty list has no entry to fail, so the comparison would pass vacuously
+        a = m.simulate_sde(heston, start, m.TimeGrid(0.0, 1.0, 0.125), 50, 5)
+        with pytest.raises(ValueError, match="at least one comparison time"):
+            m.compare_marginals(a, a, [])
+
     def test_empty_sample_raises(self, heston, start):
         a = m.simulate_sde(heston, start, m.TimeGrid(0.0, 1.0, 0.125), 50, 5)
         with pytest.raises(ValueError, match="non-empty"):
@@ -398,7 +406,8 @@ class TestSerialization:
         ens = heston_driver_ensemble(heston, n=8000)
         mc = m.estimate_mimicking_coefficients(ens)
         m.save_mimicked(mc, tmp_path / "mc.csv")
-        model = m.load_gridded_model(tmp_path / "mc.csv", max_masked_fraction=0.95)
+        model = m.build_mimicking_model(m.load_mimicked(tmp_path / "mc.csv"),
+                                        max_masked_fraction=0.95)
         x = np.array([[0.0, 0.09]])
         assert np.isfinite(model.b(0.5, x)).all()
         assert np.isfinite(model.sigma(0.5, x)).all()
@@ -412,7 +421,8 @@ class TestSerialization:
         m.save_mimicked(mc, tmp_path / "mc.csv")
         saved = m.load_mimicked(tmp_path / "mc.csv")
         assert saved.mask.any() and not np.isnan(saved.b_hat).any()
-        loaded = m.load_gridded_model(tmp_path / "mc.csv", max_masked_fraction=0.95)
+        loaded = m.build_mimicking_model(m.load_mimicked(tmp_path / "mc.csv"),
+                                         max_masked_fraction=0.95)
         assert loaded.knots.tobytes() == built.knots.tobytes()
         assert loaded.budget == built.budget
         u = np.random.default_rng(5).uniform(size=(2000, 2))
